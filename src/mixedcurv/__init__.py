@@ -1,8 +1,8 @@
 """Numerical extrinsic geometry of distributions on pseudo-Riemannian charts."""
 
 from .structure import ProductStructure, load_structure, adapted_frame, signature
-from .geometry import (PointGeometry, divergence, extrinsic_bundle,
-                       identity_suite, mixed_scalar, partial_ricci)
+from .geometry import (PointGeometry, divergence, identity_suite, mixed_scalar,
+                       partial_ricci)
 
 __all__ = [
     "ProductStructure",
@@ -11,7 +11,6 @@ __all__ = [
     "signature",
     "PointGeometry",
     "divergence",
-    "extrinsic_bundle",
     "identity_suite",
     "mixed_scalar",
     "partial_ricci",

@@ -55,7 +55,10 @@ def _points(args, struct):
             chunk = chunk.strip().strip("()")
             if not chunk:
                 continue
-            pt = tuple(float(x) for x in chunk.split(","))
+            try:
+                pt = tuple(float(x) for x in chunk.split(","))
+            except ValueError:
+                raise MixedCurvError(f"bad point {chunk!r} in --points") from None
             if len(pt) != struct.dim:
                 raise MixedCurvError(
                     f"point {pt} has {len(pt)} coordinates, chart has {struct.dim}")
@@ -63,6 +66,8 @@ def _points(args, struct):
         if not pts:
             raise MixedCurvError("no points parsed from --points")
         return pts
+    if args.random < 1:
+        raise MixedCurvError(f"--random needs at least 1 point, got {args.random}")
     return struct.interior_points(args.random, args.seed)
 
 
@@ -73,7 +78,10 @@ def _parse_box(text, dim):
         m = re.match(r"^\s*\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]\s*$", part)
         if not m:
             raise MixedCurvError(f"bad box interval {part!r}")
-        intervals.append((float(m.group(1)), float(m.group(2))))
+        try:
+            intervals.append((float(m.group(1)), float(m.group(2))))
+        except ValueError:
+            raise MixedCurvError(f"bad box interval {part!r}") from None
     if len(intervals) != dim:
         raise MixedCurvError(f"box needs {dim} intervals, got {len(intervals)}")
     return tuple(intervals)
@@ -143,6 +151,7 @@ def cmd_verify(args):
                     "verdict": bool(ok)})
 
     elif args.suite == "variations":
+        box = _parse_box(args.box, struct.dim) if args.box else None
         report["fd_steps"] = list(va.FD_STEPS)
         for klass in ("perp", "tan"):
             v = va.random_variation(struct, klass, seed=args.seed)
@@ -155,8 +164,7 @@ def cmd_verify(args):
                         "order": r.order, "tolerance": args.tol * 10,
                         "provenance": "derived:fd-vs-jets",
                         "verdict": bool(r.verdict)})
-        if args.box:
-            box = _parse_box(args.box, struct.dim)
+        if box:
             q = el.QuadratureSpec(box=box, grid=args.grid)
             v = va.random_variation(struct, "perp", seed=args.seed, box=box)
             rep = va.verify_bar_relation(struct, v, q,

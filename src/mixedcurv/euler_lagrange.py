@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpecializationError
-from .geometry import PointGeometry, grad_vals, val
-from .jets import value_of
+from .geometry import PointGeometry, grad_vals
+from .jets import jsum, value_of
 
 DEFAULT_TOL = 1e-6
 
@@ -85,7 +85,7 @@ def integrate(struct, integrand, q, metric_fn=None):
 
 def _density(struct, pt, metric_fn):
     rows = (metric_fn or struct.metric_at)(list(pt))
-    g0 = np.array([[val(x) for x in row] for row in rows])
+    g0 = np.array([[value_of(x) for x in row] for row in rows])
     det = float(np.linalg.det(g0))
     return math.sqrt(abs(det))
 
@@ -107,25 +107,25 @@ def domain_mean(struct, f, q, metric_fn=None):
 
 def s_star(geom, side="perp"):
     """The starred mixed scalar entering the volume-normalized equations."""
-    if side == "perp":
-        return geom.smix - (2.0 / geom.p) * (
-            geom.s_ex + 2.0 * geom.norm_Tt - geom.norm_T + geom.div_H)
-    if side == "tan":
-        return geom.smix - (2.0 / geom.n) * (
-            geom.s_ex_tilde + 2.0 * geom.norm_T - geom.norm_Tt + geom.div_Ht)
-    raise SpecializationError(f"unknown side {side!r}")
+    if side not in ("perp", "tan"):
+        raise SpecializationError(f"unknown side {side!r}")
+    B = getattr(geom, side)
+    A = B.dual
+    return geom.smix - (2.0 / B.dim) * (
+        A.s_ex + 2.0 * B.norm_T - A.norm_T + A.div_H)
 
 
 def s_star_flow(geom):
     """Flow-specialized starred scalars (independent assembly, n = 1)."""
     if geom.n != 1:
         raise SpecializationError("flow form needs rank-one D-tilde")
-    eN = geom.eps_tan[0]
-    star_perp = eN * geom.ric_N - 2.0 * ((2.0 / geom.p) * geom.norm_Tt
-                                         + geom.div_H / geom.p)
-    nt1 = float(np.dot(grad_vals(geom.tau1_tilde_J, geom.d), geom.F[0]))
-    tau2 = float(np.trace(geom.At_ops[0] @ geom.At_ops[0]))
-    star_tan = eN * geom.ric_N - 2.0 * (eN * (nt1 - tau2) - geom.norm_Tt)
+    tan, perp = geom.tan, geom.perp
+    eN = tan.eps[0]
+    star_perp = eN * geom.ric_N - 2.0 * ((2.0 / geom.p) * perp.norm_T
+                                         + tan.div_H / geom.p)
+    nt1 = float(np.dot(grad_vals(perp.tau1_J, geom.d), geom.F[0]))
+    tau2 = float(np.trace(perp.A_ops[0] @ perp.A_ops[0]))
+    star_tan = eN * geom.ric_N - 2.0 * (eN * (nt1 - tau2) - perp.norm_T)
     return star_perp, star_tan
 
 
@@ -172,66 +172,56 @@ def _resolve_constant(constants, key, fallback):
 # ----------------------------------------------------------------------
 # general Euler-Lagrange system
 
+def _el_block(geom, B, A, star):
+    """E-main-0i residual with B = perp, A = tan; E-main-0iii with the two
+    blocks exchanged."""
+    return (B.r - B.pair_tensor_vec
+            + B.flat(B.casorati)
+            - B.flat(B.tcal)
+            + A.phi_h[B.sl, B.sl] + A.phi_T[B.sl, B.sl]
+            + A.psi - B.def_of(A.HJ)
+            + B.flat(B.kcal)
+            - 0.5 * (geom.smix - star + B.div_H - A.div_H) * np.diag(B.eps))
+
+
 def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
+    tan, perp = geom.tan, geom.perp
     n, p = geom.n, geom.p
     consts = {}
 
-    if which == "E-main-0i":
-        star, src = _resolve_constant(constants, "s_star_perp",
-                                      lambda: s_star(geom, "perp"))
-        consts["s_star_perp"] = star
-        consts["s_star_perp_source"] = src
-        pair_htH = geom.pair_tensor_vec_perp()
-        g_perp = np.diag(geom.eps_perp)
-        resid = (geom.r_perp - pair_htH
-                 + geom.flat_perp(geom.casorati_tilde)
-                 - geom.flat_perp(geom.tcal_tilde)
-                 + geom.phi_h[n:, n:] + geom.phi_T[n:, n:]
-                 + geom.psi - geom.def_perp_of(geom.HJ)
-                 + geom.flat_perp(geom.kcal_tilde)
-                 - 0.5 * (geom.smix - star + geom.div_Ht - geom.div_H) * g_perp)
-        return _report(which, resid, consts, tol)
+    if which in ("E-main-0i", "E-main-0iii"):
+        B = perp if which == "E-main-0i" else tan
+        key = f"s_star_{B.side}"
+        star, src = _resolve_constant(constants, key,
+                                      lambda: s_star(geom, B.side))
+        consts[key] = star
+        consts[f"{key}_source"] = src
+        return _report(which, _el_block(geom, B, B.dual, star), consts, tol)
 
     if which == "E-main-0ii":
-        div_alpha = geom.to_frame02(geom.div_12(geom.alpha_field))
-        div_tth = geom.to_frame02(geom.div_12(geom.theta_tilde_field))
+        div_alpha = geom.to_frame02(geom.div_12(tan.alpha_field))
+        div_tth = geom.to_frame02(geom.div_12(perp.theta_field))
         M = div_alpha - div_tth
         sym_div = np.zeros((n, p))
         for a in range(n):
             for i in range(p):
                 sym_div[a, i] = 0.5 * (M[a, n + i] + M[n + i, a])
-        full = (2.0 * geom.pair_vec_12(geom.theta_b, geom.Htb_frame)
-                + geom.pair_vec_12(geom.theta_tilde_b - geom.alpha_tilde_b,
-                                   geom.Hb_frame)
-                + 0.5 * (np.outer(geom.Hb_frame, geom.Htb_frame)
-                         + np.outer(geom.Htb_frame, geom.Hb_frame))
-                + 2.0 * geom.lam(geom.alpha_tilde_b, geom.theta_b)
-                + geom.lam(geom.alpha_b, geom.alpha_tilde_b)
-                + geom.lam(geom.theta_b, geom.theta_tilde_b))
+        full = (2.0 * geom.pair_vec_12(tan.theta_b, perp.Hb_frame)
+                + geom.pair_vec_12(perp.theta_b - perp.alpha_b,
+                                   tan.Hb_frame)
+                + 0.5 * (np.outer(tan.Hb_frame, perp.Hb_frame)
+                         + np.outer(perp.Hb_frame, tan.Hb_frame))
+                + 2.0 * geom.lam(perp.alpha_b, tan.theta_b)
+                + geom.lam(tan.alpha_b, perp.alpha_b)
+                + geom.lam(tan.theta_b, perp.theta_b))
         resid = np.zeros((n, p))
-        delta = geom.delta_tilde_of(geom.HJ)
+        delta = geom.delta_tilde_of(tan.HJ)
         for a in range(n):
             for i in range(p):
                 resid[a, i] = (sym_div[a, i]
                                + 0.5 * (full[a, n + i] + full[n + i, a])
                                - delta[a, i])
-        return _report(which, resid, consts, tol)
-
-    if which == "E-main-0iii":
-        star, src = _resolve_constant(constants, "s_star_tan",
-                                      lambda: s_star(geom, "tan"))
-        consts["s_star_tan"] = star
-        consts["s_star_tan_source"] = src
-        pair_hH = geom.pair_tensor_vec_tan()
-        g_tan = np.diag(geom.eps_tan)
-        resid = (geom.r_tan - pair_hH
-                 + geom.flat_tan(geom.casorati)
-                 - geom.flat_tan(geom.tcal)
-                 + geom.phi_h_tilde[:n, :n] + geom.phi_T_tilde[:n, :n]
-                 + geom.psi_tilde - geom.def_tan_of(geom.HtJ)
-                 + geom.flat_tan(geom.kcal)
-                 - 0.5 * (geom.smix - star + geom.div_H - geom.div_Ht) * g_tan)
         return _report(which, resid, consts, tol)
 
     raise SpecializationError(f"unknown equation {which!r}")
@@ -243,11 +233,10 @@ def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT
 def _flow_data(geom):
     if geom.n != 1:
         raise SpecializationError("flow equations need rank-one D-tilde")
-    eN = geom.eps_tan[0]
-    At = geom.At_ops[0]
-    Tt = geom.Ttsharp_ops[0]
-    hsc = eN * np.array([[geom.htfr[i, j, 0] for j in range(geom.p)]
-                         for i in range(geom.p)])
+    eN = geom.tan.eps[0]
+    At = geom.perp.A_ops[0]
+    Tt = geom.perp.Tsharp_ops[0]
+    hsc = eN * geom.perp.h[:, :, 0]
     tau1 = float(np.trace(At))
     return eN, At, Tt, hsc, tau1
 
@@ -255,6 +244,7 @@ def _flow_data(geom):
 def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     eN, At, Tt, hsc, tau1 = _flow_data(geom)
+    tan, perp = geom.tan, geom.perp
     p = geom.p
     consts = {}
 
@@ -264,25 +254,24 @@ def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TO
         consts["s_star_perp"] = star
         consts["s_star_perp_source"] = src
         op = At @ At - Tt @ Tt + (Tt @ At - At @ Tt)
-        NJ = geom.tangent_unit_field_J
-        tau1J = geom.tau1_tilde_J
-        VJ = [eN * tau1J * NJ[s] - geom.HJ[s] for s in range(geom.d)]
+        NJ = tan.unit_J
+        tau1J = perp.tau1_J
+        VJ = [eN * tau1J * NJ[s] - tan.HJ[s] for s in range(geom.d)]
         div_term = geom.div_vector(VJ)
-        resid = (eN * (geom.jacobi_N + geom.flat_perp(op))
+        resid = (eN * (geom.jacobi_N + perp.flat(op))
                  - tau1 * hsc
-                 + np.outer(geom.Hb_frame[1:], geom.Hb_frame[1:])
-                 - geom.def_perp_of(geom.HJ)
-                 - 0.5 * (eN * geom.ric_N - star + div_term) * np.diag(geom.eps_perp))
+                 + np.outer(tan.Hb_frame[1:], tan.Hb_frame[1:])
+                 - perp.def_of(tan.HJ)
+                 - 0.5 * (eN * geom.ric_N - star + div_term) * np.diag(perp.eps))
         return _report(which, resid, consts, tol)
 
     if which == "E-main-3i":
-        SJ = geom.ttsharp_field()
-        form = geom.div_11(SJ, mode="perp")
-        Hperp = np.array([geom.eps_perp[i] * geom.Hb_frame[1 + i] for i in range(p)])
+        form = geom.div_11(perp.Tsharp_field, mode="perp")
+        Hperp = np.array([perp.eps[i] * tan.Hb_frame[1 + i] for i in range(p)])
         TtH = Tt @ Hperp
         resid = np.zeros(p)
         for j in range(p):
-            resid[j] = float(form @ geom.F[1 + j]) + 2.0 * geom.eps_perp[j] * TtH[j]
+            resid[j] = float(form @ geom.F[1 + j]) + 2.0 * perp.eps[j] * TtH[j]
         return _report(which, resid, consts, tol)
 
     if which == "E-main-2i":
@@ -290,10 +279,10 @@ def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TO
                                       lambda: s_star(geom, "tan"))
         consts["s_star_tan"] = star
         consts["s_star_tan_source"] = src
-        NJ = geom.tangent_unit_field_J
-        tau1J = geom.tau1_tilde_J
-        VJ = [eN * tau1J * NJ[s] + geom.HJ[s] for s in range(geom.d)]
-        resid = eN * geom.ric_N + star - 4.0 * geom.norm_Tt - geom.div_vector(VJ)
+        NJ = tan.unit_J
+        tau1J = perp.tau1_J
+        VJ = [eN * tau1J * NJ[s] + tan.HJ[s] for s in range(geom.d)]
+        resid = eN * geom.ric_N + star - 4.0 * perp.norm_T - geom.div_vector(VJ)
         return _report(which, [resid], consts, tol)
 
     raise SpecializationError(f"unknown flow equation {which!r}")
@@ -304,12 +293,13 @@ def el_geodesic_riemannian_flow(struct, point, metric_fn=None, tol=DEFAULT_TOL,
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     if geom.n != 1:
         raise SpecializationError("geodesic Riemannian flow needs rank-one D-tilde")
-    if geom.norm_h > guard_tol or geom.norm_ht > guard_tol:
+    norm_h, norm_ht = geom.tan.norm_h, geom.perp.norm_h
+    if norm_h > guard_tol or norm_ht > guard_tol:
         raise SpecializationError(
-            f"not a geodesic Riemannian flow: |h|^2={geom.norm_h:.2e}, "
-            f"|h~|^2={geom.norm_ht:.2e}")
+            f"not a geodesic Riemannian flow: |h|^2={norm_h:.2e}, "
+            f"|h~|^2={norm_ht:.2e}")
     p = geom.p
-    iso = geom.jacobi_N - (geom.ric_N / p) * np.diag(geom.eps_perp)
+    iso = geom.jacobi_N - (geom.ric_N / p) * np.diag(geom.perp.eps)
     mixed = np.array([geom.ricci_frame[0, 1 + i] for i in range(p)])
     return {
         "E-1geod-Riem": _report("E-1geod-Riem", iso, {}, tol),
@@ -336,11 +326,12 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
         for pt in pts:
             geom = PointGeometry(struct, pt, metric_fn=metric_fn)
             eN, At, Tt, hsc, tau1 = _flow_data(geom)
-            p = geom.p
-            lhs = eN * (geom.jacobi_N - geom.flat_perp(Tt @ Tt))
-            trace = sum(geom.eps_perp[i] * lhs[i, i] for i in range(p))
+            perp, p = geom.perp, geom.p
+            Q = perp.norm_T
+            lhs = eN * (geom.jacobi_N - perp.flat(Tt @ Tt))
+            trace = sum(perp.eps[i] * lhs[i, i] for i in range(p))
             lam1 = eN * geom.ric_N - (2.0 / p) * trace
-            lam2 = 4.0 * geom.norm_Tt - eN * geom.ric_N
+            lam2 = 4.0 * Q - eN * geom.ric_N
             mixed = max(abs(geom.ricci_frame[0, 1 + i]) for i in range(p))
             rows.append({
                 "point": list(pt),
@@ -348,9 +339,9 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
                 "lambda_from_E-main-2K": lam2,
                 "lambda_gap": abs(lam1 - lam2),
                 "ric_mixed_norm": mixed,
-                "norm_Tt": geom.norm_Tt,
-                "closed_form_1K": (p - 4.0) / p * geom.norm_Tt,
-                "closed_form_2K": 3.0 * geom.norm_Tt,
+                "norm_Tt": Q,
+                "closed_form_1K": (p - 4.0) / p * Q,
+                "closed_form_2K": 3.0 * Q,
             })
         gap = max(r["lambda_gap"] for r in rows)
         return {"which": which, "rows": rows, "max_gap": gap,
@@ -378,11 +369,11 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
         rows = []
         for pt in pts:
             geom = PointGeometry(struct, pt, metric_fn=metric_fn)
-            n, p = geom.n, geom.p
-            Q = geom.norm_Tt
-            tr_tcal = float(np.trace(geom.tcal_tilde))
+            n, p, perp = geom.n, geom.p, geom.perp
+            Q = perp.norm_T
+            tr_tcal = float(np.trace(perp.tcal))
             lam_perp_trace = -2.0 * tr_tcal / p - 0.5 * Q
-            tr_phi = sum(geom.eps_tan[a] * geom.phi_T_tilde[a, a] for a in range(n))
+            tr_phi = sum(geom.tan.eps[a] * perp.phi_T[a, a] for a in range(n))
             lam_top_trace = 0.5 * Q - tr_phi / n
             # closed forms as printed for contact structures (see docs)
             lam_perp_paper = 4.0 - p / 2.0
@@ -410,8 +401,9 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
 
 def el_tildeT_action(struct, point, constants=None, metric_fn=None, tol=DEFAULT_TOL):
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
+    tan, perp = geom.tan, geom.perp
     n, p = geom.n, geom.p
-    Q = geom.norm_Tt
+    Q = perp.norm_T
     consts = {}
     tstar, src = _resolve_constant(constants, "Tt_star",
                                    lambda: (4.0 - p) / (2.0 * p) * Q)
@@ -420,18 +412,18 @@ def el_tildeT_action(struct, point, constants=None, metric_fn=None, tol=DEFAULT_
     consts.update({"Tt_star": tstar, "Tt_star_source": src,
                    "T_star": tstar2, "T_star_source": src2})
 
-    r1 = (2.0 * geom.flat_perp(geom.tcal_tilde)
-          + (0.5 * Q + tstar) * np.diag(geom.eps_perp))
+    r1 = (2.0 * perp.flat(perp.tcal)
+          + (0.5 * Q + tstar) * np.diag(perp.eps))
 
-    div_tth = geom.to_frame02(geom.div_12(geom.theta_tilde_field))
-    lamT = geom.lam(geom.theta_tilde_b, geom.theta_b - geom.alpha_b)
+    div_tth = geom.to_frame02(geom.div_12(perp.theta_field))
+    lamT = geom.lam(perp.theta_b, tan.theta_b - tan.alpha_b)
     r2 = np.zeros((n, p))
     for a in range(n):
         for i in range(p):
             r2[a, i] = (0.5 * (lamT[a, n + i] + lamT[n + i, a])
                         - 0.5 * (div_tth[a, n + i] + div_tth[n + i, a]))
 
-    r3 = geom.phi_T_tilde[:n, :n] - (0.5 * Q - tstar2) * np.diag(geom.eps_tan)
+    r3 = perp.phi_T[:n, :n] - (0.5 * Q - tstar2) * np.diag(tan.eps)
 
     return {
         "ELtildeT1": _report("ELtildeT1", r1, consts, tol),
@@ -467,25 +459,26 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
         return [[c * rows[i][j] for j in range(len(rows))] for i in range(len(rows))]
 
     hat = PointGeometry(struct, point, metric_fn=hat_metric)
-    SJ = hat.ttsharp_field()
-    form = hat.div_11(SJ, mode="perp")
-    Hperp = np.array([hat.eps_perp[i] * hat.Hb_frame[1 + i] for i in range(p)])
-    TtH = hat.Ttsharp_ops[0] @ Hperp
-    TtH_vec = sum(hat.eps_perp[j] * TtH[j] * hat.F[1 + j] for j in range(p))
+    hperp = hat.perp
+    form = hat.div_11(hperp.Tsharp_field, mode="perp")
+    Hperp = np.array([hperp.eps[i] * hat.tan.Hb_frame[1 + i] for i in range(p)])
+    TtH = hperp.Tsharp_ops[0] @ Hperp
+    TtH_vec = sum(hperp.eps[j] * TtH[j] * hat.F[1 + j] for j in range(p))
 
     # evaluate on the base-frame perp vector Y (a chart vector)
     Y = base.F[1 + y_index]
     direct = 0.5 * float(form @ Y) + float(TtH_vec @ hat.g0 @ Y)
 
     # closed form from base-structure data
-    env = [val(x) for x in point]
+    env = [value_of(x) for x in point]
     psi0 = exprlang.evaluate(psi_ast, env, struct.params)
     dpsi = np.array(grad_vals(exprlang.evaluate(
         psi_ast, base.seeds, struct.params), base.d))
     grad_psi = base.ginv0 @ dpsi
-    TtY = base.Ttsharp_ops[0] @ np.array(
-        [base.eps_perp[i] * float(base.Fb[1 + i] @ Y) for i in range(p)])
-    TtY_vec = sum(base.eps_perp[j] * TtY[j] * base.F[1 + j] for j in range(p))
+    bperp = base.perp
+    TtY = bperp.Tsharp_ops[0] @ np.array(
+        [bperp.eps[i] * float(base.Fb[1 + i] @ Y) for i in range(p)])
+    TtY_vec = sum(bperp.eps[j] * TtY[j] * base.F[1 + j] for j in range(p))
     closed = 0.5 * (1.0 - p) * math.exp(psi0) * float(TtY_vec @ base.g0 @ grad_psi)
     return direct, closed
 
@@ -496,11 +489,8 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
 def _codim1_data(geom):
     if geom.p != 1:
         raise SpecializationError("codimension-one equations need p = 1")
-    eN = geom.eps_perp[0]
-    AN = np.zeros((geom.n, geom.n))
-    for a in range(geom.n):
-        for b in range(geom.n):
-            AN[b, a] = geom.eps_tan[b] * geom.hfr[a, b, 0]
+    eN = geom.perp.eps[0]
+    AN = geom.tan.A_ops[0]
     tau1 = float(np.trace(AN))
     tau2 = float(np.trace(AN @ AN))
     ric_normal = float(geom.ricci_frame[geom.n, geom.n])
@@ -512,7 +502,7 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
     eN, AN, tau1, tau2, ric_normal = _codim1_data(geom)
     n = geom.n
     N0 = geom.F[n]
-    tau1J = geom.tau1_perp_J
+    tau1J = geom.tan.tau1_J
     n_tau1 = float(np.dot(grad_vals(tau1J, geom.d), N0))
     consts = {}
 
@@ -526,8 +516,7 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
         return _report(which, [resid], consts, tol)
 
     if which == "codimoneEL2":
-        SJ = geom.weingarten_normal_field()
-        form = geom.div_11(SJ, mode="tan")
+        form = geom.div_11(geom.tan.A_field, mode="tan")
         dtau = np.array(grad_vals(tau1J, geom.d))
         resid = np.array([float((form - dtau) @ geom.F[a]) for a in range(n)])
         return _report(which, resid, consts, tol)
@@ -535,12 +524,12 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
     if which == "codimoneEL3":
         star, src = _resolve_constant(
             constants, "s_star_tan",
-            lambda: eN * ric_normal - (2.0 / n) * geom.div_Ht)
+            lambda: eN * ric_normal - (2.0 / n) * geom.perp.div_H)
         consts["s_star_tan"] = star
         consts["s_star_tan_source"] = src
         nab, hsc_fr = _nabla_N_hsc(geom, eN)
         rhs = 0.5 * (2.0 * eN * (n_tau1 - tau1 * tau1)
-                     + eN * (tau1 * tau1 - tau2) - star) * np.diag(geom.eps_tan)
+                     + eN * (tau1 * tau1 - tau2) - star) * np.diag(geom.tan.eps)
         resid = nab - tau1 * hsc_fr - rhs
         return _report(which, resid, consts, tol)
 
@@ -549,7 +538,7 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
             raise SpecializationError("volume-preserving foliation system needs n > 1")
         nab, hsc_fr = _nabla_N_hsc(geom, eN)
         resid = (nab - tau1 * hsc_fr
-                 + (eN * (tau1 * tau1 - tau2) / (n - 1.0)) * np.diag(geom.eps_tan))
+                 + (eN * (tau1 * tau1 - tau2) / (n - 1.0)) * np.diag(geom.tan.eps))
         consts["lambda"] = -eN * (tau1 * tau1 - tau2)
         return _report(which, resid, consts, tol)
 
@@ -560,20 +549,13 @@ def _nabla_N_hsc(geom, eN):
     """(nabla_N h_sc) and h_sc in tangent-frame components."""
     d, n = geom.d, geom.n
     Nb = geom.Fb[n]
-    hfield = geom.h_field
-    hscJ = [[eN * sum_j(hfield[s][nu][rho] * Nb[s] for s in range(d))
+    hfield = geom.tan.h_field
+    hscJ = [[eN * jsum(hfield[s][nu][rho] * Nb[s] for s in range(d))
              for rho in range(d)] for nu in range(d)]
     nab_coord = geom.nabla02_in_direction(hscJ, geom.F[n])
     nab = geom.F[:n] @ nab_coord @ geom.F[:n].T
-    hsc_fr = eN * np.array([[geom.hfr[a, b, 0] for b in range(n)] for a in range(n)])
+    hsc_fr = eN * geom.tan.h[:, :, 0]
     return nab, hsc_fr
-
-
-def sum_j(items):
-    acc = 0.0
-    for x in items:
-        acc = acc + x
-    return acc
 
 
 def biregular_closed_forms(struct, point, metric_fn=None):
@@ -588,11 +570,11 @@ def biregular_closed_forms(struct, point, metric_fn=None):
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     d = geom.d
     gJ = geom.gJ
-    offdiag = max(abs(val(gJ[i][j])) for i in range(d) for j in range(d) if i != j)
+    offdiag = max(abs(value_of(gJ[i][j])) for i in range(d) for j in range(d) if i != j)
     if offdiag > 1e-12:
         raise SpecializationError("biregular closed forms require a diagonal metric")
     g00 = gJ[0][0]
-    a00 = abs(val(g00))
+    a00 = abs(value_of(g00))
     sq = math.sqrt(a00)
     out = {"sqrt_g00": sq}
     y = []
@@ -602,11 +584,11 @@ def biregular_closed_forms(struct, point, metric_fn=None):
     A_diag = []
     nabNh = []
     divA = []
-    gv = [val(gJ[i][i]) for i in range(d)]
+    gv = [value_of(gJ[i][i]) for i in range(d)]
     dgv = [[grad_vals(gJ[i][i], d)[m] for m in range(d)] for i in range(d)]
     hv = [[[value_of(gJ[i][i].h[m][k]) for k in range(d)] for m in range(d)]
           for i in range(d)]
-    epsN = 1.0 if val(g00) > 0 else -1.0
+    epsN = 1.0 if value_of(g00) > 0 else -1.0
     for i in range(1, d):
         gii = gv[i]
         gii0 = dgv[i][0]
@@ -667,11 +649,11 @@ def bifoliated_iii_residual(struct, point, metric_fn=None):
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     d = geom.d
     gJ = geom.gJ
-    gv = [val(gJ[i][i]) for i in range(d)]
+    gv = [value_of(gJ[i][i]) for i in range(d)]
     dgv = [[grad_vals(gJ[i][i], d)[m] for m in range(d)] for i in range(d)]
     hv = [[[value_of(gJ[i][i].h[m][k]) for k in range(d)] for m in range(d)]
           for i in range(d)]
-    a00 = abs(val(gJ[0][0]))
+    a00 = abs(value_of(gJ[0][0]))
     sq = math.sqrt(a00)
 
     def y_val(i):

@@ -261,17 +261,6 @@ def _walk_vars(ast, out):
         _walk_vars(ast.right, out)
 
 
-def free_params(ast):
-    out = set()
-    if isinstance(ast, Param):
-        out.add(ast.name)
-    elif isinstance(ast, Unary):
-        out |= free_params(ast.child)
-    elif isinstance(ast, Binary):
-        out |= free_params(ast.left) | free_params(ast.right)
-    return out
-
-
 def pretty(ast):
     """Unambiguous fully parenthesized rendering; reparses to an equal AST."""
     if isinstance(ast, Const):

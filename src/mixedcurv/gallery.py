@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import attrgetter
 
 import numpy as np
 
@@ -231,20 +232,20 @@ def evaluate_quantity(entry, geom, quantity):
     from . import euler_lagrange as el
 
     g = geom
-    direct = {"S_mix": "smix", "norm_h": "norm_h", "norm_h_tilde": "norm_ht",
-              "norm_T": "norm_T", "norm_T_tilde": "norm_Tt",
-              "g_HH": "gHH", "g_HtHt": "gHtHt",
-              "div_H": "div_H", "div_H_tilde": "div_Ht", "ric_N": "ric_N"}
+    direct = {"S_mix": "smix", "norm_h": "tan.norm_h", "norm_h_tilde": "perp.norm_h",
+              "norm_T": "tan.norm_T", "norm_T_tilde": "perp.norm_T",
+              "g_HH": "tan.gHH", "g_HtHt": "perp.gHH",
+              "div_H": "tan.div_H", "div_H_tilde": "perp.div_H", "ric_N": "ric_N"}
     if quantity in direct:
-        return getattr(g, direct[quantity])
+        return attrgetter(direct[quantity])(g)
     if quantity == "eps_tan":
-        return list(g.eps_tan)
+        return list(g.tan.eps)
     if quantity == "eps_perp":
-        return list(g.eps_perp)
+        return list(g.perp.eps)
     if quantity == "H_norm":
-        return float(np.max(np.abs(g.H0)))
+        return float(np.max(np.abs(g.tan.H0)))
     if quantity == "tau1_tilde":
-        return float(np.trace(g.At_ops[0]))
+        return float(np.trace(g.perp.A_ops[0]))
     if quantity == "s_star_perp":
         return el.s_star(g, "perp")
     if quantity == "s_star_tan":
@@ -257,30 +258,30 @@ def evaluate_quantity(entry, geom, quantity):
     if quantity in ("At_reference", "Ttsharp_reference"):
         vecs = entry.reference_frame_at(g.point)
         comp = np.array([[float(v @ g.g0 @ w) for w in vecs] for v in vecs])
-        op = g.At_ops[0] if quantity == "At_reference" else g.Ttsharp_ops[0]
+        op = g.perp.A_ops[0] if quantity == "At_reference" else g.perp.Tsharp_ops[0]
         # operator chart matrix, then components in the reference frame
         chart = np.zeros((g.d, g.d))
         for i in range(g.p):
             for j in range(g.p):
                 chart += op[j, i] * np.outer(g.F[g.n + j],
-                                             g.eps_perp[i] * g.Fb[g.n + i])
+                                             g.perp.eps[i] * g.Fb[g.n + i])
         cinv = np.linalg.inv(comp)
         rows = np.array([[float(vecs[k] @ g.g0 @ (chart @ vecs[l]))
                           for l in range(len(vecs))] for k in range(len(vecs))])
         return cinv @ rows
     if quantity == "r_perp_prop":
-        return _prop_or_nan(g.r_perp @ np.linalg.inv(np.diag(g.eps_perp)))
+        return _prop_or_nan(g.perp.r @ np.linalg.inv(np.diag(g.perp.eps)))
     if quantity == "r_tan_prop":
-        M = g.r_tan @ np.linalg.inv(np.diag(g.eps_tan))
+        M = g.tan.r @ np.linalg.inv(np.diag(g.tan.eps))
         return _prop_or_nan(M)
     if quantity == "psi_tilde_prop":
-        return _prop_or_nan(g.psi_tilde @ np.linalg.inv(np.diag(g.eps_tan)))
+        return _prop_or_nan(g.perp.psi @ np.linalg.inv(np.diag(g.tan.eps)))
     if quantity == "phi_T_tilde_prop":
-        return _prop_or_nan(g.phi_T_tilde[:g.n, :g.n]
-                            @ np.linalg.inv(np.diag(g.eps_tan)))
+        return _prop_or_nan(g.perp.phi_T[:g.n, :g.n]
+                            @ np.linalg.inv(np.diag(g.tan.eps)))
     if quantity == "tcal_tilde_flat_prop":
-        return _prop_or_nan(g.flat_perp(g.tcal_tilde)
-                            @ np.linalg.inv(np.diag(g.eps_perp)))
+        return _prop_or_nan(g.perp.flat(g.perp.tcal)
+                            @ np.linalg.inv(np.diag(g.perp.eps)))
     if quantity == "jacobi_eigs":
         return sorted(np.linalg.eigvalsh(g.jacobi_N))
     if quantity == "genvar_coordinate_residual":
@@ -297,7 +298,7 @@ def evaluate_quantity(entry, geom, quantity):
         from .jets import value_of
         chat = entry.structure.params["chat"]
         tau0 = entry.structure.params["tau0"]
-        return abs(value_of(g.tau1_perp_J)
+        return abs(value_of(g.tan.tau1_J)
                    - el.tau1_formula(chat, tau0, g.point[0]))
     if quantity == "bifoliated_iii_residual":
         return el.bifoliated_iii_residual(entry.structure, g.point)

@@ -10,6 +10,11 @@ scalars then read those gradients directly; curvature uses the order-2
 information of the Christoffel jets.  No finite differencing happens anywhere
 in this module.
 
+The extrinsic quantities come in dual pairs (h of D-tilde and h~ of D, and so
+on).  Each is written once, on :class:`BlockView`; ``PointGeometry.tan`` views
+the splitting from D-tilde and ``PointGeometry.perp`` from D, so the tilde
+quantities are the ``perp`` view's.
+
 Curvature convention: R(X,Y) = nabla_Y nabla_X - nabla_X nabla_Y + nabla_[X,Y],
 the sign for which round spheres have sectional curvature +1 under
 K(X^Y) = g(R(X,Y)X, Y) / W(X,Y).
@@ -24,12 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import Jet, seed, value_of
+from .jets import Jet, jsum, seed, value_of
 from .structure import orthonormal_frame
-
-
-def val(x):
-    return value_of(x)
 
 
 def grad_vals(x, d):
@@ -66,10 +67,10 @@ def jet_matrix_inverse(M, d, point=None):
     """Gauss-Jordan inverse over jet scalars, pivoting on absolute values."""
     A = [[M[i][j] for j in range(d)] for i in range(d)]
     I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    scale = max(abs(val(M[i][j])) for i in range(d) for j in range(d))
+    scale = max(abs(value_of(M[i][j])) for i in range(d) for j in range(d))
     for col in range(d):
-        piv = max(range(col, d), key=lambda r: abs(val(A[r][col])))
-        if abs(val(A[piv][col])) < 1e-14 * max(scale, 1e-300):
+        piv = max(range(col, d), key=lambda r: abs(value_of(A[r][col])))
+        if abs(value_of(A[piv][col])) < 1e-14 * max(scale, 1e-300):
             raise SingularEvaluationError("singular metric", point=point)
         A[col], A[piv] = A[piv], A[col]
         I[col], I[piv] = I[piv], I[col]
@@ -165,14 +166,6 @@ class PointGeometry:
     def eps(self):
         return np.array(self.frameJ.signs)
 
-    @property
-    def eps_tan(self):
-        return self.frameJ.eps_tan
-
-    @property
-    def eps_perp(self):
-        return self.frameJ.eps_perp
-
     @cached_property
     def framevecsJ(self):
         return list(self.frameJ.vectors)
@@ -187,26 +180,45 @@ class PointGeometry:
         return [[_t1(c) for c in vec] for vec in self.framevecsJ]
 
     # ------------------------------------------------------------------
+    # the two blocks of the splitting
+
+    @property
+    def tan(self):
+        """D-tilde (frame 0..n-1) as the block, D as its dual."""
+        return BlockView(self, "tan", "perp", slice(0, self.n), self.frameJ.eps_tan)
+
+    @property
+    def perp(self):
+        """D (frame n..d-1) as the block, D-tilde as its dual."""
+        return BlockView(self, "perp", "tan", slice(self.n, self.d), self.frameJ.eps_perp)
+
+    @property
+    def hfr(self):
+        """h of D-tilde in frame components (``tan.h``); the benchmark's
+        stage probe times the fundamental forms through this name."""
+        return self.tan.h
+
+    # ------------------------------------------------------------------
     # float extracts
 
     @cached_property
     def g0(self):
-        return np.array([[val(x) for x in row] for row in self.gJ])
+        return np.array([[value_of(x) for x in row] for row in self.gJ])
 
     @cached_property
     def ginv0(self):
-        return np.array([[val(x) for x in row] for row in self.ginvJ])
+        return np.array([[value_of(x) for x in row] for row in self.ginvJ])
 
     @cached_property
     def Gamma0(self):
         d = self.d
-        return np.array([[[val(self.GammaJ[s][m][nn]) for nn in range(d)]
+        return np.array([[[value_of(self.GammaJ[s][m][nn]) for nn in range(d)]
                           for m in range(d)] for s in range(d)])
 
     @cached_property
     def F(self):
         """Frame vector components (rows), tangent block first."""
-        return np.array([[val(c) for c in vec] for vec in self.framevecsJ])
+        return np.array([[value_of(c) for c in vec] for vec in self.framevecsJ])
 
     @cached_property
     def Fb(self):
@@ -268,26 +280,6 @@ class PointGeometry:
             for i in range(n, self.d):
                 acc += e[a] * e[i] * self.R4[a, i, a, i]
         return float(acc)
-
-    @cached_property
-    def r_perp(self):
-        """Partial Ricci tensor of the complement block, frame components (p x p)."""
-        n, p, e = self.n, self.p, self.eps
-        out = np.zeros((p, p))
-        for i in range(p):
-            for j in range(p):
-                out[i, j] = sum(e[a] * self.R4[a, n + i, a, n + j] for a in range(n))
-        return out
-
-    @cached_property
-    def r_tan(self):
-        n, e = self.n, self.eps
-        out = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = sum(e[n + i] * self.R4[n + i, a, n + i, b]
-                                for i in range(self.p))
-        return out
 
     @cached_property
     def ricci_frame(self):
@@ -368,12 +360,12 @@ class PointGeometry:
     @cached_property
     def proj_tan1(self):
         """Orthogonal projector onto the distribution, as order-1 jets."""
-        d, n = self.d, self.n
+        d, tan = self.d, self.tan
         P = [[0.0] * d for _ in range(d)]
-        for a in range(n):
-            ea = self.frame1[a]
-            eb = self._flat1(ea)
-            s = self.eps_tan[a]
+        for a in range(tan.dim):
+            ea = tan.frame1[a]
+            eb = tan.flat1[a]
+            s = tan.eps[a]
             for sig in range(d):
                 esig = s * ea[sig]
                 for nu in range(d):
@@ -384,326 +376,14 @@ class PointGeometry:
         """Project jet vector components onto D-tilde ('tan') or D ('perp')."""
         P = self.proj_tan1
         d = self.d
-        tang = [sum_scalars(P[s][nu] * V[nu] for nu in range(d)) for s in range(d)]
+        tang = [jsum(P[s][nu] * V[nu] for nu in range(d)) for s in range(d)]
         if side == "tan":
             return tang
         return [V[s] - tang[s] for s in range(d)]
 
     def _flat1(self, vec1):
         d = self.d
-        return [sum_scalars(self.g1[nu][k] * vec1[k] for k in range(d)) for nu in range(d)]
-
-    @cached_property
-    def _ff(self):
-        """Frame scalars of the fundamental forms, as jets.
-
-        hfrJ[a][b][i] = g(h(E_a, E_b), Eperp_i), TfrJ antisymmetric part;
-        htfrJ/TtfrJ are the complement-side duals.  Pairing with the
-        complementary frame covectors performs the block projection.
-        """
-        n, p = self.n, self.p
-        hfr = [[[None] * p for _ in range(n)] for _ in range(n)]
-        Tfr = [[[None] * p for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                for i in range(p):
-                    ei = self.frame1[n + i]
-                    u = self.inner1(self.cd(a, b), ei)
-                    w = self.inner1(self.cd(b, a), ei)
-                    hfr[a][b][i] = 0.5 * (u + w)
-                    hfr[b][a][i] = hfr[a][b][i]
-                    Tfr[a][b][i] = 0.5 * (u - w)
-                    Tfr[b][a][i] = -1.0 * Tfr[a][b][i]
-        htfr = [[[None] * n for _ in range(p)] for _ in range(p)]
-        Ttfr = [[[None] * n for _ in range(p)] for _ in range(p)]
-        for i in range(p):
-            for j in range(i, p):
-                for a in range(n):
-                    ea = self.frame1[a]
-                    u = self.inner1(self.cd(n + i, n + j), ea)
-                    w = self.inner1(self.cd(n + j, n + i), ea)
-                    htfr[i][j][a] = 0.5 * (u + w)
-                    htfr[j][i][a] = htfr[i][j][a]
-                    Ttfr[i][j][a] = 0.5 * (u - w)
-                    Ttfr[j][i][a] = -1.0 * Ttfr[i][j][a]
-        return {"hfrJ": hfr, "TfrJ": Tfr, "htfrJ": htfr, "TtfrJ": Ttfr}
-
-    @cached_property
-    def hfr(self):
-        return np.array([[[val(x) for x in r] for r in m] for m in self._ff["hfrJ"]])
-
-    @cached_property
-    def Tfr(self):
-        return np.array([[[val(x) for x in r] for r in m] for m in self._ff["TfrJ"]])
-
-    @cached_property
-    def htfr(self):
-        return np.array([[[val(x) for x in r] for r in m] for m in self._ff["htfrJ"]])
-
-    @cached_property
-    def Ttfr(self):
-        return np.array([[[val(x) for x in r] for r in m] for m in self._ff["TtfrJ"]])
-
-    # mean curvature vector fields, jet chart components
-    @cached_property
-    def HJ(self):
-        n, p, d = self.n, self.p, self.d
-        out = [0.0] * d
-        for a in range(n):
-            for i in range(p):
-                c = self.eps_tan[a] * self.eps_perp[i] * self._ff["hfrJ"][a][a][i]
-                ei = self.frame1[n + i]
-                for s in range(d):
-                    out[s] = out[s] + c * ei[s]
-        return out
-
-    @cached_property
-    def HtJ(self):
-        n, p, d = self.n, self.p, self.d
-        out = [0.0] * d
-        for i in range(p):
-            for a in range(n):
-                c = self.eps_perp[i] * self.eps_tan[a] * self._ff["htfrJ"][i][i][a]
-                ea = self.frame1[a]
-                for s in range(d):
-                    out[s] = out[s] + c * ea[s]
-        return out
-
-    @cached_property
-    def H0(self):
-        return np.array([val(x) for x in self.HJ])
-
-    @cached_property
-    def Ht0(self):
-        return np.array([val(x) for x in self.HtJ])
-
-    @cached_property
-    def Hb_frame(self):
-        return self.Fb @ self.H0
-
-    @cached_property
-    def Htb_frame(self):
-        return self.Fb @ self.Ht0
-
-    # ------------------------------------------------------------------
-    # scalar invariants
-
-    @cached_property
-    def norm_h(self):
-        et, ep = np.array(self.eps_tan), np.array(self.eps_perp)
-        return float(np.einsum("a,b,i,abi,abi->", et, et, ep, self.hfr, self.hfr))
-
-    @cached_property
-    def norm_T(self):
-        et, ep = np.array(self.eps_tan), np.array(self.eps_perp)
-        return float(np.einsum("a,b,i,abi,abi->", et, et, ep, self.Tfr, self.Tfr))
-
-    @cached_property
-    def norm_ht(self):
-        et, ep = np.array(self.eps_tan), np.array(self.eps_perp)
-        return float(np.einsum("i,j,a,ija,ija->", ep, ep, et, self.htfr, self.htfr))
-
-    @cached_property
-    def norm_Tt(self):
-        et, ep = np.array(self.eps_tan), np.array(self.eps_perp)
-        return float(np.einsum("i,j,a,ija,ija->", ep, ep, et, self.Ttfr, self.Ttfr))
-
-    @cached_property
-    def gHH(self):
-        return float(self.H0 @ self.g0 @ self.H0)
-
-    @cached_property
-    def gHtHt(self):
-        return float(self.Ht0 @ self.g0 @ self.Ht0)
-
-    @property
-    def s_ex(self):
-        return self.gHH - self.norm_h
-
-    @property
-    def s_ex_tilde(self):
-        return self.gHtHt - self.norm_ht
-
-    # ------------------------------------------------------------------
-    # Weingarten-type operators (float matrices, frame basis; column = input)
-
-    @cached_property
-    def A_ops(self):
-        n, p, et = self.n, self.p, self.eps_tan
-        return [np.array([[et[b] * self.hfr[a, b, i] for a in range(n)]
-                          for b in range(n)]) for i in range(p)]
-
-    @cached_property
-    def Tsharp_ops(self):
-        n, p, et = self.n, self.p, self.eps_tan
-        return [np.array([[et[b] * self.Tfr[a, b, i] for a in range(n)]
-                          for b in range(n)]) for i in range(p)]
-
-    @cached_property
-    def At_ops(self):
-        n, p, ep = self.n, self.p, self.eps_perp
-        return [np.array([[ep[j] * self.htfr[i, j, a] for i in range(p)]
-                          for j in range(p)]) for a in range(n)]
-
-    @cached_property
-    def Ttsharp_ops(self):
-        n, p, ep = self.n, self.p, self.eps_perp
-        return [np.array([[ep[j] * self.Ttfr[i, j, a] for i in range(p)]
-                          for j in range(p)]) for a in range(n)]
-
-    @cached_property
-    def casorati(self):
-        out = np.zeros((self.n, self.n))
-        for i in range(self.p):
-            out += self.eps_perp[i] * (self.A_ops[i] @ self.A_ops[i])
-        return out
-
-    @cached_property
-    def casorati_tilde(self):
-        out = np.zeros((self.p, self.p))
-        for a in range(self.n):
-            out += self.eps_tan[a] * (self.At_ops[a] @ self.At_ops[a])
-        return out
-
-    @cached_property
-    def tcal(self):
-        out = np.zeros((self.n, self.n))
-        for i in range(self.p):
-            out += self.eps_perp[i] * (self.Tsharp_ops[i] @ self.Tsharp_ops[i])
-        return out
-
-    @cached_property
-    def tcal_tilde(self):
-        out = np.zeros((self.p, self.p))
-        for a in range(self.n):
-            out += self.eps_tan[a] * (self.Ttsharp_ops[a] @ self.Ttsharp_ops[a])
-        return out
-
-    @cached_property
-    def kcal(self):
-        out = np.zeros((self.n, self.n))
-        for i in range(self.p):
-            Ai, Ti = self.A_ops[i], self.Tsharp_ops[i]
-            out += self.eps_perp[i] * (Ti @ Ai - Ai @ Ti)
-        return out
-
-    @cached_property
-    def kcal_tilde(self):
-        out = np.zeros((self.p, self.p))
-        for a in range(self.n):
-            Aa, Ta = self.At_ops[a], self.Ttsharp_ops[a]
-            out += self.eps_tan[a] * (Ta @ Aa - Aa @ Ta)
-        return out
-
-    def flat_tan(self, op):
-        """(0,2) frame form of an operator acting on the tangent block."""
-        return np.array([[self.eps_tan[b] * op[b, a] for b in range(self.n)]
-                         for a in range(self.n)])
-
-    def flat_perp(self, op):
-        return np.array([[self.eps_perp[j] * op[j, i] for j in range(self.p)]
-                         for i in range(self.p)])
-
-    @cached_property
-    def psi(self):
-        p = self.p
-        out = np.zeros((p, p))
-        for i in range(p):
-            for j in range(p):
-                out[i, j] = np.trace(self.A_ops[j] @ self.A_ops[i]
-                                     + self.Tsharp_ops[j] @ self.Tsharp_ops[i])
-        return out
-
-    @cached_property
-    def psi_tilde(self):
-        n = self.n
-        out = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = np.trace(self.At_ops[b] @ self.At_ops[a]
-                                     + self.Ttsharp_ops[b] @ self.Ttsharp_ops[a])
-        return out
-
-    # ------------------------------------------------------------------
-    # (1,2)-tensors in full-frame flat components and the Lambda bilinear
-
-    @cached_property
-    def hb_full(self):
-        """hb[l, m, k] = g(h(e_l, e_m), e_k) over the full frame."""
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        out[:n, :n, n:] = self.hfr
-        return out
-
-    @cached_property
-    def Tb_full(self):
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        out[:n, :n, n:] = self.Tfr
-        return out
-
-    @cached_property
-    def htb_full(self):
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        out[n:, n:, :n] = self.htfr
-        return out
-
-    @cached_property
-    def Ttb_full(self):
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        out[n:, n:, :n] = self.Ttfr
-        return out
-
-    @cached_property
-    def alpha_b(self):
-        """alpha(X,Y) = (A_{X perp}(Y tan) + A_{Y perp}(X tan))/2, flat comps."""
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        for i in range(self.p):
-            for a in range(n):
-                for b in range(n):
-                    c = 0.5 * self.hfr[a, b, i]      # g(A_i E_a, E_b)/2
-                    out[a, n + i, b] = c
-                    out[n + i, a, b] = c
-        return out
-
-    @cached_property
-    def theta_b(self):
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        for i in range(self.p):
-            for a in range(n):
-                for b in range(n):
-                    c = 0.5 * self.Tfr[a, b, i]
-                    out[a, n + i, b] = c
-                    out[n + i, a, b] = c
-        return out
-
-    @cached_property
-    def alpha_tilde_b(self):
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        for a in range(n):
-            for i in range(self.p):
-                for j in range(self.p):
-                    c = 0.5 * self.htfr[i, j, a]
-                    out[n + i, a, n + j] = c
-                    out[a, n + i, n + j] = c
-        return out
-
-    @cached_property
-    def theta_tilde_b(self):
-        k, n = self.d, self.n
-        out = np.zeros((k, k, k))
-        for a in range(n):
-            for i in range(self.p):
-                for j in range(self.p):
-                    c = 0.5 * self.Ttfr[i, j, a]
-                    out[n + i, a, n + j] = c
-                    out[a, n + i, n + j] = c
-        return out
+        return [jsum(self.g1[nu][k] * vec1[k] for k in range(d)) for nu in range(d)]
 
     def lam(self, Pb, Qb):
         """Lambda_{P,Q}: the symmetric frame (0,2) tensor defined by
@@ -712,131 +392,6 @@ class PointGeometry:
         E = np.einsum("l,m,lmk,lmn->kn", e, e, Pb, Qb)
         return E + E.T
 
-    @cached_property
-    def phi_h(self):
-        return np.outer(self.Hb_frame, self.Hb_frame) - 0.5 * self.lam(self.hb_full, self.hb_full)
-
-    @cached_property
-    def phi_T(self):
-        return -0.5 * self.lam(self.Tb_full, self.Tb_full)
-
-    @cached_property
-    def phi_h_tilde(self):
-        return np.outer(self.Htb_frame, self.Htb_frame) - 0.5 * self.lam(self.htb_full, self.htb_full)
-
-    @cached_property
-    def phi_T_tilde(self):
-        return -0.5 * self.lam(self.Ttb_full, self.Ttb_full)
-
-    # ------------------------------------------------------------------
-    # jet chart components of derived tensor fields
-
-    @cached_property
-    def htilde_field(self):
-        """h~ as a (1,2) chart-component jet field (projection-extended)."""
-        n, p, d = self.n, self.p, self.d
-        perp_fl = [self._flat1(self.frame1[n + i]) for i in range(p)]
-        out = _zeros3(d)
-        for i in range(p):
-            for j in range(i, p):
-                u, w = self.cd(n + i, n + j), self.cd(n + j, n + i)
-                sym = [0.5 * (u[s] + w[s]) for s in range(d)]
-                v = self.project1(sym, "tan")
-                e = self.eps_perp[i] * self.eps_perp[j]
-                _accumulate12(out, v, perp_fl[i], perp_fl[j], e, d, sym_pair=(i != j))
-        return out
-
-    @cached_property
-    def h_field(self):
-        n, d = self.n, self.d
-        tan_fl = [self._flat1(self.frame1[a]) for a in range(n)]
-        out = _zeros3(d)
-        for a in range(n):
-            for b in range(a, n):
-                u, w = self.cd(a, b), self.cd(b, a)
-                sym = [0.5 * (u[s] + w[s]) for s in range(d)]
-                v = self.project1(sym, "perp")
-                e = self.eps_tan[a] * self.eps_tan[b]
-                _accumulate12(out, v, tan_fl[a], tan_fl[b], e, d, sym_pair=(a != b))
-        return out
-
-    @cached_property
-    def alpha_field(self):
-        """alpha as a (1,2) chart jet field."""
-        n, p, d = self.n, self.p, self.d
-        hfrJ = self._ff["hfrJ"]
-        tan_fl = [self._flat1(self.frame1[a]) for a in range(n)]
-        perp_fl = [self._flat1(self.frame1[n + i]) for i in range(p)]
-        out = _zeros3(d)
-        for i in range(p):
-            for a in range(n):
-                vec = [0.0] * d
-                for b in range(n):
-                    c = self.eps_tan[b] * hfrJ[a][b][i]   # A_i E_a along E_b
-                    eb = self.frame1[b]
-                    for s in range(d):
-                        vec[s] = vec[s] + c * eb[s]
-                half = [0.5 * x for x in vec]
-                e = self.eps_perp[i] * self.eps_tan[a]
-                _accumulate12(out, half, perp_fl[i], tan_fl[a], e, d, sym_pair=True)
-        return out
-
-    @cached_property
-    def theta_tilde_field(self):
-        n, p, d = self.n, self.p, self.d
-        TtfrJ = self._ff["TtfrJ"]
-        tan_fl = [self._flat1(self.frame1[a]) for a in range(n)]
-        perp_fl = [self._flat1(self.frame1[n + i]) for i in range(p)]
-        out = _zeros3(d)
-        for a in range(n):
-            for i in range(p):
-                vec = [0.0] * d
-                for j in range(p):
-                    c = self.eps_perp[j] * TtfrJ[i][j][a]   # T~sharp_a E_i along E_j
-                    ej = self.frame1[n + j]
-                    for s in range(d):
-                        vec[s] = vec[s] + c * ej[s]
-                half = [0.5 * x for x in vec]
-                e = self.eps_tan[a] * self.eps_perp[i]
-                _accumulate12(out, half, tan_fl[a], perp_fl[i], e, d, sym_pair=True)
-        return out
-
-    def ttsharp_field(self, along="N"):
-        """T~sharp_N as a (1,1) chart jet field (rank-one distribution)."""
-        if self.n != 1:
-            raise SpecializationError("T~sharp_N needs rank-one D-tilde")
-        d, p = self.d, self.p
-        TtfrJ = self._ff["TtfrJ"]
-        perp_fl = [self._flat1(self.frame1[1 + i]) for i in range(p)]
-        out = [[0.0] * d for _ in range(d)]
-        for i in range(p):
-            for j in range(p):
-                c = self.eps_perp[i] * self.eps_perp[j] * TtfrJ[i][j][0]
-                ej = self.frame1[1 + j]
-                for s in range(d):
-                    cjs = c * ej[s]
-                    for nu in range(d):
-                        out[s][nu] = out[s][nu] + cjs * perp_fl[i][nu]
-        return out
-
-    def weingarten_normal_field(self):
-        """A_N as a (1,1) chart jet field for a rank-one complement (p = 1)."""
-        if self.p != 1:
-            raise SpecializationError("A_N needs a rank-one complement")
-        d, n = self.d, self.n
-        hfrJ = self._ff["hfrJ"]
-        tan_fl = [self._flat1(self.frame1[a]) for a in range(n)]
-        out = [[0.0] * d for _ in range(d)]
-        for a in range(n):
-            for b in range(n):
-                c = self.eps_tan[a] * self.eps_tan[b] * hfrJ[a][b][0]
-                eb = self.frame1[b]
-                for s in range(d):
-                    cbs = c * eb[s]
-                    for nu in range(d):
-                        out[s][nu] = out[s][nu] + cbs * tan_fl[a][nu]
-        return out
-
     # ------------------------------------------------------------------
     # divergences and derivative-bearing tensors
 
@@ -844,7 +399,7 @@ class PointGeometry:
         """(nabla_m V)^s float matrix from a jet vector field."""
         d = self.d
         dV = np.array([[grad_vals(VJ[s], d)[m] for m in range(d)] for s in range(d)])
-        V0 = np.array([val(x) for x in VJ])
+        V0 = np.array([value_of(x) for x in VJ])
         return dV + np.einsum("smn,n->sm", self.Gamma0, V0)
 
     def div_vector(self, VJ, mode="full"):
@@ -856,15 +411,10 @@ class PointGeometry:
 
     def _weight(self, mode):
         """W[m, s] = sum_block eps e^m (e-flat)_s."""
-        n = self.n
-        if mode == "tan":
-            idx = range(0, n)
-        elif mode == "perp":
-            idx = range(n, self.d)
-        else:
+        if mode not in ("tan", "perp"):
             raise SpecializationError(f"unknown divergence mode {mode!r}")
         W = np.zeros((self.d, self.d))
-        for k in idx:
+        for k in getattr(self, mode).idx:
             W += self.eps[k] * np.outer(self.F[k], self.Fb[k])
         return W
 
@@ -872,7 +422,7 @@ class PointGeometry:
         """(nabla_m P)^s_{nu rho} float array from a (1,2) jet field."""
         d = self.d
         G = self.Gamma0
-        P0 = np.array([[[val(PJ[s][nu][rho]) for rho in range(d)] for nu in range(d)]
+        P0 = np.array([[[value_of(PJ[s][nu][rho]) for rho in range(d)] for nu in range(d)]
                        for s in range(d)])
         dP = np.array([[[[grad_vals(PJ[s][nu][rho], d)[m] for rho in range(d)]
                          for nu in range(d)] for s in range(d)] for m in range(d)])
@@ -891,7 +441,7 @@ class PointGeometry:
         """(div S) 1-form chart components for a (1,1) jet field."""
         d = self.d
         G = self.Gamma0
-        S0 = np.array([[val(SJ[s][nu]) for nu in range(d)] for s in range(d)])
+        S0 = np.array([[value_of(SJ[s][nu]) for nu in range(d)] for s in range(d)])
         dS = np.array([[[grad_vals(SJ[s][nu], d)[m] for nu in range(d)]
                         for s in range(d)] for m in range(d)])
         nab = dS + np.einsum("smk,kn->msn", G, S0) - np.einsum("kmn,sk->msn", G, S0)
@@ -905,24 +455,6 @@ class PointGeometry:
         """<C, B> = sum eps eps C(e_k, e_l) B(e_k, e_l), frame components."""
         return float(np.einsum("k,l,kl,kl->", self.eps, self.eps, C_frame, B_frame))
 
-    def def_perp_of(self, ZJ):
-        """Def_D Z: symmetrized nabla Z on the complement block (p x p)."""
-        return self._def_block(ZJ, range(self.n, self.d))
-
-    def def_tan_of(self, ZJ):
-        return self._def_block(ZJ, range(0, self.n))
-
-    def _def_block(self, ZJ, idx):
-        nabla = self.nabla_vec_values(ZJ)
-        idx = list(idx)
-        out = np.zeros((len(idx), len(idx)))
-        for ii, u in enumerate(idx):
-            nu_u = np.einsum("sm,m->s", nabla, self.F[u])
-            for jj, w in enumerate(idx):
-                nu_w = np.einsum("sm,m->s", nabla, self.F[w])
-                out[ii, jj] = 0.5 * (self.Fb[w] @ nu_u + self.Fb[u] @ nu_w)
-        return out
-
     def delta_tilde_of(self, ZJ):
         """delta~_Z block on (E_a, Eperp_i) pairs (n x p)."""
         nabla = self.nabla_vec_values(ZJ)
@@ -934,29 +466,11 @@ class PointGeometry:
                 out[a, i] = 0.5 * (self.Fb[n + i] @ nu_a)
         return out
 
-    @cached_property
-    def div_H(self):
-        return self.div_vector(self.HJ)
-
-    @cached_property
-    def div_Ht(self):
-        return self.div_vector(self.HtJ)
-
-    @cached_property
-    def tau1_tilde_J(self):
-        """tau~_1 = Tr A~_N of the complement for n = 1, as a jet scalar."""
-        if self.n != 1:
-            raise SpecializationError("tau~_1 requires rank-one D-tilde")
-        acc = 0.0
-        for i in range(self.p):
-            acc = acc + self.eps_perp[i] * self._ff["htfrJ"][i][i][0]
-        return acc
-
     def nabla02_in_direction(self, TJ, X0):
         """(nabla_X T) chart components for a (0,2) jet field and float X."""
         d = self.d
         G = self.Gamma0
-        T0 = np.array([[val(TJ[nu][rho]) for rho in range(d)] for nu in range(d)])
+        T0 = np.array([[value_of(TJ[nu][rho]) for rho in range(d)] for nu in range(d)])
         dT = np.array([[[grad_vals(TJ[nu][rho], d)[m] for rho in range(d)]
                         for nu in range(d)] for m in range(d)])
         nab = dT - np.einsum("kmn,kr->mnr", G, T0) - np.einsum("kmr,nk->mnr", G, T0)
@@ -967,85 +481,381 @@ class PointGeometry:
         return np.einsum("lmk,k,k->lm", np.asarray(Pb_full), self.eps,
                          np.asarray(Vb_frame))
 
-    def pair_tensor_vec_perp(self):
-        """<h~, H~>(E_i, E_j) = g(h~(E_i, E_j), H~) on the complement block."""
-        n, p = self.n, self.p
-        Ht_tan = self.Fb[:n] @ self.Ht0
-        out = np.zeros((p, p))
-        for i in range(p):
-            for j in range(p):
-                out[i, j] = sum(self.eps_tan[a] * self.htfr[i, j, a] * Ht_tan[a]
-                                for a in range(n))
-        return out
-
-    def pair_tensor_vec_tan(self):
-        """<h, H>(E_a, E_b) = g(h(E_a, E_b), H) on the tangent block."""
-        n, p = self.n, self.p
-        H_perp = self.Fb[n:] @ self.H0
-        out = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = sum(self.eps_perp[i] * self.hfr[a, b, i] * H_perp[i]
-                                for i in range(p))
-        return out
-
-    @cached_property
-    def tau1_perp_J(self):
-        """tau_1 = Tr A_N of the foliation for p = 1, as a jet scalar."""
-        if self.p != 1:
-            raise SpecializationError("tau_1 requires a rank-one complement")
-        acc = 0.0
-        for a in range(self.n):
-            acc = acc + self.eps_tan[a] * self._ff["hfrJ"][a][a][0]
-        return acc
-
-    @cached_property
-    def unit_normal_field_J(self):
-        """The perp frame field (p = 1 unit normal), jet chart components."""
-        if self.p != 1:
-            raise SpecializationError("unit normal requires a rank-one complement")
-        return self.frame1[self.n]
-
-    @cached_property
-    def tangent_unit_field_J(self):
-        """The tangent frame field (n = 1 unit N), jet chart components."""
-        if self.n != 1:
-            raise SpecializationError("unit tangent requires rank-one D-tilde")
-        return self.frame1[0]
-
     # ------------------------------------------------------------------
 
     def summary(self):
+        tan, perp = self.tan, self.perp
         out = {
             "point": list(self.point),
-            "eps_tan": list(self.eps_tan),
-            "eps_perp": list(self.eps_perp),
+            "eps_tan": list(tan.eps),
+            "eps_perp": list(perp.eps),
             "S_mix": self.smix,
-            "S_ex": self.s_ex,
-            "S_ex_tilde": self.s_ex_tilde,
-            "norm_h": self.norm_h,
-            "norm_h_tilde": self.norm_ht,
-            "norm_T": self.norm_T,
-            "norm_T_tilde": self.norm_Tt,
-            "g_HH": self.gHH,
-            "g_HtHt": self.gHtHt,
-            "div_H": self.div_H,
-            "div_H_tilde": self.div_Ht,
-            "r_perp": self.r_perp.tolist(),
-            "r_tan": self.r_tan.tolist(),
-            "H_frame": self.Hb_frame.tolist(),
-            "Ht_frame": self.Htb_frame.tolist(),
+            "S_ex": tan.s_ex,
+            "S_ex_tilde": perp.s_ex,
+            "norm_h": tan.norm_h,
+            "norm_h_tilde": perp.norm_h,
+            "norm_T": tan.norm_T,
+            "norm_T_tilde": perp.norm_T,
+            "g_HH": tan.gHH,
+            "g_HtHt": perp.gHH,
+            "div_H": tan.div_H,
+            "div_H_tilde": perp.div_H,
+            "r_perp": perp.r.tolist(),
+            "r_tan": tan.r.tolist(),
+            "H_frame": tan.Hb_frame.tolist(),
+            "Ht_frame": perp.Hb_frame.tolist(),
         }
         if self.n == 1:
             out["ric_N"] = self.ric_N
         return out
 
 
-def sum_scalars(items):
-    acc = 0.0
-    for x in items:
-        acc = acc + x
-    return acc
+class BlockView:
+    """One block of the splitting, with the other block as its dual.
+
+    Indices a, b run over the block's frame vectors E_a and i, j over the
+    dual's E_i, both local to their block.  On ``PointGeometry.tan`` the
+    block is D-tilde, so h, T, H, A, ... are the paper's; on
+    ``PointGeometry.perp`` it is D, and the same names give h~, T~, H~,
+    A~, ...  Quantities of the block take values in the dual (h(E_a, E_b)
+    and H lie in the dual), the way h of D-tilde lies in D.
+    """
+
+    # A view is made afresh on each access and caches into a dict owned by
+    # the bundle; ``g`` sits in a slot outside that dict, so the bundle never
+    # refers back to a view.  Such a cycle would keep every bundle alive
+    # until a full garbage collection.
+    __slots__ = ("g", "__dict__")
+
+    def __init__(self, geom, side, dual_side, sl, eps):
+        self.g = geom
+        self.__dict__ = geom.__dict__.setdefault(f"_{side}_cache", {})
+        self.side = side
+        self.dual_side = dual_side
+        self.sl = sl
+        self.idx = range(geom.d)[sl]
+        self.dim = len(self.idx)
+        self.eps = eps
+
+    @property
+    def dual(self):
+        return getattr(self.g, self.dual_side)
+
+    def _rank_one(self, what):
+        if self.dim != 1:
+            raise SpecializationError(f"{what} needs a rank-one {self.side} block")
+
+    @cached_property
+    def frame1(self):
+        return [self.g.frame1[k] for k in self.idx]
+
+    @cached_property
+    def flat1(self):
+        return [self.g._flat1(e) for e in self.frame1]
+
+    # ------------------------------------------------------------------
+    # fundamental forms
+
+    @cached_property
+    def ffJ(self):
+        """Frame scalars of the fundamental forms, as jets.
+
+        (h, T) with h[a][b][i] = g(h(E_a, E_b), E_i) and T its antisymmetric
+        counterpart; pairing with the dual frame vectors performs the block
+        projection.
+        """
+        g, m, dual = self.g, self.dim, self.dual
+        h = [[[None] * dual.dim for _ in range(m)] for _ in range(m)]
+        T = [[[None] * dual.dim for _ in range(m)] for _ in range(m)]
+        for a in range(m):
+            for b in range(a, m):
+                for i in range(dual.dim):
+                    ei = dual.frame1[i]
+                    u = g.inner1(g.cd(self.idx[a], self.idx[b]), ei)
+                    w = g.inner1(g.cd(self.idx[b], self.idx[a]), ei)
+                    h[a][b][i] = 0.5 * (u + w)
+                    h[b][a][i] = h[a][b][i]
+                    T[a][b][i] = 0.5 * (u - w)
+                    T[b][a][i] = -1.0 * T[a][b][i]
+        return h, T
+
+    @cached_property
+    def h(self):
+        return _values3(self.ffJ[0])
+
+    @cached_property
+    def T(self):
+        return _values3(self.ffJ[1])
+
+    @cached_property
+    def HJ(self):
+        """Mean curvature vector field, jet chart components."""
+        d, dual, hJ = self.g.d, self.dual, self.ffJ[0]
+        out = [0.0] * d
+        for a in range(self.dim):
+            for i in range(dual.dim):
+                c = self.eps[a] * dual.eps[i] * hJ[a][a][i]
+                ei = dual.frame1[i]
+                for s in range(d):
+                    out[s] = out[s] + c * ei[s]
+        return out
+
+    @cached_property
+    def H0(self):
+        return np.array([value_of(x) for x in self.HJ])
+
+    @cached_property
+    def Hb_frame(self):
+        return self.g.Fb @ self.H0
+
+    # ------------------------------------------------------------------
+    # scalar invariants
+
+    def _norm(self, F):
+        e, de = np.array(self.eps), np.array(self.dual.eps)
+        return float(np.einsum("a,b,i,abi,abi->", e, e, de, F, F))
+
+    @cached_property
+    def norm_h(self):
+        return self._norm(self.h)
+
+    @cached_property
+    def norm_T(self):
+        return self._norm(self.T)
+
+    @cached_property
+    def gHH(self):
+        return float(self.H0 @ self.g.g0 @ self.H0)
+
+    @property
+    def s_ex(self):
+        return self.gHH - self.norm_h
+
+    @cached_property
+    def div_H(self):
+        return self.g.div_vector(self.HJ)
+
+    # ------------------------------------------------------------------
+    # Weingarten-type operators (float matrices, frame basis; column = input)
+
+    def _ops(self, F):
+        m, e = self.dim, self.eps
+        return [np.array([[e[b] * F[a, b, i] for a in range(m)] for b in range(m)])
+                for i in range(self.dual.dim)]
+
+    @cached_property
+    def A_ops(self):
+        return self._ops(self.h)
+
+    @cached_property
+    def Tsharp_ops(self):
+        return self._ops(self.T)
+
+    def _dual_sum(self, term):
+        """sum_i eps_i term(i) over the dual frame."""
+        dual = self.dual
+        out = np.zeros((self.dim, self.dim))
+        for i in range(dual.dim):
+            out += dual.eps[i] * term(i)
+        return out
+
+    @cached_property
+    def casorati(self):
+        A = self.A_ops
+        return self._dual_sum(lambda i: A[i] @ A[i])
+
+    @cached_property
+    def tcal(self):
+        T = self.Tsharp_ops
+        return self._dual_sum(lambda i: T[i] @ T[i])
+
+    @cached_property
+    def kcal(self):
+        A, T = self.A_ops, self.Tsharp_ops
+        return self._dual_sum(lambda i: T[i] @ A[i] - A[i] @ T[i])
+
+    def flat(self, op):
+        """(0,2) frame form of an operator acting on the block."""
+        m = self.dim
+        return np.array([[self.eps[b] * op[b, a] for b in range(m)] for a in range(m)])
+
+    @cached_property
+    def psi(self):
+        """Psi(E_i, E_j) = Tr(A_j A_i + T#_j T#_i), indexed by the dual."""
+        q, A, T = self.dual.dim, self.A_ops, self.Tsharp_ops
+        out = np.zeros((q, q))
+        for i in range(q):
+            for j in range(q):
+                out[i, j] = np.trace(A[j] @ A[i] + T[j] @ T[i])
+        return out
+
+    @cached_property
+    def r(self):
+        """Partial Ricci tensor of the block, frame components."""
+        m, e, R4, dual_idx = self.dim, self.g.eps, self.g.R4, self.dual.idx
+        out = np.zeros((m, m))
+        for a, A in enumerate(self.idx):
+            for b, B in enumerate(self.idx):
+                out[a, b] = sum(e[k] * R4[k, A, k, B] for k in dual_idx)
+        return out
+
+    # ------------------------------------------------------------------
+    # (1,2)-tensors in full-frame flat components
+
+    def _full(self, F):
+        k = self.g.d
+        out = np.zeros((k, k, k))
+        out[self.sl, self.sl, self.dual.sl] = F
+        return out
+
+    @cached_property
+    def hb_full(self):
+        """hb[l, m, k] = g(h(e_l, e_m), e_k) over the full frame."""
+        return self._full(self.h)
+
+    @cached_property
+    def Tb_full(self):
+        return self._full(self.T)
+
+    def _mixed_full(self, F):
+        """P(X,Y) = (F#_{X dual}(Y block) + F#_{Y dual}(X block))/2, flat comps."""
+        k, dsl = self.g.d, self.dual.sl
+        out = np.zeros((k, k, k))
+        half = 0.5 * F                       # g(F#_i E_a, E_b)/2 at [a, b, i]
+        out[self.sl, dsl, self.sl] = half.transpose(0, 2, 1)
+        out[dsl, self.sl, self.sl] = half.transpose(2, 0, 1)
+        return out
+
+    @cached_property
+    def alpha_b(self):
+        return self._mixed_full(self.h)
+
+    @cached_property
+    def theta_b(self):
+        return self._mixed_full(self.T)
+
+    @cached_property
+    def phi_h(self):
+        g = self.g
+        return np.outer(self.Hb_frame, self.Hb_frame) - 0.5 * g.lam(self.hb_full, self.hb_full)
+
+    @cached_property
+    def phi_T(self):
+        return -0.5 * self.g.lam(self.Tb_full, self.Tb_full)
+
+    # ------------------------------------------------------------------
+    # jet chart components of derived tensor fields
+
+    @cached_property
+    def h_field(self):
+        """h as a (1,2) chart-component jet field (projection-extended)."""
+        g, d = self.g, self.g.d
+        out = _zeros3(d)
+        for a in range(self.dim):
+            for b in range(a, self.dim):
+                A, B = self.idx[a], self.idx[b]
+                u, w = g.cd(A, B), g.cd(B, A)
+                sym = [0.5 * (u[s] + w[s]) for s in range(d)]
+                v = g.project1(sym, self.dual_side)
+                e = self.eps[a] * self.eps[b]
+                _accumulate12(out, v, self.flat1[a], self.flat1[b], e, d, sym_pair=(a != b))
+        return out
+
+    def _mixed_field(self, FJ):
+        """alpha (F = h) or theta (F = T) as a (1,2) chart jet field."""
+        d, dual = self.g.d, self.dual
+        out = _zeros3(d)
+        for i in range(dual.dim):
+            for a in range(self.dim):
+                vec = [0.0] * d
+                for b in range(self.dim):
+                    c = self.eps[b] * FJ[a][b][i]   # F#_i E_a along E_b
+                    eb = self.frame1[b]
+                    for s in range(d):
+                        vec[s] = vec[s] + c * eb[s]
+                half = [0.5 * x for x in vec]
+                e = dual.eps[i] * self.eps[a]
+                _accumulate12(out, half, dual.flat1[i], self.flat1[a], e, d, sym_pair=True)
+        return out
+
+    @cached_property
+    def alpha_field(self):
+        return self._mixed_field(self.ffJ[0])
+
+    @cached_property
+    def theta_field(self):
+        return self._mixed_field(self.ffJ[1])
+
+    def _normal_op_field(self, FJ):
+        """F#_N as a (1,1) chart jet field, N the unit field of a rank-one dual."""
+        self.dual._rank_one("an operator field along N")
+        d = self.g.d
+        out = [[0.0] * d for _ in range(d)]
+        for a in range(self.dim):
+            for b in range(self.dim):
+                c = self.eps[a] * self.eps[b] * FJ[a][b][0]
+                eb = self.frame1[b]
+                for s in range(d):
+                    cbs = c * eb[s]
+                    for nu in range(d):
+                        out[s][nu] = out[s][nu] + cbs * self.flat1[a][nu]
+        return out
+
+    @cached_property
+    def A_field(self):
+        """A_N as a (1,1) chart jet field (rank-one dual)."""
+        return self._normal_op_field(self.ffJ[0])
+
+    @cached_property
+    def Tsharp_field(self):
+        """T#_N as a (1,1) chart jet field (rank-one dual)."""
+        return self._normal_op_field(self.ffJ[1])
+
+    @cached_property
+    def tau1_J(self):
+        """tau_1 = Tr A_N for a rank-one dual, as a jet scalar."""
+        self.dual._rank_one("tau_1")
+        acc = 0.0
+        for a in range(self.dim):
+            acc = acc + self.eps[a] * self.ffJ[0][a][a][0]
+        return acc
+
+    @cached_property
+    def unit_J(self):
+        """The frame field of a rank-one block, jet chart components."""
+        self._rank_one("a unit field")
+        return self.frame1[0]
+
+    # ------------------------------------------------------------------
+    # block tensors built from derivatives
+
+    @cached_property
+    def pair_tensor_vec(self):
+        """<h, H>(E_a, E_b) = g(h(E_a, E_b), H) on the block."""
+        dual, m = self.dual, self.dim
+        H_dual = self.g.Fb[dual.sl] @ self.H0
+        out = np.zeros((m, m))
+        for a in range(m):
+            for b in range(m):
+                out[a, b] = sum(dual.eps[i] * self.h[a, b, i] * H_dual[i]
+                                for i in range(dual.dim))
+        return out
+
+    def def_of(self, ZJ):
+        """Def Z: symmetrized nabla Z on the block, frame components."""
+        g = self.g
+        nabla = g.nabla_vec_values(ZJ)
+        out = np.zeros((self.dim, self.dim))
+        for a, u in enumerate(self.idx):
+            nu_u = np.einsum("sm,m->s", nabla, g.F[u])
+            for b, w in enumerate(self.idx):
+                nu_w = np.einsum("sm,m->s", nabla, g.F[w])
+                out[a, b] = 0.5 * (g.Fb[w] @ nu_u + g.Fb[u] @ nu_w)
+        return out
+
+
+def _values3(J):
+    return np.array([[[value_of(x) for x in r] for r in m] for m in J])
 
 
 def _zeros3(d):
@@ -1082,15 +892,7 @@ def mixed_scalar(struct, point, metric_fn=None):
 
 def partial_ricci(struct, point, side="perp", metric_fn=None):
     g = PointGeometry(struct, point, metric_fn=metric_fn)
-    return g.r_perp if side == "perp" else g.r_tan
-
-
-def extrinsic_bundle(struct, point, metric_fn=None):
-    return PointGeometry(struct, point, metric_fn=metric_fn)
-
-
-def lambda_pq(geom, Pb, Qb):
-    return geom.lam(np.asarray(Pb, float), np.asarray(Qb, float))
+    return (g.perp if side == "perp" else g.tan).r
 
 
 def divergence(struct, point, field, mode="full", metric_fn=None):
@@ -1111,7 +913,7 @@ def divergence(struct, point, field, mode="full", metric_fn=None):
 def smix_density_fast(struct, point, metric_fn=None):
     """(S_mix, sqrt|det g|) without frames; quadrature inner loop."""
     geom = PointGeometry(struct, point, metric_fn=metric_fn, check_domain=False)
-    W = [[val(x) for x in vec] for vec in geom._dtilde_fn(geom.seeds)]
+    W = [[value_of(x) for x in vec] for vec in geom._dtilde_fn(geom.seeds)]
     Wm = np.array(W).T
     g0 = geom.g0
     gram = Wm.T @ g0 @ Wm
@@ -1146,73 +948,70 @@ def identity_suite(struct, point, metric_fn=None, rng_seed=7):
     """Residual norms of the structural identities; each equation's two sides
     travel independent code paths (curvature vs. first-derivative assembly)."""
     g = PointGeometry(struct, point, metric_fn=metric_fn)
+    tan, perp = g.tan, g.perp
     n, p = g.n, g.p
     res = {}
 
     # (a) partial Ricci tensor vs the divergence identity, complement block
-    div_ht = g.to_frame02(g.div_12(g.htilde_field, mode="full"))[n:, n:]
-    pair_htH = np.zeros((p, p))
-    Ht_tan = g.Fb[:n] @ g.Ht0
-    for i in range(p):
-        for j in range(p):
-            pair_htH[i, j] = sum(g.eps_tan[a] * g.htfr[i, j, a] * Ht_tan[a]
-                                 for a in range(n))
-    rhs = (div_ht + pair_htH - g.flat_perp(g.casorati_tilde)
-           - g.flat_perp(g.tcal_tilde) - g.psi + g.def_perp_of(g.HJ))
-    res["partial_ricci_identity"] = float(np.max(np.abs(g.r_perp - rhs)))
+    div_ht = g.to_frame02(g.div_12(perp.h_field, mode="full"))[n:, n:]
+    rhs = (div_ht + perp.pair_tensor_vec - perp.flat(perp.casorati)
+           - perp.flat(perp.tcal) - tan.psi + perp.def_of(tan.HJ))
+    res["partial_ricci_identity"] = float(np.max(np.abs(perp.r - rhs)))
 
     # (b) S_mix from extrinsic invariants
     res["smix_decomposition"] = abs(
-        g.smix - (g.s_ex + g.s_ex_tilde + g.norm_T + g.norm_Tt + g.div_H + g.div_Ht))
+        g.smix - (tan.s_ex + perp.s_ex + tan.norm_T + perp.norm_T
+                  + tan.div_H + perp.div_H))
 
     # (c) trace of the partial Ricci tensor
-    trace_r = sum(g.eps_perp[i] * g.r_perp[i, i] for i in range(p))
+    trace_r = sum(perp.eps[i] * perp.r[i, i] for i in range(p))
     res["partial_ricci_trace"] = abs(trace_r - g.smix)
 
     # (d) trace of Psi
-    tr_psi = sum(g.eps_perp[i] * g.psi[i, i] for i in range(p))
-    res["psi_trace"] = abs(tr_psi - g.norm_h + g.norm_T)
+    tr_psi = sum(perp.eps[i] * tan.psi[i, i] for i in range(p))
+    res["psi_trace"] = abs(tr_psi - tan.norm_h + tan.norm_T)
 
     # (e) trace of Def_D H
-    defH = g.def_perp_of(g.HJ)
-    tr_def = sum(g.eps_perp[i] * defH[i, i] for i in range(p))
-    res["def_trace"] = abs(tr_def - g.div_H - g.gHH)
+    defH = perp.def_of(tan.HJ)
+    tr_def = sum(perp.eps[i] * defH[i, i] for i in range(p))
+    res["def_trace"] = abs(tr_def - tan.div_H - tan.gHH)
 
     # (f) traceless commutator operators
-    res["kcal_trace"] = abs(float(np.trace(g.kcal))) + abs(float(np.trace(g.kcal_tilde)))
+    res["kcal_trace"] = abs(float(np.trace(tan.kcal))) + abs(float(np.trace(perp.kcal)))
 
     # (g) Phi tensors against their defining contraction on a random S
     rng = random.Random(rng_seed)
     S = np.array([[rng.uniform(-1, 1) for _ in range(g.d)] for _ in range(g.d)])
     S = 0.5 * (S + S.T)
-    direct_h = float(g.H0 @ S @ g.H0)
+    H0 = tan.H0
+    direct_h = float(H0 @ S @ H0)
     direct_T = 0.0
     for a in range(n):
         for b in range(n):
-            vh = sum(g.eps_perp[i] * g.hfr[a, b, i] * g.F[n + i] for i in range(p))
-            vT = sum(g.eps_perp[i] * g.Tfr[a, b, i] * g.F[n + i] for i in range(p))
-            e = g.eps_tan[a] * g.eps_tan[b]
+            vh = sum(perp.eps[i] * tan.h[a, b, i] * g.F[n + i] for i in range(p))
+            vT = sum(perp.eps[i] * tan.T[a, b, i] * g.F[n + i] for i in range(p))
+            e = tan.eps[a] * tan.eps[b]
             direct_h -= e * float(vh @ S @ vh)
             direct_T -= e * float(vT @ S @ vT)
     S_frame = g.F @ S @ g.F.T
-    res["phi_h_identity"] = abs(g.frame_pairing(g.phi_h, S_frame) - direct_h)
-    res["phi_T_identity"] = abs(g.frame_pairing(g.phi_T, S_frame) - direct_T)
+    res["phi_h_identity"] = abs(g.frame_pairing(tan.phi_h, S_frame) - direct_h)
+    res["phi_T_identity"] = abs(g.frame_pairing(tan.phi_T, S_frame) - direct_T)
 
     # (E-divN) with a seeded random complement-valued field
     xi = random_perp_field(g, rng_seed)
-    xi0 = np.array([val(x) for x in xi])
+    xi0 = np.array([value_of(x) for x in xi])
     res["div_perp_vector"] = abs(
-        g.div_vector(xi, mode="perp") - (g.div_vector(xi) + float(xi0 @ g.g0 @ g.H0)))
+        g.div_vector(xi, mode="perp") - (g.div_vector(xi) + float(xi0 @ g.g0 @ H0)))
 
     # (E-divP) with P = h (complement-valued (1,2) tensor), tangent block
-    hfield = g.h_field
+    hfield = tan.h_field
     lhsP = g.to_frame02(g.div_12(hfield, mode="perp"))[:n, :n]
     rhsP = g.to_frame02(g.div_12(hfield, mode="full"))[:n, :n]
     pair_hH = np.zeros((n, n))
     for a in range(n):
         for b in range(n):
-            vec = sum(g.eps_perp[i] * g.hfr[a, b, i] * g.F[n + i] for i in range(p))
-            pair_hH[a, b] = float(vec @ g.g0 @ g.H0)
+            vec = sum(perp.eps[i] * tan.h[a, b, i] * g.F[n + i] for i in range(p))
+            pair_hH[a, b] = float(vec @ g.g0 @ H0)
     res["div_perp_tensor"] = float(np.max(np.abs(lhsP - rhsP - pair_hH)))
 
     res["max"] = max(res.values())

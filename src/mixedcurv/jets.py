@@ -203,6 +203,17 @@ def value_of(x):
     return float(x)
 
 
+def jsum(items):
+    """Left fold of ``+`` from 0.0, for jets and floats alike.
+
+    Unlike the builtin ``sum`` (which compensates float sums from Python 3.12
+    on), the result does not depend on the interpreter version."""
+    acc = 0.0
+    for x in items:
+        acc = acc + x
+    return acc
+
+
 def scalar_kind(x):
     """Tag describing a scalar: 'real', 'jet1', 'jet2', or 'nested(<inner>)'."""
     if not isinstance(x, Jet):
@@ -359,10 +370,6 @@ def jpow(a, b):
         raise SingularEvaluationError(
             f"non-integer power of non-positive value {a}")
     return a ** b
-
-
-def jabs_value(x):
-    return abs(value_of(x))
 
 
 ELEMENTARY = {

@@ -56,7 +56,7 @@ def test_criterion_2_r3_contact_reproduction():
                         float(np.max(np.abs(At - np.array([[0, -1], [-1, 0]])))),
                         float(np.max(np.abs(Tt - np.array([[0, 1], [-1, 0]])))))
         worst_ric = max(worst_ric, abs(g.ric_N))
-        worst_H = max(worst_H, float(np.max(np.abs(g.H0))))
+        worst_H = max(worst_H, float(np.max(np.abs(g.tan.H0))))
         worst_crit = max(worst_crit,
                          el.el_flow(s, pt, "E-main-3i").norm,
                          el.el_flow(s, pt, "E-main-2i").norm)
@@ -99,9 +99,9 @@ def test_criterion_4_three_sasakian():
         g = PointGeometry(s, pt)
         worst_prop = max(
             worst_prop,
-            float(np.max(np.abs(g.r_perp - 3.0 * np.diag(g.eps_perp)))),
-            float(np.max(np.abs(g.r_tan - 4.0 * np.diag(g.eps_tan)))))
-        worst_norm = max(worst_norm, abs(g.norm_Tt - 12.0))
+            float(np.max(np.abs(g.perp.r - 3.0 * np.diag(g.perp.eps)))),
+            float(np.max(np.abs(g.tan.r - 4.0 * np.diag(g.tan.eps)))))
+        worst_norm = max(worst_norm, abs(g.perp.norm_T - 12.0))
         for eq in ("E-main-0i", "E-main-0ii", "E-main-0iii"):
             worst_eq = max(worst_eq, el.el_general(s, pt, eq).norm)
     ok = worst_prop <= 1e-7 and worst_norm <= 1e-6 and worst_eq <= 1e-6
@@ -172,8 +172,8 @@ def test_criterion_7_integral_relations():
                 return 0.0
             a = PointGeometry(s, pt, metric_fn=fp, check_domain=False)
             b = PointGeometry(s, pt, metric_fn=fm, check_domain=False)
-            return w * ((a.div_H + a.div_Ht) * a.volume_density
-                        - (b.div_H + b.div_Ht) * b.volume_density)
+            return w * ((a.tan.div_H + a.perp.div_H) * a.volume_density
+                        - (b.tan.div_H + b.perp.div_H) * b.volume_density)
 
         return el.pairwise_sum(node(pt, w)
                                for pt, w in zip(pts, wts)) / (2.0 * h)
@@ -219,7 +219,7 @@ def test_criterion_8_foliation_solutions():
                 - el.tau1_formula(chat, tau0, t - h)) / (2 * h)
         worst_ric = max(worst_ric, abs(dtau - (tau * tau - chat)))
         g = PointGeometry(sr, (t, 0.2, -0.1))
-        worst_tau = max(worst_tau, abs(value_of(g.tau1_perp_J) - tau))
+        worst_tau = max(worst_tau, abs(value_of(g.tan.tau1_J) - tau))
     worst_bif = 0.0
     for name in ("codim1_coth_tanh", "codim1_tau_riccati"):
         sb = struct(name)

@@ -65,6 +65,23 @@ def test_bad_config_exit_2():
                      "--points", "(0,0)"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "identities", "--gallery", "r3_contact",
+     "--points", "(0.1,abc,0.2)"],
+    ["verify", "variations", "--gallery", "r3_contact",
+     "--box", "[0,1e] x [0,1] x [0,1]"],
+    ["verify", "el", "--gallery", "r3_contact", "--random", "0"],
+    ["verify", "el", "--gallery", "r3_contact", "--random", "-3"],
+])
+def test_bad_input_exit_2(args, capsys):
+    # malformed numbers and empty samples are configuration errors, not
+    # crashes and not silently empty passing reports
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_identities_flat(tmp_path):
     code, text = run(["verify", "identities", "--gallery", "euclidean_product",
                       "--random", "3"], tmp_path)

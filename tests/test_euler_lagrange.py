@@ -264,7 +264,7 @@ def test_tildeT_action_three_sasakian():
     norms = []
     for pt in s.interior_points(2, 43):
         g = PointGeometry(s, pt)
-        norms.append(g.norm_Tt)
+        norms.append(g.perp.norm_T)
         reps = el.el_tildeT_action(s, pt)
         for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3"):
             assert reps[eq].norm < 1e-6, eq
@@ -338,12 +338,12 @@ def test_biregular_closed_forms_match_engine():
             sorted(cf["A_diag"]), abs=1e-10)
         # coordinate components of nabla_N h_sc against the closed form
         nab_fr, _ = el._nabla_N_hsc(geom, eN)
-        gv = [el.val(x) for x in (geom.gJ[1][1], geom.gJ[2][2])]
+        gv = [el.value_of(x) for x in (geom.gJ[1][1], geom.gJ[2][2])]
         # engine frame components scale by 1/g_ii on the diagonal
         diag_coord = sorted([nab_fr[0, 0] * gv[0], nab_fr[1, 1] * gv[1]])
         assert diag_coord == pytest.approx(sorted(cf["nabla_N_hsc_diag"]),
                                            abs=1e-9)
-        SJ = geom.weingarten_normal_field()
+        SJ = geom.tan.A_field
         form = geom.div_11(SJ, mode="tan")
         for i, want in enumerate(cf["div_tan_AN"]):
             assert form[1 + i] == pytest.approx(want, abs=1e-9)
@@ -361,7 +361,7 @@ def test_tau1_formula_riccati_and_engine_match():
                 - el.tau1_formula(chat, tau0, t - h)) / (2 * h)
         assert abs(dtau - (tau * tau - chat)) < 1e-7       # re-derived Riccati
         geom = PointGeometry(s, (t, 0.1, -0.2))
-        assert value_of(geom.tau1_perp_J) == pytest.approx(tau, abs=1e-9)
+        assert value_of(geom.tan.tau1_J) == pytest.approx(tau, abs=1e-9)
 
 
 def test_codim1_el3_pointwise_on_coth_tanh():
@@ -384,7 +384,7 @@ def test_0iii_matches_flow_contraction():
             consts = {"s_star_tan": star}
             a = el.el_general(s, pt, "E-main-0iii", constants=consts)
             b = el.el_flow(s, pt, "E-main-2i", constants=consts)
-            eN = PointGeometry(s, pt).eps_tan[0]
+            eN = PointGeometry(s, pt).tan.eps[0]
             assert np.asarray(a.residual).flat[0] == pytest.approx(
                 0.5 * eN * b.residual[0], abs=1e-8)
 
@@ -447,7 +447,7 @@ def test_codim1_with_timelike_normal():
     s = load_structure(DE_SITTER_SLICING)
     for pt in s.interior_points(4, 50):
         g = PointGeometry(s, pt)
-        assert g.eps_perp == [-1.0]
+        assert g.perp.eps == [-1.0]
         assert identity_suite(s, pt)["max"] < 1e-9
         eN, AN, tau1, tau2, _ = el._codim1_data(g)
         assert eN == -1.0

@@ -75,7 +75,7 @@ def test_s7_entry_acceptance_checks():
         br = J[b] @ xis[a] - J[a] @ xis[b]
         resid = br - 2.0 * xis[c]
         assert np.max(np.abs(resid)) < 1e-8
-    assert geom.norm_T < 1e-9
+    assert geom.tan.norm_T < 1e-9
 
     # curvature identities of a Sasakian structure on the unit sphere, in the
     # engine's curvature convention R(X,Y) = nab_Y nab_X - nab_X nab_Y + nab_[X,Y]:
@@ -125,7 +125,7 @@ def test_hopf_field_is_unit_killing_and_geodesic():
         geom = PointGeometry(s, pt)
         xi = np.array([_val(c) for c in s.dtilde_at(list(pt))[0]])
         assert float(xi @ geom.g0 @ xi) == pytest.approx(1.0, abs=1e-12)
-        assert geom.norm_h < 1e-12 and geom.norm_ht < 1e-12
+        assert geom.tan.norm_h < 1e-12 and geom.perp.norm_h < 1e-12
 
 
 def test_criticality_flags_match_el_reports():

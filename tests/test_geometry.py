@@ -1,11 +1,15 @@
+import gc
 import math
+import weakref
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
+from mixedcurv import euler_lagrange as el
 from mixedcurv import gallery
-from mixedcurv.geometry import (PointGeometry, identity_suite, lambda_pq,
-                                mixed_scalar, partial_ricci, smix_density_fast)
+from mixedcurv.geometry import (PointGeometry, identity_suite, mixed_scalar,
+                                partial_ricci, smix_density_fast)
 from mixedcurv.structure import load_structure
 
 S2_CHART = """
@@ -126,13 +130,13 @@ def test_partial_ricci_proportionality_on_spheres():
     s7 = entry("s7_three_sasakian").structure
     pt = s7.interior_points(1, 4)[0]
     g = PointGeometry(s7, pt)
-    assert np.max(np.abs(g.r_perp - 3.0 * np.diag(g.eps_perp))) < 1e-7
-    assert np.max(np.abs(g.r_tan - 4.0 * np.diag(g.eps_tan))) < 1e-7
+    assert np.max(np.abs(g.perp.r - 3.0 * np.diag(g.perp.eps))) < 1e-7
+    assert np.max(np.abs(g.tan.r - 4.0 * np.diag(g.tan.eps))) < 1e-7
 
     s3 = entry("s3_hopf").structure
     g3 = PointGeometry(s3, (0.1, 0.2, -0.3))
-    assert np.max(np.abs(g3.r_perp - (g3.ric_N / 2.0) * np.eye(2))) < 1e-8
-    assert np.max(np.abs(partial_ricci(s3, (0.1, 0.2, -0.3), "perp") - g3.r_perp)) == 0.0
+    assert np.max(np.abs(g3.perp.r - (g3.ric_N / 2.0) * np.eye(2))) < 1e-8
+    assert np.max(np.abs(partial_ricci(s3, (0.1, 0.2, -0.3), "perp") - g3.perp.r)) == 0.0
 
 
 def test_partial_ricci_trace_is_smix():
@@ -140,7 +144,7 @@ def test_partial_ricci_trace_is_smix():
         s = entry(name).structure
         pt = s.interior_points(1, 5)[0]
         g = PointGeometry(s, pt)
-        tr = sum(g.eps_perp[i] * g.r_perp[i, i] for i in range(g.p))
+        tr = sum(g.perp.eps[i] * g.perp.r[i, i] for i in range(g.p))
         assert tr == pytest.approx(g.smix, abs=1e-10)
 
 
@@ -155,21 +159,22 @@ def test_contact_operator_matrices_in_reference_frame():
         Tt = gallery.evaluate_quantity(e, g, "Ttsharp_reference")
         assert np.max(np.abs(At - [[0, -1], [-1, 0]])) < 1e-9
         assert np.max(np.abs(Tt - [[0, 1], [-1, 0]])) < 1e-9
-        assert float(np.trace(g.At_ops[0])) == pytest.approx(0.0, abs=1e-9)
-        assert np.max(np.abs(g.H0)) < 1e-9
+        assert float(np.trace(g.perp.A_ops[0])) == pytest.approx(0.0, abs=1e-9)
+        assert np.max(np.abs(g.tan.H0)) < 1e-9
 
 
 def test_contact_tcal_tilde_is_minus_gperp():
     for name in ("r3_contact", "s3_hopf"):
         g = bundle(name, (0.1, 0.05, -0.2))
-        assert np.max(np.abs(g.flat_perp(g.tcal_tilde) + np.diag(g.eps_perp))) < 1e-9
-        assert g.norm_Tt == pytest.approx(g.p, abs=1e-9)
+        assert np.max(np.abs(g.perp.flat(g.perp.tcal) + np.diag(g.perp.eps))) < 1e-9
+        assert g.perp.norm_T == pytest.approx(g.p, abs=1e-9)
 
 
 def test_flat_product_everything_vanishes():
     g = bundle("euclidean_product", (0.4, 0.1, -0.1))
-    for q in (g.norm_h, g.norm_ht, g.norm_T, g.norm_Tt, g.gHH, g.gHtHt,
-              g.div_H, g.div_Ht, g.smix, g.s_ex, g.s_ex_tilde):
+    for q in (g.tan.norm_h, g.perp.norm_h, g.tan.norm_T, g.perp.norm_T,
+              g.tan.gHH, g.perp.gHH, g.tan.div_H, g.perp.div_H, g.smix,
+              g.tan.s_ex, g.perp.s_ex):
         assert q == 0.0
 
 
@@ -179,17 +184,17 @@ def test_symmetries_and_traces():
         pt = s.interior_points(1, 7)[0]
         g = PointGeometry(s, pt)
         # h, h~ symmetric; T, T~ antisymmetric
-        assert np.max(np.abs(g.hfr - np.einsum("abi->bai", g.hfr))) < 1e-12
-        assert np.max(np.abs(g.Tfr + np.einsum("abi->bai", g.Tfr))) < 1e-12
-        assert np.max(np.abs(g.htfr - np.einsum("ija->jia", g.htfr))) < 1e-12
-        assert np.max(np.abs(g.Ttfr + np.einsum("ija->jia", g.Ttfr))) < 1e-12
+        assert np.max(np.abs(g.tan.h - np.einsum("abi->bai", g.tan.h))) < 1e-12
+        assert np.max(np.abs(g.tan.T + np.einsum("abi->bai", g.tan.T))) < 1e-12
+        assert np.max(np.abs(g.perp.h - np.einsum("ija->jia", g.perp.h))) < 1e-12
+        assert np.max(np.abs(g.perp.T + np.einsum("ija->jia", g.perp.T))) < 1e-12
         # trace identities of the operator dictionary
-        assert np.trace(g.casorati) == pytest.approx(g.norm_h, abs=1e-10)
-        assert np.trace(g.tcal) == pytest.approx(-g.norm_T, abs=1e-10)
-        assert np.trace(g.kcal) == pytest.approx(0.0, abs=1e-10)
-        assert np.trace(g.kcal_tilde) == pytest.approx(0.0, abs=1e-10)
-        tr_psi = sum(g.eps_perp[i] * g.psi[i, i] for i in range(g.p))
-        assert tr_psi == pytest.approx(g.norm_h - g.norm_T, abs=1e-10)
+        assert np.trace(g.tan.casorati) == pytest.approx(g.tan.norm_h, abs=1e-10)
+        assert np.trace(g.tan.tcal) == pytest.approx(-g.tan.norm_T, abs=1e-10)
+        assert np.trace(g.tan.kcal) == pytest.approx(0.0, abs=1e-10)
+        assert np.trace(g.perp.kcal) == pytest.approx(0.0, abs=1e-10)
+        tr_psi = sum(g.perp.eps[i] * g.tan.psi[i, i] for i in range(g.p))
+        assert tr_psi == pytest.approx(g.tan.norm_h - g.tan.norm_T, abs=1e-10)
 
 
 def test_rank_one_distribution_forms():
@@ -198,9 +203,9 @@ def test_rank_one_distribution_forms():
         s = entry(name).structure
         pt = s.interior_points(1, 8)[0]
         g = PointGeometry(s, pt)
-        assert g.s_ex == pytest.approx(0.0, abs=1e-10)
-        hvec = np.array([g.eps_perp[i] * g.hfr[0, 0, i] for i in range(g.p)])
-        Hvec = g.Fb[g.n:] @ g.H0 * np.array(g.eps_perp)
+        assert g.tan.s_ex == pytest.approx(0.0, abs=1e-10)
+        hvec = np.array([g.perp.eps[i] * g.tan.h[0, 0, i] for i in range(g.p)])
+        Hvec = g.Fb[g.n:] @ g.tan.H0 * np.array(g.perp.eps)
         assert np.max(np.abs(hvec - Hvec)) < 1e-10
 
 
@@ -208,8 +213,8 @@ def test_integrable_complement_kills_tilde_invariants():
     # codimension-one foliations have integrable complement-side tensors
     for name in ("codim1_coth_tanh", "codim1_tau_riccati", "warped_product"):
         g = bundle(name, entry(name).structure.interior_points(1, 9)[0])
-        assert g.norm_Tt == pytest.approx(0.0, abs=1e-12)
-        assert np.max(np.abs(g.kcal_tilde)) < 1e-12
+        assert g.perp.norm_T == pytest.approx(0.0, abs=1e-12)
+        assert np.max(np.abs(g.perp.kcal)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +223,8 @@ def test_integrable_complement_kills_tilde_invariants():
 def test_lambda_contraction_identity_random():
     g = bundle("r3_contact", (0.3, -0.2, 0.5))
     rng = np.random.default_rng(12)
-    Pb, Qb = g.alpha_b, g.theta_b
-    lam = lambda_pq(g, Pb, Qb)
+    Pb, Qb = g.tan.alpha_b, g.tan.theta_b
+    lam = g.lam(Pb, Qb)
     for _ in range(4):
         S = rng.normal(size=(3, 3))
         S = 0.5 * (S + S.T)
@@ -235,25 +240,26 @@ def test_lambda_contraction_identity_random():
 def test_lambda_alpha_thetatilde_mixed_value():
     # the displayed mixed-component formula for Lambda_{alpha, theta~}
     g = bundle("codim1_coth_tanh", (1.0, 0.2, -0.1))
-    lam = g.lam(g.alpha_b, g.theta_tilde_b)
+    lam = g.lam(g.tan.alpha_b, g.perp.theta_b)
     n, p = g.n, g.p
     for a in range(n):
         for i in range(p):
             direct = 0.0
             for b in range(n):
                 for j in range(p):
-                    direct += 0.5 * (g.eps_tan[b] * g.eps_perp[j]
-                                     * g.hfr[b, a, j] * g.Ttfr[j, i, b])
+                    direct += 0.5 * (g.tan.eps[b] * g.perp.eps[j]
+                                     * g.tan.h[b, a, j] * g.perp.T[j, i, b])
             assert lam[a, n + i] == pytest.approx(direct, abs=1e-12)
 
 
 def test_phi_identities():
     for name in ("warped_product", "codim1_coth_tanh"):
         g = bundle(name, entry(name).structure.interior_points(1, 10)[0])
-        lamhh = g.lam(g.hb_full, g.hb_full)
-        phi = np.outer(g.Hb_frame, g.Hb_frame) - 0.5 * lamhh
-        assert np.max(np.abs(phi - g.phi_h)) < 1e-12
-        assert np.max(np.abs(g.phi_T + 0.5 * g.lam(g.Tb_full, g.Tb_full))) < 1e-12
+        lamhh = g.lam(g.tan.hb_full, g.tan.hb_full)
+        phi = np.outer(g.tan.Hb_frame, g.tan.Hb_frame) - 0.5 * lamhh
+        assert np.max(np.abs(phi - g.tan.phi_h)) < 1e-12
+        assert np.max(np.abs(g.tan.phi_T
+                             + 0.5 * g.lam(g.tan.Tb_full, g.tan.Tb_full))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +279,9 @@ def test_constant_and_radial_fields():
 def test_divergence_sum_rule():
     for name in ("r3_contact", "warped_product"):
         g = bundle(name, entry(name).structure.interior_points(1, 11)[0])
-        full = g.div_vector(g.HtJ)
-        assert full == pytest.approx(g.div_vector(g.HtJ, "tan")
-                                     + g.div_vector(g.HtJ, "perp"), abs=1e-10)
+        full = g.div_vector(g.perp.HJ)
+        assert full == pytest.approx(g.div_vector(g.perp.HJ, "tan")
+                                     + g.div_vector(g.perp.HJ, "perp"), abs=1e-10)
 
 
 def test_div_H_against_finite_differences():
@@ -288,7 +294,7 @@ def test_div_H_against_finite_differences():
 
     def weighted_H(p):
         gg = PointGeometry(s, p, check_domain=False)
-        return gg.volume_density * gg.H0
+        return gg.volume_density * gg.tan.H0
 
     acc = 0.0
     for m in range(4):
@@ -296,7 +302,7 @@ def test_div_H_against_finite_differences():
         pp[m] += h
         pm[m] -= h
         acc += (weighted_H(pp)[m] - weighted_H(pm)[m]) / (2 * h)
-    assert g.div_H == pytest.approx(acc / g.volume_density, abs=1e-7)
+    assert g.tan.div_H == pytest.approx(acc / g.volume_density, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +338,37 @@ def test_frame_independence_under_respanning():
     other = load_structure(text)
     pt = (0.1, -0.2, 0.3, 0.2)
     a, b = PointGeometry(base, pt), PointGeometry(other, pt)
-    for q in ("smix", "norm_h", "norm_ht", "norm_T", "norm_Tt", "gHH",
-              "gHtHt", "s_ex", "s_ex_tilde", "div_H", "div_Ht"):
-        assert getattr(a, q) == pytest.approx(getattr(b, q), abs=1e-9), q
+    for q in ("smix", "tan.norm_h", "perp.norm_h", "tan.norm_T", "perp.norm_T",
+              "tan.gHH", "perp.gHH", "tan.s_ex", "perp.s_ex", "tan.div_H",
+              "perp.div_H"):
+        read = attrgetter(q)
+        assert read(a) == pytest.approx(read(b), abs=1e-9), q
+
+
+def _eps_invariants(eps, S):
+    """(eps-trace, eps-norm) of a (0,2) form in a pseudo-orthonormal frame:
+    both are independent of the frame chosen inside the block."""
+    e = np.asarray(eps)
+    S = np.asarray(S, float)
+    return (float(np.einsum("i,ii->", e, S)),
+            float(np.einsum("i,j,ij,ij->", e, e, S, S)))
+
+
+def _swapped_structure(e):
+    """The entry's structure with D-tilde and its complement exchanged."""
+    from mixedcurv.exprlang import pretty
+    lines = [f"dim = {e.structure.dim}",
+             f"dtilde_dim = {e.structure.dim - e.structure.n}"]
+    if e.structure.params:
+        lines.append("params = " + ", ".join(
+            f"{k}: {v}" for k, v in e.structure.params.items()))
+    for (i, j), ast in sorted(e.structure.metric_upper.items()):
+        lines.append(f"metric {i} {j} = {pretty(ast)}")
+    for k, vec in enumerate(e.swap_span):
+        lines.append(f"dtilde {k} = " + ", ".join(pretty(c) for c in vec))
+    lines.append("domain = " + " x ".join(
+        f"[{lo}, {hi}]" for lo, hi in e.structure.domain))
+    return load_structure("\n".join(lines))
 
 
 def test_dual_swap_exchanges_invariants():
@@ -343,30 +377,52 @@ def test_dual_swap_exchanges_invariants():
         e = entry(name)
         if e.swap_span is None:
             continue
-        lines = [f"dim = {e.structure.dim}",
-                 f"dtilde_dim = {e.structure.dim - e.structure.n}"]
-        if e.structure.params:
-            lines.append("params = " + ", ".join(
-                f"{k}: {v}" for k, v in e.structure.params.items()))
-        for (i, j), ast in sorted(e.structure.metric_upper.items()):
-            from mixedcurv.exprlang import pretty
-            lines.append(f"metric {i} {j} = {pretty(ast)}")
-        from mixedcurv.exprlang import pretty
-        for k, vec in enumerate(e.swap_span):
-            lines.append(f"dtilde {k} = " + ", ".join(pretty(c) for c in vec))
-        lines.append("domain = " + " x ".join(
-            f"[{lo}, {hi}]" for lo, hi in e.structure.domain))
-        swapped = load_structure("\n".join(lines))
+        swapped = _swapped_structure(e)
         pt = e.structure.interior_points(1, 23)[0]
         a = PointGeometry(e.structure, pt)
         b = PointGeometry(swapped, pt)
-        assert a.norm_h == pytest.approx(b.norm_ht, abs=1e-9)
-        assert a.norm_ht == pytest.approx(b.norm_h, abs=1e-9)
-        assert a.norm_T == pytest.approx(b.norm_Tt, abs=1e-9)
-        assert a.norm_Tt == pytest.approx(b.norm_T, abs=1e-9)
-        assert a.gHH == pytest.approx(b.gHtHt, abs=1e-9)
-        assert a.s_ex == pytest.approx(b.s_ex_tilde, abs=1e-9)
+        assert a.tan.norm_h == pytest.approx(b.perp.norm_h, abs=1e-9)
+        assert a.perp.norm_h == pytest.approx(b.tan.norm_h, abs=1e-9)
+        assert a.tan.norm_T == pytest.approx(b.perp.norm_T, abs=1e-9)
+        assert a.perp.norm_T == pytest.approx(b.tan.norm_T, abs=1e-9)
+        assert a.tan.gHH == pytest.approx(b.perp.gHH, abs=1e-9)
+        assert a.tan.s_ex == pytest.approx(b.perp.s_ex, abs=1e-9)
         assert a.smix == pytest.approx(b.smix, abs=1e-9)
+        # the rest of the block family, through frame-independent contractions
+        for side, dual in (("tan", "perp"), ("perp", "tan")):
+            A, B = getattr(a, side), getattr(b, dual)
+            for q in ("casorati", "tcal"):
+                got = _eps_invariants(A.eps, A.flat(getattr(A, q)))
+                want = _eps_invariants(B.eps, B.flat(getattr(B, q)))
+                assert got == pytest.approx(want, abs=1e-9), (name, side, q)
+            assert (_eps_invariants(A.dual.eps, A.psi)
+                    == pytest.approx(_eps_invariants(B.dual.eps, B.psi),
+                                     abs=1e-9)), (name, side, "psi")
+            assert (_eps_invariants(A.eps, A.r)
+                    == pytest.approx(_eps_invariants(B.eps, B.r), abs=1e-9)), (
+                name, side, "r")
+            assert A.div_H == pytest.approx(B.div_H, abs=1e-9), (name, side)
+        # E-main-0i of the entry is E-main-0iii of the swapped structure
+        r0i = el.el_general(e.structure, pt, "E-main-0i").residual
+        r0iii = el.el_general(swapped, pt, "E-main-0iii").residual
+        assert (_eps_invariants(a.perp.eps, r0i)
+                == pytest.approx(_eps_invariants(b.tan.eps, r0iii), abs=1e-9)), name
+
+
+def test_bundle_freed_without_cycle_collection():
+    # the block views must not form a reference cycle with their bundle: a
+    # cycle keeps every bundle's jets alive until a full collection
+    s = entry("r3_contact").structure
+    gc.disable()
+    try:
+        g = PointGeometry(s, (0.1, 0.2, 0.3))
+        g.summary()
+        assert g.perp.theta_field and g.tan.h_field
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_fast_smix_matches_bundle():
@@ -390,11 +446,11 @@ def test_divergence_user_field_interface():
                           mode="perp")
     xi = random_perp_field(g, 3)
     xi0 = np.array([float(x.v) if hasattr(x, "v") else float(x) for x in xi])
-    assert val_perp == pytest.approx(val_full + float(xi0 @ g.g0 @ g.H0),
+    assert val_perp == pytest.approx(val_full + float(xi0 @ g.g0 @ g.tan.H0),
                                      abs=1e-10)
     # (1,2) field: matches the bundle's own divergence of h~
-    M = divergence(s, pt, lambda gm: gm.htilde_field)
-    assert np.max(np.abs(M - g.div_12(g.htilde_field))) == 0.0
+    M = divergence(s, pt, lambda gm: gm.perp.h_field)
+    assert np.max(np.abs(M - g.div_12(g.perp.h_field))) == 0.0
 
 
 def test_riemann_op_unit_sphere_closed_form():

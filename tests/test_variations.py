@@ -1,4 +1,5 @@
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -187,13 +188,14 @@ def test_general_variation_splits_into_classes():
     vg = va.random_variation(s, "general", seed=21)
     vp = va.MetricVariation(s, vg.raw, "perp")
     vt = va.MetricVariation(s, vg.raw, "tan")
-    for scalar, fperp, ftan in (("norm_ht", "E-tildeh-gen", "E-tildeh-gen2"),
-                                ("norm_h", "E-h-gen", "E-h-gen2"),
-                                ("gHH", "E-H-gen", "E-H-gen2"),
-                                ("gHtHt", "E-tildeH-gen", "E-tildeH-gen2")):
+    for scalar, fperp, ftan in (("perp.norm_h", "E-tildeh-gen", "E-tildeh-gen2"),
+                                ("tan.norm_h", "E-h-gen", "E-h-gen2"),
+                                ("tan.gHH", "E-H-gen", "E-H-gen2"),
+                                ("perp.gHH", "E-tildeH-gen", "E-tildeH-gen2")):
         h = 2.5e-4
-        fp = getattr(PointGeometry(s, pt, metric_fn=vg.metric_fn(h)), scalar)
-        fm = getattr(PointGeometry(s, pt, metric_fn=vg.metric_fn(-h)), scalar)
+        read = attrgetter(scalar)
+        fp = read(PointGeometry(s, pt, metric_fn=vg.metric_fn(h)))
+        fm = read(PointGeometry(s, pt, metric_fn=vg.metric_fn(-h)))
         fd = (fp - fm) / (2 * h)
         geom = PointGeometry(s, pt)
         rp = va._RHS(geom, vp).rhs(fperp)
@@ -222,7 +224,7 @@ def test_projection_lemma_tangent_field_correction_vanishes():
     v = va.random_variation(s, "perp", seed=12)
     geom = PointGeometry(s, pt)
     X = geom.F[0]          # tangent to the distribution: X-perp = 0
-    B0 = np.array([[el.val(x) for x in row] for row in v.B_at(list(pt))])
+    B0 = np.array([[el.value_of(x) for x in row] for row in v.B_at(list(pt))])
     corr = geom.ginv0 @ (B0 @ (X - X + X * 0.0))
     res = va.verify_projection_lemma(s, v, pt, lambda t: list(X))
     assert res["fd_vs_formula"] < 1e-6
@@ -266,7 +268,7 @@ def test_div_H_plus_Ht_integral_constant_for_perp_variations():
 
         def f(st, pt, m):
             geom = PointGeometry(st, pt, metric_fn=m, check_domain=False)
-            return (geom.div_H + geom.div_Ht) * geom.volume_density
+            return (geom.tan.div_H + geom.perp.div_H) * geom.volume_density
         return el.integrate(s, f, q, metric_fn=fn)
 
     h = 5e-3
@@ -286,7 +288,7 @@ def test_bar_relation_volume_preserving_variation_trivial():
 
     def trb(st, pt, m):
         geom = PointGeometry(st, pt, metric_fn=m, check_domain=False)
-        B0 = np.array([[el.val(x) for x in row] for row in v0.B_at(list(pt), m)])
+        B0 = np.array([[el.value_of(x) for x in row] for row in v0.B_at(list(pt), m)])
         return float(np.trace(geom.ginv0 @ B0))
 
     mass = el.integrate(s, lambda st, pt, m: trb(st, pt, m)
