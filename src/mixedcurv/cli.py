@@ -20,7 +20,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +64,7 @@ def _points(args, struct):
             if len(pt) != struct.dim:
                 raise MixedCurvError(
                     f"point {pt} has {len(pt)} coordinates, chart has {struct.dim}")
+            struct.require_inside(pt)
             pts.append(pt)
         if not pts:
             raise MixedCurvError("no points parsed from --points")
@@ -129,26 +132,29 @@ def cmd_verify(args):
                                "verdict": bool(value <= args.tol)})
 
     elif args.suite == "el":
-        flags = entry.criticality if entry else {}
+        runnable = el.applicable(struct)
+        # a gallery entry claims what its flags say; a spec file is assumed
+        # critical for every equation that applies to its block sizes
+        claims = entry.criticality if entry else dict.fromkeys(runnable, True)
+        skipped = [{"check": eq, "reason": _skip_reason(eq, struct)}
+                   for eq in claims if eq not in runnable]
+        if skipped:
+            report["skipped"] = skipped
         for pt in pts:
-            for eq, run in _el_equations(struct):
-                if entry is not None and eq not in flags:
-                    continue          # the entry makes no claim about this one
+            for eq in (eq for eq in runnable if eq in claims):
+                critical = claims[eq]
+                check = {"check": eq, "point": list(pt), "tolerance": args.tol,
+                         "expected": "critical" if critical else "non-critical",
+                         "provenance": "gallery-flag" if entry else "assumed-critical"}
                 try:
-                    rep = run(pt)
-                except MixedCurvError:
-                    continue
-                expected_critical = flags.get(eq, True)
-                if expected_critical:
-                    ok = rep.norm <= args.tol
+                    norm = el.EQUATIONS[eq].run(struct, pt).norm
+                except MixedCurvError as exc:
+                    check.update(residual=None, error=str(exc), verdict=False)
                 else:
-                    ok = rep.norm >= NONCRITICAL_FACTOR * args.tol
-                checks.append({
-                    "check": eq, "point": list(pt), "residual": rep.norm,
-                    "tolerance": args.tol,
-                    "expected": "critical" if expected_critical else "non-critical",
-                    "provenance": "gallery-flag" if entry else "assumed-critical",
-                    "verdict": bool(ok)})
+                    ok = (norm <= args.tol if critical
+                          else norm >= NONCRITICAL_FACTOR * args.tol)
+                    check.update(residual=norm, verdict=bool(ok))
+                checks.append(check)
 
     elif args.suite == "variations":
         box = _parse_box(args.box, struct.dim) if args.box else None
@@ -206,24 +212,29 @@ def cmd_verify(args):
 
 
 def _el_equations(struct):
-    out = []
-    for eq in ("E-main-0i", "E-main-0ii", "E-main-0iii"):
-        out.append((eq, lambda pt, eq=eq: el.el_general(struct, pt, eq)))
-    if struct.n == 1:
-        for eq in ("E-main-1i", "E-main-3i", "E-main-2i"):
-            out.append((eq, lambda pt, eq=eq: el.el_flow(struct, pt, eq)))
-        for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3"):
-            out.append((eq, lambda pt, eq=eq: el.el_tildeT_action(struct, pt)[eq]))
-    if struct.dim - struct.n == 1:
-        for eq in ("codimoneEL1", "codimoneEL2", "codimoneEL3", "codim1folgenvar"):
-            out.append((eq, lambda pt, eq=eq: el.el_codim1(struct, pt, eq)))
-    return out
+    """(name, evaluator of a point) for every registered equation that
+    applies to ``struct``, in registry order."""
+    return [(eq, partial(el.EQUATIONS[eq].run, struct)) for eq in el.applicable(struct)]
+
+
+def _skip_reason(eq, struct):
+    spec = el.EQUATIONS.get(eq)
+    if spec is None:
+        return "no evaluator in the equation registry"
+    return f"needs {spec.needs}; the structure has n = {struct.n}, p = {struct.p}"
 
 
 def cmd_gallery(args):
+    entries = [gal.load_entry(name) for name in gal.list_entries()]
+    known = set(el.EQUATIONS).union(*(e.criticality for e in entries))
+    for option, eq in (("--filter-critical", args.filter_critical),
+                       ("--filter-noncritical", args.filter_noncritical)):
+        if eq and eq not in known:
+            raise MixedCurvError(f"{option}: unknown equation {eq!r}; known: "
+                                 f"{', '.join(sorted(known))}")
     report = {"command": "gallery", "entries": []}
-    for name in gal.list_entries():
-        entry = gal.load_entry(name)
+    for entry in entries:
+        name = entry.name
         if args.filter_critical and not entry.criticality.get(args.filter_critical):
             continue
         if args.filter_noncritical and entry.criticality.get(
@@ -343,6 +354,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise MixedCurvError(f"--tol must be finite and >= 0, got {args.tol}")
         report, code = args.func(args)
     except MixedCurvError as exc:
         sys.stderr.write(f"error: {exc}\n")

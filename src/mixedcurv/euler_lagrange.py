@@ -162,11 +162,17 @@ def _report(eq, matrix, constants, tol):
     return ELReport(eq, arr.tolist(), float(np.max(np.abs(arr))), constants, tol)
 
 
-def _resolve_constant(constants, key, fallback):
-    """(value, source) with user-supplied constants taking precedence."""
+def _constant(consts, constants, key, fallback):
+    """Value of a domain-mean constant, user-supplied ``constants`` taking
+    precedence over the pointwise ``fallback()``; the value and its source
+    are recorded in the report's ``consts``."""
     if constants and key in constants:
-        return float(constants[key]), "user"
-    return fallback(), "pointwise"
+        value, source = float(constants[key]), "user"
+    else:
+        value, source = fallback(), "pointwise"
+    consts[key] = value
+    consts[f"{key}_source"] = source
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -192,11 +198,8 @@ def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT
 
     if which in ("E-main-0i", "E-main-0iii"):
         B = perp if which == "E-main-0i" else tan
-        key = f"s_star_{B.side}"
-        star, src = _resolve_constant(constants, key,
-                                      lambda: s_star(geom, B.side))
-        consts[key] = star
-        consts[f"{key}_source"] = src
+        star = _constant(consts, constants, f"s_star_{B.side}",
+                         lambda: s_star(geom, B.side))
         return _report(which, _el_block(geom, B, B.dual, star), consts, tol)
 
     if which == "E-main-0ii":
@@ -249,10 +252,8 @@ def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TO
     consts = {}
 
     if which == "E-main-1i":
-        star, src = _resolve_constant(constants, "s_star_perp",
-                                      lambda: s_star(geom, "perp"))
-        consts["s_star_perp"] = star
-        consts["s_star_perp_source"] = src
+        star = _constant(consts, constants, "s_star_perp",
+                         lambda: s_star(geom, "perp"))
         op = At @ At - Tt @ Tt + (Tt @ At - At @ Tt)
         NJ = tan.unit_J
         tau1J = perp.tau1_J
@@ -275,10 +276,8 @@ def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TO
         return _report(which, resid, consts, tol)
 
     if which == "E-main-2i":
-        star, src = _resolve_constant(constants, "s_star_tan",
-                                      lambda: s_star(geom, "tan"))
-        consts["s_star_tan"] = star
-        consts["s_star_tan_source"] = src
+        star = _constant(consts, constants, "s_star_tan",
+                         lambda: s_star(geom, "tan"))
         NJ = tan.unit_J
         tau1J = perp.tau1_J
         VJ = [eN * tau1J * NJ[s] + tan.HJ[s] for s in range(geom.d)]
@@ -405,12 +404,10 @@ def el_tildeT_action(struct, point, constants=None, metric_fn=None, tol=DEFAULT_
     n, p = geom.n, geom.p
     Q = perp.norm_T
     consts = {}
-    tstar, src = _resolve_constant(constants, "Tt_star",
-                                   lambda: (4.0 - p) / (2.0 * p) * Q)
-    tstar2, src2 = _resolve_constant(constants, "T_star",
-                                     lambda: (2.0 + n) / (2.0 * n) * Q)
-    consts.update({"Tt_star": tstar, "Tt_star_source": src,
-                   "T_star": tstar2, "T_star_source": src2})
+    tstar = _constant(consts, constants, "Tt_star",
+                      lambda: (4.0 - p) / (2.0 * p) * Q)
+    tstar2 = _constant(consts, constants, "T_star",
+                       lambda: (2.0 + n) / (2.0 * n) * Q)
 
     r1 = (2.0 * perp.flat(perp.tcal)
           + (0.5 * Q + tstar) * np.diag(perp.eps))
@@ -507,11 +504,8 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
     consts = {}
 
     if which == "codimoneEL1":
-        star, src = _resolve_constant(
-            constants, "s_star_perp",
-            lambda: eN * ric_normal - 2.0 * eN * (n_tau1 - tau2))
-        consts["s_star_perp"] = star
-        consts["s_star_perp_source"] = src
+        star = _constant(consts, constants, "s_star_perp",
+                         lambda: eN * ric_normal - 2.0 * eN * (n_tau1 - tau2))
         resid = tau1 * tau1 - tau2 + eN * star
         return _report(which, [resid], consts, tol)
 
@@ -522,11 +516,8 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
         return _report(which, resid, consts, tol)
 
     if which == "codimoneEL3":
-        star, src = _resolve_constant(
-            constants, "s_star_tan",
-            lambda: eN * ric_normal - (2.0 / n) * geom.perp.div_H)
-        consts["s_star_tan"] = star
-        consts["s_star_tan_source"] = src
+        star = _constant(consts, constants, "s_star_tan",
+                         lambda: eN * ric_normal - (2.0 / n) * geom.perp.div_H)
         nab, hsc_fr = _nabla_N_hsc(geom, eN)
         rhs = 0.5 * (2.0 * eN * (n_tau1 - tau1 * tau1)
                      + eN * (tau1 * tau1 - tau2) - star) * np.diag(geom.tan.eps)
@@ -556,6 +547,46 @@ def _nabla_N_hsc(geom, eN):
     nab = geom.F[:n] @ nab_coord @ geom.F[:n].T
     hsc_fr = eN * geom.tan.h[:, :, 0]
     return nab, hsc_fr
+
+
+# ----------------------------------------------------------------------
+# the equation registry
+
+@dataclass(frozen=True)
+class Equation:
+    """A registered equation: the block sizes it needs (as text, for skip
+    reasons), whether it applies to a structure, and its evaluator
+    ``run(struct, point) -> ELReport``."""
+    needs: str
+    applies: object
+    run: object
+
+
+_ANY = ("any n and p", lambda s: True)
+_FLOW = ("n = 1", lambda s: s.n == 1)
+_CODIM1 = ("p = 1", lambda s: s.p == 1)
+
+# Runners look the evaluators up as module attributes when called, so a
+# wrapper installed on the module sees every registry call.
+EQUATIONS = {
+    **{eq: Equation(*_ANY, lambda s, pt, eq=eq: el_general(s, pt, eq))
+       for eq in ("E-main-0i", "E-main-0ii", "E-main-0iii")},
+    **{eq: Equation(*_FLOW, lambda s, pt, eq=eq: el_flow(s, pt, eq))
+       for eq in ("E-main-1i", "E-main-3i", "E-main-2i")},
+    **{eq: Equation(*_FLOW, lambda s, pt, eq=eq: el_tildeT_action(s, pt)[eq])
+       for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3")},
+    **{eq: Equation(*_CODIM1, lambda s, pt, eq=eq: el_codim1(s, pt, eq))
+       for eq in ("codimoneEL1", "codimoneEL2", "codimoneEL3")},
+    "codim1folgenvar": Equation(
+        "p = 1 and n > 1", lambda s: s.p == 1 and s.n > 1,
+        lambda s, pt: el_codim1(s, pt, "codim1folgenvar")),
+}
+
+
+def applicable(struct):
+    """Names of the registered equations that apply to ``struct``, in
+    registry order."""
+    return [eq for eq, spec in EQUATIONS.items() if spec.applies(struct)]
 
 
 def biregular_closed_forms(struct, point, metric_fn=None):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import jets
-from .errors import ExprSyntaxError, NameResolutionError
+from .errors import ExprSyntaxError, NameResolutionError, SingularEvaluationError
 
 
 @dataclass(frozen=True)
@@ -215,32 +215,41 @@ def parse(text, dim, params=()):
 # Evaluation and utilities
 
 def evaluate(ast, env, params=None):
-    """Evaluate an AST; ``env`` maps coordinate index -> scalar (float or Jet)."""
-    if isinstance(ast, Const):
-        return ast.value
-    if isinstance(ast, Var):
-        return env[ast.index]
-    if isinstance(ast, Param):
-        if params is None or ast.name not in params:
-            raise NameResolutionError(ast.name)
-        return params[ast.name]
-    if isinstance(ast, Unary):
-        child = evaluate(ast.child, env, params)
-        if ast.fn == "neg":
-            return -child
-        return jets.elementary(child, ast.fn)
-    if isinstance(ast, Binary):
-        left = evaluate(ast.left, env, params)
-        right = evaluate(ast.right, env, params)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "*":
-            return left * right
-        if ast.op == "/":
-            return left / right
-        return jets.jpow(left, right)
+    """Evaluate an AST; ``env`` maps coordinate index -> scalar (float or Jet).
+
+    An arithmetic error (a float division by zero, an overflow in ``exp``)
+    surfaces as :class:`SingularEvaluationError` carrying the point."""
+    try:
+        if isinstance(ast, Const):
+            return ast.value
+        if isinstance(ast, Var):
+            return env[ast.index]
+        if isinstance(ast, Param):
+            if params is None or ast.name not in params:
+                raise NameResolutionError(ast.name)
+            return params[ast.name]
+        if isinstance(ast, Unary):
+            child = evaluate(ast.child, env, params)
+            if ast.fn == "neg":
+                return -child
+            return jets.elementary(child, ast.fn)
+        if isinstance(ast, Binary):
+            left = evaluate(ast.left, env, params)
+            right = evaluate(ast.right, env, params)
+            if ast.op == "+":
+                return left + right
+            if ast.op == "-":
+                return left - right
+            if ast.op == "*":
+                return left * right
+            if ast.op == "/":
+                return left / right
+            return jets.jpow(left, right)
+    except ArithmeticError as exc:
+        # raised in the innermost frame; the outer frames pass it on unchanged
+        raise SingularEvaluationError(
+            f"arithmetic error in expression ({type(exc).__name__}: {exc})",
+            point=[jets.value_of(x) for x in env]) from None
     raise TypeError(f"not an expression node: {ast!r}")
 
 

@@ -891,8 +891,9 @@ def mixed_scalar(struct, point, metric_fn=None):
 
 
 def partial_ricci(struct, point, side="perp", metric_fn=None):
-    g = PointGeometry(struct, point, metric_fn=metric_fn)
-    return (g.perp if side == "perp" else g.tan).r
+    if side not in ("perp", "tan"):
+        raise SpecializationError(f"unknown side {side!r}")
+    return getattr(PointGeometry(struct, point, metric_fn=metric_fn), side).r
 
 
 def divergence(struct, point, field, mode="full", metric_fn=None):

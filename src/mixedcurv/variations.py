@@ -21,7 +21,7 @@ from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
 from .geometry import PointGeometry, _t1, jet_matrix_inverse, smix_density_fast
 from .jets import jsum, value_of
-from .euler_lagrange import (QuadratureSpec, domain_mean, grid_points,
+from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
                              integrate, pairwise_sum, s_star, volume)
 
 FD_STEPS = (1e-3, 5e-4, 2.5e-4)
@@ -560,9 +560,7 @@ def check_support(struct, v, q, rtol=1e-9):
 
 
 def action_value(struct, q, action, metric_fn=None):
-    f = _integrand(action)
-    pts, wts = grid_points(q)
-    return pairwise_sum(f(struct, pt, metric_fn) * w for pt, w in zip(pts, wts))
+    return integrate(struct, _integrand(action), q, metric_fn)
 
 
 def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
@@ -706,7 +704,7 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
         return float(np.trace(np.linalg.inv(g0) @ B0))
 
     int_trB = integrate(struct, lambda s, pt, m: trb_field(s, pt, m)
-                        * _dens(s, pt, m), q, metric_fn=metric_fn)
+                        * _density(s, pt, m), q, metric_fn=metric_fn)
     relation_residual = abs(djbar - (dj - 0.5 * star_mean * int_trB))
     dphi_expected = -(1.0 / p) * int_trB / vol0
     return {
@@ -720,11 +718,6 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
         "dphi_expected": dphi_expected,
         "dphi_residual": abs(dphi - dphi_expected),
     }
-
-
-def _dens(struct, pt, metric_fn):
-    return PointGeometry(struct, pt, metric_fn=metric_fn,
-                         check_domain=False).volume_density
 
 
 def tildeT_scaling_check(struct, point, factor, metric_fn=None):

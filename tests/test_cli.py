@@ -1,8 +1,15 @@
+import dataclasses
 import json
+import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixedcurv import cli
+from mixedcurv import cli, gallery
+from mixedcurv import euler_lagrange as el
+from mixedcurv.errors import SingularEvaluationError
 
 
 def run(args, tmp_path, name="out.json"):
@@ -33,6 +40,10 @@ def test_gallery_criticality_filter(tmp_path):
     rep = json.loads(text)
     names = {e["name"] for e in rep["entries"]}
     assert "r3_contact" in names and "s3_hopf" not in names
+    # a flag without a registered evaluator is still a known name
+    code, text = run(["gallery", "--filter-noncritical", "P-flows"], tmp_path)
+    assert code == 0
+    assert [e["name"] for e in json.loads(text)["entries"]] == ["nil4_flow"]
 
 
 def test_inspect_contact_origin(tmp_path):
@@ -72,14 +83,65 @@ def test_bad_config_exit_2():
      "--box", "[0,1e] x [0,1] x [0,1]"],
     ["verify", "el", "--gallery", "r3_contact", "--random", "0"],
     ["verify", "el", "--gallery", "r3_contact", "--random", "-3"],
+    ["verify", "identities", "--gallery", "r3_contact", "--random", "1",
+     "--tol", "-1"],
+    ["verify", "identities", "--gallery", "r3_contact", "--random", "1",
+     "--tol", "nan"],
+    ["gallery", "--filter-critical", "NoSuchEq"],
+    ["gallery", "--filter-noncritical", "NoSuchEq"],
 ])
 def test_bad_input_exit_2(args, capsys):
-    # malformed numbers and empty samples are configuration errors, not
-    # crashes and not silently empty passing reports
+    # malformed numbers, empty samples, unusable tolerances and unknown
+    # equation names are configuration errors, not crashes, failed verdicts
+    # or silently empty passing reports
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@settings(max_examples=50, deadline=None)
+@given(tol=st.floats(allow_nan=True, allow_infinity=True))
+def test_tol_exit_code(tol):
+    code = cli.main(["verify", "identities", "--gallery", "euclidean_product",
+                     "--points", "(0.1,0.2,0.3)", f"--tol={tol!r}",
+                     "--out", os.devnull])
+    assert code == (2 if not math.isfinite(tol) or tol < 0 else 0)
+
+
+OVERFLOW_SPEC = """name = overflow
+dim = 2
+dtilde_dim = 1
+metric 0 0 = exp(1000*x0)
+metric 1 1 = 1
+dtilde 0 = 1, 0
+domain = [0, 1] x [0, 1]
+"""
+
+POLE_SPEC = """name = pole
+dim = 2
+dtilde_dim = 1
+metric 0 0 = 1 + 1/(x0 - 0.5)^2
+metric 1 1 = 1
+dtilde 0 = 1, 0
+domain = [0, 1] x [0, 1]
+"""
+
+
+@pytest.mark.parametrize("spec, args", [
+    # math.exp overflows at the point
+    (OVERFLOW_SPEC, ["inspect", "--points", "(0.9,0.5)"]),
+    # the middle quadrature node sits on the pole: a float division by zero
+    (POLE_SPEC, ["verify", "variations", "--box", "[0.25,0.75] x [0.25,0.75]",
+                 "--grid", "3"]),
+], ids=["overflow", "pole"])
+def test_arithmetic_error_exit_2(spec, args, tmp_path, capsys):
+    path = tmp_path / "s.spec"
+    path.write_text(spec)
+    assert cli.main(args + ["--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: arithmetic error in expression")
 
 
 def test_verify_identities_flat(tmp_path):
@@ -146,6 +208,37 @@ def test_verify_el_gallery_checks_only_flagged_equations(tmp_path):
     rep = json.loads(text)
     assert code == 0
     assert {c["check"] for c in rep["checks"]} == {"codimoneEL2"}
+
+
+@pytest.mark.parametrize("name", gallery.list_entries())
+def test_verify_el_accounts_for_every_claim(name, tmp_path):
+    code, text = run(["verify", "el", "--gallery", name, "--random", "1"],
+                     tmp_path)
+    rep = json.loads(text)
+    assert code == 0
+    checked = {c["check"] for c in rep["checks"]}
+    skipped = {c["check"] for c in rep.get("skipped", [])}
+    assert checked | skipped == set(gallery.load_entry(name).criticality)
+    assert not checked & skipped
+    assert all(c["reason"] for c in rep.get("skipped", []))
+    assert "skipped" not in rep or rep["skipped"]
+
+
+def test_verify_el_engine_error_fails_the_check(tmp_path, monkeypatch):
+    def boom(struct, pt):
+        raise SingularEvaluationError("injected", point=pt)
+
+    spec = el.EQUATIONS["E-main-0ii"]
+    monkeypatch.setitem(el.EQUATIONS, "E-main-0ii",
+                        dataclasses.replace(spec, run=boom))
+    code, text = run(["verify", "el", "--gallery", "r3_contact",
+                      "--random", "1"], tmp_path)
+    rep = json.loads(text)
+    assert code == 1
+    bad = [c for c in rep["checks"] if not c["verdict"]]
+    assert [c["check"] for c in bad] == ["E-main-0ii"]
+    assert bad[0]["error"].startswith("injected") and bad[0]["residual"] is None
+    assert rep["failed"] == 1 and rep["passed"] == 8
 
 
 def test_verify_variations_cli(tmp_path):

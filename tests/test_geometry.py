@@ -8,6 +8,7 @@ import pytest
 
 from mixedcurv import euler_lagrange as el
 from mixedcurv import gallery
+from mixedcurv.errors import SpecializationError
 from mixedcurv.geometry import (PointGeometry, identity_suite, mixed_scalar,
                                 partial_ricci, smix_density_fast)
 from mixedcurv.structure import load_structure
@@ -146,6 +147,14 @@ def test_partial_ricci_trace_is_smix():
         g = PointGeometry(s, pt)
         tr = sum(g.perp.eps[i] * g.perp.r[i, i] for i in range(g.p))
         assert tr == pytest.approx(g.smix, abs=1e-10)
+
+
+def test_partial_ricci_rejects_unknown_side():
+    s = entry("warped_product").structure
+    pt = s.interior_points(1, 5)[0]
+    assert np.array_equal(partial_ricci(s, pt, "tan"), PointGeometry(s, pt).tan.r)
+    with pytest.raises(SpecializationError):
+        partial_ricci(s, pt, "bogus")
 
 
 # ---------------------------------------------------------------------------
