@@ -247,8 +247,7 @@ def cmd_gallery(args):
             "spec_sha256": entry.structure.content_hash,
             "criticality": entry.criticality,
             "expected": [{"quantity": e.quantity,
-                          "value": np.asarray(e.value).tolist()
-                          if e.value is not None else None,
+                          "value": np.asarray(e.value).tolist(),
                           "tol": e.tol, "provenance": e.provenance}
                          for e in entry.expected],
             "notes": entry.notes,
@@ -314,20 +313,19 @@ def build_parser():
                     "distribution")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, points=True):
-        p.add_argument("--spec", help="structure spec file")
-        p.add_argument("--gallery", help="built-in gallery entry name")
-        if points:
-            p.add_argument("--points", help='explicit points "(..);(..)"')
-            p.add_argument("--random", type=int, default=5,
-                           help="number of random interior points")
-        p.add_argument("--box", help='quadrature box "[a,b] x [c,d] x ..."')
-        p.add_argument("--grid", type=int, default=8,
-                       help="quadrature points per axis")
-        p.add_argument("--seed", type=int, default=20260808)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    def output(p):
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def common(p):
+        p.add_argument("--spec", help="structure spec file")
+        p.add_argument("--gallery", help="built-in gallery entry name")
+        p.add_argument("--points", help='explicit points "(..);(..)"')
+        p.add_argument("--random", type=int, default=5,
+                       help="number of random interior points")
+        p.add_argument("--seed", type=int, default=20260808)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        output(p)
 
     p = sub.add_parser("inspect", help="geometry bundle at points")
     common(p)
@@ -336,6 +334,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("identities", "el", "variations", "gallery"))
     common(p)
+    p.add_argument("--box", help='quadrature box "[a,b] x [c,d] x ..."')
+    p.add_argument("--grid", type=int, default=8,
+                   help="quadrature points per axis")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gallery", help="list gallery entries")
@@ -343,10 +344,7 @@ def build_parser():
                    help="only entries whose flag for EQ is critical")
     p.add_argument("--filter-noncritical", metavar="EQ",
                    help="only entries whose flag for EQ is non-critical")
-    p.add_argument("--seed", type=int, default=20260808)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    output(p)
     p.set_defaults(func=cmd_gallery)
     return ap
 
@@ -354,7 +352,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
             raise MixedCurvError(f"--tol must be finite and >= 0, got {args.tol}")
         report, code = args.func(args)
     except MixedCurvError as exc:

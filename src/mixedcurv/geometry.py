@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -67,13 +68,15 @@ def jet_matrix_inverse(M, d, point=None):
     """Gauss-Jordan inverse over jet scalars, pivoting on absolute values."""
     A = [[M[i][j] for j in range(d)] for i in range(d)]
     I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    scale = max(abs(value_of(M[i][j])) for i in range(d) for j in range(d))
+    # each pivot is judged against the largest entry of its own input row
+    scale = [max(abs(value_of(x)) for x in row) for row in A]
     for col in range(d):
         piv = max(range(col, d), key=lambda r: abs(value_of(A[r][col])))
-        if abs(value_of(A[piv][col])) < 1e-14 * max(scale, 1e-300):
+        if abs(value_of(A[piv][col])) <= 1e-14 * scale[piv]:
             raise SingularEvaluationError("singular metric", point=point)
         A[col], A[piv] = A[piv], A[col]
         I[col], I[piv] = I[piv], I[col]
+        scale[col], scale[piv] = scale[piv], scale[col]
         inv = 1.0 / A[col][col]
         A[col] = [x * inv for x in A[col]]
         I[col] = [x * inv for x in I[col]]
@@ -484,30 +487,36 @@ class PointGeometry:
     # ------------------------------------------------------------------
 
     def summary(self):
-        tan, perp = self.tan, self.perp
-        out = {
-            "point": list(self.point),
-            "eps_tan": list(tan.eps),
-            "eps_perp": list(perp.eps),
-            "S_mix": self.smix,
-            "S_ex": tan.s_ex,
-            "S_ex_tilde": perp.s_ex,
-            "norm_h": tan.norm_h,
-            "norm_h_tilde": perp.norm_h,
-            "norm_T": tan.norm_T,
-            "norm_T_tilde": perp.norm_T,
-            "g_HH": tan.gHH,
-            "g_HtHt": perp.gHH,
-            "div_H": tan.div_H,
-            "div_H_tilde": perp.div_H,
-            "r_perp": perp.r.tolist(),
-            "r_tan": tan.r.tolist(),
-            "H_frame": tan.Hb_frame.tolist(),
-            "Ht_frame": perp.Hb_frame.tolist(),
-        }
-        if self.n == 1:
-            out["ric_N"] = self.ric_N
+        out = {"point": list(self.point)}
+        for name in BUNDLE_QUANTITIES:
+            if name != "ric_N" or self.n == 1:
+                out[name] = bundle_value(self, name)
         return out
+
+
+# Public name -> attribute path of every quantity ``summary()`` reports (ric_N
+# only for a rank-one D-tilde); the gallery's expected tables read the same
+# names.
+BUNDLE_QUANTITIES = {
+    "eps_tan": "tan.eps", "eps_perp": "perp.eps",
+    "S_mix": "smix",
+    "S_ex": "tan.s_ex", "S_ex_tilde": "perp.s_ex",
+    "norm_h": "tan.norm_h", "norm_h_tilde": "perp.norm_h",
+    "norm_T": "tan.norm_T", "norm_T_tilde": "perp.norm_T",
+    "g_HH": "tan.gHH", "g_HtHt": "perp.gHH",
+    "div_H": "tan.div_H", "div_H_tilde": "perp.div_H",
+    "r_perp": "perp.r", "r_tan": "tan.r",
+    "H_frame": "tan.Hb_frame", "Ht_frame": "perp.Hb_frame",
+    "ric_N": "ric_N",
+}
+
+
+def bundle_value(geom, name):
+    """A bundle quantity by its public name, as a float or (nested) lists."""
+    v = attrgetter(BUNDLE_QUANTITIES[name])(geom)
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return list(v) if isinstance(v, list) else v
 
 
 class BlockView:

@@ -21,7 +21,7 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exprlang
 from .errors import (DegenerateDistributionError, DomainError,
@@ -99,6 +99,7 @@ def _values(point):
 _METRIC_RE = re.compile(r"^metric\s+(\d+)\s+(\d+)$")
 _DTILDE_RE = re.compile(r"^dtilde\s+(\d+)$")
 _INTERVAL_RE = re.compile(r"^\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]$")
+_SCALAR_KEYS = ("name", "dim", "dtilde_dim", "params", "domain")
 
 
 def load_structure(text):
@@ -127,6 +128,8 @@ def load_structure(text):
                 raise SpecFormatError(f"line {lineno}: duplicate dtilde entry {k}")
             data["dtilde"][k] = value
             continue
+        if key not in _SCALAR_KEYS:
+            raise SpecFormatError(f"line {lineno}: unknown key {key!r}")
         if key in scalars:
             raise SpecFormatError(f"line {lineno}: duplicate key {key!r}")
         scalars[key] = value
@@ -233,7 +236,6 @@ class AdaptedFrame:
     eps_tan: list      # their signs g(E_a, E_a)
     Eperp: list        # p frame vectors spanning the orthogonal complement
     eps_perp: list
-    point: tuple = field(default_factory=tuple)
 
     @property
     def vectors(self):
@@ -253,19 +255,23 @@ def _inner(gmat, v, w):
     return total
 
 
-def _euclid2(v):
-    return sum(value_of(x) ** 2 for x in v)
+def _null(gmat, v, q, tol):
+    """g(v, v) = q is negligible against sum |g_ij| |v_i| |v_j|, the size it
+    would have without cancellation; a zero vector is null."""
+    v = [abs(value_of(x)) for x in v]
+    size = sum(abs(value_of(gmat[i][j])) * v[i] * v[j]
+               for i in range(len(v)) for j in range(len(v)))
+    return abs(value_of(q)) <= tol * size
 
 
-def _gs_pass(gmat, seq, n_span, dim, tol, gscale, point, record_pivots=None):
+def _gs_pass(gmat, seq, n_span, dim, tol, point):
     """One indefinite Gram-Schmidt sweep over the vector sequence ``seq``.
 
-    ``seq`` yields (tag, vector); span vectors must come first.  Projection
-    coefficients reuse cached covectors g(e_k, .) so each step is O(dim^2).
-    Returns (frame, signs, accepted tags).
+    Span vectors come first.  Projection coefficients reuse cached covectors
+    g(e_k, .) so each step is O(dim^2).  Returns (frame, signs).
     """
-    frame, flats, signs, tags = [], [], [], []
-    for tag, w in seq:
+    frame, flats, signs = [], [], []
+    for w in seq:
         v = list(w)
         for e, fl, s in zip(frame, flats, signs):
             c = 0.0
@@ -274,7 +280,7 @@ def _gs_pass(gmat, seq, n_span, dim, tol, gscale, point, record_pivots=None):
             for i in range(dim):
                 v[i] = v[i] - s * c * e[i]
         q = _inner(gmat, v, v)
-        if abs(value_of(q)) < tol * max(_euclid2(v), 1e-300) * gscale:
+        if _null(gmat, v, q, tol):
             if len(frame) < n_span:
                 raise DegenerateDistributionError(
                     "distribution vector is null or dependent", point=point)
@@ -285,13 +291,12 @@ def _gs_pass(gmat, seq, n_span, dim, tol, gscale, point, record_pivots=None):
         frame.append(e)
         flats.append([sum(gmat[i][j] * e[j] for j in range(dim)) for i in range(dim)])
         signs.append(s)
-        tags.append(tag)
         if len(frame) == dim:
             break
     if len(frame) < dim:
         raise DegenerateDistributionError(
             "no non-null candidate for the orthogonal complement", point=point)
-    return frame, signs, tags
+    return frame, signs
 
 
 def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
@@ -302,9 +307,8 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     among the reduced candidates, to avoid near-null vectors) is decided on a
     cheap float pass over the value parts; the jet pass then runs the chosen
     order, so the selection is locally constant and jet-differentiable.
+    Nullness is relative to each vector's own size (``_null``).
     """
-    gscale = max(abs(value_of(gmat[i][j])) for i in range(dim) for j in range(dim))
-    gscale = max(gscale, 1e-300)
     n = len(span_vectors)
 
     g0 = [[value_of(x) for x in row] for row in gmat]
@@ -315,7 +319,7 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
             c = _inner(g0, v, e)
             v = [v[i] - s * c * e[i] for i in range(dim)]
         q = _inner(g0, v, v)
-        if abs(q) < tol * max(_euclid2(v), 1e-300) * gscale:
+        if _null(g0, v, q, tol):
             raise DegenerateDistributionError(
                 "distribution vector is null or dependent", point=point)
         s = 1.0 if q > 0.0 else -1.0
@@ -333,7 +337,7 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
             q = _inner(g0, v, v)
             if abs(q) > best_q:
                 best, best_v, best_q = mu, v, abs(q)
-        if best is None or best_q < tol * max(_euclid2(best_v), 1e-300) * gscale:
+        if best is None or _null(g0, best_v, best_q, tol):
             raise DegenerateDistributionError(
                 "no non-null candidate for the orthogonal complement", point=point)
         candidates.discard(best)
@@ -348,17 +352,15 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     if not any_jet:
         frame, signs = frame0, signs0
     else:
-        seq = [(("span", k), list(w)) for k, w in enumerate(span_vectors)]
-        seq += [(("basis", mu), [1.0 if i == mu else 0.0 for i in range(dim)])
-                for mu in pivots]
-        frame, signs, _ = _gs_pass(gmat, seq, n, dim, tol, gscale, point)
+        seq = [list(w) for w in span_vectors]
+        seq += [[1.0 if i == mu else 0.0 for i in range(dim)] for mu in pivots]
+        frame, signs = _gs_pass(gmat, seq, n, dim, tol, point)
 
     return AdaptedFrame(
         E=frame[:n],
         eps_tan=[float(s) for s in signs[:n]],
         Eperp=frame[n:],
         eps_perp=[float(s) for s in signs[n:]],
-        point=tuple(value_of(x) for x in (point or ())),
     )
 
 

@@ -524,22 +524,12 @@ def verify_projection_lemma(struct, v, point, xfield, steps=FD_STEPS,
 # action derivatives by quadrature
 
 def _integrand(action):
-    if action == "J_mix":
-        def f(struct, pt, metric_fn):
-            s, dens = smix_density_fast(struct, pt, metric_fn)
-            return s * dens
-    elif action == "J_Ttilde":
-        def f(struct, pt, metric_fn):
-            geom = PointGeometry(struct, pt, metric_fn=metric_fn,
-                                 check_domain=False)
-            return geom.perp.norm_T * geom.volume_density
-    elif action == "J_T":
-        def f(struct, pt, metric_fn):
-            geom = PointGeometry(struct, pt, metric_fn=metric_fn,
-                                 check_domain=False)
-            return geom.tan.norm_T * geom.volume_density
-    else:
+    if action != "J_mix":
         raise SpecializationError(f"unknown action {action!r}")
+
+    def f(struct, pt, metric_fn):
+        s, dens = smix_density_fast(struct, pt, metric_fn)
+        return s * dens
     return f
 
 
@@ -571,9 +561,9 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     same value at +t and -t, so only nodes inside the support enter the
     difference; this is exact, not an approximation.
     """
+    f = _integrand(action)
     if enforce_support:
         check_support(struct, v, q)
-    f = _integrand(action)
     fp = v.metric_fn(t_step, metric_fn)
     fm = v.metric_fn(-t_step, metric_fn)
     pts, wts = grid_points(q)

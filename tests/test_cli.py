@@ -100,6 +100,30 @@ def test_bad_input_exit_2(args, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["gallery", "--seed", "3"],
+    ["gallery", "--tol", "5"],
+    ["inspect", "--gallery", "r3_contact", "--random", "1", "--grid", "-7"],
+    ["inspect", "--gallery", "r3_contact", "--random", "1", "--box", "garbage"],
+], ids=["gallery-seed", "gallery-tol", "inspect-grid", "inspect-box"])
+def test_removed_options_rejected(args, capsys):
+    # options that would change nothing are not accepted: argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_inspect_blocks_of_different_scale(tmp_path):
+    path = tmp_path / "s.spec"
+    path.write_text("dim = 2\ndtilde_dim = 1\nmetric 0 0 = 1e10\n"
+                    "metric 1 1 = 1\ndtilde 0 = 1, 0\n"
+                    "domain = [-1, 1] x [-1, 1]\n")
+    code, text = run(["inspect", "--spec", str(path), "--random", "1"], tmp_path)
+    assert code == 0
+    assert json.loads(text)["points"][0]["eps_perp"] == [1.0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(tol=st.floats(allow_nan=True, allow_infinity=True))
 def test_tol_exit_code(tol):

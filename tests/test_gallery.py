@@ -3,7 +3,7 @@ import pytest
 
 from mixedcurv import gallery
 from mixedcurv.errors import SpecFormatError
-from mixedcurv.geometry import PointGeometry
+from mixedcurv.geometry import BUNDLE_QUANTITIES, PointGeometry
 
 
 def test_list_entries_contains_required_names():
@@ -13,6 +13,50 @@ def test_list_entries_contains_required_names():
                      "codim1_tau_riccati", "warped_product"):
         assert required in names
     assert len(names) >= 8
+
+
+def test_list_entries_order():
+    # the listing order of `mixedcurv gallery`; benchmark jobs sample
+    # entries in this order
+    assert gallery.list_entries() == [
+        "euclidean_product", "lorentz_product", "r3_contact", "s3_hopf",
+        "s7_three_sasakian", "codim1_coth_tanh", "codim1_tau_riccati",
+        "warped_product", "nil4_flow"]
+
+
+def test_every_expected_quantity_has_an_evaluator():
+    for name in gallery.list_entries():
+        for exp in gallery.load_entry(name).expected:
+            assert (exp.quantity in BUNDLE_QUANTITIES
+                    or exp.quantity in gallery.QUANTITIES), (name, exp.quantity)
+
+
+def test_every_gallery_evaluator_serves_an_entry():
+    used = {exp.quantity for name in gallery.list_entries()
+            for exp in gallery.load_entry(name).expected}
+    assert set(gallery.QUANTITIES) <= used
+    assert not set(gallery.QUANTITIES) & set(BUNDLE_QUANTITIES)
+
+
+def test_unknown_quantity():
+    e = gallery.load_entry("r3_contact")
+    geom = PointGeometry(e.structure, (0.1, 0.2, 0.3))
+    with pytest.raises(SpecFormatError):
+        gallery.evaluate_quantity(e, geom, "no_such_quantity")
+
+
+def test_bundle_quantities_are_the_summary():
+    for name, pt in (("r3_contact", (0.1, 0.2, 0.3)),
+                     ("warped_product", None)):
+        e = gallery.load_entry(name)
+        pt = pt or e.structure.interior_points(1, 94)[0]
+        geom = PointGeometry(e.structure, pt)
+        summary = geom.summary()
+        names = [q for q in BUNDLE_QUANTITIES
+                 if q != "ric_N" or e.structure.n == 1]
+        assert list(summary) == ["point"] + names
+        for q in names:
+            assert gallery.evaluate_quantity(e, geom, q) == summary[q]
 
 
 def test_unknown_entry():

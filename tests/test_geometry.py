@@ -8,8 +8,9 @@ import pytest
 
 from mixedcurv import euler_lagrange as el
 from mixedcurv import gallery
-from mixedcurv.errors import SpecializationError
-from mixedcurv.geometry import (PointGeometry, identity_suite, mixed_scalar,
+from mixedcurv.errors import SingularEvaluationError, SpecializationError
+from mixedcurv.geometry import (PointGeometry, identity_suite,
+                                jet_matrix_inverse, mixed_scalar,
                                 partial_ricci, smix_density_fast)
 from mixedcurv.structure import load_structure
 
@@ -475,3 +476,17 @@ def test_riemann_op_unit_sphere_closed_form():
         got = riemann(s, pt, X, Y, Z)
         want = float(X @ g.g0 @ Z) * Y - float(Y @ g.g0 @ Z) * X
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+@pytest.mark.parametrize("big", [1e13, 1e15, math.exp(598)])
+def test_inverse_of_widely_scaled_metric(big):
+    # each pivot is judged against its own row, not the largest entry
+    inv = jet_matrix_inverse([[big, 0.0], [0.0, 1.0]], 2)
+    assert inv == [[1.0 / big, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("M", [[[1.0, 1.0], [1.0, 1.0]],
+                               [[0.0, 0.0], [0.0, 1.0]]])
+def test_singular_metric_rejected(M):
+    with pytest.raises(SingularEvaluationError):
+        jet_matrix_inverse(M, 2)

@@ -7,7 +7,8 @@ from mixedcurv import gallery
 from mixedcurv.errors import (DegenerateDistributionError, DomainError,
                               NameResolutionError, SpecFormatError)
 from mixedcurv.jets import seed
-from mixedcurv.structure import adapted_frame, load_structure, signature
+from mixedcurv.structure import (adapted_frame, load_structure,
+                                 orthonormal_frame, signature)
 
 FLAT = """
 dim = 3
@@ -52,6 +53,14 @@ def test_missing_keys_and_bad_domain():
                                     "[-1, 1] x [-1, 1]"))
     with pytest.raises(SpecFormatError):
         load_structure(FLAT.replace("dtilde_dim = 1", "dtilde_dim = 3"))
+
+
+@pytest.mark.parametrize("line, key", [("nmae = typo", "nmae"),
+                                       ("parms = c: 1", "parms"),
+                                       ("metric 0 = 1", "metric 0")])
+def test_unknown_key_rejected(line, key):
+    with pytest.raises(SpecFormatError, match=f"line 1: unknown key '{key}'"):
+        load_structure(line + FLAT)
 
 
 def test_metric_at_contact_origin_matches_quarter_identity():
@@ -129,6 +138,29 @@ domain = [-1, 1] x [-1, 1]
 """)
     with pytest.raises(DegenerateDistributionError):
         adapted_frame(s, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("big", [1e8, 1e10, 1e15])
+def test_frame_blocks_of_different_scale(big):
+    # nullness is judged against the size of g(v, v) without cancellation,
+    # not against the largest metric entry
+    s = load_structure(f"""
+dim = 2
+dtilde_dim = 1
+metric 0 0 = {big!r}
+metric 1 1 = 1
+dtilde 0 = 1, 0
+domain = [-1, 1] x [-1, 1]
+""")
+    fr = adapted_frame(s, (0.0, 0.0))
+    assert fr.signs == [1.0, 1.0]
+    assert np.allclose(fr.vectors, [[big ** -0.5, 0.0], [0.0, 1.0]],
+                       rtol=1e-15, atol=0.0)
+
+
+def test_degenerate_metric_rejected():
+    with pytest.raises(DegenerateDistributionError):
+        orthonormal_frame([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0]], 2)
 
 
 def test_frame_jets_match_finite_differences():

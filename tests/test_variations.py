@@ -7,7 +7,8 @@ import pytest
 from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
-from mixedcurv.errors import ClassificationError, SupportError
+from mixedcurv.errors import (ClassificationError, SpecializationError,
+                              SupportError)
 from mixedcurv.geometry import PointGeometry
 from mixedcurv.structure import load_structure
 
@@ -243,6 +244,17 @@ def test_action_derivative_zero_variation():
     v = zero_variation(s)
     assert va.action_derivative(s, v, q, "J_mix",
                                 enforce_support=False) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("action", ["J_T", "J_Ttilde", "J_nope"])
+def test_unknown_action_rejected(action):
+    s = struct("r3_contact")
+    q = el.QuadratureSpec(box=box3(), grid=2)
+    with pytest.raises(SpecializationError, match="unknown action"):
+        va.action_value(s, q, action)
+    with pytest.raises(SpecializationError, match="unknown action"):
+        va.action_derivative(s, zero_variation(s), q, action,
+                             enforce_support=False)
 
 
 def test_action_derivative_matches_gradient_pairing():
