@@ -34,6 +34,7 @@ from .geometry import PointGeometry, identity_suite
 from .structure import load_structure
 
 DEFAULT_TOL = 1e-6
+DEFAULT_GRID = 8
 NONCRITICAL_FACTOR = 10.0
 
 
@@ -74,7 +75,7 @@ def _points(args, struct):
     return struct.interior_points(args.random, args.seed)
 
 
-def _parse_box(text, dim):
+def _parse_box(text, struct):
     import re
     intervals = []
     for part in text.split("x"):
@@ -85,9 +86,24 @@ def _parse_box(text, dim):
             intervals.append((float(m.group(1)), float(m.group(2))))
         except ValueError:
             raise MixedCurvError(f"bad box interval {part!r}") from None
-    if len(intervals) != dim:
-        raise MixedCurvError(f"box needs {dim} intervals, got {len(intervals)}")
+    if len(intervals) != struct.dim:
+        raise MixedCurvError(f"box needs {struct.dim} intervals, got {len(intervals)}")
+    if not all(struct.contains(corner) for corner in zip(*intervals)):
+        raise MixedCurvError(f"box {intervals} leaves the domain box {struct.domain}")
     return tuple(intervals)
+
+
+def _quadrature(args, struct):
+    """The variations suite's quadrature from --box and --grid, or None
+    without --box; checked before any point is evaluated."""
+    if args.suite != "variations" and (args.box is not None or args.grid is not None):
+        raise MixedCurvError("--box and --grid apply to the variations suite only")
+    if args.box is None:
+        if args.grid is not None:
+            raise MixedCurvError("--grid needs --box")
+        return None
+    return el.QuadratureSpec(box=_parse_box(args.box, struct),
+                             grid=DEFAULT_GRID if args.grid is None else args.grid)
 
 
 def _base_report(args, struct):
@@ -95,7 +111,6 @@ def _base_report(args, struct):
         "structure": struct.name or (args.spec or args.gallery),
         "spec_sha256": struct.content_hash,
         "seed": args.seed,
-        "tolerance": args.tol,
     }
 
 
@@ -115,9 +130,11 @@ def cmd_inspect(args):
 
 def cmd_verify(args):
     struct, entry = _load(args)
+    q = _quadrature(args, struct)
     pts = _points(args, struct)
     report = _base_report(args, struct)
     report["command"] = f"verify {args.suite}"
+    report["tolerance"] = args.tol
     checks = []
 
     if args.suite == "identities":
@@ -157,7 +174,6 @@ def cmd_verify(args):
                 checks.append(check)
 
     elif args.suite == "variations":
-        box = _parse_box(args.box, struct.dim) if args.box else None
         report["fd_steps"] = list(va.FD_STEPS)
         for klass in ("perp", "tan"):
             v = va.random_variation(struct, klass, seed=args.seed)
@@ -170,15 +186,14 @@ def cmd_verify(args):
                         "order": r.order, "tolerance": args.tol * 10,
                         "provenance": "derived:fd-vs-jets",
                         "verdict": bool(r.verdict)})
-        if box:
-            q = el.QuadratureSpec(box=box, grid=args.grid)
-            v = va.random_variation(struct, "perp", seed=args.seed, box=box)
+        if q is not None:
+            v = va.random_variation(struct, "perp", seed=args.seed, box=q.box)
             rep = va.verify_bar_relation(struct, v, q,
-                                         sstar_grid=max(4, args.grid // 2))
+                                         sstar_grid=max(4, q.grid // 2))
             scale = max(abs(rep["dJ"]), abs(rep["dJ_bar"]), 1.0)
             checks.append({
-                "check": "volume-normalized-action-relation", "box": list(box),
-                "grid": args.grid,
+                "check": "volume-normalized-action-relation", "box": list(q.box),
+                "grid": q.grid,
                 "residual": rep["relation_residual"],
                 "volume_drift": rep["volume_drift"],
                 "tolerance": 1e-4 * scale,
@@ -324,7 +339,6 @@ def build_parser():
         p.add_argument("--random", type=int, default=5,
                        help="number of random interior points")
         p.add_argument("--seed", type=int, default=20260808)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         output(p)
 
     p = sub.add_parser("inspect", help="geometry bundle at points")
@@ -334,9 +348,11 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("identities", "el", "variations", "gallery"))
     common(p)
-    p.add_argument("--box", help='quadrature box "[a,b] x [c,d] x ..."')
-    p.add_argument("--grid", type=int, default=8,
-                   help="quadrature points per axis")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--box", help='variations: quadrature box "[a,b] x [c,d] x ..."')
+    p.add_argument("--grid", type=int,
+                   help=f"variations: quadrature points per axis with --box "
+                        f"(default {DEFAULT_GRID})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gallery", help="list gallery entries")

@@ -193,7 +193,7 @@ def _el_block(geom, B, A, star):
 def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     tan, perp = geom.tan, geom.perp
-    n, p = geom.n, geom.p
+    n = geom.n
     consts = {}
 
     if which in ("E-main-0i", "E-main-0iii"):
@@ -206,10 +206,6 @@ def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT
         div_alpha = geom.to_frame02(geom.div_12(tan.alpha_field))
         div_tth = geom.to_frame02(geom.div_12(perp.theta_field))
         M = div_alpha - div_tth
-        sym_div = np.zeros((n, p))
-        for a in range(n):
-            for i in range(p):
-                sym_div[a, i] = 0.5 * (M[a, n + i] + M[n + i, a])
         full = (2.0 * geom.pair_vec_12(tan.theta_b, perp.Hb_frame)
                 + geom.pair_vec_12(perp.theta_b - perp.alpha_b,
                                    tan.Hb_frame)
@@ -218,13 +214,10 @@ def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT
                 + 2.0 * geom.lam(perp.alpha_b, tan.theta_b)
                 + geom.lam(tan.alpha_b, perp.alpha_b)
                 + geom.lam(tan.theta_b, perp.theta_b))
-        resid = np.zeros((n, p))
-        delta = geom.delta_tilde_of(tan.HJ)
-        for a in range(n):
-            for i in range(p):
-                resid[a, i] = (sym_div[a, i]
-                               + 0.5 * (full[a, n + i] + full[n + i, a])
-                               - delta[a, i])
+        # the (D-tilde, D) block of each tensor, symmetrized
+        resid = (0.5 * (M[:n, n:] + M[n:, :n].T)
+                 + 0.5 * (full[:n, n:] + full[n:, :n].T)
+                 - tan.delta_of(tan.HJ))
         return _report(which, resid, consts, tol)
 
     raise SpecializationError(f"unknown equation {which!r}")

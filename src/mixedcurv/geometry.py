@@ -458,17 +458,6 @@ class PointGeometry:
         """<C, B> = sum eps eps C(e_k, e_l) B(e_k, e_l), frame components."""
         return float(np.einsum("k,l,kl,kl->", self.eps, self.eps, C_frame, B_frame))
 
-    def delta_tilde_of(self, ZJ):
-        """delta~_Z block on (E_a, Eperp_i) pairs (n x p)."""
-        nabla = self.nabla_vec_values(ZJ)
-        n, p = self.n, self.p
-        out = np.zeros((n, p))
-        for a in range(n):
-            nu_a = np.einsum("sm,m->s", nabla, self.F[a])
-            for i in range(p):
-                out[a, i] = 0.5 * (self.Fb[n + i] @ nu_a)
-        return out
-
     def nabla02_in_direction(self, TJ, X0):
         """(nabla_X T) chart components for a (0,2) jet field and float X."""
         d = self.d
@@ -850,17 +839,22 @@ class BlockView:
                                 for i in range(dual.dim))
         return out
 
-    def def_of(self, ZJ):
-        """Def Z: symmetrized nabla Z on the block, frame components."""
+    def _nabla_pairs(self, ZJ, cols):
+        """g(nabla_{E_a} Z, e_k) for the block's E_a and the frame's e_k, k in cols."""
         g = self.g
         nabla = g.nabla_vec_values(ZJ)
-        out = np.zeros((self.dim, self.dim))
-        for a, u in enumerate(self.idx):
-            nu_u = np.einsum("sm,m->s", nabla, g.F[u])
-            for b, w in enumerate(self.idx):
-                nu_w = np.einsum("sm,m->s", nabla, g.F[w])
-                out[a, b] = 0.5 * (g.Fb[w] @ nu_u + g.Fb[u] @ nu_w)
-        return out
+        nus = [np.einsum("sm,m->s", nabla, g.F[u]) for u in self.idx]
+        return np.array([[g.Fb[k] @ nu for k in cols] for nu in nus])
+
+    def def_of(self, ZJ):
+        """Def Z: symmetrized nabla Z on the block, frame components."""
+        M = self._nabla_pairs(ZJ, self.idx)
+        return 0.5 * (M + M.T)
+
+    def delta_of(self, ZJ):
+        """delta_Z on (block, dual) pairs, g(nabla_{E_a} Z, E_i)/2 (delta~ of
+        the paper on ``tan``)."""
+        return 0.5 * self._nabla_pairs(ZJ, self.dual.idx)
 
 
 def _values3(J):

@@ -264,26 +264,39 @@ class VariationReport:
         return self.__dict__ | {"verdict": bool(self.verdict)}
 
 
-# formula -> (scalar read from each bundle, variation class)
-_SCALARS = {
-    "E-tildeh-gen": ("perp.norm_h", "perp"),
-    "E-tildeH-gen": ("perp.gHH", "perp"),
-    "E-h-gen": ("tan.norm_h", "perp"),
-    "E-H-gen": ("tan.gHH", "perp"),
-    "E-tildeT-gen": ("perp.norm_T", "perp"),
-    "E-T-gen": ("tan.norm_T", "perp"),
-    "E-h2T2-D1": ("perp.s_ex", "perp"),
-    "E-h2T2-D1b": ("tan.s_ex", "perp"),
-    "E-tildeh-gen2": ("perp.norm_h", "tan"),
-    "E-tildeH-gen2": ("perp.gHH", "tan"),
-    "E-h-gen2": ("tan.norm_h", "tan"),
-    "E-H-gen2": ("tan.gHH", "tan"),
-    "E-tildeT-gen2": ("perp.norm_T", "tan"),
-    "E-T-gen2": ("tan.norm_T", "tan"),
+# name -> (variation class, varied scalar as a bundle attribute path, block
+# formula).  A block formula is an _RHS method on the block B that carries the
+# variation; its dual A = B.dual keeps its metric.  A perp-variation has B = D
+# and may have a mixed block; a tan-variation is a perp-variation of the
+# swapped splitting (B = D-tilde) without one, so its formulas are their perp
+# partners less the terms that pair with the mixed block.  s_ex = g(H, H) -
+# |h|^2, so an s_ex formula is the difference of the two entries it names.
+FORMULAS = {
+    "E-tildeh-gen": ("perp", "perp.norm_h", "dnorm_h_B"),
+    "E-tildeH-gen": ("perp", "perp.gHH", "dgHH_B"),
+    "E-h-gen": ("perp", "tan.norm_h", "dnorm_h_A"),
+    "E-H-gen": ("perp", "tan.gHH", "dgHH_A"),
+    "E-tildeT-gen": ("perp", "perp.norm_T", "dnorm_T_B"),
+    "E-T-gen": ("perp", "tan.norm_T", "dnorm_T_A"),
+    "E-h2T2-D1": ("perp", "perp.s_ex", ("E-tildeH-gen", "E-tildeh-gen")),
+    "E-h2T2-D1b": ("perp", "tan.s_ex", ("E-H-gen", "E-h-gen")),
+    "E-tildeh-gen2": ("tan", "perp.norm_h", "dnorm_h_A"),
+    "E-tildeH-gen2": ("tan", "perp.gHH", "dgHH_A"),
+    "E-h-gen2": ("tan", "tan.norm_h", "dnorm_h_B"),
+    "E-H-gen2": ("tan", "tan.gHH", "dgHH_B"),
+    "E-tildeT-gen2": ("tan", "perp.norm_T", "dnorm_T_A"),
+    "E-T-gen2": ("tan", "tan.norm_T", "dnorm_T_B"),
 }
 
-PERP_FORMULAS = [k for k, (_, c) in _SCALARS.items() if c == "perp"]
-TAN_FORMULAS = [k for k, (_, c) in _SCALARS.items() if c == "tan"]
+PERP_FORMULAS = [k for k, (c, _, _) in FORMULAS.items() if c == "perp"]
+TAN_FORMULAS = [k for k, (c, _, _) in FORMULAS.items() if c == "tan"]
+
+
+def _formula(name):
+    """(class, scalar, block formula) of a table name."""
+    if name not in FORMULAS:
+        raise SpecializationError(f"unknown variation formula {name!r}")
+    return FORMULAS[name]
 
 
 class _RHS:
@@ -297,7 +310,7 @@ class _RHS:
         self.Bfr = geom.F @ self.B0 @ geom.F.T
         # raised-index B as order-1 jets for contractions with jet fields
         ginv1 = [[_t1(x) for x in row] for row in geom.ginvJ]
-        B1 = [[_t1(x) for x in row] for row in self.BJ]
+        self.B1 = B1 = [[_t1(x) for x in row] for row in self.BJ]
         self.Braised = [[jsum(ginv1[nu][a] * B1[a][b] * ginv1[b][rho]
                                for a in range(d) for b in range(d))
                          for rho in range(d)] for nu in range(d)]
@@ -306,14 +319,10 @@ class _RHS:
     def pair(self, C_frame_full):
         return self.g.frame_pairing(np.asarray(C_frame_full), self.Bfr)
 
-    def embed_perp(self, M):
+    def embed(self, view, M):
+        """A (0,2) frame form on the view's block, zero elsewhere."""
         out = np.zeros((self.g.d, self.g.d))
-        out[self.g.n:, self.g.n:] = M
-        return out
-
-    def embed_tan(self, M):
-        out = np.zeros((self.g.d, self.g.d))
-        out[:self.g.n, :self.g.n] = M
+        out[view.sl, view.sl] = M
         return out
 
     def mixed_blocks(self, M_frame):
@@ -329,14 +338,12 @@ class _RHS:
         return [jsum(PJ[s][nu][rho] * self.Braised[nu][rho]
                       for nu in range(d) for rho in range(d)) for s in range(d)]
 
-    def trace_block(self, side):
-        """Tr_block B-sharp as a jet scalar (sum eps B(E, E) over the block)."""
-        g = self.g
+    def trace_block(self, view):
+        """Tr B-sharp over the view's block as a jet scalar (sum eps B(E, E))."""
+        g, B1 = self.g, self.B1
         d = g.d
-        idx = range(g.n) if side == "tan" else range(g.n, d)
-        B1 = [[_t1(x) for x in row] for row in self.BJ]
         acc = 0.0
-        for k in idx:
+        for k in view.idx:
             e = g.frame1[k]
             acc = acc + g.eps[k] * jsum(e[nu] * B1[nu][rho] * e[rho]
                                          for nu in range(d) for rho in range(d))
@@ -344,81 +351,80 @@ class _RHS:
 
     def bsharp_vec(self, VJ):
         d = self.g.d
-        return [jsum(self.Braised[s][rho] * _gflat(self.g, VJ)[rho]
-                      for rho in range(d)) for s in range(d)]
+        Vb = self.g._flat1(VJ)
+        return [jsum(self.Braised[s][rho] * Vb[rho] for rho in range(d))
+                for s in range(d)]
 
-    # -- formula table ----------------------------------------------------
     def rhs(self, formula):
+        klass, _, block = _formula(formula)
+        if isinstance(block, tuple):
+            plus, minus = block
+            return self.rhs(plus) - self.rhs(minus)
+        return getattr(self, block)(getattr(self.g, klass), mixed=klass == "perp")
+
+    # -- block formulas; ``mixed`` adds the terms that pair with the mixed
+    # block of the variation ---------------------------------------------
+    def dnorm_h_B(self, B, mixed):
+        """d|h_B|^2."""
         g = self.g
-        tan, perp = g.tan, g.perp
-        if formula == "E-tildeh-gen":
-            div_ht = g.to_frame02(g.div_12(perp.h_field))
-            C = (div_ht - 4.0 * g.lam(perp.alpha_b, tan.theta_b)
-                 + self.embed_perp(perp.flat(perp.kcal)))
-            return self.pair(C) - g.div_vector(self.contract_field(perp.h_field))
-        if formula == "E-tildeH-gen":
-            C = (perp.div_H * self.embed_perp(np.diag(perp.eps))
-                 + 4.0 * g.pair_vec_12(tan.theta_b, perp.Hb_frame))
-            trJ = self.trace_block("perp")
-            VJ = [trJ * perp.HJ[s] for s in range(g.d)]
-            return self.pair(C) - g.div_vector(VJ)
-        if formula == "E-h-gen":
-            div_a = g.to_frame02(g.div_12(tan.alpha_field))
+        C = g.to_frame02(g.div_12(B.h_field))
+        if mixed:
+            C = C - 4.0 * g.lam(B.alpha_b, B.dual.theta_b)
+        C = C + self.embed(B, B.flat(B.kcal))
+        return self.pair(C) - g.div_vector(self.contract_field(B.h_field))
+
+    def dgHH_B(self, B, mixed):
+        """d g(H_B, H_B)."""
+        g = self.g
+        C = B.div_H * self.embed(B, np.diag(B.eps))
+        if mixed:
+            C = C + 4.0 * g.pair_vec_12(B.dual.theta_b, B.Hb_frame)
+        trJ = self.trace_block(B)
+        return self.pair(C) - g.div_vector([trJ * B.HJ[s] for s in range(g.d)])
+
+    def dnorm_h_A(self, B, mixed):
+        """d|h_A|^2."""
+        g, A = self.g, B.dual
+        out = 0.0
+        if mixed:
+            div_a = g.to_frame02(g.div_12(A.alpha_field))
             C = (self.mixed_blocks(div_a)
-                 + g.lam(tan.alpha_b, perp.alpha_b + perp.theta_b))
-            out = 2.0 * g.div_vector(self.contract_field(tan.alpha_field))
+                 + g.lam(A.alpha_b, B.alpha_b + B.theta_b))
+            out = 2.0 * g.div_vector(self.contract_field(A.alpha_field))
             out -= 2.0 * self.pair(C)
-            out += self.pair(tan.phi_h)
-            out -= float(tan.H0 @ self.B0 @ tan.H0)
-            return out
-        if formula == "E-H-gen":
+        return out + self.pair(A.phi_h) - float(A.H0 @ self.B0 @ A.H0)
+
+    def dgHH_A(self, B, mixed):
+        """d g(H_A, H_A)."""
+        g, A = self.g, B.dual
+        out = -float(A.H0 @ self.B0 @ A.H0)
+        if mixed:
             delta = np.zeros((g.d, g.d))
-            blk = g.delta_tilde_of(tan.HJ)
-            delta[:g.n, g.n:] = blk
-            delta[g.n:, :g.n] = blk.T
-            C = g.pair_vec_12(perp.theta_b - perp.alpha_b, tan.Hb_frame) - delta
-            BH = self.bsharp_vec(tan.HJ)
-            BHtan = g.project1(BH, "tan")
-            return (-float(tan.H0 @ self.B0 @ tan.H0)
-                    + 2.0 * self.pair(C)
-                    + 2.0 * float(tan.H0 @ self.B0 @ perp.H0)
-                    + 2.0 * g.div_vector(BHtan))
-        if formula == "E-tildeT-gen":
-            div_tt = g.to_frame02(g.div_12(perp.theta_field))
-            C = (self.embed_perp(perp.flat(perp.tcal))
-                 + g.lam(perp.theta_b, tan.theta_b - tan.alpha_b)
-                 - self.mixed_blocks(div_tt))
-            return (2.0 * self.pair(C)
-                    + 2.0 * g.div_vector(self.contract_field(perp.theta_field)))
-        if formula == "E-T-gen":
-            return -self.pair(tan.phi_T)
-        if formula == "E-h2T2-D1":
-            return self.rhs("E-tildeH-gen") - self.rhs("E-tildeh-gen")
-        if formula == "E-h2T2-D1b":
-            return self.rhs("E-H-gen") - self.rhs("E-h-gen")
-        if formula == "E-tildeh-gen2":
-            return self.pair(perp.phi_h) - float(perp.H0 @ self.B0 @ perp.H0)
-        if formula == "E-tildeH-gen2":
-            return -float(perp.H0 @ self.B0 @ perp.H0)
-        if formula == "E-h-gen2":
-            div_h = g.to_frame02(g.div_12(tan.h_field))
-            C = div_h + self.embed_tan(tan.flat(tan.kcal))
-            return self.pair(C) - g.div_vector(self.contract_field(tan.h_field))
-        if formula == "E-H-gen2":
-            C = tan.div_H * self.embed_tan(np.diag(tan.eps))
-            trJ = self.trace_block("tan")
-            VJ = [trJ * tan.HJ[s] for s in range(g.d)]
-            return self.pair(C) - g.div_vector(VJ)
-        if formula == "E-tildeT-gen2":
-            return -self.pair(perp.phi_T)
-        if formula == "E-T-gen2":
-            return 2.0 * self.pair(self.embed_tan(tan.flat(tan.tcal)))
-        raise SpecializationError(f"unknown variation formula {formula!r}")
+            blk = A.delta_of(A.HJ)
+            delta[A.sl, B.sl] = blk
+            delta[B.sl, A.sl] = blk.T
+            C = g.pair_vec_12(B.theta_b - B.alpha_b, A.Hb_frame) - delta
+            BH = g.project1(self.bsharp_vec(A.HJ), A.side)
+            out = (out + 2.0 * self.pair(C)
+                   + 2.0 * float(A.H0 @ self.B0 @ B.H0)
+                   + 2.0 * g.div_vector(BH))
+        return out
 
+    def dnorm_T_B(self, B, mixed):
+        """d|T_B|^2."""
+        g = self.g
+        C = self.embed(B, B.flat(B.tcal))
+        if not mixed:
+            return 2.0 * self.pair(C)
+        div_t = g.to_frame02(g.div_12(B.theta_field))
+        C = (C + g.lam(B.theta_b, B.dual.theta_b - B.dual.alpha_b)
+             - self.mixed_blocks(div_t))
+        return (2.0 * self.pair(C)
+                + 2.0 * g.div_vector(self.contract_field(B.theta_field)))
 
-def _gflat(geom, VJ):
-    d = geom.d
-    return [jsum(geom.g1[nu][rho] * VJ[rho] for rho in range(d)) for nu in range(d)]
+    def dnorm_T_A(self, B, mixed):
+        """d|T_A|^2; no term pairs with the mixed block."""
+        return -self.pair(B.dual.phi_T)
 
 
 def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
@@ -429,7 +435,7 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
     if isinstance(formulas, str):
         formulas = [formulas]
     for f in formulas:
-        want = _SCALARS[f][1]
+        want = _formula(f)[0]
         if v.klass != want:
             raise ClassificationError(
                 f"{f} applies to {want}-variations, got {v.klass!r}")
@@ -451,7 +457,7 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
 
     out = {}
     for f in formulas:
-        read = attrgetter(_SCALARS[f][0])
+        read = attrgetter(FORMULAS[f][1])
         fd = []
         for h in steps:
             fp = read(bundles[h])
@@ -580,39 +586,29 @@ def _inside(pt, box):
     return all(lo < x < hi for x, (lo, hi) in zip(pt, box))
 
 
+# identity (b): S_mix = s_ex + s~_ex + |T|^2 + |T~|^2 + div H + div H~
+_SMIX_TERMS = ("E-h2T2-D1b", "E-h2T2-D1", "E-T-gen", "E-tildeT-gen")
+
+
 def jmix_gradient_pairing(struct, v, q, metric_fn=None):
     """The assembled gradient form of the mixed-curvature action paired with B,
     integrated over the box: the independent side of the action-derivative
-    consistency check."""
+    consistency check.
+
+    d/dt of S_mix dvol is the first variation of each term of identity (b)
+    plus S_mix tr B / 2 dvol.  The divergence terms drop out: for a variation
+    supported in the box, d/dt of the integral of div(H + H~) is zero."""
+    if v.klass != "perp":
+        raise ClassificationError("the J_mix gradient pairs a perp-variation")
     pts, wts = grid_points(q)
 
     def one(pt, w):
         geom = PointGeometry(struct, pt, metric_fn=metric_fn, check_domain=False)
         e = _RHS(geom, v, metric_fn=metric_fn)
-        g = geom
-        tan, perp = g.tan, g.perp
-        n = g.n
-        div_ht = g.to_frame02(g.div_12(perp.h_field))
-        div_a = g.to_frame02(g.div_12(tan.alpha_field))
-        div_tt = g.to_frame02(g.div_12(perp.theta_field))
-        delta = np.zeros((g.d, g.d))
-        blk = g.delta_tilde_of(tan.HJ)
-        delta[:n, n:] = blk
-        delta[n:, :n] = blk.T
-        C = (4.0 * g.lam(perp.alpha_b, tan.theta_b)
-             - div_ht
-             - e.embed_perp(perp.flat(perp.kcal))
-             - tan.phi_h - tan.phi_T
-             + 2.0 * e.embed_perp(perp.flat(perp.tcal))
-             + 4.0 * g.pair_vec_12(tan.theta_b, perp.Hb_frame)
-             + 2.0 * e.mixed_blocks(div_a - div_tt)
-             + 2.0 * g.lam(tan.alpha_b, perp.alpha_b + perp.theta_b)
-             + 2.0 * g.pair_vec_12(perp.theta_b - perp.alpha_b, tan.Hb_frame)
-             - 2.0 * delta
-             + 2.0 * g.lam(perp.theta_b, tan.theta_b - tan.alpha_b))
-        C += (np.outer(tan.Hb_frame, perp.Hb_frame) + np.outer(perp.Hb_frame, tan.Hb_frame))
-        C += 0.5 * (g.smix + perp.div_H - tan.div_H) * e.embed_perp(np.diag(perp.eps))
-        return e.pair(C) * g.volume_density * w
+        trB = float(np.trace(geom.ginv0 @ e.B0))
+        dS = (sum(e.rhs(f) for f in _SMIX_TERMS)
+              + 0.5 * trB * (geom.smix - geom.tan.div_H - geom.perp.div_H))
+        return dS * geom.volume_density * w
 
     return pairwise_sum(one(pt, w) for pt, w in zip(pts, wts))
 

@@ -51,6 +51,7 @@ def test_inspect_contact_origin(tmp_path):
                       "--points", "(0,0,0)"], tmp_path)
     rep = json.loads(text)
     assert code == 0
+    assert "tolerance" not in rep                    # inspect judges nothing
     assert rep["points"][0]["ric_N"] == pytest.approx(0.0, abs=1e-9)
     assert rep["points"][0]["norm_T_tilde"] == pytest.approx(2.0, abs=1e-9)
 
@@ -89,11 +90,32 @@ def test_bad_config_exit_2():
      "--tol", "nan"],
     ["gallery", "--filter-critical", "NoSuchEq"],
     ["gallery", "--filter-noncritical", "NoSuchEq"],
+    # --box and --grid are the variations suite's, and --grid needs --box
+    ["verify", "identities", "--gallery", "euclidean_product", "--random", "1",
+     "--box", "garbage", "--grid", "-3"],
+    ["verify", "el", "--gallery", "r3_contact", "--random", "1", "--grid", "4"],
+    ["verify", "gallery", "--gallery", "r3_contact", "--random", "1",
+     "--box", "[-0.5,0.5] x [-0.5,0.5] x [-0.5,0.5]"],
+    ["verify", "variations", "--gallery", "r3_contact", "--random", "1",
+     "--grid", "3"],
+    ["verify", "variations", "--gallery", "r3_contact", "--random", "1",
+     "--box", "[-0.5,0.5] x [-0.5,0.5] x [-0.5,0.5]", "--grid", "1"],
+    ["verify", "variations", "--gallery", "r3_contact", "--random", "1",
+     "--box", "[0.5,-0.5] x [-0.5,0.5] x [-0.5,0.5]"],
+    ["verify", "variations", "--gallery", "r3_contact", "--random", "1",
+     "--box", "[5,6] x [-0.5,0.5] x [-0.5,0.5]"],
 ])
-def test_bad_input_exit_2(args, capsys):
-    # malformed numbers, empty samples, unusable tolerances and unknown
-    # equation names are configuration errors, not crashes, failed verdicts
-    # or silently empty passing reports
+def test_bad_input_exit_2(args, capsys, monkeypatch):
+    # malformed numbers, empty samples, unusable tolerances, unknown
+    # equation names and misplaced quadrature options are configuration
+    # errors, not crashes, failed verdicts or silently empty passing
+    # reports, and they are refused before any point is evaluated
+    def no_point_work(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(cli, "PointGeometry", no_point_work)
+    monkeypatch.setattr(cli, "identity_suite", no_point_work)
+    monkeypatch.setattr(cli.va, "verify_first_variation", no_point_work)
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -105,7 +127,8 @@ def test_bad_input_exit_2(args, capsys):
     ["gallery", "--tol", "5"],
     ["inspect", "--gallery", "r3_contact", "--random", "1", "--grid", "-7"],
     ["inspect", "--gallery", "r3_contact", "--random", "1", "--box", "garbage"],
-], ids=["gallery-seed", "gallery-tol", "inspect-grid", "inspect-box"])
+    ["inspect", "--gallery", "r3_contact", "--random", "1", "--tol", "5"],
+], ids=["gallery-seed", "gallery-tol", "inspect-grid", "inspect-box", "inspect-tol"])
 def test_removed_options_rejected(args, capsys):
     # options that would change nothing are not accepted: argparse exits 2
     with pytest.raises(SystemExit) as exc:

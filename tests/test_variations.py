@@ -180,19 +180,42 @@ def test_class_mismatch_raises():
     v = va.random_variation(s, "perp", seed=4)
     with pytest.raises(ClassificationError):
         va.verify_first_variation(s, v, (0.1, 0.1, 0.1), formulas="E-T-gen2")
+    vt = va.random_variation(s, "tan", seed=4)
+    with pytest.raises(ClassificationError):
+        va.jmix_gradient_pairing(s, vt, el.QuadratureSpec(box=box3(), grid=2))
+
+
+def test_formula_table_pinned():
+    # the benchmark's references key on these names, in this order
+    assert va.PERP_FORMULAS == ["E-tildeh-gen", "E-tildeH-gen", "E-h-gen",
+                                "E-H-gen", "E-tildeT-gen", "E-T-gen",
+                                "E-h2T2-D1", "E-h2T2-D1b"]
+    assert va.TAN_FORMULAS == ["E-tildeh-gen2", "E-tildeH-gen2", "E-h-gen2",
+                               "E-H-gen2", "E-tildeT-gen2", "E-T-gen2"]
+    s = struct("r3_contact")
+    v = va.random_variation(s, "perp", seed=4)
+    with pytest.raises(SpecializationError, match="unknown variation formula"):
+        va.verify_first_variation(s, v, (0.1, 0.1, 0.1), formulas="E-nope")
+    with pytest.raises(SpecializationError, match="unknown variation formula"):
+        va._RHS(PointGeometry(s, (0.1, 0.1, 0.1)), v).rhs("E-nope")
 
 
 def test_general_variation_splits_into_classes():
-    # measured d/dt of each scalar = perp-formula(B-perp part) + tan-formula(B~)
-    s = struct("warped_product")
-    pt = (0.1, -0.2, 0.2, 0.1)
-    vg = va.random_variation(s, "general", seed=21)
-    vp = va.MetricVariation(s, vg.raw, "perp")
-    vt = va.MetricVariation(s, vg.raw, "tan")
-    for scalar, fperp, ftan in (("perp.norm_h", "E-tildeh-gen", "E-tildeh-gen2"),
-                                ("tan.norm_h", "E-h-gen", "E-h-gen2"),
-                                ("tan.gHH", "E-H-gen", "E-H-gen2"),
-                                ("perp.gHH", "E-tildeH-gen", "E-tildeH-gen2")):
+    # measured d/dt of each scalar = perp-formula(B-perp part) + tan-formula(B~);
+    # T = T~ = 0 on the warped product, so the T pairs run where one is not
+    warped = (struct("warped_product"), (0.1, -0.2, 0.2, 0.1))
+    r3 = (struct("r3_contact"), (0.1, 0.1, 0.1))
+    swapped = (load_structure(SWAPPED_R3), (0.1, 0.1, 0.1))
+    for (s, pt), scalar, fperp, ftan in (
+            (warped, "perp.norm_h", "E-tildeh-gen", "E-tildeh-gen2"),
+            (warped, "tan.norm_h", "E-h-gen", "E-h-gen2"),
+            (warped, "tan.gHH", "E-H-gen", "E-H-gen2"),
+            (warped, "perp.gHH", "E-tildeH-gen", "E-tildeH-gen2"),
+            (r3, "perp.norm_T", "E-tildeT-gen", "E-tildeT-gen2"),
+            (swapped, "tan.norm_T", "E-T-gen", "E-T-gen2")):
+        vg = va.random_variation(s, "general", seed=21)
+        vp = va.MetricVariation(s, vg.raw, "perp")
+        vt = va.MetricVariation(s, vg.raw, "tan")
         h = 2.5e-4
         read = attrgetter(scalar)
         fp = read(PointGeometry(s, pt, metric_fn=vg.metric_fn(h)))
@@ -201,6 +224,7 @@ def test_general_variation_splits_into_classes():
         geom = PointGeometry(s, pt)
         rp = va._RHS(geom, vp).rhs(fperp)
         rt = va._RHS(geom, vt).rhs(ftan)
+        assert min(abs(rp), abs(rt)) > 1e-2, (scalar, rp, rt)   # both classes count
         assert fd == pytest.approx(rp + rt, abs=2e-6 * max(1, abs(fd)))
 
 
