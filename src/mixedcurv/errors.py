@@ -9,10 +9,6 @@ class InvalidArgumentError(MixedCurvError):
     pass
 
 
-class JetDepthError(InvalidArgumentError):
-    """Nesting a jet beyond the supported depth."""
-
-
 class SingularEvaluationError(MixedCurvError):
     """Division by zero, domain violation or non-finite intermediate.
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpecializationError
-from .geometry import PointGeometry, grad_vals
-from .jets import jsum, value_of
+from .geometry import PointGeometry
+from .jets import dshift, gradients, jexp, jsum, value_of, values
 
 DEFAULT_TOL = 1e-6
 
@@ -84,8 +84,7 @@ def integrate(struct, integrand, q, metric_fn=None):
 
 
 def _density(struct, pt, metric_fn):
-    rows = (metric_fn or struct.metric_at)(list(pt))
-    g0 = np.array([[value_of(x) for x in row] for row in rows])
+    g0 = values((metric_fn or struct.metric_at)(list(pt)))
     det = float(np.linalg.det(g0))
     return math.sqrt(abs(det))
 
@@ -123,7 +122,7 @@ def s_star_flow(geom):
     eN = tan.eps[0]
     star_perp = eN * geom.ric_N - 2.0 * ((2.0 / geom.p) * perp.norm_T
                                          + tan.div_H / geom.p)
-    nt1 = float(np.dot(grad_vals(perp.tau1_J, geom.d), geom.F[0]))
+    nt1 = float(np.dot(gradients(perp.tau1_J, geom.d), geom.F[0]))
     tau2 = float(np.trace(perp.A_ops[0] @ perp.A_ops[0]))
     star_tan = eN * geom.ric_N - 2.0 * (eN * (nt1 - tau2) - perp.norm_T)
     return star_perp, star_tan
@@ -444,7 +443,6 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
     def hat_metric(xs):
         rows = base_metric(xs)
         factor = exprlang.evaluate(psi_ast, list(xs), struct.params)
-        from .jets import jexp
         c = jexp(-2.0 * factor)
         return [[c * rows[i][j] for j in range(len(rows))] for i in range(len(rows))]
 
@@ -462,8 +460,7 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
     # closed form from base-structure data
     env = [value_of(x) for x in point]
     psi0 = exprlang.evaluate(psi_ast, env, struct.params)
-    dpsi = np.array(grad_vals(exprlang.evaluate(
-        psi_ast, base.seeds, struct.params), base.d))
+    dpsi = gradients(exprlang.evaluate(psi_ast, base.seeds, struct.params), base.d)
     grad_psi = base.ginv0 @ dpsi
     bperp = base.perp
     TtY = bperp.Tsharp_ops[0] @ np.array(
@@ -493,7 +490,7 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
     n = geom.n
     N0 = geom.F[n]
     tau1J = geom.tan.tau1_J
-    n_tau1 = float(np.dot(grad_vals(tau1J, geom.d), N0))
+    n_tau1 = float(np.dot(gradients(tau1J, geom.d), N0))
     consts = {}
 
     if which == "codimoneEL1":
@@ -504,7 +501,7 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
 
     if which == "codimoneEL2":
         form = geom.div_11(geom.tan.A_field, mode="tan")
-        dtau = np.array(grad_vals(tau1J, geom.d))
+        dtau = gradients(tau1J, geom.d)
         resid = np.array([float((form - dtau) @ geom.F[a]) for a in range(n)])
         return _report(which, resid, consts, tol)
 
@@ -582,6 +579,17 @@ def applicable(struct):
     return [eq for eq, spec in EQUATIONS.items() if spec.applies(struct)]
 
 
+def _diagonal_metric_jets(geom):
+    """Values, gradients and Hessians of the diagonal metric entries, as
+    nested lists of floats: g_ii, d_m g_ii at [i][m] and d_m d_k g_ii at
+    [i][m][k]."""
+    d = geom.d
+    diag = [geom.gJ[i][i] for i in range(d)]
+    hess = gradients([[dshift(x, m) for m in range(d)] for x in diag], d)
+    return (values(diag).tolist(), gradients(diag, d).T.tolist(),
+            np.moveaxis(hess, 0, -1).tolist())
+
+
 def biregular_closed_forms(struct, point, metric_fn=None):
     """Coordinate formulas for orthogonal biregular foliated metrics.
 
@@ -593,12 +601,11 @@ def biregular_closed_forms(struct, point, metric_fn=None):
     """
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     d = geom.d
-    gJ = geom.gJ
-    offdiag = max(abs(value_of(gJ[i][j])) for i in range(d) for j in range(d) if i != j)
+    offdiag = max(abs(geom.g0[i, j]) for i in range(d) for j in range(d) if i != j)
     if offdiag > 1e-12:
         raise SpecializationError("biregular closed forms require a diagonal metric")
-    g00 = gJ[0][0]
-    a00 = abs(value_of(g00))
+    gv, dgv, hv = _diagonal_metric_jets(geom)
+    a00 = abs(gv[0])
     sq = math.sqrt(a00)
     out = {"sqrt_g00": sq}
     y = []
@@ -608,11 +615,7 @@ def biregular_closed_forms(struct, point, metric_fn=None):
     A_diag = []
     nabNh = []
     divA = []
-    gv = [value_of(gJ[i][i]) for i in range(d)]
-    dgv = [[grad_vals(gJ[i][i], d)[m] for m in range(d)] for i in range(d)]
-    hv = [[[value_of(gJ[i][i].h[m][k]) for k in range(d)] for m in range(d)]
-          for i in range(d)]
-    epsN = 1.0 if value_of(g00) > 0 else -1.0
+    epsN = 1.0 if gv[0] > 0 else -1.0
     for i in range(1, d):
         gii = gv[i]
         gii0 = dgv[i][0]
@@ -672,12 +675,8 @@ def bifoliated_iii_residual(struct, point, metric_fn=None):
     """Residual of the leafwise equation in biregular coordinates."""
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     d = geom.d
-    gJ = geom.gJ
-    gv = [value_of(gJ[i][i]) for i in range(d)]
-    dgv = [[grad_vals(gJ[i][i], d)[m] for m in range(d)] for i in range(d)]
-    hv = [[[value_of(gJ[i][i].h[m][k]) for k in range(d)] for m in range(d)]
-          for i in range(d)]
-    a00 = abs(value_of(gJ[0][0]))
+    gv, dgv, hv = _diagonal_metric_jets(geom)
+    a00 = abs(gv[0])
     sq = math.sqrt(a00)
 
     def y_val(i):

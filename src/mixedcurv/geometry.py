@@ -30,38 +30,9 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import Jet, jsum, seed, value_of
+from .jets import (Jet, dshift, gradients, jsum, order1, promote, seed, value_of,
+                   values)
 from .structure import orthonormal_frame
-
-
-def grad_vals(x, d):
-    if isinstance(x, Jet):
-        return [value_of(c) for c in x.g]
-    return [0.0] * d
-
-
-def _promote(x, d):
-    """Coerce a plain scalar to a zero-derivative order-2 jet."""
-    if isinstance(x, Jet):
-        return x
-    z = (0.0,) * d
-    return Jet(float(x), z, tuple(z for _ in range(d)))
-
-
-def _t1(x):
-    """Truncate to order 1 (used for field-level algebra)."""
-    if isinstance(x, Jet) and x.h is not None:
-        return Jet(x.v, x.g, None)
-    return x
-
-
-def _dshift(x, mu, d):
-    """The partial derivative of an order-2 jet, as an order-1 jet."""
-    if isinstance(x, Jet):
-        if x.h is None:
-            raise SingularEvaluationError("second-order jet required for field derivative")
-        return Jet(x.g[mu], x.h[mu], None)
-    return 0.0
 
 
 def jet_matrix_inverse(M, d, point=None):
@@ -125,7 +96,7 @@ class PointGeometry:
             if exc.point is None:
                 raise SingularEvaluationError(str(exc), point=self.point) from exc
             raise
-        return [[_promote(rows[i][j], d) for j in range(d)] for i in range(d)]
+        return [[promote(rows[i][j], d) for j in range(d)] for i in range(d)]
 
     @cached_property
     def ginvJ(self):
@@ -139,12 +110,12 @@ class PointGeometry:
         is the chart derivative of that Christoffel symbol.
         """
         d, g, ginv = self.d, self.gJ, self.ginvJ
-        dg = [[[_dshift(g[m][nn], r, d) for nn in range(d)] for m in range(d)]
+        dg = [[[dshift(g[m][nn], r) for nn in range(d)] for m in range(d)]
               for r in range(d)]
         # dsym[t][m][nn] = d_m g_{t nn} + d_nn g_{t m} - d_t g_{m nn}
         dsym = [[[dg[m][t][nn] + dg[nn][t][m] - dg[t][m][nn]
                   for nn in range(d)] for m in range(d)] for t in range(d)]
-        gi1 = [[_t1(x) for x in row] for row in ginv]
+        gi1 = [[order1(x) for x in row] for row in ginv]
         out = []
         for s in range(d):
             gs = gi1[s]
@@ -162,7 +133,7 @@ class PointGeometry:
 
     @cached_property
     def frameJ(self):
-        span = [[_promote(c, self.d) for c in vec] for vec in self._dtilde_fn(self.seeds)]
+        span = [[promote(c, self.d) for c in vec] for vec in self._dtilde_fn(self.seeds)]
         return orthonormal_frame(self.gJ, span, self.d, point=self.point)
 
     @cached_property
@@ -176,11 +147,11 @@ class PointGeometry:
     # order-1 views used by the field algebra
     @cached_property
     def g1(self):
-        return [[_t1(x) for x in row] for row in self.gJ]
+        return [[order1(x) for x in row] for row in self.gJ]
 
     @cached_property
     def frame1(self):
-        return [[_t1(c) for c in vec] for vec in self.framevecsJ]
+        return [[order1(c) for c in vec] for vec in self.framevecsJ]
 
     # ------------------------------------------------------------------
     # the two blocks of the splitting
@@ -206,22 +177,20 @@ class PointGeometry:
 
     @cached_property
     def g0(self):
-        return np.array([[value_of(x) for x in row] for row in self.gJ])
+        return values(self.gJ)
 
     @cached_property
     def ginv0(self):
-        return np.array([[value_of(x) for x in row] for row in self.ginvJ])
+        return values(self.ginvJ)
 
     @cached_property
     def Gamma0(self):
-        d = self.d
-        return np.array([[[value_of(self.GammaJ[s][m][nn]) for nn in range(d)]
-                          for m in range(d)] for s in range(d)])
+        return values(self.GammaJ)
 
     @cached_property
     def F(self):
         """Frame vector components (rows), tangent block first."""
-        return np.array([[value_of(c) for c in vec] for vec in self.framevecsJ])
+        return values(self.framevecsJ)
 
     @cached_property
     def Fb(self):
@@ -241,10 +210,7 @@ class PointGeometry:
     @cached_property
     def Rcoord(self):
         """R(d_mu, d_nu) d_gamma = Rcoord[sigma, mu, nu, gamma] d_sigma."""
-        d = self.d
-        dG = np.array([[[[grad_vals(self.GammaJ[s][m][nn], d)[r]
-                          for nn in range(d)] for m in range(d)] for s in range(d)]
-                       for r in range(d)])
+        dG = gradients(self.GammaJ, self.d)
         G = self.Gamma0
         R = np.einsum("nsmg->smng", dG) - np.einsum("msng->smng", dG)
         R += np.einsum("snk,kmg->smng", G, G) - np.einsum("smk,kng->smng", G, G)
@@ -311,12 +277,12 @@ class PointGeometry:
         """(nabla_m V)^s as order-1 jets, index order [m][s]."""
         d = self.d
         G = self.GammaJ
-        V1 = [_t1(x) for x in VJ]
+        V1 = [order1(x) for x in VJ]
         out = []
         for m in range(d):
             row = []
             for s in range(d):
-                term = _dshift(VJ[s], m, d)
+                term = dshift(VJ[s], m)
                 Gsm = G[s][m]
                 for nn in range(d):
                     term = term + Gsm[nn] * V1[nn]
@@ -400,10 +366,8 @@ class PointGeometry:
 
     def nabla_vec_values(self, VJ):
         """(nabla_m V)^s float matrix from a jet vector field."""
-        d = self.d
-        dV = np.array([[grad_vals(VJ[s], d)[m] for m in range(d)] for s in range(d)])
-        V0 = np.array([value_of(x) for x in VJ])
-        return dV + np.einsum("smn,n->sm", self.Gamma0, V0)
+        dV = gradients(VJ, self.d).T
+        return dV + np.einsum("smn,n->sm", self.Gamma0, values(VJ))
 
     def div_vector(self, VJ, mode="full"):
         nabla = self.nabla_vec_values(VJ)
@@ -423,13 +387,9 @@ class PointGeometry:
 
     def nabla12_values(self, PJ):
         """(nabla_m P)^s_{nu rho} float array from a (1,2) jet field."""
-        d = self.d
         G = self.Gamma0
-        P0 = np.array([[[value_of(PJ[s][nu][rho]) for rho in range(d)] for nu in range(d)]
-                       for s in range(d)])
-        dP = np.array([[[[grad_vals(PJ[s][nu][rho], d)[m] for rho in range(d)]
-                         for nu in range(d)] for s in range(d)] for m in range(d)])
-        out = dP + np.einsum("smk,knr->msnr", G, P0)
+        P0 = values(PJ)
+        out = gradients(PJ, self.d) + np.einsum("smk,knr->msnr", G, P0)
         out -= np.einsum("kmn,skr->msnr", G, P0)
         out -= np.einsum("kmr,snk->msnr", G, P0)
         return out, P0
@@ -444,10 +404,9 @@ class PointGeometry:
         """(div S) 1-form chart components for a (1,1) jet field."""
         d = self.d
         G = self.Gamma0
-        S0 = np.array([[value_of(SJ[s][nu]) for nu in range(d)] for s in range(d)])
-        dS = np.array([[[grad_vals(SJ[s][nu], d)[m] for nu in range(d)]
-                        for s in range(d)] for m in range(d)])
-        nab = dS + np.einsum("smk,kn->msn", G, S0) - np.einsum("kmn,sk->msn", G, S0)
+        S0 = values(SJ)
+        nab = (gradients(SJ, d) + np.einsum("smk,kn->msn", G, S0)
+               - np.einsum("kmn,sk->msn", G, S0))
         W = np.eye(d) if mode == "full" else self._weight(mode)
         return np.einsum("msn,ms->n", nab, W)
 
@@ -460,12 +419,9 @@ class PointGeometry:
 
     def nabla02_in_direction(self, TJ, X0):
         """(nabla_X T) chart components for a (0,2) jet field and float X."""
-        d = self.d
         G = self.Gamma0
-        T0 = np.array([[value_of(TJ[nu][rho]) for rho in range(d)] for nu in range(d)])
-        dT = np.array([[[grad_vals(TJ[nu][rho], d)[m] for rho in range(d)]
-                        for nu in range(d)] for m in range(d)])
-        nab = dT - np.einsum("kmn,kr->mnr", G, T0) - np.einsum("kmr,nk->mnr", G, T0)
+        T0 = values(TJ)
+        nab = gradients(TJ, self.d) - np.einsum("kmn,kr->mnr", G, T0) - np.einsum("kmr,nk->mnr", G, T0)
         return np.einsum("mnr,m->nr", nab, np.asarray(X0, float))
 
     def pair_vec_12(self, Pb_full, Vb_frame):
@@ -579,11 +535,11 @@ class BlockView:
 
     @cached_property
     def h(self):
-        return _values3(self.ffJ[0])
+        return values(self.ffJ[0])
 
     @cached_property
     def T(self):
-        return _values3(self.ffJ[1])
+        return values(self.ffJ[1])
 
     @cached_property
     def HJ(self):
@@ -600,7 +556,7 @@ class BlockView:
 
     @cached_property
     def H0(self):
-        return np.array([value_of(x) for x in self.HJ])
+        return values(self.HJ)
 
     @cached_property
     def Hb_frame(self):
@@ -857,10 +813,6 @@ class BlockView:
         return 0.5 * self._nabla_pairs(ZJ, self.dual.idx)
 
 
-def _values3(J):
-    return np.array([[[value_of(x) for x in r] for r in m] for m in J])
-
-
 def _zeros3(d):
     return [[[0.0] * d for _ in range(d)] for _ in range(d)]
 
@@ -917,8 +869,7 @@ def divergence(struct, point, field, mode="full", metric_fn=None):
 def smix_density_fast(struct, point, metric_fn=None):
     """(S_mix, sqrt|det g|) without frames; quadrature inner loop."""
     geom = PointGeometry(struct, point, metric_fn=metric_fn, check_domain=False)
-    W = [[value_of(x) for x in vec] for vec in geom._dtilde_fn(geom.seeds)]
-    Wm = np.array(W).T
+    Wm = values(geom._dtilde_fn(geom.seeds)).T
     g0 = geom.g0
     gram = Wm.T @ g0 @ Wm
     try:
@@ -941,7 +892,7 @@ def random_perp_field(geom, rng_seed):
     for i in range(p):
         c = coeffs[i][0]
         for m in range(d):
-            c = c + coeffs[i][m + 1] * _t1(xs[m])
+            c = c + coeffs[i][m + 1] * order1(xs[m])
         vec = geom.frame1[n + i]
         for s in range(d):
             out[s] = out[s] + c * vec[s]
@@ -1003,7 +954,7 @@ def identity_suite(struct, point, metric_fn=None, rng_seed=7):
 
     # (E-divN) with a seeded random complement-valued field
     xi = random_perp_field(g, rng_seed)
-    xi0 = np.array([value_of(x) for x in xi])
+    xi0 = values(xi)
     res["div_perp_vector"] = abs(
         g.div_vector(xi, mode="perp") - (g.div_vector(xi) + float(xi0 @ g.g0 @ H0)))
 

@@ -1,22 +1,28 @@
 """Forward-mode automatic differentiation on truncated Taylor scalars ("jets").
 
-A :class:`Jet` stores a value, a gradient over the active chart variables and,
-at order 2, a symmetric Hessian.  Coefficients may themselves be jets, which
-nests the construction (hyper-dual style) and yields third derivatives; depth
-is capped at 3 because no formula in the engine needs more.
+A :class:`Jet` stores a value, a gradient over the active chart variables
+and, at order 2, a symmetric Hessian, all as plain floats.  Every
+quantity of the engine is a first or second chart derivative of the metric
+and the distribution, so order 2 is the highest it seeds.
 
 Plain ``int``/``float`` scalars mix freely with jets, so numeric code written
 with ordinary operators runs unchanged on either kind.  Binary operations
 between jets of different order truncate to the lower order.
+
+This module is the only one that knows a jet's layout.  Other modules build
+jets with :func:`seed`, :func:`promote`, :func:`order1` and :func:`dshift`,
+and read them back through :func:`value_of`, or for nested lists of scalars
+through :func:`values` (the float array) and :func:`gradients` (the gradient
+array, derivative index first).
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import InvalidArgumentError, JetDepthError, SingularEvaluationError
+import numpy as np
 
-_MAX_DEPTH = 3
+from .errors import InvalidArgumentError, SingularEvaluationError
 
 
 class Jet:
@@ -31,10 +37,6 @@ class Jet:
     @property
     def nvars(self):
         return len(self.g)
-
-    @property
-    def order(self):
-        return 1 if self.h is None else 2
 
     def __repr__(self):
         return f"Jet(v={self.v!r}, g={self.g!r}, h={self.h!r})"
@@ -107,14 +109,14 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            if value_of(other) == 0.0:
+            if other == 0.0:
                 raise SingularEvaluationError("division by zero scalar")
             n = self.nvars
             h = None
             if self.h is not None:
                 h = tuple(tuple(x / other for x in row) for row in self.h)
             return Jet(self.v / other, tuple(x / other for x in self.g), h)
-        if value_of(other.v) == 0.0:
+        if other.v == 0.0:
             raise SingularEvaluationError("division by jet with zero value")
         av, ag, ah, bv, bg, bh, n, o2 = self._binary_parts(other)
         q = av / bv
@@ -127,7 +129,7 @@ class Jet:
 
     def __rtruediv__(self, other):
         # other is a plain scalar
-        if value_of(self.v) == 0.0:
+        if self.v == 0.0:
             raise SingularEvaluationError("division by jet with zero value")
         n = self.nvars
         q = other / self.v
@@ -140,7 +142,7 @@ class Jet:
         return Jet(q, dq, h)
 
     def _reciprocal(self):
-        if value_of(self.v) == 0.0:
+        if self.v == 0.0:
             raise SingularEvaluationError("division by jet with zero value")
         q = 1.0 / self.v
         q2 = q * q
@@ -170,9 +172,9 @@ class Jet:
             for _ in range(k - 1):
                 out = out * self
             return out
-        if value_of(self.v) <= 0.0:
+        if self.v <= 0.0:
             raise SingularEvaluationError(
-                f"non-integer power of non-positive value {value_of(self.v)}")
+                f"non-integer power of non-positive value {self.v}")
         f0 = self.v ** e
         f1 = e * self.v ** (e - 1.0)
         f2 = e * (e - 1.0) * self.v ** (e - 2.0)
@@ -197,10 +199,8 @@ class Jet:
 
 
 def value_of(x):
-    """Innermost float value of a (possibly nested) scalar."""
-    while isinstance(x, Jet):
-        x = x.v
-    return float(x)
+    """Float value of a scalar, jet or plain number."""
+    return x.v if isinstance(x, Jet) else float(x)
 
 
 def jsum(items):
@@ -214,134 +214,123 @@ def jsum(items):
     return acc
 
 
-def scalar_kind(x):
-    """Tag describing a scalar: 'real', 'jet1', 'jet2', or 'nested(<inner>)'."""
-    if not isinstance(x, Jet):
-        return "real"
-    inner = scalar_kind(x.v)
-    if inner == "real":
-        return "jet1" if x.h is None else "jet2"
-    return f"nested({inner})"
-
-
-def depth(x):
-    d = 0
-    while isinstance(x, Jet):
-        d += 1
-        x = x.v
-    return d
-
-
 def seed(point, order):
     """One jet per coordinate: value ``point[i]``, gradient the i-th basis vector."""
     if order not in (1, 2):
         raise InvalidArgumentError(f"jet order must be 1 or 2, got {order}")
-    pt = list(point)
-    for c in pt:
-        if not math.isfinite(value_of(c)):
-            raise InvalidArgumentError("seed point must be finite")
+    pt = [float(c) for c in point]
+    if not all(math.isfinite(c) for c in pt):
+        raise InvalidArgumentError("seed point must be finite")
     n = len(pt)
     zh = tuple((0.0,) * n for _ in range(n)) if order == 2 else None
-    out = []
-    for i, c in enumerate(pt):
-        g = tuple(1.0 if j == i else 0.0 for j in range(n))
-        out.append(Jet(c, g, zh))
-    return out
+    return [Jet(c, tuple(1.0 if j == i else 0.0 for j in range(n)), zh)
+            for i, c in enumerate(pt)]
 
 
-def nest(a):
-    """Promote ``a`` so its coefficients are themselves differentiated.
-
-    Evaluating a function on nested seeds exposes one extra derivative order
-    (third derivatives when ``a`` has order 2).
-    """
-    if not isinstance(a, Jet):
-        raise InvalidArgumentError("nest() expects a Jet")
-    if depth(a) + 1 > _MAX_DEPTH:
-        raise JetDepthError(f"jet nesting depth would exceed {_MAX_DEPTH}")
-    return Jet(a, a.g, a.h)
+def promote(x, d):
+    """Coerce a plain scalar to a zero-derivative order-2 jet in d variables."""
+    if isinstance(x, Jet):
+        return x
+    z = (0.0,) * d
+    return Jet(float(x), z, tuple(z for _ in range(d)))
 
 
-def nested_seed(point, inner_order=2, outer_order=1):
-    """Seeds whose evaluation carries derivatives of total order inner+outer."""
-    if outer_order != 1:
-        raise InvalidArgumentError("only one extra nesting level is supported")
-    return [nest(a) for a in seed(point, inner_order)]
+def order1(x):
+    """Truncate to order 1 (used for field-level algebra)."""
+    if isinstance(x, Jet) and x.h is not None:
+        return Jet(x.v, x.g, None)
+    return x
+
+
+def dshift(x, mu):
+    """The partial derivative d_mu of an order-2 jet, as an order-1 jet."""
+    if isinstance(x, Jet):
+        if x.h is None:
+            raise SingularEvaluationError("second-order jet required for field derivative")
+        return Jet(x.g[mu], x.h[mu], None)
+    return 0.0
+
+
+def _leaves(J, f):
+    """``f`` applied to every scalar of a nested list (or tuple) of scalars."""
+    if isinstance(J, (list, tuple)):
+        return [_leaves(x, f) for x in J]
+    return f(J)
+
+
+def values(J):
+    """The float array of a nested list of scalars (floats and jets)."""
+    return np.array(_leaves(J, value_of))
+
+
+def gradients(J, d):
+    """The gradient array of a nested list of scalars in d variables, the
+    derivative index first: ``gradients(J, d)[m][...] = d_m J[...]``.  Plain
+    floats have zero gradient.  The array is C-contiguous, as if built from
+    nested lists in that index order, so numpy reductions over it add in
+    the same order as over such an array."""
+    zero = (0.0,) * d
+    G = np.array(_leaves(J, lambda x: x.g if isinstance(x, Jet) else zero))
+    return np.ascontiguousarray(np.moveaxis(G, -1, 0))
 
 
 # ----------------------------------------------------------------------
-# Elementary functions, generic over float / Jet / nested Jet.
+# Elementary functions, generic over float / Jet.  On a jet each takes
+# f(v), f'(v) and f''(v) at the jet's value v and applies the chain rule.
 
-def _lift(x, ffloat, d0, d1, d2):
-    if isinstance(x, Jet):
-        v = x.v
-        return x._compose(d0(v), d1(v), d2(v))
-    return ffloat(x)
-
-
-def jsin(x):
-    return _lift(x, math.sin, jsin, jcos, lambda v: -jsin(v))
+def _elementary(f, taylor):
+    def op(x):
+        if isinstance(x, Jet):
+            return x._compose(*taylor(x.v))
+        return f(x)
+    return op
 
 
-def jcos(x):
-    return _lift(x, math.cos, jcos, lambda v: -jsin(v), lambda v: -jcos(v))
+def _tan(v):
+    t = math.tan(v)
+    sec2 = 1.0 + t * t
+    return t, sec2, 2.0 * t * sec2
 
 
-def jtan(x):
-    if isinstance(x, Jet):
-        t = jtan(x.v)
-        sec2 = 1.0 + t * t
-        return x._compose(t, sec2, 2.0 * t * sec2)
-    return math.tan(x)
+def _tanh(v):
+    t = math.tanh(v)
+    sech2 = 1.0 - t * t
+    return t, sech2, -2.0 * t * sech2
 
 
-def jexp(x):
-    return _lift(x, math.exp, jexp, jexp, jexp)
+def _atan(v):
+    w = 1.0 / (1.0 + v * v)
+    return math.atan(v), w, -2.0 * v * w * w
+
+
+jsin = _elementary(math.sin, lambda v: (math.sin(v), math.cos(v), -math.sin(v)))
+jcos = _elementary(math.cos, lambda v: (math.cos(v), -math.sin(v), -math.cos(v)))
+jtan = _elementary(math.tan, _tan)
+jexp = _elementary(math.exp, lambda v: (math.exp(v),) * 3)
+jsinh = _elementary(math.sinh, lambda v: (math.sinh(v), math.cosh(v), math.sinh(v)))
+jcosh = _elementary(math.cosh, lambda v: (math.cosh(v), math.sinh(v), math.cosh(v)))
+jtanh = _elementary(math.tanh, _tanh)
+jatan = _elementary(math.atan, _atan)
 
 
 def jlog(x):
+    v = value_of(x)
+    if v <= 0.0:
+        raise SingularEvaluationError(f"log of non-positive value {v}")
     if isinstance(x, Jet):
-        if value_of(x.v) <= 0.0:
-            raise SingularEvaluationError(f"log of non-positive value {value_of(x.v)}")
-        return x._compose(jlog(x.v), 1.0 / x.v, -1.0 / (x.v * x.v))
-    if x <= 0.0:
-        raise SingularEvaluationError(f"log of non-positive value {x}")
+        return x._compose(math.log(v), 1.0 / v, -1.0 / (v * v))
     return math.log(x)
 
 
 def jsqrt(x):
     if isinstance(x, Jet):
-        if value_of(x.v) <= 0.0:
-            raise SingularEvaluationError(f"sqrt of non-positive value {value_of(x.v)}")
-        s = jsqrt(x.v)
+        if x.v <= 0.0:
+            raise SingularEvaluationError(f"sqrt of non-positive value {x.v}")
+        s = math.sqrt(x.v)
         return x._compose(s, 0.5 / s, -0.25 / (s * x.v))
     if x < 0.0:
         raise SingularEvaluationError(f"sqrt of negative value {x}")
     return math.sqrt(x)
-
-
-def jsinh(x):
-    return _lift(x, math.sinh, jsinh, jcosh, jsinh)
-
-
-def jcosh(x):
-    return _lift(x, math.cosh, jcosh, jsinh, jcosh)
-
-
-def jtanh(x):
-    if isinstance(x, Jet):
-        t = jtanh(x.v)
-        sech2 = 1.0 - t * t
-        return x._compose(t, sech2, -2.0 * t * sech2)
-    return math.tanh(x)
-
-
-def jatan(x):
-    if isinstance(x, Jet):
-        v = x.v
-        w = 1.0 / (1.0 + v * v)
-        return x._compose(jatan(v), w, -2.0 * v * w * w)
-    return math.atan(x)
 
 
 def jpow(a, b):
@@ -393,22 +382,6 @@ def elementary(a, fn):
     except KeyError:
         raise InvalidArgumentError(f"unknown elementary function {fn!r}") from None
     return f(a)
-
-
-def arith(a, b, op):
-    """Named binary operation, mirroring the expression language operators."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "pow":
-        return jpow(a, b)
-    raise InvalidArgumentError(f"unknown operation {op!r}")
-
 
 def check_finite(x, point=None):
     """NaN policy: abort evaluation on any non-finite value."""

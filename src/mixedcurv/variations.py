@@ -19,8 +19,8 @@ import numpy as np
 
 from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
-from .geometry import PointGeometry, _t1, jet_matrix_inverse, smix_density_fast
-from .jets import jsum, value_of
+from .geometry import PointGeometry, jet_matrix_inverse, smix_density_fast
+from .jets import jsum, order1, value_of, values
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
                              integrate, pairwise_sum, s_star, volume)
 
@@ -131,7 +131,7 @@ def classify(v, points, tol=1e-12):
     worst = {"tan": 0.0, "perp": 0.0, "mixed": 0.0}
     for pt in points:
         geom = PointGeometry(v.struct, pt)
-        B0 = np.array([[value_of(x) for x in row] for row in v.B_at(list(pt))])
+        B0 = values(v.B_at(list(pt)))
         Bfr = geom.F @ B0 @ geom.F.T
         n = geom.n
         worst["tan"] = max(worst["tan"], float(np.max(np.abs(Bfr[:n, :n]))))
@@ -189,10 +189,9 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
     d, n = base.d, base.n
     frame = [list(map(float, vec)) for vec in base.F]
     signs = list(base.eps)
-    B0 = np.array([[value_of(x) for x in row]
-                   for row in v.B_at(list(point), metric_fn=metric_fn)])
+    B0 = values(v.B_at(list(point), metric_fn=metric_fn))
     g_base = base.g0
-    W = np.array([[value_of(c) for c in vec] for vec in struct.dtilde_at(list(point))]).T
+    W = values(struct.dtilde_at(list(point))).T
 
     def g_at(t):
         return g_base + t * B0
@@ -306,11 +305,11 @@ class _RHS:
         self.g = geom
         d = geom.d
         self.BJ = v.B_at(geom.seeds, metric_fn=metric_fn)
-        self.B0 = np.array([[value_of(x) for x in row] for row in self.BJ])
+        self.B0 = values(self.BJ)
         self.Bfr = geom.F @ self.B0 @ geom.F.T
         # raised-index B as order-1 jets for contractions with jet fields
-        ginv1 = [[_t1(x) for x in row] for row in geom.ginvJ]
-        self.B1 = B1 = [[_t1(x) for x in row] for row in self.BJ]
+        ginv1 = [[order1(x) for x in row] for row in geom.ginvJ]
+        self.B1 = B1 = [[order1(x) for x in row] for row in self.BJ]
         self.Braised = [[jsum(ginv1[nu][a] * B1[a][b] * ginv1[b][rho]
                                for a in range(d) for b in range(d))
                          for rho in range(d)] for nu in range(d)]
@@ -365,11 +364,32 @@ class _RHS:
     # -- block formulas; ``mixed`` adds the terms that pair with the mixed
     # block of the variation ---------------------------------------------
     def dnorm_h_B(self, B, mixed):
-        """d|h_B|^2."""
+        """d|h_B|^2.
+
+        Conventions: g_t = g + tS with S the variation tensor; i, j index
+        B's frame E_i and a, b A's frame E_a; h_B(X, Y) is the A-part of
+        (nabla_X Y + nabla_Y X)/2 and T_A(X, Y) the B-part of [X, Y]/2;
+        g(A_i E_a, E_b) = g(h_A(E_a, E_b), E_i) and g(T#_i E_a, E_b) =
+        g(T_A(E_a, E_b), E_i); alpha, theta are ``BlockView.alpha_b``,
+        ``theta_b`` and <Lambda_{P,Q}, S> = 2 sum eps eps S(P, Q).
+
+        The mixed block of S (S(E_a, E_b) = S(E_i, E_j) = 0) keeps A and
+        its frame and tilts B: E_i(t) = E_i - t (S# E_i)^A is g_t-orthonormal
+        and g_t-orthogonal to A to first order.  With (nabla_X E_i)^A =
+        -(A_i + T#_i) X for X in A and g(nabla'_X Y, W) = ((nabla_X S)(Y, W)
+        + (nabla_Y S)(X, W) - (nabla_W S)(X, Y))/2, every derivative of S
+        cancels in d/dt g_t(h_B(E_i(t), E_j(t)), E_a), which is
+        -S(E_j, T#_i E_a) - S(E_i, T#_j E_a), the A_i terms cancelling too.
+        So the mixed block gives -4 sum eps eps eps g(h_B(E_i, E_j), E_a)
+        S(E_j, T#_i E_a).  Of <div h_B, S> only (div h_B)(E_a, E_i) =
+        -sum_b eps_b g(h_B(h_A(E_b, E_a) + T_A(E_b, E_a), E_i), E_b) pairs
+        with it, the contraction <h_B, S> vanishes, and what is left is
+        <2 Lambda(alpha_B, alpha_A - theta_A), S>.
+        """
         g = self.g
         C = g.to_frame02(g.div_12(B.h_field))
         if mixed:
-            C = C - 4.0 * g.lam(B.alpha_b, B.dual.theta_b)
+            C = C + 2.0 * g.lam(B.alpha_b, B.dual.alpha_b - B.dual.theta_b)
         C = C + self.embed(B, B.flat(B.kcal))
         return self.pair(C) - g.div_vector(self.contract_field(B.h_field))
 
@@ -441,18 +461,15 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
                 f"{f} applies to {want}-variations, got {v.klass!r}")
 
     geom0 = PointGeometry(struct, point, metric_fn=metric_fn)
-    det0 = abs(np.linalg.det(geom0.g0))
-    gmax = PointGeometry(struct, point, metric_fn=v.metric_fn(max(steps), metric_fn),
-                         check_domain=False)
-    if abs(np.linalg.det(gmax.g0)) < 0.5 * det0:
-        raise SpecializationError("variation step leaves the metric cone")
-
     bundles = {}
     for h in steps:
         for s in (h, -h):
             if s not in bundles:
                 bundles[s] = PointGeometry(struct, point,
                                            metric_fn=v.metric_fn(s, metric_fn))
+    # bundles are lazy: the largest step's metric is the first thing evaluated
+    if abs(np.linalg.det(bundles[max(steps)].g0)) < 0.5 * abs(np.linalg.det(geom0.g0)):
+        raise SpecializationError("variation step leaves the metric cone")
     rhs_eng = _RHS(geom0, v, metric_fn=metric_fn)
 
     out = {}
@@ -495,16 +512,13 @@ def verify_projection_lemma(struct, v, point, xfield, steps=FD_STEPS,
 
     def proj_parts(t):
         fn = v.metric_fn(t, metric_fn)
-        P = np.array([[value_of(x) for x in row]
-                      for row in tangent_projector_jets(struct, list(point), fn)])
+        P = values(tangent_projector_jets(struct, list(point), fn))
         X = np.asarray(xfield(t), float)
         return P @ X, X - P @ X
 
     geom0 = PointGeometry(struct, point, metric_fn=metric_fn)
-    P0 = np.array([[value_of(x) for x in row]
-                   for row in tangent_projector_jets(struct, list(point), metric_fn)])
-    B0 = np.array([[value_of(x) for x in row]
-                   for row in v.B_at(list(point), metric_fn=metric_fn)])
+    P0 = values(tangent_projector_jets(struct, list(point), metric_fn))
+    B0 = values(v.B_at(list(point), metric_fn=metric_fn))
     X0 = np.asarray(xfield(0.0), float)
     h0 = steps[-1]
     dX = (np.asarray(xfield(h0), float) - np.asarray(xfield(-h0), float)) / (2 * h0)
@@ -682,11 +696,10 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
     star_mean = domain_mean(struct, sstar_field, q_star, metric_fn=metric_fn)
 
     def trb_field(s, pt, m):
-        B0 = np.array([[value_of(x) for x in row] for row in v.B_at(list(pt), m)])
+        B0 = values(v.B_at(list(pt), m))
         if not B0.any():
             return 0.0
-        rows = (m or s.metric_at)(list(pt))
-        g0 = np.array([[value_of(x) for x in row] for row in rows])
+        g0 = values((m or s.metric_at)(list(pt)))
         return float(np.trace(np.linalg.inv(g0) @ B0))
 
     int_trB = integrate(struct, lambda s, pt, m: trb_field(s, pt, m)

@@ -1,13 +1,17 @@
+import importlib.util
+import itertools
 import math
 import random
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedcurv.errors import InvalidArgumentError, JetDepthError, SingularEvaluationError
-from mixedcurv.jets import (Jet, elementary, jexp, jlog, jsin, jsqrt,
-                            jtanh, nest, nested_seed, seed, value_of)
+from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError
+from mixedcurv.jets import (Jet, elementary, gradients, jexp, jlog, jsin, jsqrt,
+                            jtanh, seed, values)
 
 
 def central(f, x, h):
@@ -120,54 +124,19 @@ def test_elementary_unknown_name():
         elementary(x, "erf")
 
 
-# ---------------------------------------------------------------------------
-# nesting
-
-def test_nested_cube_third_derivative():
-    (x,) = nested_seed((1.0,), inner_order=2)
-    f = x * x * x
-    # outer gradient holds d/dx(x^3) as an order-2 jet: value 3, grad 6, hess 6
-    df = f.g[0]
-    assert value_of(f) == pytest.approx(1.0)
-    assert df.v == pytest.approx(3.0)
-    assert df.g[0] == pytest.approx(6.0)
-    assert df.h[0][0] == pytest.approx(6.0)
-
-
-def test_nested_sin_third_derivative():
-    (x,) = nested_seed((0.0,), inner_order=2)
-    f = jsin(x)
-    assert f.g[0].h[0][0] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_nest_depth_cap():
-    (x,) = seed((1.0,), 1)
-    y = nest(x)
-    z = nest(y)
-    with pytest.raises(JetDepthError):
-        nest(z)
-
-
-def test_nested_metric_component_vs_third_difference():
-    # g11 of the contact-structure metric on R^3: (1 + y^2 + z^2)/4 along y
-    def g00(y):
-        return (1.0 + y * y + 0.25) / 4.0
-
-    (y,) = nested_seed((0.4,), inner_order=2)
-    f = (1.0 + y * y + 0.25) / 4.0
-    third = f.g[0].h[0][0]
-    h = 1e-2
-    fd3 = (g00(0.4 + 2 * h) - 2 * g00(0.4 + h) + 2 * g00(0.4 - h)
-           - g00(0.4 - 2 * h)) / (2 * h ** 3)
-    assert third == pytest.approx(fd3, abs=1e-5)
-
-
 def test_mixed_partials_commute():
-    x, y = nested_seed((0.3, -0.7), inner_order=2)
+    x, y = seed((0.3, -0.7), 2)
     f = jsin(x * y) * jexp(x)
-    dxy = f.g[0].g[1]
-    dyx = f.g[1].g[0]
-    assert dxy == pytest.approx(dyx, abs=1e-10)
+
+    def F(a, b):
+        return math.sin(a * b) * math.exp(a)
+
+    h = 1e-4
+    fd = (F(0.3 + h, -0.7 + h) - F(0.3 + h, -0.7 - h)
+          - F(0.3 - h, -0.7 + h) + F(0.3 - h, -0.7 - h)) / (4 * h * h)
+    assert f.h[0][1] == pytest.approx(fd, abs=1e-6)
+    assert f.h[1][0] == pytest.approx(fd, abs=1e-6)
+    assert f.h[0][1] == pytest.approx(f.h[1][0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +240,102 @@ def test_richardson_order_of_agreement():
     assert order >= 1.9
 
 
-def test_scalar_kind_tags():
-    from mixedcurv.jets import scalar_kind
-    assert scalar_kind(1.5) == "real"
-    (x,) = seed((0.0,), 1)
-    assert scalar_kind(x) == "jet1"
-    (y,) = seed((0.0,), 2)
-    assert scalar_kind(y) == "jet2"
-    assert scalar_kind(nest(y)) == "nested(jet2)"
+# ---------------------------------------------------------------------------
+# values / gradients: the float arrays of nested lists of scalars
+
+_coef = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
-def test_named_arith_dispatch():
-    from mixedcurv.jets import arith
-    (x,) = seed((3.0,), 2)
-    assert arith(x, x, "+").v == 6.0
-    assert arith(x, 1.0, "-").v == 2.0
-    assert arith(x, x, "*").h[0][0] == 2.0
-    assert arith(1.0, x, "/").v == pytest.approx(1.0 / 3.0)
-    assert arith(x, 0.5, "pow").v == pytest.approx(3.0 ** 0.5)
-    with pytest.raises(InvalidArgumentError):
-        arith(x, x, "%")
+@st.composite
+def scalar_arrays(draw):
+    """(d, shape, nested list) with floats, order-1 and order-2 jets mixed."""
+    d = draw(st.integers(1, 4))
+    shape = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+
+    def leaf():
+        kind = draw(st.sampled_from(("float", "jet1", "jet2")))
+        v = draw(_coef)
+        if kind == "float":
+            return v
+        g = [draw(_coef) for _ in range(d)]
+        h = None if kind == "jet1" else [[draw(_coef) for _ in range(d)] for _ in range(d)]
+        return Jet(v, g, h)
+
+    def build(dims):
+        if not dims:
+            return leaf()
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    return d, tuple(shape), build(shape)
+
+
+def _at(J, idx):
+    for i in idx:
+        J = J[i]
+    return J
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scalar_arrays())
+def test_values_and_gradients_match_elementwise_reads(data):
+    d, shape, J = data
+    V, G = values(J), gradients(J, d)
+    assert V.shape == shape and V.dtype == float
+    assert G.shape == (d,) + shape and G.dtype == float
+    assert G.flags["C_CONTIGUOUS"]
+    for idx in itertools.product(*(range(k) for k in shape)):
+        x = _at(J, idx)
+        if isinstance(x, Jet):
+            assert V[idx] == x.v
+            assert [G[(m,) + idx] for m in range(d)] == list(x.g)
+        else:
+            assert V[idx] == x
+            assert all(G[(m,) + idx] == 0.0 for m in range(d))
+
+
+def test_values_and_gradients_of_seeded_expression():
+    x, y = seed((0.5, -0.25), 2)
+    J = [[x * y, 2.0], [jsin(x), y]]
+    assert values(J).tolist() == [[-0.125, 2.0], [math.sin(0.5), -0.25]]
+    G = gradients(J, 2)
+    assert G[0].tolist() == [[-0.25, 0.0], [math.cos(0.5), 0.0]]
+    assert G[1].tolist() == [[0.5, 0.0], [0.0, 1.0]]
+    assert gradients(x * y, 2).tolist() == [-0.25, 0.5]
+    assert gradients(3.0, 2).tolist() == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer swaps Jet methods by name
+
+def _tracing_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_jet_ops_are_jet_methods():
+    tracing = _tracing_module()
+    missing = [name for name in tracing.JET_OPS if name not in Jet.__dict__]
+    assert not missing, f"perfbench/tracing.py counts missing Jet methods {missing}"
+
+
+def test_tracer_counts_seeded_metric_evaluation():
+    # perfbench/run.py seeds order-2 jets at a chart point and evaluates the
+    # structure's data on them; the counter must see those operations
+    from mixedcurv import euler_lagrange, gallery, jets, variations
+    from mixedcurv.geometry import PointGeometry
+
+    tracing = _tracing_module()
+    s = gallery.load_entry("r3_contact").structure
+    pt = (0.2, -0.3, 0.1)
+    lib = types.SimpleNamespace(jets=jets, euler_lagrange=euler_lagrange,
+                                variations=variations)
+    with tracing.Counters(lib) as counts:
+        seeds = jets.seed(pt, 2)
+        rows = s.metric_at(seeds)
+        s.dtilde_at(seeds)
+    assert counts.jet_ops > 0
+    assert values(rows).tolist() == PointGeometry(s, pt).g0.tolist()
+    assert gradients(rows, 3).tolist() == gradients(PointGeometry(s, pt).gJ, 3).tolist()

@@ -185,6 +185,22 @@ def test_class_mismatch_raises():
         va.jmix_gradient_pairing(s, vt, el.QuadratureSpec(box=box3(), grid=2))
 
 
+def test_step_leaving_metric_cone_raises(monkeypatch):
+    # B = -g on the complement block: g + tB has det (1 - t)^p there, under
+    # half of det g at t = 0.9; the check runs before any right-hand side
+    s = struct("euclidean_product")
+    d = s.dim
+    raw = [[exprlang.const(-1.0 if i == j else 0.0) for j in range(d)] for i in range(d)]
+    v = va.MetricVariation(s, raw, "perp")
+
+    def no_rhs(*args, **kwargs):
+        raise AssertionError("right-hand side assembled before the cone check")
+
+    monkeypatch.setattr(va, "_RHS", no_rhs)
+    with pytest.raises(SpecializationError, match="leaves the metric cone"):
+        va.verify_first_variation(s, v, (0.1, 0.1, 0.1), steps=(0.9, 0.5, 0.25))
+
+
 def test_formula_table_pinned():
     # the benchmark's references key on these names, in this order
     assert va.PERP_FORMULAS == ["E-tildeh-gen", "E-tildeH-gen", "E-h-gen",
