@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, SpecializationError
 from .geometry import PointGeometry
-from .jets import dshift, gradients, jexp, jsum, value_of, values
+from .jets import dshift, gradients, jexp, value_of, values
 
 DEFAULT_TOL = 1e-6
 
@@ -247,10 +247,7 @@ def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TO
         star = _constant(consts, constants, "s_star_perp",
                          lambda: s_star(geom, "perp"))
         op = At @ At - Tt @ Tt + (Tt @ At - At @ Tt)
-        NJ = tan.unit_J
-        tau1J = perp.tau1_J
-        VJ = [eN * tau1J * NJ[s] - tan.HJ[s] for s in range(geom.d)]
-        div_term = geom.div_vector(VJ)
+        div_term = geom.div_vector(tan.unit_J * (eN * perp.tau1_J) - tan.HJ)
         resid = (eN * (geom.jacobi_N + perp.flat(op))
                  - tau1 * hsc
                  + np.outer(tan.Hb_frame[1:], tan.Hb_frame[1:])
@@ -270,10 +267,8 @@ def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TO
     if which == "E-main-2i":
         star = _constant(consts, constants, "s_star_tan",
                          lambda: s_star(geom, "tan"))
-        NJ = tan.unit_J
-        tau1J = perp.tau1_J
-        VJ = [eN * tau1J * NJ[s] + tan.HJ[s] for s in range(geom.d)]
-        resid = eN * geom.ric_N + star - 4.0 * perp.norm_T - geom.div_vector(VJ)
+        resid = (eN * geom.ric_N + star - 4.0 * perp.norm_T
+                 - geom.div_vector(tan.unit_J * (eN * perp.tau1_J) + tan.HJ))
         return _report(which, [resid], consts, tol)
 
     raise SpecializationError(f"unknown flow equation {which!r}")
@@ -508,35 +503,20 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
     if which == "codimoneEL3":
         star = _constant(consts, constants, "s_star_tan",
                          lambda: eN * ric_normal - (2.0 / n) * geom.perp.div_H)
-        nab, hsc_fr = _nabla_N_hsc(geom, eN)
         rhs = 0.5 * (2.0 * eN * (n_tau1 - tau1 * tau1)
                      + eN * (tau1 * tau1 - tau2) - star) * np.diag(geom.tan.eps)
-        resid = nab - tau1 * hsc_fr - rhs
+        resid = geom.tan.nabla_N_hsc - tau1 * eN * geom.tan.h[:, :, 0] - rhs
         return _report(which, resid, consts, tol)
 
     if which == "codim1folgenvar":
         if n < 2:
             raise SpecializationError("volume-preserving foliation system needs n > 1")
-        nab, hsc_fr = _nabla_N_hsc(geom, eN)
-        resid = (nab - tau1 * hsc_fr
+        resid = (geom.tan.nabla_N_hsc - tau1 * eN * geom.tan.h[:, :, 0]
                  + (eN * (tau1 * tau1 - tau2) / (n - 1.0)) * np.diag(geom.tan.eps))
         consts["lambda"] = -eN * (tau1 * tau1 - tau2)
         return _report(which, resid, consts, tol)
 
     raise SpecializationError(f"unknown codimension-one equation {which!r}")
-
-
-def _nabla_N_hsc(geom, eN):
-    """(nabla_N h_sc) and h_sc in tangent-frame components."""
-    d, n = geom.d, geom.n
-    Nb = geom.Fb[n]
-    hfield = geom.tan.h_field
-    hscJ = [[eN * jsum(hfield[s][nu][rho] * Nb[s] for s in range(d))
-             for rho in range(d)] for nu in range(d)]
-    nab_coord = geom.nabla02_in_direction(hscJ, geom.F[n])
-    nab = geom.F[:n] @ nab_coord @ geom.F[:n].T
-    hsc_fr = eN * geom.tan.h[:, :, 0]
-    return nab, hsc_fr
 
 
 # ----------------------------------------------------------------------
@@ -585,9 +565,9 @@ def _diagonal_metric_jets(geom):
     [i][m][k]."""
     d = geom.d
     diag = [geom.gJ[i][i] for i in range(d)]
-    hess = gradients([[dshift(x, m) for m in range(d)] for x in diag], d)
+    hess = gradients(dshift(diag, d), d)                # [k][m][i] = d_k d_m g_ii
     return (values(diag).tolist(), gradients(diag, d).T.tolist(),
-            np.moveaxis(hess, 0, -1).tolist())
+            hess.transpose(2, 1, 0).tolist())
 
 
 def biregular_closed_forms(struct, point, metric_fn=None):

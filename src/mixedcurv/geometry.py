@@ -30,9 +30,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import (Jet, dshift, gradients, jsum, order1, promote, seed, value_of,
-                   values)
-from .structure import orthonormal_frame
+from .jets import Jet, dshift, gradients, order1, promote, seed, value_of, values
+from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
 def jet_matrix_inverse(M, d, point=None):
@@ -109,13 +108,12 @@ class PointGeometry:
         Built from dshift of the metric jets, so the jet gradient of an entry
         is the chart derivative of that Christoffel symbol.
         """
-        d, g, ginv = self.d, self.gJ, self.ginvJ
-        dg = [[[dshift(g[m][nn], r) for nn in range(d)] for m in range(d)]
-              for r in range(d)]
+        d = self.d
+        dg = dshift(self.gJ, d).tolist()
         # dsym[t][m][nn] = d_m g_{t nn} + d_nn g_{t m} - d_t g_{m nn}
         dsym = [[[dg[m][t][nn] + dg[nn][t][m] - dg[t][m][nn]
                   for nn in range(d)] for m in range(d)] for t in range(d)]
-        gi1 = [[order1(x) for x in row] for row in ginv]
+        gi1 = order1(self.ginvJ).tolist()
         out = []
         for s in range(d):
             gs = gi1[s]
@@ -144,14 +142,30 @@ class PointGeometry:
     def framevecsJ(self):
         return list(self.frameJ.vectors)
 
-    # order-1 views used by the field algebra
+    # The field algebra: jet tensor fields are object arrays of order-1 jets
+    # (and floats), and every contraction is a two-operand ``@`` or
+    # ``np.tensordot``.
+
     @cached_property
     def g1(self):
-        return [[order1(x) for x in row] for row in self.gJ]
+        return order1(self.gJ)
 
     @cached_property
     def frame1(self):
-        return [[order1(c) for c in vec] for vec in self.framevecsJ]
+        """Frame vectors e_a (rows), tangent block first."""
+        return order1(self.framevecsJ)
+
+    @cached_property
+    def flat1(self):
+        """Frame covectors g(e_a, .) (rows)."""
+        return self.frame1 @ self.g1
+
+    @cached_property
+    def nabla_frame(self):
+        """(nabla_m e_a)^s of every frame field, index order [a][m][s]."""
+        G = np.array(self.GammaJ, dtype=object)                  # [s][m][nu]
+        dE = dshift(self.framevecsJ, self.d)                     # [m][a][s]
+        return dE.transpose(1, 0, 2) + (G @ self.frame1.T).transpose(2, 1, 0)
 
     # ------------------------------------------------------------------
     # the two blocks of the splitting
@@ -237,7 +251,8 @@ class PointGeometry:
         gYY = Y @ self.g0 @ Y
         gXY = X @ self.g0 @ Y
         W = gXX * gYY - gXY * gXY
-        if abs(W) < 1e-14:
+        # judged against the size W would have without cancellation
+        if abs(W) <= DEGENERACY_TOL * (abs(gXX * gYY) + gXY * gXY):
             raise SingularEvaluationError("degenerate plane section", point=self.point)
         return float(self.riemann(X, Y, X) @ self.g0 @ Y / W)
 
@@ -271,88 +286,7 @@ class PointGeometry:
                          for i in range(p)])
 
     # ------------------------------------------------------------------
-    # first-derivative field algebra (order-1 jets throughout)
-
-    def _nabla_matrix(self, VJ):
-        """(nabla_m V)^s as order-1 jets, index order [m][s]."""
-        d = self.d
-        G = self.GammaJ
-        V1 = [order1(x) for x in VJ]
-        out = []
-        for m in range(d):
-            row = []
-            for s in range(d):
-                term = dshift(VJ[s], m)
-                Gsm = G[s][m]
-                for nn in range(d):
-                    term = term + Gsm[nn] * V1[nn]
-                row.append(term)
-            out.append(row)
-        return out
-
-    def _nabla_vec(self, Xdir1, VJ, nabM=None):
-        """nabla_X V chart components as order-1 jets."""
-        d = self.d
-        M = nabM if nabM is not None else self._nabla_matrix(VJ)
-        out = []
-        for s in range(d):
-            acc = 0.0
-            for m in range(d):
-                acc = acc + Xdir1[m] * M[m][s]
-            out.append(acc)
-        return out
-
-    @cached_property
-    def _nabla_frame(self):
-        """Covariant-derivative matrices of every frame field."""
-        return [self._nabla_matrix(vec) for vec in self.framevecsJ]
-
-    def cd(self, a, b):
-        """nabla_{e_a} e_b, order-1 jet chart components (cached per pair)."""
-        cache = self.__dict__.setdefault("_cd_cache", {})
-        key = (a, b)
-        if key not in cache:
-            cache[key] = self._nabla_vec(self.frame1[a], None,
-                                         nabM=self._nabla_frame[b])
-        return cache[key]
-
-    def inner1(self, U, V):
-        """g(U, V) for order-1 jet chart components."""
-        acc = 0.0
-        for i in range(self.d):
-            row = self.g1[i]
-            ui = U[i]
-            for j in range(self.d):
-                acc = acc + ui * row[j] * V[j]
-        return acc
-
-    @cached_property
-    def proj_tan1(self):
-        """Orthogonal projector onto the distribution, as order-1 jets."""
-        d, tan = self.d, self.tan
-        P = [[0.0] * d for _ in range(d)]
-        for a in range(tan.dim):
-            ea = tan.frame1[a]
-            eb = tan.flat1[a]
-            s = tan.eps[a]
-            for sig in range(d):
-                esig = s * ea[sig]
-                for nu in range(d):
-                    P[sig][nu] = P[sig][nu] + esig * eb[nu]
-        return P
-
-    def project1(self, V, side):
-        """Project jet vector components onto D-tilde ('tan') or D ('perp')."""
-        P = self.proj_tan1
-        d = self.d
-        tang = [jsum(P[s][nu] * V[nu] for nu in range(d)) for s in range(d)]
-        if side == "tan":
-            return tang
-        return [V[s] - tang[s] for s in range(d)]
-
-    def _flat1(self, vec1):
-        d = self.d
-        return [jsum(self.g1[nu][k] * vec1[k] for k in range(d)) for nu in range(d)]
+    # float frame algebra
 
     def lam(self, Pb, Qb):
         """Lambda_{P,Q}: the symmetric frame (0,2) tensor defined by
@@ -392,11 +326,11 @@ class PointGeometry:
         out = gradients(PJ, self.d) + np.einsum("smk,knr->msnr", G, P0)
         out -= np.einsum("kmn,skr->msnr", G, P0)
         out -= np.einsum("kmr,snk->msnr", G, P0)
-        return out, P0
+        return out
 
     def div_12(self, PJ, mode="full"):
         """Divergence of a (1,2) jet tensor field, chart (0,2) components."""
-        nab, _ = self.nabla12_values(PJ)
+        nab = self.nabla12_values(PJ)
         W = np.eye(self.d) if mode == "full" else self._weight(mode)
         return np.einsum("msnr,ms->nr", nab, W)
 
@@ -499,13 +433,22 @@ class BlockView:
         if self.dim != 1:
             raise SpecializationError(f"{what} needs a rank-one {self.side} block")
 
-    @cached_property
+    @property
     def frame1(self):
-        return [self.g.frame1[k] for k in self.idx]
+        return self.g.frame1[self.sl]
+
+    @property
+    def flat1(self):
+        return self.g.flat1[self.sl]
+
+    def project(self, V):
+        """The block part sum eps_a g(V, E_a) E_a of a jet vector field."""
+        return (self.flat1 @ V * self.eps) @ self.frame1
 
     @cached_property
-    def flat1(self):
-        return [self.g._flat1(e) for e in self.frame1]
+    def nabla_EE(self):
+        """nabla_{E_a} E_b, index order [a][b][s]."""
+        return np.tensordot(self.frame1, self.g.nabla_frame[self.sl], axes=(1, 1))
 
     # ------------------------------------------------------------------
     # fundamental forms
@@ -518,20 +461,9 @@ class BlockView:
         counterpart; pairing with the dual frame vectors performs the block
         projection.
         """
-        g, m, dual = self.g, self.dim, self.dual
-        h = [[[None] * dual.dim for _ in range(m)] for _ in range(m)]
-        T = [[[None] * dual.dim for _ in range(m)] for _ in range(m)]
-        for a in range(m):
-            for b in range(a, m):
-                for i in range(dual.dim):
-                    ei = dual.frame1[i]
-                    u = g.inner1(g.cd(self.idx[a], self.idx[b]), ei)
-                    w = g.inner1(g.cd(self.idx[b], self.idx[a]), ei)
-                    h[a][b][i] = 0.5 * (u + w)
-                    h[b][a][i] = h[a][b][i]
-                    T[a][b][i] = 0.5 * (u - w)
-                    T[b][a][i] = -1.0 * T[a][b][i]
-        return h, T
+        W = self.nabla_EE @ self.dual.flat1.T        # g(nabla_{E_a} E_b, E_i)
+        Wt = W.transpose(1, 0, 2)
+        return 0.5 * (W + Wt), 0.5 * (W - Wt)
 
     @cached_property
     def h(self):
@@ -544,15 +476,8 @@ class BlockView:
     @cached_property
     def HJ(self):
         """Mean curvature vector field, jet chart components."""
-        d, dual, hJ = self.g.d, self.dual, self.ffJ[0]
-        out = [0.0] * d
-        for a in range(self.dim):
-            for i in range(dual.dim):
-                c = self.eps[a] * dual.eps[i] * hJ[a][a][i]
-                ei = dual.frame1[i]
-                for s in range(d):
-                    out[s] = out[s] + c * ei[s]
-        return out
+        dual = self.dual
+        return (np.diagonal(self.ffJ[0]) @ self.eps * dual.eps) @ dual.frame1
 
     @cached_property
     def H0(self):
@@ -703,34 +628,12 @@ class BlockView:
     @cached_property
     def h_field(self):
         """h as a (1,2) chart-component jet field (projection-extended)."""
-        g, d = self.g, self.g.d
-        out = _zeros3(d)
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                A, B = self.idx[a], self.idx[b]
-                u, w = g.cd(A, B), g.cd(B, A)
-                sym = [0.5 * (u[s] + w[s]) for s in range(d)]
-                v = g.project1(sym, self.dual_side)
-                e = self.eps[a] * self.eps[b]
-                _accumulate12(out, v, self.flat1[a], self.flat1[b], e, d, sym_pair=(a != b))
-        return out
+        return _field12(self.ffJ[0], self, self, self.dual)
 
     def _mixed_field(self, FJ):
         """alpha (F = h) or theta (F = T) as a (1,2) chart jet field."""
-        d, dual = self.g.d, self.dual
-        out = _zeros3(d)
-        for i in range(dual.dim):
-            for a in range(self.dim):
-                vec = [0.0] * d
-                for b in range(self.dim):
-                    c = self.eps[b] * FJ[a][b][i]   # F#_i E_a along E_b
-                    eb = self.frame1[b]
-                    for s in range(d):
-                        vec[s] = vec[s] + c * eb[s]
-                half = [0.5 * x for x in vec]
-                e = dual.eps[i] * self.eps[a]
-                _accumulate12(out, half, dual.flat1[i], self.flat1[a], e, d, sym_pair=True)
-        return out
+        half = _field12(0.5 * FJ.transpose(2, 0, 1), self.dual, self, self)
+        return half + half.transpose(0, 2, 1)
 
     @cached_property
     def alpha_field(self):
@@ -743,17 +646,8 @@ class BlockView:
     def _normal_op_field(self, FJ):
         """F#_N as a (1,1) chart jet field, N the unit field of a rank-one dual."""
         self.dual._rank_one("an operator field along N")
-        d = self.g.d
-        out = [[0.0] * d for _ in range(d)]
-        for a in range(self.dim):
-            for b in range(self.dim):
-                c = self.eps[a] * self.eps[b] * FJ[a][b][0]
-                eb = self.frame1[b]
-                for s in range(d):
-                    cbs = c * eb[s]
-                    for nu in range(d):
-                        out[s][nu] = out[s][nu] + cbs * self.flat1[a][nu]
-        return out
+        C = FJ[:, :, 0] * np.outer(self.eps, self.eps)
+        return self.frame1.T @ (C.T @ self.flat1)
 
     @cached_property
     def A_field(self):
@@ -769,10 +663,18 @@ class BlockView:
     def tau1_J(self):
         """tau_1 = Tr A_N for a rank-one dual, as a jet scalar."""
         self.dual._rank_one("tau_1")
-        acc = 0.0
-        for a in range(self.dim):
-            acc = acc + self.eps[a] * self.ffJ[0][a][a][0]
-        return acc
+        return np.diagonal(self.ffJ[0][:, :, 0]) @ self.eps
+
+    @cached_property
+    def nabla_N_hsc(self):
+        """nabla_N h_sc in block frame components, N the unit field of a
+        rank-one dual and h_sc = eps_N g(h, N-flat) with N-flat frozen at
+        the point."""
+        self.dual._rank_one("nabla_N h_sc")
+        g, k = self.g, self.dual.idx[0]
+        hscJ = self.dual.eps[0] * np.tensordot(g.Fb[k], self.h_field, axes=(0, 0))
+        F = g.F[self.sl]
+        return F @ g.nabla02_in_direction(hscJ, g.F[k]) @ F.T
 
     @cached_property
     def unit_J(self):
@@ -813,29 +715,18 @@ class BlockView:
         return 0.5 * self._nabla_pairs(ZJ, self.dual.idx)
 
 
-def _zeros3(d):
-    return [[[0.0] * d for _ in range(d)] for _ in range(d)]
-
-
-def _accumulate12(out, vec, left_fl, right_fl, e, d, sym_pair):
-    """out^s_{nu rho} += e * vec^s * left_nu * right_rho (+ mirrored pair)."""
-    for nu in range(d):
-        lnu = left_fl[nu]
-        rnu = right_fl[nu]
-        for rho in range(d):
-            f = e * (lnu * right_fl[rho])
-            if sym_pair:
-                f = f + e * (rnu * left_fl[rho])
-            for s in range(d):
-                out[s][nu][rho] = out[s][nu][rho] + f * vec[s]
+def _field12(C, X, Y, Z):
+    """The (1,2) chart jet field P with frame components C[x][y][z] =
+    g(P(E_x, E_y), E_z) for E_x, E_y, E_z in the blocks X, Y, Z, and zero
+    on every other triple of frame vectors."""
+    w = np.multiply.outer(np.multiply.outer(X.eps, Y.eps), Z.eps)
+    P = (C * w) @ Z.frame1                                   # [x][y][s]
+    P = np.tensordot(P, Y.flat1, axes=(1, 0))                # [x][s][rho]
+    return np.tensordot(X.flat1, P, axes=(0, 0)).transpose(1, 0, 2)
 
 
 # ----------------------------------------------------------------------
 # module-level operations
-
-def christoffel(struct, point, metric_fn=None):
-    return PointGeometry(struct, point, metric_fn=metric_fn).Gamma0
-
 
 def riemann(struct, point, X, Y, Z, metric_fn=None):
     return PointGeometry(struct, point, metric_fn=metric_fn).riemann(X, Y, Z)
@@ -860,10 +751,10 @@ def divergence(struct, point, field, mode="full", metric_fn=None):
     scalar, (1,2)-tensors a (0,2) chart matrix.  ``mode`` selects the full
     trace or the block-restricted sums ('perp' / 'tan')."""
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
-    values = field(geom)
-    if values and isinstance(values[0], list):
-        return geom.div_12(values, mode=mode)
-    return geom.div_vector(values, mode=mode)
+    P = field(geom)
+    if np.ndim(P) == 3:
+        return geom.div_12(P, mode=mode)
+    return geom.div_vector(P, mode=mode)
 
 
 def smix_density_fast(struct, point, metric_fn=None):
@@ -885,18 +776,10 @@ def smix_density_fast(struct, point, metric_fn=None):
 def random_perp_field(geom, rng_seed):
     """Deterministic smooth complement-valued field, jet chart components."""
     rng = random.Random(rng_seed)
-    d, n, p = geom.d, geom.n, geom.p
-    coeffs = [[rng.uniform(-1, 1) for _ in range(d + 1)] for _ in range(p)]
-    xs = geom.seeds
-    out = [0.0] * d
-    for i in range(p):
-        c = coeffs[i][0]
-        for m in range(d):
-            c = c + coeffs[i][m + 1] * order1(xs[m])
-        vec = geom.frame1[n + i]
-        for s in range(d):
-            out[s] = out[s] + c * vec[s]
-    return out
+    C = np.array([[rng.uniform(-1, 1) for _ in range(geom.d + 1)]
+                  for _ in range(geom.p)])
+    c = C[:, 0] + C[:, 1:] @ order1(geom.seeds)       # affine coefficients
+    return c @ geom.perp.frame1
 
 
 def identity_suite(struct, point, metric_fn=None, rng_seed=7):

@@ -11,9 +11,11 @@ between jets of different order truncate to the lower order.
 
 This module is the only one that knows a jet's layout.  Other modules build
 jets with :func:`seed`, :func:`promote`, :func:`order1` and :func:`dshift`,
-and read them back through :func:`value_of`, or for nested lists of scalars
-through :func:`values` (the float array) and :func:`gradients` (the gradient
-array, derivative index first).
+and read them back through :func:`value_of`.  A jet tensor field is a numpy
+``dtype=object`` array of jets and floats; :func:`order1` and :func:`dshift`
+act on it entrywise, and :func:`values` (the float array) and
+:func:`gradients` (the gradient array, derivative index first) read it back.
+The same functions accept nested lists of scalars.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class Jet:
         return Jet(0.0, (0.0,) * n, h)
 
     # ------------------------------------------------------------------
+    # An array operand defers to numpy, which applies the operation entrywise.
+
     def _binary_parts(self, other):
         """Align two operands; returns (a_v,a_g,a_h, b_v,b_g,b_h, n, order2)."""
         if isinstance(other, Jet):
@@ -61,6 +65,8 @@ class Jet:
         return (self.v, self.g, self.h, other, zg, None, n, self.h is not None)
 
     def __add__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         av, ag, ah, bv, bg, bh, n, o2 = self._binary_parts(other)
         g = tuple(ag[i] + bg[i] for i in range(n))
         h = None
@@ -85,6 +91,8 @@ class Jet:
         return Jet(-self.v, tuple(-x for x in self.g), h)
 
     def __mul__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         av, ag, ah, bv, bg, bh, n, o2 = self._binary_parts(other)
         g = tuple(ag[i] * bv + av * bg[i] for i in range(n))
         h = None
@@ -108,6 +116,8 @@ class Jet:
         return self.__mul__(other)
 
     def __truediv__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         if not isinstance(other, Jet):
             if other == 0.0:
                 raise SingularEvaluationError("division by zero scalar")
@@ -203,17 +213,6 @@ def value_of(x):
     return x.v if isinstance(x, Jet) else float(x)
 
 
-def jsum(items):
-    """Left fold of ``+`` from 0.0, for jets and floats alike.
-
-    Unlike the builtin ``sum`` (which compensates float sums from Python 3.12
-    on), the result does not depend on the interpreter version."""
-    acc = 0.0
-    for x in items:
-        acc = acc + x
-    return acc
-
-
 def seed(point, order):
     """One jet per coordinate: value ``point[i]``, gradient the i-th basis vector."""
     if order not in (1, 2):
@@ -235,43 +234,57 @@ def promote(x, d):
     return Jet(float(x), z, tuple(z for _ in range(d)))
 
 
-def order1(x):
-    """Truncate to order 1 (used for field-level algebra)."""
+def _order1(x):
     if isinstance(x, Jet) and x.h is not None:
         return Jet(x.v, x.g, None)
     return x
 
 
-def dshift(x, mu):
-    """The partial derivative d_mu of an order-2 jet, as an order-1 jet."""
+_order1_entrywise = np.frompyfunc(_order1, 1, 1)
+
+
+def order1(X):
+    """Truncate to order 1 (used for field-level algebra); entrywise on an
+    array or nested list, which comes back as an object array."""
+    if isinstance(X, (list, tuple, np.ndarray)):
+        return _order1_entrywise(np.asarray(X, dtype=object))
+    return _order1(X)
+
+
+def _partials(x, d):
     if isinstance(x, Jet):
         if x.h is None:
             raise SingularEvaluationError("second-order jet required for field derivative")
-        return Jet(x.g[mu], x.h[mu], None)
-    return 0.0
+        return [Jet(x.g[m], x.h[m], None) for m in range(d)]
+    return [0.0] * d
 
 
-def _leaves(J, f):
-    """``f`` applied to every scalar of a nested list (or tuple) of scalars."""
-    if isinstance(J, (list, tuple)):
-        return [_leaves(x, f) for x in J]
-    return f(J)
+def dshift(X, d):
+    """Every partial derivative of order-2 jets in d variables, as order-1
+    jets in an object array with the derivative index first:
+    ``dshift(X, d)[m][...] = d_m X[...]``, zero for plain floats."""
+    A = np.asarray(X, dtype=object)
+    D = np.empty((A.size, d), dtype=object)
+    D[...] = [_partials(x, d) for x in A.flat]
+    return np.ascontiguousarray(D.T).reshape((d,) + A.shape)
 
 
 def values(J):
-    """The float array of a nested list of scalars (floats and jets)."""
-    return np.array(_leaves(J, value_of))
+    """The float array of an array or nested list of scalars (floats and jets)."""
+    A = np.asarray(J, dtype=object)
+    return np.array([value_of(x) for x in A.flat], dtype=float).reshape(A.shape)
 
 
 def gradients(J, d):
-    """The gradient array of a nested list of scalars in d variables, the
-    derivative index first: ``gradients(J, d)[m][...] = d_m J[...]``.  Plain
-    floats have zero gradient.  The array is C-contiguous, as if built from
-    nested lists in that index order, so numpy reductions over it add in
-    the same order as over such an array."""
+    """The gradient array of an array or nested list of scalars in d
+    variables, the derivative index first: ``gradients(J, d)[m][...] = d_m
+    J[...]``.  Plain floats have zero gradient.  The array is C-contiguous,
+    as if built from nested lists in that index order, so numpy reductions
+    over it add in the same order as over such an array."""
+    A = np.asarray(J, dtype=object)
     zero = (0.0,) * d
-    G = np.array(_leaves(J, lambda x: x.g if isinstance(x, Jet) else zero))
-    return np.ascontiguousarray(np.moveaxis(G, -1, 0))
+    G = np.array([x.g if isinstance(x, Jet) else zero for x in A.flat], dtype=float)
+    return np.ascontiguousarray(G.T).reshape((d,) + A.shape)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
 from .geometry import PointGeometry, jet_matrix_inverse, smix_density_fast
-from .jets import jsum, order1, value_of, values
+from .jets import order1, value_of, values
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
                              integrate, pairwise_sum, s_star, volume)
 
@@ -35,20 +35,11 @@ def tangent_projector_jets(struct, xs, metric_fn=None, gmat=None):
     """P[sigma][nu] jets of the g-orthogonal projector onto D-tilde.
 
     ``gmat`` lets callers reuse an already evaluated metric matrix."""
-    d = struct.dim
     g = gmat if gmat is not None else (metric_fn or struct.metric_at)(xs)
-    W = struct.dtilde_at(xs)                       # n rows of d components
-    n = len(W)
-    Wg = [[jsum(W[k][m] * g[m][nu] for m in range(d)) for nu in range(d)]
-          for k in range(n)]
-    gram = [[jsum(Wg[k][nn] * W[l][nn] for nn in range(d))
-             for l in range(n)] for k in range(n)]
-    ginv = jet_matrix_inverse(gram, n)
-    GWg = [[jsum(ginv[k][l] * Wg[l][nu] for l in range(n)) for nu in range(d)]
-           for k in range(n)]
-    P = [[jsum(W[k][sig] * GWg[k][nu] for k in range(n))
-          for nu in range(d)] for sig in range(d)]
-    return P
+    W = np.array(struct.dtilde_at(xs), dtype=object)    # n rows of d components
+    Wg = W @ np.asarray(g, dtype=object)
+    ginv = np.array(jet_matrix_inverse(Wg @ W.T, len(W)), dtype=object)
+    return W.T @ (ginv @ Wg)
 
 
 # ----------------------------------------------------------------------
@@ -99,17 +90,14 @@ class MetricVariation:
             return B
         if all(isinstance(x, float) and x == 0.0 for row in B for x in row):
             return B                      # outside the support: stay exactly zero
-        d = self.struct.dim
+        B = np.array(B, dtype=object)
         P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn,
                                    gmat=gmat)
-        BP = [[jsum(B[s][t] * P[t][j] for t in range(d)) for j in range(d)]
-              for s in range(d)]
-        PBP = [[jsum(P[s][i] * BP[s][j] for s in range(d)) for j in range(d)]
-               for i in range(d)]
+        PBP = P.T @ (B @ P)
         if self.klass == "tan":
             return PBP
         if self.klass == "perp":
-            return [[B[i][j] - PBP[i][j] for j in range(d)] for i in range(d)]
+            return B - PBP
         raise ClassificationError(f"unknown variation class {self.klass!r}")
 
     def metric_fn(self, t, base_metric_fn=None):
@@ -118,10 +106,9 @@ class MetricVariation:
             return base
 
         def fam(xs):
-            g = base(xs)
+            g = np.asarray(base(xs), dtype=object)
             B = self.B_at(xs, metric_fn=base_metric_fn, gmat=g)
-            d = len(g)
-            return [[g[i][j] + t * B[i][j] for j in range(d)] for i in range(d)]
+            return g + t * np.asarray(B, dtype=object)
 
         return fam
 
@@ -303,16 +290,13 @@ class _RHS:
 
     def __init__(self, geom, v, metric_fn=None):
         self.g = geom
-        d = geom.d
         self.BJ = v.B_at(geom.seeds, metric_fn=metric_fn)
         self.B0 = values(self.BJ)
         self.Bfr = geom.F @ self.B0 @ geom.F.T
         # raised-index B as order-1 jets for contractions with jet fields
-        ginv1 = [[order1(x) for x in row] for row in geom.ginvJ]
-        self.B1 = B1 = [[order1(x) for x in row] for row in self.BJ]
-        self.Braised = [[jsum(ginv1[nu][a] * B1[a][b] * ginv1[b][rho]
-                               for a in range(d) for b in range(d))
-                         for rho in range(d)] for nu in range(d)]
+        ginv1 = order1(geom.ginvJ)
+        self.B1 = order1(self.BJ)
+        self.Braised = ginv1 @ self.B1 @ ginv1
 
     # -- helpers ---------------------------------------------------------
     def pair(self, C_frame_full):
@@ -333,26 +317,15 @@ class _RHS:
 
     def contract_field(self, PJ):
         """Vector jets <P, B>: P^s_{nu rho} B-raised^{nu rho}."""
-        d = self.g.d
-        return [jsum(PJ[s][nu][rho] * self.Braised[nu][rho]
-                      for nu in range(d) for rho in range(d)) for s in range(d)]
+        return np.tensordot(PJ, self.Braised, axes=2)
 
     def trace_block(self, view):
         """Tr B-sharp over the view's block as a jet scalar (sum eps B(E, E))."""
-        g, B1 = self.g, self.B1
-        d = g.d
-        acc = 0.0
-        for k in view.idx:
-            e = g.frame1[k]
-            acc = acc + g.eps[k] * jsum(e[nu] * B1[nu][rho] * e[rho]
-                                         for nu in range(d) for rho in range(d))
-        return acc
+        E = view.frame1
+        return np.sum(E @ self.B1 * E, axis=1) @ view.eps
 
     def bsharp_vec(self, VJ):
-        d = self.g.d
-        Vb = self.g._flat1(VJ)
-        return [jsum(self.Braised[s][rho] * Vb[rho] for rho in range(d))
-                for s in range(d)]
+        return self.Braised @ (self.g.g1 @ VJ)
 
     def rhs(self, formula):
         klass, _, block = _formula(formula)
@@ -399,8 +372,7 @@ class _RHS:
         C = B.div_H * self.embed(B, np.diag(B.eps))
         if mixed:
             C = C + 4.0 * g.pair_vec_12(B.dual.theta_b, B.Hb_frame)
-        trJ = self.trace_block(B)
-        return self.pair(C) - g.div_vector([trJ * B.HJ[s] for s in range(g.d)])
+        return self.pair(C) - g.div_vector(B.HJ * self.trace_block(B))
 
     def dnorm_h_A(self, B, mixed):
         """d|h_A|^2."""
@@ -424,7 +396,7 @@ class _RHS:
             delta[A.sl, B.sl] = blk
             delta[B.sl, A.sl] = blk.T
             C = g.pair_vec_12(B.theta_b - B.alpha_b, A.Hb_frame) - delta
-            BH = g.project1(self.bsharp_vec(A.HJ), A.side)
+            BH = A.project(self.bsharp_vec(A.HJ))
             out = (out + 2.0 * self.pair(C)
                    + 2.0 * float(A.H0 @ self.B0 @ B.H0)
                    + 2.0 * g.div_vector(BH))
@@ -635,17 +607,11 @@ def _perp_scaled_metric(struct, factor, base_metric_fn=None):
     base = base_metric_fn or struct.metric_at
 
     def fn(xs):
-        g = base(xs)
-        d = len(g)
+        g = np.asarray(base(xs), dtype=object)
         P = tangent_projector_jets(struct, xs, metric_fn=base, gmat=g)
         # g(QX, QY) with Q = I - P equals g - gP - (gP)^T + P^T g P
-        gP = [[jsum(g[i][s] * P[s][j] for s in range(d)) for j in range(d)]
-              for i in range(d)]
-        PgP = [[jsum(P[s][i] * gP[s][j] for s in range(d)) for j in range(d)]
-               for i in range(d)]
-        scale = factor - 1.0
-        return [[g[i][j] + scale * (g[i][j] - gP[i][j] - gP[j][i] + PgP[i][j])
-                 for j in range(d)] for i in range(d)]
+        gP = g @ P
+        return g + (factor - 1.0) * (g - gP - gP.T + P.T @ gP)
 
     return fn
 

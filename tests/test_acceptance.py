@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
@@ -111,6 +112,7 @@ def test_criterion_4_three_sasakian():
              f"{worst_eq:.1e} (1e-6)")
 
 
+@pytest.mark.slow
 def test_criterion_5_first_variation_formulas():
     t0 = time.time()
     bad = []
@@ -152,6 +154,7 @@ def test_criterion_6_frame_evolution_drift():
              f"(tol 1e-8)")
 
 
+@pytest.mark.slow
 def test_criterion_7_integral_relations():
     s = struct("r3_contact")
     omega = tuple((-0.65, 0.65) for _ in range(3))

@@ -337,7 +337,7 @@ def test_biregular_closed_forms_match_engine():
         assert sorted(np.linalg.eigvals(AN).real) == pytest.approx(
             sorted(cf["A_diag"]), abs=1e-10)
         # coordinate components of nabla_N h_sc against the closed form
-        nab_fr, _ = el._nabla_N_hsc(geom, eN)
+        nab_fr = geom.tan.nabla_N_hsc
         gv = [el.value_of(x) for x in (geom.gJ[1][1], geom.gJ[2][2])]
         # engine frame components scale by 1/g_ii on the diagonal
         diag_coord = sorted([nab_fr[0, 0] * gv[0], nab_fr[1, 1] * gv[1]])

@@ -94,6 +94,34 @@ def test_hyperbolic_plane_sectional_minus_one():
     assert g.sectional([1, 0], [0, 1]) == pytest.approx(-1.0, abs=1e-8)
 
 
+def _scaled_chart(c, time_sign=1.0):
+    return load_structure(f"""
+dim = 3
+dtilde_dim = 1
+metric 0 0 = {time_sign * c!r}
+metric 1 1 = {c!r}
+metric 2 2 = {c!r} * (1 + x0^2)
+dtilde 0 = 1, 0, 0
+domain = [-1, 1] x [-1, 1] x [-1, 1]
+""")
+
+
+def test_sectional_degeneracy_is_relative_to_the_metric_scale():
+    # K scales as 1/c under g -> c g at every scale; a plane is degenerate
+    # when W is negligible against |g(X,X) g(Y,Y)| + g(X,Y)^2
+    pt = (0.1, 0.2, 0.3)
+    K1 = PointGeometry(_scaled_chart(1.0), pt).sectional([1, 0, 0], [0, 0, 1])
+    assert K1 == pytest.approx(-0.980, abs=1e-3)
+    for c in (1e-8, 1e8):
+        g = PointGeometry(_scaled_chart(c), pt)
+        assert g.sectional([1, 0, 0], [0, 0, 1]) == pytest.approx(K1 / c, rel=1e-10)
+        with pytest.raises(SingularEvaluationError):
+            g.sectional([1, 0, 0], [2, 0, 0])          # a dependent pair
+        lorentz = PointGeometry(_scaled_chart(c, time_sign=-1.0), pt)
+        with pytest.raises(SingularEvaluationError):
+            lorentz.sectional([1, 1, 0], [0, 0, 1])    # a null plane
+
+
 def test_riemann_flat_zero_and_symmetries():
     g = bundle("warped_product", (0.1, 0.2, 0.1, -0.2))
     R = g.R4
@@ -427,7 +455,7 @@ def test_bundle_freed_without_cycle_collection():
     try:
         g = PointGeometry(s, (0.1, 0.2, 0.3))
         g.summary()
-        assert g.perp.theta_field and g.tan.h_field
+        assert g.perp.theta_field.size and g.tan.h_field.size
         ref = weakref.ref(g)
         del g
         assert ref() is None

@@ -5,13 +5,14 @@ import random
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError
-from mixedcurv.jets import (Jet, elementary, gradients, jexp, jlog, jsin, jsqrt,
-                            jtanh, seed, values)
+from mixedcurv.jets import (Jet, dshift, elementary, gradients, jexp, jlog, jsin,
+                            jsqrt, jtanh, order1, seed, values)
 
 
 def central(f, x, h):
@@ -247,10 +248,10 @@ _coef = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def scalar_arrays(draw):
+def scalar_arrays(draw, min_dims=0):
     """(d, shape, nested list) with floats, order-1 and order-2 jets mixed."""
     d = draw(st.integers(1, 4))
-    shape = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+    shape = draw(st.lists(st.integers(1, 3), min_size=min_dims, max_size=3))
 
     def leaf():
         kind = draw(st.sampled_from(("float", "jet1", "jet2")))
@@ -291,6 +292,56 @@ def test_values_and_gradients_match_elementwise_reads(data):
         else:
             assert V[idx] == x
             assert all(G[(m,) + idx] == 0.0 for m in range(d))
+
+
+def _without_order1(J):
+    if isinstance(J, list):
+        return [_without_order1(x) for x in J]
+    return J.v if isinstance(J, Jet) and J.h is None else J
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scalar_arrays(min_dims=1))
+def test_object_arrays_read_like_nested_lists(data):
+    # values, gradients, order1 and dshift of an object ndarray (and of the
+    # nested list it holds) agree with elementwise reads of the list
+    d, shape, J = data
+    idxs = list(itertools.product(*(range(k) for k in shape)))
+    A = np.empty(shape, dtype=object)
+    for idx in idxs:
+        A[idx] = _at(J, idx)
+    for X in (A, J):
+        V, G, O = values(X), gradients(X, d), order1(X)
+        assert V.shape == shape and G.shape == (d,) + shape
+        assert O.shape == shape and O.dtype == object
+        for idx in idxs:
+            x = _at(J, idx)
+            if isinstance(x, Jet):
+                assert V[idx] == x.v
+                assert [G[(m,) + idx] for m in range(d)] == list(x.g)
+                assert (O[idx].v, O[idx].g, O[idx].h) == (x.v, x.g, None)
+            else:
+                assert V[idx] == x and O[idx] == x
+                assert all(G[(m,) + idx] == 0.0 for m in range(d))
+    if any(isinstance(x, Jet) and x.h is None for x in A.flat):
+        with pytest.raises(SingularEvaluationError):
+            dshift(A, d)
+    # dshift needs order 2: read it on the same entries with order-1 jets
+    # replaced by their values
+    J = _without_order1(J)
+    for idx in idxs:
+        A[idx] = _at(J, idx)
+    for X in (A, J):
+        D = dshift(X, d)
+        assert D.shape == (d,) + shape and D.dtype == object
+        for idx in idxs:
+            x = _at(J, idx)
+            for m in range(d):
+                y = D[(m,) + idx]
+                if isinstance(x, Jet):
+                    assert (y.v, y.g, y.h) == (x.g[m], x.h[m], None)
+                else:
+                    assert y == 0.0
 
 
 def test_values_and_gradients_of_seeded_expression():

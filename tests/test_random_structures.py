@@ -97,6 +97,7 @@ def test_first_variation_verdicts_on_fixed_structures(seed, d, n, lorentz):
     assert _failed_verdicts(s, pt, 1) == []
 
 
+@pytest.mark.slow
 def test_action_derivative_matches_gradient_pairing_generated():
     # the shape of test_variations.test_action_derivative_matches_gradient_pairing
     # on a generic structure, where the J_mix gradient's mixed-block term counts
@@ -108,6 +109,10 @@ def test_action_derivative_matches_gradient_pairing_generated():
     for grid in (8, 16):
         q = el.QuadratureSpec(box=box, grid=grid)
         vals[grid] = va.action_derivative(s, v, q, "J_mix", t_step=1e-3)
+    # The refinement check compares the grid-8 pairing with FD at grids 8 and
+    # 16.  It relies on the grid-8 FD quadrature error dominating the grid-8
+    # pairing's own error (the divergence terms the pairing drops integrate to
+    # zero only in the limit), which holds on this box.
     e8, e16 = abs(vals[8] - grad), abs(vals[16] - grad)
     assert e16 < e8 / 3.0                       # observed convergence
     assert e16 <= 3.0 * (abs(vals[16] - vals[8]) + 1e-8)

@@ -297,6 +297,7 @@ def test_unknown_action_rejected(action):
                              enforce_support=False)
 
 
+@pytest.mark.slow
 def test_action_derivative_matches_gradient_pairing():
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=7, box=box3())
@@ -305,11 +306,16 @@ def test_action_derivative_matches_gradient_pairing():
     for grid in (8, 16):
         q = el.QuadratureSpec(box=box3(), grid=grid)
         vals[grid] = va.action_derivative(s, v, q, "J_mix", t_step=1e-3)
+    # The refinement check compares the grid-8 pairing with FD at grids 8 and
+    # 16.  It relies on the grid-8 FD quadrature error dominating the grid-8
+    # pairing's own error (the divergence terms the pairing drops integrate to
+    # zero only in the limit), which holds on this box.
     e8, e16 = abs(vals[8] - grad), abs(vals[16] - grad)
     assert e16 < e8 / 3.0                       # observed convergence
     assert e16 <= 3.0 * (abs(vals[16] - vals[8]) + 1e-8)
 
 
+@pytest.mark.slow
 def test_div_H_plus_Ht_integral_constant_for_perp_variations():
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=13, box=box3(0.5))
@@ -331,6 +337,7 @@ def test_div_H_plus_Ht_integral_constant_for_perp_variations():
     assert abs(deriv[16]) <= 3.0 * abs(deriv[16] - deriv[8])
 
 
+@pytest.mark.slow
 def test_bar_relation_volume_preserving_variation_trivial():
     # adjust the trace so the variation preserves the box volume: the
     # normalized and plain derivatives must then coincide
@@ -365,6 +372,7 @@ def test_bar_relation_volume_preserving_variation_trivial():
     assert abs(rep["dJ_bar"] - rep["dJ"]) < 1e-7 * max(1.0, abs(rep["dJ"]))
 
 
+@pytest.mark.slow
 def test_bar_relation_r3_contact():
     s = struct("r3_contact")
     q = el.QuadratureSpec(box=box3(0.5), grid=10)
