@@ -215,7 +215,8 @@ def parse(text, dim, params=()):
 # Evaluation and utilities
 
 def evaluate(ast, env, params=None):
-    """Evaluate an AST; ``env`` maps coordinate index -> scalar (float or Jet).
+    """Evaluate an AST; ``env`` maps coordinate index -> scalar (float, Jet
+    or ArrayJet).
 
     An arithmetic error (a float division by zero, an overflow in ``exp``)
     surfaces as :class:`SingularEvaluationError` carrying the point."""

@@ -30,14 +30,19 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import Jet, dshift, gradients, order1, promote, seed, value_of, values
+from .jets import (ArrayJet, Jet, dshift, gradients, order1, promote, seed, value_of,
+                   values, where)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
 def jet_matrix_inverse(M, d, point=None):
-    """Gauss-Jordan inverse over jet scalars, pivoting on absolute values."""
+    """Gauss-Jordan inverse over jet scalars, pivoting on absolute values.
+    Over array jets every node chooses its own pivot rows by the same rule."""
     A = [[M[i][j] for j in range(d)] for i in range(d)]
     I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+    like = next((x for row in A for x in row if isinstance(x, ArrayJet)), None)
+    if like is not None:
+        return _node_matrix_inverse(A, I, d, point, len(like.v), like.nvars)
     # each pivot is judged against the largest entry of its own input row
     scale = [max(abs(value_of(x)) for x in row) for row in A]
     for col in range(d):
@@ -47,17 +52,44 @@ def jet_matrix_inverse(M, d, point=None):
         A[col], A[piv] = A[piv], A[col]
         I[col], I[piv] = I[piv], I[col]
         scale[col], scale[piv] = scale[piv], scale[col]
-        inv = 1.0 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        I[col] = [x * inv for x in I[col]]
-        for r in range(d):
-            if r == col:
-                continue
-            f = A[r][col]
-            if isinstance(f, Jet) or f != 0.0:
-                A[r] = [A[r][j] - f * A[col][j] for j in range(d)]
-                I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
+        _eliminate(A, I, col, d)
     return I
+
+
+def _node_matrix_inverse(A, I, d, point, N, nvars):
+    """``jet_matrix_inverse`` over array jets at N nodes in nvars variables:
+    the pivot search, its singularity test and the row swap run node by node."""
+    nodes = np.arange(N)
+    scale = np.max(np.abs(np.broadcast_to(values(A), (N, d, d))), axis=2)
+    for col in range(d):
+        mag = np.abs(np.broadcast_to(values([A[r][col] for r in range(col, d)]),
+                                     (N, d - col)))
+        piv = col + np.argmax(mag, axis=1)        # the first largest, as max() picks
+        if (mag.max(axis=1) <= 1e-14 * scale[nodes, piv]).any():
+            raise SingularEvaluationError("singular metric", point=point)
+        for r in range(col + 1, d):
+            m = piv == r
+            if m.any():
+                for X in (A, I):
+                    X[col], X[r] = ([where(m, a, b, nvars) for a, b in zip(X[r], X[col])],
+                                    [where(m, a, b, nvars) for a, b in zip(X[col], X[r])])
+                scale[m, col], scale[m, r] = scale[m, r], scale[m, col]
+        _eliminate(A, I, col, d)
+    return I
+
+
+def _eliminate(A, I, col, d):
+    """Scale the pivot row to a unit pivot and clear the column elsewhere."""
+    inv = 1.0 / A[col][col]
+    A[col] = [x * inv for x in A[col]]
+    I[col] = [x * inv for x in I[col]]
+    for r in range(d):
+        if r == col:
+            continue
+        f = A[r][col]
+        if isinstance(f, (Jet, ArrayJet)) or f != 0.0:
+            A[r] = [A[r][j] - f * A[col][j] for j in range(d)]
+            I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
 
 
 class PointGeometry:
@@ -99,7 +131,8 @@ class PointGeometry:
 
     @cached_property
     def ginvJ(self):
-        return jet_matrix_inverse(self.gJ, self.d, point=self.point)
+        """The inverse metric as order-1 jets: no consumer reads its Hessian."""
+        return jet_matrix_inverse(order1(self.gJ), self.d, point=self.point)
 
     @cached_property
     def GammaJ(self):
@@ -113,10 +146,9 @@ class PointGeometry:
         # dsym[t][m][nn] = d_m g_{t nn} + d_nn g_{t m} - d_t g_{m nn}
         dsym = [[[dg[m][t][nn] + dg[nn][t][m] - dg[t][m][nn]
                   for nn in range(d)] for m in range(d)] for t in range(d)]
-        gi1 = order1(self.ginvJ).tolist()
         out = []
         for s in range(d):
-            gs = gi1[s]
+            gs = self.ginvJ[s]
             mat = []
             for m in range(d):
                 row = []
@@ -668,11 +700,12 @@ class BlockView:
     @cached_property
     def nabla_N_hsc(self):
         """nabla_N h_sc in block frame components, N the unit field of a
-        rank-one dual and h_sc = eps_N g(h, N-flat) with N-flat frozen at
-        the point."""
+        rank-one dual and h_sc = eps_N g(h, N) the scalar second fundamental
+        form, with N-flat the jet field ``flat1``: its derivatives enter the
+        covariant derivative."""
         self.dual._rank_one("nabla_N h_sc")
         g, k = self.g, self.dual.idx[0]
-        hscJ = self.dual.eps[0] * np.tensordot(g.Fb[k], self.h_field, axes=(0, 0))
+        hscJ = self.dual.eps[0] * np.tensordot(g.flat1[k], self.h_field, axes=(0, 0))
         F = g.F[self.sl]
         return F @ g.nabla02_in_direction(hscJ, g.F[k]) @ F.T
 
@@ -771,6 +804,83 @@ def smix_density_fast(struct, point, metric_fn=None):
     PiP = geom.ginv0 - PiT
     smix = float(np.einsum("mg,nd,mngd->", PiT, PiP, geom.R04))
     return smix, geom.volume_density
+
+
+# Quadrature nodes are evaluated in chunks of at most BATCH_ELEMENTS // d**4
+# nodes, so that the largest arrays of a chunk, the second metric derivatives
+# and the Riemann tensor of shape (nodes, d, d, d, d), hold about
+# BATCH_ELEMENTS floats.
+BATCH_ELEMENTS = 1 << 16
+
+
+def node_chunks(pts, d, chunk_fn, node_fn):
+    """Values at every node of ``pts``, in node order, chunk by chunk.
+
+    ``chunk_fn`` maps an (N, d) array of nodes to an array with a leading
+    node axis.  A chunk where it raises :class:`SingularEvaluationError` or
+    gives a non-finite value is evaluated again node by node through
+    ``node_fn(pt)``, so an error surfaces as that function raises it, with its
+    message and point."""
+    size = max(1, BATCH_ELEMENTS // d ** 4)
+    out = []
+    for lo in range(0, len(pts), size):
+        chunk = pts[lo:lo + size]
+        try:
+            with np.errstate(all="ignore"):
+                vals = chunk_fn(np.array(chunk, dtype=float))
+            ok = np.isfinite(vals).all()
+        except SingularEvaluationError:
+            ok = False
+        out.extend(vals.tolist() if ok else [node_fn(pt) for pt in chunk])
+    return out
+
+
+def smix_density_batch(struct, pts, metric_fn=None):
+    """(S_mix, sqrt|det g|) arrays at the nodes ``pts``, as
+    :func:`smix_density_fast` gives them node by node; that function stays
+    the reference and the error path."""
+    out = node_chunks(pts, struct.dim,
+                      lambda c: np.stack(_smix_density_nodes(struct, c, metric_fn), axis=1),
+                      lambda pt: smix_density_fast(struct, pt, metric_fn))
+    return tuple(np.array(out, dtype=float).reshape(len(pts), 2).T)
+
+
+def _smix_density_nodes(struct, pts, metric_fn):
+    """(S_mix, sqrt|det g|) at an (N, d) array of nodes, as arrays.
+
+    The chain of :func:`smix_density_fast` on array jets: metric jets,
+    order-1 inverse, Christoffel symbols, Riemann tensor and S_mix by the
+    projector formula.  The index letter z runs over the nodes."""
+    N, d = pts.shape
+    xs = seed(pts, 2)
+    gJ = np.asarray((metric_fn or struct.metric_at)(xs), dtype=object)
+    g0 = np.broadcast_to(values(gJ), (N, d, d))
+    ginvJ = jet_matrix_inverse(order1(gJ), d)
+    ginv = np.broadcast_to(values(ginvJ), (N, d, d))
+    dginv = np.broadcast_to(gradients(ginvJ, d), (N, d, d, d))
+    # dsym[t][m][n] = d_m g_{tn} + d_n g_{tm} - d_t g_{mn}, as order-1 jets
+    dgJ = dshift(gJ, d)
+    dsymJ = dgJ.transpose(1, 0, 2) + dgJ.transpose(1, 2, 0) - dgJ
+    dsym = np.broadcast_to(values(dsymJ), (N, d, d, d))
+    ddsym = np.broadcast_to(gradients(dsymJ, d), (N, d, d, d, d))
+    G = 0.5 * np.einsum("zst,ztmn->zsmn", ginv, dsym)
+    dG = 0.5 * (np.einsum("zlst,ztmn->zlsmn", dginv, dsym)
+                + np.einsum("zst,zltmn->zlsmn", ginv, ddsym))
+    # Rcoord at every node
+    R = np.einsum("znsmg->zsmng", dG) - np.einsum("zmsng->zsmng", dG)
+    R += np.einsum("zsnk,zkmg->zsmng", G, G) - np.einsum("zsmk,zkng->zsmng", G, G)
+    R04 = np.einsum("zsmng,zsd->zmngd", R, g0)
+    Wm = np.broadcast_to(values(struct.dtilde_at(xs)), (N, struct.n, d)).transpose(0, 2, 1)
+    try:
+        gram_inv = np.linalg.inv(Wm.transpose(0, 2, 1) @ g0 @ Wm)
+    except np.linalg.LinAlgError:
+        raise SingularEvaluationError("degenerate distribution") from None
+    PiT = Wm @ gram_inv @ Wm.transpose(0, 2, 1)
+    smix = np.einsum("zmg,znd,zmngd->z", PiT, ginv - PiT, R04)
+    det = np.linalg.det(g0)
+    if (det == 0.0).any():
+        raise SingularEvaluationError("degenerate metric")
+    return smix, np.sqrt(np.abs(det))
 
 
 def random_perp_field(geom, rng_seed):

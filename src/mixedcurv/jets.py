@@ -16,11 +16,18 @@ and read them back through :func:`value_of`.  A jet tensor field is a numpy
 act on it entrywise, and :func:`values` (the float array) and
 :func:`gradients` (the gradient array, derivative index first) read it back.
 The same functions accept nested lists of scalars.
+
+An :class:`ArrayJet` is the same jet at N nodes at once (Taylor arithmetic in
+the vector forward mode): its value, gradient and Hessian carry a leading
+node axis.  Seeding a batch of points gives array jets, every function above
+accepts them, and :func:`values` and :func:`gradients` put the node axis
+first: ``values(J)[k][...]`` and ``gradients(J, d)[k][m][...]`` are node k's.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -208,15 +215,206 @@ class Jet:
         raise TypeError("implicit Jet->float conversion is a bug; use value_of()")
 
 
+class ArrayJet:
+    """A jet at N nodes: value v (N,), gradient g (N, d) and, at order 2,
+    Hessian h (N, d, d), else None.
+
+    Every operation is :class:`Jet`'s, node by node, by the same formulas in
+    the same order.  It raises :class:`SingularEvaluationError` when
+    :class:`Jet` would at any node; an elementary function whose value
+    overflows raises ``OverflowError`` as ``math`` does.  The arrays are
+    never written in place, so jets may share them.
+    """
+
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v, g, h=None):
+        self.v = v
+        self.g = g
+        self.h = h
+
+    @property
+    def nvars(self):
+        return self.g.shape[1]
+
+    def __repr__(self):
+        return f"ArrayJet(v={self.v!r}, g={self.g!r}, h={self.h!r})"
+
+    def _is_jet(self, other):
+        """True for an array jet operand, False for a plain scalar."""
+        if isinstance(other, ArrayJet):
+            if other.g.shape != self.g.shape:
+                raise InvalidArgumentError(
+                    f"array jet shapes differ: {self.g.shape} vs {other.g.shape}")
+            return True
+        if isinstance(other, Jet):
+            raise InvalidArgumentError("an array jet does not combine with a Jet")
+        return False
+
+    def __add__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        if not self._is_jet(other):
+            return ArrayJet(self.v + other, self.g, self.h)
+        h = None if self.h is None or other.h is None else self.h + other.h
+        return ArrayJet(self.v + other.v, self.g + other.g, h)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return ArrayJet(-self.v, -self.g, None if self.h is None else -self.h)
+
+    def __mul__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        if not self._is_jet(other):
+            return ArrayJet(self.v * other, self.g * other,
+                            None if self.h is None else self.h * other)
+        av, ag, bv, bg = self.v[:, None], self.g, other.v[:, None], other.g
+        h = None
+        if self.h is not None and other.h is not None:
+            S = _outer(ag, bg)
+            h = self.h * bv[:, :, None] + S + _T(S) + av[:, :, None] * other.h
+        return ArrayJet(self.v * other.v, ag * bv + av * bg, h)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __truediv__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        if not self._is_jet(other):
+            if other == 0.0:
+                raise SingularEvaluationError("division by zero scalar")
+            return ArrayJet(self.v / other, self.g / other,
+                            None if self.h is None else self.h / other)
+        _nonzero(other.v)
+        bv, bg = other.v, other.g
+        q = self.v / bv
+        dq = (self.g - q[:, None] * bg) / bv[:, None]
+        h = None
+        if self.h is not None and other.h is not None:
+            S = _outer(dq, bg)
+            h = (self.h - q[:, None, None] * other.h - S - _T(S)) / bv[:, None, None]
+        return ArrayJet(q, dq, h)
+
+    def __rtruediv__(self, other):
+        # other is a plain scalar
+        _nonzero(self.v)
+        q = other / self.v
+        w = q / self.v
+        dq = -w[:, None] * self.g
+        h = None
+        if self.h is not None:
+            S = _outer(dq, self.g)
+            h = (-q[:, None, None] * self.h - S - _T(S)) / self.v[:, None, None]
+        return ArrayJet(q, dq, h)
+
+    def _reciprocal(self):
+        _nonzero(self.v)
+        q = 1.0 / self.v
+        q2 = q * q
+        g = -self.g * q2[:, None]
+        h = None
+        if self.h is not None:
+            q3 = q2 * q
+            h = (_outer(2.0 * self.g, self.g) * q3[:, None, None]
+                 - self.h * q2[:, None, None])
+        return ArrayJet(q, g, h)
+
+    def __pow__(self, e):
+        if isinstance(e, ArrayJet):
+            return jexp(e * jlog(self))
+        if not isinstance(e, (int, float)):
+            raise InvalidArgumentError(f"unsupported exponent {e!r}")
+        if float(e) == int(e):
+            k = int(e)
+            if k == 0:
+                return ArrayJet(np.ones_like(self.v), np.zeros_like(self.g),
+                                None if self.h is None else np.zeros_like(self.h))
+            if k < 0:
+                return self._reciprocal() ** (-k)
+            out = self
+            for _ in range(k - 1):
+                out = out * self
+            return out
+        bad = self.v <= 0.0
+        if bad.any():
+            raise SingularEvaluationError(
+                f"non-integer power of non-positive value {self.v[bad][0]}")
+        f0 = _finite_power(self.v, e)
+        f1 = e * _finite_power(self.v, e - 1.0)
+        f2 = e * (e - 1.0) * _finite_power(self.v, e - 2.0)
+        return self._compose(f0, f1, f2)
+
+    def __rpow__(self, base):
+        return jexp(self * math.log(base))
+
+    def _compose(self, f0, f1, f2):
+        g = f1[:, None] * self.g
+        h = None
+        if self.h is not None:
+            h = f1[:, None, None] * self.h + _outer(f2[:, None] * self.g, self.g)
+        return ArrayJet(f0, g, h)
+
+    def __float__(self):
+        raise TypeError("implicit ArrayJet->float conversion is a bug; use value_of()")
+
+
+_JETS = (Jet, ArrayJet)
+
+
+def _outer(a, b):
+    """a_i b_j at every node, for (N, d) arrays."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _T(S):
+    """S_ji at every node: b_i a_j for S = _outer(a, b), the same products."""
+    return S.transpose(0, 2, 1)
+
+
+def _nonzero(v):
+    if (v == 0.0).any():
+        raise SingularEvaluationError("division by jet with zero value")
+
+
+def _finite_power(v, e):
+    """v ** e at every node; an overflow raises as a float power does."""
+    with np.errstate(over="ignore"):
+        out = v ** e
+    if np.isinf(out).any():
+        raise OverflowError("(34, 'Numerical result out of range')")
+    return out
+
+
 def value_of(x):
-    """Float value of a scalar, jet or plain number."""
-    return x.v if isinstance(x, Jet) else float(x)
+    """Float value of a scalar, jet or plain number (an array of node
+    values for an array jet)."""
+    return x.v if isinstance(x, _JETS) else float(x)
 
 
 def seed(point, order):
-    """One jet per coordinate: value ``point[i]``, gradient the i-th basis vector."""
+    """One jet per coordinate: value ``point[i]``, gradient the i-th basis
+    vector.  An (N, d) array of points gives d array jets over N nodes."""
     if order not in (1, 2):
         raise InvalidArgumentError(f"jet order must be 1 or 2, got {order}")
+    if np.ndim(point) == 2:
+        P = np.array(point, dtype=float)
+        if not np.isfinite(P).all():
+            raise InvalidArgumentError("seed point must be finite")
+        N, n = P.shape
+        eye = np.eye(n)
+        zh = np.zeros((N, n, n)) if order == 2 else None
+        return [ArrayJet(P[:, i].copy(), np.broadcast_to(eye[i], (N, n)), zh)
+                for i in range(n)]
     pt = [float(c) for c in point]
     if not all(math.isfinite(c) for c in pt):
         raise InvalidArgumentError("seed point must be finite")
@@ -228,7 +426,7 @@ def seed(point, order):
 
 def promote(x, d):
     """Coerce a plain scalar to a zero-derivative order-2 jet in d variables."""
-    if isinstance(x, Jet):
+    if isinstance(x, _JETS):
         return x
     z = (0.0,) * d
     return Jet(float(x), z, tuple(z for _ in range(d)))
@@ -237,6 +435,8 @@ def promote(x, d):
 def _order1(x):
     if isinstance(x, Jet) and x.h is not None:
         return Jet(x.v, x.g, None)
+    if isinstance(x, ArrayJet) and x.h is not None:
+        return ArrayJet(x.v, x.g, None)
     return x
 
 
@@ -252,9 +452,11 @@ def order1(X):
 
 
 def _partials(x, d):
-    if isinstance(x, Jet):
+    if isinstance(x, _JETS):
         if x.h is None:
             raise SingularEvaluationError("second-order jet required for field derivative")
+        if isinstance(x, ArrayJet):
+            return [ArrayJet(x.g[:, m], x.h[:, m], None) for m in range(d)]
         return [Jet(x.g[m], x.h[m], None) for m in range(d)]
     return [0.0] * d
 
@@ -269,10 +471,24 @@ def dshift(X, d):
     return np.ascontiguousarray(D.T).reshape((d,) + A.shape)
 
 
+def _nodes(entries):
+    """The node count of the first array jet among ``entries``, else None."""
+    return next((x.v.shape[0] for x in entries if isinstance(x, ArrayJet)), None)
+
+
 def values(J):
-    """The float array of an array or nested list of scalars (floats and jets)."""
+    """The float array of an array or nested list of scalars (floats and
+    jets).  With array jets among them the node axis comes first, and a
+    float is the same at every node."""
     A = np.asarray(J, dtype=object)
-    return np.array([value_of(x) for x in A.flat], dtype=float).reshape(A.shape)
+    flat = list(A.flat)
+    N = _nodes(flat)
+    if N is None:
+        return np.array([value_of(x) for x in flat], dtype=float).reshape(A.shape)
+    V = np.empty((N, len(flat)))
+    for k, x in enumerate(flat):
+        V[:, k] = value_of(x)
+    return V.reshape((N,) + A.shape)
 
 
 def gradients(J, d):
@@ -280,67 +496,125 @@ def gradients(J, d):
     variables, the derivative index first: ``gradients(J, d)[m][...] = d_m
     J[...]``.  Plain floats have zero gradient.  The array is C-contiguous,
     as if built from nested lists in that index order, so numpy reductions
-    over it add in the same order as over such an array."""
+    over it add in the same order as over such an array.  With array jets
+    among the scalars the node axis comes first, ``gradients(J, d)[k][m]``."""
     A = np.asarray(J, dtype=object)
-    zero = (0.0,) * d
-    G = np.array([x.g if isinstance(x, Jet) else zero for x in A.flat], dtype=float)
-    return np.ascontiguousarray(G.T).reshape((d,) + A.shape)
+    flat = list(A.flat)
+    N = _nodes(flat)
+    if N is None:
+        zero = (0.0,) * d
+        G = np.array([x.g if isinstance(x, Jet) else zero for x in flat], dtype=float)
+        return np.ascontiguousarray(G.T).reshape((d,) + A.shape)
+    G = np.zeros((N, d, len(flat)))
+    for k, x in enumerate(flat):
+        if isinstance(x, ArrayJet):
+            G[:, :, k] = x.g
+    return G.reshape((N, d) + A.shape)
+
+
+def where(mask, a, b, d):
+    """Node by node, ``a`` where the boolean node array ``mask`` holds and
+    ``b`` elsewhere; each is an array jet in d variables or a float, and a
+    float counts as a jet of any order with zero derivatives."""
+    if not isinstance(a, ArrayJet) and not isinstance(b, ArrayJet) and a == b:
+        return a
+    N = len(mask)
+
+    def part(x, k, shape):
+        if not isinstance(x, ArrayJet):
+            return np.full(shape, float(x)) if k == 0 else np.zeros(shape)
+        return (x.v, x.g, x.h)[k]
+
+    v = np.where(mask, part(a, 0, N), part(b, 0, N))
+    g = np.where(mask[:, None], part(a, 1, (N, d)), part(b, 1, (N, d)))
+    ha, hb = part(a, 2, (N, d, d)), part(b, 2, (N, d, d))
+    h = None if ha is None or hb is None else np.where(mask[:, None, None], ha, hb)
+    return ArrayJet(v, g, h)
 
 
 # ----------------------------------------------------------------------
-# Elementary functions, generic over float / Jet.  On a jet each takes
-# f(v), f'(v) and f''(v) at the jet's value v and applies the chain rule.
+# Elementary functions, generic over float / Jet / ArrayJet.  On a jet each
+# takes f(v), f'(v) and f''(v) at the jet's value v and applies the chain
+# rule; ``m`` is the namespace of the functions at v, ``math`` for a Jet and
+# numpy's for an ArrayJet.
 
-def _elementary(f, taylor):
+_NP = SimpleNamespace(sin=np.sin, cos=np.cos, tan=np.tan, exp=np.exp, sinh=np.sinh,
+                      cosh=np.cosh, tanh=np.tanh, atan=np.arctan, log=np.log,
+                      sqrt=np.sqrt)
+
+
+def _ns(x):
+    return _NP if isinstance(x, ArrayJet) else math
+
+
+def _elementary(f, taylor, overflows=False):
+    """``overflows``: ``f`` raises OverflowError where its value overflows."""
     def op(x):
         if isinstance(x, Jet):
-            return x._compose(*taylor(x.v))
+            return x._compose(*taylor(x.v, math))
+        if isinstance(x, ArrayJet):
+            with np.errstate(over="ignore", invalid="ignore"):
+                parts = taylor(x.v, _NP)
+            if overflows and np.isinf(parts[0]).any():
+                raise OverflowError("math range error")
+            return x._compose(*parts)
         return f(x)
     return op
 
 
-def _tan(v):
-    t = math.tan(v)
+def _tan(v, m):
+    t = m.tan(v)
     sec2 = 1.0 + t * t
     return t, sec2, 2.0 * t * sec2
 
 
-def _tanh(v):
-    t = math.tanh(v)
+def _tanh(v, m):
+    t = m.tanh(v)
     sech2 = 1.0 - t * t
     return t, sech2, -2.0 * t * sech2
 
 
-def _atan(v):
+def _atan(v, m):
     w = 1.0 / (1.0 + v * v)
-    return math.atan(v), w, -2.0 * v * w * w
+    return m.atan(v), w, -2.0 * v * w * w
 
 
-jsin = _elementary(math.sin, lambda v: (math.sin(v), math.cos(v), -math.sin(v)))
-jcos = _elementary(math.cos, lambda v: (math.cos(v), -math.sin(v), -math.cos(v)))
+jsin = _elementary(math.sin, lambda v, m: (m.sin(v), m.cos(v), -m.sin(v)))
+jcos = _elementary(math.cos, lambda v, m: (m.cos(v), -m.sin(v), -m.cos(v)))
 jtan = _elementary(math.tan, _tan)
-jexp = _elementary(math.exp, lambda v: (math.exp(v),) * 3)
-jsinh = _elementary(math.sinh, lambda v: (math.sinh(v), math.cosh(v), math.sinh(v)))
-jcosh = _elementary(math.cosh, lambda v: (math.cosh(v), math.sinh(v), math.cosh(v)))
+jexp = _elementary(math.exp, lambda v, m: (m.exp(v),) * 3, overflows=True)
+jsinh = _elementary(math.sinh, lambda v, m: (m.sinh(v), m.cosh(v), m.sinh(v)),
+                    overflows=True)
+jcosh = _elementary(math.cosh, lambda v, m: (m.cosh(v), m.sinh(v), m.cosh(v)),
+                    overflows=True)
 jtanh = _elementary(math.tanh, _tanh)
 jatan = _elementary(math.atan, _atan)
 
 
-def jlog(x):
+def _positive(x, what):
+    """Raise unless the value of x is positive (at every node)."""
     v = value_of(x)
-    if v <= 0.0:
-        raise SingularEvaluationError(f"log of non-positive value {v}")
-    if isinstance(x, Jet):
-        return x._compose(math.log(v), 1.0 / v, -1.0 / (v * v))
+    if isinstance(x, ArrayJet):
+        bad = v <= 0.0
+        if bad.any():
+            raise SingularEvaluationError(f"{what} of non-positive value {v[bad][0]}")
+    elif v <= 0.0:
+        raise SingularEvaluationError(f"{what} of non-positive value {v}")
+    return v
+
+
+def jlog(x):
+    v = _positive(x, "log")
+    if isinstance(x, _JETS):
+        return x._compose(_ns(x).log(v), 1.0 / v, -1.0 / (v * v))
     return math.log(x)
 
 
 def jsqrt(x):
-    if isinstance(x, Jet):
-        if x.v <= 0.0:
-            raise SingularEvaluationError(f"sqrt of non-positive value {x.v}")
-        s = math.sqrt(x.v)
-        return x._compose(s, 0.5 / s, -0.25 / (s * x.v))
+    if isinstance(x, _JETS):
+        v = _positive(x, "sqrt")
+        s = _ns(x).sqrt(v)
+        return x._compose(s, 0.5 / s, -0.25 / (s * v))
     if x < 0.0:
         raise SingularEvaluationError(f"sqrt of negative value {x}")
     return math.sqrt(x)
@@ -348,10 +622,10 @@ def jsqrt(x):
 
 def jpow(a, b):
     """Power with jet/float dispatch; value bits agree across scalar kinds."""
-    if isinstance(b, Jet):
+    if isinstance(b, _JETS):
         return jexp(b * jlog(a))
     if float(b) == int(b):
-        if isinstance(a, Jet):
+        if isinstance(a, _JETS):
             return a ** int(b)
         k = int(b)
         if k == 0:
@@ -366,7 +640,7 @@ def jpow(a, b):
         for _ in range(k - 1):
             out = out * base
         return out
-    if isinstance(a, Jet):
+    if isinstance(a, _JETS):
         return a ** b
     if a <= 0.0:
         raise SingularEvaluationError(
@@ -397,8 +671,8 @@ def elementary(a, fn):
     return f(a)
 
 def check_finite(x, point=None):
-    """NaN policy: abort evaluation on any non-finite value."""
+    """NaN policy: abort evaluation on any non-finite value (at any node)."""
     v = value_of(x)
-    if not math.isfinite(v):
+    if not (np.isfinite(v).all() if isinstance(x, ArrayJet) else math.isfinite(v)):
         raise SingularEvaluationError("non-finite intermediate value", point=point)
     return x

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
-from .geometry import PointGeometry, jet_matrix_inverse, smix_density_fast
-from .jets import order1, value_of, values
+from .geometry import (PointGeometry, _smix_density_nodes, jet_matrix_inverse,
+                       node_chunks, smix_density_batch, smix_density_fast)
+from .jets import order1, value_of, values, where
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
                              integrate, pairwise_sum, s_star, volume)
 
@@ -69,16 +70,24 @@ class MetricVariation:
         env = list(xs)
         pr = {**self.struct.params, **self.params}
         out = [[0.0] * d for _ in range(d)]
+        mask = None
         if self.box is not None:
             # exact compact support: the window expressions vanish to high
-            # order at the box faces, and outside the box the field is zero
+            # order at the box faces, and outside the box the field is zero;
+            # over array jets the test is made node by node
+            inside = True
             for mu, (lo, hi) in enumerate(self.box):
                 x = value_of(env[mu])
-                if x <= lo or x >= hi:
-                    return out
+                inside = inside & (lo < x) & (x < hi)
+            if not np.any(inside):
+                return out
+            if not np.all(inside):
+                mask = inside
         for i in range(d):
             for j in range(i, d):
                 v = exprlang.evaluate(self.raw[i][j], env, pr)
+                if mask is not None:
+                    v = where(mask, v, 0.0, d)
                 out[i][j] = v
                 if i != j:
                     out[j][i] = v
@@ -294,7 +303,7 @@ class _RHS:
         self.B0 = values(self.BJ)
         self.Bfr = geom.F @ self.B0 @ geom.F.T
         # raised-index B as order-1 jets for contractions with jet fields
-        ginv1 = order1(geom.ginvJ)
+        ginv1 = np.array(geom.ginvJ, dtype=object)
         self.B1 = order1(self.BJ)
         self.Braised = ginv1 @ self.B1 @ ginv1
 
@@ -542,7 +551,12 @@ def check_support(struct, v, q, rtol=1e-9):
 
 
 def action_value(struct, q, action, metric_fn=None):
-    return integrate(struct, _integrand(action), q, metric_fn)
+    """The action over the box; the nodes are evaluated in batches
+    (``smix_density_batch``)."""
+    _integrand(action)                   # rejects an unknown action
+    pts, wts = grid_points(q)
+    smix, dens = smix_density_batch(struct, pts, metric_fn)
+    return pairwise_sum(x * w for x, w in zip((smix * dens).tolist(), wts))
 
 
 def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
@@ -551,7 +565,8 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
 
     Quadrature nodes where the variation vanishes identically contribute the
     same value at +t and -t, so only nodes inside the support enter the
-    difference; this is exact, not an approximation.
+    difference; this is exact, not an approximation.  Those nodes are
+    evaluated in batches, at +t and -t together.
     """
     f = _integrand(action)
     if enforce_support:
@@ -559,13 +574,16 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     fp = v.metric_fn(t_step, metric_fn)
     fm = v.metric_fn(-t_step, metric_fn)
     pts, wts = grid_points(q)
+    keep = [v.box is None or _inside(pt, v.box) for pt in pts]
 
-    def node(pt, w):
-        if v.box is not None and not _inside(pt, v.box):
-            return 0.0
-        return (f(struct, pt, fp) - f(struct, pt, fm)) * w
+    def chunk(c):
+        (sp, dp), (sm, dm) = (_smix_density_nodes(struct, c, fn) for fn in (fp, fm))
+        return sp * dp - sm * dm
 
-    return pairwise_sum(node(pt, w) for pt, w in zip(pts, wts)) / (2.0 * t_step)
+    diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk,
+                             lambda pt: f(struct, pt, fp) - f(struct, pt, fm)))
+    return pairwise_sum(next(diffs) * w if k else 0.0
+                        for k, w in zip(keep, wts)) / (2.0 * t_step)
 
 
 def _inside(pt, box):

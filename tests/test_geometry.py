@@ -5,6 +5,8 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedcurv import euler_lagrange as el
 from mixedcurv import gallery
@@ -12,6 +14,7 @@ from mixedcurv.errors import SingularEvaluationError, SpecializationError
 from mixedcurv.geometry import (PointGeometry, identity_suite,
                                 jet_matrix_inverse, mixed_scalar,
                                 partial_ricci, smix_density_fast)
+from mixedcurv.jets import ArrayJet, gradients, seed, values
 from mixedcurv.structure import load_structure
 
 S2_CHART = """
@@ -518,3 +521,57 @@ def test_inverse_of_widely_scaled_metric(big):
 def test_singular_metric_rejected(M):
     with pytest.raises(SingularEvaluationError):
         jet_matrix_inverse(M, 2)
+
+
+@pytest.mark.parametrize("name", gallery.list_entries())
+def test_order1_inverse_is_bit_identical_to_order2(name):
+    # the bundle inverts the metric at order 1: nothing reads the Hessian of
+    # the inverse, and the values and gradients of Gauss-Jordan do not depend
+    # on the Hessians of the entries
+    s = entry(name).structure
+    for pt in s.interior_points(3, 31):
+        g = PointGeometry(s, pt)
+        full = jet_matrix_inverse(g.gJ, g.d)
+        assert all(x.h is None for row in g.ginvJ for x in row)
+        assert values(g.ginvJ).tobytes() == values(full).tobytes()
+        assert gradients(g.ginvJ, g.d).tobytes() == gradients(full, g.d).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_nodewise_inverse_pivots_each_node_by_the_scalar_rule(data):
+    # integer-valued entries with many zeros and ties: the nodes of one batch
+    # need different pivot rows, and some are singular
+    N = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(1, 4))
+    order = data.draw(st.sampled_from([1, 2]))
+    entries = st.integers(-2, 2).map(float)
+    pts = np.array([[data.draw(st.floats(-1, 1)) for _ in range(2)] for _ in range(N)])
+    vals = np.array([[[data.draw(entries) for _ in range(d)] for _ in range(d)]
+                     for _ in range(N)])
+    x, y = seed(pts, order)
+
+    def const(c):
+        return ArrayJet(c, np.zeros((N, 2)), np.zeros((N, 2, 2)) if order == 2 else None)
+
+    M = [[const(vals[:, i, j]) + (0.25 * x * y if (i + j) % 2 else 0.5 * x)
+          for j in range(d)] for i in range(d)]
+    # nodes as scalar jets, by evaluating the same expressions on them
+    want = []
+    for k in range(N):
+        xk, yk = seed(pts[k], order)
+        Mk = [[vals[k, i, j] + 0.25 * xk * yk if (i + j) % 2 else vals[k, i, j] + 0.5 * xk
+               for j in range(d)] for i in range(d)]
+        try:
+            want.append(jet_matrix_inverse(Mk, d))
+        except SingularEvaluationError:
+            want.append(None)
+    if any(w is None for w in want):
+        with pytest.raises(SingularEvaluationError):
+            jet_matrix_inverse(M, d)
+        return
+    got = jet_matrix_inverse(M, d)
+    V, G = values(got), gradients(got, 2)
+    for k, w in enumerate(want):
+        assert V[k].tolist() == values(w).tolist()
+        assert G[k].tolist() == gradients(w, 2).tolist()

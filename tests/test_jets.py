@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError
-from mixedcurv.jets import (Jet, dshift, elementary, gradients, jexp, jlog, jsin,
-                            jsqrt, jtanh, order1, seed, values)
+from mixedcurv.jets import (ArrayJet, Jet, check_finite, dshift, elementary, gradients,
+                            jexp, jlog, jpow, jsin, jsqrt, jtanh, order1, seed,
+                            value_of, values, where)
 
 
 def central(f, x, h):
@@ -353,6 +354,163 @@ def test_values_and_gradients_of_seeded_expression():
     assert G[1].tolist() == [[0.5, 0.0], [0.0, 1.0]]
     assert gradients(x * y, 2).tolist() == [-0.25, 0.5]
     assert gradients(3.0, 2).tolist() == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# array jets against the scalar Jet, node by node
+
+def _node(x, k):
+    """Node k of an array jet as a Jet (floats pass through)."""
+    if not isinstance(x, ArrayJet):
+        return x
+    return Jet(float(x.v[k]), x.g[k].tolist(), None if x.h is None else x.h[k].tolist())
+
+
+@st.composite
+def node_jets(draw, N, d, order):
+    """An array jet over N nodes and its N scalar Jets.  Values are 0, or of
+    size 0.1 to 3 and of either sign, so every domain error occurs."""
+    mag = st.floats(0.1, 3.0)
+    val = st.one_of(st.just(0.0), mag, mag.map(lambda x: -x))
+    coef = st.floats(-2.0, 2.0, allow_nan=False)
+    v = np.array([draw(val) for _ in range(N)])
+    g = np.array([[draw(coef) for _ in range(d)] for _ in range(N)])
+    h = None
+    if order == 2:
+        h = np.array([[[draw(coef) for _ in range(d)] for _ in range(d)] for _ in range(N)])
+        h = h + h.transpose(0, 2, 1)
+    A = ArrayJet(v, g, h)
+    return A, [_node(A, k) for k in range(N)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except (SingularEvaluationError, OverflowError) as exc:
+        return None, type(exc)
+
+
+# (name, operation, exact): an exact operation gives Jet's bits at every node
+BINARY_OPS = [("add", lambda a, b: a + b, True), ("sub", lambda a, b: a - b, True),
+              ("mul", lambda a, b: a * b, True), ("div", lambda a, b: a / b, True),
+              ("pow", jpow, False)]
+UNARY_OPS = ([("neg", lambda a: -a, True), ("log", jlog, False), ("sqrt", jsqrt, False)]
+             + [(f"pow{e}", lambda a, e=e: a ** e, float(e) == int(e))
+                for e in (0, 1, 2, 3, -1, -2, 0.5, 1.5, -0.5)]
+             + [(f"rpow{b}", lambda a, b=b: b ** a, False) for b in (0.5, 2.0)]
+             + [(f"rdiv{c}", lambda a, c=c: c / a, True) for c in (1.0, -2.5)]
+             + [(fn, lambda a, fn=fn: elementary(a, fn), False)
+                for fn in ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log",
+                           "sqrt", "atan")])
+
+
+def _assert_nodes_match(out, want, exact):
+    assert isinstance(out, ArrayJet)
+    for k, J in enumerate(want):
+        got = _node(out, k)
+        if exact:
+            assert (got.v, got.g, got.h) == (J.v, J.g, J.h)
+        else:
+            assert got.v == pytest.approx(J.v, rel=1e-13, abs=1e-13)
+            assert np.allclose(got.g, J.g, rtol=1e-13, atol=1e-13)
+            assert (got.h is None) == (J.h is None)
+            if J.h is not None:
+                assert np.allclose(got.h, J.h, rtol=1e-12, atol=1e-12)
+
+
+def _check_op(f, exact, args, node_args):
+    out, err = _outcome(f, *args)
+    want = [_outcome(f, *a) for a in node_args]
+    errs = {e for _, e in want if e is not None}
+    # the array jet raises exactly when a Jet raises at some node, and the same class
+    if errs:
+        assert err in errs, f"expected one of {errs}, got {err}"
+        return
+    assert err is None
+    _assert_nodes_match(out, [w for w, _ in want], exact)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_array_jet_matches_jet_operation_by_operation(data):
+    N = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 3))
+    oa, ob = data.draw(st.sampled_from([(1, 1), (2, 2), (2, 1)]))
+    A, As = data.draw(node_jets(N, d, oa))
+    B, Bs = data.draw(node_jets(N, d, ob))
+    c = data.draw(st.sampled_from([0.0, 1.5, -0.75, 2]))
+    for name, f, exact in BINARY_OPS:
+        _check_op(f, exact, (A, B), list(zip(As, Bs)))
+        _check_op(f, exact, (A, c), [(a, c) for a in As])
+        if name != "pow":
+            _check_op(f, exact, (c, A), [(c, a) for a in As])
+    for name, f, exact in UNARY_OPS:
+        _check_op(f, exact, (A,), [(a,) for a in As])
+
+
+def test_array_jet_overflow_raises_as_math_does():
+    (x,) = seed([[1.0], [800.0]], 2)
+    for fn in ("exp", "sinh", "cosh"):
+        with pytest.raises(OverflowError):
+            elementary(x, fn)
+        with pytest.raises(OverflowError):
+            elementary(_node(x, 1), fn)
+    with pytest.raises(OverflowError):
+        x ** 200.5
+    with pytest.raises(OverflowError):
+        _node(x, 1) ** 200.5
+
+
+def test_array_jet_refuses_mixed_kinds():
+    (x,) = seed([[1.0], [2.0]], 1)
+    (y,) = seed([[1.0], [2.0], [3.0]], 1)
+    with pytest.raises(InvalidArgumentError):
+        x + y
+    with pytest.raises(InvalidArgumentError):
+        x * seed((1.0,), 1)[0]
+    with pytest.raises(TypeError):
+        float(x)
+
+
+def test_seeded_batch_reads_node_first():
+    pts = np.array([[0.5, -0.25], [1.0, 2.0], [-0.3, 0.7]])
+    xs = seed(pts, 2)
+    J = [[xs[0] * xs[1], 2.0], [jsin(xs[0]), xs[1]]]
+    V, G = values(J), gradients(J, 2)
+    assert V.shape == (3, 2, 2) and G.shape == (3, 2, 2, 2)
+    assert G.flags["C_CONTIGUOUS"]
+    for k, pt in enumerate(pts):
+        Jk = [[_node(x, k) for x in row] for row in J]
+        assert V[k].tolist() == values(Jk).tolist()
+        assert np.allclose(G[k], gradients(Jk, 2), rtol=1e-15, atol=0)
+        assert [_node(x, k).g for x in seed(pts, 1)] == [x.g for x in seed(pt, 1)]
+    D = dshift(J, 2)
+    assert D.shape == (2, 2, 2) and D[0, 0, 1] == 0.0 and D[1, 0, 1] == 0.0
+    for m in range(2):
+        assert np.array_equal(D[m, 0, 0].v, J[0][0].g[:, m])
+        assert np.array_equal(D[m, 0, 0].g, J[0][0].h[:, m])
+        assert D[m, 0, 0].h is None
+    O = order1(J)
+    assert O[0, 0].h is None and np.array_equal(O[0, 0].g, J[0][0].g)
+    assert values(2.0).shape == () and values([1.0, xs[0]]).shape == (3, 2)
+    with pytest.raises(InvalidArgumentError):
+        seed([[0.0, float("inf")]], 1)
+
+
+def test_where_and_check_finite_work_node_by_node():
+    pts = np.array([[0.5], [1.0], [2.0]])
+    (x,) = seed(pts, 2)
+    m = np.array([True, False, True])
+    w = where(m, x * x, 3.0, 1)
+    assert w.v.tolist() == [0.25, 3.0, 4.0]
+    assert w.g[:, 0].tolist() == [1.0, 0.0, 4.0]
+    assert w.h[:, 0, 0].tolist() == [2.0, 0.0, 2.0]
+    assert where(m, 3.0, 3.0, 1) == 3.0
+    assert where(m, x, order1(x), 1).h is None
+    assert check_finite(x) is x
+    with pytest.raises(SingularEvaluationError):
+        check_finite(ArrayJet(np.array([1.0, np.nan]), np.zeros((2, 1))))
+    assert value_of(x) is x.v
 
 
 # ---------------------------------------------------------------------------

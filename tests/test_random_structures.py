@@ -14,13 +14,15 @@ are generated as spec text and go through ``load_structure`` alone:
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
-from mixedcurv.geometry import identity_suite
+from mixedcurv.geometry import PointGeometry, identity_suite
+from mixedcurv.jets import values
 from mixedcurv.structure import load_structure
 
 
@@ -97,7 +99,6 @@ def test_first_variation_verdicts_on_fixed_structures(seed, d, n, lorentz):
     assert _failed_verdicts(s, pt, 1) == []
 
 
-@pytest.mark.slow
 def test_action_derivative_matches_gradient_pairing_generated():
     # the shape of test_variations.test_action_derivative_matches_gradient_pairing
     # on a generic structure, where the J_mix gradient's mixed-block term counts
@@ -116,3 +117,29 @@ def test_action_derivative_matches_gradient_pairing_generated():
     e8, e16 = abs(vals[8] - grad), abs(vals[16] - grad)
     assert e16 < e8 / 3.0                       # observed convergence
     assert e16 <= 3.0 * (abs(vals[16] - vals[8]) + 1e-8)
+
+
+def test_nabla_N_hsc_is_the_covariant_derivative_of_h_sc():
+    # nabla_N h_sc against a construction that shares no jet with it: a
+    # central difference of h_sc = eps_N <h, N-flat> along N, each side read
+    # off its own bundle, plus the connection terms from Gamma0.  A generated
+    # structure, since N-flat is covariantly constant along N on the gallery's
+    # codimension-one entries and a frozen N-flat passes there.
+    s, pt = seeded_structure(1, 3, 2)
+    geom = PointGeometry(s, pt)
+    k = geom.n                       # the complement's unit normal N = e_k
+    N = geom.F[k]
+
+    def hsc(x):
+        b = PointGeometry(s, x)
+        return b.perp.eps[0] * np.tensordot(b.Fb[k], values(b.tan.h_field), axes=(0, 0))
+
+    step = 1e-5
+    H = hsc(pt)
+    dH = (hsc(np.add(pt, step * N)) - hsc(np.subtract(pt, step * N))) / (2.0 * step)
+    G = geom.Gamma0
+    cov = dH - np.einsum("kmn,m,kr->nr", G, N, H) - np.einsum("kmr,m,nk->nr", G, N, H)
+    F = geom.F[:geom.n]
+    want = F @ cov @ F.T
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(geom.tan.nabla_N_hsc - want)) < 1e-8

@@ -297,7 +297,6 @@ def test_unknown_action_rejected(action):
                              enforce_support=False)
 
 
-@pytest.mark.slow
 def test_action_derivative_matches_gradient_pairing():
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=7, box=box3())
@@ -337,7 +336,6 @@ def test_div_H_plus_Ht_integral_constant_for_perp_variations():
     assert abs(deriv[16]) <= 3.0 * abs(deriv[16] - deriv[8])
 
 
-@pytest.mark.slow
 def test_bar_relation_volume_preserving_variation_trivial():
     # adjust the trace so the variation preserves the box volume: the
     # normalized and plain derivatives must then coincide
@@ -372,7 +370,6 @@ def test_bar_relation_volume_preserving_variation_trivial():
     assert abs(rep["dJ_bar"] - rep["dJ"]) < 1e-7 * max(1.0, abs(rep["dJ"]))
 
 
-@pytest.mark.slow
 def test_bar_relation_r3_contact():
     s = struct("r3_contact")
     q = el.QuadratureSpec(box=box3(0.5), grid=10)
