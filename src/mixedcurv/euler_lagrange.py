@@ -575,7 +575,7 @@ def _diagonal_metric_jets(geom):
     nested lists of floats: g_ii, d_m g_ii at [i][m] and d_m d_k g_ii at
     [i][m][k]."""
     d = geom.d
-    diag = [geom.gJ[i][i] for i in range(d)]
+    diag = geom.gJ.diagonal()
     hess = gradients(dshift(diag, d), d)                # [k][m][i] = d_k d_m g_ii
     return (values(diag).tolist(), gradients(diag, d).T.tolist(),
             hess.transpose(2, 1, 0).tolist())

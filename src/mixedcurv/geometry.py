@@ -30,19 +30,26 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import (ArrayJet, Jet, dshift, gradients, order1, promote, seed, value_of,
-                   values, where)
+from .jets import (ArrayJet, Jet, concatenate, dense, dshift, gradients, order1, seed,
+                   tensordot, value_of, values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
 def jet_matrix_inverse(M, d, point=None):
     """Gauss-Jordan inverse over jet scalars, pivoting on absolute values.
-    Over array jets every node chooses its own pivot rows by the same rule."""
+
+    An array jet of shape B + (d, d) is a batch of matrices, and so is a
+    nested list of node jets (returned as such a list): each matrix of the
+    batch chooses its own pivot rows by the scalar rule and takes the same
+    arithmetic steps as the scalar loop."""
+    if isinstance(M, ArrayJet):
+        return _dense_matrix_inverse(M, d, point)
     A = [[M[i][j] for j in range(d)] for i in range(d)]
-    I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
     like = next((x for row in A for x in row if isinstance(x, ArrayJet)), None)
     if like is not None:
-        return _node_matrix_inverse(A, I, d, point, len(like.v), like.nvars)
+        R = _dense_matrix_inverse(dense(A, like.nvars), d, point)
+        return [[R[:, i, j] for j in range(d)] for i in range(d)]
+    I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
     # each pivot is judged against the largest entry of its own input row
     scale = [max(abs(value_of(x)) for x in row) for row in A]
     for col in range(d):
@@ -52,44 +59,44 @@ def jet_matrix_inverse(M, d, point=None):
         A[col], A[piv] = A[piv], A[col]
         I[col], I[piv] = I[piv], I[col]
         scale[col], scale[piv] = scale[piv], scale[col]
-        _eliminate(A, I, col, d)
+        inv = 1.0 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        I[col] = [x * inv for x in I[col]]
+        for r in range(d):
+            f = A[r][col]
+            if r != col and (isinstance(f, Jet) or f != 0.0):
+                A[r] = [A[r][j] - f * A[col][j] for j in range(d)]
+                I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
     return I
 
 
-def _node_matrix_inverse(A, I, d, point, N, nvars):
-    """``jet_matrix_inverse`` over array jets at N nodes in nvars variables:
-    the pivot search, its singularity test and the row swap run node by node."""
-    nodes = np.arange(N)
-    scale = np.max(np.abs(np.broadcast_to(values(A), (N, d, d))), axis=2)
+def _dense_matrix_inverse(A, d, point):
+    """``jet_matrix_inverse`` of an array jet of shape B + (d, d): the pivot
+    search, its singularity test and the row swap run per matrix of B.  The
+    row operations act on the augmented rows [A | I]."""
+    batch = A.shape[:-2]
+    k = len(batch)
+    at = tuple(ix[..., None] for ix in np.indices(batch, sparse=True))
+    eye = np.broadcast_to(np.eye(d), A.shape)
+    X = concatenate((A, A * 0.0 + eye), axis=k + 1)
+    scale = np.max(np.abs(values(A)), axis=-1)
     for col in range(d):
-        mag = np.abs(np.broadcast_to(values([A[r][col] for r in range(col, d)]),
-                                     (N, d - col)))
-        piv = col + np.argmax(mag, axis=1)        # the first largest, as max() picks
-        if (mag.max(axis=1) <= 1e-14 * scale[nodes, piv]).any():
+        mag = np.abs(values(X)[..., col:, col])
+        piv = col + np.argmax(mag, axis=-1)        # the first largest, as max() picks
+        if np.any(mag.max(axis=-1)
+                  <= 1e-14 * np.take_along_axis(scale, piv[..., None], -1)[..., 0]):
             raise SingularEvaluationError("singular metric", point=point)
-        for r in range(col + 1, d):
-            m = piv == r
-            if m.any():
-                for X in (A, I):
-                    X[col], X[r] = ([where(m, a, b, nvars) for a, b in zip(X[r], X[col])],
-                                    [where(m, a, b, nvars) for a, b in zip(X[col], X[r])])
-                scale[m, col], scale[m, r] = scale[m, r], scale[m, col]
-        _eliminate(A, I, col, d)
-    return I
-
-
-def _eliminate(A, I, col, d):
-    """Scale the pivot row to a unit pivot and clear the column elsewhere."""
-    inv = 1.0 / A[col][col]
-    A[col] = [x * inv for x in A[col]]
-    I[col] = [x * inv for x in I[col]]
-    for r in range(d):
-        if r == col:
-            continue
-        f = A[r][col]
-        if isinstance(f, (Jet, ArrayJet)) or f != 0.0:
-            A[r] = [A[r][j] - f * A[col][j] for j in range(d)]
-            I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
+        if np.any(piv != col):
+            perm = np.array(np.broadcast_to(np.arange(d), batch + (d,)))
+            np.put_along_axis(perm, piv[..., None], col, -1)
+            perm[..., col] = piv
+            X = X[at + (perm,)]
+            scale = np.take_along_axis(scale, perm, -1)
+        # X[r] - X[r][col] X[col] on every row, then the scaled pivot row at col
+        row = X[..., col, :] * (1.0 / X[..., col, col])[..., None]
+        upd = X - X[..., :, col][..., None] * row[..., None, :]
+        X = concatenate((upd[..., :col, :], row[..., None, :], upd[..., col + 1:, :]), axis=k)
+    return X[..., :, d:]
 
 
 class PointGeometry:
@@ -120,14 +127,14 @@ class PointGeometry:
 
     @cached_property
     def gJ(self):
-        d = self.d
+        """The metric as an order-2 jet field."""
         try:
             rows = self._metric_fn(self.seeds)
         except SingularEvaluationError as exc:
             if exc.point is None:
                 raise SingularEvaluationError(str(exc), point=self.point) from exc
             raise
-        return [[promote(rows[i][j], d) for j in range(d)] for i in range(d)]
+        return dense(rows, self.d)
 
     @cached_property
     def ginvJ(self):
@@ -136,34 +143,20 @@ class PointGeometry:
 
     @cached_property
     def GammaJ(self):
-        """Christoffel symbols as order-1 jets; index order [sigma][mu][nu].
+        """Christoffel symbols as an order-1 jet field; index order
+        [sigma][mu][nu].
 
         Built from dshift of the metric jets, so the jet gradient of an entry
         is the chart derivative of that Christoffel symbol.
         """
-        d = self.d
-        dg = dshift(self.gJ, d).tolist()
-        # dsym[t][m][nn] = d_m g_{t nn} + d_nn g_{t m} - d_t g_{m nn}
-        dsym = [[[dg[m][t][nn] + dg[nn][t][m] - dg[t][m][nn]
-                  for nn in range(d)] for m in range(d)] for t in range(d)]
-        out = []
-        for s in range(d):
-            gs = self.ginvJ[s]
-            mat = []
-            for m in range(d):
-                row = []
-                for nn in range(d):
-                    acc = gs[0] * dsym[0][m][nn]
-                    for t in range(1, d):
-                        acc = acc + gs[t] * dsym[t][m][nn]
-                    row.append(0.5 * acc)
-                mat.append(row)
-            out.append(mat)
-        return out
+        dg = dshift(self.gJ, self.d)                          # [m][t][nu]
+        # dsym[t][m][nu] = d_m g_{t nu} + d_nu g_{t m} - d_t g_{m nu}
+        dsym = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+        return 0.5 * tensordot(self.ginvJ, dsym, axes=(1, 0))
 
     @cached_property
     def frameJ(self):
-        span = [[promote(c, self.d) for c in vec] for vec in self._dtilde_fn(self.seeds)]
+        span = dense(self._dtilde_fn(self.seeds), self.d)
         return orthonormal_frame(self.gJ, span, self.d, point=self.point)
 
     @cached_property
@@ -172,11 +165,11 @@ class PointGeometry:
 
     @cached_property
     def framevecsJ(self):
-        return list(self.frameJ.vectors)
+        """Frame vectors e_a (rows) as an order-2 jet field, tangent block first."""
+        return concatenate((self.frameJ.E, self.frameJ.Eperp))
 
-    # The field algebra: jet tensor fields are object arrays of order-1 jets
-    # (and floats), and every contraction is a two-operand ``@`` or
-    # ``np.tensordot``.
+    # The field algebra: jet tensor fields are array jets of order 1, and
+    # every contraction is a two-operand ``@`` or ``tensordot``.
 
     @cached_property
     def g1(self):
@@ -195,9 +188,8 @@ class PointGeometry:
     @cached_property
     def nabla_frame(self):
         """(nabla_m e_a)^s of every frame field, index order [a][m][s]."""
-        G = np.array(self.GammaJ, dtype=object)                  # [s][m][nu]
         dE = dshift(self.framevecsJ, self.d)                     # [m][a][s]
-        return dE.transpose(1, 0, 2) + (G @ self.frame1.T).transpose(2, 1, 0)
+        return dE.transpose(1, 0, 2) + (self.GammaJ @ self.frame1.T).transpose(2, 1, 0)
 
     # ------------------------------------------------------------------
     # the two blocks of the splitting
@@ -269,8 +261,10 @@ class PointGeometry:
     @cached_property
     def R4(self):
         """Frame components g(R(e_a, e_b) e_c, e_d)."""
-        F = self.F
-        return np.einsum("am,bn,cg,dk,mngk->abcd", F, F, F, F, self.R04)
+        R = self.R04                   # each pass turns the leading index into a frame one
+        for _ in range(4):
+            R = np.tensordot(R, self.F, axes=(0, 1))
+        return R
 
     def riemann(self, X, Y, Z):
         """R(X, Y) Z for chart-component vectors, as chart components."""
@@ -480,7 +474,7 @@ class BlockView:
     @cached_property
     def nabla_EE(self):
         """nabla_{E_a} E_b, index order [a][b][s]."""
-        return np.tensordot(self.frame1, self.g.nabla_frame[self.sl], axes=(1, 1))
+        return tensordot(self.frame1, self.g.nabla_frame[self.sl], axes=(1, 1))
 
     # ------------------------------------------------------------------
     # fundamental forms
@@ -509,7 +503,7 @@ class BlockView:
     def HJ(self):
         """Mean curvature vector field, jet chart components."""
         dual = self.dual
-        return (np.diagonal(self.ffJ[0]) @ self.eps * dual.eps) @ dual.frame1
+        return (self.ffJ[0].diagonal() @ self.eps * dual.eps) @ dual.frame1
 
     @cached_property
     def H0(self):
@@ -695,7 +689,7 @@ class BlockView:
     def tau1_J(self):
         """tau_1 = Tr A_N for a rank-one dual, as a jet scalar."""
         self.dual._rank_one("tau_1")
-        return np.diagonal(self.ffJ[0][:, :, 0]) @ self.eps
+        return self.ffJ[0][:, :, 0].diagonal() @ self.eps
 
     @cached_property
     def nabla_N_hsc(self):
@@ -705,7 +699,7 @@ class BlockView:
         covariant derivative."""
         self.dual._rank_one("nabla_N h_sc")
         g, k = self.g, self.dual.idx[0]
-        hscJ = self.dual.eps[0] * np.tensordot(g.flat1[k], self.h_field, axes=(0, 0))
+        hscJ = self.dual.eps[0] * tensordot(g.flat1[k], self.h_field, axes=(0, 0))
         F = g.F[self.sl]
         return F @ g.nabla02_in_direction(hscJ, g.F[k]) @ F.T
 
@@ -754,8 +748,8 @@ def _field12(C, X, Y, Z):
     on every other triple of frame vectors."""
     w = np.multiply.outer(np.multiply.outer(X.eps, Y.eps), Z.eps)
     P = (C * w) @ Z.frame1                                   # [x][y][s]
-    P = np.tensordot(P, Y.flat1, axes=(1, 0))                # [x][s][rho]
-    return np.tensordot(X.flat1, P, axes=(0, 0)).transpose(1, 0, 2)
+    P = tensordot(P, Y.flat1, axes=(1, 0))                   # [x][s][rho]
+    return tensordot(X.flat1, P, axes=(0, 0)).transpose(1, 0, 2)
 
 
 # ----------------------------------------------------------------------
@@ -785,7 +779,7 @@ def divergence(struct, point, field, mode="full", metric_fn=None):
     trace or the block-restricted sums ('perp' / 'tan')."""
     geom = PointGeometry(struct, point, metric_fn=metric_fn)
     P = field(geom)
-    if np.ndim(P) == 3:
+    if np.ndim(values(P)) == 3:
         return geom.div_12(P, mode=mode)
     return geom.div_vector(P, mode=mode)
 
@@ -853,19 +847,19 @@ def _smix_density_nodes(struct, pts, metric_fn):
     projector formula.  The index letter z runs over the nodes."""
     N, d = pts.shape
     xs = seed(pts, 2)
-    gJ = np.asarray((metric_fn or struct.metric_at)(xs), dtype=object)
-    g0 = np.broadcast_to(values(gJ), (N, d, d))
+    gJ = dense((metric_fn or struct.metric_at)(xs), d)     # [z][t][n]
+    if gJ.shape != (N, d, d):                               # a constant metric
+        gJ = gJ + np.zeros((N, d, d))
+    g0 = values(gJ)
     ginvJ = jet_matrix_inverse(order1(gJ), d)
-    ginv = np.broadcast_to(values(ginvJ), (N, d, d))
-    dginv = np.broadcast_to(gradients(ginvJ, d), (N, d, d, d))
-    # dsym[t][m][n] = d_m g_{tn} + d_n g_{tm} - d_t g_{mn}, as order-1 jets
-    dgJ = dshift(gJ, d)
-    dsymJ = dgJ.transpose(1, 0, 2) + dgJ.transpose(1, 2, 0) - dgJ
-    dsym = np.broadcast_to(values(dsymJ), (N, d, d, d))
-    ddsym = np.broadcast_to(gradients(dsymJ, d), (N, d, d, d, d))
+    ginv, dginv = values(ginvJ), gradients(ginvJ, d)        # dginv [l][z][s][t]
+    # dsym[z][t][m][n] = d_m g_{tn} + d_n g_{tm} - d_t g_{mn}, as order-1 jets
+    dgJ = dshift(gJ, d)                                     # [m][z][t][n]
+    dsymJ = dgJ.transpose(1, 2, 0, 3) + dgJ.transpose(1, 2, 3, 0) - dgJ.transpose(1, 0, 2, 3)
+    dsym, ddsym = values(dsymJ), gradients(dsymJ, d)        # ddsym [l][z][t][m][n]
     G = 0.5 * np.einsum("zst,ztmn->zsmn", ginv, dsym)
-    dG = 0.5 * (np.einsum("zlst,ztmn->zlsmn", dginv, dsym)
-                + np.einsum("zst,zltmn->zlsmn", ginv, ddsym))
+    dG = 0.5 * (np.einsum("lzst,ztmn->zlsmn", dginv, dsym)
+                + np.einsum("zst,lztmn->zlsmn", ginv, ddsym))
     # Rcoord at every node
     R = np.einsum("znsmg->zsmng", dG) - np.einsum("zmsng->zsmng", dG)
     R += np.einsum("zsnk,zkmg->zsmng", G, G) - np.einsum("zsmk,zkng->zsmng", G, G)
@@ -888,7 +882,7 @@ def random_perp_field(geom, rng_seed):
     rng = random.Random(rng_seed)
     C = np.array([[rng.uniform(-1, 1) for _ in range(geom.d + 1)]
                   for _ in range(geom.p)])
-    c = C[:, 0] + C[:, 1:] @ order1(geom.seeds)       # affine coefficients
+    c = C[:, 0] + C[:, 1:] @ order1(dense(geom.seeds, geom.d))  # affine coefficients
     return c @ geom.perp.frame1
 
 

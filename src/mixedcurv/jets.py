@@ -10,18 +10,23 @@ with ordinary operators runs unchanged on either kind.  Binary operations
 between jets of different order truncate to the lower order.
 
 This module is the only one that knows a jet's layout.  Other modules build
-jets with :func:`seed`, :func:`promote`, :func:`order1` and :func:`dshift`,
-and read them back through :func:`value_of`.  A jet tensor field is a numpy
-``dtype=object`` array of jets and floats; :func:`order1` and :func:`dshift`
-act on it entrywise, and :func:`values` (the float array) and
-:func:`gradients` (the gradient array, derivative index first) read it back.
-The same functions accept nested lists of scalars.
+jets with :func:`seed`, :func:`dense`, :func:`order1` and :func:`dshift`,
+and read them back through :func:`value_of`, :func:`values` (the float
+array) and :func:`gradients` (the gradient array, derivative index first).
 
-An :class:`ArrayJet` is the same jet at N nodes at once (Taylor arithmetic in
-the vector forward mode): its value, gradient and Hessian carry a leading
-node axis.  Seeding a batch of points gives array jets, every function above
-accepts them, and :func:`values` and :func:`gradients` put the node axis
-first: ``values(J)[k][...]`` and ``gradients(J, d)[k][m][...]`` are node k's.
+A jet tensor field is one :class:`ArrayJet` (Taylor arithmetic in the vector
+forward mode): its value, gradient and Hessian arrays carry the tensor's
+shape, with the derivative axes last.  :func:`dense` turns the nested lists
+of scalar jets that expression evaluation gives into one; the field algebra
+is numpy's (``@``, :func:`tensordot`, transposes, indexing, ``diagonal``,
+``sum``, broadcasting ring operations and elementary functions) with the
+product rule.  :func:`order1` and :func:`dshift` act on a field as a whole
+and on an array or nested list of scalars entry by entry.
+
+The same class holds one scalar at N quadrature nodes, shape (N,).  Seeding
+a batch of points gives such node jets, and a nested list of them reads
+node first: ``values(J)[k][...]`` and ``gradients(J, d)[k][m][...]`` are
+node k's.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ class Jet:
         return Jet(0.0, (0.0,) * n, h)
 
     # ------------------------------------------------------------------
-    # An array operand defers to numpy, which applies the operation entrywise.
+    # An array or array jet operand takes over: numpy applies the operation
+    # entrywise, and an array jet refuses a Jet.
 
     def _binary_parts(self, other):
         """Align two operands; returns (a_v,a_g,a_h, b_v,b_g,b_h, n, order2)."""
@@ -72,7 +78,7 @@ class Jet:
         return (self.v, self.g, self.h, other, zg, None, n, self.h is not None)
 
     def __add__(self, other):
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (np.ndarray, ArrayJet)):
             return NotImplemented
         av, ag, ah, bv, bg, bh, n, o2 = self._binary_parts(other)
         g = tuple(ag[i] + bg[i] for i in range(n))
@@ -98,7 +104,7 @@ class Jet:
         return Jet(-self.v, tuple(-x for x in self.g), h)
 
     def __mul__(self, other):
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (np.ndarray, ArrayJet)):
             return NotImplemented
         av, ag, ah, bv, bg, bh, n, o2 = self._binary_parts(other)
         g = tuple(ag[i] * bv + av * bg[i] for i in range(n))
@@ -123,7 +129,7 @@ class Jet:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (np.ndarray, ArrayJet)):
             return NotImplemented
         if not isinstance(other, Jet):
             if other == 0.0:
@@ -216,17 +222,26 @@ class Jet:
 
 
 class ArrayJet:
-    """A jet at N nodes: value v (N,), gradient g (N, d) and, at order 2,
-    Hessian h (N, d, d), else None.
+    """A jet tensor field: value v of shape S, gradient g of shape S + (d,)
+    and, at order 2, Hessian h of shape S + (d, d), else None.
 
-    Every operation is :class:`Jet`'s, node by node, by the same formulas in
-    the same order.  It raises :class:`SingularEvaluationError` when
-    :class:`Jet` would at any node; an elementary function whose value
-    overflows raises ``OverflowError`` as ``math`` does.  The arrays are
-    never written in place, so jets may share them.
+    S is the shape of a tensor at one point, or a node axis (N,) for one
+    scalar at N nodes.  Ring operations, powers and elementary functions act
+    entry by entry by :class:`Jet`'s formulas in the same order and
+    broadcast between shapes as numpy does; a float or float array operand
+    is a constant.  ``@``, :func:`tensordot`, :meth:`transpose`, indexing,
+    :meth:`diagonal` and :meth:`sum` act as numpy's on the value, with the
+    product rule on the derivatives.  It raises
+    :class:`SingularEvaluationError` when :class:`Jet` would at any entry; an
+    elementary function whose value overflows raises ``OverflowError`` as
+    ``math`` does.  The arrays are never written in place, so jets may share
+    them.
     """
 
     __slots__ = ("v", "g", "h")
+    # numpy operands defer to the reflected operators below; without __len__
+    # numpy also keeps an array jet whole inside an object array
+    __array_ufunc__ = None
 
     def __init__(self, v, g, h=None):
         self.v = v
@@ -235,29 +250,56 @@ class ArrayJet:
 
     @property
     def nvars(self):
-        return self.g.shape[1]
+        return self.g.shape[-1]
+
+    @property
+    def shape(self):
+        return np.shape(self.v)
+
+    @property
+    def ndim(self):
+        return np.ndim(self.v)
+
+    @property
+    def size(self):
+        return np.size(self.v)
 
     def __repr__(self):
         return f"ArrayJet(v={self.v!r}, g={self.g!r}, h={self.h!r})"
 
-    def _is_jet(self, other):
-        """True for an array jet operand, False for a plain scalar."""
+    def _jet(self, other):
+        """``other`` if it is an array jet of a broadcastable shape, None for
+        a constant."""
         if isinstance(other, ArrayJet):
-            if other.g.shape != self.g.shape:
+            if other.nvars != self.nvars:
                 raise InvalidArgumentError(
-                    f"array jet shapes differ: {self.g.shape} vs {other.g.shape}")
-            return True
+                    f"jet variable counts differ: {self.nvars} vs {other.nvars}")
+            if other.shape != self.shape:
+                try:
+                    np.broadcast_shapes(self.shape, other.shape)
+                except ValueError:
+                    raise InvalidArgumentError(
+                        f"array jet shapes differ: {self.shape} vs {other.shape}") from None
+            return other
         if isinstance(other, Jet):
             raise InvalidArgumentError("an array jet does not combine with a Jet")
-        return False
+        return None
+
+    def _grown(self, shape):
+        """The derivative arrays broadcast to the value shape ``shape``."""
+        if shape == self.shape:
+            return self.g, self.h
+        d = (self.nvars,)
+        return (np.broadcast_to(self.g, shape + d),
+                None if self.h is None else np.broadcast_to(self.h, shape + d + d))
 
     def __add__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
-        if not self._is_jet(other):
-            return ArrayJet(self.v + other, self.g, self.h)
-        h = None if self.h is None or other.h is None else self.h + other.h
-        return ArrayJet(self.v + other.v, self.g + other.g, h)
+        b = self._jet(other)
+        if b is None:
+            v = self.v + _const(other)
+            return ArrayJet(v, *self._grown(np.shape(v)))
+        h = None if self.h is None or b.h is None else self.h + b.h
+        return ArrayJet(self.v + b.v, self.g + b.g, h)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -272,61 +314,60 @@ class ArrayJet:
         return ArrayJet(-self.v, -self.g, None if self.h is None else -self.h)
 
     def __mul__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
-        if not self._is_jet(other):
-            return ArrayJet(self.v * other, self.g * other,
-                            None if self.h is None else self.h * other)
-        av, ag, bv, bg = self.v[:, None], self.g, other.v[:, None], other.g
+        b = self._jet(other)
+        if b is None:
+            c = _const(other)
+            return ArrayJet(self.v * c, self.g * _g(c),
+                            None if self.h is None else self.h * _h(c))
+        av, ag, bv, bg = _g(self.v), self.g, _g(b.v), b.g
         h = None
-        if self.h is not None and other.h is not None:
+        if self.h is not None and b.h is not None:
             S = _outer(ag, bg)
-            h = self.h * bv[:, :, None] + S + _T(S) + av[:, :, None] * other.h
-        return ArrayJet(self.v * other.v, ag * bv + av * bg, h)
+            h = self.h * _g(bv) + S + _T(S) + _g(av) * b.h
+        return ArrayJet(self.v * b.v, ag * bv + av * bg, h)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
-        if not self._is_jet(other):
-            if other == 0.0:
+        b = self._jet(other)
+        if b is None:
+            c = _const(other)
+            if np.any(c == 0.0):
                 raise SingularEvaluationError("division by zero scalar")
-            return ArrayJet(self.v / other, self.g / other,
-                            None if self.h is None else self.h / other)
-        _nonzero(other.v)
-        bv, bg = other.v, other.g
+            return ArrayJet(self.v / c, self.g / _g(c),
+                            None if self.h is None else self.h / _h(c))
+        _nonzero(b.v)
+        bv, bg = b.v, b.g
         q = self.v / bv
-        dq = (self.g - q[:, None] * bg) / bv[:, None]
+        dq = (self.g - _g(q) * bg) / _g(bv)
         h = None
-        if self.h is not None and other.h is not None:
+        if self.h is not None and b.h is not None:
             S = _outer(dq, bg)
-            h = (self.h - q[:, None, None] * other.h - S - _T(S)) / bv[:, None, None]
+            h = (self.h - _h(q) * b.h - S - _T(S)) / _h(bv)
         return ArrayJet(q, dq, h)
 
     def __rtruediv__(self, other):
-        # other is a plain scalar
+        # other is a constant
         _nonzero(self.v)
-        q = other / self.v
+        q = _const(other) / self.v
         w = q / self.v
-        dq = -w[:, None] * self.g
+        dq = -_g(w) * self.g
         h = None
         if self.h is not None:
             S = _outer(dq, self.g)
-            h = (-q[:, None, None] * self.h - S - _T(S)) / self.v[:, None, None]
+            h = (-_h(q) * self.h - S - _T(S)) / _h(self.v)
         return ArrayJet(q, dq, h)
 
     def _reciprocal(self):
         _nonzero(self.v)
         q = 1.0 / self.v
         q2 = q * q
-        g = -self.g * q2[:, None]
+        g = -self.g * _g(q2)
         h = None
         if self.h is not None:
             q3 = q2 * q
-            h = (_outer(2.0 * self.g, self.g) * q3[:, None, None]
-                 - self.h * q2[:, None, None])
+            h = _outer(2.0 * self.g, self.g) * _h(q3) - self.h * _h(q2)
         return ArrayJet(q, g, h)
 
     def __pow__(self, e):
@@ -346,9 +387,9 @@ class ArrayJet:
                 out = out * self
             return out
         bad = self.v <= 0.0
-        if bad.any():
+        if np.any(bad):
             raise SingularEvaluationError(
-                f"non-integer power of non-positive value {self.v[bad][0]}")
+                f"non-integer power of non-positive value {np.asarray(self.v)[bad][0]}")
         f0 = _finite_power(self.v, e)
         f1 = e * _finite_power(self.v, e - 1.0)
         f2 = e * (e - 1.0) * _finite_power(self.v, e - 2.0)
@@ -358,36 +399,101 @@ class ArrayJet:
         return jexp(self * math.log(base))
 
     def _compose(self, f0, f1, f2):
-        g = f1[:, None] * self.g
+        g = _g(f1) * self.g
         h = None
         if self.h is not None:
-            h = f1[:, None, None] * self.h + _outer(f2[:, None] * self.g, self.g)
+            h = _h(f1) * self.h + _outer(_g(f2) * self.g, self.g)
         return ArrayJet(f0, g, h)
 
     def __float__(self):
         raise TypeError("implicit ArrayJet->float conversion is a bug; use value_of()")
 
+    # ------------------------------------------------------------------
+    # the shape of the field; the derivative axes stay last
+
+    def _parts(self, fn, shift=0):
+        """``fn(array, k)`` on the value (k = 0), gradient (1) and Hessian (2)
+        arrays; ``shift`` moves each result's last k axes back in front of
+        the derivative axes (for numpy functions that append an axis)."""
+        def part(x, k):
+            out = fn(x, k)
+            if shift and k:
+                out = np.moveaxis(out, list(range(-shift, 0)),
+                                  list(range(-shift - k, -k)))
+            return out
+        return ArrayJet(part(self.v, 0), part(self.g, 1),
+                        None if self.h is None else part(self.h, 2))
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        return self._parts(lambda x, k: x[key + (slice(None),) * k])
+
+    def __iter__(self):
+        return (self[i] for i in range(self.shape[0]))
+
+    def transpose(self, *axes):
+        n = self.ndim
+        if len(axes) == 1 and not isinstance(axes[0], int):
+            axes = tuple(axes[0])
+        axes = axes or tuple(reversed(range(n)))
+        return self._parts(lambda x, k: x.transpose(axes + tuple(range(n, n + k))))
+
+    @property
+    def T(self):
+        return self.transpose()
+
+    def diagonal(self, offset=0, axis1=0, axis2=1):
+        """numpy's diagonal: the diagonal axis comes last of the field's."""
+        a1, a2 = (a % self.ndim for a in (axis1, axis2))
+        return self._parts(lambda x, k: np.diagonal(x, offset, a1, a2), shift=1)
+
+    def sum(self, axis=None):
+        axes = tuple(range(self.ndim)) if axis is None else tuple(
+            a % self.ndim for a in np.atleast_1d(axis))
+        return self._parts(lambda x, k: x.sum(axis=axes))
+
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
+
 
 _JETS = (Jet, ArrayJet)
 
 
+def _const(x):
+    """A constant operand of an array jet, as a float or a float array."""
+    return x if isinstance(x, (int, float)) else np.asarray(x, dtype=float)
+
+
+def _g(x):
+    """``x`` with an axis appended, to broadcast against gradients."""
+    return x[..., None] if isinstance(x, np.ndarray) or np.ndim(x) else x
+
+
+def _h(x):
+    """``x`` with two axes appended, to broadcast against Hessians."""
+    return x[..., None, None] if isinstance(x, np.ndarray) or np.ndim(x) else x
+
+
 def _outer(a, b):
-    """a_i b_j at every node, for (N, d) arrays."""
-    return a[:, :, None] * b[:, None, :]
+    """a_i b_j at every entry, for gradient arrays."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def _T(S):
-    """S_ji at every node: b_i a_j for S = _outer(a, b), the same products."""
-    return S.transpose(0, 2, 1)
+    """S_ji at every entry: b_i a_j for S = _outer(a, b), the same products."""
+    return np.swapaxes(S, -1, -2)
 
 
 def _nonzero(v):
-    if (v == 0.0).any():
+    if np.any(v == 0.0):
         raise SingularEvaluationError("division by jet with zero value")
 
 
 def _finite_power(v, e):
-    """v ** e at every node; an overflow raises as a float power does."""
+    """v ** e at every entry; an overflow raises as a float power does."""
     with np.errstate(over="ignore"):
         out = v ** e
     if np.isinf(out).any():
@@ -395,9 +501,65 @@ def _finite_power(v, e):
     return out
 
 
+def tensordot(a, b, axes=2):
+    """numpy's tensordot of two array jets, or of an array jet and a float
+    array, by the product rule."""
+    ja, jb = isinstance(a, ArrayJet), isinstance(b, ArrayJet)
+    if ja and jb and a.nvars != b.nvars:
+        raise InvalidArgumentError(f"jet variable counts differ: {a.nvars} vs {b.nvars}")
+    av = a.v if ja else _const(a)
+    bv = b.v if jb else _const(b)
+    na, nb = np.ndim(av), np.ndim(bv)
+    if isinstance(axes, int):
+        ia, ib = list(range(na - axes, na)), list(range(axes))
+    else:
+        ia, ib = ([x] if isinstance(x, int) else list(x) for x in axes)
+    # einsum subscripts: field axes a..w, a contracted axis shares a's letter,
+    # and x, y, z label derivative axes
+    sa = [chr(97 + i) for i in range(na)]
+    sb = [chr(97 + na + j) for j in range(nb)]
+    for i, j in zip(ia, ib):
+        sb[j % nb] = sa[i % na]
+    sa, sb = "".join(sa), "".join(sb)
+    free = "".join(c for c in sa if c not in sb) + "".join(c for c in sb if c not in sa)
+
+    def dot(x, tx, y, ty):
+        return np.einsum(f"{sa}{tx},{sb}{ty}->{free}{tx}{ty}", x, y)
+
+    terms = ([dot(a.g, "x", bv, "")] if ja else []) + ([dot(av, "", b.g, "x")] if jb else [])
+    g = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    h = None
+    if (not ja or a.h is not None) and (not jb or b.h is not None):
+        h = dot(a.h, "xy", bv, "") if ja else dot(av, "", b.h, "xy")
+        if ja and jb:
+            S = dot(a.g, "x", b.g, "y")
+            h = h + S + _T(S) + dot(av, "", b.h, "xy")
+    return ArrayJet(dot(av, "", bv, ""), g, h)
+
+
+def _matmul(a, b):
+    """``a @ b`` as numpy's, for a second operand of at most two axes."""
+    na, nb = np.ndim(_value(a)), np.ndim(_value(b))
+    if na == 0 or nb == 0 or nb > 2:
+        raise InvalidArgumentError(f"jet matmul of {na}- and {nb}-axis operands")
+    return tensordot(a, b, ([na - 1], [0]))
+
+
+def _value(x):
+    return x.v if isinstance(x, ArrayJet) else _const(x)
+
+
+def concatenate(fields, axis=0):
+    """numpy's concatenate of array jets, along a field axis ``axis`` >= 0."""
+    order2 = all(x.h is not None for x in fields)
+    return ArrayJet(np.concatenate([x.v for x in fields], axis=axis),
+                    np.concatenate([x.g for x in fields], axis=axis),
+                    np.concatenate([x.h for x in fields], axis=axis) if order2 else None)
+
+
 def value_of(x):
-    """Float value of a scalar, jet or plain number (an array of node
-    values for an array jet)."""
+    """Float value of a scalar, jet or plain number (the value array of an
+    array jet)."""
     return x.v if isinstance(x, _JETS) else float(x)
 
 
@@ -424,14 +586,6 @@ def seed(point, order):
             for i, c in enumerate(pt)]
 
 
-def promote(x, d):
-    """Coerce a plain scalar to a zero-derivative order-2 jet in d variables."""
-    if isinstance(x, _JETS):
-        return x
-    z = (0.0,) * d
-    return Jet(float(x), z, tuple(z for _ in range(d)))
-
-
 def _order1(x):
     if isinstance(x, Jet) and x.h is not None:
         return Jet(x.v, x.g, None)
@@ -444,8 +598,8 @@ _order1_entrywise = np.frompyfunc(_order1, 1, 1)
 
 
 def order1(X):
-    """Truncate to order 1 (used for field-level algebra); entrywise on an
-    array or nested list, which comes back as an object array."""
+    """Truncate to order 1; entrywise on an array or nested list, which
+    comes back as an object array."""
     if isinstance(X, (list, tuple, np.ndarray)):
         return _order1_entrywise(np.asarray(X, dtype=object))
     return _order1(X)
@@ -456,60 +610,94 @@ def _partials(x, d):
         if x.h is None:
             raise SingularEvaluationError("second-order jet required for field derivative")
         if isinstance(x, ArrayJet):
-            return [ArrayJet(x.g[:, m], x.h[:, m], None) for m in range(d)]
+            return [ArrayJet(x.g[..., m], x.h[..., m], None) for m in range(d)]
         return [Jet(x.g[m], x.h[m], None) for m in range(d)]
     return [0.0] * d
 
 
 def dshift(X, d):
     """Every partial derivative of order-2 jets in d variables, as order-1
-    jets in an object array with the derivative index first:
-    ``dshift(X, d)[m][...] = d_m X[...]``, zero for plain floats."""
+    jets with the derivative index first: ``dshift(X, d)[m][...] = d_m
+    X[...]``, zero for plain floats.  An array jet gives an array jet; an
+    array or nested list of scalars gives an object array."""
+    if isinstance(X, ArrayJet):
+        if X.h is None:
+            raise SingularEvaluationError("second-order jet required for field derivative")
+        return ArrayJet(np.moveaxis(X.g, -1, 0), np.moveaxis(X.h, -2, 0), None)
     A = np.asarray(X, dtype=object)
     D = np.empty((A.size, d), dtype=object)
     D[...] = [_partials(x, d) for x in A.flat]
     return np.ascontiguousarray(D.T).reshape((d,) + A.shape)
 
 
-def _nodes(entries):
-    """The node count of the first array jet among ``entries``, else None."""
-    return next((x.v.shape[0] for x in entries if isinstance(x, ArrayJet)), None)
+def _scalars(J):
+    """(shape, flat entries, node shape) of an array or nested list of
+    scalars; the node shape is that of the first array jet among them."""
+    A = np.asarray(J, dtype=object)
+    flat = list(A.flat)
+    lead = next((x.shape for x in flat if isinstance(x, ArrayJet)), ())
+    return A.shape, flat, lead
+
+
+def _gather(flat, k, lead, tail):
+    """Part k (0 value, 1 gradient, 2 Hessian) of every scalar of ``flat``,
+    stacked on one axis after the node axes: shape lead + (len(flat),) +
+    tail.  Floats are constants."""
+    if not lead:
+        if k == 0:
+            return np.array([value_of(x) for x in flat], dtype=float)
+        zero = np.zeros(tail)
+        return np.array([(x.v, x.g, x.h)[k] if isinstance(x, _JETS) else zero
+                         for x in flat], dtype=float).reshape((len(flat),) + tail)
+    out = np.zeros(lead + (len(flat),) + tail)
+    at = (slice(None),) * len(lead)
+    for i, x in enumerate(flat):
+        if isinstance(x, ArrayJet):
+            out[at + (i,)] = (x.v, x.g, x.h)[k]
+        elif k == 0:
+            out[at + (i,)] = x
+    return out
 
 
 def values(J):
-    """The float array of an array or nested list of scalars (floats and
-    jets).  With array jets among them the node axis comes first, and a
-    float is the same at every node."""
-    A = np.asarray(J, dtype=object)
-    flat = list(A.flat)
-    N = _nodes(flat)
-    if N is None:
-        return np.array([value_of(x) for x in flat], dtype=float).reshape(A.shape)
-    V = np.empty((N, len(flat)))
-    for k, x in enumerate(flat):
-        V[:, k] = value_of(x)
-    return V.reshape((N,) + A.shape)
+    """The float array of an array jet (its value), or of an array or
+    nested list of scalars (floats and jets).  With array jets among the
+    scalars their node axis comes first, and a float is the same at every
+    node."""
+    if isinstance(J, ArrayJet):
+        return J.v
+    shape, flat, lead = _scalars(J)
+    return _gather(flat, 0, lead, ()).reshape(lead + shape)
 
 
 def gradients(J, d):
-    """The gradient array of an array or nested list of scalars in d
-    variables, the derivative index first: ``gradients(J, d)[m][...] = d_m
-    J[...]``.  Plain floats have zero gradient.  The array is C-contiguous,
-    as if built from nested lists in that index order, so numpy reductions
-    over it add in the same order as over such an array.  With array jets
-    among the scalars the node axis comes first, ``gradients(J, d)[k][m]``."""
-    A = np.asarray(J, dtype=object)
-    flat = list(A.flat)
-    N = _nodes(flat)
-    if N is None:
-        zero = (0.0,) * d
-        G = np.array([x.g if isinstance(x, Jet) else zero for x in flat], dtype=float)
-        return np.ascontiguousarray(G.T).reshape((d,) + A.shape)
-    G = np.zeros((N, d, len(flat)))
-    for k, x in enumerate(flat):
-        if isinstance(x, ArrayJet):
-            G[:, :, k] = x.g
-    return G.reshape((N, d) + A.shape)
+    """The gradient array of an array jet or of an array or nested list of
+    scalars in d variables, the derivative index first: ``gradients(J,
+    d)[m][...] = d_m J[...]``.  Plain floats have zero gradient.  The array
+    is C-contiguous, as if built from nested lists in that index order, so
+    numpy reductions over it add in the same order as over such an array.
+    With array jets among the scalars their node axis comes first,
+    ``gradients(J, d)[k][m]``."""
+    if isinstance(J, ArrayJet):
+        return np.ascontiguousarray(np.moveaxis(J.g, -1, 0))
+    shape, flat, lead = _scalars(J)
+    G = np.moveaxis(_gather(flat, 1, lead, (d,)), -1, len(lead))
+    return np.ascontiguousarray(G).reshape(lead + (d,) + shape)
+
+
+def dense(X, d):
+    """The array jet of an array or nested list of scalars in d variables
+    (an array jet passes through).  With array jets among the scalars their
+    node axis comes first, as in :func:`values`.  It has order 2 unless an
+    order-1 jet is among the scalars; floats are constants."""
+    if isinstance(X, ArrayJet):
+        return X
+    shape, flat, lead = _scalars(X)
+    full = lead + shape
+    order2 = all(x.h is not None for x in flat if isinstance(x, _JETS))
+    return ArrayJet(_gather(flat, 0, lead, ()).reshape(full),
+                    _gather(flat, 1, lead, (d,)).reshape(full + (d,)),
+                    _gather(flat, 2, lead, (d, d)).reshape(full + (d, d)) if order2 else None)
 
 
 def where(mask, a, b, d):
@@ -592,14 +780,11 @@ jatan = _elementary(math.atan, _atan)
 
 
 def _positive(x, what):
-    """Raise unless the value of x is positive (at every node)."""
+    """Raise unless the value of x is positive (at every entry)."""
     v = value_of(x)
-    if isinstance(x, ArrayJet):
-        bad = v <= 0.0
-        if bad.any():
-            raise SingularEvaluationError(f"{what} of non-positive value {v[bad][0]}")
-    elif v <= 0.0:
-        raise SingularEvaluationError(f"{what} of non-positive value {v}")
+    bad = np.asarray(v <= 0.0)
+    if bad.any():
+        raise SingularEvaluationError(f"{what} of non-positive value {np.asarray(v)[bad][0]}")
     return v
 
 

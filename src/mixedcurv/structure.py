@@ -23,10 +23,13 @@ import random
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exprlang
 from .errors import (DegenerateDistributionError, DomainError,
                      SignatureInstabilityError, SpecFormatError)
-from .jets import Jet, check_finite, jsqrt, value_of
+from .jets import (ArrayJet, Jet, check_finite, concatenate, dense, jsqrt, tensordot,
+                   value_of, values)
 
 DEGENERACY_TOL = 1e-9
 
@@ -232,7 +235,7 @@ def _split_top_level(text):
 
 @dataclass
 class AdaptedFrame:
-    E: list            # n frame vectors tangent to the distribution (chart comps)
+    E: list            # n frame vectors tangent to the distribution (chart comps, rows)
     eps_tan: list      # their signs g(E_a, E_a)
     Eperp: list        # p frame vectors spanning the orthogonal complement
     eps_perp: list
@@ -255,106 +258,104 @@ def _inner(gmat, v, w):
     return total
 
 
-def _null(gmat, v, q, tol):
+def _null(gabs, v, q, tol):
     """g(v, v) = q is negligible against sum |g_ij| |v_i| |v_j|, the size it
-    would have without cancellation; a zero vector is null."""
-    v = [abs(value_of(x)) for x in v]
-    size = sum(abs(value_of(gmat[i][j])) * v[i] * v[j]
-               for i in range(len(v)) for j in range(len(v)))
-    return abs(value_of(q)) <= tol * size
+    would have without cancellation (``gabs`` holds the |g_ij| and ``v``
+    the values); a zero vector is null."""
+    a = np.abs(np.asarray(v, dtype=float))
+    return abs(value_of(q)) <= tol * float(a @ gabs @ a)
 
 
-def _gs_pass(gmat, seq, n_span, dim, tol, point):
-    """One indefinite Gram-Schmidt sweep over the vector sequence ``seq``.
-
-    Span vectors come first.  Projection coefficients reuse cached covectors
-    g(e_k, .) so each step is O(dim^2).  Returns (frame, signs).
-    """
-    frame, flats, signs = [], [], []
-    for w in seq:
-        v = list(w)
-        for e, fl, s in zip(frame, flats, signs):
-            c = 0.0
-            for i in range(dim):
-                c = c + fl[i] * v[i]
-            for i in range(dim):
-                v[i] = v[i] - s * c * e[i]
-        q = _inner(gmat, v, v)
-        if _null(gmat, v, q, tol):
-            if len(frame) < n_span:
-                raise DegenerateDistributionError(
-                    "distribution vector is null or dependent", point=point)
-            continue
+def _gs_pass(gmat, W, n_span, dim, tol, point):
+    """Indefinite modified Gram-Schmidt on the rows of the jet field ``W``
+    (span vectors first), right-looking: each new frame vector is projected
+    out of all later rows at once, so every row takes its projections in the
+    order of the row-by-row sweep.  Returns (frame rows as one jet field,
+    signs)."""
+    frame, signs = [], []
+    gabs = np.abs(values(gmat))
+    for k in range(dim):
+        v, W = W[0], W[1:]
+        gv = gmat @ v
+        q = v @ gv
+        if _null(gabs, values(v), q, tol):
+            raise DegenerateDistributionError(
+                "distribution vector is null or dependent" if k < n_span else
+                "no non-null candidate for the orthogonal complement", point=point)
         s = 1.0 if value_of(q) > 0.0 else -1.0
-        norm = jsqrt(s * q)
-        e = [x / norm for x in v]
+        inv = 1.0 / jsqrt(s * q)
+        e = v * inv
         frame.append(e)
-        flats.append([sum(gmat[i][j] * e[j] for j in range(dim)) for i in range(dim)])
         signs.append(s)
-        if len(frame) == dim:
-            break
-    if len(frame) < dim:
-        raise DegenerateDistributionError(
-            "no non-null candidate for the orthogonal complement", point=point)
-    return frame, signs
+        if k + 1 < dim:
+            c = W @ (gv * inv)                    # g(e, w) for every later row w
+            W = W - tensordot(s * c, e, axes=0)
+    return concatenate([e[None] for e in frame]), signs
+
+
+def _has_jets(X):
+    return isinstance(X, ArrayJet) or any(
+        isinstance(x, (Jet, ArrayJet)) for x in np.asarray(X, dtype=object).flat)
 
 
 def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
-    """Pivoted indefinite Gram-Schmidt, generic over floats and jets.
+    """Pivoted indefinite Gram-Schmidt over floats or jet fields.
 
     Span vectors are orthogonalized in declared order; the complement is
     filled from coordinate basis vectors.  Pivoting (on the largest |g(v,v)|
     among the reduced candidates, to avoid near-null vectors) is decided on a
-    cheap float pass over the value parts; the jet pass then runs the chosen
-    order, so the selection is locally constant and jet-differentiable.
+    cheap float pass over the value parts; with jets among the inputs, a jet
+    pass on jet fields (see :func:`mixedcurv.jets.dense`) then runs the
+    chosen order, so the selection is locally constant and
+    jet-differentiable, and the frame vectors are the rows of one field.
     Nullness is relative to each vector's own size (``_null``).
     """
-    n = len(span_vectors)
+    n = np.shape(values(span_vectors))[0]
 
-    g0 = [[value_of(x) for x in row] for row in gmat]
+    g0 = values(gmat).tolist()
+    gabs = np.abs(np.array(g0))
     frame0, signs0 = [], []
-    for w in span_vectors:
-        v = [value_of(x) for x in w]
+    for v in values(span_vectors).tolist():
         for e, s in zip(frame0, signs0):
             c = _inner(g0, v, e)
             v = [v[i] - s * c * e[i] for i in range(dim)]
         q = _inner(g0, v, v)
-        if _null(g0, v, q, tol):
+        if _null(gabs, v, q, tol):
             raise DegenerateDistributionError(
                 "distribution vector is null or dependent", point=point)
         s = 1.0 if q > 0.0 else -1.0
         frame0.append([x / math.sqrt(s * q) for x in v])
         signs0.append(s)
     pivots = []
-    candidates = set(range(dim))
+    # each candidate with the number of frame vectors projected off it so far
+    candidates = {mu: ([1.0 if i == mu else 0.0 for i in range(dim)], 0)
+                  for mu in range(dim)}
     while len(frame0) < dim:
-        best, best_v, best_q = None, None, -1.0
-        for mu in sorted(candidates):
-            v = [1.0 if i == mu else 0.0 for i in range(dim)]
-            for e, s in zip(frame0, signs0):
+        best, best_v, best_q, size = None, None, 0.0, -1.0
+        for mu, (v, done) in sorted(candidates.items()):
+            for e, s in zip(frame0[done:], signs0[done:]):
                 c = _inner(g0, v, e)
                 v = [v[i] - s * c * e[i] for i in range(dim)]
+            candidates[mu] = (v, len(frame0))
             q = _inner(g0, v, v)
-            if abs(q) > best_q:
-                best, best_v, best_q = mu, v, abs(q)
-        if best is None or _null(g0, best_v, best_q, tol):
+            if abs(q) > size:
+                best, best_v, best_q, size = mu, v, q, abs(q)
+        if best is None or _null(gabs, best_v, best_q, tol):
             raise DegenerateDistributionError(
                 "no non-null candidate for the orthogonal complement", point=point)
-        candidates.discard(best)
+        del candidates[best]
         pivots.append(best)
-        q = _inner(g0, best_v, best_v)
+        q = best_q
         s = 1.0 if q > 0.0 else -1.0
         frame0.append([x / math.sqrt(s * q) for x in best_v])
         signs0.append(s)
 
-    any_jet = any(isinstance(gmat[i][j], Jet) for i in range(dim) for j in range(dim)) \
-        or any(isinstance(c, Jet) for w in span_vectors for c in w)
-    if not any_jet:
+    if not (_has_jets(gmat) or _has_jets(span_vectors)):
         frame, signs = frame0, signs0
     else:
-        seq = [list(w) for w in span_vectors]
-        seq += [[1.0 if i == mu else 0.0 for i in range(dim)] for mu in pivots]
-        frame, signs = _gs_pass(gmat, seq, n, dim, tol, point)
+        gmat, span = dense(gmat, dim), dense(span_vectors, dim)
+        W = concatenate((span, dense(np.eye(dim)[pivots], dim)))
+        frame, signs = _gs_pass(gmat, W, n, dim, tol, point)
 
     return AdaptedFrame(
         E=frame[:n],

@@ -21,9 +21,9 @@ from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
 from .geometry import (PointGeometry, _smix_density_nodes, jet_matrix_inverse,
                        node_chunks, smix_density_batch, smix_density_fast)
-from .jets import order1, value_of, values, where
+from .jets import dense, order1, seed, tensordot, value_of, values, where
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
-                             integrate, pairwise_sum, s_star, volume)
+                             pairwise_sum, s_star, volume)
 
 FD_STEPS = (1e-3, 5e-4, 2.5e-4)
 ZERO_FLOOR = 5e-10
@@ -299,13 +299,11 @@ class _RHS:
 
     def __init__(self, geom, v, metric_fn=None):
         self.g = geom
-        self.BJ = v.B_at(geom.seeds, metric_fn=metric_fn)
-        self.B0 = values(self.BJ)
+        self.B1 = order1(dense(v.B_at(geom.seeds, metric_fn=metric_fn), geom.d))
+        self.B0 = values(self.B1)
         self.Bfr = geom.F @ self.B0 @ geom.F.T
-        # raised-index B as order-1 jets for contractions with jet fields
-        ginv1 = np.array(geom.ginvJ, dtype=object)
-        self.B1 = order1(self.BJ)
-        self.Braised = ginv1 @ self.B1 @ ginv1
+        # raised-index B as an order-1 jet field for contractions with jet fields
+        self.Braised = geom.ginvJ @ self.B1 @ geom.ginvJ
 
     # -- helpers ---------------------------------------------------------
     def pair(self, C_frame_full):
@@ -326,12 +324,12 @@ class _RHS:
 
     def contract_field(self, PJ):
         """Vector jets <P, B>: P^s_{nu rho} B-raised^{nu rho}."""
-        return np.tensordot(PJ, self.Braised, axes=2)
+        return tensordot(PJ, self.Braised, axes=2)
 
     def trace_block(self, view):
         """Tr B-sharp over the view's block as a jet scalar (sum eps B(E, E))."""
         E = view.frame1
-        return np.sum(E @ self.B1 * E, axis=1) @ view.eps
+        return (E @ self.B1 * E).sum(axis=1) @ view.eps
 
     def bsharp_vec(self, VJ):
         return self.Braised @ (self.g.g1 @ VJ)
@@ -637,8 +635,13 @@ def _perp_scaled_metric(struct, factor, base_metric_fn=None):
 def bar_family_metric(struct, v, q, t, base_metric_fn=None):
     """The volume-normalized family: complement block rescaled so that the
     box volume is preserved along the variation."""
+    return _bar_family_metric(struct, v, q, t, base_metric_fn,
+                              volume(struct, q, metric_fn=base_metric_fn))
+
+
+def _bar_family_metric(struct, v, q, t, base_metric_fn, vol0):
+    """``bar_family_metric`` with the base volume ``vol0`` already known."""
     gt = v.metric_fn(t, base_metric_fn)
-    vol0 = volume(struct, q, metric_fn=base_metric_fn)
     volt = volume(struct, q, metric_fn=gt)
     phi = (volt / vol0) ** (-2.0 / (struct.dim - struct.n))
     return _perp_scaled_metric(struct, phi, base_metric_fn=gt), phi
@@ -663,7 +666,7 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
 
     vols, jbars, phis = {}, {}, {}
     for s in (t_step, -t_step):
-        fn, phi = bar_family_metric(struct, v, q, s, base_metric_fn=metric_fn)
+        fn, phi = _bar_family_metric(struct, v, q, s, metric_fn, vol0)
         vols[s] = volume(struct, q, metric_fn=fn)
         jbars[s] = action_value(struct, q, "J_mix", metric_fn=fn)
         phis[s] = phi
@@ -679,15 +682,11 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
 
     star_mean = domain_mean(struct, sstar_field, q_star, metric_fn=metric_fn)
 
-    def trb_field(s, pt, m):
-        B0 = values(v.B_at(list(pt), m))
-        if not B0.any():
-            return 0.0
-        g0 = values((m or s.metric_at)(list(pt)))
-        return float(np.trace(np.linalg.inv(g0) @ B0))
-
-    int_trB = integrate(struct, lambda s, pt, m: trb_field(s, pt, m)
-                        * _density(s, pt, m), q, metric_fn=metric_fn)
+    pts, wts = grid_points(q)
+    trb = node_chunks(
+        pts, struct.dim, lambda c: _trace_B_density_nodes(struct, v, c, metric_fn),
+        lambda pt: _trace_B(struct, v, pt, metric_fn) * _density(struct, pt, metric_fn))
+    int_trB = pairwise_sum(x * w for x, w in zip(trb, wts))
     relation_residual = abs(djbar - (dj - 0.5 * star_mean * int_trB))
     dphi_expected = -(1.0 / p) * int_trB / vol0
     return {
@@ -701,6 +700,27 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
         "dphi_expected": dphi_expected,
         "dphi_residual": abs(dphi - dphi_expected),
     }
+
+
+def _trace_B(struct, v, pt, metric_fn):
+    """Tr B-sharp at one point."""
+    B0 = values(v.B_at(list(pt), metric_fn))
+    if not B0.any():
+        return 0.0
+    g0 = values((metric_fn or struct.metric_at)(list(pt)))
+    return float(np.trace(np.linalg.inv(g0) @ B0))
+
+
+def _trace_B_density_nodes(struct, v, pts, metric_fn):
+    """Tr B-sharp times sqrt|det g| at an (N, d) array of nodes; the metric
+    is evaluated once, on order-1 array jets, and B reuses it."""
+    N, d = pts.shape
+    xs = seed(pts, 1)
+    g = (metric_fn or struct.metric_at)(xs)
+    g0 = np.broadcast_to(values(g), (N, d, d))
+    B0 = np.broadcast_to(values(v.B_at(xs, metric_fn, gmat=g)), (N, d, d))
+    trB = np.trace(np.linalg.inv(g0) @ B0, axis1=1, axis2=2)
+    return trB * np.sqrt(np.abs(np.linalg.det(g0)))
 
 
 def tildeT_scaling_check(struct, point, factor, metric_fn=None):

@@ -112,7 +112,6 @@ def test_criterion_4_three_sasakian():
              f"{worst_eq:.1e} (1e-6)")
 
 
-@pytest.mark.slow
 def test_criterion_5_first_variation_formulas():
     t0 = time.time()
     bad = []
