@@ -30,8 +30,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import (ArrayJet, Jet, concatenate, dense, dshift, gradients, order1, seed,
-                   tensordot, value_of, values)
+from .jets import (ArrayJet, Jet, concatenate, dense, dshift, entries, gradients, order1,
+                   seed, tensordot, value_of, values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
@@ -47,8 +47,7 @@ def jet_matrix_inverse(M, d, point=None):
     A = [[M[i][j] for j in range(d)] for i in range(d)]
     like = next((x for row in A for x in row if isinstance(x, ArrayJet)), None)
     if like is not None:
-        R = _dense_matrix_inverse(dense(A, like.nvars), d, point)
-        return [[R[:, i, j] for j in range(d)] for i in range(d)]
+        return entries(_dense_matrix_inverse(dense(A, like.nvars), d, point), like.shape[0])
     I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
     # each pivot is judged against the largest entry of its own input row
     scale = [max(abs(value_of(x)) for x in row) for row in A]

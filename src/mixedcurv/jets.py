@@ -26,7 +26,8 @@ and on an array or nested list of scalars entry by entry.
 The same class holds one scalar at N quadrature nodes, shape (N,).  Seeding
 a batch of points gives such node jets, and a nested list of them reads
 node first: ``values(J)[k][...]`` and ``gradients(J, d)[k][m][...]`` are
-node k's.
+node k's.  :func:`entries` splits a stack of matrices at N nodes into such
+a list.
 """
 
 from __future__ import annotations
@@ -442,6 +443,12 @@ class ArrayJet:
     def T(self):
         return self.transpose()
 
+    @property
+    def mT(self):
+        """The last two field axes swapped, as numpy's ``mT``."""
+        n = self.ndim
+        return self.transpose(*range(n - 2), n - 1, n - 2)
+
     def diagonal(self, offset=0, axis1=0, axis2=1):
         """numpy's diagonal: the diagonal axis comes last of the field's."""
         a1, a2 = (a % self.ndim for a in (axis1, axis2))
@@ -504,27 +511,43 @@ def _finite_power(v, e):
 def tensordot(a, b, axes=2):
     """numpy's tensordot of two array jets, or of an array jet and a float
     array, by the product rule."""
-    ja, jb = isinstance(a, ArrayJet), isinstance(b, ArrayJet)
-    if ja and jb and a.nvars != b.nvars:
-        raise InvalidArgumentError(f"jet variable counts differ: {a.nvars} vs {b.nvars}")
-    av = a.v if ja else _const(a)
-    bv = b.v if jb else _const(b)
-    na, nb = np.ndim(av), np.ndim(bv)
+    na, nb = np.ndim(_value(a)), np.ndim(_value(b))
     if isinstance(axes, int):
         ia, ib = list(range(na - axes, na)), list(range(axes))
     else:
         ia, ib = ([x] if isinstance(x, int) else list(x) for x in axes)
-    # einsum subscripts: field axes a..w, a contracted axis shares a's letter,
-    # and x, y, z label derivative axes
+    # einsum subscripts: field axes a..w, a contracted axis shares a's letter
     sa = [chr(97 + i) for i in range(na)]
     sb = [chr(97 + na + j) for j in range(nb)]
     for i, j in zip(ia, ib):
         sb[j % nb] = sa[i % na]
     sa, sb = "".join(sa), "".join(sb)
     free = "".join(c for c in sa if c not in sb) + "".join(c for c in sb if c not in sa)
+    return _product(a, b, sa, sb, free)
+
+
+def _matmul(a, b):
+    """``a @ b`` as numpy's: operands of more than two axes are stacks of
+    matrices, and their leading axes broadcast."""
+    na, nb = np.ndim(_value(a)), np.ndim(_value(b))
+    if na == 0 or nb == 0:
+        raise InvalidArgumentError(f"jet matmul of {na}- and {nb}-axis operands")
+    if nb <= 2:
+        return tensordot(a, b, ([na - 1], [0]))
+    return _product(a, b, "...ij" if na > 1 else "j", "...jk", "...ik" if na > 1 else "...k")
+
+
+def _product(a, b, sa, sb, out):
+    """The product ``einsum(sa + "," + sb + "->" + out)`` of two array jets,
+    or of an array jet and a float array, by the product rule; x and y label
+    the derivative axes."""
+    ja, jb = isinstance(a, ArrayJet), isinstance(b, ArrayJet)
+    if ja and jb and a.nvars != b.nvars:
+        raise InvalidArgumentError(f"jet variable counts differ: {a.nvars} vs {b.nvars}")
+    av, bv = _value(a), _value(b)
 
     def dot(x, tx, y, ty):
-        return np.einsum(f"{sa}{tx},{sb}{ty}->{free}{tx}{ty}", x, y)
+        return np.einsum(f"{sa}{tx},{sb}{ty}->{out}{tx}{ty}", x, y)
 
     terms = ([dot(a.g, "x", bv, "")] if ja else []) + ([dot(av, "", b.g, "x")] if jb else [])
     g = terms[0] if len(terms) == 1 else terms[0] + terms[1]
@@ -535,14 +558,6 @@ def tensordot(a, b, axes=2):
             S = dot(a.g, "x", b.g, "y")
             h = h + S + _T(S) + dot(av, "", b.h, "xy")
     return ArrayJet(dot(av, "", bv, ""), g, h)
-
-
-def _matmul(a, b):
-    """``a @ b`` as numpy's, for a second operand of at most two axes."""
-    na, nb = np.ndim(_value(a)), np.ndim(_value(b))
-    if na == 0 or nb == 0 or nb > 2:
-        raise InvalidArgumentError(f"jet matmul of {na}- and {nb}-axis operands")
-    return tensordot(a, b, ([na - 1], [0]))
 
 
 def _value(x):
@@ -698,6 +713,16 @@ def dense(X, d):
     return ArrayJet(_gather(flat, 0, lead, ()).reshape(full),
                     _gather(flat, 1, lead, (d,)).reshape(full + (d,)),
                     _gather(flat, 2, lead, (d, d)).reshape(full + (d, d)) if order2 else None)
+
+
+def entries(F, N):
+    """The array jet F of a matrix at N nodes (node axis first, or none for
+    a matrix that is the same at every node) as the nested list of its
+    entries' node jets: the layout expression evaluation gives at node
+    seeds, which :func:`values` and :func:`gradients` read node first."""
+    shape = (N,) + F.shape[-2:]
+    F = ArrayJet(np.broadcast_to(F.v, shape), *F._grown(shape))
+    return [[F[:, i, j] for j in range(shape[2])] for i in range(shape[1])]
 
 
 def where(mask, a, b, d):

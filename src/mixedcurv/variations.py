@@ -21,7 +21,8 @@ from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
 from .geometry import (PointGeometry, _smix_density_nodes, jet_matrix_inverse,
                        node_chunks, smix_density_batch, smix_density_fast)
-from .jets import dense, order1, seed, tensordot, value_of, values, where
+from .jets import (ArrayJet, dense, entries, order1, seed, tensordot, value_of, values,
+                   where)
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
                              pairwise_sum, s_star, volume)
 
@@ -33,14 +34,27 @@ ZERO_FLOOR = 5e-10
 # projector onto the distribution, closed form (no frame, jet-safe)
 
 def tangent_projector_jets(struct, xs, metric_fn=None, gmat=None):
-    """P[sigma][nu] jets of the g-orthogonal projector onto D-tilde.
+    """P[sigma][nu] of the g-orthogonal projector onto D-tilde, as an array
+    jet: one matrix at a point, a stack of them at node seeds (or one, when
+    P is the same at every node).
 
     ``gmat`` lets callers reuse an already evaluated metric matrix."""
-    g = gmat if gmat is not None else (metric_fn or struct.metric_at)(xs)
-    W = np.array(struct.dtilde_at(xs), dtype=object)    # n rows of d components
-    Wg = W @ np.asarray(g, dtype=object)
-    ginv = np.array(jet_matrix_inverse(Wg @ W.T, len(W)), dtype=object)
-    return W.T @ (ginv @ Wg)
+    d = struct.dim
+    g = dense(gmat if gmat is not None else (metric_fn or struct.metric_at)(xs), d)
+    W = dense(struct.dtilde_at(xs), d)                   # n rows of d components
+    Wg = W @ g
+    ginv = jet_matrix_inverse(Wg @ W.mT, struct.n)
+    return W.mT @ (ginv @ Wg)
+
+
+def _at_seeds(F, xs):
+    """A d x d field as metric functions return it at the seeds ``xs``: the
+    array jet itself at a point; at node seeds the nested list of node jets
+    that ``struct.metric_at`` gives, which ``values`` and ``gradients`` read
+    node first (they read a stack of matrices derivative first)."""
+    if isinstance(xs[0], ArrayJet):
+        return entries(F, xs[0].shape[0])
+    return F
 
 
 # ----------------------------------------------------------------------
@@ -94,15 +108,19 @@ class MetricVariation:
         return out
 
     def B_at(self, xs, metric_fn=None, gmat=None):
-        B = self.raw_at(xs)
+        """B at the seeds ``xs``, laid out as ``_at_seeds`` says."""
+        return _at_seeds(self._field(xs, metric_fn, gmat), xs)
+
+    def _field(self, xs, metric_fn, gmat):
+        """B at the seeds ``xs`` as one array jet."""
+        raw = self.raw_at(xs)
+        B = dense(raw, self.struct.dim)
         if not self.project or self.klass == "general":
             return B
-        if all(isinstance(x, float) and x == 0.0 for row in B for x in row):
+        if all(isinstance(x, float) and x == 0.0 for row in raw for x in row):
             return B                      # outside the support: stay exactly zero
-        B = np.array(B, dtype=object)
-        P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn,
-                                   gmat=gmat)
-        PBP = P.T @ (B @ P)
+        P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn, gmat=gmat)
+        PBP = P.mT @ (B @ P)
         if self.klass == "tan":
             return PBP
         if self.klass == "perp":
@@ -110,14 +128,14 @@ class MetricVariation:
         raise ClassificationError(f"unknown variation class {self.klass!r}")
 
     def metric_fn(self, t, base_metric_fn=None):
+        """The metric function of g + t B; it returns dense fields."""
         base = base_metric_fn or self.struct.metric_at
         if t == 0.0:
             return base
 
         def fam(xs):
-            g = np.asarray(base(xs), dtype=object)
-            B = self.B_at(xs, metric_fn=base_metric_fn, gmat=g)
-            return g + t * np.asarray(B, dtype=object)
+            g = dense(base(xs), self.struct.dim)
+            return _at_seeds(g + t * self._field(xs, base_metric_fn, g), xs)
 
         return fam
 
@@ -183,8 +201,8 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
     """
     base = PointGeometry(struct, point, metric_fn=metric_fn)
     d, n = base.d, base.n
-    frame = [list(map(float, vec)) for vec in base.F]
-    signs = list(base.eps)
+    frame = np.array(base.F, dtype=float)           # frame vectors as rows
+    signs = base.eps
     B0 = values(v.B_at(list(point), metric_fn=metric_fn))
     g_base = base.g0
     W = values(struct.dtilde_at(list(point))).T
@@ -195,51 +213,36 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
     def rhs(t, fr):
         gt = g_at(t)
         try:
-            gtinv = np.linalg.inv(gt)
+            Bsharp = np.linalg.solve(gt, B0)
         except np.linalg.LinAlgError:
             raise SpecializationError(f"family degenerates at t={t}")
-        Bsharp = gtinv @ B0
-        E = np.array(fr[:n])
-
-        def tan_part(x):
-            return sum(signs[a] * float(E[a] @ gt @ x) * E[a] for a in range(n))
-
-        out = []
-        for a in range(n):
-            if v.klass in ("tan", "general"):
-                out.append(-0.5 * tan_part(Bsharp @ np.array(fr[a])))
-            else:
-                out.append(np.zeros(d))
-        for i in range(n, d):
-            if v.klass == "tan":
-                out.append(np.zeros(d))
-            else:
-                bx = Bsharp @ np.array(fr[i])
-                tanp = tan_part(bx)
-                out.append(-0.5 * (bx - tanp) - tanp)
+        X = fr @ Bsharp.T                           # B-sharp of every frame vector
+        E = fr[:n]
+        tan = ((X @ gt @ E.T) * signs[:n]) @ E      # and its part along D-tilde
+        out = np.zeros((d, d))
+        if v.klass in ("tan", "general"):
+            out[:n] = -0.5 * tan[:n]
+        if v.klass != "tan":
+            out[n:] = -0.5 * (X[n:] - tan[n:]) - tan[n:]
         return out
 
     ts = [k * t_end / steps for k in range(steps + 1)]
     drift = 0.0
-    path = [np.array(frame)]
+    path = [frame]
     WtW = np.linalg.pinv(W.T @ W) @ W.T
     for k in range(steps):
         t0, t1 = ts[k], ts[k + 1]
         h = t1 - t0
-        y = [np.array(row, float) for row in frame]
-        k1 = rhs(t0, y)
-        k2 = rhs(t0 + h / 2, [y[q] + h / 2 * k1[q] for q in range(d)])
-        k3 = rhs(t0 + h / 2, [y[q] + h / 2 * k2[q] for q in range(d)])
-        k4 = rhs(t1, [y[q] + h * k3[q] for q in range(d)])
-        frame = [y[q] + h / 6 * (k1[q] + 2 * k2[q] + 2 * k3[q] + k4[q])
-                 for q in range(d)]
-        path.append(np.array(frame))
-        gt = g_at(t1)
-        G = np.array(frame) @ gt @ np.array(frame).T
+        k1 = rhs(t0, frame)
+        k2 = rhs(t0 + h / 2, frame + h / 2 * k1)
+        k3 = rhs(t0 + h / 2, frame + h / 2 * k2)
+        k4 = rhs(t1, frame + h * k3)
+        frame = frame + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        path.append(frame)
+        G = frame @ g_at(t1) @ frame.T
         drift = max(drift, float(np.max(np.abs(G - np.diag(signs)))))
-        for a in range(n):
-            resid = frame[a] - W @ (WtW @ frame[a])
-            drift = max(drift, float(np.max(np.abs(resid))))
+        E = frame[:n]
+        drift = max(drift, float(np.max(np.abs(E - (E @ WtW.T) @ W.T))))
     return path, drift
 
 
@@ -297,9 +300,10 @@ def _formula(name):
 class _RHS:
     """Right-hand sides of the first-variation formulas at one point."""
 
-    def __init__(self, geom, v, metric_fn=None):
+    def __init__(self, geom, B):
+        """``B`` is the variation at the bundle's seeds, an array jet."""
         self.g = geom
-        self.B1 = order1(dense(v.B_at(geom.seeds, metric_fn=metric_fn), geom.d))
+        self.B1 = order1(B)
         self.B0 = values(self.B1)
         self.Bfr = geom.F @ self.B0 @ geom.F.T
         # raised-index B as an order-1 jet field for contractions with jet fields
@@ -440,16 +444,21 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
                 f"{f} applies to {want}-variations, got {v.klass!r}")
 
     geom0 = PointGeometry(struct, point, metric_fn=metric_fn)
-    bundles = {}
-    for h in steps:
-        for s in (h, -h):
-            if s not in bundles:
-                bundles[s] = PointGeometry(struct, point,
-                                           metric_fn=v.metric_fn(s, metric_fn))
-    # bundles are lazy: the largest step's metric is the first thing evaluated
-    if abs(np.linalg.det(bundles[max(steps)].g0)) < 0.5 * abs(np.linalg.det(geom0.g0)):
-        raise SpecializationError("variation step leaves the metric cone")
-    rhs_eng = _RHS(geom0, v, metric_fn=metric_fn)
+    gJ = geom0.gJ
+    B = v.B_at(geom0.seeds, gmat=gJ)
+    g0, B0 = geom0.g0, values(B)
+    signed = [s for h in steps for s in (h, -h)]
+    # every step of both signs keeps the signature and half of |det g|
+    neg0, det0 = np.sum(np.linalg.eigvalsh(g0) < 0.0), abs(np.linalg.det(g0))
+    for s in signed:
+        gs = g0 + s * B0
+        if np.sum(np.linalg.eigvalsh(gs) < 0.0) != neg0 or abs(np.linalg.det(gs)) < 0.5 * det0:
+            raise SpecializationError("variation step leaves the metric cone")
+    # A bundle calls its metric function only at its own seeds, which are
+    # geom0's, so a step bundle's metric function may close over the fields.
+    bundles = {s: PointGeometry(struct, point, metric_fn=lambda xs, s=s: gJ + s * B)
+               for s in signed}
+    rhs_eng = _RHS(geom0, B)
 
     out = {}
     for f in formulas:
@@ -606,7 +615,7 @@ def jmix_gradient_pairing(struct, v, q, metric_fn=None):
 
     def one(pt, w):
         geom = PointGeometry(struct, pt, metric_fn=metric_fn, check_domain=False)
-        e = _RHS(geom, v, metric_fn=metric_fn)
+        e = _RHS(geom, v.B_at(geom.seeds, gmat=geom.gJ))
         trB = float(np.trace(geom.ginv0 @ e.B0))
         dS = (sum(e.rhs(f) for f in _SMIX_TERMS)
               + 0.5 * trB * (geom.smix - geom.tan.div_H - geom.perp.div_H))
@@ -623,11 +632,11 @@ def _perp_scaled_metric(struct, factor, base_metric_fn=None):
     base = base_metric_fn or struct.metric_at
 
     def fn(xs):
-        g = np.asarray(base(xs), dtype=object)
-        P = tangent_projector_jets(struct, xs, metric_fn=base, gmat=g)
+        g = dense(base(xs), struct.dim)
+        P = tangent_projector_jets(struct, xs, gmat=g)
         # g(QX, QY) with Q = I - P equals g - gP - (gP)^T + P^T g P
         gP = g @ P
-        return g + (factor - 1.0) * (g - gP - gP.T + P.T @ gP)
+        return _at_seeds(g + (factor - 1.0) * (g - gP - gP.mT + P.mT @ gP), xs)
 
     return fn
 

@@ -127,13 +127,16 @@ def _contract_cases(draw):
     A3 = draw(fields((m, k, n), d, oa))
     M = draw(fields((n, r), d, ob))
     V = draw(fields((n,), d, ob))
+    S3 = draw(fields((m, n, r), d, ob))           # a stack of m matrices
     K = draw(arrays(np.float64, (n, r), elements=_coef))
-    A3o, Mo, Vo = _objects(A3), _objects(M), _objects(V)
+    A3o, Mo, Vo, S3o = _objects(A3), _objects(M), _objects(V), _objects(S3)
     A2, A2o = A3[0], A3o[0]
     return [
         ("3@2", A3 @ M, A3o @ Mo), ("2@2", A2 @ M, A2o @ Mo), ("2@1", A2 @ V, A2o @ Vo),
         ("1@2", V @ M, Vo @ Mo), ("1@1", V @ V, np.asarray(Vo @ Vo, dtype=object)),
         ("2@const", A2 @ K, A2o @ K), ("const@2", K.T @ A2.T, K.T @ A2o.T),
+        ("3@3", A3 @ S3, A3o @ S3o), ("2@3", A2 @ S3, A2o @ S3o), ("1@3", V @ S3, Vo @ S3o),
+        ("3@3 broadcast", A3 @ S3[:1], A3o @ S3o[:1]), ("mT", S3.mT, np.swapaxes(S3o, -1, -2)),
         ("tensordot 0", tensordot(A3, M, axes=(2, 0)), np.tensordot(A3o, Mo, axes=(2, 0))),
         ("tensordot 1", tensordot(M, A3, axes=([0, 1], [2, 0])) if r == m else None,
          np.tensordot(Mo, A3o, axes=([0, 1], [2, 0])) if r == m else None),
@@ -198,7 +201,7 @@ def test_mixed_kinds_are_refused():
     with pytest.raises(TypeError):
         A * np.array([Jet(1.0, (0.0, 0.0))], dtype=object)
     with pytest.raises(InvalidArgumentError):
-        A @ ArrayJet(np.ones((2, 2, 2)), np.zeros((2, 2, 2, 2)))
+        A @ ArrayJet(np.ones(()), np.zeros((2,)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -199,6 +199,13 @@ def test_step_leaving_metric_cone_raises(monkeypatch):
     monkeypatch.setattr(va, "_RHS", no_rhs)
     with pytest.raises(SpecializationError, match="leaves the metric cone"):
         va.verify_first_variation(s, v, (0.1, 0.1, 0.1), steps=(0.9, 0.5, 0.25))
+    # B = 1.5 g-perp on r3_contact: |det| grows at both signs, but the -0.9
+    # step flips the complement block's signature (frame signs [1, -1, -1])
+    s = struct("r3_contact")
+    raw = [[exprlang.const(1.5 if i == j else 0.0) for j in range(3)] for i in range(3)]
+    v = va.MetricVariation(s, raw, "perp")
+    with pytest.raises(SpecializationError, match="leaves the metric cone"):
+        va.verify_first_variation(s, v, (0.1, 0.1, 0.1), steps=(0.9, 0.5, 0.25))
 
 
 def test_formula_table_pinned():
@@ -213,7 +220,8 @@ def test_formula_table_pinned():
     with pytest.raises(SpecializationError, match="unknown variation formula"):
         va.verify_first_variation(s, v, (0.1, 0.1, 0.1), formulas="E-nope")
     with pytest.raises(SpecializationError, match="unknown variation formula"):
-        va._RHS(PointGeometry(s, (0.1, 0.1, 0.1)), v).rhs("E-nope")
+        geom = PointGeometry(s, (0.1, 0.1, 0.1))
+        va._RHS(geom, v.B_at(geom.seeds)).rhs("E-nope")
 
 
 def test_general_variation_splits_into_classes():
@@ -238,8 +246,8 @@ def test_general_variation_splits_into_classes():
         fm = read(PointGeometry(s, pt, metric_fn=vg.metric_fn(-h)))
         fd = (fp - fm) / (2 * h)
         geom = PointGeometry(s, pt)
-        rp = va._RHS(geom, vp).rhs(fperp)
-        rt = va._RHS(geom, vt).rhs(ftan)
+        rp = va._RHS(geom, vp.B_at(geom.seeds)).rhs(fperp)
+        rt = va._RHS(geom, vt.B_at(geom.seeds)).rhs(ftan)
         assert min(abs(rp), abs(rt)) > 1e-2, (scalar, rp, rt)   # both classes count
         assert fd == pytest.approx(rp + rt, abs=2e-6 * max(1, abs(fd)))
 
