@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import exprlang
 from .errors import DomainError, SpecializationError
 from .geometry import PointGeometry, node_chunks
-from .jets import dshift, gradients, jexp, seed, value_of, values
+from .jets import as_field, dshift, gradients, jexp, seed, value_of, values
 
 DEFAULT_TOL = 1e-6
 
@@ -91,9 +92,8 @@ def _density(struct, pt, metric_fn):
 
 def _density_nodes(struct, pts, metric_fn):
     """``_density`` at an (N, d) array of nodes, from order-1 array jets."""
-    N, d = pts.shape
     g0 = values((metric_fn or struct.metric_at)(seed(pts, 1)))
-    return np.sqrt(np.abs(np.linalg.det(np.broadcast_to(g0, (N, d, d)))))
+    return np.sqrt(np.abs(np.linalg.det(g0)))
 
 
 def volume(struct, q, metric_fn=None):
@@ -430,6 +430,19 @@ def el_tildeT_action(struct, point, constants=None, metric_fn=None, tol=DEFAULT_
 # ----------------------------------------------------------------------
 # conformal change of a contact-type structure
 
+def conformal_metric(struct, psi_ast, base_metric_fn=None):
+    """The metric function of exp(-2 psi) g for the scalar expression
+    ``psi_ast``; it returns fields, as ``struct.metric_at`` does."""
+    base = base_metric_fn or struct.metric_at
+
+    def fn(xs):
+        # the factor as a 1 x 1 field, which broadcasts against the metric
+        c = jexp(-2.0 * exprlang.evaluate(psi_ast, list(xs), struct.params))
+        return as_field([[c]], xs) * base(xs)
+
+    return fn
+
+
 def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAULT_TOL):
     """Residual of the flow equation E-main-3i under g -> exp(-2 psi) g.
 
@@ -437,22 +450,13 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
     the closed-form prediction (1-p)/2 e^psi g(T~sharp_xi Y, grad psi); the
     two are computed by fully independent paths.
     """
-    from . import exprlang
-
     base = PointGeometry(struct, point, metric_fn=metric_fn)
     if base.n != 1:
         raise SpecializationError("conformal check needs rank-one D-tilde")
     p = base.p
 
-    base_metric = metric_fn or struct.metric_at
-
-    def hat_metric(xs):
-        rows = base_metric(xs)
-        factor = exprlang.evaluate(psi_ast, list(xs), struct.params)
-        c = jexp(-2.0 * factor)
-        return [[c * rows[i][j] for j in range(len(rows))] for i in range(len(rows))]
-
-    hat = PointGeometry(struct, point, metric_fn=hat_metric)
+    hat = PointGeometry(struct, point,
+                        metric_fn=conformal_metric(struct, psi_ast, metric_fn))
     hperp = hat.perp
     form = hat.div_11(hperp.Tsharp_field, mode="perp")
     Hperp = np.array([hperp.eps[i] * hat.tan.Hb_frame[1 + i] for i in range(p)])

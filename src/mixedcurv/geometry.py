@@ -30,24 +30,20 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import (ArrayJet, Jet, concatenate, dense, dshift, entries, gradients, order1,
-                   seed, tensordot, value_of, values)
+from .jets import (ArrayJet, Jet, concatenate, dense, dshift, gradients, order1, seed,
+                   tensordot, value_of, values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
 def jet_matrix_inverse(M, d, point=None):
     """Gauss-Jordan inverse over jet scalars, pivoting on absolute values.
 
-    An array jet of shape B + (d, d) is a batch of matrices, and so is a
-    nested list of node jets (returned as such a list): each matrix of the
-    batch chooses its own pivot rows by the scalar rule and takes the same
-    arithmetic steps as the scalar loop."""
+    An array jet of shape B + (d, d) is a batch of matrices: each matrix of
+    the batch chooses its own pivot rows by the scalar rule and takes the
+    same arithmetic steps as the scalar loop."""
     if isinstance(M, ArrayJet):
         return _dense_matrix_inverse(M, d, point)
     A = [[M[i][j] for j in range(d)] for i in range(d)]
-    like = next((x for row in A for x in row if isinstance(x, ArrayJet)), None)
-    if like is not None:
-        return entries(_dense_matrix_inverse(dense(A, like.nvars), d, point), like.shape[0])
     I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
     # each pivot is judged against the largest entry of its own input row
     scale = [max(abs(value_of(x)) for x in row) for row in A]
@@ -155,8 +151,8 @@ class PointGeometry:
 
     @cached_property
     def frameJ(self):
-        span = dense(self._dtilde_fn(self.seeds), self.d)
-        return orthonormal_frame(self.gJ, span, self.d, point=self.point)
+        return orthonormal_frame(self.gJ, self._dtilde_fn(self.seeds), self.d,
+                                 point=self.point)
 
     @cached_property
     def eps(self):
@@ -844,11 +840,9 @@ def _smix_density_nodes(struct, pts, metric_fn):
     The chain of :func:`smix_density_fast` on array jets: metric jets,
     order-1 inverse, Christoffel symbols, Riemann tensor and S_mix by the
     projector formula.  The index letter z runs over the nodes."""
-    N, d = pts.shape
+    d = pts.shape[1]
     xs = seed(pts, 2)
-    gJ = dense((metric_fn or struct.metric_at)(xs), d)     # [z][t][n]
-    if gJ.shape != (N, d, d):                               # a constant metric
-        gJ = gJ + np.zeros((N, d, d))
+    gJ = (metric_fn or struct.metric_at)(xs)                # [z][t][n]
     g0 = values(gJ)
     ginvJ = jet_matrix_inverse(order1(gJ), d)
     ginv, dginv = values(ginvJ), gradients(ginvJ, d)        # dginv [l][z][s][t]
@@ -863,7 +857,7 @@ def _smix_density_nodes(struct, pts, metric_fn):
     R = np.einsum("znsmg->zsmng", dG) - np.einsum("zmsng->zsmng", dG)
     R += np.einsum("zsnk,zkmg->zsmng", G, G) - np.einsum("zsmk,zkng->zsmng", G, G)
     R04 = np.einsum("zsmng,zsd->zmngd", R, g0)
-    Wm = np.broadcast_to(values(struct.dtilde_at(xs)), (N, struct.n, d)).transpose(0, 2, 1)
+    Wm = values(struct.dtilde_at(xs)).transpose(0, 2, 1)
     try:
         gram_inv = np.linalg.inv(Wm.transpose(0, 2, 1) @ g0 @ Wm)
     except np.linalg.LinAlgError:

@@ -10,24 +10,27 @@ with ordinary operators runs unchanged on either kind.  Binary operations
 between jets of different order truncate to the lower order.
 
 This module is the only one that knows a jet's layout.  Other modules build
-jets with :func:`seed`, :func:`dense`, :func:`order1` and :func:`dshift`,
-and read them back through :func:`value_of`, :func:`values` (the float
-array) and :func:`gradients` (the gradient array, derivative index first).
+jets with :func:`seed`, :func:`as_field`, :func:`dense`, :func:`order1`
+and :func:`dshift`, and read them back through :func:`value_of`,
+:func:`values` (the float array) and :func:`gradients` (the gradient array,
+derivative index first).
 
 A jet tensor field is one :class:`ArrayJet` (Taylor arithmetic in the vector
 forward mode): its value, gradient and Hessian arrays carry the tensor's
-shape, with the derivative axes last.  :func:`dense` turns the nested lists
-of scalar jets that expression evaluation gives into one; the field algebra
-is numpy's (``@``, :func:`tensordot`, transposes, indexing, ``diagonal``,
-``sum``, broadcasting ring operations and elementary functions) with the
-product rule.  :func:`order1` and :func:`dshift` act on a field as a whole
-and on an array or nested list of scalars entry by entry.
+shape, with the derivative axes last.  The field algebra is numpy's (``@``,
+:func:`tensordot`, transposes, indexing, ``diagonal``, ``sum``,
+broadcasting ring operations and elementary functions) with the product
+rule.  :func:`order1` and :func:`dshift` act on a field as a whole and on an
+array or nested list of scalars entry by entry.
 
-The same class holds one scalar at N quadrature nodes, shape (N,).  Seeding
-a batch of points gives such node jets, and a nested list of them reads
-node first: ``values(J)[k][...]`` and ``gradients(J, d)[k][m][...]`` are
-node k's.  :func:`entries` splits a stack of matrices at N nodes into such
-a list.
+Seeding a batch of N points gives one array jet of shape (N,) per
+coordinate, a scalar at N quadrature nodes.  A field at such node seeds has
+the node axis first: shape (N,) + the tensor's shape.  Expression evaluation
+gives nested lists of scalars (floats and jets); :func:`as_field` turns them
+into the field of the seeds they were evaluated at (a float array at a float
+point), and :func:`dense` turns any array or nested list of scalars into an
+array jet.  Every reader sees that one layout: ``values(F)[k]`` is node k's
+tensor and ``gradients(F, d)[m][k]`` its m-th partial derivative.
 """
 
 from __future__ import annotations
@@ -686,18 +689,13 @@ def values(J):
 
 
 def gradients(J, d):
-    """The gradient array of an array jet or of an array or nested list of
-    scalars in d variables, the derivative index first: ``gradients(J,
-    d)[m][...] = d_m J[...]``.  Plain floats have zero gradient.  The array
-    is C-contiguous, as if built from nested lists in that index order, so
-    numpy reductions over it add in the same order as over such an array.
-    With array jets among the scalars their node axis comes first,
-    ``gradients(J, d)[k][m]``."""
-    if isinstance(J, ArrayJet):
-        return np.ascontiguousarray(np.moveaxis(J.g, -1, 0))
-    shape, flat, lead = _scalars(J)
-    G = np.moveaxis(_gather(flat, 1, lead, (d,)), -1, len(lead))
-    return np.ascontiguousarray(G).reshape(lead + (d,) + shape)
+    """The gradient array of an array jet, or of an array or nested list of
+    scalars in d variables (read through :func:`dense`), the derivative
+    index first: ``gradients(J, d)[m][...] = d_m J[...]``; a node axis comes
+    next.  Plain floats have zero gradient.  The array is C-contiguous, as
+    if built from nested lists in that index order, so numpy reductions over
+    it add in the same order as over such an array."""
+    return np.ascontiguousarray(np.moveaxis(dense(J, d).g, -1, 0))
 
 
 def dense(X, d):
@@ -715,14 +713,21 @@ def dense(X, d):
                     _gather(flat, 2, lead, (d, d)).reshape(full + (d, d)) if order2 else None)
 
 
-def entries(F, N):
-    """The array jet F of a matrix at N nodes (node axis first, or none for
-    a matrix that is the same at every node) as the nested list of its
-    entries' node jets: the layout expression evaluation gives at node
-    seeds, which :func:`values` and :func:`gradients` read node first."""
-    shape = (N,) + F.shape[-2:]
-    F = ArrayJet(np.broadcast_to(F.v, shape), *F._grown(shape))
-    return [[F[:, i, j] for j in range(shape[2])] for i in range(shape[1])]
+def as_field(X, xs):
+    """The field of ``X`` (an array jet, or an array or nested list of
+    scalars) at the seeds ``xs`` it was evaluated at: the float array of its
+    values at a float point, an array jet of X's shape at scalar seeds, and
+    at N node seeds an array jet with the node axis first.  Entries that are
+    the same at every node are broadcast over it as views."""
+    x = xs[0]
+    if not isinstance(x, _JETS):
+        return values(X)
+    F = dense(X, x.nvars)
+    if isinstance(x, ArrayJet) and not isinstance(X, ArrayJet):
+        full = x.shape + np.shape(np.asarray(X, dtype=object))
+        if F.shape != full:
+            F = ArrayJet(np.broadcast_to(F.v, full), *F._grown(full))
+    return F
 
 
 def where(mask, a, b, d):

@@ -28,7 +28,7 @@ import numpy as np
 from . import exprlang
 from .errors import (DegenerateDistributionError, DomainError,
                      SignatureInstabilityError, SpecFormatError)
-from .jets import (ArrayJet, Jet, check_finite, concatenate, dense, jsqrt, tensordot,
+from .jets import (ArrayJet, as_field, check_finite, concatenate, dense, jsqrt, tensordot,
                    value_of, values)
 
 DEGENERACY_TOL = 1e-9
@@ -54,7 +54,9 @@ class ProductStructure:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
 
     def metric_at(self, point):
-        """Symmetric dim x dim matrix of scalars (floats or jets)."""
+        """The symmetric dim x dim metric as a field at ``point``: a float
+        array at a float point, an array jet at seeds (see
+        :func:`mixedcurv.jets.as_field`)."""
         env = list(point)
         d = self.dim
         rows = [[0.0] * d for _ in range(d)]
@@ -63,12 +65,14 @@ class ProductStructure:
             rows[i][j] = v
             if i != j:
                 rows[j][i] = v
-        return rows
+        return as_field(rows, env)
 
     def dtilde_at(self, point):
+        """The n spanning fields (rows of dim components) as a field at
+        ``point``, as :meth:`metric_at` gives the metric."""
         env = list(point)
-        return [[exprlang.evaluate(c, env, self.params) for c in vec]
-                for vec in self.dtilde]
+        return as_field([[exprlang.evaluate(c, env, self.params) for c in vec]
+                         for vec in self.dtilde], env)
 
     def contains(self, point):
         return all(lo - 1e-12 <= value_of(x) <= hi + 1e-12
@@ -293,21 +297,17 @@ def _gs_pass(gmat, W, n_span, dim, tol, point):
     return concatenate([e[None] for e in frame]), signs
 
 
-def _has_jets(X):
-    return isinstance(X, ArrayJet) or any(
-        isinstance(x, (Jet, ArrayJet)) for x in np.asarray(X, dtype=object).flat)
-
-
 def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     """Pivoted indefinite Gram-Schmidt over floats or jet fields.
 
     Span vectors are orthogonalized in declared order; the complement is
     filled from coordinate basis vectors.  Pivoting (on the largest |g(v,v)|
     among the reduced candidates, to avoid near-null vectors) is decided on a
-    cheap float pass over the value parts; with jets among the inputs, a jet
-    pass on jet fields (see :func:`mixedcurv.jets.dense`) then runs the
-    chosen order, so the selection is locally constant and
-    jet-differentiable, and the frame vectors are the rows of one field.
+    cheap float pass over the value parts; when either input is an array jet
+    (a field at seeds), a jet pass on array jets (see
+    :func:`mixedcurv.jets.dense`) then runs the chosen order, so the
+    selection is locally constant and jet-differentiable, and the frame
+    vectors are the rows of one field.
     Nullness is relative to each vector's own size (``_null``).
     """
     n = np.shape(values(span_vectors))[0]
@@ -350,7 +350,7 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
         frame0.append([x / math.sqrt(s * q) for x in best_v])
         signs0.append(s)
 
-    if not (_has_jets(gmat) or _has_jets(span_vectors)):
+    if not (isinstance(gmat, ArrayJet) or isinstance(span_vectors, ArrayJet)):
         frame, signs = frame0, signs0
     else:
         gmat, span = dense(gmat, dim), dense(span_vectors, dim)

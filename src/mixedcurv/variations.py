@@ -21,8 +21,7 @@ from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
 from .geometry import (PointGeometry, _smix_density_nodes, jet_matrix_inverse,
                        node_chunks, smix_density_batch, smix_density_fast)
-from .jets import (ArrayJet, dense, entries, order1, seed, tensordot, value_of, values,
-                   where)
+from .jets import as_field, dense, order1, seed, tensordot, value_of, values, where
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
                              pairwise_sum, s_star, volume)
 
@@ -35,8 +34,7 @@ ZERO_FLOOR = 5e-10
 
 def tangent_projector_jets(struct, xs, metric_fn=None, gmat=None):
     """P[sigma][nu] of the g-orthogonal projector onto D-tilde, as an array
-    jet: one matrix at a point, a stack of them at node seeds (or one, when
-    P is the same at every node).
+    jet: one matrix at a point, a stack of them at node seeds.
 
     ``gmat`` lets callers reuse an already evaluated metric matrix."""
     d = struct.dim
@@ -45,16 +43,6 @@ def tangent_projector_jets(struct, xs, metric_fn=None, gmat=None):
     Wg = W @ g
     ginv = jet_matrix_inverse(Wg @ W.mT, struct.n)
     return W.mT @ (ginv @ Wg)
-
-
-def _at_seeds(F, xs):
-    """A d x d field as metric functions return it at the seeds ``xs``: the
-    array jet itself at a point; at node seeds the nested list of node jets
-    that ``struct.metric_at`` gives, which ``values`` and ``gradients`` read
-    node first (they read a stack of matrices derivative first)."""
-    if isinstance(xs[0], ArrayJet):
-        return entries(F, xs[0].shape[0])
-    return F
 
 
 # ----------------------------------------------------------------------
@@ -108,13 +96,13 @@ class MetricVariation:
         return out
 
     def B_at(self, xs, metric_fn=None, gmat=None):
-        """B at the seeds ``xs``, laid out as ``_at_seeds`` says."""
-        return _at_seeds(self._field(xs, metric_fn, gmat), xs)
+        """B as a field at ``xs``, as ``struct.metric_at`` gives the metric."""
+        return as_field(self._field(xs, metric_fn, gmat), xs)
 
     def _field(self, xs, metric_fn, gmat):
         """B at the seeds ``xs`` as one array jet."""
         raw = self.raw_at(xs)
-        B = dense(raw, self.struct.dim)
+        B = dense(as_field(raw, xs), self.struct.dim)
         if not self.project or self.klass == "general":
             return B
         if all(isinstance(x, float) and x == 0.0 for row in raw for x in row):
@@ -128,14 +116,15 @@ class MetricVariation:
         raise ClassificationError(f"unknown variation class {self.klass!r}")
 
     def metric_fn(self, t, base_metric_fn=None):
-        """The metric function of g + t B; it returns dense fields."""
+        """The metric function of g + t B; it returns fields, as
+        ``struct.metric_at`` does."""
         base = base_metric_fn or self.struct.metric_at
         if t == 0.0:
             return base
 
         def fam(xs):
             g = dense(base(xs), self.struct.dim)
-            return _at_seeds(g + t * self._field(xs, base_metric_fn, g), xs)
+            return as_field(g + t * self._field(xs, base_metric_fn, g), xs)
 
         return fam
 
@@ -145,7 +134,7 @@ def classify(v, points, tol=1e-12):
     worst = {"tan": 0.0, "perp": 0.0, "mixed": 0.0}
     for pt in points:
         geom = PointGeometry(v.struct, pt)
-        B0 = values(v.B_at(list(pt)))
+        B0 = v.B_at(list(pt))
         Bfr = geom.F @ B0 @ geom.F.T
         n = geom.n
         worst["tan"] = max(worst["tan"], float(np.max(np.abs(Bfr[:n, :n]))))
@@ -203,9 +192,9 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
     d, n = base.d, base.n
     frame = np.array(base.F, dtype=float)           # frame vectors as rows
     signs = base.eps
-    B0 = values(v.B_at(list(point), metric_fn=metric_fn))
+    B0 = v.B_at(list(point), metric_fn=metric_fn)
     g_base = base.g0
-    W = values(struct.dtilde_at(list(point))).T
+    W = struct.dtilde_at(list(point)).T
 
     def g_at(t):
         return g_base + t * B0
@@ -506,7 +495,7 @@ def verify_projection_lemma(struct, v, point, xfield, steps=FD_STEPS,
 
     geom0 = PointGeometry(struct, point, metric_fn=metric_fn)
     P0 = values(tangent_projector_jets(struct, list(point), metric_fn))
-    B0 = values(v.B_at(list(point), metric_fn=metric_fn))
+    B0 = v.B_at(list(point), metric_fn=metric_fn)
     X0 = np.asarray(xfield(0.0), float)
     h0 = steps[-1]
     dX = (np.asarray(xfield(h0), float) - np.asarray(xfield(-h0), float)) / (2 * h0)
@@ -573,7 +562,9 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     Quadrature nodes where the variation vanishes identically contribute the
     same value at +t and -t, so only nodes inside the support enter the
     difference; this is exact, not an approximation.  Those nodes are
-    evaluated in batches, at +t and -t together.
+    evaluated in batches, at +t and -t together: a batch evaluates g and B
+    once and forms g + tB and g - tB from them, as ``v.metric_fn(+-t)``
+    would.
     """
     f = _integrand(action)
     if enforce_support:
@@ -584,7 +575,13 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     keep = [v.box is None or _inside(pt, v.box) for pt in pts]
 
     def chunk(c):
-        (sp, dp), (sm, dm) = (_smix_density_nodes(struct, c, fn) for fn in (fp, fm))
+        # _smix_density_nodes seeds c as here, so its metric function may
+        # close over the fields
+        xs = seed(c, 2)
+        g = (metric_fn or struct.metric_at)(xs)
+        B = v.B_at(xs, metric_fn, gmat=g)
+        (sp, dp), (sm, dm) = (_smix_density_nodes(struct, c, lambda _, s=s: g + s * B)
+                              for s in (t_step, -t_step))
         return sp * dp - sm * dm
 
     diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk,
@@ -636,7 +633,7 @@ def _perp_scaled_metric(struct, factor, base_metric_fn=None):
         P = tangent_projector_jets(struct, xs, gmat=g)
         # g(QX, QY) with Q = I - P equals g - gP - (gP)^T + P^T g P
         gP = g @ P
-        return _at_seeds(g + (factor - 1.0) * (g - gP - gP.mT + P.mT @ gP), xs)
+        return as_field(g + (factor - 1.0) * (g - gP - gP.mT + P.mT @ gP), xs)
 
     return fn
 
@@ -713,7 +710,7 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
 
 def _trace_B(struct, v, pt, metric_fn):
     """Tr B-sharp at one point."""
-    B0 = values(v.B_at(list(pt), metric_fn))
+    B0 = v.B_at(list(pt), metric_fn)
     if not B0.any():
         return 0.0
     g0 = values((metric_fn or struct.metric_at)(list(pt)))
@@ -723,11 +720,9 @@ def _trace_B(struct, v, pt, metric_fn):
 def _trace_B_density_nodes(struct, v, pts, metric_fn):
     """Tr B-sharp times sqrt|det g| at an (N, d) array of nodes; the metric
     is evaluated once, on order-1 array jets, and B reuses it."""
-    N, d = pts.shape
     xs = seed(pts, 1)
     g = (metric_fn or struct.metric_at)(xs)
-    g0 = np.broadcast_to(values(g), (N, d, d))
-    B0 = np.broadcast_to(values(v.B_at(xs, metric_fn, gmat=g)), (N, d, d))
+    g0, B0 = values(g), values(v.B_at(xs, metric_fn, gmat=g))
     trB = np.trace(np.linalg.inv(g0) @ B0, axis1=1, axis2=2)
     return trB * np.sqrt(np.abs(np.linalg.det(g0)))
 

@@ -230,20 +230,33 @@ def test_domain_errors_match_entrywise_jets(data):
 @given(st.data())
 def test_dense_inverse_pivots_and_fails_like_the_scalar_loop(data):
     # integer-valued entries with many zeros and ties need row swaps, and
-    # some matrices are singular
+    # some matrices are singular.  In a batch of N matrices (N nodes) each
+    # matrix picks its own pivot rows; one singular matrix fails the batch,
+    # and the regular ones then pass as a batch of their own
     d = data.draw(st.integers(1, 4))
     order = data.draw(st.sampled_from([1, 2]))
-    A = data.draw(fields((d, d), 2, order, vals=st.integers(-2, 2).map(float)))
-    rows = _objects(A).tolist()
-    try:
-        want = jet_matrix_inverse(rows, d)
-    except SingularEvaluationError:
+    N = data.draw(st.sampled_from([0, 1, 3, 5]))         # 0: one matrix, no batch
+    A = data.draw(fields((N, d, d) if N else (d, d), 2, order,
+                         vals=st.integers(-2, 2).map(float)))
+    want = []
+    for M in (A if N else [A]):
+        try:
+            want.append(jet_matrix_inverse(_objects(M).tolist(), d))
+        except SingularEvaluationError:
+            want.append(None)
+    regular = [k for k, w in enumerate(want) if w is not None]
+    if len(regular) < len(want):
         with pytest.raises(SingularEvaluationError, match="singular metric"):
             jet_matrix_inverse(A, d)
-        return
+        if not (N and regular):
+            return
+        A, want = A[np.array(regular)], [want[k] for k in regular]
     got = jet_matrix_inverse(A, d)
-    assert values(got).tolist() == values(want).tolist()
-    assert gradients(got, 2).tolist() == gradients(want, 2).tolist()
+    assert got.shape == A.shape
+    for k, w in enumerate(want):
+        node = got[k] if N else got
+        assert values(node).tolist() == values(w).tolist()
+        assert gradients(node, 2).tolist() == gradients(w, 2).tolist()
 
 
 def _frame_defect(geom):

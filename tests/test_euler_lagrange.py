@@ -9,6 +9,8 @@ from mixedcurv.errors import SpecializationError
 from mixedcurv.geometry import PointGeometry
 from mixedcurv.jets import jexp
 
+from test_variation_family import metric_rows
+
 
 def struct(name):
     return gallery.load_entry(name).structure
@@ -394,7 +396,8 @@ def test_0ii_matches_3i_through_flow_reduction():
     psi = exprlang.parse("x1", 3)
 
     def hat(xs):
-        rows = s.metric_at(xs)
+        # nested lists of scalar jets, straight from the spec's expressions
+        rows = metric_rows(s, xs)
         c = jexp(-2.0 * exprlang.evaluate(psi, list(xs), s.params))
         return [[c * rows[i][j] for j in range(3)] for i in range(3)]
 

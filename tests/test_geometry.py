@@ -14,7 +14,7 @@ from mixedcurv.errors import SingularEvaluationError, SpecializationError
 from mixedcurv.geometry import (PointGeometry, identity_suite,
                                 jet_matrix_inverse, mixed_scalar,
                                 partial_ricci, smix_density_fast)
-from mixedcurv.jets import ArrayJet, gradients, seed, values
+from mixedcurv.jets import ArrayJet, dense, gradients, seed, values
 from mixedcurv.structure import load_structure
 
 S2_CHART = """
@@ -554,8 +554,10 @@ def test_nodewise_inverse_pivots_each_node_by_the_scalar_rule(data):
     def const(c):
         return ArrayJet(c, np.zeros((N, 2)), np.zeros((N, 2, 2)) if order == 2 else None)
 
-    M = [[const(vals[:, i, j]) + (0.25 * x * y if (i + j) % 2 else 0.5 * x)
-          for j in range(d)] for i in range(d)]
+    # the node jets of each entry, gathered into one field of shape (N, d, d)
+    M = dense([[const(vals[:, i, j]) + (0.25 * x * y if (i + j) % 2 else 0.5 * x)
+                for j in range(d)] for i in range(d)], 2)
+    assert M.shape == (N, d, d)
     # nodes as scalar jets, by evaluating the same expressions on them
     want = []
     for k in range(N):
@@ -571,7 +573,6 @@ def test_nodewise_inverse_pivots_each_node_by_the_scalar_rule(data):
             jet_matrix_inverse(M, d)
         return
     got = jet_matrix_inverse(M, d)
-    V, G = values(got), gradients(got, 2)
     for k, w in enumerate(want):
-        assert V[k].tolist() == values(w).tolist()
-        assert G[k].tolist() == gradients(w, 2).tolist()
+        assert values(got[k]).tolist() == values(w).tolist()
+        assert gradients(got[k], 2).tolist() == gradients(w, 2).tolist()

@@ -477,12 +477,12 @@ def test_seeded_batch_reads_node_first():
     xs = seed(pts, 2)
     J = [[xs[0] * xs[1], 2.0], [jsin(xs[0]), xs[1]]]
     V, G = values(J), gradients(J, 2)
-    assert V.shape == (3, 2, 2) and G.shape == (3, 2, 2, 2)
+    assert V.shape == (3, 2, 2) and G.shape == (2, 3, 2, 2)
     assert G.flags["C_CONTIGUOUS"]
     for k, pt in enumerate(pts):
         Jk = [[_node(x, k) for x in row] for row in J]
         assert V[k].tolist() == values(Jk).tolist()
-        assert np.allclose(G[k], gradients(Jk, 2), rtol=1e-15, atol=0)
+        assert np.allclose(G[:, k], gradients(Jk, 2), rtol=1e-15, atol=0)
         assert [_node(x, k).g for x in seed(pts, 1)] == [x.g for x in seed(pt, 1)]
     D = dshift(J, 2)
     assert D.shape == (2, 2, 2) and D[0, 0, 1] == 0.0 and D[1, 0, 1] == 0.0

@@ -3,10 +3,14 @@
 ``tangent_projector_jets``, ``MetricVariation.B_at`` and the family metric
 functions run on array jets, at a point and on node batches alike.  The
 object-array path over scalar ``Jet``s they replaced is kept here as the
-reference.  ``verify_first_variation`` evaluates B once per point and builds
-every step bundle from it; it is checked against bundles built through
-``v.metric_fn(s)`` and a right-hand side built from the reference B.  The
-array RK4 of ``evolve_frame`` is checked against a loop over frame rows.
+reference; it evaluates the spec's expressions itself, not through
+``struct.metric_at`` and ``dtilde_at``.  Every metric function returns one
+field: a float array at a float point, an array jet at scalar seeds and one
+with the node axis first at node seeds.  ``verify_first_variation``
+evaluates B once per point and builds every step bundle from it; it is
+checked against bundles built through ``v.metric_fn(s)`` and a right-hand
+side built from the reference B.  The array RK4 of ``evolve_frame`` is
+checked against a loop over frame rows.
 """
 
 from operator import attrgetter
@@ -16,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedcurv import euler_lagrange as el
 from mixedcurv import exprlang, gallery
 from mixedcurv import variations as va
 from mixedcurv.errors import SpecializationError
 from mixedcurv.geometry import PointGeometry, jet_matrix_inverse
-from mixedcurv.jets import ArrayJet, dense, seed, values
+from mixedcurv.jets import ArrayJet, dense, gradients, seed, values
 from mixedcurv.structure import load_structure
 from test_random_structures import seeded_structure
 
@@ -44,8 +49,24 @@ def _half_box(s):
 # ---------------------------------------------------------------------------
 # the scalar-Jet reference: object arrays of Jets, one point at a time
 
+def metric_rows(struct, xs):
+    """The metric's entries at the scalars ``xs`` as nested lists, evaluated
+    from the spec's expressions (an omitted entry is 0)."""
+    d = struct.dim
+    return [[exprlang.evaluate(struct.metric_upper[min(i, j), max(i, j)], list(xs),
+                               struct.params)
+             if (min(i, j), max(i, j)) in struct.metric_upper else 0.0
+             for j in range(d)] for i in range(d)]
+
+
+def dtilde_rows(struct, xs):
+    """The spanning fields at the scalars ``xs`` as nested lists."""
+    return [[exprlang.evaluate(c, list(xs), struct.params) for c in vec]
+            for vec in struct.dtilde]
+
+
 def reference_projector(struct, xs, g):
-    W = np.array(struct.dtilde_at(xs), dtype=object)    # n rows of d components
+    W = np.array(dtilde_rows(struct, xs), dtype=object)    # n rows of d components
     Wg = W @ np.asarray(g, dtype=object)
     ginv = np.array(jet_matrix_inverse(Wg @ W.T, len(W)), dtype=object)
     return W.T @ (ginv @ Wg)
@@ -58,7 +79,7 @@ def reference_B(v, xs, g=None):
     if all(isinstance(x, float) and x == 0.0 for row in B for x in row):
         return B
     B = np.array(B, dtype=object)
-    P = reference_projector(v.struct, xs, v.struct.metric_at(xs) if g is None else g)
+    P = reference_projector(v.struct, xs, metric_rows(v.struct, xs) if g is None else g)
     PBP = P.T @ (B @ P)
     return PBP if v.klass == "tan" else B - PBP
 
@@ -75,9 +96,8 @@ def _agree(got, want, tol=1e-13):
 
 
 def _node(F, k):
-    """Node k of a stack of matrices; a single matrix is the same at every
-    node."""
-    return F if k is None or F.ndim == 2 else F[k]
+    """Node k of a field at node seeds; k is None for a field at a point."""
+    return F if k is None else F[k]
 
 
 STRUCTURES = ["r3_contact", "s3_hopf", "lorentz_product", "euclidean_product",
@@ -103,23 +123,44 @@ def test_dense_projector_and_B_match_the_scalar_reference(key, klass, seed_, cou
     for k, pt in nodes:
         xk = seed(pt, 2)
         Bk = dense(reference_B(v, xk), d)
-        _agree(_node(P, k), dense(reference_projector(s, xk, s.metric_at(xk)), d))
+        _agree(_node(P, k), dense(reference_projector(s, xk, metric_rows(s, xk)), d))
         _agree(_node(B, k), Bk)
-        _agree(_node(fam, k), dense(s.metric_at(xk), d) + 0.3 * Bk)
+        _agree(_node(fam, k), dense(metric_rows(s, xk), d) + 0.3 * Bk)
 
 
 def test_family_metric_functions_return_the_layout_of_their_seeds():
-    # a dense field at a point; at node seeds the nested list of node jets
-    # that the structure's own metric function gives
-    s = _structure("r3_contact")
-    v = va.random_variation(s, "perp", seed=3)
-    pts = _nodes(s, 5, 1)
-    for fn in (v.metric_fn(0.1), va._perp_scaled_metric(s, 1.5)):
-        assert isinstance(fn(seed(pts[0], 2)), ArrayJet)
-        at_nodes = fn(seed(pts, 2))
-        assert len(at_nodes) == s.dim and all(len(row) == s.dim for row in at_nodes)
-        assert all(x.shape == (5,) for row in at_nodes for x in row)
-        assert values(at_nodes).shape == (5, s.dim, s.dim)
+    # one field: a float array at a float point, an array jet of the
+    # tensor's shape at scalar seeds, and one with the node axis first at
+    # node seeds, also where the field is the same at every node (the
+    # constant euclidean_product metric)
+    for key in ("r3_contact", "euclidean_product"):
+        s = _structure(key)
+        d, n = s.dim, s.n
+        v = va.random_variation(s, "perp", seed=3)
+        q = el.QuadratureSpec(box=_half_box(s), grid=2)
+        fns = [(s.metric_at, (d, d)), (s.dtilde_at, (n, d)), (v.B_at, (d, d)),
+               (v.metric_fn(0.1), (d, d)), (va._perp_scaled_metric(s, 1.5), (d, d)),
+               (va.bar_family_metric(s, v, q, 0.1)[0], (d, d)),
+               (el.conformal_metric(s, exprlang.parse("x1", d)), (d, d))]
+        pts = _nodes(s, 5, 1)
+        for fn, shape in fns:
+            at_point = fn(list(pts[0]))
+            assert type(at_point) is np.ndarray and at_point.dtype == float
+            assert at_point.shape == shape
+            at_seeds = fn(seed(pts[0], 2))
+            assert isinstance(at_seeds, ArrayJet) and at_seeds.shape == shape
+            assert at_seeds.h.shape == shape + (d, d)
+            assert values(at_seeds).tolist() == at_point.tolist()
+            at_nodes = fn(seed(pts, 2))
+            assert isinstance(at_nodes, ArrayJet) and at_nodes.shape == (5,) + shape
+            assert at_nodes.g.shape == (5,) + shape + (d,)
+            assert at_nodes.h.shape == (5,) + shape + (d, d)
+            G = gradients(at_nodes, d)
+            assert G.shape == (d, 5) + shape
+            for k in (0, 3):
+                at_k = fn(seed(pts[k], 2))
+                assert np.allclose(values(at_nodes)[k], values(at_k), rtol=1e-13, atol=1e-15)
+                assert np.allclose(G[:, k], gradients(at_k, d), rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
