@@ -90,16 +90,17 @@ def _density(struct, pt, metric_fn):
     return math.sqrt(abs(det))
 
 
-def _density_nodes(struct, pts, metric_fn):
-    """``_density`` at an (N, d) array of nodes, from order-1 array jets."""
-    g0 = values((metric_fn or struct.metric_at)(seed(pts, 1)))
-    return np.sqrt(np.abs(np.linalg.det(g0)))
+def _density_nodes(g):
+    """``_density`` at N nodes from the metric field ``g`` at their seeds."""
+    return np.sqrt(np.abs(np.linalg.det(values(g))))
 
 
 def volume(struct, q, metric_fn=None):
-    """Volume of the box: the nodes are evaluated in batches (``node_chunks``)."""
+    """Volume of the box: the nodes are evaluated in batches (``node_chunks``)
+    on order-1 array jets."""
     pts, wts = grid_points(q)
-    dens = node_chunks(pts, struct.dim, lambda c: _density_nodes(struct, c, metric_fn),
+    dens = node_chunks(pts, struct.dim,
+                       lambda c: _density_nodes((metric_fn or struct.metric_at)(seed(c, 1))),
                        lambda pt: _density(struct, pt, metric_fn))
     return pairwise_sum(dn * w for dn, w in zip(dens, wts))
 

@@ -18,20 +18,25 @@ quantities are the ``perp`` view's.
 Curvature convention: R(X,Y) = nabla_Y nabla_X - nabla_X nabla_Y + nabla_[X,Y],
 the sign for which round spheres have sectional curvature +1 under
 K(X^Y) = g(R(X,Y)X, Y) / W(X,Y).
+
+A bundle may carry a batch B of metrics at its point (a metric field of shape
+B + (d, d)): the chain from the metric to the first-order scalar invariants
+is written on trailing axes, and the per-point bundle is the empty batch.
+Everything else refuses a batch (``per_point``).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import (ArrayJet, Jet, concatenate, dense, dshift, gradients, order1, seed,
-                   tensordot, value_of, values)
+from .jets import (ArrayJet, Jet, concatenate, dense, dshift, einsum, gradients, order1,
+                   seed, tensordot, value_of, values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
@@ -94,12 +99,44 @@ def _dense_matrix_inverse(A, d, point):
     return X[..., :, d:]
 
 
+def per_point(f):
+    """The guard of a member computed at one point only: on a bundle with a
+    batch it raises instead of reading the batched arrays.  The members of
+    the batched chain never pass through it."""
+    @wraps(f)
+    def at_point(self, *args, **kwargs):
+        geom = self.g if isinstance(self, BlockView) else self
+        if geom.batch:
+            raise SpecializationError(
+                f"{f.__name__} is computed at one point; this bundle has a batch "
+                f"of shape {geom.batch}")
+        return f(self, *args, **kwargs)
+    return at_point
+
+
+def _scalar(x):
+    """A float at the empty batch, else the array of the batch shape."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 class PointGeometry:
     """Geometry bundle of (structure, metric) at one interior chart point.
 
     ``metric_fn``/``dtilde_fn`` default to the structure's own expressions;
     passing replacements evaluates a modified metric (variations, conformal
     changes, block rescalings) over the same distribution.
+
+    The metric function's field at the bundle's seeds sets the batch: a
+    (d, d) field gives the per-point bundle, a B + (d, d) field a bundle of
+    the batch B of metrics at the point (one frame per member, each with
+    its own pivots and signs).  The batched chain is ``gJ``, ``ginvJ``,
+    ``GammaJ``, ``frameJ``, ``framevecsJ``, ``eps``, ``frame1``, ``flat1``,
+    ``nabla_frame`` and the float extracts ``g0``, ``ginv0``, ``g1``, and
+    on a ``BlockView`` ``frame1``, ``flat1``, ``nabla_EE``, ``ffJ``, ``h``,
+    ``T``, ``HJ``, ``H0``, ``norm_h``, ``norm_T``, ``gHH`` and ``s_ex``; its
+    scalars are floats at the empty batch and arrays of shape B otherwise.
+    Every other member reads one of ``Gamma0``, ``F`` or a member marked
+    ``per_point`` and so raises :class:`SpecializationError` on a batch.
     """
 
     def __init__(self, struct, point, metric_fn=None, dtilde_fn=None, check_domain=True):
@@ -131,6 +168,11 @@ class PointGeometry:
             raise
         return dense(rows, self.d)
 
+    @property
+    def batch(self):
+        """The leading axes of the metric field: () at one point."""
+        return self.gJ.shape[:-2]
+
     @cached_property
     def ginvJ(self):
         """The inverse metric as order-1 jets: no consumer reads its Hessian."""
@@ -144,10 +186,11 @@ class PointGeometry:
         Built from dshift of the metric jets, so the jet gradient of an entry
         is the chart derivative of that Christoffel symbol.
         """
-        dg = dshift(self.gJ, self.d)                          # [m][t][nu]
+        dg = dshift(self.gJ, self.d)                          # [m]...[t][nu]
         # dsym[t][m][nu] = d_m g_{t nu} + d_nu g_{t m} - d_t g_{m nu}
-        dsym = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-        return 0.5 * tensordot(self.ginvJ, dsym, axes=(1, 0))
+        dsym = (einsum("m...tn->...tmn", dg) + einsum("n...tm->...tmn", dg)
+                - einsum("t...mn->...tmn", dg))
+        return 0.5 * einsum("...st,...tmn->...smn", self.ginvJ, dsym)
 
     @cached_property
     def frameJ(self):
@@ -161,10 +204,10 @@ class PointGeometry:
     @cached_property
     def framevecsJ(self):
         """Frame vectors e_a (rows) as an order-2 jet field, tangent block first."""
-        return concatenate((self.frameJ.E, self.frameJ.Eperp))
+        return self.frameJ.vectors
 
     # The field algebra: jet tensor fields are array jets of order 1, and
-    # every contraction is a two-operand ``@`` or ``tensordot``.
+    # every contraction is a two-operand ``@``, ``einsum`` or ``tensordot``.
 
     @cached_property
     def g1(self):
@@ -183,8 +226,9 @@ class PointGeometry:
     @cached_property
     def nabla_frame(self):
         """(nabla_m e_a)^s of every frame field, index order [a][m][s]."""
-        dE = dshift(self.framevecsJ, self.d)                     # [m][a][s]
-        return dE.transpose(1, 0, 2) + (self.GammaJ @ self.frame1.T).transpose(2, 1, 0)
+        dE = dshift(self.framevecsJ, self.d)                     # [m]...[a][s]
+        return (einsum("m...as->...ams", dE)
+                + einsum("...smn,...an->...ams", self.GammaJ, self.frame1))
 
     # ------------------------------------------------------------------
     # the two blocks of the splitting
@@ -217,10 +261,12 @@ class PointGeometry:
         return values(self.ginvJ)
 
     @cached_property
+    @per_point
     def Gamma0(self):
         return values(self.GammaJ)
 
     @cached_property
+    @per_point
     def F(self):
         """Frame vector components (rows), tangent block first."""
         return values(self.framevecsJ)
@@ -231,6 +277,7 @@ class PointGeometry:
         return self.F @ self.g0
 
     @cached_property
+    @per_point
     def volume_density(self):
         det = float(np.linalg.det(self.g0))
         if det == 0.0:
@@ -266,6 +313,7 @@ class PointGeometry:
         X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
         return np.einsum("smng,m,n,g->s", self.Rcoord, X, Y, Z)
 
+    @per_point
     def sectional(self, X, Y):
         X, Y = np.asarray(X, float), np.asarray(Y, float)
         gXX = X @ self.g0 @ X
@@ -278,6 +326,7 @@ class PointGeometry:
         return float(self.riemann(X, Y, X) @ self.g0 @ Y / W)
 
     @cached_property
+    @per_point
     def smix(self):
         n, e = self.n, self.eps
         acc = 0.0
@@ -292,12 +341,14 @@ class PointGeometry:
         return np.einsum("l,albl->ab", self.eps, self.R4)
 
     @property
+    @per_point
     def ric_N(self):
         if self.n != 1:
             raise SpecializationError("Ric_N is reported only for rank-one D-tilde")
         return float(self.ricci_frame[0, 0])
 
     @cached_property
+    @per_point
     def jacobi_N(self):
         """(R_N)-flat on the complement block: g(R(N, E_i) N, E_j), n = 1."""
         if self.n != 1:
@@ -309,6 +360,7 @@ class PointGeometry:
     # ------------------------------------------------------------------
     # float frame algebra
 
+    @per_point
     def lam(self, Pb, Qb):
         """Lambda_{P,Q}: the symmetric frame (0,2) tensor defined by
         <Lambda_{P,Q}, S> = sum eps eps [S(P, Q) + S(Q, P)]."""
@@ -368,6 +420,7 @@ class PointGeometry:
     def to_frame02(self, coord02):
         return self.F @ np.asarray(coord02) @ self.F.T
 
+    @per_point
     def frame_pairing(self, C_frame, B_frame):
         """<C, B> = sum eps eps C(e_k, e_l) B(e_k, e_l), frame components."""
         return float(np.einsum("k,l,kl,kl->", self.eps, self.eps, C_frame, B_frame))
@@ -379,6 +432,7 @@ class PointGeometry:
         nab = gradients(TJ, self.d) - np.einsum("kmn,kr->mnr", G, T0) - np.einsum("kmr,nk->mnr", G, T0)
         return np.einsum("mnr,m->nr", nab, np.asarray(X0, float))
 
+    @per_point
     def pair_vec_12(self, Pb_full, Vb_frame):
         """(0,2) frame tensor g(P(e_l, e_m), V) from flat comps of P and V."""
         return np.einsum("lmk,k,k->lm", np.asarray(Pb_full), self.eps,
@@ -456,12 +510,13 @@ class BlockView:
 
     @property
     def frame1(self):
-        return self.g.frame1[self.sl]
+        return self.g.frame1[..., self.sl, :]
 
     @property
     def flat1(self):
-        return self.g.flat1[self.sl]
+        return self.g.flat1[..., self.sl, :]
 
+    @per_point
     def project(self, V):
         """The block part sum eps_a g(V, E_a) E_a of a jet vector field."""
         return (self.flat1 @ V * self.eps) @ self.frame1
@@ -469,7 +524,8 @@ class BlockView:
     @cached_property
     def nabla_EE(self):
         """nabla_{E_a} E_b, index order [a][b][s]."""
-        return tensordot(self.frame1, self.g.nabla_frame[self.sl], axes=(1, 1))
+        return einsum("...am,...bms->...abs", self.frame1,
+                      self.g.nabla_frame[..., self.sl, :, :])
 
     # ------------------------------------------------------------------
     # fundamental forms
@@ -482,8 +538,8 @@ class BlockView:
         counterpart; pairing with the dual frame vectors performs the block
         projection.
         """
-        W = self.nabla_EE @ self.dual.flat1.T        # g(nabla_{E_a} E_b, E_i)
-        Wt = W.transpose(1, 0, 2)
+        W = einsum("...abs,...is->...abi", self.nabla_EE, self.dual.flat1)
+        Wt = einsum("...abi->...bai", W)             # W = g(nabla_{E_a} E_b, E_i)
         return 0.5 * (W + Wt), 0.5 * (W - Wt)
 
     @cached_property
@@ -498,7 +554,8 @@ class BlockView:
     def HJ(self):
         """Mean curvature vector field, jet chart components."""
         dual = self.dual
-        return (self.ffJ[0].diagonal() @ self.eps * dual.eps) @ dual.frame1
+        c = einsum("...ia,...a->...i", self.ffJ[0].diagonal(0, -3, -2), self.eps)
+        return einsum("...i,...is->...s", c * dual.eps, dual.frame1)
 
     @cached_property
     def H0(self):
@@ -512,8 +569,8 @@ class BlockView:
     # scalar invariants
 
     def _norm(self, F):
-        e, de = np.array(self.eps), np.array(self.dual.eps)
-        return float(np.einsum("a,b,i,abi,abi->", e, e, de, F, F))
+        e, de = np.asarray(self.eps), np.asarray(self.dual.eps)
+        return _scalar(np.einsum("...a,...b,...i,...abi,...abi->...", e, e, de, F, F))
 
     @cached_property
     def norm_h(self):
@@ -525,7 +582,7 @@ class BlockView:
 
     @cached_property
     def gHH(self):
-        return float(self.H0 @ self.g.g0 @ self.H0)
+        return _scalar(np.einsum("...m,...mn,...n->...", self.H0, self.g.g0, self.H0))
 
     @property
     def s_ex(self):
@@ -538,6 +595,7 @@ class BlockView:
     # ------------------------------------------------------------------
     # Weingarten-type operators (float matrices, frame basis; column = input)
 
+    @per_point
     def _ops(self, F):
         m, e = self.dim, self.eps
         return [np.array([[e[b] * F[a, b, i] for a in range(m)] for b in range(m)])
@@ -574,6 +632,7 @@ class BlockView:
         A, T = self.A_ops, self.Tsharp_ops
         return self._dual_sum(lambda i: T[i] @ A[i] - A[i] @ T[i])
 
+    @per_point
     def flat(self, op):
         """(0,2) frame form of an operator acting on the block."""
         m = self.dim
@@ -602,6 +661,7 @@ class BlockView:
     # ------------------------------------------------------------------
     # (1,2)-tensors in full-frame flat components
 
+    @per_point
     def _full(self, F):
         k = self.g.d
         out = np.zeros((k, k, k))
@@ -617,6 +677,7 @@ class BlockView:
     def Tb_full(self):
         return self._full(self.T)
 
+    @per_point
     def _mixed_full(self, F):
         """P(X,Y) = (F#_{X dual}(Y block) + F#_{Y dual}(X block))/2, flat comps."""
         k, dsl = self.g.d, self.dual.sl
@@ -647,10 +708,12 @@ class BlockView:
     # jet chart components of derived tensor fields
 
     @cached_property
+    @per_point
     def h_field(self):
         """h as a (1,2) chart-component jet field (projection-extended)."""
         return _field12(self.ffJ[0], self, self, self.dual)
 
+    @per_point
     def _mixed_field(self, FJ):
         """alpha (F = h) or theta (F = T) as a (1,2) chart jet field."""
         half = _field12(0.5 * FJ.transpose(2, 0, 1), self.dual, self, self)
@@ -664,6 +727,7 @@ class BlockView:
     def theta_field(self):
         return self._mixed_field(self.ffJ[1])
 
+    @per_point
     def _normal_op_field(self, FJ):
         """F#_N as a (1,1) chart jet field, N the unit field of a rank-one dual."""
         self.dual._rank_one("an operator field along N")
@@ -681,12 +745,14 @@ class BlockView:
         return self._normal_op_field(self.ffJ[1])
 
     @cached_property
+    @per_point
     def tau1_J(self):
         """tau_1 = Tr A_N for a rank-one dual, as a jet scalar."""
         self.dual._rank_one("tau_1")
         return self.ffJ[0][:, :, 0].diagonal() @ self.eps
 
     @cached_property
+    @per_point
     def nabla_N_hsc(self):
         """nabla_N h_sc in block frame components, N the unit field of a
         rank-one dual and h_sc = eps_N g(h, N) the scalar second fundamental
@@ -699,6 +765,7 @@ class BlockView:
         return F @ g.nabla02_in_direction(hscJ, g.F[k]) @ F.T
 
     @cached_property
+    @per_point
     def unit_J(self):
         """The frame field of a rank-one block, jet chart components."""
         self._rank_one("a unit field")
@@ -828,21 +895,24 @@ def smix_density_batch(struct, pts, metric_fn=None):
     """(S_mix, sqrt|det g|) arrays at the nodes ``pts``, as
     :func:`smix_density_fast` gives them node by node; that function stays
     the reference and the error path."""
-    out = node_chunks(pts, struct.dim,
-                      lambda c: np.stack(_smix_density_nodes(struct, c, metric_fn), axis=1),
+    def chunk(c):
+        xs = seed(c, 2)
+        return np.stack(_smix_density_nodes((metric_fn or struct.metric_at)(xs),
+                                            struct.dtilde_at(xs)), axis=1)
+
+    out = node_chunks(pts, struct.dim, chunk,
                       lambda pt: smix_density_fast(struct, pt, metric_fn))
     return tuple(np.array(out, dtype=float).reshape(len(pts), 2).T)
 
 
-def _smix_density_nodes(struct, pts, metric_fn):
-    """(S_mix, sqrt|det g|) at an (N, d) array of nodes, as arrays.
+def _smix_density_nodes(gJ, span):
+    """(S_mix, sqrt|det g|) at N nodes, as arrays, from the metric field
+    ``gJ`` [z][t][n] and the span field ``span`` at the nodes' order-2 seeds.
 
     The chain of :func:`smix_density_fast` on array jets: metric jets,
     order-1 inverse, Christoffel symbols, Riemann tensor and S_mix by the
     projector formula.  The index letter z runs over the nodes."""
-    d = pts.shape[1]
-    xs = seed(pts, 2)
-    gJ = (metric_fn or struct.metric_at)(xs)                # [z][t][n]
+    d = gJ.shape[-1]
     g0 = values(gJ)
     ginvJ = jet_matrix_inverse(order1(gJ), d)
     ginv, dginv = values(ginvJ), gradients(ginvJ, d)        # dginv [l][z][s][t]
@@ -857,7 +927,7 @@ def _smix_density_nodes(struct, pts, metric_fn):
     R = np.einsum("znsmg->zsmng", dG) - np.einsum("zmsng->zsmng", dG)
     R += np.einsum("zsnk,zkmg->zsmng", G, G) - np.einsum("zsmk,zkng->zsmng", G, G)
     R04 = np.einsum("zsmng,zsd->zmngd", R, g0)
-    Wm = values(struct.dtilde_at(xs)).transpose(0, 2, 1)
+    Wm = values(span).transpose(0, 2, 1)
     try:
         gram_inv = np.linalg.inv(Wm.transpose(0, 2, 1) @ g0 @ Wm)
     except np.linalg.LinAlgError:

@@ -21,7 +21,10 @@ shape, with the derivative axes last.  The field algebra is numpy's (``@``,
 :func:`tensordot`, transposes, indexing, ``diagonal``, ``sum``,
 broadcasting ring operations and elementary functions) with the product
 rule.  :func:`order1` and :func:`dshift` act on a field as a whole and on an
-array or nested list of scalars entry by entry.
+array or nested list of scalars entry by entry.  :func:`einsum` writes a
+contraction once for any leading batch axes (``...``): a field of shape
+B + S is a batch B of tensors of shape S, and the per-point field is the
+empty batch.
 
 Seeding a batch of N points gives one array jet of shape (N,) per
 coordinate, a scalar at N quadrature nodes.  A field at such node seeds has
@@ -567,6 +570,25 @@ def _value(x):
     return x.v if isinstance(x, ArrayJet) else _const(x)
 
 
+def einsum(subscripts, *operands):
+    """numpy's ``einsum`` of one array jet, or of two operands (array jets
+    or float arrays) by the product rule.  The subscripts name the output
+    after ``->``, may write batch axes as ``...`` and leave the letters x
+    and y to the derivative axes."""
+    ins, out = subscripts.split("->")
+    if len(operands) == 1:
+        return operands[0]._parts(
+            lambda x, k: np.einsum(f"{ins}{'xy'[:k]}->{out}{'xy'[:k]}", x))
+    return _product(*operands, *ins.split(","), out)
+
+
+def broadcast_to(F, shape):
+    """The array jet F broadcast to the field shape ``shape``, as views."""
+    if F.shape == shape:
+        return F
+    return ArrayJet(np.broadcast_to(F.v, shape), *F._grown(shape))
+
+
 def concatenate(fields, axis=0):
     """numpy's concatenate of array jets, along a field axis ``axis`` >= 0."""
     order2 = all(x.h is not None for x in fields)
@@ -724,9 +746,7 @@ def as_field(X, xs):
         return values(X)
     F = dense(X, x.nvars)
     if isinstance(x, ArrayJet) and not isinstance(X, ArrayJet):
-        full = x.shape + np.shape(np.asarray(X, dtype=object))
-        if F.shape != full:
-            F = ArrayJet(np.broadcast_to(F.v, full), *F._grown(full))
+        F = broadcast_to(F, x.shape + np.shape(np.asarray(X, dtype=object)))
     return F
 
 

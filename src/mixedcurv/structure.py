@@ -28,8 +28,8 @@ import numpy as np
 from . import exprlang
 from .errors import (DegenerateDistributionError, DomainError,
                      SignatureInstabilityError, SpecFormatError)
-from .jets import (ArrayJet, as_field, check_finite, concatenate, dense, jsqrt, tensordot,
-                   value_of, values)
+from .jets import (ArrayJet, as_field, broadcast_to, check_finite, concatenate, dense,
+                   einsum, jsqrt, value_of, values)
 
 DEGENERACY_TOL = 1e-9
 
@@ -239,6 +239,8 @@ def _split_top_level(text):
 
 @dataclass
 class AdaptedFrame:
+    """The frame of ``orthonormal_frame``; on a batch the vectors are jet
+    fields and the signs arrays, with the batch axes first."""
     E: list            # n frame vectors tangent to the distribution (chart comps, rows)
     eps_tan: list      # their signs g(E_a, E_a)
     Eperp: list        # p frame vectors spanning the orthogonal complement
@@ -246,11 +248,15 @@ class AdaptedFrame:
 
     @property
     def vectors(self):
-        return list(self.E) + list(self.Eperp)
+        """The frame vectors as rows, tangent block first: a list at float
+        inputs, else one field."""
+        if isinstance(self.E, list):
+            return self.E + self.Eperp
+        return concatenate((self.E, self.Eperp), axis=self.E.ndim - 2)
 
     @property
     def signs(self):
-        return list(self.eps_tan) + list(self.eps_perp)
+        return np.concatenate((self.eps_tan, self.eps_perp), axis=-1).tolist()
 
 
 def _inner(gmat, v, w):
@@ -265,57 +271,46 @@ def _inner(gmat, v, w):
 def _null(gabs, v, q, tol):
     """g(v, v) = q is negligible against sum |g_ij| |v_i| |v_j|, the size it
     would have without cancellation (``gabs`` holds the |g_ij| and ``v``
-    the values); a zero vector is null."""
+    the values); a zero vector is null.  Member by member over leading
+    batch axes."""
     a = np.abs(np.asarray(v, dtype=float))
-    return abs(value_of(q)) <= tol * float(a @ gabs @ a)
+    return np.abs(value_of(q)) <= tol * np.einsum("...m,...mn,...n->...", a, gabs, a)
 
 
 def _gs_pass(gmat, W, n_span, dim, tol, point):
     """Indefinite modified Gram-Schmidt on the rows of the jet field ``W``
     (span vectors first), right-looking: each new frame vector is projected
     out of all later rows at once, so every row takes its projections in the
-    order of the row-by-row sweep.  Returns (frame rows as one jet field,
-    signs)."""
+    order of the row-by-row sweep.  Leading batch axes of ``gmat`` and ``W``
+    are members, each with its own rows and signs.  Returns (frame rows as
+    one jet field, signs of the batch shape + (dim,))."""
     frame, signs = [], []
     gabs = np.abs(values(gmat))
     for k in range(dim):
-        v, W = W[0], W[1:]
-        gv = gmat @ v
-        q = v @ gv
-        if _null(gabs, values(v), q, tol):
+        v, W = W[..., 0, :], W[..., 1:, :]
+        gv = einsum("...mn,...n->...m", gmat, v)
+        q = einsum("...m,...m->...", v, gv)
+        if np.any(_null(gabs, values(v), q, tol)):
             raise DegenerateDistributionError(
                 "distribution vector is null or dependent" if k < n_span else
                 "no non-null candidate for the orthogonal complement", point=point)
-        s = 1.0 if value_of(q) > 0.0 else -1.0
-        inv = 1.0 / jsqrt(s * q)
+        s = np.where(values(q) > 0.0, 1.0, -1.0)
+        inv = (1.0 / jsqrt(s * q))[..., None]
         e = v * inv
-        frame.append(e)
+        frame.append(e[..., None, :])
         signs.append(s)
         if k + 1 < dim:
-            c = W @ (gv * inv)                    # g(e, w) for every later row w
-            W = W - tensordot(s * c, e, axes=0)
-    return concatenate([e[None] for e in frame]), signs
+            c = einsum("...rm,...m->...r", W, gv * inv)    # g(e, w) for every later row w
+            W = W - einsum("...r,...m->...rm", s[..., None] * c, e)
+    return concatenate(frame, axis=np.ndim(s)), np.stack(signs, axis=-1)
 
 
-def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
-    """Pivoted indefinite Gram-Schmidt over floats or jet fields.
-
-    Span vectors are orthogonalized in declared order; the complement is
-    filled from coordinate basis vectors.  Pivoting (on the largest |g(v,v)|
-    among the reduced candidates, to avoid near-null vectors) is decided on a
-    cheap float pass over the value parts; when either input is an array jet
-    (a field at seeds), a jet pass on array jets (see
-    :func:`mixedcurv.jets.dense`) then runs the chosen order, so the
-    selection is locally constant and jet-differentiable, and the frame
-    vectors are the rows of one field.
-    Nullness is relative to each vector's own size (``_null``).
-    """
-    n = np.shape(values(span_vectors))[0]
-
-    g0 = values(gmat).tolist()
+def _float_pass(g0, span0, dim, tol, point):
+    """The pivoted Gram-Schmidt pass over floats at one point: (frame rows,
+    signs, pivots of the complement) as lists."""
     gabs = np.abs(np.array(g0))
     frame0, signs0 = [], []
-    for v in values(span_vectors).tolist():
+    for v in span0:
         for e, s in zip(frame0, signs0):
             c = _inner(g0, v, e)
             v = [v[i] - s * c * e[i] for i in range(dim)]
@@ -349,20 +344,50 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
         s = 1.0 if q > 0.0 else -1.0
         frame0.append([x / math.sqrt(s * q) for x in best_v])
         signs0.append(s)
+    return frame0, signs0, pivots
 
-    if not (isinstance(gmat, ArrayJet) or isinstance(span_vectors, ArrayJet)):
-        frame, signs = frame0, signs0
-    else:
-        gmat, span = dense(gmat, dim), dense(span_vectors, dim)
-        W = concatenate((span, dense(np.eye(dim)[pivots], dim)))
-        frame, signs = _gs_pass(gmat, W, n, dim, tol, point)
 
-    return AdaptedFrame(
-        E=frame[:n],
-        eps_tan=[float(s) for s in signs[:n]],
-        Eperp=frame[n:],
-        eps_perp=[float(s) for s in signs[n:]],
-    )
+def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
+    """Pivoted indefinite Gram-Schmidt over floats or jet fields.
+
+    Span vectors are orthogonalized in declared order; the complement is
+    filled from coordinate basis vectors.  Pivoting (on the largest |g(v,v)|
+    among the reduced candidates, to avoid near-null vectors) is decided on a
+    cheap float pass over the value parts; when either input is an array jet
+    (a field at seeds), a jet pass on array jets (see
+    :func:`mixedcurv.jets.dense`) then runs the chosen order, so the
+    selection is locally constant and jet-differentiable, and the frame
+    vectors are the rows of one field.
+    Nullness is relative to each vector's own size (``_null``).
+
+    A metric with leading batch axes, shape B + (dim, dim), is a batch of
+    metrics at one point (the span vectors may carry B or not).  The float
+    pass runs member by member, so each member takes its own pivot order,
+    and one jet pass runs every member's order: the pivots enter it only as
+    the member's candidate rows and the signs as a factor +-1 per member.
+    The frame is then a field of shape B + (dim, dim) and the signs arrays
+    of shape B + (n,) and B + (dim - n,).
+    """
+    g0, span0 = values(gmat), values(span_vectors)
+    n = span0.shape[-2]
+    batch = np.broadcast_shapes(g0.shape[:-2], span0.shape[:-2])
+    g0 = np.broadcast_to(g0, batch + (dim, dim))
+    span0 = np.broadcast_to(span0, batch + (n, dim))
+    passes = [_float_pass(g0[b].tolist(), span0[b].tolist(), dim, tol, point)
+              for b in np.ndindex(batch)]
+    if not (batch or isinstance(gmat, ArrayJet) or isinstance(span_vectors, ArrayJet)):
+        frame, signs, _ = passes[0]
+        return AdaptedFrame(E=frame[:n], eps_tan=signs[:n], Eperp=frame[n:],
+                            eps_perp=signs[n:])
+    pivots = np.reshape([p[2] for p in passes], batch + (dim - n,))
+    W = concatenate((broadcast_to(dense(span_vectors, dim), batch + (n, dim)),
+                     dense(np.eye(dim)[pivots], dim)), axis=len(batch))
+    frame, signs = _gs_pass(dense(gmat, dim), W, n, dim, tol, point)
+    eps_tan, eps_perp = signs[..., :n], signs[..., n:]
+    if not batch:
+        eps_tan, eps_perp = eps_tan.tolist(), eps_perp.tolist()
+    return AdaptedFrame(E=frame[..., :n, :], eps_tan=eps_tan, Eperp=frame[..., n:, :],
+                        eps_perp=eps_perp)
 
 
 def adapted_frame(s, point, metric=None, dtilde=None):

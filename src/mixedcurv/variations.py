@@ -22,6 +22,7 @@ from .errors import ClassificationError, SpecializationError, SupportError
 from .geometry import (PointGeometry, _smix_density_nodes, jet_matrix_inverse,
                        node_chunks, smix_density_batch, smix_density_fast)
 from .jets import as_field, dense, order1, seed, tensordot, value_of, values, where
+from .structure import orthonormal_frame
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
                              pairwise_sum, s_star, volume)
 
@@ -32,14 +33,15 @@ ZERO_FLOOR = 5e-10
 # ----------------------------------------------------------------------
 # projector onto the distribution, closed form (no frame, jet-safe)
 
-def tangent_projector_jets(struct, xs, metric_fn=None, gmat=None):
+def tangent_projector_jets(struct, xs, metric_fn=None, gmat=None, span=None):
     """P[sigma][nu] of the g-orthogonal projector onto D-tilde, as an array
     jet: one matrix at a point, a stack of them at node seeds.
 
-    ``gmat`` lets callers reuse an already evaluated metric matrix."""
+    ``gmat`` and ``span`` let callers reuse an already evaluated metric and
+    ``struct.dtilde_at(xs)``."""
     d = struct.dim
     g = dense(gmat if gmat is not None else (metric_fn or struct.metric_at)(xs), d)
-    W = dense(struct.dtilde_at(xs), d)                   # n rows of d components
+    W = dense(struct.dtilde_at(xs) if span is None else span, d)   # n rows of d components
     Wg = W @ g
     ginv = jet_matrix_inverse(Wg @ W.mT, struct.n)
     return W.mT @ (ginv @ Wg)
@@ -95,11 +97,12 @@ class MetricVariation:
                     out[j][i] = v
         return out
 
-    def B_at(self, xs, metric_fn=None, gmat=None):
-        """B as a field at ``xs``, as ``struct.metric_at`` gives the metric."""
-        return as_field(self._field(xs, metric_fn, gmat), xs)
+    def B_at(self, xs, metric_fn=None, gmat=None, span=None):
+        """B as a field at ``xs``, as ``struct.metric_at`` gives the metric;
+        ``gmat`` and ``span`` are as for :func:`tangent_projector_jets`."""
+        return as_field(self._field(xs, metric_fn, gmat, span), xs)
 
-    def _field(self, xs, metric_fn, gmat):
+    def _field(self, xs, metric_fn, gmat, span=None):
         """B at the seeds ``xs`` as one array jet."""
         raw = self.raw_at(xs)
         B = dense(as_field(raw, xs), self.struct.dim)
@@ -107,7 +110,8 @@ class MetricVariation:
             return B
         if all(isinstance(x, float) and x == 0.0 for row in raw for x in row):
             return B                      # outside the support: stay exactly zero
-        P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn, gmat=gmat)
+        P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn, gmat=gmat,
+                                   span=span)
         PBP = P.mT @ (B @ P)
         if self.klass == "tan":
             return PBP
@@ -187,25 +191,32 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
 
     Returns the frame path and the worst orthonormality/adaptedness drift,
     measured by recomputing g_t-inner-products directly at every grid time.
+    The frame starts from the float frame at g; B-sharp at every RK4 stage
+    time (t0, t0 + h/2 and t1 of each step) comes from one batched solve.
     """
-    base = PointGeometry(struct, point, metric_fn=metric_fn)
-    d, n = base.d, base.n
-    frame = np.array(base.F, dtype=float)           # frame vectors as rows
-    signs = base.eps
-    B0 = v.B_at(list(point), metric_fn=metric_fn)
-    g_base = base.g0
-    W = struct.dtilde_at(list(point)).T
+    pt = list(point)
+    d, n = struct.dim, struct.n
+    g_base = values((metric_fn or struct.metric_at)(pt))
+    span = struct.dtilde_at(pt)
+    fr = orthonormal_frame(g_base, span, d, point=pt)
+    frame = np.array(fr.vectors)                        # frame vectors as rows
+    signs = np.array(fr.signs)
+    B0 = v.B_at(pt, metric_fn=metric_fn, gmat=g_base)
 
-    def g_at(t):
-        return g_base + t * B0
+    ts = [k * t_end / steps for k in range(steps + 1)]
+    times = [ts[0]]
+    for t0, t1 in zip(ts, ts[1:]):
+        times += [t0 + (t1 - t0) / 2, t1]
+    G = g_base + np.array(times)[:, None, None] * B0    # g_t at every stage time
+    try:
+        sharp = np.linalg.solve(G, np.broadcast_to(B0, G.shape))
+    except np.linalg.LinAlgError:
+        sharp = np.array([_solve_at(t, gt, B0) for t, gt in zip(times, G)])
 
-    def rhs(t, fr):
-        gt = g_at(t)
-        try:
-            Bsharp = np.linalg.solve(gt, B0)
-        except np.linalg.LinAlgError:
-            raise SpecializationError(f"family degenerates at t={t}")
-        X = fr @ Bsharp.T                           # B-sharp of every frame vector
+    def rhs(j, fr):
+        """The frame's derivative at stage time j."""
+        gt = G[j]
+        X = fr @ sharp[j].T                         # B-sharp of every frame vector
         E = fr[:n]
         tan = ((X @ gt @ E.T) * signs[:n]) @ E      # and its part along D-tilde
         out = np.zeros((d, d))
@@ -215,24 +226,31 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
             out[n:] = -0.5 * (X[n:] - tan[n:]) - tan[n:]
         return out
 
-    ts = [k * t_end / steps for k in range(steps + 1)]
-    drift = 0.0
     path = [frame]
-    WtW = np.linalg.pinv(W.T @ W) @ W.T
     for k in range(steps):
-        t0, t1 = ts[k], ts[k + 1]
-        h = t1 - t0
-        k1 = rhs(t0, frame)
-        k2 = rhs(t0 + h / 2, frame + h / 2 * k1)
-        k3 = rhs(t0 + h / 2, frame + h / 2 * k2)
-        k4 = rhs(t1, frame + h * k3)
+        h = ts[k + 1] - ts[k]
+        k1 = rhs(2 * k, frame)
+        k2 = rhs(2 * k + 1, frame + h / 2 * k1)
+        k3 = rhs(2 * k + 1, frame + h / 2 * k2)
+        k4 = rhs(2 * k + 2, frame + h * k3)
         frame = frame + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         path.append(frame)
-        G = frame @ g_at(t1) @ frame.T
-        drift = max(drift, float(np.max(np.abs(G - np.diag(signs)))))
-        E = frame[:n]
-        drift = max(drift, float(np.max(np.abs(E - (E @ WtW.T) @ W.T))))
+    P = np.array(path[1:])
+    Gram = P @ G[2::2] @ P.mT
+    E = P[:, :n]
+    W = span.T
+    WtW = np.linalg.pinv(W.T @ W) @ W.T
+    drift = max(float(np.max(np.abs(Gram - np.diag(signs)))),
+                float(np.max(np.abs(E - (E @ WtW.T) @ W.T))))
     return path, drift
+
+
+def _solve_at(t, gt, B0):
+    """B-sharp at one stage time; a singular g_t ends the family there."""
+    try:
+        return np.linalg.solve(gt, B0)
+    except np.linalg.LinAlgError:
+        raise SpecializationError(f"family degenerates at t={t}") from None
 
 
 # ----------------------------------------------------------------------
@@ -436,27 +454,24 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
     gJ = geom0.gJ
     B = v.B_at(geom0.seeds, gmat=gJ)
     g0, B0 = geom0.g0, values(B)
-    signed = [s for h in steps for s in (h, -h)]
+    signed = np.array([s for h in steps for s in (h, -h)])
     # every step of both signs keeps the signature and half of |det g|
+    gs = g0 + signed[:, None, None] * B0
     neg0, det0 = np.sum(np.linalg.eigvalsh(g0) < 0.0), abs(np.linalg.det(g0))
-    for s in signed:
-        gs = g0 + s * B0
-        if np.sum(np.linalg.eigvalsh(gs) < 0.0) != neg0 or abs(np.linalg.det(gs)) < 0.5 * det0:
-            raise SpecializationError("variation step leaves the metric cone")
-    # A bundle calls its metric function only at its own seeds, which are
-    # geom0's, so a step bundle's metric function may close over the fields.
-    bundles = {s: PointGeometry(struct, point, metric_fn=lambda xs, s=s: gJ + s * B)
-               for s in signed}
+    if (np.any(np.sum(np.linalg.eigvalsh(gs) < 0.0, axis=-1) != neg0)
+            or np.any(np.abs(np.linalg.det(gs)) < 0.5 * det0)):
+        raise SpecializationError("variation step leaves the metric cone")
+    # One bundle over the signed steps, member k at g + signed[k] B.  A bundle
+    # calls its metric function only at its own seeds, which are geom0's, so
+    # its metric function may close over the fields.
+    bundle = PointGeometry(struct, point,
+                           metric_fn=lambda xs: gJ + signed[:, None, None] * B)
     rhs_eng = _RHS(geom0, B)
 
     out = {}
     for f in formulas:
-        read = attrgetter(FORMULAS[f][1])
-        fd = []
-        for h in steps:
-            fp = read(bundles[h])
-            fm = read(bundles[-h])
-            fd.append((fp - fm) / (2.0 * h))
+        at = attrgetter(FORMULAS[f][1])(bundle)
+        fd = [float(at[2 * k] - at[2 * k + 1]) / (2.0 * h) for k, h in enumerate(steps)]
         rhs = rhs_eng.rhs(f)
         disc = [abs(d_ - rhs) for d_ in fd]
         scale = max(abs(rhs), max(abs(d_) for d_ in fd))
@@ -575,13 +590,10 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     keep = [v.box is None or _inside(pt, v.box) for pt in pts]
 
     def chunk(c):
-        # _smix_density_nodes seeds c as here, so its metric function may
-        # close over the fields
         xs = seed(c, 2)
-        g = (metric_fn or struct.metric_at)(xs)
-        B = v.B_at(xs, metric_fn, gmat=g)
-        (sp, dp), (sm, dm) = (_smix_density_nodes(struct, c, lambda _, s=s: g + s * B)
-                              for s in (t_step, -t_step))
+        g, W = (metric_fn or struct.metric_at)(xs), struct.dtilde_at(xs)
+        B = v.B_at(xs, metric_fn, gmat=g, span=W)
+        (sp, dp), (sm, dm) = (_smix_density_nodes(g + s * B, W) for s in (t_step, -t_step))
         return sp * dp - sm * dm
 
     diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk,

@@ -4,7 +4,7 @@ import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedcurv import cli, gallery
@@ -147,8 +147,12 @@ def test_inspect_blocks_of_different_scale(tmp_path):
     assert json.loads(text)["points"][0]["eps_perp"] == [1.0]
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(tol=st.floats(allow_nan=True, allow_infinity=True))
+@example(tol=-0.0)
+@example(tol=math.nan)
+@example(tol=math.inf)
+@example(tol=5e-324)
 def test_tol_exit_code(tol):
     code = cli.main(["verify", "identities", "--gallery", "euclidean_product",
                      "--points", "(0.1,0.2,0.3)", f"--tol={tol!r}",
