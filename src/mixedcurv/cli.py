@@ -22,14 +22,13 @@ import io
 import json
 import math
 import sys
-from functools import partial
 
 import numpy as np
 
 from . import euler_lagrange as el
 from . import gallery as gal
 from . import variations as va
-from .errors import MixedCurvError
+from .errors import MixedCurvError, SingularEvaluationError
 from .geometry import PointGeometry, identity_suite
 from .structure import load_structure
 
@@ -123,8 +122,11 @@ def cmd_inspect(args):
     report["command"] = "inspect"
     report["points"] = []
     for pt in pts:
-        geom = PointGeometry(struct, pt)
-        report["points"].append(geom.summary())
+        summary = PointGeometry(struct, pt).summary()
+        bad = [k for k, v in summary.items() if _non_finite(v)]
+        if bad:
+            raise SingularEvaluationError(f"non-finite {', '.join(bad)}", point=pt)
+        report["points"].append(summary)
     return report, 0
 
 
@@ -158,13 +160,14 @@ def cmd_verify(args):
         if skipped:
             report["skipped"] = skipped
         for pt in pts:
+            geom = PointGeometry(struct, pt)
             for eq in (eq for eq in runnable if eq in claims):
                 critical = claims[eq]
                 check = {"check": eq, "point": list(pt), "tolerance": args.tol,
                          "expected": "critical" if critical else "non-critical",
                          "provenance": "gallery-flag" if entry else "assumed-critical"}
                 try:
-                    norm = el.EQUATIONS[eq].run(struct, pt).norm
+                    norm = el.EQUATIONS[eq].run(geom).norm
                 except MixedCurvError as exc:
                     check.update(residual=None, error=str(exc), verdict=False)
                 else:
@@ -220,16 +223,48 @@ def cmd_verify(args):
     else:
         raise MixedCurvError(f"unknown suite {args.suite!r}")
 
+    for check in checks:
+        _fail_non_finite(check)
     report["checks"] = checks
     report["passed"] = sum(1 for c in checks if c["verdict"])
     report["failed"] = sum(1 for c in checks if not c["verdict"])
     return report, (0 if report["failed"] == 0 else 1)
 
 
+def _non_finite(x):
+    """Whether a report value is or holds a non-finite float."""
+    if isinstance(x, float):
+        return not math.isfinite(x)
+    return isinstance(x, list) and any(map(_non_finite, x))
+
+
+def _fail_non_finite(check):
+    """A check with a non-finite field fails with an error naming the field,
+    its value and the point; the field is recorded as null."""
+    bad = [k for k, v in check.items() if _non_finite(v)]
+    if bad:
+        where = (f"point {tuple(check['point'])}" if "point" in check
+                 else f"box {check['box']}")
+        what = ", ".join(f"{k} {check[k]}" for k in bad)
+        check.update(dict.fromkeys(bad), error=f"non-finite {what} at {where}",
+                     verdict=False)
+
+
 def _el_equations(struct):
     """(name, evaluator of a point) for every registered equation that
-    applies to ``struct``, in registry order."""
-    return [(eq, partial(el.EQUATIONS[eq].run, struct)) for eq in el.applicable(struct)]
+    applies to ``struct``, in registry order.  Consecutive calls at the same
+    point share one bundle."""
+    last = None
+
+    def bundle(pt):
+        nonlocal last
+        pt = tuple(float(x) for x in pt)
+        if last is None or last.point != pt:
+            last = PointGeometry(struct, pt)
+        return last
+
+    return [(eq, lambda pt, run=el.EQUATIONS[eq].run: run(bundle(pt)))
+            for eq in el.applicable(struct)]
 
 
 def _skip_reason(eq, struct):
@@ -275,7 +310,7 @@ def cmd_gallery(args):
 
 def _emit(report, args):
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -370,7 +405,9 @@ def main(argv=None):
     try:
         if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
             raise MixedCurvError(f"--tol must be finite and >= 0, got {args.tol}")
-        report, code = args.func(args)
+        # a non-finite result is reported in its check, not as a warning
+        with np.errstate(all="ignore"):
+            report, code = args.func(args)
     except MixedCurvError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

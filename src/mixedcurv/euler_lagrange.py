@@ -2,10 +2,12 @@
 
 Every equation is assembled term by term from a :class:`PointGeometry` bundle
 and reported as the max-abs norm of its residual in the adapted frame.  The
-domain-mean constants entering the equations (the starred scalars, the mean
-divergence of the complement's mean curvature, the mean Ricci curvature) can
-be supplied by the caller or evaluated pointwise / by quadrature; the report
-always records which source was used.
+evaluators read the bundle their caller built, so the equations at a point
+share one bundle; ``el_general`` also takes a (structure, point) pair and
+builds it.  The domain-mean constants entering the equations (the starred
+scalars, the mean divergence of the complement's mean curvature, the mean
+Ricci curvature) can be supplied by the caller or evaluated pointwise / by
+quadrature; the report always records which source was used.
 """
 
 from __future__ import annotations
@@ -202,7 +204,14 @@ def _el_block(geom, B, A, star):
 
 
 def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
+    """The general system at a point: builds the bundle for
+    :func:`el_general_at`."""
+    return el_general_at(PointGeometry(struct, point, metric_fn=metric_fn), which,
+                         constants=constants, tol=tol)
+
+
+def el_general_at(geom, which, constants=None, tol=DEFAULT_TOL):
+    """E-main-0i, 0ii or 0iii read from the bundle ``geom``."""
     tan, perp = geom.tan, geom.perp
     n = geom.n
     consts = {}
@@ -214,9 +223,7 @@ def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT
         return _report(which, _el_block(geom, B, B.dual, star), consts, tol)
 
     if which == "E-main-0ii":
-        div_alpha = geom.to_frame02(geom.div_12(tan.alpha_field))
-        div_tth = geom.to_frame02(geom.div_12(perp.theta_field))
-        M = div_alpha - div_tth
+        M = geom.to_frame02(geom.div_12(tan.alpha_field)) - perp.div_theta
         full = (2.0 * geom.pair_vec_12(tan.theta_b, perp.Hb_frame)
                 + geom.pair_vec_12(perp.theta_b - perp.alpha_b,
                                    tan.Hb_frame)
@@ -248,8 +255,8 @@ def _flow_data(geom):
     return eN, At, Tt, hsc, tau1
 
 
-def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
+def el_flow(geom, which, constants=None, tol=DEFAULT_TOL):
+    """E-main-1i, 3i or 2i read from the bundle ``geom`` (rank-one D-tilde)."""
     eN, At, Tt, hsc, tau1 = _flow_data(geom)
     tan, perp = geom.tan, geom.perp
     p = geom.p
@@ -286,9 +293,8 @@ def el_flow(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TO
     raise SpecializationError(f"unknown flow equation {which!r}")
 
 
-def el_geodesic_riemannian_flow(struct, point, metric_fn=None, tol=DEFAULT_TOL,
-                                guard_tol=1e-8):
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
+def el_geodesic_riemannian_flow(geom, tol=DEFAULT_TOL, guard_tol=1e-8):
+    """The geodesic Riemannian flow system read from the bundle ``geom``."""
     if geom.n != 1:
         raise SpecializationError("geodesic Riemannian flow needs rank-one D-tilde")
     norm_h, norm_ht = geom.tan.norm_h, geom.perp.norm_h
@@ -348,10 +354,9 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
     if which == "codim1":
         rows = []
         for pt in pts:
-            rep = el_codim1(struct, pt, which="codim1folgenvar",
-                            metric_fn=metric_fn, tol=tol)
-            rep2 = el_codim1(struct, pt, which="codimoneEL2",
-                             metric_fn=metric_fn, tol=tol)
+            geom = PointGeometry(struct, pt, metric_fn=metric_fn)
+            rep = el_codim1(geom, "codim1folgenvar", tol=tol)
+            rep2 = el_codim1(geom, "codimoneEL2", tol=tol)
             rows.append({"point": list(pt),
                          "genvar_norm": rep.norm,
                          "divA_norm": rep2.norm,
@@ -397,8 +402,8 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
 # ----------------------------------------------------------------------
 # the non-integrability action
 
-def el_tildeT_action(struct, point, constants=None, metric_fn=None, tol=DEFAULT_TOL):
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
+def el_tildeT_action(geom, constants=None, tol=DEFAULT_TOL):
+    """ELtildeT1-3 read from the bundle ``geom``, as {name: ELReport}."""
     tan, perp = geom.tan, geom.perp
     n, p = geom.n, geom.p
     Q = perp.norm_T
@@ -411,7 +416,7 @@ def el_tildeT_action(struct, point, constants=None, metric_fn=None, tol=DEFAULT_
     r1 = (2.0 * perp.flat(perp.tcal)
           + (0.5 * Q + tstar) * np.diag(perp.eps))
 
-    div_tth = geom.to_frame02(geom.div_12(perp.theta_field))
+    div_tth = perp.div_theta
     lamT = geom.lam(perp.theta_b, tan.theta_b - tan.alpha_b)
     r2 = np.zeros((n, p))
     for a in range(n):
@@ -495,8 +500,8 @@ def _codim1_data(geom):
     return eN, AN, tau1, tau2, ric_normal
 
 
-def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
+def el_codim1(geom, which, constants=None, tol=DEFAULT_TOL):
+    """A codimension-one equation read from the bundle ``geom`` (p = 1)."""
     eN, AN, tau1, tau2, ric_normal = _codim1_data(geom)
     n = geom.n
     N0 = geom.F[n]
@@ -542,7 +547,7 @@ def el_codim1(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_
 class Equation:
     """A registered equation: the block sizes it needs (as text, for skip
     reasons), whether it applies to a structure, and its evaluator
-    ``run(struct, point) -> ELReport``."""
+    ``run(geom) -> ELReport`` on the caller's bundle at a point."""
     needs: str
     applies: object
     run: object
@@ -553,19 +558,20 @@ _FLOW = ("n = 1", lambda s: s.n == 1)
 _CODIM1 = ("p = 1", lambda s: s.p == 1)
 
 # Runners look the evaluators up as module attributes when called, so a
-# wrapper installed on the module sees every registry call.
+# wrapper installed on the module sees every registry call.  The three
+# ELtildeT runners share one el_tildeT_action evaluation per bundle.
 EQUATIONS = {
-    **{eq: Equation(*_ANY, lambda s, pt, eq=eq: el_general(s, pt, eq))
+    **{eq: Equation(*_ANY, lambda geom, eq=eq: el_general_at(geom, eq))
        for eq in ("E-main-0i", "E-main-0ii", "E-main-0iii")},
-    **{eq: Equation(*_FLOW, lambda s, pt, eq=eq: el_flow(s, pt, eq))
+    **{eq: Equation(*_FLOW, lambda geom, eq=eq: el_flow(geom, eq))
        for eq in ("E-main-1i", "E-main-3i", "E-main-2i")},
-    **{eq: Equation(*_FLOW, lambda s, pt, eq=eq: el_tildeT_action(s, pt)[eq])
+    **{eq: Equation(*_FLOW, lambda geom, eq=eq: geom.once(el_tildeT_action)[eq])
        for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3")},
-    **{eq: Equation(*_CODIM1, lambda s, pt, eq=eq: el_codim1(s, pt, eq))
+    **{eq: Equation(*_CODIM1, lambda geom, eq=eq: el_codim1(geom, eq))
        for eq in ("codimoneEL1", "codimoneEL2", "codimoneEL3")},
     "codim1folgenvar": Equation(
         "p = 1 and n > 1", lambda s: s.p == 1 and s.n > 1,
-        lambda s, pt: el_codim1(s, pt, "codim1folgenvar")),
+        lambda geom: el_codim1(geom, "codim1folgenvar")),
 }
 
 
@@ -586,7 +592,7 @@ def _diagonal_metric_jets(geom):
             hess.transpose(2, 1, 0).tolist())
 
 
-def biregular_closed_forms(struct, point, metric_fn=None):
+def biregular_closed_forms(geom):
     """Coordinate formulas for orthogonal biregular foliated metrics.
 
     Assumes the leaves are level sets of x0 and the metric is diagonal; the
@@ -595,7 +601,6 @@ def biregular_closed_forms(struct, point, metric_fn=None):
     normal derivative of the scalar second fundamental form (diagonal), the
     leafwise divergence of A_N, and the y_i with their x0-derivatives.
     """
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
     d = geom.d
     offdiag = max(abs(geom.g0[i, j]) for i in range(d) for j in range(d) if i != j)
     if offdiag > 1e-12:
@@ -652,9 +657,9 @@ def biregular_closed_forms(struct, point, metric_fn=None):
     return out
 
 
-def codim1_genvar_coordinate_residual(struct, point, metric_fn=None):
+def codim1_genvar_coordinate_residual(geom):
     """Residual of the coordinate volume-preserving system at one point."""
-    cf = biregular_closed_forms(struct, point, metric_fn=metric_fn)
+    cf = biregular_closed_forms(geom)
     y, dy = cf["y"], cf["dy_dx0"]
     nfol = len(y)
     if nfol < 2:
@@ -667,9 +672,8 @@ def codim1_genvar_coordinate_residual(struct, point, metric_fn=None):
     return max(abs(r) for r in res)
 
 
-def bifoliated_iii_residual(struct, point, metric_fn=None):
+def bifoliated_iii_residual(geom):
     """Residual of the leafwise equation in biregular coordinates."""
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
     d = geom.d
     gv, dgv, hv = _diagonal_metric_jets(geom)
     a00 = abs(gv[0])

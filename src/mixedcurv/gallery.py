@@ -269,7 +269,7 @@ def _y_closed_form_residual(entry, g):
     c2 = entry.structure.params["c2"]
     u = math.sqrt(c1) * (g.point[0] + c2)
     want = [-math.sqrt(c1) / math.tanh(u), -math.sqrt(c1) * math.tanh(u)]
-    got = el.biregular_closed_forms(entry.structure, g.point)["y"]
+    got = el.biregular_closed_forms(g)["y"]
     return max(abs(a - b) for a, b in zip(sorted(got), sorted(want)))
 
 
@@ -290,8 +290,8 @@ def _umbilical_residual(entry, g):
     return float(np.max(np.abs(AN - (tau1 / g.n) * np.eye(g.n))))
 
 
-# Evaluators of the gallery's own quantities, called as f(entry, geom); the
-# bundle quantities (S_mix, norm_h, eps_tan, ...) come from
+# Evaluators of the gallery's own quantities, called as f(entry, geom) on the
+# caller's bundle; the bundle quantities (S_mix, norm_h, eps_tan, ...) come from
 # ``geometry.BUNDLE_QUANTITIES``.
 QUANTITIES = {
     "H_norm": lambda e, g: float(np.max(np.abs(g.tan.H0))),
@@ -309,15 +309,13 @@ QUANTITIES = {
     "phi_T_tilde_prop": lambda e, g: _prop(g.perp.phi_T[:g.n, :g.n], g.tan.eps),
     "tcal_tilde_flat_prop": lambda e, g: _prop(g.perp.flat(g.perp.tcal), g.perp.eps),
     "jacobi_eigs": lambda e, g: sorted(np.linalg.eigvalsh(g.jacobi_N)),
-    "genvar_coordinate_residual":
-        lambda e, g: el.codim1_genvar_coordinate_residual(e.structure, g.point),
+    "genvar_coordinate_residual": lambda e, g: el.codim1_genvar_coordinate_residual(g),
     "y_closed_form_residual": _y_closed_form_residual,
     "tau1_formula_residual": lambda e, g: abs(value_of(g.tan.tau1_J) - el.tau1_formula(
         e.structure.params["chat"], e.structure.params["tau0"], g.point[0])),
-    "bifoliated_iii_residual":
-        lambda e, g: el.bifoliated_iii_residual(e.structure, g.point),
+    "bifoliated_iii_residual": lambda e, g: el.bifoliated_iii_residual(g),
     "riccati_residual": _riccati_residual,
     "umbilical_residual": _umbilical_residual,
-    "geod_riem_iso_residual": lambda e, g: el.el_geodesic_riemannian_flow(
-        e.structure, g.point)["E-1geod-Riem"].norm,
+    "geod_riem_iso_residual":
+        lambda e, g: el.el_geodesic_riemannian_flow(g)["E-1geod-Riem"].norm,
 }

@@ -440,6 +440,14 @@ class PointGeometry:
 
     # ------------------------------------------------------------------
 
+    def once(self, fn):
+        """``fn(self)``, evaluated once per bundle: callers that each need
+        one part of the same function's result share its evaluation."""
+        memo = self.__dict__.setdefault("_once", {})
+        if fn not in memo:
+            memo[fn] = fn(self)
+        return memo[fn]
+
     def summary(self):
         out = {"point": list(self.point)}
         for name in BUNDLE_QUANTITIES:
@@ -727,6 +735,11 @@ class BlockView:
     def theta_field(self):
         return self._mixed_field(self.ffJ[1])
 
+    @cached_property
+    def div_theta(self):
+        """div theta as a frame (0,2) matrix."""
+        return self.g.to_frame02(self.g.div_12(self.theta_field))
+
     @per_point
     def _normal_op_field(self, FJ):
         """F#_N as a (1,1) chart jet field, N the unit field of a rank-one dual."""
@@ -950,9 +963,16 @@ def random_perp_field(geom, rng_seed):
 
 
 def identity_suite(struct, point, metric_fn=None, rng_seed=7):
-    """Residual norms of the structural identities; each equation's two sides
-    travel independent code paths (curvature vs. first-derivative assembly)."""
-    g = PointGeometry(struct, point, metric_fn=metric_fn)
+    """Residual norms of the structural identities at a point: builds the
+    bundle for :func:`identity_suite_at`."""
+    return identity_suite_at(PointGeometry(struct, point, metric_fn=metric_fn),
+                             rng_seed=rng_seed)
+
+
+def identity_suite_at(g, rng_seed=7):
+    """Residual norms of the structural identities read from the bundle
+    ``g``; each equation's two sides travel independent code paths
+    (curvature vs. first-derivative assembly)."""
     tan, perp = g.tan, g.perp
     n, p = g.n, g.p
     res = {}

@@ -59,9 +59,10 @@ def test_criterion_2_r3_contact_reproduction():
         worst_ric = max(worst_ric, abs(g.ric_N))
         worst_H = max(worst_H, float(np.max(np.abs(g.tan.H0))))
         worst_crit = max(worst_crit,
-                         el.el_flow(s, pt, "E-main-3i").norm,
-                         el.el_flow(s, pt, "E-main-2i").norm)
-        min_noncrit = min(min_noncrit, el.el_flow(s, pt, "E-main-1i").norm)
+                         el.el_flow(PointGeometry(s, pt), "E-main-3i").norm,
+                         el.el_flow(PointGeometry(s, pt), "E-main-2i").norm)
+        min_noncrit = min(min_noncrit,
+                          el.el_flow(PointGeometry(s, pt), "E-main-1i").norm)
     ok = (worst_mat <= 1e-9 and worst_ric <= 1e-8 and worst_H <= 1e-9
           and worst_crit <= 1e-6 and min_noncrit >= 1e-5)
     _verdict(2, ok,
@@ -81,8 +82,8 @@ def test_criterion_3_k_contact_criticality():
         rics.append(g.ric_N)
     for pt in s.interior_points(10, 104):
         for eq in ("E-main-1i", "E-main-3i", "E-main-2i"):
-            worst = max(worst, el.el_flow(s, pt, eq).norm)
-        rep = el.el_geodesic_riemannian_flow(s, pt)
+            worst = max(worst, el.el_flow(PointGeometry(s, pt), eq).norm)
+        rep = el.el_geodesic_riemannian_flow(PointGeometry(s, pt))
         worst = max(worst, rep["E-1geod-Riem"].norm, rep["geodriemflowiii"].norm)
     ric_dev = max(abs(r - 2.0) for r in rics)
     ok = (worst <= 1e-6 and ric_dev <= 1e-7
@@ -209,7 +210,8 @@ def test_criterion_8_foliation_solutions():
     for k in range(50):
         t = 0.55 + 0.9 * k / 49.0
         worst_gv = max(worst_gv,
-                       el.codim1_genvar_coordinate_residual(s, (t, 0.3, -0.2)))
+                       el.codim1_genvar_coordinate_residual(
+                           PointGeometry(s, (t, 0.3, -0.2))))
     sr = struct("codim1_tau_riccati")
     chat, tau0 = sr.params["chat"], sr.params["tau0"]
     worst_ric = worst_tau = 0.0
@@ -226,7 +228,7 @@ def test_criterion_8_foliation_solutions():
     for name in ("codim1_coth_tanh", "codim1_tau_riccati"):
         sb = struct(name)
         for pt in sb.interior_points(5, 108):
-            worst_bif = max(worst_bif, el.bifoliated_iii_residual(sb, pt))
+            worst_bif = max(worst_bif, el.bifoliated_iii_residual(PointGeometry(sb, pt)))
     ok = worst_gv <= 1e-8 and worst_ric <= 1e-7 and worst_bif <= 1e-7
     _verdict(8, ok,
              f"foliations: coordinate system residual {worst_gv:.1e} (1e-8) on "

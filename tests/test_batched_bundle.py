@@ -193,10 +193,11 @@ def _arguments(geom):
             "flat": (np.eye(geom.n),), "def_of": (V,), "delta_of": (V,)}
 
 
-# the bundle's inputs, sizes, views and frame, and a view's block data: no
-# formula of their own (the frame and the views' signs are checked above)
+# the bundle's inputs, sizes, views and frame, a view's block data and the
+# bundle's memo of caller functions (``once``): no formula of their own (the
+# frame and the views' signs are checked above)
 PLAIN = {"struct", "point", "d", "n", "p", "seeds", "batch", "tan", "perp", "frameJ",
-         "g", "side", "dual_side", "sl", "idx", "dim", "eps", "dual"}
+         "g", "side", "dual_side", "sl", "idx", "dim", "eps", "dual", "once"}
 
 
 @pytest.mark.parametrize("key", ["r3_contact", "codim1_tau_riccati"])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -195,6 +196,56 @@ def test_arithmetic_error_exit_2(spec, args, tmp_path, capsys):
     assert captured.err.startswith("error: arithmetic error in expression")
 
 
+# the metric's products overflow: the bundle's curvature is non-finite there
+HUGE_SPEC = """dim = 3
+dtilde_dim = 1
+metric 0 0 = 1
+metric 1 1 = 1e300*(1+x0^2)
+metric 2 2 = 1e-300
+dtilde 0 = 0, 0, 1
+domain = [-1, 1] x [-1, 1] x [-1, 1]
+"""
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("suite", ["el", "identities"])
+def test_non_finite_residual_fails_its_check(suite, tmp_path, capsys):
+    path = tmp_path / "s.spec"
+    path.write_text(HUGE_SPEC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["verify", suite, "--spec", str(path),
+                          "--points", "(0.9,0.1,0.1)"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    rep = _strict_json(text)
+    bad = [c for c in rep["checks"] if "error" in c]
+    assert bad and rep["failed"] == len(bad)
+    for c in bad:
+        assert c["residual"] is None and c["verdict"] is False
+        assert c["error"] == "non-finite residual nan at point (0.9, 0.1, 0.1)"
+
+
+def test_inspect_non_finite_exit_2(tmp_path, capsys):
+    path = tmp_path / "s.spec"
+    path.write_text(HUGE_SPEC)
+    code, text = run(["inspect", "--spec", str(path), "--points", "(0.9,0.1,0.1)"],
+                     tmp_path)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: non-finite S_mix")
+
+
+def test_emit_refuses_non_finite_numbers(tmp_path):
+    args = cli.build_parser().parse_args(["inspect", "--out", str(tmp_path / "x")])
+    with pytest.raises(ValueError):
+        cli._emit({"residual": math.nan}, args)
+
+
 def test_verify_identities_flat(tmp_path):
     code, text = run(["verify", "identities", "--gallery", "euclidean_product",
                       "--random", "3"], tmp_path)
@@ -276,8 +327,8 @@ def test_verify_el_accounts_for_every_claim(name, tmp_path):
 
 
 def test_verify_el_engine_error_fails_the_check(tmp_path, monkeypatch):
-    def boom(struct, pt):
-        raise SingularEvaluationError("injected", point=pt)
+    def boom(geom):
+        raise SingularEvaluationError("injected", point=geom.point)
 
     spec = el.EQUATIONS["E-main-0ii"]
     monkeypatch.setitem(el.EQUATIONS, "E-main-0ii",

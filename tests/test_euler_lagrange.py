@@ -145,29 +145,30 @@ def test_constants_source_recorded():
 
 def test_flow_guard():
     with pytest.raises(SpecializationError):
-        el.el_flow(struct("warped_product"), (0.1, 0.1, 0.1, 0.1), "E-main-1i")
+        el.el_flow(PointGeometry(struct("warped_product"), (0.1, 0.1, 0.1, 0.1)),
+                   "E-main-1i")
 
 
 def test_hopf_flow_equations():
     s = struct("s3_hopf")
     for pt in s.interior_points(5, 36):
         for eq in ("E-main-1i", "E-main-3i", "E-main-2i"):
-            assert el.el_flow(s, pt, eq).norm < 1e-6, eq
+            assert el.el_flow(PointGeometry(s, pt), eq).norm < 1e-6, eq
 
 
 def test_contact_flow_equations():
     s = struct("r3_contact")
     for pt in s.interior_points(5, 37):
-        assert el.el_flow(s, pt, "E-main-3i").norm < 1e-6
-        assert el.el_flow(s, pt, "E-main-2i").norm < 1e-6
-        assert el.el_flow(s, pt, "E-main-1i").norm > 1e-5
+        assert el.el_flow(PointGeometry(s, pt), "E-main-3i").norm < 1e-6
+        assert el.el_flow(PointGeometry(s, pt), "E-main-2i").norm < 1e-6
+        assert el.el_flow(PointGeometry(s, pt), "E-main-1i").norm > 1e-5
 
 
 def test_geodesic_riemannian_flow_hopf():
     s = struct("s3_hopf")
     rics = []
     for pt in s.interior_points(10, 38):
-        rep = el.el_geodesic_riemannian_flow(s, pt)
+        rep = el.el_geodesic_riemannian_flow(PointGeometry(s, pt))
         assert rep["E-1geod-Riem"].norm < 1e-7
         assert rep["geodriemflowiii"].norm < 1e-7
         rics.append(rep["ric_N"])
@@ -176,15 +177,15 @@ def test_geodesic_riemannian_flow_hopf():
 
 
 def test_geodesic_riemannian_flow_flat():
-    rep = el.el_geodesic_riemannian_flow(struct("euclidean_product"),
-                                         (0.1, -0.2, 0.3))
+    rep = el.el_geodesic_riemannian_flow(PointGeometry(struct("euclidean_product"),
+                                                       (0.1, -0.2, 0.3)))
     assert rep["E-1geod-Riem"].norm == 0.0
     assert rep["ric_N"] == 0.0
 
 
 def test_geodesic_riemannian_flow_anisotropic_entry_fails():
     s = struct("nil4_flow")
-    rep = el.el_geodesic_riemannian_flow(s, (0.3, 0.1, -0.2, 0.4))
+    rep = el.el_geodesic_riemannian_flow(PointGeometry(s, (0.3, 0.1, -0.2, 0.4)))
     assert rep["E-1geod-Riem"].norm == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert rep["geodriemflowiii"].norm < 1e-9
     assert rep["ric_N"] == pytest.approx(0.5, abs=1e-9)
@@ -193,9 +194,10 @@ def test_geodesic_riemannian_flow_anisotropic_entry_fails():
 def test_geodesic_riemannian_guard_rejects_curved_leaves():
     # the contact entry has h~ != 0, so the Riemannian-flow guard rejects it
     with pytest.raises(SpecializationError):
-        el.el_geodesic_riemannian_flow(struct("r3_contact"), (0.1, 0.1, 0.1))
+        el.el_geodesic_riemannian_flow(PointGeometry(struct("r3_contact"), (0.1, 0.1, 0.1)))
     # the flat Lorentz product is a legitimate geodesic Riemannian flow
-    rep = el.el_geodesic_riemannian_flow(struct("lorentz_product"), (0, 0, 0, 0))
+    rep = el.el_geodesic_riemannian_flow(PointGeometry(struct("lorentz_product"),
+                                                       (0, 0, 0, 0)))
     assert rep["E-1geod-Riem"].norm == 0.0
 
 
@@ -247,7 +249,7 @@ def test_volume_preserving_codim1():
 
 def test_tildeT_action_integrable_complement_trivial():
     s = struct("warped_product")
-    reps = el.el_tildeT_action(s, (0.1, 0.2, -0.1, 0.3))
+    reps = el.el_tildeT_action(PointGeometry(s, (0.1, 0.2, -0.1, 0.3)))
     for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3"):
         assert reps[eq].norm < 1e-12
 
@@ -256,7 +258,7 @@ def test_tildeT_action_contact_critical():
     for name in ("r3_contact", "s3_hopf"):
         s = struct(name)
         for pt in s.interior_points(4, 42):
-            reps = el.el_tildeT_action(s, pt)
+            reps = el.el_tildeT_action(PointGeometry(s, pt))
             for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3"):
                 assert reps[eq].norm < 1e-6, (name, eq)
 
@@ -267,7 +269,7 @@ def test_tildeT_action_three_sasakian():
     for pt in s.interior_points(2, 43):
         g = PointGeometry(s, pt)
         norms.append(g.perp.norm_T)
-        reps = el.el_tildeT_action(s, pt)
+        reps = el.el_tildeT_action(PointGeometry(s, pt))
         for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3"):
             assert reps[eq].norm < 1e-6, eq
     assert np.std(norms) < 1e-9
@@ -309,29 +311,29 @@ def test_conformal_check_tangent_gradient_gives_zero_closed_form():
 
 def test_codim1_guard():
     with pytest.raises(SpecializationError):
-        el.el_codim1(struct("s3_hopf"), (0.1, 0.1, 0.1), "codimoneEL1")
+        el.el_codim1(PointGeometry(struct("s3_hopf"), (0.1, 0.1, 0.1)), "codimoneEL1")
 
 
 def test_coth_tanh_volume_preserving_system():
     s = struct("codim1_coth_tanh")
     for pt in s.interior_points(6, 45):
-        assert el.el_codim1(s, pt, "codim1folgenvar").norm < 1e-8
-        assert el.el_codim1(s, pt, "codimoneEL2").norm < 1e-10
-        assert el.codim1_genvar_coordinate_residual(s, pt) < 1e-8
-        assert el.bifoliated_iii_residual(s, pt) < 1e-9
+        assert el.el_codim1(PointGeometry(s, pt), "codim1folgenvar").norm < 1e-8
+        assert el.el_codim1(PointGeometry(s, pt), "codimoneEL2").norm < 1e-10
+        assert el.codim1_genvar_coordinate_residual(PointGeometry(s, pt)) < 1e-8
+        assert el.bifoliated_iii_residual(PointGeometry(s, pt)) < 1e-9
 
 
 def test_coth_tanh_along_t_grid():
     s = struct("codim1_coth_tanh")
     for k in range(50):
         t = 0.55 + 0.9 * k / 49.0
-        assert el.codim1_genvar_coordinate_residual(s, (t, 0.2, -0.4)) < 1e-8
+        assert el.codim1_genvar_coordinate_residual(PointGeometry(s, (t, 0.2, -0.4))) < 1e-8
 
 
 def test_biregular_closed_forms_match_engine():
     s = struct("codim1_coth_tanh")
     for pt in s.interior_points(4, 46):
-        cf = el.biregular_closed_forms(s, pt)
+        cf = el.biregular_closed_forms(PointGeometry(s, pt))
         geom = PointGeometry(s, pt)
         eN, AN, tau1, tau2, _ = el._codim1_data(geom)
         assert tau1 == pytest.approx(cf["tau1"], abs=1e-10)
@@ -370,7 +372,7 @@ def test_codim1_el3_pointwise_on_coth_tanh():
     # the tangent-side equation holds with the pointwise starred scalar
     s = struct("codim1_coth_tanh")
     for pt in s.interior_points(4, 47):
-        assert el.el_codim1(s, pt, "codimoneEL3").norm < 1e-9
+        assert el.el_codim1(PointGeometry(s, pt), "codimoneEL3").norm < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ def test_0iii_matches_flow_contraction():
         for star in (0.0, 1.7):
             consts = {"s_star_tan": star}
             a = el.el_general(s, pt, "E-main-0iii", constants=consts)
-            b = el.el_flow(s, pt, "E-main-2i", constants=consts)
+            b = el.el_flow(PointGeometry(s, pt), "E-main-2i", constants=consts)
             eN = PointGeometry(s, pt).tan.eps[0]
             assert np.asarray(a.residual).flat[0] == pytest.approx(
                 0.5 * eN * b.residual[0], abs=1e-8)
@@ -403,7 +405,7 @@ def test_0ii_matches_3i_through_flow_reduction():
 
     for pt in s.interior_points(4, 48):
         a = el.el_general(s, pt, "E-main-0ii", metric_fn=hat)
-        b = el.el_flow(s, pt, "E-main-3i", metric_fn=hat)
+        b = el.el_flow(PointGeometry(s, pt, metric_fn=hat), "E-main-3i")
         assert np.max(np.abs(np.asarray(a.residual)[0]
                              + 0.5 * np.asarray(b.residual))) < 1e-8
 
@@ -456,5 +458,5 @@ def test_codim1_with_timelike_normal():
         assert eN == -1.0
         # umbilical slicing with constant principal curvatures
         assert abs(abs(tau1) - 2.0) < 1e-10 and abs(tau2 - 2.0) < 1e-10
-        assert el.el_codim1(s, pt, "codimoneEL2").norm < 1e-10
-        assert el.el_codim1(s, pt, "codim1folgenvar").norm < 1e-9
+        assert el.el_codim1(PointGeometry(s, pt), "codimoneEL2").norm < 1e-10
+        assert el.el_codim1(PointGeometry(s, pt), "codim1folgenvar").norm < 1e-9

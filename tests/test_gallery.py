@@ -201,17 +201,18 @@ def test_criticality_flags_match_el_reports():
         runnable = el.applicable(s)
         npts = 1 if name == "s7_three_sasakian" else 3
         for pt in s.interior_points(npts, 93):
+            geom = PointGeometry(s, pt)
             for eq, flag in e.criticality.items():
                 if eq in runnable:
-                    norm = el.EQUATIONS[eq].run(s, pt).norm
+                    norm = el.EQUATIONS[eq].run(geom).norm
                     assert agrees(flag, norm), (name, eq, norm)
             # the skipped claims, checked directly
             if "P-flows" in e.criticality:
-                rep = el.el_geodesic_riemannian_flow(s, pt)
+                rep = el.el_geodesic_riemannian_flow(geom)
                 norm = max(rep["E-1geod-Riem"].norm, rep["geodriemflowiii"].norm)
                 assert agrees(e.criticality["P-flows"], norm), (name, norm)
             if name == "s7_three_sasakian":
-                reps = el.el_tildeT_action(s, pt)
+                reps = el.el_tildeT_action(geom)
                 for eq in ("ELtildeT1", "ELtildeT2", "ELtildeT3"):
                     assert agrees(e.criticality[eq], reps[eq].norm), (eq, reps[eq].norm)
 

@@ -1,0 +1,154 @@
+"""One bundle per point: the callers build it, the evaluators read it.
+
+`verify el`, `verify gallery` and `cli._el_equations` build one
+`PointGeometry` per point and pass it to every registry runner and gallery
+quantity.  A runner's report must not depend on what else has read the same
+bundle before it, and an error the bundle raises must reach every check as
+it would on a bundle of its own.
+"""
+
+import json
+import random
+
+import pytest
+
+from mixedcurv import cli, gallery
+from mixedcurv import euler_lagrange as el
+from mixedcurv.errors import MixedCurvError
+from mixedcurv.geometry import PointGeometry, identity_suite_at
+from mixedcurv.structure import load_structure
+
+from test_random_structures import seeded_structure
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The point of every PointGeometry constructed while the test runs."""
+    points = []
+    init = PointGeometry.__init__
+
+    def counting(self, struct, point, *args, **kwargs):
+        points.append(tuple(float(x) for x in point))
+        init(self, struct, point, *args, **kwargs)
+
+    monkeypatch.setattr(PointGeometry, "__init__", counting)
+    return points
+
+
+SEED = 20260808
+
+
+def verify(suite, name, tmp_path):
+    """`verify SUITE --gallery NAME` at two random points: exit code, report
+    and the points."""
+    out = tmp_path / f"{suite}-{name}.json"
+    code = cli.main(["verify", suite, "--gallery", name, "--random", "2",
+                     "--seed", str(SEED), "--out", str(out)])
+    points = gallery.load_entry(name).structure.interior_points(2, SEED)
+    return code, json.loads(out.read_text()), [tuple(pt) for pt in points]
+
+
+@pytest.mark.parametrize("suite", ["el", "gallery"])
+@pytest.mark.parametrize("name", gallery.list_entries())
+def test_verify_builds_one_bundle_per_point(suite, name, tmp_path, built):
+    code, rep, points = verify(suite, name, tmp_path)
+    assert code == 0
+    assert {tuple(c["point"]) for c in rep["checks"]} <= set(points)
+    assert built == points
+
+
+def test_el_equations_build_one_bundle_per_point(built):
+    s = gallery.load_entry("r3_contact").structure
+    points = s.interior_points(3, 5)
+    equations = cli._el_equations(s)
+    assert [eq for eq, _ in equations] == el.applicable(s)
+    for pt in points:
+        for _, evaluate in equations:
+            evaluate(pt)
+    assert built == [tuple(pt) for pt in points]
+
+
+def test_el_tildeT_action_runs_once_per_point(tmp_path, monkeypatch):
+    calls = []
+    body = el.el_tildeT_action
+
+    def counting(geom, *args, **kwargs):
+        calls.append(geom.point)
+        return body(geom, *args, **kwargs)
+
+    monkeypatch.setattr(el, "el_tildeT_action", counting)
+    code, rep, points = verify("el", "r3_contact", tmp_path)
+    assert code == 0
+    assert {"ELtildeT1", "ELtildeT2", "ELtildeT3"} <= {c["check"] for c in rep["checks"]}
+    assert calls == points
+
+
+def outcome(run, geom):
+    """A runner's report as its repr, or its error as (class, message)."""
+    try:
+        return repr(run(geom))
+    except MixedCurvError as exc:
+        return type(exc), str(exc)
+
+
+def read_identities(geom):
+    identity_suite_at(geom)
+    geom.summary()
+
+
+def assert_order_independent(s, pt):
+    eqs = el.applicable(s)
+    fresh = {eq: outcome(el.EQUATIONS[eq].run, PointGeometry(s, pt)) for eq in eqs}
+    orders = (eqs, eqs[::-1], random.Random(len(eqs)).sample(eqs, len(eqs)))
+    for before in (lambda geom: None, read_identities):
+        for order in orders:
+            geom = PointGeometry(s, pt)
+            before(geom)
+            shared = {eq: outcome(el.EQUATIONS[eq].run, geom) for eq in order}
+            assert shared == fresh, order
+
+
+@pytest.mark.parametrize("name", gallery.list_entries())
+def test_shared_bundle_reports_match_fresh_bundles(name):
+    s = gallery.load_entry(name).structure
+    assert_order_independent(s, s.interior_points(1, 11)[0])
+
+
+@pytest.mark.parametrize("seed, d, n, lorentz", [
+    (1, 3, 1, False), (2, 3, 2, True), (3, 4, 1, False), (4, 4, 3, False),
+    (5, 4, 2, True)])
+def test_shared_bundle_reports_match_fresh_bundles_generated(seed, d, n, lorentz):
+    assert_order_independent(*seeded_structure(seed, d, n, lorentz))
+
+
+NULL_DISTRIBUTION = """\
+dim = 3
+dtilde_dim = 2
+metric 0 0 = 1
+metric 1 1 = 1
+metric 2 2 = 1
+dtilde 0 = 1, 0, 0
+dtilde 1 = 1, x0, 0
+domain = [-1, 1] x [-1, 1] x [-1, 1]
+"""
+
+
+def test_bundle_error_reaches_every_check_unchanged(tmp_path):
+    s = load_structure(NULL_DISTRIBUTION)
+    pt = (0.0, 0.0, 0.0)
+    eqs = el.applicable(s)
+    fresh = {eq: outcome(el.EQUATIONS[eq].run, PointGeometry(s, pt)) for eq in eqs}
+    assert all(isinstance(v, tuple) for v in fresh.values())
+    geom = PointGeometry(s, pt)
+    assert {eq: outcome(el.EQUATIONS[eq].run, geom) for eq in eqs} == fresh
+
+    spec = tmp_path / "null.spec"
+    spec.write_text(NULL_DISTRIBUTION)
+    out = tmp_path / "null.json"
+    code = cli.main(["verify", "el", "--spec", str(spec), "--points", "(0,0,0)",
+                     "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert code == 1
+    assert {c["check"]: c["error"] for c in rep["checks"]} == {
+        eq: msg for eq, (_, msg) in fresh.items()}
+    assert all(c["residual"] is None and not c["verdict"] for c in rep["checks"])
