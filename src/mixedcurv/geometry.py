@@ -19,15 +19,16 @@ Curvature convention: R(X,Y) = nabla_Y nabla_X - nabla_X nabla_Y + nabla_[X,Y],
 the sign for which round spheres have sectional curvature +1 under
 K(X^Y) = g(R(X,Y)X, Y) / W(X,Y).
 
-A bundle may carry a batch B of metrics at its point (a metric field of shape
-B + (d, d)): the chain from the metric to the first-order scalar invariants
+A bundle may carry a batch B: of metrics at its point (a metric field of
+shape B + (d, d)), or of N quadrature nodes (an (N, d) array of points,
+whose seeds give the batch (N,)).  The chain from the metric to the
+first-order scalar invariants and to the frame-free curvature and density
 is written on trailing axes, and the per-point bundle is the empty batch.
 Everything else refuses a batch (``per_point``).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from functools import cached_property, wraps
 from operator import attrgetter
@@ -35,45 +36,18 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import SingularEvaluationError, SpecializationError
-from .jets import (ArrayJet, Jet, concatenate, dense, dshift, einsum, gradients, order1,
-                   seed, tensordot, value_of, values)
+from .jets import (concatenate, dense, dshift, einsum, gradients, order1, seed, tensordot,
+                   values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
-def jet_matrix_inverse(M, d, point=None):
-    """Gauss-Jordan inverse over jet scalars, pivoting on absolute values.
-
-    An array jet of shape B + (d, d) is a batch of matrices: each matrix of
-    the batch chooses its own pivot rows by the scalar rule and takes the
-    same arithmetic steps as the scalar loop."""
-    if isinstance(M, ArrayJet):
-        return _dense_matrix_inverse(M, d, point)
-    A = [[M[i][j] for j in range(d)] for i in range(d)]
-    I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    # each pivot is judged against the largest entry of its own input row
-    scale = [max(abs(value_of(x)) for x in row) for row in A]
-    for col in range(d):
-        piv = max(range(col, d), key=lambda r: abs(value_of(A[r][col])))
-        if abs(value_of(A[piv][col])) <= 1e-14 * scale[piv]:
-            raise SingularEvaluationError("singular metric", point=point)
-        A[col], A[piv] = A[piv], A[col]
-        I[col], I[piv] = I[piv], I[col]
-        scale[col], scale[piv] = scale[piv], scale[col]
-        inv = 1.0 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        I[col] = [x * inv for x in I[col]]
-        for r in range(d):
-            f = A[r][col]
-            if r != col and (isinstance(f, Jet) or f != 0.0):
-                A[r] = [A[r][j] - f * A[col][j] for j in range(d)]
-                I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
-    return I
-
-
-def _dense_matrix_inverse(A, d, point):
-    """``jet_matrix_inverse`` of an array jet of shape B + (d, d): the pivot
-    search, its singularity test and the row swap run per matrix of B.  The
-    row operations act on the augmented rows [A | I]."""
+def jet_matrix_inverse(A, d, point=None):
+    """Gauss-Jordan inverse of an array jet of shape B + (d, d), a batch B
+    of matrices, pivoting on absolute values: each matrix of the batch
+    chooses its own pivot rows, and a pivot is judged against the largest
+    entry of its own input row.  The pivot search, its singularity test and
+    the row swap run per matrix of B; the row operations act on the
+    augmented rows [A | I]."""
     batch = A.shape[:-2]
     k = len(batch)
     at = tuple(ix[..., None] for ix in np.indices(batch, sparse=True))
@@ -82,7 +56,7 @@ def _dense_matrix_inverse(A, d, point):
     scale = np.max(np.abs(values(A)), axis=-1)
     for col in range(d):
         mag = np.abs(values(X)[..., col:, col])
-        piv = col + np.argmax(mag, axis=-1)        # the first largest, as max() picks
+        piv = col + np.argmax(mag, axis=-1)        # the first largest
         if np.any(mag.max(axis=-1)
                   <= 1e-14 * np.take_along_axis(scale, piv[..., None], -1)[..., 0]):
             raise SingularEvaluationError("singular metric", point=point)
@@ -120,7 +94,8 @@ def _scalar(x):
 
 
 class PointGeometry:
-    """Geometry bundle of (structure, metric) at one interior chart point.
+    """Geometry bundle of (structure, metric) at one interior chart point,
+    or at a batch of nodes.
 
     ``metric_fn``/``dtilde_fn`` default to the structure's own expressions;
     passing replacements evaluates a modified metric (variations, conformal
@@ -129,21 +104,28 @@ class PointGeometry:
     The metric function's field at the bundle's seeds sets the batch: a
     (d, d) field gives the per-point bundle, a B + (d, d) field a bundle of
     the batch B of metrics at the point (one frame per member, each with
-    its own pivots and signs).  The batched chain is ``gJ``, ``ginvJ``,
+    its own pivots and signs).  An (N, d) array of nodes as ``point`` gives
+    node seeds, so its fields carry the batch (N,) (``point`` is then the
+    tuple of the nodes).  The batched chain is ``gJ``, ``ginvJ``,
     ``GammaJ``, ``frameJ``, ``framevecsJ``, ``eps``, ``frame1``, ``flat1``,
-    ``nabla_frame`` and the float extracts ``g0``, ``ginv0``, ``g1``, and
-    on a ``BlockView`` ``frame1``, ``flat1``, ``nabla_EE``, ``ffJ``, ``h``,
-    ``T``, ``HJ``, ``H0``, ``norm_h``, ``norm_T``, ``gHH`` and ``s_ex``; its
-    scalars are floats at the empty batch and arrays of shape B otherwise.
-    Every other member reads one of ``Gamma0``, ``F`` or a member marked
-    ``per_point`` and so raises :class:`SpecializationError` on a batch.
+    ``nabla_frame``, the float extracts ``g0``, ``ginv0``, ``g1``,
+    ``Gamma0``, the frame-free curvature ``Rcoord``, ``R04``, the density
+    ``volume_density``, and on a ``BlockView`` ``frame1``, ``flat1``,
+    ``nabla_EE``, ``ffJ``, ``h``, ``T``, ``HJ``, ``H0``, ``norm_h``,
+    ``norm_T``, ``gHH`` and ``s_ex``; its scalars are floats at the empty
+    batch and arrays of shape B otherwise.  Every other member reads ``F``
+    or a member marked ``per_point`` and so raises
+    :class:`SpecializationError` on a batch.
     """
 
     def __init__(self, struct, point, metric_fn=None, dtilde_fn=None, check_domain=True):
         self.struct = struct
-        self.point = tuple(float(x) for x in point)
+        self._coords = np.array(point, dtype=float)
+        nodes = [tuple(x) for x in np.atleast_2d(self._coords).tolist()]
+        self.point = tuple(nodes) if self._coords.ndim == 2 else nodes[0]
         if check_domain:
-            struct.require_inside(self.point)
+            for node in nodes:
+                struct.require_inside(node)
         self.d = struct.dim
         self.n = struct.n
         self.p = struct.dim - struct.n
@@ -155,7 +137,7 @@ class PointGeometry:
 
     @cached_property
     def seeds(self):
-        return seed(self.point, 2)
+        return seed(self._coords, 2)
 
     @cached_property
     def gJ(self):
@@ -261,7 +243,6 @@ class PointGeometry:
         return values(self.ginvJ)
 
     @cached_property
-    @per_point
     def Gamma0(self):
         return values(self.GammaJ)
 
@@ -277,12 +258,11 @@ class PointGeometry:
         return self.F @ self.g0
 
     @cached_property
-    @per_point
     def volume_density(self):
-        det = float(np.linalg.det(self.g0))
-        if det == 0.0:
+        det = np.linalg.det(self.g0)
+        if np.any(det == 0.0):
             raise SingularEvaluationError("degenerate metric", point=self.point)
-        return math.sqrt(abs(det))
+        return _scalar(np.sqrt(np.abs(det)))
 
     # ------------------------------------------------------------------
     # curvature
@@ -292,13 +272,14 @@ class PointGeometry:
         """R(d_mu, d_nu) d_gamma = Rcoord[sigma, mu, nu, gamma] d_sigma."""
         dG = gradients(self.GammaJ, self.d)
         G = self.Gamma0
-        R = np.einsum("nsmg->smng", dG) - np.einsum("msng->smng", dG)
-        R += np.einsum("snk,kmg->smng", G, G) - np.einsum("smk,kng->smng", G, G)
+        R = np.einsum("n...smg->...smng", dG) - np.einsum("m...sng->...smng", dG)
+        R += (np.einsum("...snk,...kmg->...smng", G, G)
+              - np.einsum("...smk,...kng->...smng", G, G))
         return R
 
     @cached_property
     def R04(self):
-        return np.einsum("smng,sd->mngd", self.Rcoord, self.g0)
+        return np.einsum("...smng,...sd->...mngd", self.Rcoord, self.g0)
 
     @cached_property
     def R4(self):
@@ -308,6 +289,7 @@ class PointGeometry:
             R = np.tensordot(R, self.F, axes=(0, 1))
         return R
 
+    @per_point
     def riemann(self, X, Y, Z):
         """R(X, Y) Z for chart-component vectors, as chart components."""
         X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
@@ -371,6 +353,7 @@ class PointGeometry:
     # ------------------------------------------------------------------
     # divergences and derivative-bearing tensors
 
+    @per_point
     def nabla_vec_values(self, VJ):
         """(nabla_m V)^s float matrix from a jet vector field."""
         dV = gradients(VJ, self.d).T
@@ -392,6 +375,7 @@ class PointGeometry:
             W += self.eps[k] * np.outer(self.F[k], self.Fb[k])
         return W
 
+    @per_point
     def nabla12_values(self, PJ):
         """(nabla_m P)^s_{nu rho} float array from a (1,2) jet field."""
         G = self.Gamma0
@@ -407,6 +391,7 @@ class PointGeometry:
         W = np.eye(self.d) if mode == "full" else self._weight(mode)
         return np.einsum("msnr,ms->nr", nab, W)
 
+    @per_point
     def div_11(self, SJ, mode="perp"):
         """(div S) 1-form chart components for a (1,1) jet field."""
         d = self.d
@@ -425,6 +410,7 @@ class PointGeometry:
         """<C, B> = sum eps eps C(e_k, e_l) B(e_k, e_l), frame components."""
         return float(np.einsum("k,l,kl,kl->", self.eps, self.eps, C_frame, B_frame))
 
+    @per_point
     def nabla02_in_direction(self, TJ, X0):
         """(nabla_X T) chart components for a (0,2) jet field and float X."""
         G = self.Gamma0
@@ -860,18 +846,24 @@ def divergence(struct, point, field, mode="full", metric_fn=None):
 
 
 def smix_density_fast(struct, point, metric_fn=None):
-    """(S_mix, sqrt|det g|) without frames; quadrature inner loop."""
-    geom = PointGeometry(struct, point, metric_fn=metric_fn, check_domain=False)
-    Wm = values(geom._dtilde_fn(geom.seeds)).T
+    """(S_mix, sqrt|det g|) without frames, the quadrature integrand: floats
+    at a point, arrays at an (N, d) array of nodes."""
+    return smix_density(PointGeometry(struct, point, metric_fn=metric_fn, check_domain=False))
+
+
+def smix_density(geom):
+    """(S_mix, sqrt|det g|) read from the bundle ``geom``: S_mix by the
+    projector formula S_mix = Pi~^{mg} Pi^{nd} R_{mngd}, with Pi~ the inverse
+    metric restricted to D-tilde and Pi = g^{-1} - Pi~, so no frame is built."""
+    Wm = np.swapaxes(values(geom._dtilde_fn(geom.seeds)), -1, -2)
     g0 = geom.g0
-    gram = Wm.T @ g0 @ Wm
     try:
-        gram_inv = np.linalg.inv(gram)
+        gram_inv = np.linalg.inv(Wm.mT @ g0 @ Wm)
     except np.linalg.LinAlgError:
-        raise SingularEvaluationError("degenerate distribution", point=geom.point)
-    PiT = Wm @ gram_inv @ Wm.T
+        raise SingularEvaluationError("degenerate distribution", point=geom.point) from None
+    PiT = Wm @ gram_inv @ Wm.mT
     PiP = geom.ginv0 - PiT
-    smix = float(np.einsum("mg,nd,mngd->", PiT, PiP, geom.R04))
+    smix = _scalar(np.einsum("...mg,...nd,...mngd->...", PiT, PiP, geom.R04))
     return smix, geom.volume_density
 
 
@@ -905,52 +897,13 @@ def node_chunks(pts, d, chunk_fn, node_fn):
 
 
 def smix_density_batch(struct, pts, metric_fn=None):
-    """(S_mix, sqrt|det g|) arrays at the nodes ``pts``, as
-    :func:`smix_density_fast` gives them node by node; that function stays
-    the reference and the error path."""
-    def chunk(c):
-        xs = seed(c, 2)
-        return np.stack(_smix_density_nodes((metric_fn or struct.metric_at)(xs),
-                                            struct.dtilde_at(xs)), axis=1)
-
-    out = node_chunks(pts, struct.dim, chunk,
+    """(S_mix, sqrt|det g|) arrays at the nodes ``pts``: one call of
+    :func:`smix_density_fast` per chunk of nodes (one bundle over the
+    chunk), and node by node where a chunk fails (``node_chunks``)."""
+    out = node_chunks(pts, struct.dim,
+                      lambda c: np.stack(smix_density_fast(struct, c, metric_fn), axis=1),
                       lambda pt: smix_density_fast(struct, pt, metric_fn))
     return tuple(np.array(out, dtype=float).reshape(len(pts), 2).T)
-
-
-def _smix_density_nodes(gJ, span):
-    """(S_mix, sqrt|det g|) at N nodes, as arrays, from the metric field
-    ``gJ`` [z][t][n] and the span field ``span`` at the nodes' order-2 seeds.
-
-    The chain of :func:`smix_density_fast` on array jets: metric jets,
-    order-1 inverse, Christoffel symbols, Riemann tensor and S_mix by the
-    projector formula.  The index letter z runs over the nodes."""
-    d = gJ.shape[-1]
-    g0 = values(gJ)
-    ginvJ = jet_matrix_inverse(order1(gJ), d)
-    ginv, dginv = values(ginvJ), gradients(ginvJ, d)        # dginv [l][z][s][t]
-    # dsym[z][t][m][n] = d_m g_{tn} + d_n g_{tm} - d_t g_{mn}, as order-1 jets
-    dgJ = dshift(gJ, d)                                     # [m][z][t][n]
-    dsymJ = dgJ.transpose(1, 2, 0, 3) + dgJ.transpose(1, 2, 3, 0) - dgJ.transpose(1, 0, 2, 3)
-    dsym, ddsym = values(dsymJ), gradients(dsymJ, d)        # ddsym [l][z][t][m][n]
-    G = 0.5 * np.einsum("zst,ztmn->zsmn", ginv, dsym)
-    dG = 0.5 * (np.einsum("lzst,ztmn->zlsmn", dginv, dsym)
-                + np.einsum("zst,lztmn->zlsmn", ginv, ddsym))
-    # Rcoord at every node
-    R = np.einsum("znsmg->zsmng", dG) - np.einsum("zmsng->zsmng", dG)
-    R += np.einsum("zsnk,zkmg->zsmng", G, G) - np.einsum("zsmk,zkng->zsmng", G, G)
-    R04 = np.einsum("zsmng,zsd->zmngd", R, g0)
-    Wm = values(span).transpose(0, 2, 1)
-    try:
-        gram_inv = np.linalg.inv(Wm.transpose(0, 2, 1) @ g0 @ Wm)
-    except np.linalg.LinAlgError:
-        raise SingularEvaluationError("degenerate distribution") from None
-    PiT = Wm @ gram_inv @ Wm.transpose(0, 2, 1)
-    smix = np.einsum("zmg,znd,zmngd->z", PiT, ginv - PiT, R04)
-    det = np.linalg.det(g0)
-    if (det == 0.0).any():
-        raise SingularEvaluationError("degenerate metric")
-    return smix, np.sqrt(np.abs(det))
 
 
 def random_perp_field(geom, rng_seed):

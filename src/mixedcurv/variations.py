@@ -19,8 +19,8 @@ import numpy as np
 
 from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
-from .geometry import (PointGeometry, _smix_density_nodes, jet_matrix_inverse,
-                       node_chunks, smix_density_batch, smix_density_fast)
+from .geometry import (PointGeometry, jet_matrix_inverse, node_chunks, smix_density,
+                       smix_density_batch, smix_density_fast)
 from .jets import as_field, dense, order1, seed, tensordot, value_of, values, where
 from .structure import orthonormal_frame
 from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
@@ -577,9 +577,10 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     Quadrature nodes where the variation vanishes identically contribute the
     same value at +t and -t, so only nodes inside the support enter the
     difference; this is exact, not an approximation.  Those nodes are
-    evaluated in batches, at +t and -t together: a batch evaluates g and B
-    once and forms g + tB and g - tB from them, as ``v.metric_fn(+-t)``
-    would.
+    evaluated in batches, at +t and -t together: a batch evaluates g, B and
+    the span W once and builds two bundles over its nodes whose metric and
+    distribution functions return g + tB, g - tB (as ``v.metric_fn(+-t)``
+    would) and W.
     """
     f = _integrand(action)
     if enforce_support:
@@ -593,7 +594,11 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
         xs = seed(c, 2)
         g, W = (metric_fn or struct.metric_at)(xs), struct.dtilde_at(xs)
         B = v.B_at(xs, metric_fn, gmat=g, span=W)
-        (sp, dp), (sm, dm) = (_smix_density_nodes(g + s * B, W) for s in (t_step, -t_step))
+        # each bundle calls its functions only at its own seeds, the same as xs
+        (sp, dp), (sm, dm) = (
+            smix_density(PointGeometry(struct, c, metric_fn=lambda _, s=s: g + s * B,
+                                       dtilde_fn=lambda _: W, check_domain=False))
+            for s in (t_step, -t_step))
         return sp * dp - sm * dm
 
     diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk,

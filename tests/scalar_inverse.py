@@ -1,0 +1,48 @@
+"""The scalar Gauss-Jordan loop: the reference of ``jet_matrix_inverse``.
+
+``geometry.jet_matrix_inverse`` inverts an array jet of shape B + (d, d),
+each matrix of the batch with its own pivot rows.  This loop inverts one
+matrix given as nested lists of scalars (floats or scalar ``Jet``s) by the
+same rule, entry by entry, and stays here as the oracle of the tests that
+check the array form.
+"""
+
+from mixedcurv.errors import SingularEvaluationError
+from mixedcurv.jets import Jet, value_of
+
+
+def _gauss_jordan(M, d, point):
+    """(inverse, pivot rows) of the d x d nested list M."""
+    A = [[M[i][j] for j in range(d)] for i in range(d)]
+    I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+    # each pivot is judged against the largest entry of its own input row
+    scale = [max(abs(value_of(x)) for x in row) for row in A]
+    pivots = []
+    for col in range(d):
+        piv = max(range(col, d), key=lambda r: abs(value_of(A[r][col])))
+        if abs(value_of(A[piv][col])) <= 1e-14 * scale[piv]:
+            raise SingularEvaluationError("singular metric", point=point)
+        pivots.append(piv)
+        A[col], A[piv] = A[piv], A[col]
+        I[col], I[piv] = I[piv], I[col]
+        scale[col], scale[piv] = scale[piv], scale[col]
+        inv = 1.0 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        I[col] = [x * inv for x in I[col]]
+        for r in range(d):
+            f = A[r][col]
+            if r != col and (isinstance(f, Jet) or f != 0.0):
+                A[r] = [A[r][j] - f * A[col][j] for j in range(d)]
+                I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
+    return I, tuple(pivots)
+
+
+def scalar_matrix_inverse(M, d, point=None):
+    """Gauss-Jordan inverse of nested lists of scalars, pivoting on absolute
+    values, as nested lists."""
+    return _gauss_jordan(M, d, point)[0]
+
+
+def pivot_rows(M):
+    """The pivot row the loop picks at each column of the float matrix M."""
+    return _gauss_jordan(M, len(M), None)[1]

@@ -1,11 +1,14 @@
-"""A bundle over a batch of metrics at one point against per-point bundles.
+"""Batched bundles against per-point bundles.
 
 ``PointGeometry`` takes its batch from the leading axes of the metric field
-that its metric function returns at the bundle's seeds.  Member k of a
-batched bundle must give what a per-point bundle of the k-th metric gives,
+that its metric function returns at the bundle's seeds: a batch of metrics
+at one point, or the node axis of an (N, d) array of nodes.  Member k of a
+batch of metrics must give what a per-point bundle of the k-th metric gives,
 on every field and scalar of the batched chain, with each member's own
 pivot order and signs; a degenerate member fails the batch as the per-point
-bundle fails; and every other member of the bundle refuses a batch.
+bundle fails; and every other member of the bundle refuses a batch.  Node k
+of a node bundle must give what a per-point bundle at node k gives on the
+frame-free chain and the density ``smix_density_fast``.
 """
 
 from operator import attrgetter
@@ -15,18 +18,33 @@ import pytest
 
 from mixedcurv import exprlang, gallery
 from mixedcurv import variations as va
-from mixedcurv.errors import (DegenerateDistributionError, SingularEvaluationError,
-                              SpecializationError)
-from mixedcurv.geometry import BlockView, PointGeometry
+from mixedcurv.errors import (DegenerateDistributionError, DomainError,
+                              SingularEvaluationError, SpecializationError)
+from mixedcurv.geometry import BlockView, PointGeometry, smix_density_fast
 from mixedcurv.jets import ArrayJet, concatenate, values
 from mixedcurv.structure import DEGENERACY_TOL, _float_pass, load_structure
+from scalar_inverse import pivot_rows
 from test_random_structures import seeded_structure
 
+# the frame-free members of the chain: all that a node bundle is asked for
+NODE_CHAIN = ("Gamma0", "Rcoord", "R04", "volume_density")
 GEOM_CHAIN = ("gJ", "ginvJ", "GammaJ", "framevecsJ", "eps", "frame1", "flat1",
-              "nabla_frame", "g0", "ginv0", "g1", "hfr")
+              "nabla_frame", "g0", "ginv0", "g1", "hfr") + NODE_CHAIN
 VIEW_CHAIN = ("frame1", "flat1", "nabla_EE", "ffJ", "h", "T", "HJ", "H0", "norm_h",
               "norm_T", "gHH", "s_ex")
 SCALARS = ("norm_h", "norm_T", "gHH", "s_ex")
+
+# a chart whose metric inverse takes its first pivot in row 0 where
+# |0.5 + x0| > |1 + 0.1 x2| and in row 1 elsewhere
+PIVOT_SPEC = """dim = 3
+dtilde_dim = 1
+metric 0 0 = 0.5 + x0
+metric 0 1 = 1 + 0.1*x2
+metric 1 1 = 0.3 + x1^2
+metric 2 2 = 1 + 0.2*sin(x0)
+dtilde 0 = 1, 0.2, 0.1*x1
+domain = [-1, 1] x [-1, 1] x [-1, 1]
+"""
 
 # a Lorentzian chart where g + B swaps the causal character of the span
 # vector and of a complement vector, so the members differ in their signs
@@ -44,6 +62,8 @@ domain = [-1, 1] x [-1, 1] x [-1, 1]
 def _structure(key):
     if key == "swap":
         return load_structure(SWAP_SPEC), (0.1, 0.2, -0.3)
+    if key == "pivots":
+        return load_structure(PIVOT_SPEC), None
     if isinstance(key, str):
         s = gallery.load_entry(key).structure
         return s, s.interior_points(1, 3)[0]
@@ -177,6 +197,59 @@ def test_a_degenerate_member_fails_the_batch_as_at_one_point(bad, read, error, m
     assert str(many.value) == str(one.value)
     assert message in str(many.value)
     assert many.value.point == one.value.point == pt
+
+
+def _same_at_node(got, want, exact):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want))), (
+            np.max(np.abs(got - want)))
+
+
+@pytest.mark.parametrize("key", gallery.list_entries() + [
+    (1, 3, 1), (2, 4, 2, True), (3, 5, 2, True), (4, 6, 3), "pivots"])
+def test_node_bundle_matches_per_point_bundles(key):
+    s = _structure(key)[0]
+    pts = np.array(s.interior_points(7, 5))
+    big = PointGeometry(s, pts)
+    assert big.batch == (len(pts),)
+    smix, dens = smix_density_fast(s, pts)
+    assert smix.shape == dens.shape == (len(pts),)
+    orders = set()
+    for k, pt in enumerate(pts):
+        one = PointGeometry(s, pt)
+        assert one.batch == ()
+        orders.add(pivot_rows(one.g0.tolist()))
+        # The chain from equal metric jets is bit-identical.  The metric jets
+        # themselves agree only to rounding where a spec expression calls an
+        # elementary function: node seeds evaluate it with numpy's, a point's
+        # scalar seeds with math's (codim1_coth_tanh's sinh and cosh differ in
+        # the last bit), and the chain carries that difference along.
+        exact = all(a.tobytes() == b.tobytes() for a, b in zip(
+            (big.gJ.v[k], big.gJ.g[k], big.gJ.h[k]), (one.gJ.v, one.gJ.g, one.gJ.h)))
+        for name in NODE_CHAIN:
+            _same_at_node(getattr(big, name)[k], getattr(one, name), exact)
+        s0, d0 = smix_density_fast(s, pt)
+        assert type(s0) is float and type(d0) is float
+        _same_at_node(smix[k], s0, exact)
+        _same_at_node(dens[k], d0, exact)
+        _same_at_node(d0, one.volume_density, True)
+    if key == "pivots":
+        assert len(orders) >= 2
+
+
+def test_node_bundle_checks_every_node_against_the_domain():
+    s = _structure("r3_contact")[0]
+    pts = np.array(s.interior_points(4, 5))
+    PointGeometry(s, pts)
+    pts[2, 1] = 50.0
+    with pytest.raises(DomainError) as err:
+        PointGeometry(s, pts)
+    assert str(err.value).startswith(f"point {tuple(pts[2].tolist())} outside")
+    PointGeometry(s, pts, check_domain=False)
 
 
 def _arguments(geom):

@@ -16,6 +16,7 @@ from mixedcurv.geometry import (PointGeometry, identity_suite,
                                 partial_ricci, smix_density_fast)
 from mixedcurv.jets import ArrayJet, dense, gradients, seed, values
 from mixedcurv.structure import load_structure
+from scalar_inverse import scalar_matrix_inverse
 
 S2_CHART = """
 dim = 2
@@ -512,7 +513,7 @@ def test_riemann_op_unit_sphere_closed_form():
 @pytest.mark.parametrize("big", [1e13, 1e15, math.exp(598)])
 def test_inverse_of_widely_scaled_metric(big):
     # each pivot is judged against its own row, not the largest entry
-    inv = jet_matrix_inverse([[big, 0.0], [0.0, 1.0]], 2)
+    inv = values(jet_matrix_inverse(dense([[big, 0.0], [0.0, 1.0]], 2), 2)).tolist()
     assert inv == [[1.0 / big, 0.0], [0.0, 1.0]]
 
 
@@ -520,7 +521,7 @@ def test_inverse_of_widely_scaled_metric(big):
                                [[0.0, 0.0], [0.0, 1.0]]])
 def test_singular_metric_rejected(M):
     with pytest.raises(SingularEvaluationError):
-        jet_matrix_inverse(M, 2)
+        jet_matrix_inverse(dense(M, 2), 2)
 
 
 @pytest.mark.parametrize("name", gallery.list_entries())
@@ -565,7 +566,7 @@ def test_nodewise_inverse_pivots_each_node_by_the_scalar_rule(data):
         Mk = [[vals[k, i, j] + 0.25 * xk * yk if (i + j) % 2 else vals[k, i, j] + 0.5 * xk
                for j in range(d)] for i in range(d)]
         try:
-            want.append(jet_matrix_inverse(Mk, d))
+            want.append(scalar_matrix_inverse(Mk, d))
         except SingularEvaluationError:
             want.append(None)
     if any(w is None for w in want):

@@ -7,11 +7,15 @@ through it: ``geometry.identity_suite(struct, point, rng_seed=...)``,
 ``euler_lagrange.el_general(struct, point, which)`` and read
 ``PointGeometry.hfr``.  Here one pool member of each gallery entry's
 pointwise group and the three CLI items run through the unchanged harness
-code and must match ``perfbench/refs.json``.
+code and must match ``perfbench/refs.json``.  The traced mode
+(``run.py --trace 1``) wraps the functions that ``perfbench/tracing.py``
+names; every name must resolve, and leaving the tracer must put every
+original binding back.
 """
 
 import importlib
 import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,6 +38,39 @@ def harness():
     refs = json.loads((PERFBENCH / "refs.json").read_text())
     yield W, lib, refs
     mp.undo()
+
+
+def _bindings(lib):
+    """Every attribute of the package's modules and of ``jets.Jet``, by
+    (owner, name), as the objects bound there."""
+    owners = [m for name, m in sys.modules.items()
+              if m is not None and (name == "mixedcurv" or name.startswith("mixedcurv."))]
+    out = {(m.__name__, k): v for m in owners for k, v in vars(m).items()}
+    out.update({("Jet", k): v for k, v in vars(lib.jets.Jet).items()})
+    return out
+
+
+def _restored(lib, before):
+    after = _bindings(lib)
+    return after.keys() == before.keys() and all(v is before[k] for k, v in after.items())
+
+
+def test_traced_mode_wraps_its_targets_and_restores_every_binding(harness):
+    _, lib, _ = harness
+    tracing = importlib.import_module("tracing")
+    targets = {(mod, name): getattr(getattr(lib, mod), name, None)
+               for mod, name in tracing.SPAN_TARGETS}
+    assert [k for k, f in targets.items() if not callable(f)] == []
+    before = _bindings(lib)
+    with tracing.Spans(lib):
+        assert all(getattr(getattr(lib, mod), name) is not f
+                   for (mod, name), f in targets.items())
+    assert _restored(lib, before)
+    with tracing.Counters(lib):
+        assert lib.variations._inside is not before[("mixedcurv.variations", "_inside")]
+        assert all(getattr(lib.jets.Jet, op) is not before[("Jet", op)]
+                   for op in tracing.JET_OPS)
+    assert _restored(lib, before)
 
 
 def test_pointwise_pool_matches_references(harness):

@@ -1,10 +1,13 @@
 """The batched quadrature path against the scalar reference path.
 
 ``volume``, ``action_value`` and ``action_derivative`` evaluate their nodes in
-batches on array jets (``geometry.smix_density_batch`` and friends).  The
-scalar path, ``smix_density_fast`` and ``euler_lagrange._density`` node by
-node, stays the reference: here every batched result is compared with a loop
-over it, nodes outside a bump are checked to see the base metric bit for bit,
+batches on array jets: S_mix dvol is read off one bundle over a chunk of
+nodes (``geometry.smix_density_batch`` calls ``smix_density_fast`` at the
+chunk; ``action_derivative`` reads two bundles over the chunk, at g + tB
+and g - tB, through ``geometry.smix_density``).  The same functions at one
+point, ``smix_density_fast`` and ``euler_lagrange._density`` node by node,
+stay the reference: here every batched result is compared with a loop over
+them, nodes outside a bump are checked to see the base metric bit for bit,
 and an evaluation error must surface exactly as the loop raises it.
 """
 
