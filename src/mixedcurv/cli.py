@@ -87,8 +87,7 @@ def _parse_box(text, struct):
             raise MixedCurvError(f"bad box interval {part!r}") from None
     if len(intervals) != struct.dim:
         raise MixedCurvError(f"box needs {struct.dim} intervals, got {len(intervals)}")
-    if not all(struct.contains(corner) for corner in zip(*intervals)):
-        raise MixedCurvError(f"box {intervals} leaves the domain box {struct.domain}")
+    struct.require_box(intervals)
     return tuple(intervals)
 
 

@@ -12,11 +12,13 @@ class InvalidArgumentError(MixedCurvError):
 class SingularEvaluationError(MixedCurvError):
     """Division by zero, domain violation or non-finite intermediate.
 
-    Carries the chart point at which evaluation failed when known.
+    Carries the chart point at which evaluation failed when known, and the
+    message without it as ``reason``.
     """
 
     def __init__(self, message, point=None):
         super().__init__(message if point is None else f"{message} at point {tuple(point)}")
+        self.reason = message
         self.point = None if point is None else tuple(point)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import DomainError, SpecializationError
-from .geometry import PointGeometry, node_chunks
+from .geometry import PointGeometry, metric_density, node_chunks
 from .jets import as_field, dshift, gradients, jexp, seed, value_of, values
 
 DEFAULT_TOL = 1e-6
@@ -79,40 +79,45 @@ def pairwise_sum(values):
     return vals[0]
 
 
-def integrate(struct, integrand, q, metric_fn=None):
-    """Integral of ``integrand(struct, point, metric_fn) * dvol`` over the box."""
+def integrate(struct, reader, q, metric_fn=None):
+    """The integral of ``reader`` dvol over the box of ``q``.
+
+    The nodes are evaluated in chunks (``node_chunks``), with one bundle
+    ``geom`` over each chunk's nodes, and ``reader(geom)`` gives the values
+    at those nodes: an array with the node axis first, or a scalar, which
+    stands for that value at every node.  Values with k columns give k
+    integrals from one pass.  Each value is weighted by
+    ``geom.volume_density`` and the node's weight and summed in node order
+    by ``pairwise_sum``; the result is a float, or a list of k floats."""
+    struct.require_box(q.box)
     pts, wts = grid_points(q)
-    return pairwise_sum(integrand(struct, pt, metric_fn) * w
-                        for pt, w in zip(pts, wts))
 
+    def chunk(c):
+        geom = PointGeometry(struct, c, metric_fn=metric_fn, check_domain=False)
+        return (geom.volume_density * np.asarray(reader(geom), dtype=float).T).T
 
-def _density(struct, pt, metric_fn):
-    g0 = values((metric_fn or struct.metric_at)(list(pt)))
-    det = float(np.linalg.det(g0))
-    return math.sqrt(abs(det))
-
-
-def _density_nodes(g):
-    """``_density`` at N nodes from the metric field ``g`` at their seeds."""
-    return np.sqrt(np.abs(np.linalg.det(values(g))))
+    vals = node_chunks(pts, struct.dim, chunk)
+    return np.asarray(pairwise_sum(x * w for x, w in zip(vals, wts))).tolist()
 
 
 def volume(struct, q, metric_fn=None):
-    """Volume of the box: the nodes are evaluated in batches (``node_chunks``)
-    on order-1 array jets."""
+    """Volume of the box.  It reads no derivative, so its chunks of nodes
+    (``node_chunks``) evaluate the metric on order-1 array jets and build
+    no bundle."""
+    struct.require_box(q.box)
     pts, wts = grid_points(q)
-    dens = node_chunks(pts, struct.dim,
-                       lambda c: _density_nodes((metric_fn or struct.metric_at)(seed(c, 1))),
-                       lambda pt: _density(struct, pt, metric_fn))
-    return pairwise_sum(dn * w for dn, w in zip(dens, wts))
+    dens = node_chunks(pts, struct.dim, lambda c: metric_density(
+        values((metric_fn or struct.metric_at)(seed(c, 1)))))
+    return pairwise_sum(dn * w for dn, w in zip(dens.tolist(), wts))
 
 
-def domain_mean(struct, f, q, metric_fn=None):
-    """Mean of a scalar field with respect to the metric volume element."""
-    def weighted(s, pt, m):
-        return f(s, pt, m) * _density(s, pt, m)
-    return integrate(struct, weighted, q, metric_fn=metric_fn) / volume(
-        struct, q, metric_fn=metric_fn)
+def domain_mean(struct, reader, q, metric_fn=None):
+    """Mean of ``reader``, as :func:`integrate` takes it, with respect to the
+    metric volume element: the integrals of (reader, 1) from one pass."""
+    total, vol = integrate(struct, lambda geom: np.stack(
+        [np.broadcast_to(reader(geom), geom.batch), np.ones(geom.batch)], axis=-1),
+        q, metric_fn=metric_fn)
+    return total / vol
 
 
 # ----------------------------------------------------------------------

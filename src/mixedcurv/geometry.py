@@ -22,9 +22,10 @@ K(X^Y) = g(R(X,Y)X, Y) / W(X,Y).
 A bundle may carry a batch B: of metrics at its point (a metric field of
 shape B + (d, d)), or of N quadrature nodes (an (N, d) array of points,
 whose seeds give the batch (N,)).  The chain from the metric to the
-first-order scalar invariants and to the frame-free curvature and density
-is written on trailing axes, and the per-point bundle is the empty batch.
-Everything else refuses a batch (``per_point``).
+first-order scalar invariants, the divergences of the mean curvatures, the
+curvature, S_mix and the density is written on trailing axes, and the
+per-point bundle is the empty batch.  Everything else refuses a batch
+(``per_point``).
 """
 
 from __future__ import annotations
@@ -93,6 +94,15 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def metric_density(g0, point=None):
+    """sqrt|det g| of metric values of shape B + (d, d); a zero determinant
+    raises, as a degenerate metric has no volume element."""
+    det = np.linalg.det(g0)
+    if np.any(det == 0.0):
+        raise SingularEvaluationError("degenerate metric", point=point)
+    return _scalar(np.sqrt(np.abs(det)))
+
+
 class PointGeometry:
     """Geometry bundle of (structure, metric) at one interior chart point,
     or at a batch of nodes.
@@ -110,12 +120,13 @@ class PointGeometry:
     ``GammaJ``, ``frameJ``, ``framevecsJ``, ``eps``, ``frame1``, ``flat1``,
     ``nabla_frame``, the float extracts ``g0``, ``ginv0``, ``g1``,
     ``Gamma0``, the frame-free curvature ``Rcoord``, ``R04``, the density
-    ``volume_density``, and on a ``BlockView`` ``frame1``, ``flat1``,
-    ``nabla_EE``, ``ffJ``, ``h``, ``T``, ``HJ``, ``H0``, ``norm_h``,
-    ``norm_T``, ``gHH`` and ``s_ex``; its scalars are floats at the empty
-    batch and arrays of shape B otherwise.  Every other member reads ``F``
-    or a member marked ``per_point`` and so raises
-    :class:`SpecializationError` on a batch.
+    ``volume_density``, the frame curvature ``R4``, ``ricci_frame`` and
+    ``smix``, ``nabla_vec_values`` and the full ``div_vector``, and on a
+    ``BlockView`` ``frame1``, ``flat1``, ``nabla_EE``, ``ffJ``, ``h``,
+    ``T``, ``HJ``, ``H0``, ``norm_h``, ``norm_T``, ``gHH``, ``s_ex`` and
+    ``div_H``; its scalars are floats at the empty batch and arrays of
+    shape B otherwise.  Every other member reads ``F`` or a member marked
+    ``per_point`` and so raises :class:`SpecializationError` on a batch.
     """
 
     def __init__(self, struct, point, metric_fn=None, dtilde_fn=None, check_domain=True):
@@ -259,10 +270,7 @@ class PointGeometry:
 
     @cached_property
     def volume_density(self):
-        det = np.linalg.det(self.g0)
-        if np.any(det == 0.0):
-            raise SingularEvaluationError("degenerate metric", point=self.point)
-        return _scalar(np.sqrt(np.abs(det)))
+        return metric_density(self.g0, self.point)
 
     # ------------------------------------------------------------------
     # curvature
@@ -284,9 +292,10 @@ class PointGeometry:
     @cached_property
     def R4(self):
         """Frame components g(R(e_a, e_b) e_c, e_d)."""
-        R = self.R04                   # each pass turns the leading index into a frame one
+        E = values(self.framevecsJ)
+        R = self.R04              # each pass turns the first chart index into a frame one, last
         for _ in range(4):
-            R = np.tensordot(R, self.F, axes=(0, 1))
+            R = np.einsum("...mxyz,...am->...xyza", R, E)
         return R
 
     @per_point
@@ -308,19 +317,16 @@ class PointGeometry:
         return float(self.riemann(X, Y, X) @ self.g0 @ Y / W)
 
     @cached_property
-    @per_point
     def smix(self):
+        """sum eps_a eps_i g(R(E_a, E_i) E_a, E_i) over D-tilde's E_a and D's E_i."""
         n, e = self.n, self.eps
-        acc = 0.0
-        for a in range(n):
-            for i in range(n, self.d):
-                acc += e[a] * e[i] * self.R4[a, i, a, i]
-        return float(acc)
+        return _scalar(np.einsum("...a,...aiai,...i->...", e[..., :n],
+                                 self.R4[..., :n, n:, :n, n:], e[..., n:]))
 
     @cached_property
     def ricci_frame(self):
         """Ric(e_a, e_b) = sum_l eps_l g(R(e_a, e_l) e_b, e_l)."""
-        return np.einsum("l,albl->ab", self.eps, self.R4)
+        return np.einsum("...l,...albl->...ab", self.eps, self.R4)
 
     @property
     @per_point
@@ -353,16 +359,16 @@ class PointGeometry:
     # ------------------------------------------------------------------
     # divergences and derivative-bearing tensors
 
-    @per_point
     def nabla_vec_values(self, VJ):
-        """(nabla_m V)^s float matrix from a jet vector field."""
-        dV = gradients(VJ, self.d).T
-        return dV + np.einsum("smn,n->sm", self.Gamma0, values(VJ))
+        """(nabla_m V)^s float matrices [..., s, m] from a jet vector field."""
+        dV = np.moveaxis(gradients(VJ, self.d), 0, -1)
+        return dV + np.einsum("...smn,...n->...sm", self.Gamma0, values(VJ))
 
     def div_vector(self, VJ, mode="full"):
+        """div V; the block modes 'tan' and 'perp' are computed at one point."""
         nabla = self.nabla_vec_values(VJ)
         if mode == "full":
-            return float(np.trace(nabla))
+            return _scalar(np.trace(nabla, axis1=-2, axis2=-1))
         W = self._weight(mode)
         return float(np.einsum("ms,sm->", W, nabla))
 
@@ -645,12 +651,9 @@ class BlockView:
     @cached_property
     def r(self):
         """Partial Ricci tensor of the block, frame components."""
-        m, e, R4, dual_idx = self.dim, self.g.eps, self.g.R4, self.dual.idx
-        out = np.zeros((m, m))
-        for a, A in enumerate(self.idx):
-            for b, B in enumerate(self.idx):
-                out[a, b] = sum(e[k] * R4[k, A, k, B] for k in dual_idx)
-        return out
+        sl, dsl = self.sl, self.dual.sl
+        return np.einsum("...k,...kakb->...ab", self.g.eps[..., dsl],
+                         self.g.R4[..., dsl, sl, dsl, sl])
 
     # ------------------------------------------------------------------
     # (1,2)-tensors in full-frame flat components
@@ -874,36 +877,44 @@ def smix_density(geom):
 BATCH_ELEMENTS = 1 << 16
 
 
-def node_chunks(pts, d, chunk_fn, node_fn):
-    """Values at every node of ``pts``, in node order, chunk by chunk.
+def node_chunks(pts, d, chunk_fn):
+    """The values of ``chunk_fn`` at every node of ``pts``, in node order, as
+    one array with a leading node axis.
 
     ``chunk_fn`` maps an (N, d) array of nodes to an array with a leading
     node axis.  A chunk where it raises :class:`SingularEvaluationError` or
-    gives a non-finite value is evaluated again node by node through
-    ``node_fn(pt)``, so an error surfaces as that function raises it, with its
-    message and point."""
+    gives a non-finite value is evaluated again as one-node chunks, so an
+    error surfaces at its node: with the class and message it has there,
+    and that node as its point, as a bundle at the node alone raises it."""
     size = max(1, BATCH_ELEMENTS // d ** 4)
     out = []
     for lo in range(0, len(pts), size):
-        chunk = pts[lo:lo + size]
+        chunk = np.array(pts[lo:lo + size], dtype=float)
         try:
             with np.errstate(all="ignore"):
-                vals = chunk_fn(np.array(chunk, dtype=float))
+                vals = chunk_fn(chunk)
             ok = np.isfinite(vals).all()
         except SingularEvaluationError:
             ok = False
-        out.extend(vals.tolist() if ok else [node_fn(pt) for pt in chunk])
-    return out
+        out += [vals] if ok else [_at_node(chunk_fn, node) for node in chunk]
+    return np.concatenate(out) if out else np.zeros(0)
+
+
+def _at_node(chunk_fn, node):
+    """``chunk_fn`` at the one node ``node``; an error names that node."""
+    try:
+        with np.errstate(all="ignore"):
+            return chunk_fn(node[None])
+    except SingularEvaluationError as exc:
+        raise type(exc)(exc.reason, point=node.tolist()) from exc
 
 
 def smix_density_batch(struct, pts, metric_fn=None):
     """(S_mix, sqrt|det g|) arrays at the nodes ``pts``: one call of
     :func:`smix_density_fast` per chunk of nodes (one bundle over the
-    chunk), and node by node where a chunk fails (``node_chunks``)."""
-    out = node_chunks(pts, struct.dim,
-                      lambda c: np.stack(smix_density_fast(struct, c, metric_fn), axis=1),
-                      lambda pt: smix_density_fast(struct, pt, metric_fn))
-    return tuple(np.array(out, dtype=float).reshape(len(pts), 2).T)
+    chunk), as ``node_chunks`` runs them."""
+    return tuple(node_chunks(pts, struct.dim, lambda c: np.stack(
+        smix_density_fast(struct, c, metric_fn), axis=1)).T)
 
 
 def random_perp_field(geom, rng_seed):

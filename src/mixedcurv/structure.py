@@ -83,6 +83,13 @@ class ProductStructure:
             raise DomainError(f"point {tuple(value_of(x) for x in point)} outside "
                               f"domain box {self.domain}")
 
+    def require_box(self, box):
+        """Raise unless the box, as (lo, hi) per coordinate, lies inside the
+        domain box: the check of every box integral and of ``--box``."""
+        intervals = [tuple(iv) for iv in box]
+        if not all(self.contains(corner) for corner in zip(*intervals)):
+            raise DomainError(f"box {intervals} leaves the domain box {self.domain}")
+
     def interior_points(self, count, rng_seed, margin=0.15):
         """Deterministic sample of interior points, away from the box edges."""
         rng = random.Random(rng_seed)

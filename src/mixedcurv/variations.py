@@ -20,10 +20,10 @@ import numpy as np
 from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
 from .geometry import (PointGeometry, jet_matrix_inverse, node_chunks, smix_density,
-                       smix_density_batch, smix_density_fast)
+                       smix_density_batch)
 from .jets import as_field, dense, order1, seed, tensordot, value_of, values, where
 from .structure import orthonormal_frame
-from .euler_lagrange import (QuadratureSpec, _density, domain_mean, grid_points,
+from .euler_lagrange import (QuadratureSpec, domain_mean, grid_points, integrate,
                              pairwise_sum, s_star, volume)
 
 FD_STEPS = (1e-3, 5e-4, 2.5e-4)
@@ -535,14 +535,9 @@ def verify_projection_lemma(struct, v, point, xfield, steps=FD_STEPS,
 # ----------------------------------------------------------------------
 # action derivatives by quadrature
 
-def _integrand(action):
+def _check_action(action):
     if action != "J_mix":
         raise SpecializationError(f"unknown action {action!r}")
-
-    def f(struct, pt, metric_fn):
-        s, dens = smix_density_fast(struct, pt, metric_fn)
-        return s * dens
-    return f
 
 
 def check_support(struct, v, q, rtol=1e-9):
@@ -564,7 +559,8 @@ def check_support(struct, v, q, rtol=1e-9):
 def action_value(struct, q, action, metric_fn=None):
     """The action over the box; the nodes are evaluated in batches
     (``smix_density_batch``)."""
-    _integrand(action)                   # rejects an unknown action
+    _check_action(action)
+    struct.require_box(q.box)
     pts, wts = grid_points(q)
     smix, dens = smix_density_batch(struct, pts, metric_fn)
     return pairwise_sum(x * w for x, w in zip((smix * dens).tolist(), wts))
@@ -582,11 +578,10 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     distribution functions return g + tB, g - tB (as ``v.metric_fn(+-t)``
     would) and W.
     """
-    f = _integrand(action)
+    _check_action(action)
+    struct.require_box(q.box)
     if enforce_support:
         check_support(struct, v, q)
-    fp = v.metric_fn(t_step, metric_fn)
-    fm = v.metric_fn(-t_step, metric_fn)
     pts, wts = grid_points(q)
     keep = [v.box is None or _inside(pt, v.box) for pt in pts]
 
@@ -601,8 +596,7 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
             for s in (t_step, -t_step))
         return sp * dp - sm * dm
 
-    diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk,
-                             lambda pt: f(struct, pt, fp) - f(struct, pt, fm)))
+    diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk))
     return pairwise_sum(next(diffs) * w if k else 0.0
                         for k, w in zip(keep, wts)) / (2.0 * t_step)
 
@@ -625,6 +619,7 @@ def jmix_gradient_pairing(struct, v, q, metric_fn=None):
     supported in the box, d/dt of the integral of div(H + H~) is zero."""
     if v.klass != "perp":
         raise ClassificationError("the J_mix gradient pairs a perp-variation")
+    struct.require_box(q.box)
     pts, wts = grid_points(q)
 
     def one(pt, w):
@@ -681,8 +676,13 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
     """
     if v.klass != "perp":
         raise ClassificationError("the bar construction starts from a perp-variation")
+    struct.require_box(q.box)
     check_support(struct, v, q)
-    vol0 = volume(struct, q, metric_fn=metric_fn)
+    # the volume and the integral of tr B-sharp at g, then the volume and
+    # J_mix of each normalized metric, as the integrals of one pass each
+    vol0, int_trB = integrate(struct, lambda geom: np.stack([np.ones(geom.batch), np.trace(
+        geom.ginv0 @ values(v.B_at(geom.seeds, gmat=geom.gJ)), axis1=-2, axis2=-1)], axis=-1),
+        q, metric_fn=metric_fn)
     p = struct.dim - struct.n
     q_star = q if sstar_grid is None else QuadratureSpec(
         box=q.box, grid=sstar_grid, rule=q.rule)
@@ -690,8 +690,8 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
     vols, jbars, phis = {}, {}, {}
     for s in (t_step, -t_step):
         fn, phi = _bar_family_metric(struct, v, q, s, metric_fn, vol0)
-        vols[s] = volume(struct, q, metric_fn=fn)
-        jbars[s] = action_value(struct, q, "J_mix", metric_fn=fn)
+        vols[s], jbars[s] = integrate(struct, lambda geom: np.stack(
+            [np.ones(geom.batch), smix_density(geom)[0]], axis=-1), q, metric_fn=fn)
         phis[s] = phi
     vol_drift = max(abs(vols[s] - vol0) / vol0 for s in vols)
 
@@ -700,16 +700,8 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
                            metric_fn=metric_fn, enforce_support=False)
     dphi = (phis[t_step] - phis[-t_step]) / (2.0 * t_step)
 
-    def sstar_field(s, pt, m):
-        return s_star(PointGeometry(s, pt, metric_fn=m, check_domain=False), "perp")
-
-    star_mean = domain_mean(struct, sstar_field, q_star, metric_fn=metric_fn)
-
-    pts, wts = grid_points(q)
-    trb = node_chunks(
-        pts, struct.dim, lambda c: _trace_B_density_nodes(struct, v, c, metric_fn),
-        lambda pt: _trace_B(struct, v, pt, metric_fn) * _density(struct, pt, metric_fn))
-    int_trB = pairwise_sum(x * w for x, w in zip(trb, wts))
+    star_mean = domain_mean(struct, lambda geom: s_star(geom, "perp"), q_star,
+                            metric_fn=metric_fn)
     relation_residual = abs(djbar - (dj - 0.5 * star_mean * int_trB))
     dphi_expected = -(1.0 / p) * int_trB / vol0
     return {
@@ -723,25 +715,6 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
         "dphi_expected": dphi_expected,
         "dphi_residual": abs(dphi - dphi_expected),
     }
-
-
-def _trace_B(struct, v, pt, metric_fn):
-    """Tr B-sharp at one point."""
-    B0 = v.B_at(list(pt), metric_fn)
-    if not B0.any():
-        return 0.0
-    g0 = values((metric_fn or struct.metric_at)(list(pt)))
-    return float(np.trace(np.linalg.inv(g0) @ B0))
-
-
-def _trace_B_density_nodes(struct, v, pts, metric_fn):
-    """Tr B-sharp times sqrt|det g| at an (N, d) array of nodes; the metric
-    is evaluated once, on order-1 array jets, and B reuses it."""
-    xs = seed(pts, 1)
-    g = (metric_fn or struct.metric_at)(xs)
-    g0, B0 = values(g), values(v.B_at(xs, metric_fn, gmat=g))
-    trB = np.trace(np.linalg.inv(g0) @ B0, axis1=1, axis2=2)
-    return trB * np.sqrt(np.abs(np.linalg.det(g0)))
 
 
 def tildeT_scaling_check(struct, point, factor, metric_fn=None):

@@ -8,7 +8,10 @@ on every field and scalar of the batched chain, with each member's own
 pivot order and signs; a degenerate member fails the batch as the per-point
 bundle fails; and every other member of the bundle refuses a batch.  Node k
 of a node bundle must give what a per-point bundle at node k gives on the
-frame-free chain and the density ``smix_density_fast``.
+frame-free chain, the density ``smix_density_fast``, the frame-based
+curvature (``R4``, ``ricci_frame``, ``smix`` and the partial Ricci tensors
+``r``), the mean curvature fields ``HJ`` and their divergences ``div_H`` on
+both blocks, and the starred scalars.
 """
 
 from operator import attrgetter
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from mixedcurv import exprlang, gallery
+from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
 from mixedcurv.errors import (DegenerateDistributionError, DomainError,
                               SingularEvaluationError, SpecializationError)
@@ -28,11 +32,13 @@ from test_random_structures import seeded_structure
 
 # the frame-free members of the chain: all that a node bundle is asked for
 NODE_CHAIN = ("Gamma0", "Rcoord", "R04", "volume_density")
+# the frame-based curvature
+CURVATURE = ("R4", "ricci_frame", "smix")
 GEOM_CHAIN = ("gJ", "ginvJ", "GammaJ", "framevecsJ", "eps", "frame1", "flat1",
-              "nabla_frame", "g0", "ginv0", "g1", "hfr") + NODE_CHAIN
+              "nabla_frame", "g0", "ginv0", "g1", "hfr") + NODE_CHAIN + CURVATURE
 VIEW_CHAIN = ("frame1", "flat1", "nabla_EE", "ffJ", "h", "T", "HJ", "H0", "norm_h",
-              "norm_T", "gHH", "s_ex")
-SCALARS = ("norm_h", "norm_T", "gHH", "s_ex")
+              "norm_T", "gHH", "s_ex", "div_H", "r")
+SCALARS = ("norm_h", "norm_T", "gHH", "s_ex", "div_H")
 
 # a chart whose metric inverse takes its first pivot in row 0 where
 # |0.5 + x0| > |1 + 0.1 x2| and in row 1 elsewhere
@@ -237,6 +243,17 @@ def test_node_bundle_matches_per_point_bundles(key):
         _same_at_node(smix[k], s0, exact)
         _same_at_node(dens[k], d0, exact)
         _same_at_node(d0, one.volume_density, True)
+        # the frame-based members, within 1e-12 relative: node and point
+        # frames agree only to rounding where the span calls an elementary
+        # function
+        for name in CURVATURE:
+            _agree(getattr(big, name)[k], getattr(one, name), 1e-12)
+        for side in ("tan", "perp"):
+            view, ref = getattr(big, side), getattr(one, side)
+            _agree(view.HJ[k], ref.HJ, 1e-12)
+            _agree(view.div_H[k], ref.div_H, 1e-12)
+            _agree(view.r[k], ref.r, 1e-12)
+            _agree(el.s_star(big, side)[k], el.s_star(one, side), 1e-12)
     if key == "pivots":
         assert len(orders) >= 2
 
@@ -258,8 +275,8 @@ def _arguments(geom):
     d = geom.d
     X, V, P = np.ones(d), geom.tan.HJ, geom.tan.h_field
     return {"riemann": (X, 2 * X, 3 * X), "sectional": (X, np.arange(d)),
-            "lam": (np.zeros((d, d, d)),) * 2, "nabla_vec_values": (V,),
-            "div_vector": (V,), "nabla12_values": (P,), "div_12": (P,),
+            "lam": (np.zeros((d, d, d)),) * 2, "div_vector": (V, "tan"),
+            "nabla12_values": (P,), "div_12": (P,),
             "div_11": (geom.g1,), "to_frame02": (np.eye(d),),
             "frame_pairing": (np.eye(d), np.eye(d)), "nabla02_in_direction": (geom.g1, X),
             "pair_vec_12": (np.zeros((d, d, d)), X), "project": (V,),
@@ -268,9 +285,12 @@ def _arguments(geom):
 
 # the bundle's inputs, sizes, views and frame, a view's block data and the
 # bundle's memo of caller functions (``once``): no formula of their own (the
-# frame and the views' signs are checked above)
+# frame and the views' signs are checked above); and ``nabla_vec_values``,
+# which runs on a batch and is checked through ``div_H`` (``div_vector`` is
+# called in a block mode, which sums over one block's frame at one point)
 PLAIN = {"struct", "point", "d", "n", "p", "seeds", "batch", "tan", "perp", "frameJ",
-         "g", "side", "dual_side", "sl", "idx", "dim", "eps", "dual", "once"}
+         "g", "side", "dual_side", "sl", "idx", "dim", "eps", "dual", "once",
+         "nabla_vec_values"}
 
 
 @pytest.mark.parametrize("key", ["r3_contact", "codim1_tau_riccati"])

@@ -180,20 +180,22 @@ domain = [0, 1] x [0, 1]
 """
 
 
-@pytest.mark.parametrize("spec, args", [
+@pytest.mark.parametrize("spec, args, message", [
     # math.exp overflows at the point
-    (OVERFLOW_SPEC, ["inspect", "--points", "(0.9,0.5)"]),
-    # the middle quadrature node sits on the pole: a float division by zero
+    (OVERFLOW_SPEC, ["inspect", "--points", "(0.9,0.5)"], "arithmetic error in expression"),
+    # the middle quadrature node sits on the pole: the jet division by zero
+    # names the node, as a bundle at that node alone does
     (POLE_SPEC, ["verify", "variations", "--box", "[0.25,0.75] x [0.25,0.75]",
-                 "--grid", "3"]),
+                 "--grid", "3"],
+     "division by jet with zero value at point (0.5, 0.3333333333333333)\n"),
 ], ids=["overflow", "pole"])
-def test_arithmetic_error_exit_2(spec, args, tmp_path, capsys):
+def test_arithmetic_error_exit_2(spec, args, message, tmp_path, capsys):
     path = tmp_path / "s.spec"
     path.write_text(spec)
     assert cli.main(args + ["--spec", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: arithmetic error in expression")
+    assert captured.err.startswith("error: " + message)
 
 
 # the metric's products overflow: the bundle's curvature is non-finite there

@@ -7,7 +7,7 @@ from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
 from mixedcurv.errors import SpecializationError
 from mixedcurv.geometry import PointGeometry
-from mixedcurv.jets import jexp
+from mixedcurv.jets import jexp, values
 
 from test_variation_family import metric_rows
 
@@ -22,13 +22,13 @@ def struct(name):
 def test_domain_mean_constant():
     s = struct("euclidean_product")
     q = el.QuadratureSpec(box=((-1, 1), (-1, 1), (-1, 1)), grid=4)
-    assert el.domain_mean(s, lambda *a: 1.0, q) == pytest.approx(1.0, abs=1e-13)
+    assert el.domain_mean(s, lambda g: 1.0, q) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_domain_mean_linear_midpoint():
     s = struct("euclidean_product")
     q = el.QuadratureSpec(box=((0, 1), (-1, 1), (-1, 1)), grid=8)
-    mean = el.domain_mean(s, lambda st, pt, m: pt[0], q)
+    mean = el.domain_mean(s, lambda g: values(g.seeds[0]), q)
     assert mean == pytest.approx(0.5, abs=1e-12)     # midpoint is exact on linears
 
 
@@ -50,16 +50,15 @@ def test_volume_grid_refinement_second_order():
 def test_trapezoid_rule_converges():
     s = struct("euclidean_product")
 
-    def f(st, pt, m):
-        return math.sin(pt[0]) * math.cos(pt[1])
+    def f(g):
+        return np.sin(values(g.seeds[0])) * np.cos(values(g.seeds[1]))
 
     exact = (1 - math.cos(1.0)) * math.sin(1.0) * 2.0
     vals = {}
     for grid in (9, 17):
         q = el.QuadratureSpec(box=((0, 1), (0, 1), (-1, 1)), grid=grid,
                               rule="trapezoid")
-        vals[grid] = el.integrate(s, lambda st, pt, m: f(st, pt, m)
-                                  * el._density(st, pt, m), q)
+        vals[grid] = el.integrate(s, f, q)
     assert abs(vals[17] - exact) < abs(vals[9] - exact) / 3.0
 
 
@@ -420,8 +419,8 @@ def test_report_serialization():
 def test_domain_mean_error_quarters_when_grid_doubles():
     s = struct("r3_contact")
 
-    def f(st, pt, m):
-        return math.sin(1.3 * pt[0]) * math.exp(0.4 * pt[1])
+    def f(g):
+        return np.sin(1.3 * values(g.seeds[0])) * np.exp(0.4 * values(g.seeds[1]))
 
     box = ((-0.8, 0.7), (-0.6, 0.8), (-0.5, 0.5))
     means = {g: el.domain_mean(s, f, el.QuadratureSpec(box=box, grid=g))

@@ -1,14 +1,17 @@
-"""The batched quadrature path against the scalar reference path.
+"""Box integrals over node bundles against loops over per-point bundles.
 
-``volume``, ``action_value`` and ``action_derivative`` evaluate their nodes in
-batches on array jets: S_mix dvol is read off one bundle over a chunk of
-nodes (``geometry.smix_density_batch`` calls ``smix_density_fast`` at the
-chunk; ``action_derivative`` reads two bundles over the chunk, at g + tB
-and g - tB, through ``geometry.smix_density``).  The same functions at one
-point, ``smix_density_fast`` and ``euler_lagrange._density`` node by node,
-stay the reference: here every batched result is compared with a loop over
-them, nodes outside a bump are checked to see the base metric bit for bit,
-and an evaluation error must surface exactly as the loop raises it.
+Every box integral evaluates its nodes in chunks (``geometry.node_chunks``)
+on array jets.  ``integrate`` and ``domain_mean`` build one bundle over a
+chunk's nodes and read it; ``action_value`` reads S_mix dvol off one bundle
+per chunk (``geometry.smix_density_batch`` calls ``smix_density_fast`` at
+the chunk); ``action_derivative`` reads two bundles over the chunk, at
+g + tB and g - tB, through ``geometry.smix_density``; ``volume`` evaluates
+the metric of a chunk on order-1 jets and builds no bundle.  The reference
+is written here: a loop over per-point bundles, node by node.  Every
+integral is compared with it, nodes outside a bump are checked to see the
+base metric bit for bit, an evaluation error must surface exactly as the
+loop raises it, naming its node, and every box integral refuses a box
+outside the domain.
 """
 
 import numpy as np
@@ -19,8 +22,8 @@ from hypothesis import strategies as st
 from mixedcurv import euler_lagrange as el
 from mixedcurv import gallery
 from mixedcurv import variations as va
-from mixedcurv.errors import SingularEvaluationError
-from mixedcurv.geometry import smix_density_batch, smix_density_fast
+from mixedcurv.errors import DomainError, SingularEvaluationError
+from mixedcurv.geometry import PointGeometry, smix_density_batch, smix_density_fast
 from mixedcurv.jets import gradients, seed, values
 from mixedcurv.structure import load_structure
 from test_random_structures import seeded_structure
@@ -69,9 +72,14 @@ def test_batch_density_matches_scalar_density(key, seed_, count, t, factor):
         assert abs(dens[k] - d0) <= 1e-12 * d0
 
 
-def _loop_volume(s, q, fn):
+def _loop_integral(s, q, fn, reader=lambda g: 1.0):
     pts, wts = el.grid_points(q)
-    return el.pairwise_sum(el._density(s, pt, fn) * w for pt, w in zip(pts, wts))
+
+    def node(pt, w):
+        g = PointGeometry(s, pt, metric_fn=fn, check_domain=False)
+        return g.volume_density * reader(g) * w
+
+    return el.pairwise_sum(node(pt, w) for pt, w in zip(pts, wts))
 
 
 def _loop_action(s, q, fn):
@@ -102,7 +110,11 @@ def test_quadrature_calls_match_a_loop_over_the_scalar_path(key):
     bump = tuple(zip(w[0] + 0.1 * (w[1] - w[0]), w[1] - 0.3 * (w[1] - w[0])))
     v = va.random_variation(s, "perp", seed=11, box=bump)
     for fn in (None, v.metric_fn(0.05)):
-        assert va.volume(s, q, fn) == pytest.approx(_loop_volume(s, q, fn), rel=1e-12)
+        assert va.volume(s, q, fn) == pytest.approx(_loop_integral(s, q, fn), rel=1e-12)
+        star = lambda g: el.s_star(g, "perp")
+        want = _loop_integral(s, q, fn, star)
+        scale = _loop_integral(s, q, fn, lambda g: abs(star(g)))
+        assert abs(el.integrate(s, star, q, fn) - want) <= 1e-12 * max(1.0, scale)
         want = _loop_action(s, q, fn)
         assert abs(va.action_value(s, q, "J_mix", fn) - want) <= 1e-12 * max(1.0, abs(want))
     t = 1e-3
@@ -152,7 +164,9 @@ def test_errors_surface_as_the_scalar_loop_raises_them(kind):
     v = va.random_variation(s, "perp", seed=2, box=((-0.45, 0.45),) * 3)
     calls = [
         (lambda: va.action_value(s, q, "J_mix"), lambda: _loop_action(s, q, None)),
-        (lambda: va.volume(s, q), lambda: _loop_volume(s, q, None)),
+        (lambda: va.volume(s, q), lambda: _loop_integral(s, q, None)),
+        (lambda: el.integrate(s, lambda g: g.smix, q),
+         lambda: _loop_integral(s, q, None, lambda g: g.smix)),
         (lambda: va.action_derivative(s, v, q, "J_mix", enforce_support=False),
          lambda: _loop_derivative(s, v, q, 1e-3)),
     ]
@@ -163,3 +177,42 @@ def test_errors_surface_as_the_scalar_loop_raises_them(kind):
             batched()
         assert str(got.value) == str(want.value)
         assert got.value.point == want.value.point
+        assert len(got.value.point) == s.dim       # the error names its node
+
+
+def test_a_degenerate_metric_has_no_volume_element():
+    # det g = x0 vanishes at the trapezoid nodes with x0 = 0
+    s = load_structure("dim = 3\ndtilde_dim = 1\nmetric 0 0 = x0\nmetric 1 1 = 1\n"
+                       "metric 2 2 = 1\ndtilde 0 = 0, 1, 0\n"
+                       "domain = [-1, 1] x [-1, 1] x [-1, 1]\n")
+    q = el.QuadratureSpec(box=((-0.5, 0.5),) * 3, grid=3, rule="trapezoid")
+    node = (0.0, -0.5, -0.5)
+    with pytest.raises(SingularEvaluationError) as want:
+        PointGeometry(s, node).volume_density
+    assert str(want.value) == f"degenerate metric at point {node}"
+    for call in (lambda: va.volume(s, q), lambda: el.integrate(s, lambda g: 1.0, q),
+                 lambda: el.domain_mean(s, lambda g: 1.0, q)):
+        with pytest.raises(SingularEvaluationError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+        assert got.value.point == node
+
+
+def test_every_box_integral_refuses_a_box_outside_the_domain():
+    s = gallery.load_entry("r3_contact").structure
+    q = el.QuadratureSpec(box=((5, 6),) * 3, grid=3)
+    v = va.random_variation(s, "perp", seed=3, box=q.box)
+    calls = [
+        lambda: el.integrate(s, lambda g: 1.0, q),
+        lambda: el.domain_mean(s, lambda g: 1.0, q),
+        lambda: va.volume(s, q),
+        lambda: va.action_value(s, q, "J_mix"),
+        lambda: va.action_derivative(s, v, q, "J_mix"),
+        lambda: va.jmix_gradient_pairing(s, v, q),
+        lambda: va.verify_bar_relation(s, v, q),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == (
+            f"box [(5, 6), (5, 6), (5, 6)] leaves the domain box {s.domain}")

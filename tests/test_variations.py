@@ -10,6 +10,7 @@ from mixedcurv import variations as va
 from mixedcurv.errors import (ClassificationError, SpecializationError,
                               SupportError)
 from mixedcurv.geometry import PointGeometry
+from mixedcurv.jets import values
 from mixedcurv.structure import load_structure
 
 
@@ -322,7 +323,6 @@ def test_action_derivative_matches_gradient_pairing():
     assert e16 <= 3.0 * (abs(vals[16] - vals[8]) + 1e-8)
 
 
-@pytest.mark.slow
 def test_div_H_plus_Ht_integral_constant_for_perp_variations():
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=13, box=box3(0.5))
@@ -330,11 +330,7 @@ def test_div_H_plus_Ht_integral_constant_for_perp_variations():
     def intdiv(t, grid):
         fn = v.metric_fn(t)
         q = el.QuadratureSpec(box=box3(0.5), grid=grid)
-
-        def f(st, pt, m):
-            geom = PointGeometry(st, pt, metric_fn=m, check_domain=False)
-            return (geom.tan.div_H + geom.perp.div_H) * geom.volume_density
-        return el.integrate(s, f, q, metric_fn=fn)
+        return el.integrate(s, lambda g: g.tan.div_H + g.perp.div_H, q, metric_fn=fn)
 
     h = 5e-3
     deriv = {g: (intdiv(h, g) - intdiv(-h, g)) / (2 * h) for g in (8, 16)}
@@ -351,13 +347,10 @@ def test_bar_relation_volume_preserving_variation_trivial():
     q = el.QuadratureSpec(box=box3(0.8), grid=8)
     v0 = va.random_variation(s, "perp", seed=14, box=q.box)
 
-    def trb(st, pt, m):
-        geom = PointGeometry(st, pt, metric_fn=m, check_domain=False)
-        B0 = np.array([[el.value_of(x) for x in row] for row in v0.B_at(list(pt), m)])
-        return float(np.trace(geom.ginv0 @ B0))
+    def trb(g):
+        return np.trace(g.ginv0 @ values(v0.B_at(g.seeds, gmat=g.gJ)), axis1=-2, axis2=-1)
 
-    mass = el.integrate(s, lambda st, pt, m: trb(st, pt, m)
-                        * el._density(st, pt, m), q)
+    mass = el.integrate(s, trb, q)
     # subtract c * bump * g-perp so the integrated trace vanishes
     bump_bits = []
     for mu, (lo, hi) in enumerate(q.box):
@@ -366,8 +359,7 @@ def test_bar_relation_volume_preserving_variation_trivial():
                          exprlang.sub(exprlang.var(mu), exprlang.const(mid)))
         bump_bits.append(exprlang.powc(exprlang.call("cos", u), 4))
     bump = exprlang.mul(*bump_bits)
-    qb = el.integrate(s, lambda st, pt, m: 2.0 * exprlang.evaluate(
-        bump, list(pt), {}) * el._density(st, pt, m), q)
+    qb = el.integrate(s, lambda g: 2.0 * values(exprlang.evaluate(bump, g.seeds, {})), q)
     c = mass / qb
     raw = [row[:] for row in v0.raw]
     for i in (1, 2):
