@@ -22,6 +22,13 @@ class SingularEvaluationError(MixedCurvError):
         self.point = None if point is None else tuple(point)
 
 
+def member_point(point, at):
+    """The point that an error of the batch member at index ``at`` names: on
+    a node bundle, whose point is the tuple of its nodes and whose batch has
+    the node axis first, that member's node; else ``point`` itself."""
+    return point[at[0]] if point and isinstance(point[0], tuple) else point
+
+
 class ExprError(MixedCurvError):
     pass
 

@@ -21,24 +21,21 @@ K(X^Y) = g(R(X,Y)X, Y) / W(X,Y).
 
 A bundle may carry a batch B: of metrics at its point (a metric field of
 shape B + (d, d)), or of N quadrature nodes (an (N, d) array of points,
-whose seeds give the batch (N,)).  The chain from the metric to the
-first-order scalar invariants, the divergences of the mean curvatures, the
-curvature, S_mix and the density is written on trailing axes, and the
-per-point bundle is the empty batch.  Everything else refuses a batch
-(``per_point``).
+whose seeds give the batch (N,)).  Every member is written on trailing
+axes, and the per-point bundle is the empty batch; a method's arguments
+broadcast against the batch.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property, wraps
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import SingularEvaluationError, SpecializationError
-from .jets import (concatenate, dense, dshift, einsum, gradients, order1, seed, tensordot,
-                   values)
+from .errors import SingularEvaluationError, SpecializationError, member_point
+from .jets import concatenate, dense, dshift, einsum, gradients, order1, seed, values
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
@@ -58,9 +55,11 @@ def jet_matrix_inverse(A, d, point=None):
     for col in range(d):
         mag = np.abs(values(X)[..., col:, col])
         piv = col + np.argmax(mag, axis=-1)        # the first largest
-        if np.any(mag.max(axis=-1)
-                  <= 1e-14 * np.take_along_axis(scale, piv[..., None], -1)[..., 0]):
-            raise SingularEvaluationError("singular metric", point=point)
+        singular = mag.max(axis=-1) <= 1e-14 * np.take_along_axis(
+            scale, piv[..., None], -1)[..., 0]
+        if np.any(singular):
+            raise SingularEvaluationError(
+                "singular metric", point=member_point(point, np.argwhere(singular)[0]))
         if np.any(piv != col):
             perm = np.array(np.broadcast_to(np.arange(d), batch + (d,)))
             np.put_along_axis(perm, piv[..., None], col, -1)
@@ -74,24 +73,14 @@ def jet_matrix_inverse(A, d, point=None):
     return X[..., :, d:]
 
 
-def per_point(f):
-    """The guard of a member computed at one point only: on a bundle with a
-    batch it raises instead of reading the batched arrays.  The members of
-    the batched chain never pass through it."""
-    @wraps(f)
-    def at_point(self, *args, **kwargs):
-        geom = self.g if isinstance(self, BlockView) else self
-        if geom.batch:
-            raise SpecializationError(
-                f"{f.__name__} is computed at one point; this bundle has a batch "
-                f"of shape {geom.batch}")
-        return f(self, *args, **kwargs)
-    return at_point
-
-
 def _scalar(x):
     """A float at the empty batch, else the array of the batch shape."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def quad(X, M, Y):
+    """M(X, Y) = X^m M_mn Y^n for chart vectors, over the batch."""
+    return _scalar(np.einsum("...m,...mn,...n->...", X, M, Y))
 
 
 def metric_density(g0, point=None):
@@ -99,7 +88,8 @@ def metric_density(g0, point=None):
     raises, as a degenerate metric has no volume element."""
     det = np.linalg.det(g0)
     if np.any(det == 0.0):
-        raise SingularEvaluationError("degenerate metric", point=point)
+        raise SingularEvaluationError(
+            "degenerate metric", point=member_point(point, np.argwhere(det == 0.0)[0]))
     return _scalar(np.sqrt(np.abs(det)))
 
 
@@ -116,17 +106,9 @@ class PointGeometry:
     the batch B of metrics at the point (one frame per member, each with
     its own pivots and signs).  An (N, d) array of nodes as ``point`` gives
     node seeds, so its fields carry the batch (N,) (``point`` is then the
-    tuple of the nodes).  The batched chain is ``gJ``, ``ginvJ``,
-    ``GammaJ``, ``frameJ``, ``framevecsJ``, ``eps``, ``frame1``, ``flat1``,
-    ``nabla_frame``, the float extracts ``g0``, ``ginv0``, ``g1``,
-    ``Gamma0``, the frame-free curvature ``Rcoord``, ``R04``, the density
-    ``volume_density``, the frame curvature ``R4``, ``ricci_frame`` and
-    ``smix``, ``nabla_vec_values`` and the full ``div_vector``, and on a
-    ``BlockView`` ``frame1``, ``flat1``, ``nabla_EE``, ``ffJ``, ``h``,
-    ``T``, ``HJ``, ``H0``, ``norm_h``, ``norm_T``, ``gHH``, ``s_ex`` and
-    ``div_H``; its scalars are floats at the empty batch and arrays of
-    shape B otherwise.  Every other member reads ``F`` or a member marked
-    ``per_point`` and so raises :class:`SpecializationError` on a batch.
+    tuple of the nodes, and an error of one node names that node).  Every
+    member carries the batch axes first; its scalars are floats at the
+    empty batch and arrays of shape B otherwise.
     """
 
     def __init__(self, struct, point, metric_fn=None, dtilde_fn=None, check_domain=True):
@@ -200,7 +182,7 @@ class PointGeometry:
         return self.frameJ.vectors
 
     # The field algebra: jet tensor fields are array jets of order 1, and
-    # every contraction is a two-operand ``@``, ``einsum`` or ``tensordot``.
+    # every contraction is a two-operand ``@`` or ``einsum``.
 
     @cached_property
     def g1(self):
@@ -258,7 +240,6 @@ class PointGeometry:
         return values(self.GammaJ)
 
     @cached_property
-    @per_point
     def F(self):
         """Frame vector components (rows), tangent block first."""
         return values(self.framevecsJ)
@@ -298,23 +279,20 @@ class PointGeometry:
             R = np.einsum("...mxyz,...am->...xyza", R, E)
         return R
 
-    @per_point
     def riemann(self, X, Y, Z):
         """R(X, Y) Z for chart-component vectors, as chart components."""
-        X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-        return np.einsum("smng,m,n,g->s", self.Rcoord, X, Y, Z)
+        return np.einsum("...smng,...m,...n,...g->...s", self.Rcoord, X, Y, Z)
 
-    @per_point
     def sectional(self, X, Y):
-        X, Y = np.asarray(X, float), np.asarray(Y, float)
-        gXX = X @ self.g0 @ X
-        gYY = Y @ self.g0 @ Y
-        gXY = X @ self.g0 @ Y
+        g = self.g0
+        gXX, gYY, gXY = quad(X, g, X), quad(Y, g, Y), quad(X, g, Y)
         W = gXX * gYY - gXY * gXY
         # judged against the size W would have without cancellation
-        if abs(W) <= DEGENERACY_TOL * (abs(gXX * gYY) + gXY * gXY):
-            raise SingularEvaluationError("degenerate plane section", point=self.point)
-        return float(self.riemann(X, Y, X) @ self.g0 @ Y / W)
+        flat = np.abs(W) <= DEGENERACY_TOL * (np.abs(gXX * gYY) + gXY * gXY)
+        if np.any(flat):
+            raise SingularEvaluationError("degenerate plane section",
+                                          point=member_point(self.point, np.argwhere(flat)[0]))
+        return quad(self.riemann(X, Y, X), g, Y) / W
 
     @cached_property
     def smix(self):
@@ -329,106 +307,85 @@ class PointGeometry:
         return np.einsum("...l,...albl->...ab", self.eps, self.R4)
 
     @property
-    @per_point
     def ric_N(self):
         if self.n != 1:
             raise SpecializationError("Ric_N is reported only for rank-one D-tilde")
-        return float(self.ricci_frame[0, 0])
+        return _scalar(self.ricci_frame[..., 0, 0])
 
     @cached_property
-    @per_point
     def jacobi_N(self):
         """(R_N)-flat on the complement block: g(R(N, E_i) N, E_j), n = 1."""
         if self.n != 1:
             raise SpecializationError("the Jacobi operator needs rank-one D-tilde")
-        p = self.p
-        return np.array([[self.R4[0, 1 + i, 0, 1 + j] for j in range(p)]
-                         for i in range(p)])
+        return self.R4[..., 0, 1:, 0, 1:]
 
     # ------------------------------------------------------------------
     # float frame algebra
 
-    @per_point
     def lam(self, Pb, Qb):
         """Lambda_{P,Q}: the symmetric frame (0,2) tensor defined by
         <Lambda_{P,Q}, S> = sum eps eps [S(P, Q) + S(Q, P)]."""
         e = self.eps
-        E = np.einsum("l,m,lmk,lmn->kn", e, e, Pb, Qb)
-        return E + E.T
+        E = np.einsum("...l,...m,...lmk,...lmn->...kn", e, e, Pb, Qb)
+        return E + E.mT
 
     # ------------------------------------------------------------------
     # divergences and derivative-bearing tensors
 
-    def nabla_vec_values(self, VJ):
-        """(nabla_m V)^s float matrices [..., s, m] from a jet vector field."""
-        dV = np.moveaxis(gradients(VJ, self.d), 0, -1)
-        return dV + np.einsum("...smn,...n->...sm", self.Gamma0, values(VJ))
+    def nabla_values(self, J, kinds):
+        """(nabla_m J) as floats [..., m, <J's axes>] from a jet tensor field
+        J whose axes are upper ('u') or lower ('l'), as ``kinds`` lists them."""
+        G, J0, ax = self.Gamma0, values(J), "abc"[:len(kinds)]
+        out = np.moveaxis(gradients(J, self.d), 0, -len(kinds) - 1)
+        for i, (x, kind) in enumerate(zip(ax, kinds)):
+            at = ax[:i] + "k" + ax[i + 1:]
+            if kind == "u":
+                out = out + np.einsum(f"...{x}mk,...{at}->...m{ax}", G, J0)
+            else:
+                out = out - np.einsum(f"...km{x},...{at}->...m{ax}", G, J0)
+        return out
 
     def div_vector(self, VJ, mode="full"):
-        """div V; the block modes 'tan' and 'perp' are computed at one point."""
-        nabla = self.nabla_vec_values(VJ)
+        """div V, or its block sums in the modes 'tan' and 'perp'."""
+        nabla = self.nabla_values(VJ, "u")
         if mode == "full":
             return _scalar(np.trace(nabla, axis1=-2, axis2=-1))
-        W = self._weight(mode)
-        return float(np.einsum("ms,sm->", W, nabla))
+        return _scalar(np.einsum("...ms,...ms->...", self._weight(mode), nabla))
 
     def _weight(self, mode):
-        """W[m, s] = sum_block eps e^m (e-flat)_s."""
+        """W[m, s] = sum_block eps e^m (e-flat)_s, the identity in mode 'full'."""
+        if mode == "full":
+            return np.eye(self.d)
         if mode not in ("tan", "perp"):
             raise SpecializationError(f"unknown divergence mode {mode!r}")
-        W = np.zeros((self.d, self.d))
-        for k in getattr(self, mode).idx:
-            W += self.eps[k] * np.outer(self.F[k], self.Fb[k])
-        return W
-
-    @per_point
-    def nabla12_values(self, PJ):
-        """(nabla_m P)^s_{nu rho} float array from a (1,2) jet field."""
-        G = self.Gamma0
-        P0 = values(PJ)
-        out = gradients(PJ, self.d) + np.einsum("smk,knr->msnr", G, P0)
-        out -= np.einsum("kmn,skr->msnr", G, P0)
-        out -= np.einsum("kmr,snk->msnr", G, P0)
-        return out
+        sl = getattr(self, mode).sl
+        return np.einsum("...k,...km,...ks->...ms", self.eps[..., sl], self.F[..., sl, :],
+                         self.Fb[..., sl, :])
 
     def div_12(self, PJ, mode="full"):
         """Divergence of a (1,2) jet tensor field, chart (0,2) components."""
-        nab = self.nabla12_values(PJ)
-        W = np.eye(self.d) if mode == "full" else self._weight(mode)
-        return np.einsum("msnr,ms->nr", nab, W)
+        return np.einsum("...msnr,...ms->...nr", self.nabla_values(PJ, "ull"),
+                         self._weight(mode))
 
-    @per_point
     def div_11(self, SJ, mode="perp"):
         """(div S) 1-form chart components for a (1,1) jet field."""
-        d = self.d
-        G = self.Gamma0
-        S0 = values(SJ)
-        nab = (gradients(SJ, d) + np.einsum("smk,kn->msn", G, S0)
-               - np.einsum("kmn,sk->msn", G, S0))
-        W = np.eye(d) if mode == "full" else self._weight(mode)
-        return np.einsum("msn,ms->n", nab, W)
+        return np.einsum("...msn,...ms->...n", self.nabla_values(SJ, "ul"), self._weight(mode))
 
     def to_frame02(self, coord02):
-        return self.F @ np.asarray(coord02) @ self.F.T
+        return self.F @ coord02 @ self.F.mT
 
-    @per_point
     def frame_pairing(self, C_frame, B_frame):
         """<C, B> = sum eps eps C(e_k, e_l) B(e_k, e_l), frame components."""
-        return float(np.einsum("k,l,kl,kl->", self.eps, self.eps, C_frame, B_frame))
+        return _scalar(np.einsum("...k,...l,...kl,...kl->...", self.eps, self.eps,
+                                 C_frame, B_frame))
 
-    @per_point
     def nabla02_in_direction(self, TJ, X0):
         """(nabla_X T) chart components for a (0,2) jet field and float X."""
-        G = self.Gamma0
-        T0 = values(TJ)
-        nab = gradients(TJ, self.d) - np.einsum("kmn,kr->mnr", G, T0) - np.einsum("kmr,nk->mnr", G, T0)
-        return np.einsum("mnr,m->nr", nab, np.asarray(X0, float))
+        return np.einsum("...mnr,...m->...nr", self.nabla_values(TJ, "ll"), X0)
 
-    @per_point
     def pair_vec_12(self, Pb_full, Vb_frame):
         """(0,2) frame tensor g(P(e_l, e_m), V) from flat comps of P and V."""
-        return np.einsum("lmk,k,k->lm", np.asarray(Pb_full), self.eps,
-                         np.asarray(Vb_frame))
+        return np.einsum("...lmk,...k,...k->...lm", Pb_full, self.eps, Vb_frame)
 
     # ------------------------------------------------------------------
 
@@ -516,10 +473,10 @@ class BlockView:
     def flat1(self):
         return self.g.flat1[..., self.sl, :]
 
-    @per_point
     def project(self, V):
         """The block part sum eps_a g(V, E_a) E_a of a jet vector field."""
-        return (self.flat1 @ V * self.eps) @ self.frame1
+        c = einsum("...am,...m->...a", self.flat1, V) * self.eps
+        return einsum("...a,...am->...m", c, self.frame1)
 
     @cached_property
     def nabla_EE(self):
@@ -563,7 +520,7 @@ class BlockView:
 
     @cached_property
     def Hb_frame(self):
-        return self.g.Fb @ self.H0
+        return np.einsum("...km,...m->...k", self.g.Fb, self.H0)
 
     # ------------------------------------------------------------------
     # scalar invariants
@@ -582,7 +539,7 @@ class BlockView:
 
     @cached_property
     def gHH(self):
-        return _scalar(np.einsum("...m,...mn,...n->...", self.H0, self.g.g0, self.H0))
+        return quad(self.H0, self.g.g0, self.H0)
 
     @property
     def s_ex(self):
@@ -593,13 +550,11 @@ class BlockView:
         return self.g.div_vector(self.HJ)
 
     # ------------------------------------------------------------------
-    # Weingarten-type operators (float matrices, frame basis; column = input)
+    # Weingarten-type operators (float matrices [..., i, b, a], frame basis;
+    # column = input, one per dual frame vector E_i)
 
-    @per_point
     def _ops(self, F):
-        m, e = self.dim, self.eps
-        return [np.array([[e[b] * F[a, b, i] for a in range(m)] for b in range(m)])
-                for i in range(self.dual.dim)]
+        return np.einsum("...b,...abi->...iba", self.eps, F)
 
     @cached_property
     def A_ops(self):
@@ -609,44 +564,34 @@ class BlockView:
     def Tsharp_ops(self):
         return self._ops(self.T)
 
-    def _dual_sum(self, term):
-        """sum_i eps_i term(i) over the dual frame."""
-        dual = self.dual
-        out = np.zeros((self.dim, self.dim))
-        for i in range(dual.dim):
-            out += dual.eps[i] * term(i)
-        return out
+    def _dual_sum(self, M):
+        """sum_i eps_i M[i] over the dual frame."""
+        return np.einsum("...i,...iab->...ab", self.dual.eps, M)
 
     @cached_property
     def casorati(self):
         A = self.A_ops
-        return self._dual_sum(lambda i: A[i] @ A[i])
+        return self._dual_sum(A @ A)
 
     @cached_property
     def tcal(self):
         T = self.Tsharp_ops
-        return self._dual_sum(lambda i: T[i] @ T[i])
+        return self._dual_sum(T @ T)
 
     @cached_property
     def kcal(self):
         A, T = self.A_ops, self.Tsharp_ops
-        return self._dual_sum(lambda i: T[i] @ A[i] - A[i] @ T[i])
+        return self._dual_sum(T @ A - A @ T)
 
-    @per_point
     def flat(self, op):
         """(0,2) frame form of an operator acting on the block."""
-        m = self.dim
-        return np.array([[self.eps[b] * op[b, a] for b in range(m)] for a in range(m)])
+        return op.mT * np.asarray(self.eps)[..., None, :]
 
     @cached_property
     def psi(self):
         """Psi(E_i, E_j) = Tr(A_j A_i + T#_j T#_i), indexed by the dual."""
-        q, A, T = self.dual.dim, self.A_ops, self.Tsharp_ops
-        out = np.zeros((q, q))
-        for i in range(q):
-            for j in range(q):
-                out[i, j] = np.trace(A[j] @ A[i] + T[j] @ T[i])
-        return out
+        A, T = self.A_ops, self.Tsharp_ops
+        return np.einsum("...jba,...iab->...ij", A, A) + np.einsum("...jba,...iab->...ij", T, T)
 
     @cached_property
     def r(self):
@@ -658,11 +603,10 @@ class BlockView:
     # ------------------------------------------------------------------
     # (1,2)-tensors in full-frame flat components
 
-    @per_point
     def _full(self, F):
         k = self.g.d
-        out = np.zeros((k, k, k))
-        out[self.sl, self.sl, self.dual.sl] = F
+        out = np.zeros(F.shape[:-3] + (k, k, k))
+        out[..., self.sl, self.sl, self.dual.sl] = F
         return out
 
     @cached_property
@@ -674,14 +618,13 @@ class BlockView:
     def Tb_full(self):
         return self._full(self.T)
 
-    @per_point
     def _mixed_full(self, F):
         """P(X,Y) = (F#_{X dual}(Y block) + F#_{Y dual}(X block))/2, flat comps."""
         k, dsl = self.g.d, self.dual.sl
-        out = np.zeros((k, k, k))
+        out = np.zeros(F.shape[:-3] + (k, k, k))
         half = 0.5 * F                       # g(F#_i E_a, E_b)/2 at [a, b, i]
-        out[self.sl, dsl, self.sl] = half.transpose(0, 2, 1)
-        out[dsl, self.sl, self.sl] = half.transpose(2, 0, 1)
+        out[..., self.sl, dsl, self.sl] = half.mT
+        out[..., dsl, self.sl, self.sl] = np.moveaxis(half, -1, -3)
         return out
 
     @cached_property
@@ -695,7 +638,8 @@ class BlockView:
     @cached_property
     def phi_h(self):
         g = self.g
-        return np.outer(self.Hb_frame, self.Hb_frame) - 0.5 * g.lam(self.hb_full, self.hb_full)
+        Hb = self.Hb_frame
+        return Hb[..., :, None] * Hb[..., None, :] - 0.5 * g.lam(self.hb_full, self.hb_full)
 
     @cached_property
     def phi_T(self):
@@ -705,16 +649,14 @@ class BlockView:
     # jet chart components of derived tensor fields
 
     @cached_property
-    @per_point
     def h_field(self):
         """h as a (1,2) chart-component jet field (projection-extended)."""
         return _field12(self.ffJ[0], self, self, self.dual)
 
-    @per_point
     def _mixed_field(self, FJ):
         """alpha (F = h) or theta (F = T) as a (1,2) chart jet field."""
-        half = _field12(0.5 * FJ.transpose(2, 0, 1), self.dual, self, self)
-        return half + half.transpose(0, 2, 1)
+        half = _field12(0.5 * einsum("...abi->...iab", FJ), self.dual, self, self)
+        return half + half.mT
 
     @cached_property
     def alpha_field(self):
@@ -729,12 +671,12 @@ class BlockView:
         """div theta as a frame (0,2) matrix."""
         return self.g.to_frame02(self.g.div_12(self.theta_field))
 
-    @per_point
     def _normal_op_field(self, FJ):
         """F#_N as a (1,1) chart jet field, N the unit field of a rank-one dual."""
         self.dual._rank_one("an operator field along N")
-        C = FJ[:, :, 0] * np.outer(self.eps, self.eps)
-        return self.frame1.T @ (C.T @ self.flat1)
+        C = FJ[..., 0] * np.einsum("...a,...b->...ab", self.eps, self.eps)
+        return einsum("...as,...an->...sn", self.frame1,
+                      einsum("...ba,...bn->...an", C, self.flat1))
 
     @cached_property
     def A_field(self):
@@ -747,14 +689,12 @@ class BlockView:
         return self._normal_op_field(self.ffJ[1])
 
     @cached_property
-    @per_point
     def tau1_J(self):
         """tau_1 = Tr A_N for a rank-one dual, as a jet scalar."""
         self.dual._rank_one("tau_1")
-        return self.ffJ[0][:, :, 0].diagonal() @ self.eps
+        return einsum("...a,...a->...", self.ffJ[0][..., 0].diagonal(0, -2, -1), self.eps)
 
     @cached_property
-    @per_point
     def nabla_N_hsc(self):
         """nabla_N h_sc in block frame components, N the unit field of a
         rank-one dual and h_sc = eps_N g(h, N) the scalar second fundamental
@@ -762,16 +702,16 @@ class BlockView:
         covariant derivative."""
         self.dual._rank_one("nabla_N h_sc")
         g, k = self.g, self.dual.idx[0]
-        hscJ = self.dual.eps[0] * tensordot(g.flat1[k], self.h_field, axes=(0, 0))
-        F = g.F[self.sl]
-        return F @ g.nabla02_in_direction(hscJ, g.F[k]) @ F.T
+        hscJ = (einsum("...s,...snr->...nr", g.flat1[..., k, :], self.h_field)
+                * np.asarray(self.dual.eps)[..., :1, None])
+        F = g.F[..., self.sl, :]
+        return F @ g.nabla02_in_direction(hscJ, g.F[..., k, :]) @ F.mT
 
     @cached_property
-    @per_point
     def unit_J(self):
         """The frame field of a rank-one block, jet chart components."""
         self._rank_one("a unit field")
-        return self.frame1[0]
+        return self.frame1[..., 0, :]
 
     # ------------------------------------------------------------------
     # block tensors built from derivatives
@@ -779,41 +719,36 @@ class BlockView:
     @cached_property
     def pair_tensor_vec(self):
         """<h, H>(E_a, E_b) = g(h(E_a, E_b), H) on the block."""
-        dual, m = self.dual, self.dim
-        H_dual = self.g.Fb[dual.sl] @ self.H0
-        out = np.zeros((m, m))
-        for a in range(m):
-            for b in range(m):
-                out[a, b] = sum(dual.eps[i] * self.h[a, b, i] * H_dual[i]
-                                for i in range(dual.dim))
-        return out
+        dual = self.dual
+        H_dual = np.einsum("...im,...m->...i", self.g.Fb[..., dual.sl, :], self.H0)
+        return np.einsum("...i,...abi,...i->...ab", dual.eps, self.h, H_dual)
 
     def _nabla_pairs(self, ZJ, cols):
-        """g(nabla_{E_a} Z, e_k) for the block's E_a and the frame's e_k, k in cols."""
+        """g(nabla_{E_a} Z, e_k) for the block's E_a and the frame's e_k, k in
+        the slice cols."""
         g = self.g
-        nabla = g.nabla_vec_values(ZJ)
-        nus = [np.einsum("sm,m->s", nabla, g.F[u]) for u in self.idx]
-        return np.array([[g.Fb[k] @ nu for k in cols] for nu in nus])
+        nu = np.einsum("...ms,...um->...us", g.nabla_values(ZJ, "u"), g.F[..., self.sl, :])
+        return np.einsum("...ks,...us->...uk", g.Fb[..., cols, :], nu)
 
     def def_of(self, ZJ):
         """Def Z: symmetrized nabla Z on the block, frame components."""
-        M = self._nabla_pairs(ZJ, self.idx)
-        return 0.5 * (M + M.T)
+        M = self._nabla_pairs(ZJ, self.sl)
+        return 0.5 * (M + M.mT)
 
     def delta_of(self, ZJ):
         """delta_Z on (block, dual) pairs, g(nabla_{E_a} Z, E_i)/2 (delta~ of
         the paper on ``tan``)."""
-        return 0.5 * self._nabla_pairs(ZJ, self.dual.idx)
+        return 0.5 * self._nabla_pairs(ZJ, self.dual.sl)
 
 
 def _field12(C, X, Y, Z):
     """The (1,2) chart jet field P with frame components C[x][y][z] =
     g(P(E_x, E_y), E_z) for E_x, E_y, E_z in the blocks X, Y, Z, and zero
     on every other triple of frame vectors."""
-    w = np.multiply.outer(np.multiply.outer(X.eps, Y.eps), Z.eps)
-    P = (C * w) @ Z.frame1                                   # [x][y][s]
-    P = tensordot(P, Y.flat1, axes=(1, 0))                   # [x][s][rho]
-    return tensordot(X.flat1, P, axes=(0, 0)).transpose(1, 0, 2)
+    w = np.einsum("...a,...b,...c->...abc", X.eps, Y.eps, Z.eps)
+    P = einsum("...abc,...cs->...abs", C * w, Z.frame1)
+    P = einsum("...abs,...br->...asr", P, Y.flat1)
+    return einsum("...an,...asr->...snr", X.flat1, P)
 
 
 # ----------------------------------------------------------------------
@@ -859,11 +794,14 @@ def smix_density(geom):
     projector formula S_mix = Pi~^{mg} Pi^{nd} R_{mngd}, with Pi~ the inverse
     metric restricted to D-tilde and Pi = g^{-1} - Pi~, so no frame is built."""
     Wm = np.swapaxes(values(geom._dtilde_fn(geom.seeds)), -1, -2)
-    g0 = geom.g0
+    gram = Wm.mT @ geom.g0 @ Wm
     try:
-        gram_inv = np.linalg.inv(Wm.mT @ g0 @ Wm)
+        gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        raise SingularEvaluationError("degenerate distribution", point=geom.point) from None
+        # inv fails where LU meets a zero pivot, which is where det is 0
+        at = np.argwhere(np.linalg.det(gram) == 0.0)[0]
+        raise SingularEvaluationError("degenerate distribution",
+                                      point=member_point(geom.point, at)) from None
     PiT = Wm @ gram_inv @ Wm.mT
     PiP = geom.ginv0 - PiT
     smix = _scalar(np.einsum("...mg,...nd,...mngd->...", PiT, PiP, geom.R04))
@@ -938,7 +876,7 @@ def identity_suite_at(g, rng_seed=7):
     ``g``; each equation's two sides travel independent code paths
     (curvature vs. first-derivative assembly)."""
     tan, perp = g.tan, g.perp
-    n, p = g.n, g.p
+    n = g.n
     res = {}
 
     # (a) partial Ricci tensor vs the divergence identity, complement block
@@ -952,18 +890,18 @@ def identity_suite_at(g, rng_seed=7):
         g.smix - (tan.s_ex + perp.s_ex + tan.norm_T + perp.norm_T
                   + tan.div_H + perp.div_H))
 
+    def trace(M):
+        """sum_i eps_i M(E_i, E_i) over D."""
+        return float(np.einsum("...i,...ii->...", perp.eps, M))
+
     # (c) trace of the partial Ricci tensor
-    trace_r = sum(perp.eps[i] * perp.r[i, i] for i in range(p))
-    res["partial_ricci_trace"] = abs(trace_r - g.smix)
+    res["partial_ricci_trace"] = abs(trace(perp.r) - g.smix)
 
     # (d) trace of Psi
-    tr_psi = sum(perp.eps[i] * tan.psi[i, i] for i in range(p))
-    res["psi_trace"] = abs(tr_psi - tan.norm_h + tan.norm_T)
+    res["psi_trace"] = abs(trace(tan.psi) - tan.norm_h + tan.norm_T)
 
     # (e) trace of Def_D H
-    defH = perp.def_of(tan.HJ)
-    tr_def = sum(perp.eps[i] * defH[i, i] for i in range(p))
-    res["def_trace"] = abs(tr_def - tan.div_H - tan.gHH)
+    res["def_trace"] = abs(trace(perp.def_of(tan.HJ)) - tan.div_H - tan.gHH)
 
     # (f) traceless commutator operators
     res["kcal_trace"] = abs(float(np.trace(tan.kcal))) + abs(float(np.trace(perp.kcal)))
@@ -973,16 +911,19 @@ def identity_suite_at(g, rng_seed=7):
     S = np.array([[rng.uniform(-1, 1) for _ in range(g.d)] for _ in range(g.d)])
     S = 0.5 * (S + S.T)
     H0 = tan.H0
-    direct_h = float(H0 @ S @ H0)
-    direct_T = 0.0
-    for a in range(n):
-        for b in range(n):
-            vh = sum(perp.eps[i] * tan.h[a, b, i] * g.F[n + i] for i in range(p))
-            vT = sum(perp.eps[i] * tan.T[a, b, i] * g.F[n + i] for i in range(p))
-            e = tan.eps[a] * tan.eps[b]
-            direct_h -= e * float(vh @ S @ vh)
-            direct_T -= e * float(vT @ S @ vT)
-    S_frame = g.F @ S @ g.F.T
+
+    def vec(F):
+        """The chart vectors F(E_a, E_b) = sum_i eps_i F[a, b, i] E_i in D."""
+        return np.einsum("...i,...abi,...is->...abs", perp.eps, F, g.F[..., n:, :])
+
+    def direct(F):
+        """sum eps_a eps_b S(F(E_a, E_b), F(E_a, E_b))."""
+        v = vec(F)
+        return float(np.einsum("...a,...b,...abs,st,...abt->...", tan.eps, tan.eps, v, S, v))
+
+    direct_h = float(H0 @ S @ H0) - direct(tan.h)
+    direct_T = -direct(tan.T)
+    S_frame = g.F @ S @ g.F.mT
     res["phi_h_identity"] = abs(g.frame_pairing(tan.phi_h, S_frame) - direct_h)
     res["phi_T_identity"] = abs(g.frame_pairing(tan.phi_T, S_frame) - direct_T)
 
@@ -996,11 +937,7 @@ def identity_suite_at(g, rng_seed=7):
     hfield = tan.h_field
     lhsP = g.to_frame02(g.div_12(hfield, mode="perp"))[:n, :n]
     rhsP = g.to_frame02(g.div_12(hfield, mode="full"))[:n, :n]
-    pair_hH = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            vec = sum(perp.eps[i] * tan.h[a, b, i] * g.F[n + i] for i in range(p))
-            pair_hH[a, b] = float(vec @ g.g0 @ H0)
+    pair_hH = np.einsum("...abs,...st,...t->...ab", vec(tan.h), g.g0, H0)
     res["div_perp_tensor"] = float(np.max(np.abs(lhsP - rhsP - pair_hH)))
 
     res["max"] = max(res.values())

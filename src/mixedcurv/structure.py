@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import (DegenerateDistributionError, DomainError,
-                     SignatureInstabilityError, SpecFormatError)
+                     SignatureInstabilityError, SpecFormatError, member_point)
 from .jets import (ArrayJet, as_field, broadcast_to, check_finite, concatenate, dense,
                    einsum, jsqrt, value_of, values)
 
@@ -297,10 +297,12 @@ def _gs_pass(gmat, W, n_span, dim, tol, point):
         v, W = W[..., 0, :], W[..., 1:, :]
         gv = einsum("...mn,...n->...m", gmat, v)
         q = einsum("...m,...m->...", v, gv)
-        if np.any(_null(gabs, values(v), q, tol)):
+        null = _null(gabs, values(v), q, tol)
+        if np.any(null):
             raise DegenerateDistributionError(
                 "distribution vector is null or dependent" if k < n_span else
-                "no non-null candidate for the orthogonal complement", point=point)
+                "no non-null candidate for the orthogonal complement",
+                point=member_point(point, np.argwhere(null)[0]))
         s = np.where(values(q) > 0.0, 1.0, -1.0)
         inv = (1.0 / jsqrt(s * q))[..., None]
         e = v * inv
@@ -380,7 +382,7 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     batch = np.broadcast_shapes(g0.shape[:-2], span0.shape[:-2])
     g0 = np.broadcast_to(g0, batch + (dim, dim))
     span0 = np.broadcast_to(span0, batch + (n, dim))
-    passes = [_float_pass(g0[b].tolist(), span0[b].tolist(), dim, tol, point)
+    passes = [_float_pass(g0[b].tolist(), span0[b].tolist(), dim, tol, member_point(point, b))
               for b in np.ndindex(batch)]
     if not (batch or isinstance(gmat, ArrayJet) or isinstance(span_vectors, ArrayJet)):
         frame, signs, _ = passes[0]

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import exprlang
 from .errors import ClassificationError, SpecializationError, SupportError
-from .geometry import (PointGeometry, jet_matrix_inverse, node_chunks, smix_density,
+from .geometry import (PointGeometry, jet_matrix_inverse, node_chunks, quad, smix_density,
                        smix_density_batch)
-from .jets import as_field, dense, order1, seed, tensordot, value_of, values, where
+from .jets import as_field, dense, einsum, order1, seed, value_of, values, where
 from .structure import orthonormal_frame
 from .euler_lagrange import (QuadratureSpec, domain_mean, grid_points, integrate,
                              pairwise_sum, s_star, volume)
@@ -305,45 +305,48 @@ def _formula(name):
 
 
 class _RHS:
-    """Right-hand sides of the first-variation formulas at one point."""
+    """Right-hand sides of the first-variation formulas, read from a bundle:
+    floats at a point, arrays of the bundle's batch shape on a batch."""
 
     def __init__(self, geom, B):
         """``B`` is the variation at the bundle's seeds, an array jet."""
         self.g = geom
         self.B1 = order1(B)
         self.B0 = values(self.B1)
-        self.Bfr = geom.F @ self.B0 @ geom.F.T
+        self.Bfr = geom.F @ self.B0 @ geom.F.mT
         # raised-index B as an order-1 jet field for contractions with jet fields
         self.Braised = geom.ginvJ @ self.B1 @ geom.ginvJ
 
     # -- helpers ---------------------------------------------------------
     def pair(self, C_frame_full):
-        return self.g.frame_pairing(np.asarray(C_frame_full), self.Bfr)
+        return self.g.frame_pairing(C_frame_full, self.Bfr)
 
-    def embed(self, view, M):
-        """A (0,2) frame form on the view's block, zero elsewhere."""
-        out = np.zeros((self.g.d, self.g.d))
-        out[view.sl, view.sl] = M
+    def embed(self, M, rows, cols):
+        """A (0,2) frame form with M on the (rows, cols) block, zero elsewhere."""
+        out = np.zeros(M.shape[:-2] + (self.g.d, self.g.d))
+        out[..., rows, cols] = M
         return out
 
     def mixed_blocks(self, M_frame):
         out = np.zeros_like(M_frame)
         n = self.g.n
-        out[:n, n:] = M_frame[:n, n:]
-        out[n:, :n] = M_frame[n:, :n]
+        out[..., :n, n:] = M_frame[..., :n, n:]
+        out[..., n:, :n] = M_frame[..., n:, :n]
         return out
 
     def contract_field(self, PJ):
         """Vector jets <P, B>: P^s_{nu rho} B-raised^{nu rho}."""
-        return tensordot(PJ, self.Braised, axes=2)
+        return einsum("...snr,...nr->...s", PJ, self.Braised)
 
     def trace_block(self, view):
         """Tr B-sharp over the view's block as a jet scalar (sum eps B(E, E))."""
         E = view.frame1
-        return (E @ self.B1 * E).sum(axis=1) @ view.eps
+        EB = einsum("...am,...mn->...an", E, self.B1)
+        return einsum("...a,...a->...", einsum("...an,...an->...a", EB, E), view.eps)
 
     def bsharp_vec(self, VJ):
-        return self.Braised @ (self.g.g1 @ VJ)
+        return einsum("...mn,...n->...m", self.Braised,
+                      einsum("...mn,...n->...m", self.g.g1, VJ))
 
     def rhs(self, formula):
         klass, _, block = _formula(formula)
@@ -381,16 +384,17 @@ class _RHS:
         C = g.to_frame02(g.div_12(B.h_field))
         if mixed:
             C = C + 2.0 * g.lam(B.alpha_b, B.dual.alpha_b - B.dual.theta_b)
-        C = C + self.embed(B, B.flat(B.kcal))
+        C = C + self.embed(B.flat(B.kcal), B.sl, B.sl)
         return self.pair(C) - g.div_vector(self.contract_field(B.h_field))
 
     def dgHH_B(self, B, mixed):
         """d g(H_B, H_B)."""
         g = self.g
-        C = B.div_H * self.embed(B, np.diag(B.eps))
+        diag = np.asarray(B.eps)[..., None] * np.eye(B.dim)
+        C = np.asarray(B.div_H)[..., None, None] * self.embed(diag, B.sl, B.sl)
         if mixed:
             C = C + 4.0 * g.pair_vec_12(B.dual.theta_b, B.Hb_frame)
-        return self.pair(C) - g.div_vector(B.HJ * self.trace_block(B))
+        return self.pair(C) - g.div_vector(B.HJ * self.trace_block(B)[..., None])
 
     def dnorm_h_A(self, B, mixed):
         """d|h_A|^2."""
@@ -402,28 +406,26 @@ class _RHS:
                  + g.lam(A.alpha_b, B.alpha_b + B.theta_b))
             out = 2.0 * g.div_vector(self.contract_field(A.alpha_field))
             out -= 2.0 * self.pair(C)
-        return out + self.pair(A.phi_h) - float(A.H0 @ self.B0 @ A.H0)
+        return out + self.pair(A.phi_h) - quad(A.H0, self.B0, A.H0)
 
     def dgHH_A(self, B, mixed):
         """d g(H_A, H_A)."""
         g, A = self.g, B.dual
-        out = -float(A.H0 @ self.B0 @ A.H0)
+        out = -quad(A.H0, self.B0, A.H0)
         if mixed:
-            delta = np.zeros((g.d, g.d))
             blk = A.delta_of(A.HJ)
-            delta[A.sl, B.sl] = blk
-            delta[B.sl, A.sl] = blk.T
-            C = g.pair_vec_12(B.theta_b - B.alpha_b, A.Hb_frame) - delta
+            C = (g.pair_vec_12(B.theta_b - B.alpha_b, A.Hb_frame)
+                 - self.embed(blk, A.sl, B.sl) - self.embed(blk.mT, B.sl, A.sl))
             BH = A.project(self.bsharp_vec(A.HJ))
             out = (out + 2.0 * self.pair(C)
-                   + 2.0 * float(A.H0 @ self.B0 @ B.H0)
+                   + 2.0 * quad(A.H0, self.B0, B.H0)
                    + 2.0 * g.div_vector(BH))
         return out
 
     def dnorm_T_B(self, B, mixed):
         """d|T_B|^2."""
         g = self.g
-        C = self.embed(B, B.flat(B.tcal))
+        C = self.embed(B.flat(B.tcal), B.sl, B.sl)
         if not mixed:
             return 2.0 * self.pair(C)
         div_t = g.to_frame02(g.div_12(B.theta_field))
@@ -619,18 +621,14 @@ def jmix_gradient_pairing(struct, v, q, metric_fn=None):
     supported in the box, d/dt of the integral of div(H + H~) is zero."""
     if v.klass != "perp":
         raise ClassificationError("the J_mix gradient pairs a perp-variation")
-    struct.require_box(q.box)
-    pts, wts = grid_points(q)
 
-    def one(pt, w):
-        geom = PointGeometry(struct, pt, metric_fn=metric_fn, check_domain=False)
+    def dS(geom):
         e = _RHS(geom, v.B_at(geom.seeds, gmat=geom.gJ))
-        trB = float(np.trace(geom.ginv0 @ e.B0))
-        dS = (sum(e.rhs(f) for f in _SMIX_TERMS)
-              + 0.5 * trB * (geom.smix - geom.tan.div_H - geom.perp.div_H))
-        return dS * geom.volume_density * w
+        trB = np.trace(geom.ginv0 @ e.B0, axis1=-2, axis2=-1)
+        return (sum(e.rhs(f) for f in _SMIX_TERMS)
+                + 0.5 * trB * (geom.smix - geom.tan.div_H - geom.perp.div_H))
 
-    return pairwise_sum(one(pt, w) for pt, w in zip(pts, wts))
+    return integrate(struct, dS, q, metric_fn=metric_fn)
 
 
 # ----------------------------------------------------------------------

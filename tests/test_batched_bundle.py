@@ -2,16 +2,17 @@
 
 ``PointGeometry`` takes its batch from the leading axes of the metric field
 that its metric function returns at the bundle's seeds: a batch of metrics
-at one point, or the node axis of an (N, d) array of nodes.  Member k of a
-batch of metrics must give what a per-point bundle of the k-th metric gives,
-on every field and scalar of the batched chain, with each member's own
-pivot order and signs; a degenerate member fails the batch as the per-point
-bundle fails; and every other member of the bundle refuses a batch.  Node k
-of a node bundle must give what a per-point bundle at node k gives on the
-frame-free chain, the density ``smix_density_fast``, the frame-based
-curvature (``R4``, ``ricci_frame``, ``smix`` and the partial Ricci tensors
-``r``), the mean curvature fields ``HJ`` and their divergences ``div_H`` on
-both blocks, and the starred scalars.
+at one point, or the node axis of an (N, d) array of nodes.  Every member
+of the bundle is written on trailing axes, so member k of a batch must give
+what a per-point bundle of the k-th metric, or at the k-th node, gives.
+This holds for every public member of ``PointGeometry`` and of its two
+views (methods take their arguments from the same bundle) and for the
+first-variation right-hand sides ``_RHS.rhs`` of every formula, with each
+member's own pivot order and signs, and with the same error where the
+per-point bundle raises one.  A degenerate member fails a batch of metrics
+as the per-point bundle fails, naming the point; a node bundle names its
+failing node.  The frame-free chain and the density of a node bundle are
+bit-identical to the per-point ones wherever the metric jets are.
 """
 
 from operator import attrgetter
@@ -22,22 +23,16 @@ import pytest
 from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
-from mixedcurv.errors import (DegenerateDistributionError, DomainError,
-                              SingularEvaluationError, SpecializationError)
+from mixedcurv.errors import (DegenerateDistributionError, DomainError, MixedCurvError,
+                              SingularEvaluationError)
 from mixedcurv.geometry import BlockView, PointGeometry, smix_density_fast
 from mixedcurv.jets import ArrayJet, concatenate, values
 from mixedcurv.structure import DEGENERACY_TOL, _float_pass, load_structure
 from scalar_inverse import pivot_rows
 from test_random_structures import seeded_structure
 
-# the frame-free members of the chain: all that a node bundle is asked for
+# the frame-free chain, bit-identical on a node bundle where the metric jets are
 NODE_CHAIN = ("Gamma0", "Rcoord", "R04", "volume_density")
-# the frame-based curvature
-CURVATURE = ("R4", "ricci_frame", "smix")
-GEOM_CHAIN = ("gJ", "ginvJ", "GammaJ", "framevecsJ", "eps", "frame1", "flat1",
-              "nabla_frame", "g0", "ginv0", "g1", "hfr") + NODE_CHAIN + CURVATURE
-VIEW_CHAIN = ("frame1", "flat1", "nabla_EE", "ffJ", "h", "T", "HJ", "H0", "norm_h",
-              "norm_T", "gHH", "s_ex", "div_H", "r")
 SCALARS = ("norm_h", "norm_T", "gHH", "s_ex", "div_H")
 
 # a chart whose metric inverse takes its first pivot in row 0 where
@@ -113,11 +108,91 @@ def _agree(got, want, tol=1e-13):
         assert np.allclose(a, b, rtol=tol, atol=tol), np.max(np.abs(a - b))
 
 
-def _member(x, k):
-    return tuple(_member(y, k) for y in x) if isinstance(x, tuple) else x[k]
+def _arguments(owner):
+    """Arguments of the public methods of ``owner`` (a bundle or one of its
+    views), taken from ``owner``'s own bundle, so that a batched bundle's
+    fields carry its batch; the float vectors broadcast against it."""
+    geom = owner.g if isinstance(owner, BlockView) else owner
+    d = geom.d
+    X, Y, Z = np.ones(d), np.arange(d) - 0.5, np.linspace(-1.0, 2.0, d) ** 2
+    V, P = geom.tan.HJ, geom.tan.h_field
+    args = {"riemann": (X, Y, Z), "sectional": (X, Y),
+            "lam": (geom.tan.hb_full, geom.perp.alpha_b), "div_vector": (V, "tan"),
+            "nabla_values": (P, "ull"), "div_12": (P, "perp"),
+            "div_11": (geom.g1,), "to_frame02": (geom.g0,),
+            "frame_pairing": (geom.tan.phi_h, geom.perp.phi_h),
+            "nabla02_in_direction": (geom.g1, X),
+            "pair_vec_12": (geom.tan.theta_b, geom.perp.Hb_frame),
+            "project": (V,), "def_of": (V,), "delta_of": (V,)}
+    if isinstance(owner, BlockView):
+        args["flat"] = (owner.casorati,)
+    return args
 
 
-def _check_members(s, pt, fields, batch):
+# the bundle's views, its memo of caller functions (``once``) and its inputs
+# (``seeds``, the ``frameJ`` record, whose vectors and signs are the members
+# ``framevecsJ`` and ``eps``): no formula of their own
+PLAIN = {"batch", "seeds", "frameJ", "once", "tan", "perp", "g", "dual"}
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the library error it raises."""
+    try:
+        return read()
+    except MixedCurvError as exc:
+        return exc
+
+
+def _same(got, want, at, tol):
+    """Member ``at`` of the batched value ``got`` against the per-point value
+    ``want``: errors of one class and message, dicts key by key (but the
+    point), tuples part by part."""
+    if isinstance(want, MixedCurvError):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want.keys() - {"point"}:
+            _same(got[key], want[key], at, tol)
+    elif isinstance(want, tuple):
+        for a, b in zip(got, want):
+            _same(a, b, at, tol)
+    else:
+        _agree((got if isinstance(want, ArrayJet) else np.asarray(got, float))[at], want, tol)
+
+
+def _check_members(big, ones, B_big, B_ones, tol):
+    """Every public member of ``big`` and of its two views, and ``_RHS.rhs``
+    of every formula, against the per-point bundles ``ones``: member k of the
+    batch against ``ones[k]``.  ``B_big`` and ``B_ones`` are the variation
+    fields at the seeds of each.  Returns the number of member checks."""
+    checked = 0
+    for k, one in enumerate(ones):
+        assert one.batch == ()
+        at = np.unravel_index(k, big.batch)
+        for owner, ref in ((big, one), (big.tan, one.tan), (big.perp, one.perp)):
+            args, ref_args = _arguments(owner), _arguments(ref)
+            # a view's signs are an attribute of the view, not of its class
+            for name in dir(type(owner)) + ["eps"] * isinstance(owner, BlockView):
+                if name.startswith("_") or name in PLAIN:
+                    continue
+
+                def read(x, xargs):
+                    member = getattr(x, name)
+                    return member(*xargs.get(name, ())) if callable(member) else member
+
+                _same(_outcome(lambda: read(owner, args)),
+                      _outcome(lambda: read(ref, ref_args)), at, tol)
+                checked += 1
+        rhs, ref = va._RHS(big, B_big), va._RHS(one, B_ones[k])
+        for f in va.FORMULAS:
+            want = ref.rhs(f)
+            assert type(want) is float
+            _agree(rhs.rhs(f)[at], want, tol)
+            checked += 1
+    return checked
+
+
+def _check_metric_batch(s, pt, fields, batch):
     """The bundle of the stacked fields, reshaped to ``batch``, against a
     per-point bundle of each field."""
     stacked = _stack(fields)
@@ -125,22 +200,14 @@ def _check_members(s, pt, fields, batch):
         stacked = concatenate([stacked[None, :batch[1]], stacked[None, batch[1]:]])
     big = PointGeometry(s, pt, metric_fn=lambda xs: stacked)
     assert big.batch == batch
-    for k, F in enumerate(fields):
-        at = np.unravel_index(k, batch)
-        one = PointGeometry(s, pt, metric_fn=lambda xs, F=F: F)
-        assert one.batch == ()
-        for name in GEOM_CHAIN:
-            _agree(_member(getattr(big, name), at), getattr(one, name))
-        for side in ("tan", "perp"):
-            view, ref = getattr(big, side), getattr(one, side)
-            _agree(view.eps[at], ref.eps)
-            for name in VIEW_CHAIN:
-                _agree(_member(getattr(view, name), at), getattr(ref, name))
+    ones = [PointGeometry(s, pt, metric_fn=lambda xs, F=F: F) for F in fields]
+    B = _variation(s, 5).B_at(big.seeds)
+    assert _check_members(big, ones, B, [B] * len(ones), 1e-13) >= 60 * len(ones)
     for side in ("tan", "perp"):
         for name in SCALARS:
             x = getattr(getattr(big, side), name)
             assert isinstance(x, np.ndarray) and x.shape == batch
-            assert type(getattr(getattr(one, side), name)) is float
+            assert type(getattr(getattr(ones[0], side), name)) is float
 
 
 def _pivots_and_signs(s, pt, fields):
@@ -159,12 +226,12 @@ STEPS = [(k, t) for k in range(3) for t in (0.3, -0.3)]
     (1, 3, 1), (2, 4, 2, True), (3, 5, 2, True), (4, 6, 3)])
 def test_batched_bundle_matches_per_point_bundles(key):
     s, pt = _structure(key)
-    _check_members(s, pt, _members(s, pt, STEPS), (len(STEPS),))
+    _check_metric_batch(s, pt, _members(s, pt, STEPS), (len(STEPS),))
 
 
 def test_two_batch_axes():
     s, pt = _structure("nil4_flow")
-    _check_members(s, pt, _members(s, pt, STEPS), (2, 3))
+    _check_metric_batch(s, pt, _members(s, pt, STEPS), (2, 3))
 
 
 @pytest.mark.parametrize("key,steps", [
@@ -179,7 +246,7 @@ def test_members_of_one_batch_take_their_own_pivots_and_signs(key, steps):
     assert len(keys) >= 3
     if key == "swap":
         assert len({signs for _, signs in keys}) >= 2
-    _check_members(s, pt, fields, (len(fields),))
+    _check_metric_batch(s, pt, fields, (len(fields),))
 
 
 @pytest.mark.parametrize("bad,read,error,message", [
@@ -225,9 +292,8 @@ def test_node_bundle_matches_per_point_bundles(key):
     smix, dens = smix_density_fast(s, pts)
     assert smix.shape == dens.shape == (len(pts),)
     orders = set()
-    for k, pt in enumerate(pts):
-        one = PointGeometry(s, pt)
-        assert one.batch == ()
+    ones = [PointGeometry(s, pt) for pt in pts]
+    for k, (pt, one) in enumerate(zip(pts, ones)):
         orders.add(pivot_rows(one.g0.tolist()))
         # The chain from equal metric jets is bit-identical.  The metric jets
         # themselves agree only to rounding where a spec expression calls an
@@ -243,17 +309,13 @@ def test_node_bundle_matches_per_point_bundles(key):
         _same_at_node(smix[k], s0, exact)
         _same_at_node(dens[k], d0, exact)
         _same_at_node(d0, one.volume_density, True)
-        # the frame-based members, within 1e-12 relative: node and point
-        # frames agree only to rounding where the span calls an elementary
-        # function
-        for name in CURVATURE:
-            _agree(getattr(big, name)[k], getattr(one, name), 1e-12)
         for side in ("tan", "perp"):
-            view, ref = getattr(big, side), getattr(one, side)
-            _agree(view.HJ[k], ref.HJ, 1e-12)
-            _agree(view.div_H[k], ref.div_H, 1e-12)
-            _agree(view.r[k], ref.r, 1e-12)
             _agree(el.s_star(big, side)[k], el.s_star(one, side), 1e-12)
+    # every member within 1e-12 relative: node and point frames agree only to
+    # rounding where the span calls an elementary function
+    v = _variation(s, 5)
+    assert _check_members(big, ones, v.B_at(big.seeds),
+                          [v.B_at(one.seeds) for one in ones], 1e-12) >= 60 * len(ones)
     if key == "pivots":
         assert len(orders) >= 2
 
@@ -269,47 +331,22 @@ def test_node_bundle_checks_every_node_against_the_domain():
     PointGeometry(s, pts, check_domain=False)
 
 
-def _arguments(geom):
-    """Arguments for every public method outside the batched chain, taken
-    from the per-point bundle ``geom``."""
-    d = geom.d
-    X, V, P = np.ones(d), geom.tan.HJ, geom.tan.h_field
-    return {"riemann": (X, 2 * X, 3 * X), "sectional": (X, np.arange(d)),
-            "lam": (np.zeros((d, d, d)),) * 2, "div_vector": (V, "tan"),
-            "nabla12_values": (P,), "div_12": (P,),
-            "div_11": (geom.g1,), "to_frame02": (np.eye(d),),
-            "frame_pairing": (np.eye(d), np.eye(d)), "nabla02_in_direction": (geom.g1, X),
-            "pair_vec_12": (np.zeros((d, d, d)), X), "project": (V,),
-            "flat": (np.eye(geom.n),), "def_of": (V,), "delta_of": (V,)}
-
-
-# the bundle's inputs, sizes, views and frame, a view's block data and the
-# bundle's memo of caller functions (``once``): no formula of their own (the
-# frame and the views' signs are checked above); and ``nabla_vec_values``,
-# which runs on a batch and is checked through ``div_H`` (``div_vector`` is
-# called in a block mode, which sums over one block's frame at one point)
-PLAIN = {"struct", "point", "d", "n", "p", "seeds", "batch", "tan", "perp", "frameJ",
-         "g", "side", "dual_side", "sl", "idx", "dim", "eps", "dual", "once",
-         "nabla_vec_values"}
-
-
-@pytest.mark.parametrize("key", ["r3_contact", "codim1_tau_riccati"])
-def test_per_point_members_refuse_a_batch(key):
-    s, pt = _structure(key)
-    fields = _members(s, pt, STEPS[:2])
-    stacked = _stack(fields)
-    args = _arguments(PointGeometry(s, pt))
-    checked = 0
-    for cls, chain in ((PointGeometry, GEOM_CHAIN), (BlockView, VIEW_CHAIN)):
-        for name in dir(cls):
-            if name.startswith("_") or name in chain or name in PLAIN:
-                continue
-            for side in (("tan", "perp") if cls is BlockView else (None,)):
-                big = PointGeometry(s, pt, metric_fn=lambda xs: stacked)
-                owner = getattr(big, side) if side else big
-                with pytest.raises(SpecializationError, match="computed at one point"):
-                    member = getattr(owner, name)
-                    if callable(member):
-                        member(*args.get(name, ()))
-                checked += 1
-    assert checked >= 60
+def test_a_node_bundle_names_its_failing_node():
+    # g_00 = x0 vanishes at the second node only: the span vector e0 is null
+    # there, and the metric and the Gram matrix of the span are singular
+    s = load_structure("dim = 3\ndtilde_dim = 1\nmetric 0 0 = x0\nmetric 1 1 = 1\n"
+                       "metric 2 2 = 1\ndtilde 0 = 1, 0, 0\n"
+                       "domain = [-1, 1] x [-1, 1] x [-1, 1]\n")
+    pts = np.array([[0.5, 0.0, 0.0], [0.0, 0.1, 0.2], [0.3, 0.0, 0.0]])
+    for read, message in [
+            (lambda: smix_density_fast(s, pts), "degenerate distribution"),
+            (lambda: PointGeometry(s, pts).tan.norm_h,
+             "distribution vector is null or dependent"),
+            (lambda: PointGeometry(s, pts).ginvJ, "singular metric"),
+            (lambda: PointGeometry(s, pts).volume_density, "degenerate metric"),
+            (lambda: PointGeometry(s, pts).sectional(np.eye(3)[0], np.eye(3)[1]),
+             "degenerate plane section")]:
+        with pytest.raises(SingularEvaluationError) as err:
+            read()
+        assert err.value.point == (0.0, 0.1, 0.2)
+        assert str(err.value) == f"{message} at point (0.0, 0.1, 0.2)"

@@ -6,9 +6,11 @@ chunk's nodes and read it; ``action_value`` reads S_mix dvol off one bundle
 per chunk (``geometry.smix_density_batch`` calls ``smix_density_fast`` at
 the chunk); ``action_derivative`` reads two bundles over the chunk, at
 g + tB and g - tB, through ``geometry.smix_density``; ``volume`` evaluates
-the metric of a chunk on order-1 jets and builds no bundle.  The reference
-is written here: a loop over per-point bundles, node by node.  Every
-integral is compared with it, nodes outside a bump are checked to see the
+the metric of a chunk on order-1 jets and builds no bundle;
+``jmix_gradient_pairing`` assembles the first variations over one bundle per
+chunk through ``integrate``.  The reference is written here (and in
+``pointwise_pairing.py`` for the pairing): a loop over per-point bundles,
+node by node.  Every integral is compared with it, nodes outside a bump are checked to see the
 base metric bit for bit, an evaluation error must surface exactly as the
 loop raises it, naming its node, and every box integral refuses a box
 outside the domain.
@@ -26,6 +28,7 @@ from mixedcurv.errors import DomainError, SingularEvaluationError
 from mixedcurv.geometry import PointGeometry, smix_density_batch, smix_density_fast
 from mixedcurv.jets import gradients, seed, values
 from mixedcurv.structure import load_structure
+from pointwise_pairing import pairing_by_points
 from test_random_structures import seeded_structure
 
 
@@ -146,6 +149,18 @@ def test_nodes_outside_the_bump_see_the_base_metric_bit_for_bit(klass):
         assert np.allclose(values(B)[k], Bk, rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("key,box,vseed,degree", [
+    ("r3_contact", ((-0.6, 0.6),) * 3, 7, 1),
+    ((6, 3, 1), ((-0.45, 0.45),) * 3, 1, 2),
+])
+def test_gradient_pairing_matches_the_per_point_loop(key, box, vseed, degree):
+    s = _structure(key)
+    v = va.random_variation(s, "perp", seed=vseed, box=box, degree=degree)
+    q = el.QuadratureSpec(box=box, grid=4)
+    want = pairing_by_points(s, v, q)
+    assert abs(va.jmix_gradient_pairing(s, v, q) - want) <= 1e-12 * abs(want)
+
+
 # A pole at a quadrature node: grid 4 on [-0.5, 0.5] puts nodes at x0 = 0.125,
 # and the square root turns non-positive for x0 <= -0.2.
 POLES = {
@@ -169,6 +184,7 @@ def test_errors_surface_as_the_scalar_loop_raises_them(kind):
          lambda: _loop_integral(s, q, None, lambda g: g.smix)),
         (lambda: va.action_derivative(s, v, q, "J_mix", enforce_support=False),
          lambda: _loop_derivative(s, v, q, 1e-3)),
+        (lambda: va.jmix_gradient_pairing(s, v, q), lambda: pairing_by_points(s, v, q)),
     ]
     for batched, loop in calls:
         with pytest.raises(SingularEvaluationError) as want:
