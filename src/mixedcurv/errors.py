@@ -13,20 +13,24 @@ class SingularEvaluationError(MixedCurvError):
     """Division by zero, domain violation or non-finite intermediate.
 
     Carries the chart point at which evaluation failed when known, and the
-    message without it as ``reason``.
+    message without it as ``reason``.  ``at`` is the index of the first
+    failing entry of an array operand, when the operation that raised knows
+    it and not yet the point.
     """
 
-    def __init__(self, message, point=None):
+    def __init__(self, message, point=None, at=None):
         super().__init__(message if point is None else f"{message} at point {tuple(point)}")
         self.reason = message
         self.point = None if point is None else tuple(point)
+        self.at = at
 
 
 def member_point(point, at):
     """The point that an error of the batch member at index ``at`` names: on
     a node bundle, whose point is the tuple of its nodes and whose batch has
-    the node axis first, that member's node; else ``point`` itself."""
-    return point[at[0]] if point and isinstance(point[0], tuple) else point
+    the node axis first, that member's node; else (or with no index)
+    ``point`` itself."""
+    return point[at[0]] if at is not None and point and isinstance(point[0], tuple) else point
 
 
 class ExprError(MixedCurvError):

@@ -6,13 +6,18 @@ Grammar (tightest first):  ``^`` (right associative)  >  unary ``-``  >
 declared parameter or a function name.  Numbers are decimal literals with an
 optional exponent.
 
-ASTs are immutable after parsing and evaluation is reentrant; jets flow
-through :func:`evaluate` unchanged because it only uses ring operations.
+ASTs are immutable after parsing.  A :class:`Program` compiles a list of
+them once and evaluates each structurally equal subexpression once per run;
+runs are reentrant, and jets flow through them unchanged because they only
+use ring operations and the elementary functions of :mod:`jets`.
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass
+from functools import partial
 
 from . import jets
 from .errors import ExprSyntaxError, NameResolutionError, SingularEvaluationError
@@ -214,44 +219,87 @@ def parse(text, dim, params=()):
 # ----------------------------------------------------------------------
 # Evaluation and utilities
 
-def evaluate(ast, env, params=None):
-    """Evaluate an AST; ``env`` maps coordinate index -> scalar (float, Jet
-    or ArrayJet).
+class Program:
+    """A list of ASTs compiled into one straight-line program in which every
+    structurally equal subtree is one instruction (value numbering).
 
-    An arithmetic error (a float division by zero, an overflow in ``exp``)
-    surfaces as :class:`SingularEvaluationError` carrying the point."""
-    try:
+    An instruction's key holds its children's slots, so equal subtrees meet
+    at compile time; a constant is keyed by its type and bits, so ``0.0`` and
+    ``-0.0`` stay apart.  Output k adds the instructions of its tree that no
+    earlier output holds, in the tree's post-order, so it gets the value and
+    the first error that a walk of its tree would."""
+
+    def __init__(self, asts):
+        self.code = []          # (kind, a, b, c); instruction k fills slot k
+        slots = {}
+        # (slot of output k, instructions run before it is read)
+        self.outputs = [(self._slot(ast, slots), len(self.code)) for ast in asts]
+
+    def _slot(self, ast, slots):
         if isinstance(ast, Const):
-            return ast.value
-        if isinstance(ast, Var):
-            return env[ast.index]
-        if isinstance(ast, Param):
-            if params is None or ast.name not in params:
-                raise NameResolutionError(ast.name)
-            return params[ast.name]
-        if isinstance(ast, Unary):
-            child = evaluate(ast.child, env, params)
-            if ast.fn == "neg":
-                return -child
-            return jets.elementary(child, ast.fn)
-        if isinstance(ast, Binary):
-            left = evaluate(ast.left, env, params)
-            right = evaluate(ast.right, env, params)
-            if ast.op == "+":
-                return left + right
-            if ast.op == "-":
-                return left - right
-            if ast.op == "*":
-                return left * right
-            if ast.op == "/":
-                return left / right
-            return jets.jpow(left, right)
-    except ArithmeticError as exc:
-        # raised in the innermost frame; the outer frames pass it on unchanged
-        raise SingularEvaluationError(
-            f"arithmetic error in expression ({type(exc).__name__}: {exc})",
-            point=[jets.value_of(x) for x in env]) from None
-    raise TypeError(f"not an expression node: {ast!r}")
+            v = ast.value
+            key = ("c", type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+            op = ("c", v, None, None)
+        elif isinstance(ast, Var):
+            key = op = ("v", ast.index, None, None)
+        elif isinstance(ast, Param):
+            key = op = ("p", ast.name, None, None)
+        elif isinstance(ast, Unary):
+            child = self._slot(ast.child, slots)
+            # an unknown function name raises when the instruction runs, as in a walk
+            f = operator.neg if ast.fn == "neg" else partial(jets.elementary, fn=ast.fn)
+            key, op = ("u", ast.fn, child), ("u", f, child, None)
+        elif isinstance(ast, Binary):
+            left, right = self._slot(ast.left, slots), self._slot(ast.right, slots)
+            key, op = ("b", ast.op, left, right), ("b", _BINARY[ast.op], left, right)
+        else:
+            raise TypeError(f"not an expression node: {ast!r}")
+        if key not in slots:
+            slots[key] = len(self.code)
+            self.code.append(op)
+        return slots[key]
+
+    def run(self, env, params=None):
+        """The outputs at ``env`` (coordinate index -> scalar: float, Jet or
+        ArrayJet), one at a time: an output's instructions run only when the
+        caller asks for it, so a check of output k comes before an error of
+        a later output.
+
+        An arithmetic error (a float division by zero, an overflow in
+        ``exp``) surfaces as :class:`SingularEvaluationError` carrying the
+        point."""
+        vals = []
+        push = vals.append
+        try:
+            for out, end in self.outputs:
+                for kind, a, b, c in self.code[len(vals):end]:
+                    if kind == "b":
+                        push(a(vals[b], vals[c]))
+                    elif kind == "u":
+                        push(a(vals[b]))
+                    elif kind == "c":
+                        push(a)
+                    elif kind == "v":
+                        push(env[a])
+                    elif params is None or a not in params:
+                        raise NameResolutionError(a)
+                    else:
+                        push(params[a])
+                yield vals[out]
+        except ArithmeticError as exc:
+            raise SingularEvaluationError(
+                f"arithmetic error in expression ({type(exc).__name__}: {exc})",
+                point=[jets.value_of(x) for x in env]) from None
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": jets.jpow}
+
+
+def evaluate(ast, env, params=None):
+    """The value of one AST at ``env``: the one-output case of
+    :class:`Program`, with its errors."""
+    return next(Program([ast]).run(env, params))
 
 
 def free_vars(ast):

@@ -139,7 +139,8 @@ class PointGeometry:
             rows = self._metric_fn(self.seeds)
         except SingularEvaluationError as exc:
             if exc.point is None:
-                raise SingularEvaluationError(str(exc), point=self.point) from exc
+                raise SingularEvaluationError(
+                    exc.reason, point=member_point(self.point, exc.at)) from exc
             raise
         return dense(rows, self.d)
 
@@ -860,8 +861,9 @@ def random_perp_field(geom, rng_seed):
     rng = random.Random(rng_seed)
     C = np.array([[rng.uniform(-1, 1) for _ in range(geom.d + 1)]
                   for _ in range(geom.p)])
-    c = C[:, 0] + C[:, 1:] @ order1(dense(geom.seeds, geom.d))  # affine coefficients
-    return c @ geom.perp.frame1
+    # affine coefficients
+    c = C[:, 0] + einsum("ij,...j->...i", C[:, 1:], order1(dense(geom.seeds, geom.d)))
+    return einsum("...i,...im->...m", c, geom.perp.frame1)
 
 
 def identity_suite(struct, point, metric_fn=None, rng_seed=7):
@@ -874,16 +876,25 @@ def identity_suite(struct, point, metric_fn=None, rng_seed=7):
 def identity_suite_at(g, rng_seed=7):
     """Residual norms of the structural identities read from the bundle
     ``g``; each equation's two sides travel independent code paths
-    (curvature vs. first-derivative assembly)."""
+    (curvature vs. first-derivative assembly).  On a batch every residual
+    is an array of the batch shape."""
     tan, perp = g.tan, g.perp
     n = g.n
     res = {}
 
+    def worst(M):
+        """max |M| over the last two axes."""
+        return _scalar(np.max(np.abs(M), axis=(-2, -1)))
+
+    def form(X, M, Y):
+        """X M Y as the product of a row, a matrix and a column."""
+        return _scalar((X[..., None, :] @ M @ Y[..., :, None])[..., 0, 0])
+
     # (a) partial Ricci tensor vs the divergence identity, complement block
-    div_ht = g.to_frame02(g.div_12(perp.h_field, mode="full"))[n:, n:]
+    div_ht = g.to_frame02(g.div_12(perp.h_field, mode="full"))[..., n:, n:]
     rhs = (div_ht + perp.pair_tensor_vec - perp.flat(perp.casorati)
            - perp.flat(perp.tcal) - tan.psi + perp.def_of(tan.HJ))
-    res["partial_ricci_identity"] = float(np.max(np.abs(perp.r - rhs)))
+    res["partial_ricci_identity"] = worst(perp.r - rhs)
 
     # (b) S_mix from extrinsic invariants
     res["smix_decomposition"] = abs(
@@ -892,7 +903,7 @@ def identity_suite_at(g, rng_seed=7):
 
     def trace(M):
         """sum_i eps_i M(E_i, E_i) over D."""
-        return float(np.einsum("...i,...ii->...", perp.eps, M))
+        return _scalar(np.einsum("...i,...ii->...", perp.eps, M))
 
     # (c) trace of the partial Ricci tensor
     res["partial_ricci_trace"] = abs(trace(perp.r) - g.smix)
@@ -904,7 +915,8 @@ def identity_suite_at(g, rng_seed=7):
     res["def_trace"] = abs(trace(perp.def_of(tan.HJ)) - tan.div_H - tan.gHH)
 
     # (f) traceless commutator operators
-    res["kcal_trace"] = abs(float(np.trace(tan.kcal))) + abs(float(np.trace(perp.kcal)))
+    res["kcal_trace"] = sum(abs(_scalar(np.trace(b.kcal, axis1=-2, axis2=-1)))
+                            for b in (tan, perp))
 
     # (g) Phi tensors against their defining contraction on a random S
     rng = random.Random(rng_seed)
@@ -919,9 +931,9 @@ def identity_suite_at(g, rng_seed=7):
     def direct(F):
         """sum eps_a eps_b S(F(E_a, E_b), F(E_a, E_b))."""
         v = vec(F)
-        return float(np.einsum("...a,...b,...abs,st,...abt->...", tan.eps, tan.eps, v, S, v))
+        return _scalar(np.einsum("...a,...b,...abs,st,...abt->...", tan.eps, tan.eps, v, S, v))
 
-    direct_h = float(H0 @ S @ H0) - direct(tan.h)
+    direct_h = form(H0, S, H0) - direct(tan.h)
     direct_T = -direct(tan.T)
     S_frame = g.F @ S @ g.F.mT
     res["phi_h_identity"] = abs(g.frame_pairing(tan.phi_h, S_frame) - direct_h)
@@ -931,14 +943,14 @@ def identity_suite_at(g, rng_seed=7):
     xi = random_perp_field(g, rng_seed)
     xi0 = values(xi)
     res["div_perp_vector"] = abs(
-        g.div_vector(xi, mode="perp") - (g.div_vector(xi) + float(xi0 @ g.g0 @ H0)))
+        g.div_vector(xi, mode="perp") - (g.div_vector(xi) + form(xi0, g.g0, H0)))
 
     # (E-divP) with P = h (complement-valued (1,2) tensor), tangent block
     hfield = tan.h_field
-    lhsP = g.to_frame02(g.div_12(hfield, mode="perp"))[:n, :n]
-    rhsP = g.to_frame02(g.div_12(hfield, mode="full"))[:n, :n]
+    lhsP = g.to_frame02(g.div_12(hfield, mode="perp"))[..., :n, :n]
+    rhsP = g.to_frame02(g.div_12(hfield, mode="full"))[..., :n, :n]
     pair_hH = np.einsum("...abs,...st,...t->...ab", vec(tan.h), g.g0, H0)
-    res["div_perp_tensor"] = float(np.max(np.abs(lhsP - rhsP - pair_hH)))
+    res["div_perp_tensor"] = worst(lhsP - rhsP - pair_hH)
 
-    res["max"] = max(res.values())
+    res["max"] = _scalar(np.max(list(res.values()), axis=0))
     return res

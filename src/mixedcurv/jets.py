@@ -501,8 +501,9 @@ def _T(S):
 
 
 def _nonzero(v):
-    if np.any(v == 0.0):
-        raise SingularEvaluationError("division by jet with zero value")
+    zero = np.argwhere(v == 0.0)
+    if len(zero):
+        raise SingularEvaluationError("division by jet with zero value", at=tuple(zero[0]))
 
 
 def _finite_power(v, e):

@@ -22,6 +22,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +61,9 @@ class ProductStructure:
         env = list(point)
         d = self.dim
         rows = [[0.0] * d for _ in range(d)]
-        for (i, j), ast in self.metric_upper.items():
-            v = check_finite(exprlang.evaluate(ast, env, self.params), point=_values(point))
+        entries = self._metric_program.run(env, self.params)
+        for (i, j), v in zip(self.metric_upper, entries):
+            check_finite(v, point=_values(point))
             rows[i][j] = v
             if i != j:
                 rows[j][i] = v
@@ -71,8 +73,17 @@ class ProductStructure:
         """The n spanning fields (rows of dim components) as a field at
         ``point``, as :meth:`metric_at` gives the metric."""
         env = list(point)
-        return as_field([[exprlang.evaluate(c, env, self.params) for c in vec]
-                         for vec in self.dtilde], env)
+        flat = list(self._dtilde_program.run(env, self.params))
+        d = self.dim
+        return as_field([flat[k:k + d] for k in range(0, len(flat), d)], env)
+
+    @cached_property
+    def _metric_program(self):
+        return exprlang.Program(self.metric_upper.values())
+
+    @cached_property
+    def _dtilde_program(self):
+        return exprlang.Program([c for vec in self.dtilde for c in vec])
 
     def contains(self, point):
         return all(lo - 1e-12 <= value_of(x) <= hi + 1e-12

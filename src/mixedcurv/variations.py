@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -87,15 +88,22 @@ class MetricVariation:
                 return out
             if not np.all(inside):
                 mask = inside
+        entries = self._program.run(env, pr)
         for i in range(d):
             for j in range(i, d):
-                v = exprlang.evaluate(self.raw[i][j], env, pr)
+                v = next(entries)
                 if mask is not None:
                     v = where(mask, v, 0.0, d)
                 out[i][j] = v
                 if i != j:
                     out[j][i] = v
         return out
+
+    @cached_property
+    def _program(self):
+        """The upper triangle of ``raw``, row by row, as one program."""
+        d = self.struct.dim
+        return exprlang.Program([self.raw[i][j] for i in range(d) for j in range(i, d)])
 
     def B_at(self, xs, metric_fn=None, gmat=None, span=None):
         """B as a field at ``xs``, as ``struct.metric_at`` gives the metric;

@@ -11,7 +11,8 @@ first-variation right-hand sides ``_RHS.rhs`` of every formula, with each
 member's own pivot order and signs, and with the same error where the
 per-point bundle raises one.  A degenerate member fails a batch of metrics
 as the per-point bundle fails, naming the point; a node bundle names its
-failing node.  The frame-free chain and the density of a node bundle are
+failing node, also where a metric expression divides by zero there.  The
+identity suite reads a node bundle as it reads per-point bundles.  The frame-free chain and the density of a node bundle are
 bit-identical to the per-point ones wherever the metric jets are.
 """
 
@@ -25,7 +26,8 @@ from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
 from mixedcurv.errors import (DegenerateDistributionError, DomainError, MixedCurvError,
                               SingularEvaluationError)
-from mixedcurv.geometry import BlockView, PointGeometry, smix_density_fast
+from mixedcurv.geometry import (BlockView, PointGeometry, identity_suite_at, random_perp_field,
+                                smix_density_fast)
 from mixedcurv.jets import ArrayJet, concatenate, values
 from mixedcurv.structure import DEGENERACY_TOL, _float_pass, load_structure
 from scalar_inverse import pivot_rows
@@ -350,3 +352,34 @@ def test_a_node_bundle_names_its_failing_node():
             read()
         assert err.value.point == (0.0, 0.1, 0.2)
         assert str(err.value) == f"{message} at point (0.0, 0.1, 0.2)"
+
+
+def test_an_expression_error_names_its_failing_node():
+    # 0.1 / x0 divides by zero at the second node only, as a bundle at that
+    # node alone does
+    s = load_structure("dim = 3\ndtilde_dim = 1\nmetric 0 0 = 1 + 0.1/x0\n"
+                       "metric 1 1 = 1\nmetric 2 2 = 1\ndtilde 0 = 0, 0, 1\n"
+                       "domain = [-1, 1] x [-1, 1] x [-1, 1]\n")
+    pts = np.array([[0.5, 0.0, 0.0], [0.0, 0.1, 0.2], [0.3, 0.0, 0.0]])
+    for where in (pts, pts[1]):
+        with pytest.raises(SingularEvaluationError) as err:
+            PointGeometry(s, where).tan.norm_h
+        assert err.value.point == (0.0, 0.1, 0.2)
+        assert str(err.value) == "division by jet with zero value at point (0.0, 0.1, 0.2)"
+
+
+@pytest.mark.parametrize("key", gallery.list_entries() + [
+    (1, 3, 1), (2, 4, 2, True), (3, 5, 2, True), (4, 6, 3)])
+def test_identity_suite_reads_a_node_bundle(key):
+    s = _structure(key)[0]
+    pts = np.array(s.interior_points(7, 5))
+    big = PointGeometry(s, pts)
+    suite, xi = identity_suite_at(big), random_perp_field(big, 7)
+    for k, pt in enumerate(pts):
+        one = PointGeometry(s, pt)
+        want = identity_suite_at(one)
+        assert suite.keys() == want.keys()
+        for name, value in want.items():
+            assert suite[name].shape == (len(pts),)
+            assert abs(suite[name][k] - value) <= 1e-12 * max(1.0, abs(value)), name
+        _agree(xi[k], random_perp_field(one, 7), 1e-12)
