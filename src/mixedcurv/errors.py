@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all engine modules."""
 
+import numpy as np
+
 
 class MixedCurvError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,11 +28,15 @@ class SingularEvaluationError(MixedCurvError):
 
 
 def member_point(point, at):
-    """The point that an error of the batch member at index ``at`` names: on
-    a node bundle, whose point is the tuple of its nodes and whose batch has
-    the node axis first, that member's node; else (or with no index)
-    ``point`` itself."""
-    return point[at[0]] if at is not None and point and isinstance(point[0], tuple) else point
+    """The point that an error of the batch member at index ``at`` names,
+    where the batch has the node axis first: on a node bundle, whose point
+    is the tuple of its nodes, that member's node; at node seeds, whose
+    point is one array of node values per coordinate, that node's
+    coordinates; else (or with no index) ``point`` itself."""
+    if at is None or not point or not isinstance(point[0], (tuple, np.ndarray)):
+        return point
+    return point[at[0]] if isinstance(point[0], tuple) else tuple(
+        float(c[at[0]]) for c in point)
 
 
 class ExprError(MixedCurvError):

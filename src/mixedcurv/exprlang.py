@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import operator
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from . import jets
-from .errors import ExprSyntaxError, NameResolutionError, SingularEvaluationError
+from .errors import (ExprSyntaxError, NameResolutionError, SingularEvaluationError,
+                     member_point)
 
 
 @dataclass(frozen=True)
@@ -267,29 +271,35 @@ class Program:
 
         An arithmetic error (a float division by zero, an overflow in
         ``exp``) surfaces as :class:`SingularEvaluationError` carrying the
-        point."""
+        point (at node seeds, the first node where it occurs).  An infinite
+        or NaN value is left to the caller's ``check_finite``: numpy, whose
+        arrays alone would warn, is kept quiet."""
         vals = []
         push = vals.append
+        quiet = (partial(np.errstate, over="ignore", invalid="ignore")
+                 if any(isinstance(x, jets.ArrayJet) for x in env) else nullcontext)
         try:
             for out, end in self.outputs:
-                for kind, a, b, c in self.code[len(vals):end]:
-                    if kind == "b":
-                        push(a(vals[b], vals[c]))
-                    elif kind == "u":
-                        push(a(vals[b]))
-                    elif kind == "c":
-                        push(a)
-                    elif kind == "v":
-                        push(env[a])
-                    elif params is None or a not in params:
-                        raise NameResolutionError(a)
-                    else:
-                        push(params[a])
+                with quiet():
+                    for kind, a, b, c in self.code[len(vals):end]:
+                        if kind == "b":
+                            push(a(vals[b], vals[c]))
+                        elif kind == "u":
+                            push(a(vals[b]))
+                        elif kind == "c":
+                            push(a)
+                        elif kind == "v":
+                            push(env[a])
+                        elif params is None or a not in params:
+                            raise NameResolutionError(a)
+                        else:
+                            push(params[a])
                 yield vals[out]
         except ArithmeticError as exc:
             raise SingularEvaluationError(
                 f"arithmetic error in expression ({type(exc).__name__}: {exc})",
-                point=[jets.value_of(x) for x in env]) from None
+                point=member_point([jets.value_of(x) for x in env],
+                                   getattr(exc, "at", None))) from None
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,

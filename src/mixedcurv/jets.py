@@ -10,10 +10,10 @@ with ordinary operators runs unchanged on either kind.  Binary operations
 between jets of different order truncate to the lower order.
 
 This module is the only one that knows a jet's layout.  Other modules build
-jets with :func:`seed`, :func:`as_field`, :func:`dense`, :func:`order1`
-and :func:`dshift`, and read them back through :func:`value_of`,
-:func:`values` (the float array) and :func:`gradients` (the gradient array,
-derivative index first).
+jets with :func:`seed`, :func:`as_field`, :func:`dense`, :func:`order1`,
+:func:`dshift` and :func:`scatter`, and read them back through
+:func:`value_of`, :func:`values` (the float array) and :func:`gradients`
+(the gradient array, derivative index first).
 
 A jet tensor field is one :class:`ArrayJet` (Taylor arithmetic in the vector
 forward mode): its value, gradient and Hessian arrays carry the tensor's
@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularEvaluationError
+from .errors import InvalidArgumentError, SingularEvaluationError, member_point
 
 
 class Jet:
@@ -509,10 +509,18 @@ def _nonzero(v):
 def _finite_power(v, e):
     """v ** e at every entry; an overflow raises as a float power does."""
     with np.errstate(over="ignore"):
-        out = v ** e
-    if np.isinf(out).any():
-        raise OverflowError("(34, 'Numerical result out of range')")
-    return out
+        return _no_overflow(v ** e, "(34, 'Numerical result out of range')")
+
+
+def _no_overflow(v, message):
+    """``v``; with an infinite entry, the OverflowError that ``math``
+    raises, carrying the index of the first as ``at``."""
+    inf = np.argwhere(np.isinf(v))
+    if len(inf):
+        exc = OverflowError(message)
+        exc.at = tuple(inf[0])
+        raise exc
+    return v
 
 
 def tensordot(a, b, axes=2):
@@ -740,35 +748,29 @@ def as_field(X, xs):
     """The field of ``X`` (an array jet, or an array or nested list of
     scalars) at the seeds ``xs`` it was evaluated at: the float array of its
     values at a float point, an array jet of X's shape at scalar seeds, and
-    at N node seeds an array jet with the node axis first.  Entries that are
-    the same at every node are broadcast over it as views."""
+    at N node seeds an array jet with the node axis first, of the seeds'
+    order.  Entries that are the same at every node are broadcast over it
+    as views."""
     x = xs[0]
     if not isinstance(x, _JETS):
         return values(X)
     F = dense(X, x.nvars)
+    if x.h is None:
+        F = _order1(F)
     if isinstance(x, ArrayJet) and not isinstance(X, ArrayJet):
         F = broadcast_to(F, x.shape + np.shape(np.asarray(X, dtype=object)))
     return F
 
 
-def where(mask, a, b, d):
-    """Node by node, ``a`` where the boolean node array ``mask`` holds and
-    ``b`` elsewhere; each is an array jet in d variables or a float, and a
-    float counts as a jet of any order with zero derivatives."""
-    if not isinstance(a, ArrayJet) and not isinstance(b, ArrayJet) and a == b:
-        return a
-    N = len(mask)
+def scatter(mask, F):
+    """The field F, given at the nodes where the boolean node array ``mask``
+    holds, over all of mask's nodes: zero at the others."""
+    def part(x, k):
+        out = np.zeros(mask.shape + x.shape[1:])
+        out[mask] = x
+        return out
 
-    def part(x, k, shape):
-        if not isinstance(x, ArrayJet):
-            return np.full(shape, float(x)) if k == 0 else np.zeros(shape)
-        return (x.v, x.g, x.h)[k]
-
-    v = np.where(mask, part(a, 0, N), part(b, 0, N))
-    g = np.where(mask[:, None], part(a, 1, (N, d)), part(b, 1, (N, d)))
-    ha, hb = part(a, 2, (N, d, d)), part(b, 2, (N, d, d))
-    h = None if ha is None or hb is None else np.where(mask[:, None, None], ha, hb)
-    return ArrayJet(v, g, h)
+    return F._parts(part)
 
 
 # ----------------------------------------------------------------------
@@ -794,8 +796,8 @@ def _elementary(f, taylor, overflows=False):
         if isinstance(x, ArrayJet):
             with np.errstate(over="ignore", invalid="ignore"):
                 parts = taylor(x.v, _NP)
-            if overflows and np.isinf(parts[0]).any():
-                raise OverflowError("math range error")
+            if overflows:
+                _no_overflow(parts[0], "math range error")
             return x._compose(*parts)
         return f(x)
     return op
@@ -907,8 +909,12 @@ def elementary(a, fn):
     return f(a)
 
 def check_finite(x, point=None):
-    """NaN policy: abort evaluation on any non-finite value (at any node)."""
+    """NaN policy: abort evaluation on any non-finite value (at any node);
+    at node seeds the error names the first node that has one (see
+    :func:`~mixedcurv.errors.member_point`)."""
     v = value_of(x)
     if not (np.isfinite(v).all() if isinstance(x, ArrayJet) else math.isfinite(v)):
-        raise SingularEvaluationError("non-finite intermediate value", point=point)
+        at = np.argwhere(~np.isfinite(v))[0] if isinstance(x, ArrayJet) else None
+        raise SingularEvaluationError("non-finite intermediate value",
+                                      point=member_point(point, at))
     return x

@@ -19,10 +19,11 @@ from operator import attrgetter
 import numpy as np
 
 from . import exprlang
-from .errors import ClassificationError, SpecializationError, SupportError
+from .errors import (ClassificationError, InvalidArgumentError, SpecializationError,
+                     SupportError)
 from .geometry import (PointGeometry, jet_matrix_inverse, node_chunks, quad, smix_density,
                        smix_density_batch)
-from .jets import as_field, dense, einsum, order1, seed, value_of, values, where
+from .jets import as_field, dense, einsum, order1, scatter, seed, value_of, values
 from .structure import orthonormal_frame
 from .euler_lagrange import (QuadratureSpec, domain_mean, grid_points, integrate,
                              pairwise_sum, s_star, volume)
@@ -71,33 +72,27 @@ class MetricVariation:
     params: dict = field(default_factory=dict)
 
     def raw_at(self, xs):
+        """The entries of raw B at ``xs``: zero outside the box, where nothing
+        is evaluated (exact: the bump's window vanishes to high order at the
+        box faces); node seeds that straddle the box are refused."""
         d = self.struct.dim
-        env = list(xs)
-        pr = {**self.struct.params, **self.params}
         out = [[0.0] * d for _ in range(d)]
-        mask = None
-        if self.box is not None:
-            # exact compact support: the window expressions vanish to high
-            # order at the box faces, and outside the box the field is zero;
-            # over array jets the test is made node by node
-            inside = True
-            for mu, (lo, hi) in enumerate(self.box):
-                x = value_of(env[mu])
-                inside = inside & (lo < x) & (x < hi)
-            if not np.any(inside):
-                return out
-            if not np.all(inside):
-                mask = inside
-        entries = self._program.run(env, pr)
+        inside = self._support(xs)
+        if not np.all(inside):
+            if np.any(inside):
+                raise InvalidArgumentError("raw B at node seeds that straddle the box")
+            return out
+        entries = self._program.run(list(xs), {**self.struct.params, **self.params})
         for i in range(d):
             for j in range(i, d):
-                v = next(entries)
-                if mask is not None:
-                    v = where(mask, v, 0.0, d)
-                out[i][j] = v
-                if i != j:
-                    out[j][i] = v
+                out[i][j] = out[j][i] = next(entries)
         return out
+
+    def _support(self, xs):
+        """Whether the seeds ``xs`` lie strictly inside the box (always
+        without one): a bool at a point, a node mask at node seeds."""
+        return np.all([(lo < x) & (x < hi) for x, (lo, hi) in
+                       zip(map(value_of, xs), self.box or ())], axis=0)
 
     @cached_property
     def _program(self):
@@ -107,25 +102,29 @@ class MetricVariation:
 
     def B_at(self, xs, metric_fn=None, gmat=None, span=None):
         """B as a field at ``xs``, as ``struct.metric_at`` gives the metric;
-        ``gmat`` and ``span`` are as for :func:`tangent_projector_jets`."""
-        return as_field(self._field(xs, metric_fn, gmat, span), xs)
-
-    def _field(self, xs, metric_fn, gmat, span=None):
-        """B at the seeds ``xs`` as one array jet."""
+        ``gmat`` and ``span`` are as for :func:`tangent_projector_jets`.
+        B is zero outside the box: at node seeds that straddle it only the
+        nodes inside are evaluated, with ``gmat`` and ``span`` sliced to
+        them (``metric_fn`` is called at ``xs`` only), and the others read
+        zero."""
+        d = self.struct.dim
+        inside = self._support(xs)
+        if np.any(inside) and not np.all(inside):
+            part = lambda F: None if F is None else dense(F, d)[inside]
+            fn = None if metric_fn is None else lambda _: part(metric_fn(xs))
+            return scatter(inside, self.B_at([x[inside] for x in xs], fn, part(gmat),
+                                             part(span)))
         raw = self.raw_at(xs)
-        B = dense(as_field(raw, xs), self.struct.dim)
-        if not self.project or self.klass == "general":
-            return B
-        if all(isinstance(x, float) and x == 0.0 for row in raw for x in row):
-            return B                      # outside the support: stay exactly zero
-        P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn, gmat=gmat,
-                                   span=span)
-        PBP = P.mT @ (B @ P)
-        if self.klass == "tan":
-            return PBP
-        if self.klass == "perp":
-            return B - PBP
-        raise ClassificationError(f"unknown variation class {self.klass!r}")
+        B = dense(as_field(raw, xs), d)
+        zero = all(isinstance(x, float) and x == 0.0 for row in raw for x in row)
+        if self.project and self.klass != "general" and not zero:   # outside: exactly zero
+            if self.klass not in ("tan", "perp"):
+                raise ClassificationError(f"unknown variation class {self.klass!r}")
+            P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn, gmat=gmat,
+                                       span=span)
+            PBP = P.mT @ (B @ P)
+            B = PBP if self.klass == "tan" else B - PBP
+        return as_field(B, xs)
 
     def metric_fn(self, t, base_metric_fn=None):
         """The metric function of g + t B; it returns fields, as
@@ -136,7 +135,7 @@ class MetricVariation:
 
         def fam(xs):
             g = dense(base(xs), self.struct.dim)
-            return as_field(g + t * self._field(xs, base_metric_fn, g), xs)
+            return as_field(g + t * self.B_at(xs, base_metric_fn, g), xs)
 
         return fam
 

@@ -11,11 +11,12 @@ first-variation right-hand sides ``_RHS.rhs`` of every formula, with each
 member's own pivot order and signs, and with the same error where the
 per-point bundle raises one.  A degenerate member fails a batch of metrics
 as the per-point bundle fails, naming the point; a node bundle names its
-failing node, also where a metric expression divides by zero there.  The
-identity suite reads a node bundle as it reads per-point bundles.  The frame-free chain and the density of a node bundle are
+failing node, also where a metric expression divides by zero or
+overflows there.  The identity suite reads a node bundle as it reads per-point bundles.  The frame-free chain and the density of a node bundle are
 bit-identical to the per-point ones wherever the metric jets are.
 """
 
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -366,6 +367,25 @@ def test_an_expression_error_names_its_failing_node():
             PointGeometry(s, where).tan.norm_h
         assert err.value.point == (0.0, 0.1, 0.2)
         assert str(err.value) == "division by jet with zero value at point (0.0, 0.1, 0.2)"
+
+
+@pytest.mark.parametrize("expr", ["1 + exp(800*x0)", "1 + x0*1e308*10"])
+def test_an_overflow_names_its_failing_node(expr):
+    # the entry overflows at the second node only, in exp or in a product:
+    # the node bundle raises what a bundle at that node alone raises, and
+    # numpy warns about neither
+    s = load_structure(f"dim = 3\ndtilde_dim = 1\nmetric 0 0 = {expr}\n"
+                       "metric 1 1 = 1\nmetric 2 2 = 1\ndtilde 0 = 0, 0, 1\n"
+                       "domain = [-1, 1] x [-1, 1] x [-1, 1]\n")
+    pts = np.array([[0.1, 0.0, 0.0], [0.95, 0.1, 0.2], [0.15, 0.0, 0.0]])
+    with pytest.raises(SingularEvaluationError) as want:
+        PointGeometry(s, pts[1]).gJ
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularEvaluationError) as got:
+            PointGeometry(s, pts).gJ
+    assert got.value.point == (0.95, 0.1, 0.2)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("key", gallery.list_entries() + [

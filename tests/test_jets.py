@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError
 from mixedcurv.jets import (ArrayJet, Jet, check_finite, dshift, elementary, gradients,
-                            jexp, jlog, jpow, jsin, jsqrt, jtanh, order1, seed,
-                            value_of, values, where)
+                            jexp, jlog, jpow, jsin, jsqrt, jtanh, order1, scatter,
+                            seed, value_of, values)
 
 
 def central(f, x, h):
@@ -497,16 +497,15 @@ def test_seeded_batch_reads_node_first():
         seed([[0.0, float("inf")]], 1)
 
 
-def test_where_and_check_finite_work_node_by_node():
+def test_scatter_and_check_finite_work_node_by_node():
     pts = np.array([[0.5], [1.0], [2.0]])
     (x,) = seed(pts, 2)
     m = np.array([True, False, True])
-    w = where(m, x * x, 3.0, 1)
-    assert w.v.tolist() == [0.25, 3.0, 4.0]
+    w = scatter(m, x[m] * x[m])
+    assert w.v.tolist() == [0.25, 0.0, 4.0]
     assert w.g[:, 0].tolist() == [1.0, 0.0, 4.0]
     assert w.h[:, 0, 0].tolist() == [2.0, 0.0, 2.0]
-    assert where(m, 3.0, 3.0, 1) == 3.0
-    assert where(m, x, order1(x), 1).h is None
+    assert scatter(m, order1(x)[m]).h is None
     assert check_finite(x) is x
     with pytest.raises(SingularEvaluationError):
         check_finite(ArrayJet(np.array([1.0, np.nan]), np.zeros((2, 1))))

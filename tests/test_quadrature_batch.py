@@ -11,10 +11,13 @@ the metric of a chunk on order-1 jets and builds no bundle;
 chunk through ``integrate``.  The reference is written here (and in
 ``pointwise_pairing.py`` for the pairing): a loop over per-point bundles,
 node by node.  Every integral is compared with it, nodes outside a bump are checked to see the
-base metric bit for bit, an evaluation error must surface exactly as the
-loop raises it, naming its node, and every box integral refuses a box
-outside the domain.
+base metric bit for bit, B at node seeds must be B at each node alone bit
+for bit (a bump's expressions run at the nodes inside its box only), an
+evaluation error must surface exactly as the loop raises it, naming its
+node, and every box integral refuses a box outside the domain.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,11 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcurv import euler_lagrange as el
-from mixedcurv import gallery
+from mixedcurv import exprlang, gallery
 from mixedcurv import variations as va
-from mixedcurv.errors import DomainError, SingularEvaluationError
+from mixedcurv.errors import DomainError, InvalidArgumentError, SingularEvaluationError
 from mixedcurv.geometry import PointGeometry, smix_density_batch, smix_density_fast
-from mixedcurv.jets import gradients, seed, values
+from mixedcurv.jets import dense, gradients, seed, value_of, values
 from mixedcurv.structure import load_structure
 from pointwise_pairing import pairing_by_points
 from test_random_structures import seeded_structure
@@ -147,6 +150,66 @@ def test_nodes_outside_the_bump_see_the_base_metric_bit_for_bit(klass):
     for k in np.flatnonzero(~outside)[:3]:
         Bk = values(v.B_at(seed(pts[k], 2)))
         assert np.allclose(values(B)[k], Bk, rtol=1e-13, atol=1e-15)
+
+
+# A bump in (-0.5, 0.5)^3 whose last entry has a pole at x0 = 0.7, outside
+# the box: nodes inside it, outside it, on a face (outside: the test is
+# strict) and at the pole, then all outside and all inside.
+POLE_BOX = ((-0.5, 0.5),) * 3
+POLE_NODES = {
+    "straddling": [[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.5, 0.1, 0.2],
+                   [0.2, -0.3, 0.1], [-0.9, 0.2, 0.0], [0.1, 0.45, -0.2]],
+    "outside": [[0.7, 0.0, 0.0], [0.6, 0.1, 0.1], [0.5, 0.0, 0.0]],
+    "inside": [[0.0, 0.0, 0.0], [0.2, -0.3, 0.1]],
+}
+
+
+def _bit_equal(a, b):
+    return all((x is None and y is None) or (
+        x is not None and y is not None and x.shape == y.shape and x.tobytes() == y.tobytes())
+        for x, y in zip((a.v, a.g, a.h), (b.v, b.g, b.h)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("klass", ["perp", "tan", "general"])
+def test_node_seed_B_matches_B_at_each_node(klass, project, order):
+    # B at node seeds is B at each node alone (a batch of one node), bit for
+    # bit: zero outside the box, where nothing is evaluated, so the pole
+    # there raises neither at node seeds nor at a point
+    s = _structure("r3_contact")
+    v = va.random_variation(s, klass, seed=5, box=POLE_BOX)
+    raw = [row[:] for row in v.raw]
+    raw[2][2] = exprlang.parse("1/(x0 - 0.7)", s.dim)
+    v = dataclasses.replace(v, raw=raw, project=project)
+    with pytest.raises(InvalidArgumentError):
+        v.raw_at(seed(np.array(POLE_NODES["straddling"]), order))
+    for pts in map(np.array, POLE_NODES.values()):
+        B = dense(v.B_at(seed(pts, order)), s.dim)
+        for k, pt in enumerate(pts):
+            assert _bit_equal(B[k], dense(v.B_at(seed(pts[k:k + 1], order)), s.dim)[0])
+            if not va._inside(pt, POLE_BOX):
+                assert _bit_equal(B[k], dense(v.B_at(seed(pt, order)), s.dim))
+                assert not B[k].v.any() and not B[k].g.any()
+
+
+def test_a_bump_is_evaluated_at_its_support_nodes_only(monkeypatch):
+    # the quadrature benchmark's configuration: a grid-6 box and a bump over
+    # 3 cells per axis, so 27 of the 216 nodes lie inside the bump
+    s = _structure("r3_contact")
+    lo, w = -0.65, 1.3 / 6
+    q = el.QuadratureSpec(box=((lo, -lo),) * 3, grid=6)
+    v = va.random_variation(s, "perp", seed=3, box=((lo + w, lo + 4 * w),) * 3)
+    sizes, run = [], exprlang.Program.run
+
+    def counted(program, env, params=None):
+        if program is v._program:
+            sizes.append(np.size(value_of(env[0])))
+        return run(program, env, params)
+
+    monkeypatch.setattr(exprlang.Program, "run", counted)
+    va.verify_bar_relation(s, v, q, sstar_grid=3)
+    assert max(sizes) == 27
 
 
 @pytest.mark.parametrize("key,box,vseed,degree", [
