@@ -1,8 +1,8 @@
 """Extrinsic geometry of an adapted splitting at a chart point.
 
 One evaluation pass drives everything: the metric (and the distribution's
-spanning fields) are evaluated on order-2 jets, the adapted frame is built by
-Gram-Schmidt *on jets*, and every first-derivative tensor (second fundamental
+spanning fields) are evaluated on order-2 jets, the adapted Gram-Schmidt frame
+is a jet field, and every first-derivative tensor (second fundamental
 forms, integrability tensors, mean curvatures, the alpha/theta families) is
 assembled in jet arithmetic so that its chart components carry their own
 spatial gradients.  Divergences, deformation tensors and gradients of derived

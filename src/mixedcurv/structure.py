@@ -30,7 +30,7 @@ from . import exprlang
 from .errors import (DegenerateDistributionError, DomainError,
                      SignatureInstabilityError, SpecFormatError, member_point)
 from .jets import (ArrayJet, as_field, broadcast_to, check_finite, concatenate, dense,
-                   einsum, jsqrt, value_of, values)
+                   value_of, values)
 
 DEGENERACY_TOL = 1e-9
 
@@ -288,41 +288,10 @@ def _inner(gmat, v, w):
 
 def _null(gabs, v, q, tol):
     """g(v, v) = q is negligible against sum |g_ij| |v_i| |v_j|, the size it
-    would have without cancellation (``gabs`` holds the |g_ij| and ``v``
-    the values); a zero vector is null.  Member by member over leading
-    batch axes."""
+    would have without cancellation (``gabs`` holds the |g_ij|); a zero
+    vector is null."""
     a = np.abs(np.asarray(v, dtype=float))
-    return np.abs(value_of(q)) <= tol * np.einsum("...m,...mn,...n->...", a, gabs, a)
-
-
-def _gs_pass(gmat, W, n_span, dim, tol, point):
-    """Indefinite modified Gram-Schmidt on the rows of the jet field ``W``
-    (span vectors first), right-looking: each new frame vector is projected
-    out of all later rows at once, so every row takes its projections in the
-    order of the row-by-row sweep.  Leading batch axes of ``gmat`` and ``W``
-    are members, each with its own rows and signs.  Returns (frame rows as
-    one jet field, signs of the batch shape + (dim,))."""
-    frame, signs = [], []
-    gabs = np.abs(values(gmat))
-    for k in range(dim):
-        v, W = W[..., 0, :], W[..., 1:, :]
-        gv = einsum("...mn,...n->...m", gmat, v)
-        q = einsum("...m,...m->...", v, gv)
-        null = _null(gabs, values(v), q, tol)
-        if np.any(null):
-            raise DegenerateDistributionError(
-                "distribution vector is null or dependent" if k < n_span else
-                "no non-null candidate for the orthogonal complement",
-                point=member_point(point, np.argwhere(null)[0]))
-        s = np.where(values(q) > 0.0, 1.0, -1.0)
-        inv = (1.0 / jsqrt(s * q))[..., None]
-        e = v * inv
-        frame.append(e[..., None, :])
-        signs.append(s)
-        if k + 1 < dim:
-            c = einsum("...rm,...m->...r", W, gv * inv)    # g(e, w) for every later row w
-            W = W - einsum("...r,...m->...rm", s[..., None] * c, e)
-    return concatenate(frame, axis=np.ndim(s)), np.stack(signs, axis=-1)
+    return abs(q) <= tol * np.einsum("m,mn,n->", a, gabs, a)
 
 
 def _float_pass(g0, span0, dim, tol, point):
@@ -371,22 +340,26 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     """Pivoted indefinite Gram-Schmidt over floats or jet fields.
 
     Span vectors are orthogonalized in declared order; the complement is
-    filled from coordinate basis vectors.  Pivoting (on the largest |g(v,v)|
-    among the reduced candidates, to avoid near-null vectors) is decided on a
-    cheap float pass over the value parts; when either input is an array jet
-    (a field at seeds), a jet pass on array jets (see
-    :func:`mixedcurv.jets.dense`) then runs the chosen order, so the
-    selection is locally constant and jet-differentiable, and the frame
-    vectors are the rows of one field.
-    Nullness is relative to each vector's own size (``_null``).
+    filled from coordinate basis vectors.  A float pass over the value parts
+    chooses the pivots (the largest |g(v,v)| among the reduced candidates,
+    to avoid near-null vectors), the signs and the frame's values F0, and
+    raises every degeneracy; nullness is relative to each vector's own size
+    (``_null``).  When either input is an array jet (a field at seeds, see
+    :func:`mixedcurv.jets.dense`), one triangular jet correction then gives
+    the frame as the rows of one field.  With W the candidate rows (span,
+    then the pivoted unit rows), F0 = T0 W0 for a lower triangular T0, and
+    Ê = F0 + T0 (W - W0) has the frame's value.  Ê g Êᵀ = S + X with X of
+    zero value; the frame is E = (I + Z)⁻¹ Ê = (I - Z + Z²) Ê, exact at
+    order 2, where the lower triangular Z of zero value solves
+    Z S + S Zᵀ + Z S Zᵀ = X (two fixed-point steps).  Since the selection is
+    locally constant, E is the Gram-Schmidt frame of the rows W under g.
 
     A metric with leading batch axes, shape B + (dim, dim), is a batch of
     metrics at one point (the span vectors may carry B or not).  The float
-    pass runs member by member, so each member takes its own pivot order,
-    and one jet pass runs every member's order: the pivots enter it only as
-    the member's candidate rows and the signs as a factor +-1 per member.
-    The frame is then a field of shape B + (dim, dim) and the signs arrays
-    of shape B + (n,) and B + (dim - n,).
+    pass runs member by member, so each member takes its own pivot order
+    and signs, which enter the correction as the member's candidate rows,
+    T0 and S.  The frame is then a field of shape B + (dim, dim) and the
+    signs arrays of shape B + (n,) and B + (dim - n,).
     """
     g0, span0 = values(gmat), values(span_vectors)
     n = span0.shape[-2]
@@ -399,14 +372,25 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
         frame, signs, _ = passes[0]
         return AdaptedFrame(E=frame[:n], eps_tan=signs[:n], Eperp=frame[n:],
                             eps_perp=signs[n:])
-    pivots = np.reshape([p[2] for p in passes], batch + (dim - n,))
+    F0, S, pivots = (np.reshape([p[k] for p in passes], batch + shape)
+                     for k, shape in enumerate([(dim, dim), (dim,), (dim - n,)]))
     W = concatenate((broadcast_to(dense(span_vectors, dim), batch + (n, dim)),
                      dense(np.eye(dim)[pivots], dim)), axis=len(batch))
-    frame, signs = _gs_pass(dense(gmat, dim), W, n, dim, tol, point)
-    eps_tan, eps_perp = signs[..., :n], signs[..., n:]
+    W0 = values(W)
+    T0 = np.tril(np.linalg.solve(W0.mT, F0.mT).mT)
+    Ehat = F0 + T0 @ (W - W0)
+    X = Ehat @ dense(gmat, dim) @ Ehat.mT
+    X = X - values(X)
+    # Z S is the strict lower part of X - Z S Zᵀ plus half its diagonal
+    lower = np.tril(np.ones((dim, dim)), -1) + 0.5 * np.eye(dim)
+    ZS = X * lower
+    ZS = (X - ZS @ (ZS * S[..., None, :]).mT) * lower
+    Z = ZS * S[..., None, :]
+    E = (np.eye(dim) - Z + Z @ Z) @ Ehat
+    eps_tan, eps_perp = S[..., :n], S[..., n:]
     if not batch:
         eps_tan, eps_perp = eps_tan.tolist(), eps_perp.tolist()
-    return AdaptedFrame(E=frame[..., :n, :], eps_tan=eps_tan, Eperp=frame[..., n:, :],
+    return AdaptedFrame(E=E[..., :n, :], eps_tan=eps_tan, Eperp=E[..., n:, :],
                         eps_perp=eps_perp)
 
 

@@ -257,6 +257,9 @@ def test_members_of_one_batch_take_their_own_pivots_and_signs(key, steps):
     (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), attrgetter("tan.norm_h"),
      DegenerateDistributionError, "distribution vector is null or dependent"),
     (np.zeros((3, 3)), attrgetter("GammaJ"), SingularEvaluationError, "singular metric"),
+    # e1 completes the frame under g = diag(1, 1, 0), and the last candidate e2 is null
+    (np.diag([1.0, 1.0, 0.0]), attrgetter("frameJ"), DegenerateDistributionError,
+     "no non-null candidate for the orthogonal complement"),
 ])
 def test_a_degenerate_member_fails_the_batch_as_at_one_point(bad, read, error, message):
     s = load_structure("dim = 3\ndtilde_dim = 1\nmetric 0 0 = 1\nmetric 1 1 = 1\n"
