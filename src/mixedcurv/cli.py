@@ -9,8 +9,11 @@ Subcommands
 Structures come either from ``--spec PATH`` (the structure file format, see
 the README) or ``--gallery NAME``.  Points are given explicitly with
 ``--points "(x0,x1,..);(..)"`` or sampled reproducibly with ``--random N
---seed S``.  Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 an
-engine or configuration error.  Reports embed the structure content hash and
+--seed S``.  ``inspect`` and the pointwise suites read their points as one
+bundle per chunk of points; a chunk that raises or gives a non-finite value
+is read again point by point, so every error is reported at its point as a
+bundle at that point alone reports it.  Exit codes: 0 all verdicts pass, 1
+a verdict failed, 2 an engine or configuration error.  Reports embed the structure content hash and
 the seed, so identical configurations produce byte-identical JSON.
 """
 
@@ -29,7 +32,8 @@ from . import euler_lagrange as el
 from . import gallery as gal
 from . import variations as va
 from .errors import MixedCurvError, SingularEvaluationError
-from .geometry import PointGeometry, identity_suite
+# identity_suite stays: tests patch it to check that bad input evaluates no point
+from .geometry import PointGeometry, identity_suite, identity_suite_at, node_chunks
 from .structure import load_structure
 
 DEFAULT_TOL = 1e-6
@@ -114,18 +118,34 @@ def _base_report(args, struct):
 
 # ----------------------------------------------------------------------
 
+def _each_point(struct, pts, read):
+    """The dict ``read(geom)`` at every point, point axis first: one bundle per
+    chunk of points (``node_chunks``), and the bundle at a point alone for a
+    chunk of one point and at each point of a chunk that fails."""
+    def chunk(c):
+        one = len(c) == 1
+        vals = read(PointGeometry(struct, c[0] if one else c))
+        return {k: np.asarray(v, float)[None] if one else np.asarray(v, float)
+                for k, v in vals.items()}
+
+    return node_chunks(pts, struct.dim, chunk)
+
+
 def cmd_inspect(args):
     struct, _ = _load(args)
     pts = _points(args, struct)
     report = _base_report(args, struct)
     report["command"] = "inspect"
-    report["points"] = []
-    for pt in pts:
-        summary = PointGeometry(struct, pt).summary()
-        bad = [k for k, v in summary.items() if _non_finite(v)]
+
+    def summary(geom):
+        out = geom.summary()
+        bad = [k for k, v in out.items() if _non_finite(v)]
         if bad:
-            raise SingularEvaluationError(f"non-finite {', '.join(bad)}", point=pt)
-        report["points"].append(summary)
+            raise SingularEvaluationError(f"non-finite {', '.join(bad)}", point=geom.point)
+        return out
+
+    res = _each_point(struct, pts, summary)
+    report["points"] = [{k: v[i].tolist() for k, v in res.items()} for i in range(len(pts))]
     return report, 0
 
 
@@ -139,11 +159,11 @@ def cmd_verify(args):
     checks = []
 
     if args.suite == "identities":
-        for pt in pts:
-            res = identity_suite(struct, pt, rng_seed=args.seed)
-            for key, value in res.items():
-                if key == "max":
-                    continue
+        res = _each_point(struct, pts, lambda geom: identity_suite_at(geom, args.seed))
+        del res["max"]
+        for i, pt in enumerate(pts):
+            for key, values in res.items():
+                value = float(values[i])
                 checks.append({"check": key, "point": list(pt),
                                "residual": value, "tolerance": args.tol,
                                "provenance": "derived:independent-paths",
@@ -158,18 +178,35 @@ def cmd_verify(args):
                    for eq in claims if eq not in runnable]
         if skipped:
             report["skipped"] = skipped
-        for pt in pts:
-            geom = PointGeometry(struct, pt)
-            for eq in (eq for eq in runnable if eq in claims):
+        eqs = [eq for eq in runnable if eq in claims]
+        errors = {}
+
+        def norms(geom):
+            """The norm of every equation; at a point, one that raises reads
+            nan and its message is kept for its check."""
+            out = {}
+            for eq in eqs:
+                try:
+                    out[eq] = el.EQUATIONS[eq].run(geom).norm
+                except MixedCurvError as exc:
+                    if geom.coords.ndim == 2:
+                        raise               # a chunk: its points are read one by one
+                    errors[geom.point, eq] = str(exc)
+                    out[eq] = math.nan
+            return out
+
+        res = _each_point(struct, pts, norms)
+        for i, pt in enumerate(pts):
+            for eq in eqs:
                 critical = claims[eq]
                 check = {"check": eq, "point": list(pt), "tolerance": args.tol,
                          "expected": "critical" if critical else "non-critical",
                          "provenance": "gallery-flag" if entry else "assumed-critical"}
-                try:
-                    norm = el.EQUATIONS[eq].run(geom).norm
-                except MixedCurvError as exc:
-                    check.update(residual=None, error=str(exc), verdict=False)
+                error = errors.get((tuple(pt), eq))
+                if error is not None:
+                    check.update(residual=None, error=error, verdict=False)
                 else:
+                    norm = float(res[eq][i])
                     ok = (norm <= args.tol if critical
                           else norm >= NONCRITICAL_FACTOR * args.tol)
                     check.update(residual=norm, verdict=bool(ok))
@@ -206,15 +243,16 @@ def cmd_verify(args):
     elif args.suite == "gallery":
         if entry is None:
             raise MixedCurvError("--gallery is required for the gallery suite")
-        for pt in pts:
-            geom = PointGeometry(struct, pt)
-            for exp in entry.expected:
-                got = gal.evaluate_quantity(entry, geom, exp.quantity)
-                dev = float(np.max(np.abs(np.asarray(got, float)
-                                          - np.asarray(exp.value, float))))
+        res = _each_point(struct, pts, lambda geom: {
+            k: gal.evaluate_quantity(entry, geom, exp.quantity)
+            for k, exp in enumerate(entry.expected)})
+        for i, pt in enumerate(pts):
+            for k, exp in enumerate(entry.expected):
+                got = res[k][i]
+                dev = float(np.max(np.abs(got - np.asarray(exp.value, float))))
                 checks.append({
                     "check": exp.quantity, "point": list(pt),
-                    "value": np.asarray(got).tolist(),
+                    "value": got.tolist(),
                     "expected": np.asarray(exp.value).tolist(),
                     "residual": dev, "tolerance": exp.tol,
                     "provenance": exp.provenance,

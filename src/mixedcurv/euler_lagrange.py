@@ -2,24 +2,27 @@
 
 Every equation is assembled term by term from a :class:`PointGeometry` bundle
 and reported as the max-abs norm of its residual in the adapted frame.  The
-evaluators read the bundle their caller built, so the equations at a point
-share one bundle; ``el_general`` also takes a (structure, point) pair and
-builds it.  The domain-mean constants entering the equations (the starred
-scalars, the mean divergence of the complement's mean curvature, the mean
-Ricci curvature) can be supplied by the caller or evaluated pointwise / by
-quadrature; the report always records which source was used.
+evaluators read the bundle their caller built, on trailing axes as the
+bundle is written: over N nodes a residual has the node axis first and a
+report one norm per node, at a point a float norm.  ``el_general`` also
+takes a (structure, point) pair and builds the bundle.  The domain-mean
+constants entering the equations (the starred scalars, the mean divergence
+of the complement's mean curvature, the mean Ricci curvature) can be
+supplied by the caller or evaluated pointwise / by quadrature; the report
+always records which source was used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import exprlang
 from .errors import DomainError, SpecializationError
-from .geometry import PointGeometry, metric_density, node_chunks
+from .geometry import PointGeometry, _scalar, metric_density, node_chunks
 from .jets import as_field, dshift, gradients, jexp, seed, value_of, values
 
 DEFAULT_TOL = 1e-6
@@ -138,11 +141,12 @@ def s_star_flow(geom):
     if geom.n != 1:
         raise SpecializationError("flow form needs rank-one D-tilde")
     tan, perp = geom.tan, geom.perp
-    eN = tan.eps[0]
+    eN = _scalar(np.asarray(tan.eps)[..., 0])
     star_perp = eN * geom.ric_N - 2.0 * ((2.0 / geom.p) * perp.norm_T
                                          + tan.div_H / geom.p)
-    nt1 = float(np.dot(gradients(perp.tau1_J, geom.d), geom.F[0]))
-    tau2 = float(np.trace(perp.A_ops[0] @ perp.A_ops[0]))
+    nt1 = _along(perp.tau1_J, geom, 0)
+    At = perp.A_ops[..., 0, :, :]
+    tau2 = _trace(At @ At)
     star_tan = eN * geom.ric_N - 2.0 * (eN * (nt1 - tau2) - perp.norm_T)
     return star_perp, star_tan
 
@@ -152,12 +156,14 @@ def s_star_flow(geom):
 
 @dataclass
 class ELReport:
+    """An equation's residual (frame components) and its max-abs norm; on a
+    node bundle the residual has the node axis first, and the norm and the
+    verdict are arrays over the nodes."""
     equation: str
     residual: list
     norm: float
     constants: dict = field(default_factory=dict)
     tolerance: float = DEFAULT_TOL
-    extra: dict = field(default_factory=dict)
 
     @property
     def verdict(self):
@@ -167,17 +173,40 @@ class ELReport:
         return {
             "equation": self.equation,
             "residual": self.residual,
-            "residual_norm": self.norm,
+            "residual_norm": np.asarray(self.norm).tolist(),
             "constants": self.constants,
             "tolerance": self.tolerance,
-            "verdict": bool(self.verdict),
-            **({"extra": self.extra} if self.extra else {}),
+            "verdict": np.asarray(self.verdict).tolist(),
         }
 
 
-def _report(eq, matrix, constants, tol):
-    arr = np.atleast_1d(np.asarray(matrix, float))
-    return ELReport(eq, arr.tolist(), float(np.max(np.abs(arr))), constants, tol)
+def _report(geom, eq, resid, constants, tol):
+    """The report of ``resid``, with the bundle's batch axes first and at
+    least one axis after them: one norm per member of the batch."""
+    arr = np.asarray(resid, float)
+    lead = len(geom.batch)
+    norm = _scalar(np.max(np.abs(arr), axis=tuple(range(lead, arr.ndim))))
+    return ELReport(eq, arr.tolist(), norm, constants, tol)
+
+
+def _diag(c, eps):
+    """c diag(eps) over the batch, for a scalar c and a block's signs eps."""
+    e = np.asarray(c)[..., None] * eps
+    return e[..., None, :] * np.eye(e.shape[-1])
+
+
+def _scaled(c, M):
+    """c M for a scalar c and matrices M over the batch."""
+    return np.asarray(c)[..., None, None] * M
+
+
+def _trace(M):
+    return _scalar(np.trace(M, axis1=-2, axis2=-1))
+
+
+def _along(fJ, geom, k):
+    """The derivative of the jet scalar fJ along the frame vector e_k."""
+    return _scalar(np.einsum("m...,...m->...", gradients(fJ, geom.d), geom.F[..., k, :]))
 
 
 def _constant(consts, constants, key, fallback):
@@ -202,10 +231,10 @@ def _el_block(geom, B, A, star):
     return (B.r - B.pair_tensor_vec
             + B.flat(B.casorati)
             - B.flat(B.tcal)
-            + A.phi_h[B.sl, B.sl] + A.phi_T[B.sl, B.sl]
+            + A.phi_h[..., B.sl, B.sl] + A.phi_T[..., B.sl, B.sl]
             + A.psi - B.def_of(A.HJ)
             + B.flat(B.kcal)
-            - 0.5 * (geom.smix - star + B.div_H - A.div_H) * np.diag(B.eps))
+            - _diag(0.5 * (geom.smix - star + B.div_H - A.div_H), B.eps))
 
 
 def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
@@ -225,23 +254,23 @@ def el_general_at(geom, which, constants=None, tol=DEFAULT_TOL):
         B = perp if which == "E-main-0i" else tan
         star = _constant(consts, constants, f"s_star_{B.side}",
                          lambda: s_star(geom, B.side))
-        return _report(which, _el_block(geom, B, B.dual, star), consts, tol)
+        return _report(geom, which, _el_block(geom, B, B.dual, star), consts, tol)
 
     if which == "E-main-0ii":
         M = geom.to_frame02(geom.div_12(tan.alpha_field)) - perp.div_theta
-        full = (2.0 * geom.pair_vec_12(tan.theta_b, perp.Hb_frame)
-                + geom.pair_vec_12(perp.theta_b - perp.alpha_b,
-                                   tan.Hb_frame)
-                + 0.5 * (np.outer(tan.Hb_frame, perp.Hb_frame)
-                         + np.outer(perp.Hb_frame, tan.Hb_frame))
+        H, Ht = tan.Hb_frame, perp.Hb_frame
+        full = (2.0 * geom.pair_vec_12(tan.theta_b, Ht)
+                + geom.pair_vec_12(perp.theta_b - perp.alpha_b, H)
+                + 0.5 * (H[..., :, None] * Ht[..., None, :]
+                         + Ht[..., :, None] * H[..., None, :])
                 + 2.0 * geom.lam(perp.alpha_b, tan.theta_b)
                 + geom.lam(tan.alpha_b, perp.alpha_b)
                 + geom.lam(tan.theta_b, perp.theta_b))
         # the (D-tilde, D) block of each tensor, symmetrized
-        resid = (0.5 * (M[:n, n:] + M[n:, :n].T)
-                 + 0.5 * (full[:n, n:] + full[n:, :n].T)
+        resid = (0.5 * (M[..., :n, n:] + M[..., n:, :n].mT)
+                 + 0.5 * (full[..., :n, n:] + full[..., n:, :n].mT)
                  - tan.delta_of(tan.HJ))
-        return _report(which, resid, consts, tol)
+        return _report(geom, which, resid, consts, tol)
 
     raise SpecializationError(f"unknown equation {which!r}")
 
@@ -252,12 +281,11 @@ def el_general_at(geom, which, constants=None, tol=DEFAULT_TOL):
 def _flow_data(geom):
     if geom.n != 1:
         raise SpecializationError("flow equations need rank-one D-tilde")
-    eN = geom.tan.eps[0]
-    At = geom.perp.A_ops[0]
-    Tt = geom.perp.Tsharp_ops[0]
-    hsc = eN * geom.perp.h[:, :, 0]
-    tau1 = float(np.trace(At))
-    return eN, At, Tt, hsc, tau1
+    eN = _scalar(np.asarray(geom.tan.eps)[..., 0])
+    At = geom.perp.A_ops[..., 0, :, :]
+    Tt = geom.perp.Tsharp_ops[..., 0, :, :]
+    hsc = _scaled(eN, geom.perp.h[..., 0])
+    return eN, At, Tt, hsc, _trace(At)
 
 
 def el_flow(geom, which, constants=None, tol=DEFAULT_TOL):
@@ -271,29 +299,29 @@ def el_flow(geom, which, constants=None, tol=DEFAULT_TOL):
         star = _constant(consts, constants, "s_star_perp",
                          lambda: s_star(geom, "perp"))
         op = At @ At - Tt @ Tt + (Tt @ At - At @ Tt)
-        div_term = geom.div_vector(tan.unit_J * (eN * perp.tau1_J) - tan.HJ)
-        resid = (eN * (geom.jacobi_N + perp.flat(op))
-                 - tau1 * hsc
-                 + np.outer(tan.Hb_frame[1:], tan.Hb_frame[1:])
+        div_term = geom.div_vector(tan.unit_J * (eN * perp.tau1_J)[..., None] - tan.HJ)
+        H = tan.Hb_frame[..., 1:]
+        resid = (_scaled(eN, geom.jacobi_N + perp.flat(op))
+                 - _scaled(tau1, hsc)
+                 + H[..., :, None] * H[..., None, :]
                  - perp.def_of(tan.HJ)
-                 - 0.5 * (eN * geom.ric_N - star + div_term) * np.diag(perp.eps))
-        return _report(which, resid, consts, tol)
+                 - _diag(0.5 * (eN * geom.ric_N - star + div_term), perp.eps))
+        return _report(geom, which, resid, consts, tol)
 
     if which == "E-main-3i":
         form = geom.div_11(perp.Tsharp_field, mode="perp")
-        Hperp = np.array([perp.eps[i] * tan.Hb_frame[1 + i] for i in range(p)])
-        TtH = Tt @ Hperp
-        resid = np.zeros(p)
-        for j in range(p):
-            resid[j] = float(form @ geom.F[1 + j]) + 2.0 * perp.eps[j] * TtH[j]
-        return _report(which, resid, consts, tol)
+        eps = np.asarray(perp.eps)
+        TtH = (Tt @ (eps * tan.Hb_frame[..., 1:])[..., None])[..., 0]
+        resid = (np.einsum("...m,...jm->...j", form, geom.F[..., 1:, :])
+                 + 2.0 * eps * TtH)
+        return _report(geom, which, resid, consts, tol)
 
     if which == "E-main-2i":
         star = _constant(consts, constants, "s_star_tan",
                          lambda: s_star(geom, "tan"))
         resid = (eN * geom.ric_N + star - 4.0 * perp.norm_T
-                 - geom.div_vector(tan.unit_J * (eN * perp.tau1_J) + tan.HJ))
-        return _report(which, [resid], consts, tol)
+                 - geom.div_vector(tan.unit_J * (eN * perp.tau1_J)[..., None] + tan.HJ))
+        return _report(geom, which, np.asarray(resid)[..., None], consts, tol)
 
     raise SpecializationError(f"unknown flow equation {which!r}")
 
@@ -303,16 +331,18 @@ def el_geodesic_riemannian_flow(geom, tol=DEFAULT_TOL, guard_tol=1e-8):
     if geom.n != 1:
         raise SpecializationError("geodesic Riemannian flow needs rank-one D-tilde")
     norm_h, norm_ht = geom.tan.norm_h, geom.perp.norm_h
-    if norm_h > guard_tol or norm_ht > guard_tol:
+    bad = (np.asarray(norm_h) > guard_tol) | (np.asarray(norm_ht) > guard_tol)
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])         # the first failing member
         raise SpecializationError(
-            f"not a geodesic Riemannian flow: |h|^2={norm_h:.2e}, "
-            f"|h~|^2={norm_ht:.2e}")
+            f"not a geodesic Riemannian flow: |h|^2={np.asarray(norm_h)[at]:.2e}, "
+            f"|h~|^2={np.asarray(norm_ht)[at]:.2e}")
     p = geom.p
-    iso = geom.jacobi_N - (geom.ric_N / p) * np.diag(geom.perp.eps)
-    mixed = np.array([geom.ricci_frame[0, 1 + i] for i in range(p)])
+    iso = geom.jacobi_N - _diag(geom.ric_N / p, geom.perp.eps)
     return {
-        "E-1geod-Riem": _report("E-1geod-Riem", iso, {}, tol),
-        "geodriemflowiii": _report("geodriemflowiii", mixed, {}, tol),
+        "E-1geod-Riem": _report(geom, "E-1geod-Riem", iso, {}, tol),
+        "geodriemflowiii": _report(geom, "geodriemflowiii",
+                                   geom.ricci_frame[..., 0, 1:], {}, tol),
         "ric_N": geom.ric_N,
         "p": p,
     }
@@ -326,82 +356,55 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
 
     ``which`` selects a specialization: 'flow' for the rank-one-distribution
     system, 'codim1' for codimension-one foliations, 'contact-T' for the
-    non-integrability action on contact-type structures.
+    non-integrability action on contact-type structures.  The points are
+    read as one node bundle, with one row per point.
     """
     pts = [points] if isinstance(points[0], (int, float)) else list(points)
+    if which not in ("flow", "codim1", "contact-T"):
+        raise SpecializationError(f"unknown volume-preserving system {which!r}")
+    if which == "contact-T" and struct.n != 1:
+        raise SpecializationError(
+            "the contact-action multiplier system needs rank-one D-tilde")
+    geom = PointGeometry(struct, np.array(pts, dtype=float), metric_fn=metric_fn)
+    n, p, perp = geom.n, geom.p, geom.perp
 
     if which == "flow":
-        rows = []
-        for pt in pts:
-            geom = PointGeometry(struct, pt, metric_fn=metric_fn)
-            eN, At, Tt, hsc, tau1 = _flow_data(geom)
-            perp, p = geom.perp, geom.p
-            Q = perp.norm_T
-            lhs = eN * (geom.jacobi_N - perp.flat(Tt @ Tt))
-            trace = sum(perp.eps[i] * lhs[i, i] for i in range(p))
-            lam1 = eN * geom.ric_N - (2.0 / p) * trace
-            lam2 = 4.0 * Q - eN * geom.ric_N
-            mixed = max(abs(geom.ricci_frame[0, 1 + i]) for i in range(p))
-            rows.append({
-                "point": list(pt),
-                "lambda_from_E-main-1K": lam1,
-                "lambda_from_E-main-2K": lam2,
-                "lambda_gap": abs(lam1 - lam2),
-                "ric_mixed_norm": mixed,
-                "norm_Tt": Q,
-                "closed_form_1K": (p - 4.0) / p * Q,
-                "closed_form_2K": 3.0 * Q,
-            })
-        gap = max(r["lambda_gap"] for r in rows)
-        return {"which": which, "rows": rows, "max_gap": gap,
-                "consistent": gap <= tol}
-
-    if which == "codim1":
-        rows = []
-        for pt in pts:
-            geom = PointGeometry(struct, pt, metric_fn=metric_fn)
-            rep = el_codim1(geom, "codim1folgenvar", tol=tol)
-            rep2 = el_codim1(geom, "codimoneEL2", tol=tol)
-            rows.append({"point": list(pt),
-                         "genvar_norm": rep.norm,
-                         "divA_norm": rep2.norm,
-                         "lambda": rep.constants.get("lambda")})
-        gap = max(max(r["genvar_norm"], r["divA_norm"]) for r in rows)
-        return {"which": which, "rows": rows, "max_gap": gap,
-                "consistent": gap <= tol}
-
+        eN, At, Tt, hsc, tau1 = _flow_data(geom)
+        Q = perp.norm_T
+        lhs = _scaled(eN, geom.jacobi_N - perp.flat(Tt @ Tt))
+        lam1 = eN * geom.ric_N - (2.0 / p) * np.einsum("...i,...ii->...", perp.eps, lhs)
+        lam2 = 4.0 * Q - eN * geom.ric_N
+        cols = {"lambda_from_E-main-1K": lam1, "lambda_from_E-main-2K": lam2,
+                "lambda_gap": np.abs(lam1 - lam2),
+                "ric_mixed_norm": np.max(np.abs(geom.ricci_frame[..., 0, 1:]), axis=-1),
+                "norm_Tt": Q, "closed_form_1K": (p - 4.0) / p * Q, "closed_form_2K": 3.0 * Q}
+        gap = cols["lambda_gap"]
+    elif which == "codim1":
+        rep = el_codim1(geom, "codim1folgenvar", tol=tol)
+        rep2 = el_codim1(geom, "codimoneEL2", tol=tol)
+        cols = {"genvar_norm": rep.norm, "divA_norm": rep2.norm,
+                "lambda": rep.constants["lambda"]}
+        gap = np.maximum(rep.norm, rep2.norm)
+    else:
+        Q = perp.norm_T
+        lam_perp = -2.0 * np.trace(perp.tcal, axis1=-2, axis2=-1) / p - 0.5 * Q
+        lam_top = 0.5 * Q - np.einsum("...a,...aa->...", geom.tan.eps,
+                                      perp.phi_T[..., :n, :n]) / n
+        # closed forms as printed for contact structures (see docs)
+        paper_perp, paper_top = 4.0 - p / 2.0, 1.5 * p
+        cols = {"norm_Tt": Q, "lambda_perp_trace": lam_perp, "lambda_top_trace": lam_top,
+                "lambda_perp_paper": paper_perp, "lambda_top_paper": paper_top,
+                "paper_gap": abs(paper_perp - paper_top),
+                "trace_gap": np.abs(lam_perp - lam_top)}
+        gap = cols["paper_gap"]
+    cols = {k: np.broadcast_to(v, (len(pts),)).tolist() for k, v in cols.items()}
+    out = {"which": which, "max_gap": float(np.max(gap)),
+           "rows": [{"point": list(pt), **{k: v[i] for k, v in cols.items()}}
+                    for i, pt in enumerate(pts)]}
+    out["consistent"] = out["max_gap"] <= tol
     if which == "contact-T":
-        if struct.n != 1:
-            raise SpecializationError(
-                "the contact-action multiplier system needs rank-one D-tilde")
-        rows = []
-        for pt in pts:
-            geom = PointGeometry(struct, pt, metric_fn=metric_fn)
-            n, p, perp = geom.n, geom.p, geom.perp
-            Q = perp.norm_T
-            tr_tcal = float(np.trace(perp.tcal))
-            lam_perp_trace = -2.0 * tr_tcal / p - 0.5 * Q
-            tr_phi = sum(geom.tan.eps[a] * perp.phi_T[a, a] for a in range(n))
-            lam_top_trace = 0.5 * Q - tr_phi / n
-            # closed forms as printed for contact structures (see docs)
-            lam_perp_paper = 4.0 - p / 2.0
-            lam_top_paper = 1.5 * p
-            rows.append({
-                "point": list(pt),
-                "norm_Tt": Q,
-                "lambda_perp_trace": lam_perp_trace,
-                "lambda_top_trace": lam_top_trace,
-                "lambda_perp_paper": lam_perp_paper,
-                "lambda_top_paper": lam_top_paper,
-                "paper_gap": abs(lam_perp_paper - lam_top_paper),
-                "trace_gap": abs(lam_perp_trace - lam_top_trace),
-            })
-        gap = max(r["paper_gap"] for r in rows)
-        return {"which": which, "rows": rows, "max_gap": gap,
-                "consistent": gap <= tol,
-                "trace_gap": max(r["trace_gap"] for r in rows)}
-
-    raise SpecializationError(f"unknown volume-preserving system {which!r}")
+        out["trace_gap"] = max(cols["trace_gap"])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -418,23 +421,20 @@ def el_tildeT_action(geom, constants=None, tol=DEFAULT_TOL):
     tstar2 = _constant(consts, constants, "T_star",
                        lambda: (2.0 + n) / (2.0 * n) * Q)
 
-    r1 = (2.0 * perp.flat(perp.tcal)
-          + (0.5 * Q + tstar) * np.diag(perp.eps))
+    r1 = 2.0 * perp.flat(perp.tcal) + _diag(0.5 * Q + tstar, perp.eps)
 
+    # the (D-tilde, D) blocks, symmetrized
     div_tth = perp.div_theta
     lamT = geom.lam(perp.theta_b, tan.theta_b - tan.alpha_b)
-    r2 = np.zeros((n, p))
-    for a in range(n):
-        for i in range(p):
-            r2[a, i] = (0.5 * (lamT[a, n + i] + lamT[n + i, a])
-                        - 0.5 * (div_tth[a, n + i] + div_tth[n + i, a]))
+    r2 = (0.5 * (lamT[..., :n, n:] + lamT[..., n:, :n].mT)
+          - 0.5 * (div_tth[..., :n, n:] + div_tth[..., n:, :n].mT))
 
-    r3 = perp.phi_T[:n, :n] - (0.5 * Q - tstar2) * np.diag(tan.eps)
+    r3 = perp.phi_T[..., :n, :n] - _diag(0.5 * Q - tstar2, tan.eps)
 
     return {
-        "ELtildeT1": _report("ELtildeT1", r1, consts, tol),
-        "ELtildeT2": _report("ELtildeT2", r2, consts, tol),
-        "ELtildeT3": _report("ELtildeT3", r3, consts, tol),
+        "ELtildeT1": _report(geom, "ELtildeT1", r1, consts, tol),
+        "ELtildeT2": _report(geom, "ELtildeT2", r2, consts, tol),
+        "ELtildeT3": _report(geom, "ELtildeT3", r3, consts, tol),
     }
 
 
@@ -468,11 +468,9 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
 
     hat = PointGeometry(struct, point,
                         metric_fn=conformal_metric(struct, psi_ast, metric_fn))
-    hperp = hat.perp
+    hperp, heps = hat.perp, np.asarray(hat.perp.eps)
     form = hat.div_11(hperp.Tsharp_field, mode="perp")
-    Hperp = np.array([hperp.eps[i] * hat.tan.Hb_frame[1 + i] for i in range(p)])
-    TtH = hperp.Tsharp_ops[0] @ Hperp
-    TtH_vec = sum(hperp.eps[j] * TtH[j] * hat.F[1 + j] for j in range(p))
+    TtH_vec = (heps * (hperp.Tsharp_ops[0] @ (heps * hat.tan.Hb_frame[1:]))) @ hat.F[1:]
 
     # evaluate on the base-frame perp vector Y (a chart vector)
     Y = base.F[1 + y_index]
@@ -483,10 +481,8 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
     psi0 = exprlang.evaluate(psi_ast, env, struct.params)
     dpsi = gradients(exprlang.evaluate(psi_ast, base.seeds, struct.params), base.d)
     grad_psi = base.ginv0 @ dpsi
-    bperp = base.perp
-    TtY = bperp.Tsharp_ops[0] @ np.array(
-        [bperp.eps[i] * float(base.Fb[1 + i] @ Y) for i in range(p)])
-    TtY_vec = sum(bperp.eps[j] * TtY[j] * base.F[1 + j] for j in range(p))
+    beps = np.asarray(base.perp.eps)
+    TtY_vec = (beps * (base.perp.Tsharp_ops[0] @ (beps * (base.Fb[1:] @ Y)))) @ base.F[1:]
     closed = 0.5 * (1.0 - p) * math.exp(psi0) * float(TtY_vec @ base.g0 @ grad_psi)
     return direct, closed
 
@@ -497,50 +493,47 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
 def _codim1_data(geom):
     if geom.p != 1:
         raise SpecializationError("codimension-one equations need p = 1")
-    eN = geom.perp.eps[0]
-    AN = geom.tan.A_ops[0]
-    tau1 = float(np.trace(AN))
-    tau2 = float(np.trace(AN @ AN))
-    ric_normal = float(geom.ricci_frame[geom.n, geom.n])
-    return eN, AN, tau1, tau2, ric_normal
+    AN = geom.tan.A_ops[..., 0, :, :]
+    return (_scalar(np.asarray(geom.perp.eps)[..., 0]), AN, _trace(AN), _trace(AN @ AN),
+            _scalar(geom.ricci_frame[..., geom.n, geom.n]))
 
 
 def el_codim1(geom, which, constants=None, tol=DEFAULT_TOL):
     """A codimension-one equation read from the bundle ``geom`` (p = 1)."""
     eN, AN, tau1, tau2, ric_normal = _codim1_data(geom)
     n = geom.n
-    N0 = geom.F[n]
     tau1J = geom.tan.tau1_J
-    n_tau1 = float(np.dot(gradients(tau1J, geom.d), N0))
+    n_tau1 = _along(tau1J, geom, n)
+    hsc = _scaled(tau1 * eN, geom.tan.h[..., 0])
     consts = {}
 
     if which == "codimoneEL1":
         star = _constant(consts, constants, "s_star_perp",
                          lambda: eN * ric_normal - 2.0 * eN * (n_tau1 - tau2))
         resid = tau1 * tau1 - tau2 + eN * star
-        return _report(which, [resid], consts, tol)
+        return _report(geom, which, np.asarray(resid)[..., None], consts, tol)
 
     if which == "codimoneEL2":
         form = geom.div_11(geom.tan.A_field, mode="tan")
-        dtau = gradients(tau1J, geom.d)
-        resid = np.array([float((form - dtau) @ geom.F[a]) for a in range(n)])
-        return _report(which, resid, consts, tol)
+        dtau = np.moveaxis(gradients(tau1J, geom.d), 0, -1)
+        resid = np.einsum("...m,...am->...a", form - dtau, geom.F[..., :n, :])
+        return _report(geom, which, resid, consts, tol)
 
     if which == "codimoneEL3":
         star = _constant(consts, constants, "s_star_tan",
                          lambda: eN * ric_normal - (2.0 / n) * geom.perp.div_H)
-        rhs = 0.5 * (2.0 * eN * (n_tau1 - tau1 * tau1)
-                     + eN * (tau1 * tau1 - tau2) - star) * np.diag(geom.tan.eps)
-        resid = geom.tan.nabla_N_hsc - tau1 * eN * geom.tan.h[:, :, 0] - rhs
-        return _report(which, resid, consts, tol)
+        rhs = _diag(0.5 * (2.0 * eN * (n_tau1 - tau1 * tau1)
+                           + eN * (tau1 * tau1 - tau2) - star), geom.tan.eps)
+        resid = geom.tan.nabla_N_hsc - hsc - rhs
+        return _report(geom, which, resid, consts, tol)
 
     if which == "codim1folgenvar":
         if n < 2:
             raise SpecializationError("volume-preserving foliation system needs n > 1")
-        resid = (geom.tan.nabla_N_hsc - tau1 * eN * geom.tan.h[:, :, 0]
-                 + (eN * (tau1 * tau1 - tau2) / (n - 1.0)) * np.diag(geom.tan.eps))
+        resid = (geom.tan.nabla_N_hsc - hsc
+                 + _diag(eN * (tau1 * tau1 - tau2) / (n - 1.0), geom.tan.eps))
         consts["lambda"] = -eN * (tau1 * tau1 - tau2)
-        return _report(which, resid, consts, tol)
+        return _report(geom, which, resid, consts, tol)
 
     raise SpecializationError(f"unknown codimension-one equation {which!r}")
 
@@ -552,7 +545,8 @@ def el_codim1(geom, which, constants=None, tol=DEFAULT_TOL):
 class Equation:
     """A registered equation: the block sizes it needs (as text, for skip
     reasons), whether it applies to a structure, and its evaluator
-    ``run(geom) -> ELReport`` on the caller's bundle at a point."""
+    ``run(geom) -> ELReport`` on the caller's bundle, at a point or over
+    nodes."""
     needs: str
     applies: object
     run: object
@@ -587,14 +581,15 @@ def applicable(struct):
 
 
 def _diagonal_metric_jets(geom):
-    """Values, gradients and Hessians of the diagonal metric entries, as
-    nested lists of floats: g_ii, d_m g_ii at [i][m] and d_m d_k g_ii at
-    [i][m][k]."""
+    """Values, gradients and Hessians of the diagonal metric entries, the
+    indices first and the batch axes last: g_ii at [i], d_m g_ii at [i][m]
+    and d_m d_k g_ii at [i][m][k], each a float or an array over the
+    batch."""
     d = geom.d
-    diag = geom.gJ.diagonal()
-    hess = gradients(dshift(diag, d), d)                # [k][m][i] = d_k d_m g_ii
-    return (values(diag).tolist(), gradients(diag, d).T.tolist(),
-            hess.transpose(2, 1, 0).tolist())
+    diag = geom.gJ.diagonal(0, -2, -1)
+    hess = gradients(dshift(diag, d), d)                # [k][m]...[i] = d_k d_m g_ii
+    return (np.moveaxis(values(diag), -1, 0), np.moveaxis(gradients(diag, d), -1, 0),
+            np.moveaxis(hess, -1, 0).swapaxes(1, 2))
 
 
 def biregular_closed_forms(geom):
@@ -604,109 +599,73 @@ def biregular_closed_forms(geom):
     distinguished distribution must span the leaf directions.  Returns the
     closed-form unit normal factor, Weingarten diagonal, tau_1/tau_2, the
     normal derivative of the scalar second fundamental form (diagonal), the
-    leafwise divergence of A_N, and the y_i with their x0-derivatives.
+    leafwise divergence of A_N, and the y_i with their x0-derivatives; a
+    per-leaf-index value is an array with that index last.
     """
     d = geom.d
-    offdiag = max(abs(geom.g0[i, j]) for i in range(d) for j in range(d) if i != j)
-    if offdiag > 1e-12:
+    if np.max(np.abs(geom.g0 - geom.g0 * np.eye(d))) > 1e-12:
         raise SpecializationError("biregular closed forms require a diagonal metric")
     gv, dgv, hv = _diagonal_metric_jets(geom)
     a00 = abs(gv[0])
-    sq = math.sqrt(a00)
-    out = {"sqrt_g00": sq}
-    y = []
-    dy0 = []
-    tau1 = 0.0
-    tau2 = 0.0
-    A_diag = []
-    nabNh = []
-    divA = []
-    epsN = 1.0 if gv[0] > 0 else -1.0
-    for i in range(1, d):
-        gii = gv[i]
-        gii0 = dgv[i][0]
-        Ai = -0.5 / sq * gii0 / gii
-        A_diag.append(Ai)
-        yi = Ai
-        y.append(yi)
-        tau1 += Ai
-        tau2 += Ai * Ai
-        gii00 = hv[i][0][0]
-        dlog00 = dgv[0][0] / a00 if a00 else 0.0
-        nabNh.append(-epsN / (2.0 * a00)
-                     * (gii00 - 0.5 * gii0 * dlog00 - gii0 * gii0 / gii))
-        # d/dx0 of y_i for the coordinate ODE checks
-        dy0.append(-0.5 / sq * (gii00 / gii - (gii0 / gii) ** 2)
-                   + 0.25 * gii0 / gii * dgv[0][0] / (sq * a00))
-    for i in range(1, d):
-        gii = gv[i]
-        term = 0.0
-        # d_i ( -(1/(2 sqrt g00)) g_ii,0 / g_ii )
-        gii0 = dgv[i][0]
-        gii_i = dgv[i][i]
-        gii0_i = hv[i][0][i]
-        d_i_sq = 0.5 * dgv[0][i] / sq
-        term += (-0.5 * (gii0_i * gii - gii0 * gii_i) / (gii * gii) / sq
-                 + 0.5 * gii0 / gii * d_i_sq / a00)
-        s1 = 0.0
-        s2 = 0.0
-        for a in range(1, d):
-            Gaai = 0.5 * dgv[a][i] / gv[a]
-            s1 += Gaai
-            s2 += Gaai * dgv[a][0] / gv[a]
-        term += (-0.5 / sq) * (dgv[i][0] / gv[i]) * s1 + 0.5 / sq * s2
-        divA.append(term)
-    out.update({"A_diag": A_diag, "tau1": tau1, "tau2": tau2,
-                "nabla_N_hsc_diag": nabNh, "div_tan_AN": divA,
-                "y": y, "dy_dx0": dy0, "eps_N": epsN})
-    return out
+    sq = np.sqrt(a00)
+    epsN = np.where(gv[0] > 0, 1.0, -1.0)
+    # the leaf entries g_ii, d_0 g_ii and d_0 d_0 g_ii, i >= 1
+    gi, gi0, gi00 = gv[1:], dgv[1:, 0], hv[1:, 0, 0]
+    A = -0.5 / sq * gi0 / gi
+    nabNh = (-epsN / (2.0 * a00)
+             * (gi00 - 0.5 * gi0 * (dgv[0, 0] / a00) - gi0 * gi0 / gi))
+    # d/dx0 of y_i for the coordinate ODE checks
+    dy0 = (-0.5 / sq * (gi00 / gi - (gi0 / gi) ** 2)
+           + 0.25 * gi0 / gi * dgv[0, 0] / (sq * a00))
+    # d_i ( -(1/(2 sqrt g00)) g_ii,0 / g_ii ), then the Christoffel terms
+    leaf = np.arange(1, d)
+    divA = (-0.5 * (hv[leaf, 0, leaf] * gi - gi0 * dgv[leaf, leaf]) / (gi * gi) / sq
+            + 0.5 * gi0 / gi * (0.5 * dgv[0, 1:] / sq) / a00)
+    G = 0.5 * dgv[1:, 1:] / gi[:, None]                  # [a][i]: Gamma^a_{ai}
+    divA = divA + ((-0.5 / sq) * (gi0 / gi) * G.sum(0)
+                   + 0.5 / sq * (G * (gi0 / gi)[:, None]).sum(0))
+    last = partial(np.moveaxis, source=0, destination=-1)
+    return {"sqrt_g00": _scalar(sq), "A_diag": last(A), "tau1": _scalar(A.sum(0)),
+            "tau2": _scalar((A * A).sum(0)), "nabla_N_hsc_diag": last(nabNh),
+            "div_tan_AN": last(divA), "y": last(A), "dy_dx0": last(dy0),
+            "eps_N": _scalar(epsN)}
 
 
 def codim1_genvar_coordinate_residual(geom):
-    """Residual of the coordinate volume-preserving system at one point."""
+    """Residual of the coordinate volume-preserving system, over the batch."""
     cf = biregular_closed_forms(geom)
     y, dy = cf["y"], cf["dy_dx0"]
-    nfol = len(y)
+    nfol = y.shape[-1]
     if nfol < 2:
         raise SpecializationError("coordinate system needs n > 1")
-    t1 = sum(y)
-    t2 = sum(v * v for v in y)
-    sq = cf["sqrt_g00"]
-    res = [dy[i] - sq * (y[i] * t1 - (t1 * t1 - t2) / (nfol - 1.0))
-           for i in range(nfol)]
-    return max(abs(r) for r in res)
+    t1 = np.sum(y, axis=-1)[..., None]
+    t2 = np.sum(y * y, axis=-1)[..., None]
+    sq = np.asarray(cf["sqrt_g00"])[..., None]
+    res = dy - sq * (y * t1 - (t1 * t1 - t2) / (nfol - 1.0))
+    return _scalar(np.max(np.abs(res), axis=-1))
 
 
 def bifoliated_iii_residual(geom):
-    """Residual of the leafwise equation in biregular coordinates."""
-    d = geom.d
+    """Residual of the leafwise equation in biregular coordinates, over the
+    batch."""
     gv, dgv, hv = _diagonal_metric_jets(geom)
     a00 = abs(gv[0])
-    sq = math.sqrt(a00)
-
-    def y_val(i):
-        return -0.5 / sq * dgv[i][0] / gv[i]
-
-    def dy(i, m):
-        # d_m y_i, assuming g00 constant along the leaves of interest
-        return (-0.5 / sq * (hv[i][0][m] / gv[i] - dgv[i][0] * dgv[i][m] / gv[i] ** 2)
-                + 0.25 * dgv[i][0] / gv[i] * dgv[0][m] / (sq * a00))
-
-    worst = 0.0
-    for i in range(1, d):
-        acc = 0.0
-        for a in range(1, d):
-            if a == i:
-                continue
-            acc += dy(a, i)
-            Gaai = 0.5 * dgv[a][i] / gv[a]
-            acc += Gaai * (y_val(i) - y_val(a))
-        worst = max(worst, abs(acc))
-    return worst
+    sq = np.sqrt(a00)
+    gi, gi0 = gv[1:, None], dgv[1:, 0, None]            # [a][.]: g_aa, d_0 g_aa
+    y = -0.5 / sq * dgv[1:, 0] / gv[1:]
+    # [a][m]: d_m y_a, assuming g00 constant along the leaves of interest
+    dy = (-0.5 / sq * (hv[1:, 0, 1:] / gi - gi0 * dgv[1:, 1:] / gi ** 2)
+          + 0.25 * gi0 / gi * dgv[0, 1:] / (sq * a00))
+    # sum over a != i of d_i y_a + Gamma^a_{ai} (y_i - y_a)
+    terms = dy + 0.5 * dgv[1:, 1:] / gi * (y[None] - y[:, None])
+    k = np.arange(len(y))
+    terms[k, k] = 0.0
+    return _scalar(np.max(np.abs(terms.sum(0)), axis=0))
 
 
 def tau1_formula(chat, tau0, t):
-    """Closed-form tau_1(t) for the umbilical volume-normalized branch."""
+    """Closed-form tau_1(t) for the umbilical volume-normalized branch, at a
+    float t or an array of them."""
     k = math.sqrt(chat)
-    D = (k + tau0) * math.exp(-2.0 * t * k) + (k - tau0)
+    D = (k + tau0) * np.exp(-2.0 * t * k) + (k - tau0)
     return k * (1.0 - 2.0 * (k - tau0) / D)

@@ -24,8 +24,8 @@ import numpy as np
 from . import euler_lagrange as el
 from . import exprlang
 from .errors import SpecFormatError
-from .geometry import BUNDLE_QUANTITIES, bundle_value
-from .jets import value_of
+from .geometry import BUNDLE_QUANTITIES, _scalar, bundle_value
+from .jets import value_of, values
 from .structure import load_structure
 
 
@@ -48,10 +48,11 @@ class GalleryEntry:
     swap_span: list = None           # complement spanning expressions, when closed-form
     notes: str = ""
 
-    def reference_frame_at(self, point):
-        env = list(point)
-        return [np.array([exprlang.evaluate(c, env, self.structure.params)
-                          for c in vec]) for vec in self.reference_frame]
+    def reference_frame_at(self, geom):
+        """The display frame's vectors (rows) at the bundle's point or
+        nodes, the batch axes first."""
+        return values([[exprlang.evaluate(c, geom.seeds, self.structure.params)
+                        for c in vec] for vec in self.reference_frame])
 
 
 def _zeros(names, tol):
@@ -230,7 +231,8 @@ def _parse_vecs(struct, texts):
 # evaluation of expected quantities
 
 def evaluate_quantity(entry, geom, quantity):
-    """Engine value of a named expected quantity at a bundled point."""
+    """Engine value of a named expected quantity read from the bundle
+    ``geom``: at its point, or one value per node over its nodes."""
     if quantity in BUNDLE_QUANTITIES:
         return bundle_value(geom, quantity)
     if quantity not in QUANTITIES:
@@ -239,80 +241,76 @@ def evaluate_quantity(entry, geom, quantity):
 
 
 def _prop(M, eps):
-    """c when M diag(eps)^-1 = c I, else nan."""
-    M = M @ np.linalg.inv(np.diag(eps))
-    off = float(np.max(np.abs(M - np.diag(np.diag(M)))))
-    diag = np.diag(M)
-    if off > 1e-6 or float(np.max(np.abs(diag - diag[0]))) > 1e-6:
-        return float("nan")
-    return float(diag[0])
+    """c when M diag(eps)^-1 = c I, else nan, over the batch."""
+    M = M / np.asarray(eps)[..., None, :]
+    diag = np.diagonal(M, 0, -2, -1)
+    off = np.max(np.abs(M - diag[..., None] * np.eye(M.shape[-1])), axis=(-2, -1))
+    spread = np.max(np.abs(diag - diag[..., :1]), axis=-1)
+    return _scalar(np.where((off > 1e-6) | (spread > 1e-6), np.nan, diag[..., 0]))
 
 
 def _perp_operator_in_reference_frame(ops, entry, g):
-    vecs = entry.reference_frame_at(g.point)
-    comp = np.array([[float(v @ g.g0 @ w) for w in vecs] for v in vecs])
-    op = getattr(g.perp, ops)[0]
-    # operator chart matrix, then components in the reference frame
-    chart = np.zeros((g.d, g.d))
-    for i in range(g.p):
-        for j in range(g.p):
-            chart += op[j, i] * np.outer(g.F[g.n + j],
-                                         g.perp.eps[i] * g.Fb[g.n + i])
-    cinv = np.linalg.inv(comp)
-    rows = np.array([[float(vecs[k] @ g.g0 @ (chart @ vecs[l]))
-                      for l in range(len(vecs))] for k in range(len(vecs))])
-    return cinv @ rows
+    V = entry.reference_frame_at(g)
+    n = g.n
+    # the operator's chart matrix, then its components in the reference frame
+    op = getattr(g.perp, ops)[..., 0, :, :]
+    chart = np.einsum("...ji,...jm,...i,...in->...mn", op, g.F[..., n:, :],
+                      np.asarray(g.perp.eps), g.Fb[..., n:, :])
+    VgT = V @ g.g0
+    return np.linalg.inv(VgT @ V.mT) @ (VgT @ chart @ V.mT)
 
 
 def _y_closed_form_residual(entry, g):
     c1 = entry.structure.params["c1"]
     c2 = entry.structure.params["c2"]
-    u = math.sqrt(c1) * (g.point[0] + c2)
-    want = [-math.sqrt(c1) / math.tanh(u), -math.sqrt(c1) * math.tanh(u)]
+    u = math.sqrt(c1) * (g.coords[..., 0] + c2)
+    want = np.stack([-math.sqrt(c1) / np.tanh(u), -math.sqrt(c1) * np.tanh(u)], axis=-1)
     got = el.biregular_closed_forms(g)["y"]
-    return max(abs(a - b) for a, b in zip(sorted(got), sorted(want)))
+    return _scalar(np.max(np.abs(np.sort(got) - np.sort(want)), axis=-1))
 
 
 def _riccati_residual(entry, g):
     chat = entry.structure.params["chat"]
     tau0 = entry.structure.params["tau0"]
-    t = g.point[0]
+    t = g.coords[..., 0]
     h = 1e-5
     dtau = (el.tau1_formula(chat, tau0, t + h)
             - el.tau1_formula(chat, tau0, t - h)) / (2.0 * h)
     tau = el.tau1_formula(chat, tau0, t)
-    return abs(dtau - (tau * tau - chat))
+    return _scalar(abs(dtau - (tau * tau - chat)))
 
 
 def _umbilical_residual(entry, g):
     # all principal curvatures coincide: A_N is a multiple of the identity
     eN, AN, tau1, tau2, _ = el._codim1_data(g)
-    return float(np.max(np.abs(AN - (tau1 / g.n) * np.eye(g.n))))
+    return _scalar(np.max(np.abs(AN - np.multiply.outer(tau1 / g.n, np.eye(g.n))),
+                          axis=(-2, -1)))
 
 
 # Evaluators of the gallery's own quantities, called as f(entry, geom) on the
 # caller's bundle; the bundle quantities (S_mix, norm_h, eps_tan, ...) come from
 # ``geometry.BUNDLE_QUANTITIES``.
 QUANTITIES = {
-    "H_norm": lambda e, g: float(np.max(np.abs(g.tan.H0))),
-    "tau1_tilde": lambda e, g: float(np.trace(g.perp.A_ops[0])),
+    "H_norm": lambda e, g: _scalar(np.max(np.abs(g.tan.H0), axis=-1)),
+    "tau1_tilde": lambda e, g: _scalar(np.trace(g.perp.A_ops[..., 0, :, :],
+                                                axis1=-2, axis2=-1)),
     "s_star_perp": lambda e, g: el.s_star(g, "perp"),
     "s_star_tan": lambda e, g: el.s_star(g, "tan"),
     # a generic plane section
-    "sectional": lambda e, g: g.sectional(g.F[0] + 0.3 * g.F[1],
-                                          g.F[1] - 0.2 * g.F[g.d - 1]),
+    "sectional": lambda e, g: g.sectional(g.F[..., 0, :] + 0.3 * g.F[..., 1, :],
+                                          g.F[..., 1, :] - 0.2 * g.F[..., g.d - 1, :]),
     "At_reference": partial(_perp_operator_in_reference_frame, "A_ops"),
     "Ttsharp_reference": partial(_perp_operator_in_reference_frame, "Tsharp_ops"),
     "r_perp_prop": lambda e, g: _prop(g.perp.r, g.perp.eps),
     "r_tan_prop": lambda e, g: _prop(g.tan.r, g.tan.eps),
     "psi_tilde_prop": lambda e, g: _prop(g.perp.psi, g.tan.eps),
-    "phi_T_tilde_prop": lambda e, g: _prop(g.perp.phi_T[:g.n, :g.n], g.tan.eps),
+    "phi_T_tilde_prop": lambda e, g: _prop(g.perp.phi_T[..., :g.n, :g.n], g.tan.eps),
     "tcal_tilde_flat_prop": lambda e, g: _prop(g.perp.flat(g.perp.tcal), g.perp.eps),
-    "jacobi_eigs": lambda e, g: sorted(np.linalg.eigvalsh(g.jacobi_N)),
+    "jacobi_eigs": lambda e, g: np.linalg.eigvalsh(g.jacobi_N),
     "genvar_coordinate_residual": lambda e, g: el.codim1_genvar_coordinate_residual(g),
     "y_closed_form_residual": _y_closed_form_residual,
-    "tau1_formula_residual": lambda e, g: abs(value_of(g.tan.tau1_J) - el.tau1_formula(
-        e.structure.params["chat"], e.structure.params["tau0"], g.point[0])),
+    "tau1_formula_residual": lambda e, g: _scalar(abs(value_of(g.tan.tau1_J) - el.tau1_formula(
+        e.structure.params["chat"], e.structure.params["tau0"], g.coords[..., 0]))),
     "bifoliated_iii_residual": lambda e, g: el.bifoliated_iii_residual(g),
     "riccati_residual": _riccati_residual,
     "umbilical_residual": _umbilical_residual,

@@ -29,12 +29,14 @@ broadcast against the batch.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import SingularEvaluationError, SpecializationError, member_point
+from .errors import (MixedCurvError, SingularEvaluationError, SpecializationError,
+                     member_point)
 from .jets import concatenate, dense, dshift, einsum, gradients, order1, seed, values
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
@@ -106,16 +108,17 @@ class PointGeometry:
     the batch B of metrics at the point (one frame per member, each with
     its own pivots and signs).  An (N, d) array of nodes as ``point`` gives
     node seeds, so its fields carry the batch (N,) (``point`` is then the
-    tuple of the nodes, and an error of one node names that node).  Every
-    member carries the batch axes first; its scalars are floats at the
-    empty batch and arrays of shape B otherwise.
+    tuple of the nodes, and an error of one node names that node; ``coords``
+    holds the coordinates as one float array).  Every member carries the
+    batch axes first; its scalars are floats at the empty batch and arrays
+    of shape B otherwise.
     """
 
     def __init__(self, struct, point, metric_fn=None, dtilde_fn=None, check_domain=True):
         self.struct = struct
-        self._coords = np.array(point, dtype=float)
-        nodes = [tuple(x) for x in np.atleast_2d(self._coords).tolist()]
-        self.point = tuple(nodes) if self._coords.ndim == 2 else nodes[0]
+        self.coords = np.array(point, dtype=float)
+        nodes = [tuple(x) for x in np.atleast_2d(self.coords).tolist()]
+        self.point = tuple(nodes) if self.coords.ndim == 2 else nodes[0]
         if check_domain:
             for node in nodes:
                 struct.require_inside(node)
@@ -130,7 +133,7 @@ class PointGeometry:
 
     @cached_property
     def seeds(self):
-        return seed(self._coords, 2)
+        return seed(self.coords, 2)
 
     @cached_property
     def gJ(self):
@@ -818,24 +821,26 @@ BATCH_ELEMENTS = 1 << 16
 
 def node_chunks(pts, d, chunk_fn):
     """The values of ``chunk_fn`` at every node of ``pts``, in node order, as
-    one array with a leading node axis.
+    one array with a leading node axis (or a dict of such arrays).
 
     ``chunk_fn`` maps an (N, d) array of nodes to an array with a leading
-    node axis.  A chunk where it raises :class:`SingularEvaluationError` or
-    gives a non-finite value is evaluated again as one-node chunks, so an
-    error surfaces at its node: with the class and message it has there,
-    and that node as its point, as a bundle at the node alone raises it."""
+    node axis, or to a dict of them.  A chunk where it raises
+    :class:`MixedCurvError` or gives a non-finite value is evaluated again
+    as one-node chunks, as is a chunk of one node, so an error surfaces at
+    its node: with the class and message it has there, and that node as its
+    point, as a bundle at the node alone raises it."""
     size = max(1, BATCH_ELEMENTS // d ** 4)
     out = []
     for lo in range(0, len(pts), size):
         chunk = np.array(pts[lo:lo + size], dtype=float)
-        try:
-            with np.errstate(all="ignore"):
-                vals = chunk_fn(chunk)
-            ok = np.isfinite(vals).all()
-        except SingularEvaluationError:
-            ok = False
+        vals = None
+        with np.errstate(all="ignore"), suppress(MixedCurvError):
+            vals = chunk_fn(chunk) if len(chunk) > 1 else None
+        arrays = vals.values() if isinstance(vals, dict) else [vals]
+        ok = vals is not None and all(np.isfinite(v).all() for v in arrays)
         out += [vals] if ok else [_at_node(chunk_fn, node) for node in chunk]
+    if out and isinstance(out[0], dict):
+        return {k: np.concatenate([o[k] for o in out]) for k in out[0]}
     return np.concatenate(out) if out else np.zeros(0)
 
 

@@ -322,7 +322,8 @@ def _float_pass(g0, span0, dim, tol, point):
                 v = [v[i] - s * c * e[i] for i in range(dim)]
             candidates[mu] = (v, len(frame0))
             q = _inner(g0, v, v)
-            if abs(q) > size:
+            # one reduced to rounding noise of |g(e_mu, e_mu)| is in the frame's span
+            if abs(q) > size and abs(q) > tol * abs(g0[mu][mu]):
                 best, best_v, best_q, size = mu, v, q, abs(q)
         if best is None or _null(gabs, best_v, best_q, tol):
             raise DegenerateDistributionError(

@@ -25,7 +25,7 @@ from .geometry import (PointGeometry, jet_matrix_inverse, node_chunks, quad, smi
                        smix_density_batch)
 from .jets import as_field, dense, einsum, order1, scatter, seed, value_of, values
 from .structure import orthonormal_frame
-from .euler_lagrange import (QuadratureSpec, domain_mean, grid_points, integrate,
+from .euler_lagrange import (QuadratureSpec, _diag, domain_mean, grid_points, integrate,
                              pairwise_sum, s_star, volume)
 
 FD_STEPS = (1e-3, 5e-4, 2.5e-4)
@@ -141,16 +141,13 @@ class MetricVariation:
 
 
 def classify(v, points, tol=1e-12):
-    """Block decomposition of the effective B; validates the declared class."""
-    worst = {"tan": 0.0, "perp": 0.0, "mixed": 0.0}
-    for pt in points:
-        geom = PointGeometry(v.struct, pt)
-        B0 = v.B_at(list(pt))
-        Bfr = geom.F @ B0 @ geom.F.T
-        n = geom.n
-        worst["tan"] = max(worst["tan"], float(np.max(np.abs(Bfr[:n, :n]))))
-        worst["perp"] = max(worst["perp"], float(np.max(np.abs(Bfr[n:, n:]))))
-        worst["mixed"] = max(worst["mixed"], float(np.max(np.abs(Bfr[:n, n:]))))
+    """Block decomposition of the effective B at ``points``, read as one node
+    bundle; validates the declared class."""
+    geom = PointGeometry(v.struct, np.array(points, dtype=float))
+    Bfr = geom.F @ values(v.B_at(seed(geom.coords, 1), gmat=order1(geom.gJ))) @ geom.F.mT
+    n = geom.n
+    blocks = {"tan": Bfr[..., :n, :n], "perp": Bfr[..., n:, n:], "mixed": Bfr[..., :n, n:]}
+    worst = {k: float(np.max(np.abs(b))) for k, b in blocks.items()}
     scale = max(1.0, *worst.values())
     if v.klass == "perp" and worst["tan"] > tol * scale:
         raise ClassificationError(
@@ -397,8 +394,7 @@ class _RHS:
     def dgHH_B(self, B, mixed):
         """d g(H_B, H_B)."""
         g = self.g
-        diag = np.asarray(B.eps)[..., None] * np.eye(B.dim)
-        C = np.asarray(B.div_H)[..., None, None] * self.embed(diag, B.sl, B.sl)
+        C = self.embed(_diag(B.div_H, B.eps), B.sl, B.sl)
         if mixed:
             C = C + 4.0 * g.pair_vec_12(B.dual.theta_b, B.Hb_frame)
         return self.pair(C) - g.div_vector(B.HJ * self.trace_block(B)[..., None])

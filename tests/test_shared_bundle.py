@@ -1,18 +1,21 @@
-"""One bundle per point: the callers build it, the evaluators read it.
+"""One bundle per chunk of points: the callers build it, the evaluators read it.
 
-`verify el`, `verify gallery` and `cli._el_equations` build one
-`PointGeometry` per point and pass it to every registry runner and gallery
-quantity.  A runner's report must not depend on what else has read the same
-bundle before it, and an error the bundle raises must reach every check as
-it would on a bundle of its own.
+`verify identities|el|gallery` and `inspect` build one `PointGeometry` over
+each chunk of their points (a node bundle) and pass it to every identity,
+registry runner and gallery quantity; only a chunk that fails is read again
+as one bundle per point.  `cli._el_equations`, which the benchmark calls,
+still builds one bundle per point.  A runner's report must not depend on
+what else has read the same bundle before it, and an error the bundle
+raises must reach every check as it would on a bundle of its own.
 """
 
 import json
 import random
 
+import numpy as np
 import pytest
 
-from mixedcurv import cli, gallery
+from mixedcurv import cli, gallery, geometry
 from mixedcurv import euler_lagrange as el
 from mixedcurv.errors import MixedCurvError
 from mixedcurv.geometry import PointGeometry, identity_suite_at
@@ -23,12 +26,15 @@ from test_random_structures import seeded_structure
 
 @pytest.fixture
 def built(monkeypatch):
-    """The point of every PointGeometry constructed while the test runs."""
+    """The point of every PointGeometry constructed while the test runs: a
+    tuple of floats, or for a node bundle the tuple of its nodes."""
     points = []
     init = PointGeometry.__init__
 
     def counting(self, struct, point, *args, **kwargs):
-        points.append(tuple(float(x) for x in point))
+        arr = np.array(point, dtype=float)
+        points.append(tuple(map(tuple, arr.tolist())) if arr.ndim == 2
+                      else tuple(arr.tolist()))
         init(self, struct, point, *args, **kwargs)
 
     monkeypatch.setattr(PointGeometry, "__init__", counting)
@@ -48,13 +54,27 @@ def verify(suite, name, tmp_path):
     return code, json.loads(out.read_text()), [tuple(pt) for pt in points]
 
 
-@pytest.mark.parametrize("suite", ["el", "gallery"])
+@pytest.mark.parametrize("suite", ["el", "gallery", "identities"])
 @pytest.mark.parametrize("name", gallery.list_entries())
 def test_verify_builds_one_bundle_per_point(suite, name, tmp_path, built):
+    # both points fit one chunk, so they are read as one node bundle
     code, rep, points = verify(suite, name, tmp_path)
     assert code == 0
     assert {tuple(c["point"]) for c in rep["checks"]} <= set(points)
-    assert built == points
+    assert built == [tuple(points)]
+
+
+def test_inspect_builds_one_bundle_per_chunk(tmp_path, built, monkeypatch):
+    # with room for 8 nodes per chunk at d = 7, 20 points make chunks of 8,
+    # 8 and 4 nodes
+    monkeypatch.setattr(geometry, "BATCH_ELEMENTS", 8 * 7 ** 4)
+    s = gallery.load_entry("s7_three_sasakian").structure
+    out = tmp_path / "inspect.json"
+    assert cli.main(["inspect", "--gallery", "s7_three_sasakian", "--random", "20",
+                     "--seed", "3", "--out", str(out)]) == 0
+    points = [tuple(pt) for pt in s.interior_points(20, 3)]
+    assert built == [tuple(points[:8]), tuple(points[8:16]), tuple(points[16:])]
+    assert [tuple(p["point"]) for p in json.loads(out.read_text())["points"]] == points
 
 
 def test_el_equations_build_one_bundle_per_point(built):
@@ -80,7 +100,7 @@ def test_el_tildeT_action_runs_once_per_point(tmp_path, monkeypatch):
     code, rep, points = verify("el", "r3_contact", tmp_path)
     assert code == 0
     assert {"ELtildeT1", "ELtildeT2", "ELtildeT3"} <= {c["check"] for c in rep["checks"]}
-    assert calls == points
+    assert calls == [tuple(points)]            # once, on the bundle over both points
 
 
 def outcome(run, geom):
@@ -152,3 +172,24 @@ def test_bundle_error_reaches_every_check_unchanged(tmp_path):
     assert {c["check"]: c["error"] for c in rep["checks"]} == {
         eq: msg for eq, (_, msg) in fresh.items()}
     assert all(c["residual"] is None and not c["verdict"] for c in rep["checks"])
+
+
+def test_a_failing_chunk_is_read_point_by_point(tmp_path, built):
+    # the distribution is degenerate where x0 = 0: the chunk over the three
+    # points fails, and each point gets a bundle of its own, so the two good
+    # points pass and the bad one reports the error of its own bundle
+    spec = tmp_path / "null.spec"
+    spec.write_text(NULL_DISTRIBUTION)
+    points = [(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3, 0.1, 0.0)]
+    out = tmp_path / "null.json"
+    code = cli.main(["verify", "el", "--spec", str(spec), "--out", str(out), "--points",
+                     ";".join(f"({x},{y},{z})" for x, y, z in points)])
+    assert code == 1
+    assert built == [tuple(points)] + points
+    s = load_structure(NULL_DISTRIBUTION)
+    fresh = {eq: outcome(el.EQUATIONS[eq].run, PointGeometry(s, points[1]))
+             for eq in el.applicable(s)}
+    rep = json.loads(out.read_text())
+    assert all(c["verdict"] for c in rep["checks"] if tuple(c["point"]) != points[1])
+    assert {c["check"]: c["error"] for c in rep["checks"]
+            if tuple(c["point"]) == points[1]} == {eq: msg for eq, (_, msg) in fresh.items()}

@@ -6,8 +6,9 @@ import pytest
 from mixedcurv import gallery
 from mixedcurv.errors import (DegenerateDistributionError, DomainError,
                               NameResolutionError, SpecFormatError)
+from mixedcurv.geometry import identity_suite
 from mixedcurv.jets import seed
-from mixedcurv.structure import (adapted_frame, load_structure,
+from mixedcurv.structure import (DEGENERACY_TOL, _float_pass, adapted_frame, load_structure,
                                  orthonormal_frame, signature)
 
 FLAT = """
@@ -220,3 +221,15 @@ domain = [-1, 1] x [-1, 1]
     from mixedcurv.errors import SignatureInstabilityError
     with pytest.raises(SignatureInstabilityError):
         signature(s, (0.5, 0.0))
+
+
+def test_a_candidate_reduced_to_rounding_noise_is_not_a_pivot():
+    # g = diag(exp(200), 1) with span e0: e0 less its projection on the span
+    # is rounding noise whose g-square (about 1e54) exceeds e1's, yet it lies
+    # in the span; taking it made the candidate rows singular
+    g = [[math.exp(200.0), 0.0], [0.0, 1.0]]
+    frame, signs, pivots = _float_pass(g, [[1.0, 0.0]], 2, DEGENERACY_TOL, (0.2, 0.5))
+    assert pivots == [1] and signs == [1.0, 1.0]
+    s = load_structure("dim = 2\ndtilde_dim = 1\nmetric 0 0 = exp(1000*x0)\n"
+                       "metric 1 1 = 1\ndtilde 0 = 1, 0\ndomain = [0, 1] x [0, 1]\n")
+    assert identity_suite(s, (0.2, 0.5))["max"] < 1e-9
