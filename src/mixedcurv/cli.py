@@ -65,9 +65,6 @@ def _points(args, struct):
                 pt = tuple(float(x) for x in chunk.split(","))
             except ValueError:
                 raise MixedCurvError(f"bad point {chunk!r} in --points") from None
-            if len(pt) != struct.dim:
-                raise MixedCurvError(
-                    f"point {pt} has {len(pt)} coordinates, chart has {struct.dim}")
             struct.require_inside(pt)
             pts.append(pt)
         if not pts:
@@ -89,8 +86,6 @@ def _parse_box(text, struct):
             intervals.append((float(m.group(1)), float(m.group(2))))
         except ValueError:
             raise MixedCurvError(f"bad box interval {part!r}") from None
-    if len(intervals) != struct.dim:
-        raise MixedCurvError(f"box needs {struct.dim} intervals, got {len(intervals)}")
     struct.require_box(intervals)
     return tuple(intervals)
 

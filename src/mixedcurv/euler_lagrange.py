@@ -141,7 +141,7 @@ def s_star_flow(geom):
     if geom.n != 1:
         raise SpecializationError("flow form needs rank-one D-tilde")
     tan, perp = geom.tan, geom.perp
-    eN = _scalar(np.asarray(tan.eps)[..., 0])
+    eN = _scalar(tan.eps[..., 0])
     star_perp = eN * geom.ric_N - 2.0 * ((2.0 / geom.p) * perp.norm_T
                                          + tan.div_H / geom.p)
     nt1 = _along(perp.tau1_J, geom, 0)
@@ -281,7 +281,7 @@ def el_general_at(geom, which, constants=None, tol=DEFAULT_TOL):
 def _flow_data(geom):
     if geom.n != 1:
         raise SpecializationError("flow equations need rank-one D-tilde")
-    eN = _scalar(np.asarray(geom.tan.eps)[..., 0])
+    eN = _scalar(geom.tan.eps[..., 0])
     At = geom.perp.A_ops[..., 0, :, :]
     Tt = geom.perp.Tsharp_ops[..., 0, :, :]
     hsc = _scaled(eN, geom.perp.h[..., 0])
@@ -310,7 +310,7 @@ def el_flow(geom, which, constants=None, tol=DEFAULT_TOL):
 
     if which == "E-main-3i":
         form = geom.div_11(perp.Tsharp_field, mode="perp")
-        eps = np.asarray(perp.eps)
+        eps = perp.eps
         TtH = (Tt @ (eps * tan.Hb_frame[..., 1:])[..., None])[..., 0]
         resid = (np.einsum("...m,...jm->...j", form, geom.F[..., 1:, :])
                  + 2.0 * eps * TtH)
@@ -468,7 +468,7 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
 
     hat = PointGeometry(struct, point,
                         metric_fn=conformal_metric(struct, psi_ast, metric_fn))
-    hperp, heps = hat.perp, np.asarray(hat.perp.eps)
+    hperp, heps = hat.perp, hat.perp.eps
     form = hat.div_11(hperp.Tsharp_field, mode="perp")
     TtH_vec = (heps * (hperp.Tsharp_ops[0] @ (heps * hat.tan.Hb_frame[1:]))) @ hat.F[1:]
 
@@ -481,7 +481,7 @@ def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAU
     psi0 = exprlang.evaluate(psi_ast, env, struct.params)
     dpsi = gradients(exprlang.evaluate(psi_ast, base.seeds, struct.params), base.d)
     grad_psi = base.ginv0 @ dpsi
-    beps = np.asarray(base.perp.eps)
+    beps = base.perp.eps
     TtY_vec = (beps * (base.perp.Tsharp_ops[0] @ (beps * (base.Fb[1:] @ Y)))) @ base.F[1:]
     closed = 0.5 * (1.0 - p) * math.exp(psi0) * float(TtY_vec @ base.g0 @ grad_psi)
     return direct, closed
@@ -494,7 +494,7 @@ def _codim1_data(geom):
     if geom.p != 1:
         raise SpecializationError("codimension-one equations need p = 1")
     AN = geom.tan.A_ops[..., 0, :, :]
-    return (_scalar(np.asarray(geom.perp.eps)[..., 0]), AN, _trace(AN), _trace(AN @ AN),
+    return (_scalar(geom.perp.eps[..., 0]), AN, _trace(AN), _trace(AN @ AN),
             _scalar(geom.ricci_frame[..., geom.n, geom.n]))
 
 

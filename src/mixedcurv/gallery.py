@@ -242,7 +242,7 @@ def evaluate_quantity(entry, geom, quantity):
 
 def _prop(M, eps):
     """c when M diag(eps)^-1 = c I, else nan, over the batch."""
-    M = M / np.asarray(eps)[..., None, :]
+    M = M / eps[..., None, :]
     diag = np.diagonal(M, 0, -2, -1)
     off = np.max(np.abs(M - diag[..., None] * np.eye(M.shape[-1])), axis=(-2, -1))
     spread = np.max(np.abs(diag - diag[..., :1]), axis=-1)
@@ -255,7 +255,7 @@ def _perp_operator_in_reference_frame(ops, entry, g):
     # the operator's chart matrix, then its components in the reference frame
     op = getattr(g.perp, ops)[..., 0, :, :]
     chart = np.einsum("...ji,...jm,...i,...in->...mn", op, g.F[..., n:, :],
-                      np.asarray(g.perp.eps), g.Fb[..., n:, :])
+                      g.perp.eps, g.Fb[..., n:, :])
     VgT = V @ g.g0
     return np.linalg.inv(VgT @ V.mT) @ (VgT @ chart @ V.mT)
 

@@ -176,9 +176,9 @@ class PointGeometry:
         return orthonormal_frame(self.gJ, self._dtilde_fn(self.seeds), self.d,
                                  point=self.point)
 
-    @cached_property
+    @property
     def eps(self):
-        return np.array(self.frameJ.signs)
+        return self.frameJ.signs
 
     @cached_property
     def framevecsJ(self):
@@ -429,9 +429,7 @@ BUNDLE_QUANTITIES = {
 def bundle_value(geom, name):
     """A bundle quantity by its public name, as a float or (nested) lists."""
     v = attrgetter(BUNDLE_QUANTITIES[name])(geom)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return list(v) if isinstance(v, list) else v
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 class BlockView:
@@ -530,7 +528,7 @@ class BlockView:
     # scalar invariants
 
     def _norm(self, F):
-        e, de = np.asarray(self.eps), np.asarray(self.dual.eps)
+        e, de = self.eps, self.dual.eps
         return _scalar(np.einsum("...a,...b,...i,...abi,...abi->...", e, e, de, F, F))
 
     @cached_property
@@ -589,7 +587,7 @@ class BlockView:
 
     def flat(self, op):
         """(0,2) frame form of an operator acting on the block."""
-        return op.mT * np.asarray(self.eps)[..., None, :]
+        return op.mT * self.eps[..., None, :]
 
     @cached_property
     def psi(self):
@@ -707,7 +705,7 @@ class BlockView:
         self.dual._rank_one("nabla_N h_sc")
         g, k = self.g, self.dual.idx[0]
         hscJ = (einsum("...s,...snr->...nr", g.flat1[..., k, :], self.h_field)
-                * np.asarray(self.dual.eps)[..., :1, None])
+                * self.dual.eps[..., :1, None])
         F = g.F[..., self.sl, :]
         return F @ g.nabla02_in_direction(hscJ, g.F[..., k, :]) @ F.mT
 

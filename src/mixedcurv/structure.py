@@ -18,7 +18,6 @@ mirrored on evaluation, so symmetry is exact by construction.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -86,18 +85,22 @@ class ProductStructure:
         return exprlang.Program([c for vec in self.dtilde for c in vec])
 
     def contains(self, point):
-        return all(lo - 1e-12 <= value_of(x) <= hi + 1e-12
-                   for x, (lo, hi) in zip(point, self.domain))
+        return len(point) == self.dim and all(
+            lo - 1e-12 <= value_of(x) <= hi + 1e-12 for x, (lo, hi) in zip(point, self.domain))
 
     def require_inside(self, point):
-        if not self.contains(point):
-            raise DomainError(f"point {tuple(value_of(x) for x in point)} outside "
-                              f"domain box {self.domain}")
+        pt = tuple(value_of(x) for x in point)
+        if len(pt) != self.dim:
+            raise DomainError(f"point {pt} has {len(pt)} coordinates, chart has {self.dim}")
+        if not self.contains(pt):
+            raise DomainError(f"point {pt} outside domain box {self.domain}")
 
     def require_box(self, box):
         """Raise unless the box, as (lo, hi) per coordinate, lies inside the
         domain box: the check of every box integral and of ``--box``."""
         intervals = [tuple(iv) for iv in box]
+        if len(intervals) != self.dim:
+            raise DomainError(f"box needs {self.dim} intervals, got {len(intervals)}")
         if not all(self.contains(corner) for corner in zip(*intervals)):
             raise DomainError(f"box {intervals} leaves the domain box {self.domain}")
 
@@ -257,95 +260,103 @@ def _split_top_level(text):
 
 @dataclass
 class AdaptedFrame:
-    """The frame of ``orthonormal_frame``; on a batch the vectors are jet
-    fields and the signs arrays, with the batch axes first."""
-    E: list            # n frame vectors tangent to the distribution (chart comps, rows)
-    eps_tan: list      # their signs g(E_a, E_a)
-    Eperp: list        # p frame vectors spanning the orthogonal complement
-    eps_perp: list
+    """The frame of ``orthonormal_frame`` with the batch axes first: its
+    vectors as rows, tangent block first (a float array, or a jet field at
+    jet inputs), and their signs g(e_a, e_a) as a float array."""
+    vectors: object
+    signs: np.ndarray
+    n: int             # rank of the distribution: the tangent block's size
 
     @property
-    def vectors(self):
-        """The frame vectors as rows, tangent block first: a list at float
-        inputs, else one field."""
-        if isinstance(self.E, list):
-            return self.E + self.Eperp
-        return concatenate((self.E, self.Eperp), axis=self.E.ndim - 2)
+    def E(self):
+        """The n frame vectors tangent to the distribution (chart comps, rows)."""
+        return self.vectors[..., :self.n, :]
 
     @property
-    def signs(self):
-        return np.concatenate((self.eps_tan, self.eps_perp), axis=-1).tolist()
+    def Eperp(self):
+        """The frame vectors spanning the orthogonal complement."""
+        return self.vectors[..., self.n:, :]
+
+    @property
+    def eps_tan(self):
+        return self.signs[..., :self.n]
+
+    @property
+    def eps_perp(self):
+        return self.signs[..., self.n:]
 
 
-def _inner(gmat, v, w):
-    total = 0.0
-    for i, vi in enumerate(v):
-        row = gmat[i]
-        for j, wj in enumerate(w):
-            total = total + vi * row[j] * wj
-    return total
+def _form(v, g, w):
+    """g(v, w) = sum v_i g_ij w_j over trailing axes, each term (v_i g_ij) w_j
+    added in row-major order to 0.0, one left fold, so the rounding (and an
+    exact tie between candidates) does not depend on the batch."""
+    terms = v[..., :, None] * g * w[..., None, :]
+    return terms.reshape(terms.shape[:-2] + (v.shape[-1] ** 2,)).cumsum(-1)[..., -1] + 0.0
 
 
-def _null(gabs, v, q, tol):
-    """g(v, v) = q is negligible against sum |g_ij| |v_i| |v_j|, the size it
-    would have without cancellation (``gabs`` holds the |g_ij|); a zero
-    vector is null."""
-    a = np.abs(np.asarray(v, dtype=float))
-    return abs(q) <= tol * np.einsum("m,mn,n->", a, gabs, a)
-
-
-def _float_pass(g0, span0, dim, tol, point):
-    """The pivoted Gram-Schmidt pass over floats at one point: (frame rows,
-    signs, pivots of the complement) as lists."""
-    gabs = np.abs(np.array(g0))
-    frame0, signs0 = [], []
-    for v in span0:
-        for e, s in zip(frame0, signs0):
-            c = _inner(g0, v, e)
-            v = [v[i] - s * c * e[i] for i in range(dim)]
-        q = _inner(g0, v, v)
-        if _null(gabs, v, q, tol):
-            raise DegenerateDistributionError(
-                "distribution vector is null or dependent", point=point)
-        s = 1.0 if q > 0.0 else -1.0
-        frame0.append([x / math.sqrt(s * q) for x in v])
-        signs0.append(s)
-    pivots = []
-    # each candidate with the number of frame vectors projected off it so far
-    candidates = {mu: ([1.0 if i == mu else 0.0 for i in range(dim)], 0)
-                  for mu in range(dim)}
-    while len(frame0) < dim:
-        best, best_v, best_q, size = None, None, 0.0, -1.0
-        for mu, (v, done) in sorted(candidates.items()):
-            for e, s in zip(frame0[done:], signs0[done:]):
-                c = _inner(g0, v, e)
-                v = [v[i] - s * c * e[i] for i in range(dim)]
-            candidates[mu] = (v, len(frame0))
-            q = _inner(g0, v, v)
-            # one reduced to rounding noise of |g(e_mu, e_mu)| is in the frame's span
-            if abs(q) > size and abs(q) > tol * abs(g0[mu][mu]):
-                best, best_v, best_q, size = mu, v, q, abs(q)
-        if best is None or _null(gabs, best_v, best_q, tol):
-            raise DegenerateDistributionError(
-                "no non-null candidate for the orthogonal complement", point=point)
-        del candidates[best]
-        pivots.append(best)
-        q = best_q
-        s = 1.0 if q > 0.0 else -1.0
-        frame0.append([x / math.sqrt(s * q) for x in best_v])
-        signs0.append(s)
-    return frame0, signs0, pivots
+def _float_pass(g0, span0, tol, point):
+    """The pivoted Gram-Schmidt pass over float arrays with leading batch
+    axes: (frame rows, signs, pivots of the complement) of the batch shape +
+    (dim, dim), + (dim,) and + (dim - n,).  Each new frame vector is
+    projected out of every later candidate row (the span vectors, then the
+    unit vectors).  A complement step picks the first of the largest
+    |g(v, v)| not yet taken, skipping one reduced to rounding noise of
+    |g(e_mu, e_mu)| (it lies in the frame's span).  A vector is null when
+    |g(v, v)| is negligible against sum |g_ij| |v_i| |v_j|, its size without
+    cancellation.  A member that degenerates goes on with the vector as it
+    is; the first failing member in batch order raises its first
+    degeneracy, naming its point (see ``member_point``)."""
+    n, d = span0.shape[-2:]
+    batch = np.broadcast_shapes(g0.shape[:-2], span0.shape[:-2])
+    g = np.empty(batch + (d, d))
+    W = np.empty(batch + (n + d, d))                 # candidate rows: span, then units
+    g[...], W[..., :n, :], W[..., n:, :] = g0, span0, np.eye(d)
+    g, W = g.reshape(-1, 1, d, d), W.reshape(-1, n + d, d)
+    U = W[:, n:]                                     # the complement's candidates
+    gabs = np.abs(g[:, 0])
+    # a candidate is eligible while |g(v, v)| exceeds its floor; a taken one's is inf
+    floor = tol * gabs.diagonal(0, 1, 2)
+    N = len(g)
+    F, S, bad = np.empty((N, d, d)), np.empty((N, d)), np.empty((N, d), dtype=bool)
+    pivots = np.empty((N, d - n), dtype=np.intp)
+    rows = np.arange(N)
+    for k in range(d):
+        if k < n:
+            v = W[:, k]
+            q = _form(v, g[:, 0], v)
+            size = np.abs(q)
+        else:
+            Q = _form(U, g, U)
+            size = np.where(np.abs(Q) > floor, np.abs(Q), -1.0)
+            best = size.argmax(1)
+            v, q, size = U[rows, best], Q[rows, best], size[rows, best]
+            floor[rows, best] = np.inf
+            pivots[:, k - n] = best
+        a = np.abs(v)
+        bad[:, k] = null = size <= tol * np.einsum("...m,...mn,...n->...", a, gabs, a)
+        S[:, k] = s = np.where(q > 0.0, 1.0, -1.0)
+        F[:, k] = e = v / np.sqrt(np.where(null, 1.0, size))[:, None]
+        if k + 1 < d:
+            rest = W[:, min(k + 1, n):]
+            rest -= (s[:, None] * _form(rest, g, e[:, None]))[..., None] * e[:, None]
+    if bad.any():
+        first = bad.any(axis=1).argmax()
+        raise DegenerateDistributionError(
+            "no non-null candidate for the orthogonal complement" if bad[first].argmax() >= n
+            else "distribution vector is null or dependent",
+            point=member_point(point, np.unravel_index(first, batch)))
+    return (F.reshape(batch + (d, d)), S.reshape(batch + (d,)),
+            pivots.reshape(batch + (d - n,)))
 
 
 def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     """Pivoted indefinite Gram-Schmidt over floats or jet fields.
 
     Span vectors are orthogonalized in declared order; the complement is
-    filled from coordinate basis vectors.  A float pass over the value parts
-    chooses the pivots (the largest |g(v,v)| among the reduced candidates,
-    to avoid near-null vectors), the signs and the frame's values F0, and
-    raises every degeneracy; nullness is relative to each vector's own size
-    (``_null``).  When either input is an array jet (a field at seeds, see
+    filled from coordinate basis vectors.  The float pass over the value
+    parts (``_float_pass``) chooses the pivots (to avoid near-null vectors),
+    the signs and the frame's values F0, and raises every degeneracy.  When
+    either input is an array jet (a field at seeds, see
     :func:`mixedcurv.jets.dense`), one triangular jet correction then gives
     the frame as the rows of one field.  With W the candidate rows (span,
     then the pivoted unit rows), F0 = T0 W0 for a lower triangular T0, and
@@ -357,24 +368,15 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
 
     A metric with leading batch axes, shape B + (dim, dim), is a batch of
     metrics at one point (the span vectors may carry B or not).  The float
-    pass runs member by member, so each member takes its own pivot order
+    pass runs on trailing axes, so each member takes its own pivot order
     and signs, which enter the correction as the member's candidate rows,
-    T0 and S.  The frame is then a field of shape B + (dim, dim) and the
-    signs arrays of shape B + (n,) and B + (dim - n,).
+    T0 and S.  The frame's rows then have shape B + (dim, dim) and its
+    signs B + (dim,).
     """
-    g0, span0 = values(gmat), values(span_vectors)
-    n = span0.shape[-2]
-    batch = np.broadcast_shapes(g0.shape[:-2], span0.shape[:-2])
-    g0 = np.broadcast_to(g0, batch + (dim, dim))
-    span0 = np.broadcast_to(span0, batch + (n, dim))
-    passes = [_float_pass(g0[b].tolist(), span0[b].tolist(), dim, tol, member_point(point, b))
-              for b in np.ndindex(batch)]
-    if not (batch or isinstance(gmat, ArrayJet) or isinstance(span_vectors, ArrayJet)):
-        frame, signs, _ = passes[0]
-        return AdaptedFrame(E=frame[:n], eps_tan=signs[:n], Eperp=frame[n:],
-                            eps_perp=signs[n:])
-    F0, S, pivots = (np.reshape([p[k] for p in passes], batch + shape)
-                     for k, shape in enumerate([(dim, dim), (dim,), (dim - n,)]))
+    F0, S, pivots = _float_pass(values(gmat), values(span_vectors), tol, point)
+    batch, n = S.shape[:-1], dim - pivots.shape[-1]
+    if not (isinstance(gmat, ArrayJet) or isinstance(span_vectors, ArrayJet)):
+        return AdaptedFrame(F0, S, n)
     W = concatenate((broadcast_to(dense(span_vectors, dim), batch + (n, dim)),
                      dense(np.eye(dim)[pivots], dim)), axis=len(batch))
     W0 = values(W)
@@ -387,12 +389,7 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     ZS = X * lower
     ZS = (X - ZS @ (ZS * S[..., None, :]).mT) * lower
     Z = ZS * S[..., None, :]
-    E = (np.eye(dim) - Z + Z @ Z) @ Ehat
-    eps_tan, eps_perp = S[..., :n], S[..., n:]
-    if not batch:
-        eps_tan, eps_perp = eps_tan.tolist(), eps_perp.tolist()
-    return AdaptedFrame(E=E[..., :n, :], eps_tan=eps_tan, Eperp=E[..., n:, :],
-                        eps_perp=eps_perp)
+    return AdaptedFrame((np.eye(dim) - Z + Z @ Z) @ Ehat, S, n)
 
 
 def adapted_frame(s, point, metric=None, dtilde=None):
@@ -404,12 +401,14 @@ def adapted_frame(s, point, metric=None, dtilde=None):
 
 def signature(s, point, samples=16, rng_seed=20260505):
     """Frame signs at ``point``; checks sign stability over domain samples."""
-    fr = adapted_frame(s, point)
-    base = (tuple(fr.eps_tan), tuple(fr.eps_perp))
+    def signs(pt):
+        fr = adapted_frame(s, pt)
+        return tuple(fr.eps_tan.tolist()), tuple(fr.eps_perp.tolist())
+
+    base = signs(point)
     for q in s.interior_points(samples, rng_seed):
-        other = adapted_frame(s, q)
-        if (tuple(other.eps_tan), tuple(other.eps_perp)) != base:
+        other = signs(q)
+        if other != base:
             raise SignatureInstabilityError(
-                f"frame signs {base} at {tuple(_values(point))} flip to "
-                f"{(tuple(other.eps_tan), tuple(other.eps_perp))} at {q}")
+                f"frame signs {base} at {tuple(_values(point))} flip to {other} at {q}")
     return base

@@ -198,13 +198,14 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
     The frame starts from the float frame at g; B-sharp at every RK4 stage
     time (t0, t0 + h/2 and t1 of each step) comes from one batched solve.
     """
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise InvalidArgumentError(f"need a positive integer number of RK4 steps, got {steps!r}")
     pt = list(point)
     d, n = struct.dim, struct.n
     g_base = values((metric_fn or struct.metric_at)(pt))
     span = struct.dtilde_at(pt)
     fr = orthonormal_frame(g_base, span, d, point=pt)
-    frame = np.array(fr.vectors)                        # frame vectors as rows
-    signs = np.array(fr.signs)
+    frame, signs = fr.vectors, fr.signs                 # frame vectors as rows
     B0 = v.B_at(pt, metric_fn=metric_fn, gmat=g_base)
 
     ts = [k * t_end / steps for k in range(steps + 1)]
@@ -445,6 +446,9 @@ class _RHS:
 def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
                            tol=1e-5, metric_fn=None):
     """Central-difference LHS against jet-assembled RHS for each formula."""
+    if not (len(set(steps)) == len(steps) >= 2 and all(0.0 < h < math.inf for h in steps)):
+        raise InvalidArgumentError(
+            f"need two or more distinct positive finite FD steps, got {steps}")
     if formulas is None:
         formulas = PERP_FORMULAS if v.klass == "perp" else TAN_FORMULAS
     if isinstance(formulas, str):

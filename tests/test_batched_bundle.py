@@ -30,7 +30,8 @@ from mixedcurv.errors import (DegenerateDistributionError, DomainError, MixedCur
 from mixedcurv.geometry import (BlockView, PointGeometry, identity_suite_at, random_perp_field,
                                 smix_density_fast)
 from mixedcurv.jets import ArrayJet, concatenate, values
-from mixedcurv.structure import DEGENERACY_TOL, _float_pass, load_structure
+from mixedcurv.structure import DEGENERACY_TOL, load_structure
+from gram_schmidt import float_pass_loop
 from scalar_inverse import pivot_rows
 from test_random_structures import seeded_structure
 
@@ -217,7 +218,7 @@ def _pivots_and_signs(s, pt, fields):
     span = values(s.dtilde_at(list(pt))).tolist()
     out = set()
     for F in fields:
-        _, signs, pivots = _float_pass(values(F).tolist(), span, s.dim, DEGENERACY_TOL, pt)
+        _, signs, pivots = float_pass_loop(values(F).tolist(), span, s.dim, DEGENERACY_TOL, pt)
         out.add((tuple(pivots), tuple(signs)))
     return out
 

@@ -56,8 +56,8 @@ def test_frame_matches_the_sweep_at_a_point(key):
     s, pt, geom, span = _bundle(key)
     _check(geom.gJ, span, s.dim, pt)
     floats = orthonormal_frame(values(geom.gJ).tolist(), values(span).tolist(), s.dim)
-    assert values(geom.frameJ.vectors).tolist() == floats.vectors
-    assert geom.frameJ.signs == floats.signs
+    assert np.array_equal(values(geom.frameJ.vectors), floats.vectors)
+    assert np.array_equal(geom.frameJ.signs, floats.signs)
 
 
 @pytest.mark.parametrize("key", ["r3_contact", "lorentz_product", "s7_three_sasakian"]

@@ -6,6 +6,7 @@ import pytest
 from mixedcurv import gallery
 from mixedcurv.errors import (DegenerateDistributionError, DomainError,
                               NameResolutionError, SpecFormatError)
+from mixedcurv.euler_lagrange import QuadratureSpec, volume
 from mixedcurv.geometry import identity_suite
 from mixedcurv.jets import seed
 from mixedcurv.structure import (DEGENERACY_TOL, _float_pass, adapted_frame, load_structure,
@@ -86,7 +87,7 @@ def test_euclidean_frame_is_coordinate_basis():
     fr = adapted_frame(s, (0.2, 0.1, -0.5))
     assert np.allclose(fr.E, [[1, 0, 0]])
     assert np.allclose(fr.Eperp, [[0, 1, 0], [0, 0, 1]])
-    assert fr.eps_tan == [1.0] and fr.eps_perp == [1.0, 1.0]
+    assert fr.eps_tan.tolist() == [1.0] and fr.eps_perp.tolist() == [1.0, 1.0]
 
 
 def test_contact_frame_normalizes_reeb_field():
@@ -120,8 +121,8 @@ domain = [-1, 1] x [-1, 1]
 """)
     fr = adapted_frame(s, (0.0, 0.0))
     norm = math.sqrt(0.75)
-    assert fr.eps_tan == [-1.0]
-    assert fr.eps_perp == [1.0]
+    assert fr.eps_tan.tolist() == [-1.0]
+    assert fr.eps_perp.tolist() == [1.0]
     assert np.allclose(fr.E[0], [1 / norm, 0.5 / norm], atol=1e-12)
     g = np.diag([-1.0, 1.0])
     F = np.array(fr.vectors)
@@ -154,7 +155,7 @@ dtilde 0 = 1, 0
 domain = [-1, 1] x [-1, 1]
 """)
     fr = adapted_frame(s, (0.0, 0.0))
-    assert fr.signs == [1.0, 1.0]
+    assert fr.signs.tolist() == [1.0, 1.0]
     assert np.allclose(fr.vectors, [[big ** -0.5, 0.0], [0.0, 1.0]],
                        rtol=1e-15, atol=0.0)
 
@@ -228,8 +229,25 @@ def test_a_candidate_reduced_to_rounding_noise_is_not_a_pivot():
     # is rounding noise whose g-square (about 1e54) exceeds e1's, yet it lies
     # in the span; taking it made the candidate rows singular
     g = [[math.exp(200.0), 0.0], [0.0, 1.0]]
-    frame, signs, pivots = _float_pass(g, [[1.0, 0.0]], 2, DEGENERACY_TOL, (0.2, 0.5))
-    assert pivots == [1] and signs == [1.0, 1.0]
+    frame, signs, pivots = _float_pass(np.array(g), np.array([[1.0, 0.0]]), DEGENERACY_TOL,
+                                       (0.2, 0.5))
+    assert pivots.tolist() == [1] and signs.tolist() == [1.0, 1.0]
     s = load_structure("dim = 2\ndtilde_dim = 1\nmetric 0 0 = exp(1000*x0)\n"
                        "metric 1 1 = 1\ndtilde 0 = 1, 0\ndomain = [0, 1] x [0, 1]\n")
     assert identity_suite(s, (0.2, 0.5))["max"] < 1e-9
+
+
+@pytest.mark.parametrize("pt", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), ()])
+def test_a_point_of_the_wrong_length_is_a_domain_error(pt):
+    s = gallery.load_entry("r3_contact").structure
+    assert not s.contains(pt)
+    with pytest.raises(DomainError, match=f"has {len(pt)} coordinates, chart has 3"):
+        identity_suite(s, pt)
+
+
+def test_a_box_of_the_wrong_length_is_a_domain_error():
+    s = gallery.load_entry("r3_contact").structure
+    with pytest.raises(DomainError, match="box needs 3 intervals, got 2"):
+        volume(s, QuadratureSpec(box=((-0.5, 0.5), (-0.5, 0.5)), grid=2))
+    with pytest.raises(DomainError, match="box needs 3 intervals, got 4"):
+        s.require_box([(-0.5, 0.5)] * 4)

@@ -7,7 +7,7 @@ import pytest
 from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
-from mixedcurv.errors import (ClassificationError, SpecializationError,
+from mixedcurv.errors import (ClassificationError, InvalidArgumentError, SpecializationError,
                               SupportError)
 from mixedcurv.geometry import PointGeometry
 from mixedcurv.jets import values
@@ -391,3 +391,20 @@ def test_tildeT_scaling_laws():
         assert rep["residual"] < 1e-9
     rep = va.tildeT_scaling_check(struct("codim1_coth_tanh"), (1.0, 0.1, 0.2), 2.0)
     assert rep["norm_Tt_scaled"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("steps", [(1e-3,), (), (1e-3, -1e-3), (1e-3, 1e-3), (1e-3, 5e-4, 5e-4),
+                                   (1e-3, 0.0), (1e-3, math.inf), (1e-3, math.nan)])
+def test_fd_steps_must_be_distinct_positive_and_finite(steps):
+    s = struct("r3_contact")
+    v = va.random_variation(s, "perp", 3)
+    with pytest.raises(InvalidArgumentError, match="distinct positive finite FD steps"):
+        va.verify_first_variation(s, v, (0.1, 0.2, 0.3), steps=steps)
+    assert set(va.verify_first_variation(s, v, (0.1, 0.2, 0.3), steps=(1e-3, 5e-4)))
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, None])
+def test_rk4_steps_must_be_a_positive_integer(steps):
+    s = struct("r3_contact")
+    with pytest.raises(InvalidArgumentError, match="positive integer number of RK4 steps"):
+        va.evolve_frame(s, zero_variation(s), (0.1, 0.2, 0.3), steps=steps)
