@@ -34,7 +34,7 @@ from . import variations as va
 from .errors import MixedCurvError, SingularEvaluationError
 # identity_suite stays: tests patch it to check that bad input evaluates no point
 from .geometry import PointGeometry, identity_suite, identity_suite_at, node_chunks
-from .structure import load_structure
+from .structure import load_structure, parse_intervals
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID = 8
@@ -75,21 +75,6 @@ def _points(args, struct):
     return struct.interior_points(args.random, args.seed)
 
 
-def _parse_box(text, struct):
-    import re
-    intervals = []
-    for part in text.split("x"):
-        m = re.match(r"^\s*\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]\s*$", part)
-        if not m:
-            raise MixedCurvError(f"bad box interval {part!r}")
-        try:
-            intervals.append((float(m.group(1)), float(m.group(2))))
-        except ValueError:
-            raise MixedCurvError(f"bad box interval {part!r}") from None
-    struct.require_box(intervals)
-    return tuple(intervals)
-
-
 def _quadrature(args, struct):
     """The variations suite's quadrature from --box and --grid, or None
     without --box; checked before any point is evaluated."""
@@ -99,8 +84,9 @@ def _quadrature(args, struct):
         if args.grid is not None:
             raise MixedCurvError("--grid needs --box")
         return None
-    return el.QuadratureSpec(box=_parse_box(args.box, struct),
-                             grid=DEFAULT_GRID if args.grid is None else args.grid)
+    box = parse_intervals(args.box, "box", MixedCurvError)
+    struct.require_box(box)
+    return el.QuadratureSpec(box=box, grid=DEFAULT_GRID if args.grid is None else args.grid)
 
 
 def _base_report(args, struct):

@@ -96,7 +96,7 @@ def integrate(struct, reader, q, metric_fn=None):
     pts, wts = grid_points(q)
 
     def chunk(c):
-        geom = PointGeometry(struct, c, metric_fn=metric_fn, check_domain=False)
+        geom = PointGeometry(struct, c, metric_fn=metric_fn)
         return (geom.volume_density * np.asarray(reader(geom), dtype=float).T).T
 
     vals = node_chunks(pts, struct.dim, chunk)

@@ -114,14 +114,12 @@ class PointGeometry:
     of shape B otherwise.
     """
 
-    def __init__(self, struct, point, metric_fn=None, dtilde_fn=None, check_domain=True):
+    def __init__(self, struct, point, metric_fn=None, dtilde_fn=None):
         self.struct = struct
         self.coords = np.array(point, dtype=float)
+        struct.require_inside(self.coords)
         nodes = [tuple(x) for x in np.atleast_2d(self.coords).tolist()]
         self.point = tuple(nodes) if self.coords.ndim == 2 else nodes[0]
-        if check_domain:
-            for node in nodes:
-                struct.require_inside(node)
         self.d = struct.dim
         self.n = struct.n
         self.p = struct.dim - struct.n
@@ -788,7 +786,7 @@ def divergence(struct, point, field, mode="full", metric_fn=None):
 def smix_density_fast(struct, point, metric_fn=None):
     """(S_mix, sqrt|det g|) without frames, the quadrature integrand: floats
     at a point, arrays at an (N, d) array of nodes."""
-    return smix_density(PointGeometry(struct, point, metric_fn=metric_fn, check_domain=False))
+    return smix_density(PointGeometry(struct, point, metric_fn=metric_fn))
 
 
 def smix_density(geom):

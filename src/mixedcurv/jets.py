@@ -18,13 +18,12 @@ jets with :func:`seed`, :func:`as_field`, :func:`dense`, :func:`order1`,
 A jet tensor field is one :class:`ArrayJet` (Taylor arithmetic in the vector
 forward mode): its value, gradient and Hessian arrays carry the tensor's
 shape, with the derivative axes last.  The field algebra is numpy's (``@``,
-:func:`tensordot`, transposes, indexing, ``diagonal``, ``sum``,
-broadcasting ring operations and elementary functions) with the product
-rule.  :func:`order1` and :func:`dshift` act on a field as a whole and on an
-array or nested list of scalars entry by entry.  :func:`einsum` writes a
-contraction once for any leading batch axes (``...``): a field of shape
-B + S is a batch B of tensors of shape S, and the per-point field is the
-empty batch.
+transposes, indexing, ``diagonal``, broadcasting ring operations and
+elementary functions) with the product rule.  Every product of two operands,
+``@`` included, is one :func:`einsum`, which writes a contraction once for
+any leading batch axes (``...``): a field of shape B + S is a batch B of
+tensors of shape S, and the per-point field is the empty batch.
+:func:`order1` and :func:`dshift` take an array jet.
 
 Seeding a batch of N points gives one array jet of shape (N,) per
 coordinate, a scalar at N quadrature nodes.  A field at such node seeds has
@@ -236,13 +235,13 @@ class ArrayJet:
     scalar at N nodes.  Ring operations, powers and elementary functions act
     entry by entry by :class:`Jet`'s formulas in the same order and
     broadcast between shapes as numpy does; a float or float array operand
-    is a constant.  ``@``, :func:`tensordot`, :meth:`transpose`, indexing,
-    :meth:`diagonal` and :meth:`sum` act as numpy's on the value, with the
-    product rule on the derivatives.  It raises
-    :class:`SingularEvaluationError` when :class:`Jet` would at any entry; an
-    elementary function whose value overflows raises ``OverflowError`` as
-    ``math`` does.  The arrays are never written in place, so jets may share
-    them.
+    is a constant (:func:`jpow` raises a float to a jet power).  ``@``,
+    :meth:`transpose`, :attr:`mT`, indexing and :meth:`diagonal` act as
+    numpy's on the value, with the product rule on the derivatives.  It
+    raises :class:`SingularEvaluationError` when :class:`Jet` would at any
+    entry; an elementary function whose value overflows raises
+    ``OverflowError`` as ``math`` does.  The arrays are never written in
+    place, so jets may share them.
     """
 
     __slots__ = ("v", "g", "h")
@@ -266,10 +265,6 @@ class ArrayJet:
     @property
     def ndim(self):
         return np.ndim(self.v)
-
-    @property
-    def size(self):
-        return np.size(self.v)
 
     def __repr__(self):
         return f"ArrayJet(v={self.v!r}, g={self.g!r}, h={self.h!r})"
@@ -402,9 +397,6 @@ class ArrayJet:
         f2 = e * (e - 1.0) * _finite_power(self.v, e - 2.0)
         return self._compose(f0, f1, f2)
 
-    def __rpow__(self, base):
-        return jexp(self * math.log(base))
-
     def _compose(self, f0, f1, f2):
         g = _g(f1) * self.g
         h = None
@@ -435,19 +427,12 @@ class ArrayJet:
         key = key if isinstance(key, tuple) else (key,)
         return self._parts(lambda x, k: x[key + (slice(None),) * k])
 
-    def __iter__(self):
-        return (self[i] for i in range(self.shape[0]))
-
     def transpose(self, *axes):
         n = self.ndim
         if len(axes) == 1 and not isinstance(axes[0], int):
             axes = tuple(axes[0])
         axes = axes or tuple(reversed(range(n)))
         return self._parts(lambda x, k: x.transpose(axes + tuple(range(n, n + k))))
-
-    @property
-    def T(self):
-        return self.transpose()
 
     @property
     def mT(self):
@@ -459,11 +444,6 @@ class ArrayJet:
         """numpy's diagonal: the diagonal axis comes last of the field's."""
         a1, a2 = (a % self.ndim for a in (axis1, axis2))
         return self._parts(lambda x, k: np.diagonal(x, offset, a1, a2), shift=1)
-
-    def sum(self, axis=None):
-        axes = tuple(range(self.ndim)) if axis is None else tuple(
-            a % self.ndim for a in np.atleast_1d(axis))
-        return self._parts(lambda x, k: x.sum(axis=axes))
 
     def __matmul__(self, other):
         return _matmul(self, other)
@@ -523,33 +503,14 @@ def _no_overflow(v, message):
     return v
 
 
-def tensordot(a, b, axes=2):
-    """numpy's tensordot of two array jets, or of an array jet and a float
-    array, by the product rule."""
-    na, nb = np.ndim(_value(a)), np.ndim(_value(b))
-    if isinstance(axes, int):
-        ia, ib = list(range(na - axes, na)), list(range(axes))
-    else:
-        ia, ib = ([x] if isinstance(x, int) else list(x) for x in axes)
-    # einsum subscripts: field axes a..w, a contracted axis shares a's letter
-    sa = [chr(97 + i) for i in range(na)]
-    sb = [chr(97 + na + j) for j in range(nb)]
-    for i, j in zip(ia, ib):
-        sb[j % nb] = sa[i % na]
-    sa, sb = "".join(sa), "".join(sb)
-    free = "".join(c for c in sa if c not in sb) + "".join(c for c in sb if c not in sa)
-    return _product(a, b, sa, sb, free)
-
-
 def _matmul(a, b):
     """``a @ b`` as numpy's: operands of more than two axes are stacks of
     matrices, and their leading axes broadcast."""
     na, nb = np.ndim(_value(a)), np.ndim(_value(b))
     if na == 0 or nb == 0:
         raise InvalidArgumentError(f"jet matmul of {na}- and {nb}-axis operands")
-    if nb <= 2:
-        return tensordot(a, b, ([na - 1], [0]))
-    return _product(a, b, "...ij" if na > 1 else "j", "...jk", "...ik" if na > 1 else "...k")
+    out = "..." * (na > 1 or nb > 1) + "i" * (na > 1) + "k" * (nb > 1)
+    return _product(a, b, "...ij" if na > 1 else "j", "...jk" if nb > 1 else "j", out)
 
 
 def _product(a, b, sa, sb, out):
@@ -635,48 +596,18 @@ def seed(point, order):
             for i, c in enumerate(pt)]
 
 
-def _order1(x):
-    if isinstance(x, Jet) and x.h is not None:
-        return Jet(x.v, x.g, None)
-    if isinstance(x, ArrayJet) and x.h is not None:
-        return ArrayJet(x.v, x.g, None)
-    return x
-
-
-_order1_entrywise = np.frompyfunc(_order1, 1, 1)
-
-
 def order1(X):
-    """Truncate to order 1; entrywise on an array or nested list, which
-    comes back as an object array."""
-    if isinstance(X, (list, tuple, np.ndarray)):
-        return _order1_entrywise(np.asarray(X, dtype=object))
-    return _order1(X)
-
-
-def _partials(x, d):
-    if isinstance(x, _JETS):
-        if x.h is None:
-            raise SingularEvaluationError("second-order jet required for field derivative")
-        if isinstance(x, ArrayJet):
-            return [ArrayJet(x.g[..., m], x.h[..., m], None) for m in range(d)]
-        return [Jet(x.g[m], x.h[m], None) for m in range(d)]
-    return [0.0] * d
+    """The array jet X truncated to order 1."""
+    return ArrayJet(X.v, X.g, None) if X.h is not None else X
 
 
 def dshift(X, d):
-    """Every partial derivative of order-2 jets in d variables, as order-1
-    jets with the derivative index first: ``dshift(X, d)[m][...] = d_m
-    X[...]``, zero for plain floats.  An array jet gives an array jet; an
-    array or nested list of scalars gives an object array."""
-    if isinstance(X, ArrayJet):
-        if X.h is None:
-            raise SingularEvaluationError("second-order jet required for field derivative")
-        return ArrayJet(np.moveaxis(X.g, -1, 0), np.moveaxis(X.h, -2, 0), None)
-    A = np.asarray(X, dtype=object)
-    D = np.empty((A.size, d), dtype=object)
-    D[...] = [_partials(x, d) for x in A.flat]
-    return np.ascontiguousarray(D.T).reshape((d,) + A.shape)
+    """Every partial derivative of the order-2 array jet X in d variables,
+    as an order-1 array jet with the derivative index first:
+    ``dshift(X, d)[m][...] = d_m X[...]``."""
+    if X.h is None:
+        raise SingularEvaluationError("second-order jet required for field derivative")
+    return ArrayJet(np.moveaxis(X.g, -1, 0), np.moveaxis(X.h, -2, 0), None)
 
 
 def _scalars(J):
@@ -756,7 +687,7 @@ def as_field(X, xs):
         return values(X)
     F = dense(X, x.nvars)
     if x.h is None:
-        F = _order1(F)
+        F = order1(F)
     if isinstance(x, ArrayJet) and not isinstance(X, ArrayJet):
         F = broadcast_to(F, x.shape + np.shape(np.asarray(X, dtype=object)))
     return F

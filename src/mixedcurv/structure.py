@@ -18,6 +18,7 @@ mirrored on evaluation, so symmetry is exact by construction.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -85,14 +86,23 @@ class ProductStructure:
         return exprlang.Program([c for vec in self.dtilde for c in vec])
 
     def contains(self, point):
-        return len(point) == self.dim and all(
-            lo - 1e-12 <= value_of(x) <= hi + 1e-12 for x, (lo, hi) in zip(point, self.domain))
+        """Whether ``point`` lies in the domain box (to 1e-12): a bool, or
+        one per node of an (N, d) node array."""
+        P = np.asarray(point, dtype=float)
+        if P.shape[-1:] != (self.dim,):
+            return np.zeros(P.shape[:-1], dtype=bool) if P.ndim > 1 else False
+        lo, hi = np.array(self.domain).T
+        return ((lo - 1e-12 <= P) & (P <= hi + 1e-12)).all(axis=-1)
 
     def require_inside(self, point):
-        pt = tuple(value_of(x) for x in point)
-        if len(pt) != self.dim:
-            raise DomainError(f"point {pt} has {len(pt)} coordinates, chart has {self.dim}")
-        if not self.contains(pt):
+        """Raise unless ``point``, or every node of an (N, d) node array,
+        lies in the domain box; the error names the first node that does not."""
+        nodes = np.atleast_2d(np.asarray(point, dtype=float))
+        inside = self.contains(nodes)
+        if not inside.all():
+            pt = tuple(nodes[inside.argmin()].tolist())
+            if len(pt) != self.dim:
+                raise DomainError(f"point {pt} has {len(pt)} coordinates, chart has {self.dim}")
             raise DomainError(f"point {pt} outside domain box {self.domain}")
 
     def require_box(self, box):
@@ -216,16 +226,7 @@ def load_structure(text):
     if extra:
         raise SpecFormatError(f"dtilde indices out of range: {sorted(extra)}")
 
-    intervals = []
-    for part in scalars["domain"].split("x"):
-        part = part.strip()
-        m = _INTERVAL_RE.match(part)
-        if not m:
-            raise SpecFormatError(f"bad domain interval {part!r}")
-        lo, hi = float(m.group(1)), float(m.group(2))
-        if not lo < hi:
-            raise SpecFormatError(f"empty domain interval {part!r}")
-        intervals.append((lo, hi))
+    intervals = parse_intervals(scalars["domain"], "domain", SpecFormatError)
     if len(intervals) != dim:
         raise SpecFormatError(f"domain needs {dim} intervals, got {len(intervals)}")
 
@@ -239,6 +240,28 @@ def load_structure(text):
         name=scalars.get("name", ""),
         source_text=text,
     )
+
+
+def parse_intervals(text, what, error):
+    """The (lo, hi) pairs of ``[lo, hi] x [lo, hi] x ...`` (a spec's domain,
+    ``--box``): finite bounds with lo < hi, else ``error`` naming the
+    interval as a ``what`` interval."""
+    intervals = []
+    for part in text.split("x"):
+        part = part.strip()
+        m = _INTERVAL_RE.match(part)
+        if not m:
+            raise error(f"bad {what} interval {part!r}")
+        try:
+            lo, hi = float(m.group(1)), float(m.group(2))
+        except ValueError:
+            raise error(f"bad {what} interval {part!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise error(f"non-finite {what} interval {part!r}")
+        if not lo < hi:
+            raise error(f"empty {what} interval {part!r}")
+        intervals.append((lo, hi))
+    return tuple(intervals)
 
 
 def _split_top_level(text):

@@ -35,14 +35,14 @@ ZERO_FLOOR = 5e-10
 # ----------------------------------------------------------------------
 # projector onto the distribution, closed form (no frame, jet-safe)
 
-def tangent_projector_jets(struct, xs, metric_fn=None, gmat=None, span=None):
+def tangent_projector_jets(struct, xs, gmat=None, span=None):
     """P[sigma][nu] of the g-orthogonal projector onto D-tilde, as an array
     jet: one matrix at a point, a stack of them at node seeds.
 
-    ``gmat`` and ``span`` let callers reuse an already evaluated metric and
-    ``struct.dtilde_at(xs)``."""
+    ``gmat`` and ``span`` are the metric and ``struct.dtilde_at(xs)`` as
+    fields at ``xs``; the structure's own are evaluated where they are None."""
     d = struct.dim
-    g = dense(gmat if gmat is not None else (metric_fn or struct.metric_at)(xs), d)
+    g = dense(struct.metric_at(xs) if gmat is None else gmat, d)
     W = dense(struct.dtilde_at(xs) if span is None else span, d)   # n rows of d components
     Wg = W @ g
     ginv = jet_matrix_inverse(Wg @ W.mT, struct.n)
@@ -100,28 +100,24 @@ class MetricVariation:
         d = self.struct.dim
         return exprlang.Program([self.raw[i][j] for i in range(d) for j in range(i, d)])
 
-    def B_at(self, xs, metric_fn=None, gmat=None, span=None):
+    def B_at(self, xs, gmat=None, span=None):
         """B as a field at ``xs``, as ``struct.metric_at`` gives the metric;
         ``gmat`` and ``span`` are as for :func:`tangent_projector_jets`.
         B is zero outside the box: at node seeds that straddle it only the
         nodes inside are evaluated, with ``gmat`` and ``span`` sliced to
-        them (``metric_fn`` is called at ``xs`` only), and the others read
-        zero."""
+        them, and the others read zero."""
         d = self.struct.dim
         inside = self._support(xs)
         if np.any(inside) and not np.all(inside):
             part = lambda F: None if F is None else dense(F, d)[inside]
-            fn = None if metric_fn is None else lambda _: part(metric_fn(xs))
-            return scatter(inside, self.B_at([x[inside] for x in xs], fn, part(gmat),
-                                             part(span)))
+            return scatter(inside, self.B_at([x[inside] for x in xs], part(gmat), part(span)))
         raw = self.raw_at(xs)
         B = dense(as_field(raw, xs), d)
         zero = all(isinstance(x, float) and x == 0.0 for row in raw for x in row)
         if self.project and self.klass != "general" and not zero:   # outside: exactly zero
             if self.klass not in ("tan", "perp"):
                 raise ClassificationError(f"unknown variation class {self.klass!r}")
-            P = tangent_projector_jets(self.struct, xs, metric_fn=metric_fn, gmat=gmat,
-                                       span=span)
+            P = tangent_projector_jets(self.struct, xs, gmat=gmat, span=span)
             PBP = P.mT @ (B @ P)
             B = PBP if self.klass == "tan" else B - PBP
         return as_field(B, xs)
@@ -135,7 +131,7 @@ class MetricVariation:
 
         def fam(xs):
             g = dense(base(xs), self.struct.dim)
-            return as_field(g + t * self.B_at(xs, base_metric_fn, g), xs)
+            return as_field(g + t * self.B_at(xs, g), xs)
 
         return fam
 
@@ -206,7 +202,7 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
     span = struct.dtilde_at(pt)
     fr = orthonormal_frame(g_base, span, d, point=pt)
     frame, signs = fr.vectors, fr.signs                 # frame vectors as rows
-    B0 = v.B_at(pt, metric_fn=metric_fn, gmat=g_base)
+    B0 = v.B_at(pt, gmat=g_base)
 
     ts = [k * t_end / steps for k in range(steps + 1)]
     times = [ts[0]]
@@ -504,37 +500,34 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
 # ----------------------------------------------------------------------
 # the projection lemma for t-dependent vectors
 
-def verify_projection_lemma(struct, v, point, xfield, steps=FD_STEPS,
+def verify_projection_lemma(struct, v, point, xfield, step=FD_STEPS[-1],
                             metric_fn=None):
-    """FD of the g_t-projections of X(t) against the stated formulas."""
+    """Central differences with the step ``step`` of the g_t-projections of
+    X(t) against the stated formulas."""
     if v.klass != "perp":
         raise ClassificationError("the projection lemma is for perp-variations")
-    d = struct.dim
+    if not (isinstance(step, (int, float)) and 0.0 < step < math.inf):
+        raise InvalidArgumentError(f"need a positive finite FD step, got {step!r}")
+    pt = list(point)
 
     def proj_parts(t):
-        fn = v.metric_fn(t, metric_fn)
-        P = values(tangent_projector_jets(struct, list(point), fn))
+        P = values(tangent_projector_jets(struct, pt, gmat=v.metric_fn(t, metric_fn)(pt)))
         X = np.asarray(xfield(t), float)
         return P @ X, X - P @ X
 
     geom0 = PointGeometry(struct, point, metric_fn=metric_fn)
-    P0 = values(tangent_projector_jets(struct, list(point), metric_fn))
-    B0 = v.B_at(list(point), metric_fn=metric_fn)
+    g0 = (metric_fn or struct.metric_at)(pt)
+    P0 = values(tangent_projector_jets(struct, pt, gmat=g0))
+    B0 = v.B_at(pt, gmat=g0)
     X0 = np.asarray(xfield(0.0), float)
-    h0 = steps[-1]
-    dX = (np.asarray(xfield(h0), float) - np.asarray(xfield(-h0), float)) / (2 * h0)
+    dX = (np.asarray(xfield(step), float) - np.asarray(xfield(-step), float)) / (2 * step)
     Xperp = X0 - P0 @ X0
     corr = P0 @ (geom0.ginv0 @ (B0 @ Xperp))
     rhs_tan = P0 @ dX + corr
     rhs_perp = dX - P0 @ dX - corr
 
-    worst = 0.0
-    for h in steps[-1:]:
-        tp, tm = proj_parts(h), proj_parts(-h)
-        fd_tan = (tp[0] - tm[0]) / (2 * h)
-        fd_perp = (tp[1] - tm[1]) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(fd_tan - rhs_tan))),
-                    float(np.max(np.abs(fd_perp - rhs_perp))))
+    fd = (np.array(proj_parts(step)) - np.array(proj_parts(-step))) / (2 * step)
+    worst = float(np.max(np.abs(fd - np.array([rhs_tan, rhs_perp]))))
     # the sharp-top identity (B-sharp X)^tan = (B-sharp X-perp)^tan
     lhs = P0 @ (geom0.ginv0 @ (B0 @ X0))
     worst_id = float(np.max(np.abs(lhs - corr)))
@@ -597,11 +590,11 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     def chunk(c):
         xs = seed(c, 2)
         g, W = (metric_fn or struct.metric_at)(xs), struct.dtilde_at(xs)
-        B = v.B_at(xs, metric_fn, gmat=g, span=W)
+        B = v.B_at(xs, gmat=g, span=W)
         # each bundle calls its functions only at its own seeds, the same as xs
         (sp, dp), (sm, dm) = (
             smix_density(PointGeometry(struct, c, metric_fn=lambda _, s=s: g + s * B,
-                                       dtilde_fn=lambda _: W, check_domain=False))
+                                       dtilde_fn=lambda _: W))
             for s in (t_step, -t_step))
         return sp * dp - sm * dm
 

@@ -21,7 +21,7 @@ def pairing_by_points(struct, v, q, metric_fn=None):
     pts, wts = grid_points(q)
 
     def one(pt, w):
-        geom = PointGeometry(struct, pt, metric_fn=metric_fn, check_domain=False)
+        geom = PointGeometry(struct, pt, metric_fn=metric_fn)
         e = va._RHS(geom, v.B_at(geom.seeds, gmat=geom.gJ))
         trB = float(np.trace(geom.ginv0 @ e.B0))
         dS = (sum(e.rhs(f) for f in va._SMIX_TERMS)

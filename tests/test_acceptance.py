@@ -173,8 +173,8 @@ def test_criterion_7_integral_relations():
         fp, fm = v.metric_fn(h), v.metric_fn(-h)
 
         def chunk(c):
-            a = PointGeometry(s, c, metric_fn=fp, check_domain=False)
-            b = PointGeometry(s, c, metric_fn=fm, check_domain=False)
+            a = PointGeometry(s, c, metric_fn=fp)
+            b = PointGeometry(s, c, metric_fn=fm)
             return ((a.tan.div_H + a.perp.div_H) * a.volume_density
                     - (b.tan.div_H + b.perp.div_H) * b.volume_density)
 

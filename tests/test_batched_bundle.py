@@ -335,7 +335,6 @@ def test_node_bundle_checks_every_node_against_the_domain():
     with pytest.raises(DomainError) as err:
         PointGeometry(s, pts)
     assert str(err.value).startswith(f"point {tuple(pts[2].tolist())} outside")
-    PointGeometry(s, pts, check_domain=False)
 
 
 def test_a_node_bundle_names_its_failing_node():

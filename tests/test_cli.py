@@ -350,3 +350,34 @@ def test_verify_variations_cli(tmp_path):
                       "--random", "2"], tmp_path)
     rep = json.loads(text)
     assert code == 0 and rep["failed"] == 0
+
+
+@pytest.mark.parametrize("domain, message", [
+    ("[a, 1] x [-1, 1]", "bad domain interval '[a, 1]'"),
+    ("[-1, inf] x [-1, 1]", "non-finite domain interval '[-1, inf]'"),
+    ("[-1, 1] x [nan, 1]", "non-finite domain interval '[nan, 1]'"),
+    ("[1, 1] x [-1, 1]", "empty domain interval '[1, 1]'"),
+], ids=["letter", "inf", "nan", "empty"])
+def test_bad_spec_domain_exit_2(domain, message, tmp_path, capsys):
+    # the spec's domain and --box share one interval parser: a malformed or
+    # non-finite bound is a configuration error, not a traceback or a
+    # failure at the first point
+    path = tmp_path / "s.spec"
+    path.write_text("dim = 2\ndtilde_dim = 1\nmetric 0 0 = 1\nmetric 1 1 = 1\n"
+                    f"dtilde 0 = 1, 0\ndomain = {domain}\n")
+    assert cli.main(["inspect", "--spec", str(path), "--random", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("box, message", [
+    ("[-0.5,0.5] x [-0.5,b] x [0,1]", "bad box interval '[-0.5,b]'"),
+    ("[-0.5,0.5] x [-0.5,inf] x [0,1]", "non-finite box interval '[-0.5,inf]'"),
+], ids=["letter", "inf"])
+def test_bad_box_interval_exit_2(box, message, capsys):
+    assert cli.main(["verify", "variations", "--gallery", "r3_contact", "--random", "1",
+                     "--box", box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -19,7 +19,7 @@ from mixedcurv import gallery
 from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError
 from mixedcurv.geometry import PointGeometry, jet_matrix_inverse
 from mixedcurv.jets import (ArrayJet, Jet, dense, dshift, elementary, gradients, jlog,
-                            jsqrt, order1, tensordot, values)
+                            jpow, jsqrt, order1, values)
 
 from scalar_inverse import scalar_matrix_inverse
 from test_random_structures import generated_structures, seeded_structure
@@ -44,7 +44,7 @@ def _same(got, want, exact):
     if want.size:
         assert (got.h is None) == any(x.h is None for x in want.flat)
     if got.h is not None and want.size:
-        pairs.append((gradients(dshift(got, d), d), gradients(dshift(want, d), d)))
+        pairs.append((gradients(dshift(got, d), d), gradients(dshift(dense(want, d), d), d)))
     for a, b in pairs:
         assert a.shape == b.shape
         if exact:
@@ -117,7 +117,7 @@ def test_elementary_functions_act_entrywise(data):
         _same(elementary(A, fn), np.frompyfunc(lambda x: elementary(x, fn), 1, 1)(Ao),
               exact=False)
     _same(A ** 1.5, np.frompyfunc(lambda x: x ** 1.5, 1, 1)(Ao), exact=False)
-    _same(2.0 ** A, np.frompyfunc(lambda x: 2.0 ** x, 1, 1)(Ao), exact=False)
+    _same(jpow(2.0, A), np.frompyfunc(lambda x: jpow(2.0, x), 1, 1)(Ao), exact=False)
 
 
 def _contract_cases(draw):
@@ -135,23 +135,15 @@ def _contract_cases(draw):
     return [
         ("3@2", A3 @ M, A3o @ Mo), ("2@2", A2 @ M, A2o @ Mo), ("2@1", A2 @ V, A2o @ Vo),
         ("1@2", V @ M, Vo @ Mo), ("1@1", V @ V, np.asarray(Vo @ Vo, dtype=object)),
-        ("2@const", A2 @ K, A2o @ K), ("const@2", K.T @ A2.T, K.T @ A2o.T),
+        ("2@const", A2 @ K, A2o @ K), ("const@2", K.T @ A2.mT, K.T @ A2o.T),
         ("3@3", A3 @ S3, A3o @ S3o), ("2@3", A2 @ S3, A2o @ S3o), ("1@3", V @ S3, Vo @ S3o),
         ("3@3 broadcast", A3 @ S3[:1], A3o @ S3o[:1]), ("mT", S3.mT, np.swapaxes(S3o, -1, -2)),
-        ("tensordot 0", tensordot(A3, M, axes=(2, 0)), np.tensordot(A3o, Mo, axes=(2, 0))),
-        ("tensordot 1", tensordot(M, A3, axes=([0, 1], [2, 0])) if r == m else None,
-         np.tensordot(Mo, A3o, axes=([0, 1], [2, 0])) if r == m else None),
-        ("tensordot 2", tensordot(A3, A3, axes=2) if m == k == n else None,
-         np.tensordot(A3o, A3o, axes=2) if m == k == n else None),
-        ("tensordot const", tensordot(K, A3, axes=(0, 2)), np.tensordot(K, A3o, axes=(0, 2))),
         ("transpose", A3.transpose(2, 0, 1), A3o.transpose(2, 0, 1)),
-        ("T", A3.T, A3o.T), ("slice", A3[:, 1:, ::-1], A3o[:, 1:, ::-1]),
+        ("slice", A3[:, 1:, ::-1], A3o[:, 1:, ::-1]),
         ("index", A3[..., 0], A3o[..., 0]), ("newaxis", V[:, None], Vo[:, None]),
         ("fancy", A3[[0, 0], :, [n - 1, 0]], A3o[[0, 0], :, [n - 1, 0]]),
         ("diagonal", A3.diagonal(), np.diagonal(A3o)),
         ("diagonal 02", A3.diagonal(0, 0, 2), np.diagonal(A3o, 0, 0, 2)),
-        ("sum", A3.sum(axis=1), A3o.sum(axis=1)),
-        ("sum all", A3.sum(), np.asarray(A3o.sum(), dtype=object)),
     ]
 
 
@@ -177,10 +169,12 @@ def test_readers_match_object_arrays(data):
     assert np.array_equal(values(A), values(Ao))
     assert np.array_equal(gradients(A, d), gradients(Ao, d))
     assert gradients(A, d).flags["C_CONTIGUOUS"]
-    D, Do = dshift(A, d), dshift(Ao, d)
-    assert D.shape == Do.shape == (d,) + shape and D.h is None
-    assert np.array_equal(values(D), values(Do))
-    assert np.array_equal(gradients(D, d), gradients(Do, d))
+    # dshift(A)[m][idx] is the order-1 jet (g[m], h[m]) of entry idx
+    D = dshift(A, d)
+    assert D.shape == (d,) + shape and D.h is None
+    H = np.array([x.h for x in Ao.flat], dtype=float).reshape(shape + (d, d))
+    assert np.array_equal(values(D), gradients(Ao, d))
+    assert np.array_equal(gradients(D, d), np.moveaxis(H, (-1, -2), (0, 1)))
     O = order1(A)
     assert O.h is None and np.array_equal(O.g, A.g)
     with pytest.raises(SingularEvaluationError):
@@ -188,7 +182,7 @@ def test_readers_match_object_arrays(data):
     # dense() of the object array gives the field back, bit for bit
     R = dense(Ao, d)
     assert all(np.array_equal(x, y) for x, y in zip((R.v, R.g, R.h), (A.v, A.g, A.h)))
-    assert dense(order1(Ao), d).h is None
+    assert dense(_objects(O), d).h is None
 
 
 def test_mixed_kinds_are_refused():
@@ -300,7 +294,7 @@ def _frame_defect(geom):
     """Largest |value|, |gradient| and |Hessian| entry of g(e_a, e_b) -
     eps_a delta_ab, with the frame and the metric as order-2 jet fields."""
     E, d = geom.framevecsJ, geom.d
-    G = E @ geom.gJ @ E.T - np.diag(geom.eps)
+    G = E @ geom.gJ @ E.mT - np.diag(geom.eps)
     return max(float(np.max(np.abs(x)))
                for x in (values(G), gradients(G, d), gradients(dshift(G, d), d)))
 

@@ -82,7 +82,7 @@ def _loop_integral(s, q, fn, reader=lambda g: 1.0):
     pts, wts = el.grid_points(q)
 
     def node(pt, w):
-        g = PointGeometry(s, pt, metric_fn=fn, check_domain=False)
+        g = PointGeometry(s, pt, metric_fn=fn)
         return g.volume_density * reader(g) * w
 
     return el.pairwise_sum(node(pt, w) for pt, w in zip(pts, wts))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedcurv import gallery
 from mixedcurv.errors import (DegenerateDistributionError, DomainError,
                               NameResolutionError, SpecFormatError)
 from mixedcurv.euler_lagrange import QuadratureSpec, volume
-from mixedcurv.geometry import identity_suite
+from mixedcurv.geometry import identity_suite, smix_density_fast
 from mixedcurv.jets import seed
 from mixedcurv.structure import (DEGENERACY_TOL, _float_pass, adapted_frame, load_structure,
                                  orthonormal_frame, signature)
@@ -243,6 +245,45 @@ def test_a_point_of_the_wrong_length_is_a_domain_error(pt):
     assert not s.contains(pt)
     with pytest.raises(DomainError, match=f"has {len(pt)} coordinates, chart has 3"):
         identity_suite(s, pt)
+
+
+@pytest.mark.parametrize("pt", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)])
+def test_the_quadrature_integrand_checks_its_point(pt):
+    # smix_density_fast builds its bundle as every reader does, so a point of
+    # the wrong length or outside the box is a domain error there too
+    s = gallery.load_entry("r3_contact").structure
+    with pytest.raises(DomainError, match=f"has {len(pt)} coordinates, chart has 3"):
+        smix_density_fast(s, pt)
+    with pytest.raises(DomainError, match=r"^point \(2.0, 0.0, 0.0\) outside domain box"):
+        smix_density_fast(s, (2.0, 0.0, 0.0))
+
+
+def test_require_inside_takes_node_arrays_of_any_length():
+    s = load_structure(FLAT)
+    s.require_inside(np.zeros((0, 3)))
+    with pytest.raises(DomainError, match=r"^point \(0.5, 0.5\) has 2 coordinates, chart has 3"):
+        s.require_inside(np.full((4, 2), 0.5))
+
+
+_EDGE = st.sampled_from([-1.0 - 2e-12, -1.0 - 1e-12, -1.0, 0.0, 1.0, 1.0 + 1e-12,
+                         1.0 + 2e-12, math.nan])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_EDGE, _EDGE, _EDGE), min_size=1, max_size=6))
+def test_the_node_test_reads_each_node_by_the_scalar_rule(nodes):
+    # the domain box widened by 1e-12, node by node; the first node outside
+    # it is the one the error names
+    s = load_structure(FLAT)
+    want = [all(-1.0 - 1e-12 <= x <= 1.0 + 1e-12 for x in node) for node in nodes]
+    assert s.contains(np.array(nodes)).tolist() == want
+    assert [bool(s.contains(node)) for node in nodes] == want
+    if all(want):
+        s.require_inside(np.array(nodes))
+        return
+    with pytest.raises(DomainError) as err:
+        s.require_inside(np.array(nodes))
+    assert str(err.value) == f"point {nodes[want.index(False)]} outside domain box {s.domain}"
 
 
 def test_a_box_of_the_wrong_length_is_a_domain_error():

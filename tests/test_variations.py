@@ -403,6 +403,25 @@ def test_fd_steps_must_be_distinct_positive_and_finite(steps):
     assert set(va.verify_first_variation(s, v, (0.1, 0.2, 0.3), steps=(1e-3, 5e-4)))
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan, None, (1e-3, 5e-4), ()])
+def test_projection_lemma_step_must_be_positive_and_finite(step):
+    s = struct("r3_contact")
+    v = va.random_variation(s, "perp", seed=11)
+    with pytest.raises(InvalidArgumentError, match="positive finite FD step"):
+        va.verify_projection_lemma(s, v, (0.2, -0.3, 0.1), lambda t: [0.0, 1.0, 0.0], step=step)
+    res = va.verify_projection_lemma(s, v, (0.2, -0.3, 0.1), lambda t: [0.0, 1.0, 0.0],
+                                     step=5e-4)
+    assert res["fd_vs_formula"] < 1e-6
+
+
+def test_projection_lemma_reports_a_non_finite_difference():
+    s = struct("r3_contact")
+    v = va.random_variation(s, "perp", seed=11)
+    res = va.verify_projection_lemma(s, v, (0.2, -0.3, 0.1),
+                                     lambda t: [0.0, 1.0, math.nan if t else 0.0])
+    assert math.isnan(res["fd_vs_formula"])
+
+
 @pytest.mark.parametrize("steps", [0, -1, 2.5, None])
 def test_rk4_steps_must_be_a_positive_integer(steps):
     s = struct("r3_contact")
