@@ -5,11 +5,12 @@ and reported as the max-abs norm of its residual in the adapted frame.  The
 evaluators read the bundle their caller built, on trailing axes as the
 bundle is written: over N nodes a residual has the node axis first and a
 report one norm per node, at a point a float norm.  ``el_general`` also
-takes a (structure, point) pair and builds the bundle.  The domain-mean
-constants entering the equations (the starred scalars, the mean divergence
-of the complement's mean curvature, the mean Ricci curvature) can be
-supplied by the caller or evaluated pointwise / by quadrature; the report
-always records which source was used.
+takes a (structure, point) pair and builds the bundle of the structure's
+own metric.  The starred scalars entering the general and flow systems
+can be supplied by the caller as ``constants`` (a domain mean from
+:func:`domain_mean`, say) or are evaluated pointwise; the contact-action
+and codimension-one constants are always pointwise.  The report records
+each constant and its source, and every verdict reads ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -114,12 +115,11 @@ def volume(struct, q, metric_fn=None):
     return pairwise_sum(dn * w for dn, w in zip(dens.tolist(), wts))
 
 
-def domain_mean(struct, reader, q, metric_fn=None):
+def domain_mean(struct, reader, q):
     """Mean of ``reader``, as :func:`integrate` takes it, with respect to the
     metric volume element: the integrals of (reader, 1) from one pass."""
     total, vol = integrate(struct, lambda geom: np.stack(
-        [np.broadcast_to(reader(geom), geom.batch), np.ones(geom.batch)], axis=-1),
-        q, metric_fn=metric_fn)
+        [np.broadcast_to(reader(geom), geom.batch), np.ones(geom.batch)], axis=-1), q)
     return total / vol
 
 
@@ -158,16 +158,15 @@ def s_star_flow(geom):
 class ELReport:
     """An equation's residual (frame components) and its max-abs norm; on a
     node bundle the residual has the node axis first, and the norm and the
-    verdict are arrays over the nodes."""
+    verdict (norm <= ``DEFAULT_TOL``) are arrays over the nodes."""
     equation: str
     residual: list
     norm: float
     constants: dict = field(default_factory=dict)
-    tolerance: float = DEFAULT_TOL
 
     @property
     def verdict(self):
-        return self.norm <= self.tolerance
+        return self.norm <= DEFAULT_TOL
 
     def to_dict(self):
         return {
@@ -175,18 +174,18 @@ class ELReport:
             "residual": self.residual,
             "residual_norm": np.asarray(self.norm).tolist(),
             "constants": self.constants,
-            "tolerance": self.tolerance,
+            "tolerance": DEFAULT_TOL,
             "verdict": np.asarray(self.verdict).tolist(),
         }
 
 
-def _report(geom, eq, resid, constants, tol):
+def _report(geom, eq, resid, constants):
     """The report of ``resid``, with the bundle's batch axes first and at
     least one axis after them: one norm per member of the batch."""
     arr = np.asarray(resid, float)
     lead = len(geom.batch)
     norm = _scalar(np.max(np.abs(arr), axis=tuple(range(lead, arr.ndim))))
-    return ELReport(eq, arr.tolist(), norm, constants, tol)
+    return ELReport(eq, arr.tolist(), norm, constants)
 
 
 def _diag(c, eps):
@@ -237,14 +236,14 @@ def _el_block(geom, B, A, star):
             - _diag(0.5 * (geom.smix - star + B.div_H - A.div_H), B.eps))
 
 
-def el_general(struct, point, which, constants=None, metric_fn=None, tol=DEFAULT_TOL):
-    """The general system at a point: builds the bundle for
-    :func:`el_general_at`."""
-    return el_general_at(PointGeometry(struct, point, metric_fn=metric_fn), which,
-                         constants=constants, tol=tol)
+def el_general(struct, point, which, constants=None):
+    """The general system at ``point`` of the structure's own metric: builds
+    the bundle for :func:`el_general_at`.  At another metric, build the
+    bundle with its ``metric_fn`` and read it with :func:`el_general_at`."""
+    return el_general_at(PointGeometry(struct, point), which, constants=constants)
 
 
-def el_general_at(geom, which, constants=None, tol=DEFAULT_TOL):
+def el_general_at(geom, which, constants=None):
     """E-main-0i, 0ii or 0iii read from the bundle ``geom``."""
     tan, perp = geom.tan, geom.perp
     n = geom.n
@@ -254,7 +253,7 @@ def el_general_at(geom, which, constants=None, tol=DEFAULT_TOL):
         B = perp if which == "E-main-0i" else tan
         star = _constant(consts, constants, f"s_star_{B.side}",
                          lambda: s_star(geom, B.side))
-        return _report(geom, which, _el_block(geom, B, B.dual, star), consts, tol)
+        return _report(geom, which, _el_block(geom, B, B.dual, star), consts)
 
     if which == "E-main-0ii":
         M = geom.to_frame02(geom.div_12(tan.alpha_field)) - perp.div_theta
@@ -270,7 +269,7 @@ def el_general_at(geom, which, constants=None, tol=DEFAULT_TOL):
         resid = (0.5 * (M[..., :n, n:] + M[..., n:, :n].mT)
                  + 0.5 * (full[..., :n, n:] + full[..., n:, :n].mT)
                  - tan.delta_of(tan.HJ))
-        return _report(geom, which, resid, consts, tol)
+        return _report(geom, which, resid, consts)
 
     raise SpecializationError(f"unknown equation {which!r}")
 
@@ -288,7 +287,7 @@ def _flow_data(geom):
     return eN, At, Tt, hsc, _trace(At)
 
 
-def el_flow(geom, which, constants=None, tol=DEFAULT_TOL):
+def el_flow(geom, which, constants=None):
     """E-main-1i, 3i or 2i read from the bundle ``geom`` (rank-one D-tilde)."""
     eN, At, Tt, hsc, tau1 = _flow_data(geom)
     tan, perp = geom.tan, geom.perp
@@ -306,7 +305,7 @@ def el_flow(geom, which, constants=None, tol=DEFAULT_TOL):
                  + H[..., :, None] * H[..., None, :]
                  - perp.def_of(tan.HJ)
                  - _diag(0.5 * (eN * geom.ric_N - star + div_term), perp.eps))
-        return _report(geom, which, resid, consts, tol)
+        return _report(geom, which, resid, consts)
 
     if which == "E-main-3i":
         form = geom.div_11(perp.Tsharp_field, mode="perp")
@@ -314,19 +313,19 @@ def el_flow(geom, which, constants=None, tol=DEFAULT_TOL):
         TtH = (Tt @ (eps * tan.Hb_frame[..., 1:])[..., None])[..., 0]
         resid = (np.einsum("...m,...jm->...j", form, geom.F[..., 1:, :])
                  + 2.0 * eps * TtH)
-        return _report(geom, which, resid, consts, tol)
+        return _report(geom, which, resid, consts)
 
     if which == "E-main-2i":
         star = _constant(consts, constants, "s_star_tan",
                          lambda: s_star(geom, "tan"))
         resid = (eN * geom.ric_N + star - 4.0 * perp.norm_T
                  - geom.div_vector(tan.unit_J * (eN * perp.tau1_J)[..., None] + tan.HJ))
-        return _report(geom, which, np.asarray(resid)[..., None], consts, tol)
+        return _report(geom, which, np.asarray(resid)[..., None], consts)
 
     raise SpecializationError(f"unknown flow equation {which!r}")
 
 
-def el_geodesic_riemannian_flow(geom, tol=DEFAULT_TOL, guard_tol=1e-8):
+def el_geodesic_riemannian_flow(geom, guard_tol=1e-8):
     """The geodesic Riemannian flow system read from the bundle ``geom``."""
     if geom.n != 1:
         raise SpecializationError("geodesic Riemannian flow needs rank-one D-tilde")
@@ -340,9 +339,8 @@ def el_geodesic_riemannian_flow(geom, tol=DEFAULT_TOL, guard_tol=1e-8):
     p = geom.p
     iso = geom.jacobi_N - _diag(geom.ric_N / p, geom.perp.eps)
     return {
-        "E-1geod-Riem": _report(geom, "E-1geod-Riem", iso, {}, tol),
-        "geodriemflowiii": _report(geom, "geodriemflowiii",
-                                   geom.ricci_frame[..., 0, 1:], {}, tol),
+        "E-1geod-Riem": _report(geom, "E-1geod-Riem", iso, {}),
+        "geodriemflowiii": _report(geom, "geodriemflowiii", geom.ricci_frame[..., 0, 1:], {}),
         "ric_N": geom.ric_N,
         "p": p,
     }
@@ -351,7 +349,7 @@ def el_geodesic_riemannian_flow(geom, tol=DEFAULT_TOL, guard_tol=1e-8):
 # ----------------------------------------------------------------------
 # volume-preserving regimes
 
-def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL):
+def el_volume_preserving(struct, points, which):
     """Recover the multiplier from equation traces and report consistency.
 
     ``which`` selects a specialization: 'flow' for the rank-one-distribution
@@ -365,7 +363,7 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
     if which == "contact-T" and struct.n != 1:
         raise SpecializationError(
             "the contact-action multiplier system needs rank-one D-tilde")
-    geom = PointGeometry(struct, np.array(pts, dtype=float), metric_fn=metric_fn)
+    geom = PointGeometry(struct, np.array(pts, dtype=float))
     n, p, perp = geom.n, geom.p, geom.perp
 
     if which == "flow":
@@ -380,8 +378,8 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
                 "norm_Tt": Q, "closed_form_1K": (p - 4.0) / p * Q, "closed_form_2K": 3.0 * Q}
         gap = cols["lambda_gap"]
     elif which == "codim1":
-        rep = el_codim1(geom, "codim1folgenvar", tol=tol)
-        rep2 = el_codim1(geom, "codimoneEL2", tol=tol)
+        rep = el_codim1(geom, "codim1folgenvar")
+        rep2 = el_codim1(geom, "codimoneEL2")
         cols = {"genvar_norm": rep.norm, "divA_norm": rep2.norm,
                 "lambda": rep.constants["lambda"]}
         gap = np.maximum(rep.norm, rep2.norm)
@@ -401,7 +399,7 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
     out = {"which": which, "max_gap": float(np.max(gap)),
            "rows": [{"point": list(pt), **{k: v[i] for k, v in cols.items()}}
                     for i, pt in enumerate(pts)]}
-    out["consistent"] = out["max_gap"] <= tol
+    out["consistent"] = out["max_gap"] <= DEFAULT_TOL
     if which == "contact-T":
         out["trace_gap"] = max(cols["trace_gap"])
     return out
@@ -410,16 +408,15 @@ def el_volume_preserving(struct, points, which, metric_fn=None, tol=DEFAULT_TOL)
 # ----------------------------------------------------------------------
 # the non-integrability action
 
-def el_tildeT_action(geom, constants=None, tol=DEFAULT_TOL):
-    """ELtildeT1-3 read from the bundle ``geom``, as {name: ELReport}."""
+def el_tildeT_action(geom):
+    """ELtildeT1-3 read from the bundle ``geom``, as {name: ELReport}; the
+    starred constants are the pointwise closed forms in |T~|^2."""
     tan, perp = geom.tan, geom.perp
     n, p = geom.n, geom.p
     Q = perp.norm_T
     consts = {}
-    tstar = _constant(consts, constants, "Tt_star",
-                      lambda: (4.0 - p) / (2.0 * p) * Q)
-    tstar2 = _constant(consts, constants, "T_star",
-                       lambda: (2.0 + n) / (2.0 * n) * Q)
+    tstar = _constant(consts, None, "Tt_star", lambda: (4.0 - p) / (2.0 * p) * Q)
+    tstar2 = _constant(consts, None, "T_star", lambda: (2.0 + n) / (2.0 * n) * Q)
 
     r1 = 2.0 * perp.flat(perp.tcal) + _diag(0.5 * Q + tstar, perp.eps)
 
@@ -432,42 +429,39 @@ def el_tildeT_action(geom, constants=None, tol=DEFAULT_TOL):
     r3 = perp.phi_T[..., :n, :n] - _diag(0.5 * Q - tstar2, tan.eps)
 
     return {
-        "ELtildeT1": _report(geom, "ELtildeT1", r1, consts, tol),
-        "ELtildeT2": _report(geom, "ELtildeT2", r2, consts, tol),
-        "ELtildeT3": _report(geom, "ELtildeT3", r3, consts, tol),
+        "ELtildeT1": _report(geom, "ELtildeT1", r1, consts),
+        "ELtildeT2": _report(geom, "ELtildeT2", r2, consts),
+        "ELtildeT3": _report(geom, "ELtildeT3", r3, consts),
     }
 
 
 # ----------------------------------------------------------------------
 # conformal change of a contact-type structure
 
-def conformal_metric(struct, psi_ast, base_metric_fn=None):
+def conformal_metric(struct, psi_ast):
     """The metric function of exp(-2 psi) g for the scalar expression
     ``psi_ast``; it returns fields, as ``struct.metric_at`` does."""
-    base = base_metric_fn or struct.metric_at
-
     def fn(xs):
         # the factor as a 1 x 1 field, which broadcasts against the metric
         c = jexp(-2.0 * exprlang.evaluate(psi_ast, list(xs), struct.params))
-        return as_field([[c]], xs) * base(xs)
+        return as_field([[c]], xs) * struct.metric_at(xs)
 
     return fn
 
 
-def conformal_check(struct, psi_ast, point, y_index=0, metric_fn=None, tol=DEFAULT_TOL):
+def conformal_check(struct, psi_ast, point, y_index=0):
     """Residual of the flow equation E-main-3i under g -> exp(-2 psi) g.
 
     Returns (direct, closed_form): the directly recomputed half-residual and
     the closed-form prediction (1-p)/2 e^psi g(T~sharp_xi Y, grad psi); the
     two are computed by fully independent paths.
     """
-    base = PointGeometry(struct, point, metric_fn=metric_fn)
+    base = PointGeometry(struct, point)
     if base.n != 1:
         raise SpecializationError("conformal check needs rank-one D-tilde")
     p = base.p
 
-    hat = PointGeometry(struct, point,
-                        metric_fn=conformal_metric(struct, psi_ast, metric_fn))
+    hat = PointGeometry(struct, point, metric_fn=conformal_metric(struct, psi_ast))
     hperp, heps = hat.perp, hat.perp.eps
     form = hat.div_11(hperp.Tsharp_field, mode="perp")
     TtH_vec = (heps * (hperp.Tsharp_ops[0] @ (heps * hat.tan.Hb_frame[1:]))) @ hat.F[1:]
@@ -498,7 +492,7 @@ def _codim1_data(geom):
             _scalar(geom.ricci_frame[..., geom.n, geom.n]))
 
 
-def el_codim1(geom, which, constants=None, tol=DEFAULT_TOL):
+def el_codim1(geom, which):
     """A codimension-one equation read from the bundle ``geom`` (p = 1)."""
     eN, AN, tau1, tau2, ric_normal = _codim1_data(geom)
     n = geom.n
@@ -508,24 +502,24 @@ def el_codim1(geom, which, constants=None, tol=DEFAULT_TOL):
     consts = {}
 
     if which == "codimoneEL1":
-        star = _constant(consts, constants, "s_star_perp",
+        star = _constant(consts, None, "s_star_perp",
                          lambda: eN * ric_normal - 2.0 * eN * (n_tau1 - tau2))
         resid = tau1 * tau1 - tau2 + eN * star
-        return _report(geom, which, np.asarray(resid)[..., None], consts, tol)
+        return _report(geom, which, np.asarray(resid)[..., None], consts)
 
     if which == "codimoneEL2":
         form = geom.div_11(geom.tan.A_field, mode="tan")
         dtau = np.moveaxis(gradients(tau1J, geom.d), 0, -1)
         resid = np.einsum("...m,...am->...a", form - dtau, geom.F[..., :n, :])
-        return _report(geom, which, resid, consts, tol)
+        return _report(geom, which, resid, consts)
 
     if which == "codimoneEL3":
-        star = _constant(consts, constants, "s_star_tan",
+        star = _constant(consts, None, "s_star_tan",
                          lambda: eN * ric_normal - (2.0 / n) * geom.perp.div_H)
         rhs = _diag(0.5 * (2.0 * eN * (n_tau1 - tau1 * tau1)
                            + eN * (tau1 * tau1 - tau2) - star), geom.tan.eps)
         resid = geom.tan.nabla_N_hsc - hsc - rhs
-        return _report(geom, which, resid, consts, tol)
+        return _report(geom, which, resid, consts)
 
     if which == "codim1folgenvar":
         if n < 2:
@@ -533,7 +527,7 @@ def el_codim1(geom, which, constants=None, tol=DEFAULT_TOL):
         resid = (geom.tan.nabla_N_hsc - hsc
                  + _diag(eN * (tau1 * tau1 - tau2) / (n - 1.0), geom.tan.eps))
         consts["lambda"] = -eN * (tau1 * tau1 - tau2)
-        return _report(geom, which, resid, consts, tol)
+        return _report(geom, which, resid, consts)
 
     raise SpecializationError(f"unknown codimension-one equation {which!r}")
 
@@ -587,7 +581,7 @@ def _diagonal_metric_jets(geom):
     batch."""
     d = geom.d
     diag = geom.gJ.diagonal(0, -2, -1)
-    hess = gradients(dshift(diag, d), d)                # [k][m]...[i] = d_k d_m g_ii
+    hess = gradients(dshift(diag), d)                   # [k][m]...[i] = d_k d_m g_ii
     return (np.moveaxis(values(diag), -1, 0), np.moveaxis(gradients(diag, d), -1, 0),
             np.moveaxis(hess, -1, 0).swapaxes(1, 2))
 

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import (MixedCurvError, SingularEvaluationError, SpecializationError,
                      member_point)
-from .jets import concatenate, dense, dshift, einsum, gradients, order1, seed, values
+from .jets import (check_finite, concatenate, dense, dshift, einsum, gradients, order1, seed,
+                   values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
@@ -135,7 +136,9 @@ class PointGeometry:
 
     @cached_property
     def gJ(self):
-        """The metric as an order-2 jet field."""
+        """The metric as an order-2 jet field.  An arithmetic error or a
+        non-finite value of the metric function, the structure's or a
+        caller's, raises SingularEvaluationError naming the failing node."""
         try:
             rows = self._metric_fn(self.seeds)
         except SingularEvaluationError as exc:
@@ -143,7 +146,11 @@ class PointGeometry:
                 raise SingularEvaluationError(
                     exc.reason, point=member_point(self.point, exc.at)) from exc
             raise
-        return dense(rows, self.d)
+        except ArithmeticError as exc:
+            raise SingularEvaluationError(
+                f"arithmetic error in the metric ({type(exc).__name__}: {exc})",
+                point=member_point(self.point, getattr(exc, "at", None))) from None
+        return check_finite(dense(rows, self.d), point=self.point)
 
     @property
     def batch(self):
@@ -163,7 +170,7 @@ class PointGeometry:
         Built from dshift of the metric jets, so the jet gradient of an entry
         is the chart derivative of that Christoffel symbol.
         """
-        dg = dshift(self.gJ, self.d)                          # [m]...[t][nu]
+        dg = dshift(self.gJ)                                  # [m]...[t][nu]
         # dsym[t][m][nu] = d_m g_{t nu} + d_nu g_{t m} - d_t g_{m nu}
         dsym = (einsum("m...tn->...tmn", dg) + einsum("n...tm->...tmn", dg)
                 - einsum("t...mn->...tmn", dg))
@@ -203,7 +210,7 @@ class PointGeometry:
     @cached_property
     def nabla_frame(self):
         """(nabla_m e_a)^s of every frame field, index order [a][m][s]."""
-        dE = dshift(self.framevecsJ, self.d)                     # [m]...[a][s]
+        dE = dshift(self.framevecsJ)                             # [m]...[a][s]
         return (einsum("m...as->...ams", dE)
                 + einsum("...smn,...an->...ams", self.GammaJ, self.frame1))
 
@@ -754,21 +761,21 @@ def _field12(C, X, Y, Z):
 # ----------------------------------------------------------------------
 # module-level operations
 
-def riemann(struct, point, X, Y, Z, metric_fn=None):
-    return PointGeometry(struct, point, metric_fn=metric_fn).riemann(X, Y, Z)
+def riemann(struct, point, X, Y, Z):
+    return PointGeometry(struct, point).riemann(X, Y, Z)
 
 
-def mixed_scalar(struct, point, metric_fn=None):
-    return PointGeometry(struct, point, metric_fn=metric_fn).smix
+def mixed_scalar(struct, point):
+    return PointGeometry(struct, point).smix
 
 
-def partial_ricci(struct, point, side="perp", metric_fn=None):
+def partial_ricci(struct, point, side="perp"):
     if side not in ("perp", "tan"):
         raise SpecializationError(f"unknown side {side!r}")
-    return getattr(PointGeometry(struct, point, metric_fn=metric_fn), side).r
+    return getattr(PointGeometry(struct, point), side).r
 
 
-def divergence(struct, point, field, mode="full", metric_fn=None):
+def divergence(struct, point, field, mode="full"):
     """Divergence of a user field along the chart.
 
     ``field(geom)`` must return jet chart components built from the bundle
@@ -776,7 +783,7 @@ def divergence(struct, point, field, mode="full", metric_fn=None):
     displaced jet points is available through ``geom``.  Vector fields give a
     scalar, (1,2)-tensors a (0,2) chart matrix.  ``mode`` selects the full
     trace or the block-restricted sums ('perp' / 'tan')."""
-    geom = PointGeometry(struct, point, metric_fn=metric_fn)
+    geom = PointGeometry(struct, point)
     P = field(geom)
     if np.ndim(values(P)) == 3:
         return geom.div_12(P, mode=mode)
@@ -867,11 +874,10 @@ def random_perp_field(geom, rng_seed):
     return einsum("...i,...im->...m", c, geom.perp.frame1)
 
 
-def identity_suite(struct, point, metric_fn=None, rng_seed=7):
+def identity_suite(struct, point, rng_seed=7):
     """Residual norms of the structural identities at a point: builds the
     bundle for :func:`identity_suite_at`."""
-    return identity_suite_at(PointGeometry(struct, point, metric_fn=metric_fn),
-                             rng_seed=rng_seed)
+    return identity_suite_at(PointGeometry(struct, point), rng_seed=rng_seed)
 
 
 def identity_suite_at(g, rng_seed=7):

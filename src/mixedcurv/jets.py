@@ -601,10 +601,10 @@ def order1(X):
     return ArrayJet(X.v, X.g, None) if X.h is not None else X
 
 
-def dshift(X, d):
-    """Every partial derivative of the order-2 array jet X in d variables,
-    as an order-1 array jet with the derivative index first:
-    ``dshift(X, d)[m][...] = d_m X[...]``."""
+def dshift(X):
+    """Every partial derivative of the order-2 array jet X, as an order-1
+    array jet with the derivative index first:
+    ``dshift(X)[m][...] = d_m X[...]``."""
     if X.h is None:
         raise SingularEvaluationError("second-order jet required for field derivative")
     return ArrayJet(np.moveaxis(X.g, -1, 0), np.moveaxis(X.h, -2, 0), None)

@@ -114,15 +114,15 @@ class ProductStructure:
         if not all(self.contains(corner) for corner in zip(*intervals)):
             raise DomainError(f"box {intervals} leaves the domain box {self.domain}")
 
-    def interior_points(self, count, rng_seed, margin=0.15):
-        """Deterministic sample of interior points, away from the box edges."""
+    def interior_points(self, count, rng_seed):
+        """Deterministic sample of interior points, 15% of each side from the box edges."""
         rng = random.Random(rng_seed)
         pts = []
         for _ in range(count):
             pt = []
             for lo, hi in self.domain:
                 w = hi - lo
-                pt.append(lo + w * (margin + (1.0 - 2.0 * margin) * rng.random()))
+                pt.append(lo + w * (0.15 + 0.7 * rng.random()))
             pts.append(tuple(pt))
         return pts
 
@@ -372,7 +372,7 @@ def _float_pass(g0, span0, tol, point):
             pivots.reshape(batch + (d - n,)))
 
 
-def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
+def orthonormal_frame(gmat, span_vectors, dim, point=None):
     """Pivoted indefinite Gram-Schmidt over floats or jet fields.
 
     Span vectors are orthogonalized in declared order; the complement is
@@ -396,7 +396,7 @@ def orthonormal_frame(gmat, span_vectors, dim, tol=DEGENERACY_TOL, point=None):
     T0 and S.  The frame's rows then have shape B + (dim, dim) and its
     signs B + (dim,).
     """
-    F0, S, pivots = _float_pass(values(gmat), values(span_vectors), tol, point)
+    F0, S, pivots = _float_pass(values(gmat), values(span_vectors), DEGENERACY_TOL, point)
     batch, n = S.shape[:-1], dim - pivots.shape[-1]
     if not (isinstance(gmat, ArrayJet) or isinstance(span_vectors, ArrayJet)):
         return AdaptedFrame(F0, S, n)
@@ -422,14 +422,14 @@ def adapted_frame(s, point, metric=None, dtilde=None):
     return orthonormal_frame(gmat, span, s.dim, point=_values(point))
 
 
-def signature(s, point, samples=16, rng_seed=20260505):
-    """Frame signs at ``point``; checks sign stability over domain samples."""
+def signature(s, point):
+    """Frame signs at ``point``; checks sign stability over 16 seeded domain samples."""
     def signs(pt):
         fr = adapted_frame(s, pt)
         return tuple(fr.eps_tan.tolist()), tuple(fr.eps_perp.tolist())
 
     base = signs(point)
-    for q in s.interior_points(samples, rng_seed):
+    for q in s.interior_points(16, 20260505):
         other = signs(q)
         if other != base:
             raise SignatureInstabilityError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
@@ -54,7 +54,8 @@ def tangent_projector_jets(struct, xs, gmat=None, span=None):
 
 @dataclass
 class MetricVariation:
-    """A symmetric (0,2) field B and the one-parameter family g + t B.
+    """A symmetric (0,2) field B and the one-parameter family g + t B, g
+    the structure's metric; B's expressions read the structure's params.
 
     ``klass`` declares the block structure: 'perp' keeps the metric on the
     distribution fixed (B vanishes on the D-tilde x D-tilde block), 'tan'
@@ -69,7 +70,6 @@ class MetricVariation:
     project: bool = True
     box: tuple = None               # support box of the bump, if any
     seed: int = None
-    params: dict = field(default_factory=dict)
 
     def raw_at(self, xs):
         """The entries of raw B at ``xs``: zero outside the box, where nothing
@@ -82,7 +82,7 @@ class MetricVariation:
             if np.any(inside):
                 raise InvalidArgumentError("raw B at node seeds that straddle the box")
             return out
-        entries = self._program.run(list(xs), {**self.struct.params, **self.params})
+        entries = self._program.run(list(xs), self.struct.params)
         for i in range(d):
             for j in range(i, d):
                 out[i][j] = out[j][i] = next(entries)
@@ -122,21 +122,20 @@ class MetricVariation:
             B = PBP if self.klass == "tan" else B - PBP
         return as_field(B, xs)
 
-    def metric_fn(self, t, base_metric_fn=None):
-        """The metric function of g + t B; it returns fields, as
-        ``struct.metric_at`` does."""
-        base = base_metric_fn or self.struct.metric_at
+    def metric_fn(self, t):
+        """The metric function of g + t B, g the structure's metric; it
+        returns fields, as ``struct.metric_at`` does."""
         if t == 0.0:
-            return base
+            return self.struct.metric_at
 
         def fam(xs):
-            g = dense(base(xs), self.struct.dim)
+            g = dense(self.struct.metric_at(xs), self.struct.dim)
             return as_field(g + t * self.B_at(xs, g), xs)
 
         return fam
 
 
-def classify(v, points, tol=1e-12):
+def classify(v, points):
     """Block decomposition of the effective B at ``points``, read as one node
     bundle; validates the declared class."""
     geom = PointGeometry(v.struct, np.array(points, dtype=float))
@@ -145,10 +144,10 @@ def classify(v, points, tol=1e-12):
     blocks = {"tan": Bfr[..., :n, :n], "perp": Bfr[..., n:, n:], "mixed": Bfr[..., :n, n:]}
     worst = {k: float(np.max(np.abs(b))) for k, b in blocks.items()}
     scale = max(1.0, *worst.values())
-    if v.klass == "perp" and worst["tan"] > tol * scale:
+    if v.klass == "perp" and worst["tan"] > 1e-12 * scale:
         raise ClassificationError(
             f"declared perp-variation has a tangent block of size {worst['tan']:.2e}")
-    if v.klass == "tan" and worst["perp"] + worst["mixed"] > tol * scale:
+    if v.klass == "tan" and worst["perp"] + worst["mixed"] > 1e-12 * scale:
         raise ClassificationError(
             f"declared tan-variation leaks off the tangent block "
             f"(perp {worst['perp']:.2e}, mixed {worst['mixed']:.2e})")
@@ -186,7 +185,7 @@ def random_variation(struct, klass, seed, box=None, degree=1):
 # ----------------------------------------------------------------------
 # evolving adapted frames along a family
 
-def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
+def evolve_frame(struct, v, point, t_end=0.1, steps=64):
     """4th-order integration of the adapted-frame evolution equations.
 
     Returns the frame path and the worst orthonormality/adaptedness drift,
@@ -198,7 +197,7 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64, metric_fn=None):
         raise InvalidArgumentError(f"need a positive integer number of RK4 steps, got {steps!r}")
     pt = list(point)
     d, n = struct.dim, struct.n
-    g_base = values((metric_fn or struct.metric_at)(pt))
+    g_base = values(struct.metric_at(pt))
     span = struct.dtilde_at(pt)
     fr = orthonormal_frame(g_base, span, d, point=pt)
     frame, signs = fr.vectors, fr.signs                 # frame vectors as rows
@@ -439,8 +438,7 @@ class _RHS:
         return -self.pair(B.dual.phi_T)
 
 
-def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
-                           tol=1e-5, metric_fn=None):
+def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS, tol=1e-5):
     """Central-difference LHS against jet-assembled RHS for each formula."""
     if not (len(set(steps)) == len(steps) >= 2 and all(0.0 < h < math.inf for h in steps)):
         raise InvalidArgumentError(
@@ -455,7 +453,7 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
             raise ClassificationError(
                 f"{f} applies to {want}-variations, got {v.klass!r}")
 
-    geom0 = PointGeometry(struct, point, metric_fn=metric_fn)
+    geom0 = PointGeometry(struct, point)
     gJ = geom0.gJ
     B = v.B_at(geom0.seeds, gmat=gJ)
     g0, B0 = geom0.g0, values(B)
@@ -500,23 +498,21 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS,
 # ----------------------------------------------------------------------
 # the projection lemma for t-dependent vectors
 
-def verify_projection_lemma(struct, v, point, xfield, step=FD_STEPS[-1],
-                            metric_fn=None):
+def verify_projection_lemma(struct, v, point, xfield, step=FD_STEPS[-1]):
     """Central differences with the step ``step`` of the g_t-projections of
     X(t) against the stated formulas."""
     if v.klass != "perp":
         raise ClassificationError("the projection lemma is for perp-variations")
-    if not (isinstance(step, (int, float)) and 0.0 < step < math.inf):
-        raise InvalidArgumentError(f"need a positive finite FD step, got {step!r}")
+    _check_step(step)
     pt = list(point)
 
     def proj_parts(t):
-        P = values(tangent_projector_jets(struct, pt, gmat=v.metric_fn(t, metric_fn)(pt)))
+        P = values(tangent_projector_jets(struct, pt, gmat=v.metric_fn(t)(pt)))
         X = np.asarray(xfield(t), float)
         return P @ X, X - P @ X
 
-    geom0 = PointGeometry(struct, point, metric_fn=metric_fn)
-    g0 = (metric_fn or struct.metric_at)(pt)
+    geom0 = PointGeometry(struct, point)
+    g0 = struct.metric_at(pt)
     P0 = values(tangent_projector_jets(struct, pt, gmat=g0))
     B0 = v.B_at(pt, gmat=g0)
     X0 = np.asarray(xfield(0.0), float)
@@ -542,7 +538,13 @@ def _check_action(action):
         raise SpecializationError(f"unknown action {action!r}")
 
 
-def check_support(struct, v, q, rtol=1e-9):
+def _check_step(step):
+    """Raise unless the FD step ``step`` is a positive finite number."""
+    if not (isinstance(step, (int, float)) and 0.0 < step < math.inf):
+        raise InvalidArgumentError(f"need a positive finite FD step, got {step!r}")
+
+
+def check_support(struct, v, q):
     """The variation must be negligible on the quadrature box boundary."""
     mid = [0.5 * (lo + hi) for lo, hi in q.box]
     interior = float(np.max(np.abs(v.raw_at(mid))))
@@ -552,7 +554,7 @@ def check_support(struct, v, q, rtol=1e-9):
             pt = list(mid)
             pt[mu] = edge
             worst = max(worst, float(np.max(np.abs(v.raw_at(pt)))))
-    if worst > rtol * max(1.0, interior):
+    if worst > 1e-9 * max(1.0, interior):
         raise SupportError(
             f"variation is {worst:.2e} on the box boundary (support leak)")
     return worst
@@ -568,8 +570,7 @@ def action_value(struct, q, action, metric_fn=None):
     return pairwise_sum(x * w for x, w in zip((smix * dens).tolist(), wts))
 
 
-def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
-                      metric_fn=None, enforce_support=True):
+def action_derivative(struct, v, q, action="J_mix", t_step=1e-3, enforce_support=True):
     """d/dt at t=0 of the quadrature action along the family, by central FD.
 
     Quadrature nodes where the variation vanishes identically contribute the
@@ -581,6 +582,7 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
     would) and W.
     """
     _check_action(action)
+    _check_step(t_step)
     struct.require_box(q.box)
     if enforce_support:
         check_support(struct, v, q)
@@ -589,7 +591,7 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3,
 
     def chunk(c):
         xs = seed(c, 2)
-        g, W = (metric_fn or struct.metric_at)(xs), struct.dtilde_at(xs)
+        g, W = struct.metric_at(xs), struct.dtilde_at(xs)
         B = v.B_at(xs, gmat=g, span=W)
         # each bundle calls its functions only at its own seeds, the same as xs
         (sp, dp), (sm, dm) = (
@@ -611,7 +613,7 @@ def _inside(pt, box):
 _SMIX_TERMS = ("E-h2T2-D1b", "E-h2T2-D1", "E-T-gen", "E-tildeT-gen")
 
 
-def jmix_gradient_pairing(struct, v, q, metric_fn=None):
+def jmix_gradient_pairing(struct, v, q):
     """The assembled gradient form of the mixed-curvature action paired with B,
     integrated over the box: the independent side of the action-derivative
     consistency check.
@@ -628,7 +630,7 @@ def jmix_gradient_pairing(struct, v, q, metric_fn=None):
         return (sum(e.rhs(f) for f in _SMIX_TERMS)
                 + 0.5 * trB * (geom.smix - geom.tan.div_H - geom.perp.div_H))
 
-    return integrate(struct, dS, q, metric_fn=metric_fn)
+    return integrate(struct, dS, q)
 
 
 # ----------------------------------------------------------------------
@@ -648,23 +650,21 @@ def _perp_scaled_metric(struct, factor, base_metric_fn=None):
     return fn
 
 
-def bar_family_metric(struct, v, q, t, base_metric_fn=None):
+def bar_family_metric(struct, v, q, t):
     """The volume-normalized family: complement block rescaled so that the
     box volume is preserved along the variation."""
-    return _bar_family_metric(struct, v, q, t, base_metric_fn,
-                              volume(struct, q, metric_fn=base_metric_fn))
+    return _bar_family_metric(struct, v, q, t, volume(struct, q))
 
 
-def _bar_family_metric(struct, v, q, t, base_metric_fn, vol0):
+def _bar_family_metric(struct, v, q, t, vol0):
     """``bar_family_metric`` with the base volume ``vol0`` already known."""
-    gt = v.metric_fn(t, base_metric_fn)
+    gt = v.metric_fn(t)
     volt = volume(struct, q, metric_fn=gt)
     phi = (volt / vol0) ** (-2.0 / (struct.dim - struct.n))
     return _perp_scaled_metric(struct, phi, base_metric_fn=gt), phi
 
 
-def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
-                        sstar_grid=None):
+def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
     """Volume constancy of the normalized family and the action relation
     linking its derivative to the unnormalized one.
 
@@ -674,32 +674,30 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
     """
     if v.klass != "perp":
         raise ClassificationError("the bar construction starts from a perp-variation")
+    _check_step(t_step)
     struct.require_box(q.box)
     check_support(struct, v, q)
     # the volume and the integral of tr B-sharp at g, then the volume and
     # J_mix of each normalized metric, as the integrals of one pass each
     vol0, int_trB = integrate(struct, lambda geom: np.stack([np.ones(geom.batch), np.trace(
-        geom.ginv0 @ values(v.B_at(geom.seeds, gmat=geom.gJ)), axis1=-2, axis2=-1)], axis=-1),
-        q, metric_fn=metric_fn)
+        geom.ginv0 @ values(v.B_at(geom.seeds, gmat=geom.gJ)), axis1=-2, axis2=-1)], axis=-1), q)
     p = struct.dim - struct.n
     q_star = q if sstar_grid is None else QuadratureSpec(
         box=q.box, grid=sstar_grid, rule=q.rule)
 
     vols, jbars, phis = {}, {}, {}
     for s in (t_step, -t_step):
-        fn, phi = _bar_family_metric(struct, v, q, s, metric_fn, vol0)
+        fn, phi = _bar_family_metric(struct, v, q, s, vol0)
         vols[s], jbars[s] = integrate(struct, lambda geom: np.stack(
             [np.ones(geom.batch), smix_density(geom)[0]], axis=-1), q, metric_fn=fn)
         phis[s] = phi
     vol_drift = max(abs(vols[s] - vol0) / vol0 for s in vols)
 
     djbar = (jbars[t_step] - jbars[-t_step]) / (2.0 * t_step)
-    dj = action_derivative(struct, v, q, "J_mix", t_step=t_step,
-                           metric_fn=metric_fn, enforce_support=False)
+    dj = action_derivative(struct, v, q, "J_mix", t_step=t_step, enforce_support=False)
     dphi = (phis[t_step] - phis[-t_step]) / (2.0 * t_step)
 
-    star_mean = domain_mean(struct, lambda geom: s_star(geom, "perp"), q_star,
-                            metric_fn=metric_fn)
+    star_mean = domain_mean(struct, lambda geom: s_star(geom, "perp"), q_star)
     relation_residual = abs(djbar - (dj - 0.5 * star_mean * int_trB))
     dphi_expected = -(1.0 / p) * int_trB / vol0
     return {
@@ -715,14 +713,13 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, metric_fn=None,
     }
 
 
-def tildeT_scaling_check(struct, point, factor, metric_fn=None):
+def tildeT_scaling_check(struct, point, factor):
     """Exact scaling laws of the integrability norms under a constant
     rescaling of the complement block."""
-    if factor <= 0:
-        raise SpecializationError("block scaling needs a positive factor")
-    base = PointGeometry(struct, point, metric_fn=metric_fn)
-    fn = _perp_scaled_metric(struct, factor, base_metric_fn=metric_fn)
-    scaled = PointGeometry(struct, point, metric_fn=fn)
+    if not 0.0 < factor < math.inf:
+        raise SpecializationError(f"block scaling needs a positive finite factor, got {factor!r}")
+    base = PointGeometry(struct, point)
+    scaled = PointGeometry(struct, point, metric_fn=_perp_scaled_metric(struct, factor))
     Tt, Tt0 = scaled.perp.norm_T, base.perp.norm_T
     T, T0 = scaled.tan.norm_T, base.tan.norm_T
     return {

@@ -29,7 +29,7 @@ from mixedcurv.errors import (DegenerateDistributionError, DomainError, MixedCur
                               SingularEvaluationError)
 from mixedcurv.geometry import (BlockView, PointGeometry, identity_suite_at, random_perp_field,
                                 smix_density_fast)
-from mixedcurv.jets import ArrayJet, concatenate, values
+from mixedcurv.jets import ArrayJet, as_field, concatenate, jexp, values
 from mixedcurv.structure import DEGENERACY_TOL, load_structure
 from gram_schmidt import float_pass_loop
 from scalar_inverse import pivot_rows
@@ -389,6 +389,35 @@ def test_an_overflow_names_its_failing_node(expr):
             PointGeometry(s, pts).gJ
     assert got.value.point == (0.95, 0.1, 0.2)
     assert str(got.value) == str(want.value)
+
+
+def _overflowing(s):
+    """g times exp(800 x0): an OverflowError from the caller's own jet
+    arithmetic where x0 > 0.89, outside any expression program."""
+    return lambda xs: as_field([[jexp(800.0 * xs[0])]], xs) * s.metric_at(xs)
+
+
+def _nan_where_large(s):
+    """g, NaN where x0 > 0.9."""
+    return lambda xs: s.metric_at(xs) * np.where(values(xs[0]) > 0.9, np.nan, 1.0)[..., None, None]
+
+
+@pytest.mark.parametrize("metric_fn,message", [
+    (_overflowing, "arithmetic error in the metric (OverflowError: math range error)"),
+    (_nan_where_large, "non-finite intermediate value")])
+def test_a_callers_metric_fails_as_the_structures_own(metric_fn, message):
+    # a caller's metric function fails at the second node only: the node
+    # bundle raises what a bundle at that node alone raises, naming the node
+    s = load_structure("dim = 3\ndtilde_dim = 1\nmetric 0 0 = 1\nmetric 1 1 = 1\n"
+                       "metric 2 2 = 1\ndtilde 0 = 0, 0, 1\n"
+                       "domain = [-1, 1] x [-1, 1] x [-1, 1]\n")
+    pts = np.array([[0.1, 0.0, 0.0], [0.95, 0.1, 0.2], [0.15, 0.0, 0.0]])
+    for where in (pts[1], pts):
+        with pytest.raises(SingularEvaluationError) as err:
+            PointGeometry(s, where, metric_fn=metric_fn(s)).tan.norm_h
+        assert err.value.point == (0.95, 0.1, 0.2)
+        assert str(err.value) == f"{message} at point (0.95, 0.1, 0.2)"
+    assert PointGeometry(s, pts[::2], metric_fn=metric_fn(s)).tan.norm_h.shape == (2,)
 
 
 @pytest.mark.parametrize("key", gallery.list_entries() + [

@@ -44,7 +44,7 @@ def _same(got, want, exact):
     if want.size:
         assert (got.h is None) == any(x.h is None for x in want.flat)
     if got.h is not None and want.size:
-        pairs.append((gradients(dshift(got, d), d), gradients(dshift(dense(want, d), d), d)))
+        pairs.append((gradients(dshift(got), d), gradients(dshift(dense(want, d)), d)))
     for a, b in pairs:
         assert a.shape == b.shape
         if exact:
@@ -170,7 +170,7 @@ def test_readers_match_object_arrays(data):
     assert np.array_equal(gradients(A, d), gradients(Ao, d))
     assert gradients(A, d).flags["C_CONTIGUOUS"]
     # dshift(A)[m][idx] is the order-1 jet (g[m], h[m]) of entry idx
-    D = dshift(A, d)
+    D = dshift(A)
     assert D.shape == (d,) + shape and D.h is None
     H = np.array([x.h for x in Ao.flat], dtype=float).reshape(shape + (d, d))
     assert np.array_equal(values(D), gradients(Ao, d))
@@ -178,7 +178,7 @@ def test_readers_match_object_arrays(data):
     O = order1(A)
     assert O.h is None and np.array_equal(O.g, A.g)
     with pytest.raises(SingularEvaluationError):
-        dshift(O, d)
+        dshift(O)
     # dense() of the object array gives the field back, bit for bit
     R = dense(Ao, d)
     assert all(np.array_equal(x, y) for x, y in zip((R.v, R.g, R.h), (A.v, A.g, A.h)))
@@ -296,7 +296,7 @@ def _frame_defect(geom):
     E, d = geom.framevecsJ, geom.d
     G = E @ geom.gJ @ E.mT - np.diag(geom.eps)
     return max(float(np.max(np.abs(x)))
-               for x in (values(G), gradients(G, d), gradients(dshift(G, d), d)))
+               for x in (values(G), gradients(G, d), gradients(dshift(G), d)))
 
 
 @pytest.mark.parametrize("name", gallery.list_entries())

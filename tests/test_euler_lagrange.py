@@ -5,7 +5,7 @@ import pytest
 
 from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
-from mixedcurv.errors import SpecializationError
+from mixedcurv.errors import SingularEvaluationError, SpecializationError
 from mixedcurv.geometry import PointGeometry
 from mixedcurv.jets import jexp, values
 
@@ -297,6 +297,14 @@ def test_conformal_check_directions_agree_and_nonzero():
     assert seen_nonzero
 
 
+def test_conformal_check_overflow_is_a_singular_evaluation():
+    # exp(-2 psi) overflows at x0 = 0.9 in the conformal metric function
+    s = struct("r3_contact")
+    with pytest.raises(SingularEvaluationError, match="OverflowError") as err:
+        el.conformal_check(s, exprlang.parse("-400*x0", 3), (0.9, 0.1, 0.1))
+    assert err.value.point == (0.9, 0.1, 0.1)
+
+
 def test_conformal_check_tangent_gradient_gives_zero_closed_form():
     # psi depending only on the flow coordinate: its perp-gradient vanishes
     s = struct("r3_contact")
@@ -403,7 +411,7 @@ def test_0ii_matches_3i_through_flow_reduction():
         return [[c * rows[i][j] for j in range(3)] for i in range(3)]
 
     for pt in s.interior_points(4, 48):
-        a = el.el_general(s, pt, "E-main-0ii", metric_fn=hat)
+        a = el.el_general_at(PointGeometry(s, pt, metric_fn=hat), "E-main-0ii")
         b = el.el_flow(PointGeometry(s, pt, metric_fn=hat), "E-main-3i")
         assert np.max(np.abs(np.asarray(a.residual)[0]
                              + 0.5 * np.asarray(b.residual))) < 1e-8

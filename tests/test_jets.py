@@ -324,14 +324,14 @@ def test_object_arrays_read_like_nested_lists(data):
                 assert all(G[(m,) + idx] == 0.0 for m in range(d))
     if any(isinstance(x, Jet) and x.h is None for x in A.flat):
         with pytest.raises(SingularEvaluationError):
-            dshift(dense(A, d), d)
+            dshift(dense(A, d))
     # dshift needs order 2: read it on the same entries with order-1 jets
     # replaced by their values
     J = _without_order1(J)
     for idx in idxs:
         A[idx] = _at(J, idx)
     for X in (A, J):
-        D = dshift(dense(X, d), d)
+        D = dshift(dense(X, d))
         assert D.shape == (d,) + shape and D.h is None
         for idx in idxs:
             x = _at(J, idx)
@@ -482,7 +482,7 @@ def test_seeded_batch_reads_node_first():
         assert V[k].tolist() == values(Jk).tolist()
         assert np.allclose(G[:, k], gradients(Jk, 2), rtol=1e-15, atol=0)
         assert [_node(x, k).g for x in seed(pts, 1)] == [x.g for x in seed(pt, 1)]
-    D = dshift(dense(J, 2), 2)
+    D = dshift(dense(J, 2))
     assert D.shape == (2, 3, 2, 2) and D.h is None
     assert not D.v[:, :, 0, 1].any() and not D.g[:, :, 0, 1].any()
     for m in range(2):

@@ -414,6 +414,30 @@ def test_projection_lemma_step_must_be_positive_and_finite(step):
     assert res["fd_vs_formula"] < 1e-6
 
 
+@pytest.mark.parametrize("t_step", [0.0, -1e-3, math.inf, math.nan, None])
+def test_action_derivative_step_must_be_positive_and_finite(t_step):
+    s = struct("r3_contact")
+    v = va.random_variation(s, "perp", seed=11, box=((-0.5, 0.5),) * 3)
+    q = el.QuadratureSpec(box=((-0.6, 0.6),) * 3, grid=4)
+    with pytest.raises(InvalidArgumentError, match="positive finite FD step"):
+        va.action_derivative(s, v, q, "J_mix", t_step=t_step)
+
+
+@pytest.mark.parametrize("t_step", [0.0, -1e-3, math.inf, math.nan, None])
+def test_bar_relation_step_must_be_positive_and_finite(t_step):
+    s = struct("r3_contact")
+    v = va.random_variation(s, "perp", seed=11, box=((-0.5, 0.5),) * 3)
+    q = el.QuadratureSpec(box=((-0.6, 0.6),) * 3, grid=4)
+    with pytest.raises(InvalidArgumentError, match="positive finite FD step"):
+        va.verify_bar_relation(s, v, q, t_step=t_step)
+
+
+@pytest.mark.parametrize("factor", [0.0, -2.0, math.inf, math.nan])
+def test_block_scaling_factor_must_be_positive_and_finite(factor):
+    with pytest.raises(SpecializationError, match="positive finite factor"):
+        va.tildeT_scaling_check(struct("r3_contact"), (0.2, 0.1, -0.3), factor)
+
+
 def test_projection_lemma_reports_a_non_finite_difference():
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=11)
