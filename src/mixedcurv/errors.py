@@ -32,11 +32,13 @@ def member_point(point, at):
     where the batch has the node axis first: on a node bundle, whose point
     is the tuple of its nodes, that member's node; at node seeds, whose
     point is one array of node values per coordinate, that node's
-    coordinates; else (or with no index) ``point`` itself."""
+    coordinates; at one point's 0-d seeds, those coordinates; else (or
+    with no index) ``point`` itself."""
     if at is None or not point or not isinstance(point[0], (tuple, np.ndarray)):
         return point
-    return point[at[0]] if isinstance(point[0], tuple) else tuple(
-        float(c[at[0]]) for c in point)
+    if isinstance(point[0], tuple):
+        return point[at[0]]
+    return tuple(float(c[at[0]]) if np.ndim(c) else float(c) for c in point)
 
 
 class ExprError(MixedCurvError):

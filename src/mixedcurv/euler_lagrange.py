@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import exprlang
-from .errors import DomainError, SpecializationError
+from .errors import DomainError, SingularEvaluationError, SpecializationError
 from .geometry import PointGeometry, _scalar, metric_density, node_chunks
 from .jets import as_field, dshift, gradients, jexp, seed, value_of, values
 
@@ -107,11 +107,20 @@ def integrate(struct, reader, q, metric_fn=None):
 def volume(struct, q, metric_fn=None):
     """Volume of the box.  It reads no derivative, so its chunks of nodes
     (``node_chunks``) evaluate the metric on order-1 array jets and build
-    no bundle."""
+    no bundle.  An arithmetic error of the metric function raises
+    SingularEvaluationError naming the failing node, as in a bundle."""
     struct.require_box(q.box)
     pts, wts = grid_points(q)
-    dens = node_chunks(pts, struct.dim, lambda c: metric_density(
-        values((metric_fn or struct.metric_at)(seed(c, 1)))))
+
+    def chunk(c):
+        try:
+            g = values((metric_fn or struct.metric_at)(seed(c, 1)))
+        except ArithmeticError as exc:
+            raise SingularEvaluationError(
+                f"arithmetic error in the metric ({type(exc).__name__}: {exc})") from None
+        return metric_density(g)
+
+    dens = node_chunks(pts, struct.dim, chunk)
     return pairwise_sum(dn * w for dn, w in zip(dens.tolist(), wts))
 
 

@@ -11,6 +11,7 @@ its second-order convergence in the step) is evidence, not bookkeeping.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -192,9 +193,17 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64):
     measured by recomputing g_t-inner-products directly at every grid time.
     The frame starts from the float frame at g; B-sharp at every RK4 stage
     time (t0, t0 + h/2 and t1 of each step) comes from one batched solve.
+    Since g_t(B-sharp X, Y) = B(X, Y), the D-tilde rows E move on their own,
+    E' = -(E B E^T eps) E / 2, and only they are stepped one RK4 step at a
+    time.  The complement rows N then move linearly, N' = N M with
+    M = -(B-sharp^T + B E^T eps E) / 2 at E's stage values, so each RK4 step
+    is one matrix R = I + h/6 (M1 + 2 K2 + 2 K3 + K4), built for every step
+    at once.  A perp variation leaves E fixed and a tan variation N.
     """
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise InvalidArgumentError(f"need a positive integer number of RK4 steps, got {steps!r}")
+    if not (isinstance(t_end, numbers.Real) and math.isfinite(t_end)):
+        raise InvalidArgumentError(f"need a finite real end time, got t_end={t_end!r}")
     pt = list(point)
     d, n = struct.dim, struct.n
     g_base = values(struct.metric_at(pt))
@@ -212,37 +221,47 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64):
         sharp = np.linalg.solve(G, np.broadcast_to(B0, G.shape))
     except np.linalg.LinAlgError:
         sharp = np.array([_solve_at(t, gt, B0) for t, gt in zip(times, G)])
+    hs = np.diff(ts)
+    eps = signs[:n, None]
 
-    def rhs(j, fr):
-        """The frame's derivative at stage time j."""
-        gt = G[j]
-        X = fr @ sharp[j].T                         # B-sharp of every frame vector
-        E = fr[:n]
-        tan = ((X @ gt @ E.T) * signs[:n]) @ E      # and its part along D-tilde
-        out = np.zeros((d, d))
-        if v.klass in ("tan", "general"):
-            out[:n] = -0.5 * tan[:n]
-        if v.klass != "tan":
-            out[n:] = -0.5 * (X[n:] - tan[n:]) - tan[n:]
-        return out
+    Es = np.empty((steps + 1, 4, n, d))                 # E at the four stages of each step
+    Es[:] = E = frame[:n]
+    if v.klass in ("tan", "general"):
+        c = -0.5 * eps
+        for k, h in enumerate(hs.tolist()):
+            S = Es[k]
+            k1 = (E @ B0 @ E.T) @ (c * E)
+            S[1] = Y = E + h / 2 * k1
+            k2 = (Y @ B0 @ Y.T) @ (c * Y)
+            S[2] = Y = E + h / 2 * k2
+            k3 = (Y @ B0 @ Y.T) @ (c * Y)
+            S[3] = Y = E + h * k3
+            k4 = (Y @ B0 @ Y.T) @ (c * Y)
+            Es[k + 1, 0] = E = E + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    path = [frame]
-    for k in range(steps):
-        h = ts[k + 1] - ts[k]
-        k1 = rhs(2 * k, frame)
-        k2 = rhs(2 * k + 1, frame + h / 2 * k1)
-        k3 = rhs(2 * k + 1, frame + h / 2 * k2)
-        k4 = rhs(2 * k + 2, frame + h * k3)
-        frame = frame + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        path.append(frame)
-    P = np.array(path[1:])
+    N = frame[n:]
+    Ns = np.empty((steps,) + N.shape)
+    if v.klass == "tan":
+        Ns[:] = N
+    else:
+        stage = 2 * np.arange(steps)[:, None] + [0, 1, 1, 2]     # stage time indices
+        M = -0.5 * (sharp.mT[stage] + B0 @ Es[:steps].mT @ (eps * Es[:steps]))
+        M1, M2, M3, M4 = np.moveaxis(M, 1, 0)
+        h = hs[:, None, None]                           # stage slope i is N K_i, K_1 = M1
+        K2 = M2 + (h / 2 * M1) @ M2
+        K3 = M3 + (h / 2 * K2) @ M3
+        K4 = M4 + (h * K3) @ M4
+        R = np.eye(d) + h / 6 * (M1 + 2 * K2 + 2 * K3 + K4)
+        for k in range(steps):
+            N = Ns[k] = N @ R[k]
+    P = np.concatenate((Es[1:, 0], Ns), axis=1)
     Gram = P @ G[2::2] @ P.mT
     E = P[:, :n]
     W = span.T
     WtW = np.linalg.pinv(W.T @ W) @ W.T
     drift = max(float(np.max(np.abs(Gram - np.diag(signs)))),
                 float(np.max(np.abs(E - (E @ WtW.T) @ W.T))))
-    return path, drift
+    return [frame, *P], drift
 
 
 def _solve_at(t, gt, B0):

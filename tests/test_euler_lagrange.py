@@ -305,6 +305,19 @@ def test_conformal_check_overflow_is_a_singular_evaluation():
     assert err.value.point == (0.9, 0.1, 0.1)
 
 
+def test_conformal_overflow_in_a_quadrature_names_its_node():
+    # exp(-2 psi) overflows at the nodes with x0 > 0.887: the volume (which
+    # evaluates the metric function without a bundle) fails as the integral
+    s = struct("r3_contact")
+    q = el.QuadratureSpec(box=((0.5, 0.95), (-0.5, 0.5), (-0.5, 0.5)), grid=4)
+    fn = el.conformal_metric(s, exprlang.parse("-400*x0", 3))
+    for run in (lambda: el.volume(s, q, metric_fn=fn),
+                lambda: el.integrate(s, lambda geom: 1.0, q, metric_fn=fn)):
+        with pytest.raises(SingularEvaluationError, match="OverflowError") as err:
+            run()
+        assert err.value.point == pytest.approx((0.89375, -0.375, -0.375), abs=1e-15)
+
+
 def test_conformal_check_tangent_gradient_gives_zero_closed_form():
     # psi depending only on the flow coordinate: its perp-gradient vanishes
     s = struct("r3_contact")

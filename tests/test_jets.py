@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError
+from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError, member_point
 from mixedcurv.jets import (ArrayJet, Jet, check_finite, dense, dshift, elementary,
                             gradients, jexp, jlog, jpow, jsin, jsqrt, jtanh, order1,
                             scatter, seed, value_of, values)
@@ -508,6 +508,16 @@ def test_scatter_and_check_finite_work_node_by_node():
     with pytest.raises(SingularEvaluationError):
         check_finite(ArrayJet(np.array([1.0, np.nan]), np.zeros((2, 1))))
     assert value_of(x) is x.v
+
+
+def test_member_point_names_the_failing_member():
+    nodes = ((0.1, 0.2), (0.3, 0.4))
+    assert member_point(nodes, (1,)) == (0.3, 0.4)
+    assert member_point((np.array([0.1, 0.3]), np.array([0.2, 0.4])), (1,)) == (0.3, 0.4)
+    # 0-d seeds are one point: every index names it
+    assert member_point((np.array(0.1), np.array(0.2)), (0,)) == (0.1, 0.2)
+    assert member_point((0.1, 0.2), (0,)) == (0.1, 0.2)
+    assert member_point(nodes, None) is nodes
 
 
 # ---------------------------------------------------------------------------

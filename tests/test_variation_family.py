@@ -9,8 +9,10 @@ field: a float array at a float point, an array jet at scalar seeds and one
 with the node axis first at node seeds.  ``verify_first_variation``
 evaluates B once per point and builds every step bundle from it; it is
 checked against bundles built through ``v.metric_fn(s)`` and a right-hand
-side built from the reference B.  The array RK4 of ``evolve_frame`` is
-checked against a loop over frame rows.
+side built from the reference B.  ``evolve_frame`` steps the D-tilde rows
+alone and takes each RK4 step of the complement rows as one matrix; it is
+checked against a loop that steps every frame row through its stage
+derivative.
 """
 
 from operator import attrgetter
@@ -249,11 +251,13 @@ def test_array_rk4_matches_the_row_loop(key, klass):
     s = _structure(key)
     pt = tuple(_nodes(s, 1, 2)[0])
     v = va.random_variation(s, klass, seed=9)
-    path, drift = va.evolve_frame(s, v, pt, t_end=0.1, steps=32)
-    frame, want = loop_evolve_frame(s, v, pt, t_end=0.1, steps=32)
-    assert np.max(np.abs(path[-1] - frame)) <= 1e-13
-    assert abs(drift - want) <= 1e-13
-    assert np.max(np.abs(path[-1] - path[0])) > 1e-5        # the frame moved
+    for steps in (1, 32, 64):
+        path, drift = va.evolve_frame(s, v, pt, t_end=0.1, steps=steps)
+        frame, want = loop_evolve_frame(s, v, pt, t_end=0.1, steps=steps)
+        assert len(path) == steps + 1
+        assert np.max(np.abs(path[-1] - frame)) <= 1e-13, steps
+        assert abs(drift - want) <= 1e-13, steps
+        assert np.max(np.abs(path[-1] - path[0])) > 1e-5    # the frame moved
 
 
 def test_degenerate_family_raises_in_evolve_frame():
@@ -262,5 +266,10 @@ def test_degenerate_family_raises_in_evolve_frame():
                        "dtilde 0 = 1, 0\ndomain = [-1, 1] x [-1, 1]\n")
     zero, minus = exprlang.const(0.0), exprlang.const(-1.0)
     v = va.MetricVariation(s, [[zero, zero], [zero, minus]], "perp")
+    with pytest.raises(SpecializationError, match="family degenerates"):
+        va.evolve_frame(s, v, (0.1, 0.1), t_end=1.0, steps=4)
+    # B = -g on the D-tilde block, a tan variation: the D-tilde rows step
+    # without B-sharp, yet the batched solve still ends the family at t = 1
+    v = va.MetricVariation(s, [[minus, zero], [zero, zero]], "tan")
     with pytest.raises(SpecializationError, match="family degenerates"):
         va.evolve_frame(s, v, (0.1, 0.1), t_end=1.0, steps=4)

@@ -86,9 +86,10 @@ def test_variation_support_confined_to_box():
 
 def test_zero_variation_frame_constant():
     s = struct("r3_contact")
-    path, drift = va.evolve_frame(s, zero_variation(s), (0.2, -0.3, 0.1))
-    assert drift < 1e-15
-    assert np.max(np.abs(path[0] - path[-1])) == 0.0
+    for klass in ("perp", "tan", "general"):
+        path, drift = va.evolve_frame(s, zero_variation(s, klass), (0.2, -0.3, 0.1))
+        assert drift < 1e-15
+        assert np.max(np.abs(path[0] - path[-1])) == 0.0, klass
 
 
 @pytest.mark.parametrize("klass", ["perp", "tan", "general"])
@@ -105,6 +106,15 @@ def test_tan_variation_keeps_perp_frame_fixed():
     v = va.random_variation(s, "tan", seed=7)
     path, _ = va.evolve_frame(s, v, (0.1, 0.2, 0.3), t_end=0.1, steps=16)
     assert np.max(np.abs(path[0][1:] - path[-1][1:])) == 0.0
+    assert np.max(np.abs(path[0][:1] - path[-1][:1])) > 1e-5
+
+
+def test_perp_variation_keeps_dtilde_frame_fixed():
+    s = struct("r3_contact")
+    v = va.random_variation(s, "perp", seed=7)
+    path, _ = va.evolve_frame(s, v, (0.1, 0.2, 0.3), t_end=0.1, steps=16)
+    assert all(np.array_equal(path[0][:1], frame[:1]) for frame in path)
+    assert np.max(np.abs(path[0][1:] - path[-1][1:])) > 1e-5
 
 
 def test_frame_evolution_on_indefinite_metric():
@@ -451,3 +461,19 @@ def test_rk4_steps_must_be_a_positive_integer(steps):
     s = struct("r3_contact")
     with pytest.raises(InvalidArgumentError, match="positive integer number of RK4 steps"):
         va.evolve_frame(s, zero_variation(s), (0.1, 0.2, 0.3), steps=steps)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, "0.1", None, 1j])
+def test_rk4_end_time_must_be_finite_and_real(t_end):
+    s = struct("r3_contact")
+    with pytest.raises(InvalidArgumentError, match="finite real end time"):
+        va.evolve_frame(s, zero_variation(s), (0.1, 0.2, 0.3), t_end=t_end)
+
+
+@pytest.mark.parametrize("t_end", [0, 0.0, -0.1, np.float64(0.05)])
+def test_rk4_end_time_may_be_zero_or_negative(t_end):
+    s = struct("r3_contact")
+    v = va.random_variation(s, "general", seed=5)
+    path, drift = va.evolve_frame(s, v, (0.1, 0.2, 0.3), t_end=t_end, steps=8)
+    assert len(path) == 9 and drift < 1e-8
+    assert (np.max(np.abs(path[-1] - path[0])) == 0.0) == (t_end == 0)
