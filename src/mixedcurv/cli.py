@@ -32,8 +32,7 @@ from . import euler_lagrange as el
 from . import gallery as gal
 from . import variations as va
 from .errors import MixedCurvError, SingularEvaluationError
-# identity_suite stays: tests patch it to check that bad input evaluates no point
-from .geometry import PointGeometry, identity_suite, identity_suite_at, node_chunks
+from .geometry import PointGeometry, identity_suite_at, node_chunks
 from .structure import load_structure, parse_intervals
 
 DEFAULT_TOL = 1e-6

@@ -24,7 +24,7 @@ import numpy as np
 from . import exprlang
 from .errors import DomainError, SingularEvaluationError, SpecializationError
 from .geometry import PointGeometry, _scalar, metric_density, node_chunks
-from .jets import as_field, dshift, gradients, jexp, seed, value_of, values
+from .jets import as_field, check_finite, dense, dshift, gradients, jexp, seed, value_of, values
 
 DEFAULT_TOL = 1e-6
 
@@ -107,18 +107,19 @@ def integrate(struct, reader, q, metric_fn=None):
 def volume(struct, q, metric_fn=None):
     """Volume of the box.  It reads no derivative, so its chunks of nodes
     (``node_chunks``) evaluate the metric on order-1 array jets and build
-    no bundle.  An arithmetic error of the metric function raises
-    SingularEvaluationError naming the failing node, as in a bundle."""
+    no bundle.  An arithmetic error or a non-finite value of the metric
+    function raises SingularEvaluationError naming the failing node, as in
+    a bundle."""
     struct.require_box(q.box)
     pts, wts = grid_points(q)
 
     def chunk(c):
         try:
-            g = values((metric_fn or struct.metric_at)(seed(c, 1)))
+            g = dense((metric_fn or struct.metric_at)(seed(c, 1)), struct.dim)
         except ArithmeticError as exc:
             raise SingularEvaluationError(
                 f"arithmetic error in the metric ({type(exc).__name__}: {exc})") from None
-        return metric_density(g)
+        return metric_density(values(check_finite(g)))
 
     dens = node_chunks(pts, struct.dim, chunk)
     return pairwise_sum(dn * w for dn, w in zip(dens.tolist(), wts))
@@ -143,21 +144,6 @@ def s_star(geom, side="perp"):
     A = B.dual
     return geom.smix - (2.0 / B.dim) * (
         A.s_ex + 2.0 * B.norm_T - A.norm_T + A.div_H)
-
-
-def s_star_flow(geom):
-    """Flow-specialized starred scalars (independent assembly, n = 1)."""
-    if geom.n != 1:
-        raise SpecializationError("flow form needs rank-one D-tilde")
-    tan, perp = geom.tan, geom.perp
-    eN = _scalar(tan.eps[..., 0])
-    star_perp = eN * geom.ric_N - 2.0 * ((2.0 / geom.p) * perp.norm_T
-                                         + tan.div_H / geom.p)
-    nt1 = _along(perp.tau1_J, geom, 0)
-    At = perp.A_ops[..., 0, :, :]
-    tau2 = _trace(At @ At)
-    star_tan = eN * geom.ric_N - 2.0 * (eN * (nt1 - tau2) - perp.norm_T)
-    return star_perp, star_tan
 
 
 # ----------------------------------------------------------------------

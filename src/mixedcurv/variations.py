@@ -730,21 +730,3 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
         "dphi_expected": dphi_expected,
         "dphi_residual": abs(dphi - dphi_expected),
     }
-
-
-def tildeT_scaling_check(struct, point, factor):
-    """Exact scaling laws of the integrability norms under a constant
-    rescaling of the complement block."""
-    if not 0.0 < factor < math.inf:
-        raise SpecializationError(f"block scaling needs a positive finite factor, got {factor!r}")
-    base = PointGeometry(struct, point)
-    scaled = PointGeometry(struct, point, metric_fn=_perp_scaled_metric(struct, factor))
-    Tt, Tt0 = scaled.perp.norm_T, base.perp.norm_T
-    T, T0 = scaled.tan.norm_T, base.tan.norm_T
-    return {
-        "norm_Tt_scaled": Tt,
-        "norm_Tt_expected": Tt0 / factor ** 2,
-        "norm_T_scaled": T,
-        "norm_T_expected": factor * T0,
-        "residual": max(abs(Tt - Tt0 / factor ** 2), abs(T - factor * T0)),
-    }

@@ -115,7 +115,6 @@ def test_bad_input_exit_2(args, capsys, monkeypatch):
         raise AssertionError("a point was evaluated")
 
     monkeypatch.setattr(cli, "PointGeometry", no_point_work)
-    monkeypatch.setattr(cli, "identity_suite", no_point_work)
     monkeypatch.setattr(cli.va, "verify_first_variation", no_point_work)
     assert cli.main(args) == 2
     captured = capsys.readouterr()

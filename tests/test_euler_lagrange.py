@@ -87,16 +87,6 @@ def test_s_star_constant_over_hopf_sphere():
     assert np.std(tan) < 1e-7 and np.mean(tan) == pytest.approx(6.0, abs=1e-7)
 
 
-def test_s_star_two_assemblies_agree_on_flows():
-    for name in ("s3_hopf", "r3_contact", "nil4_flow"):
-        s = struct(name)
-        for pt in s.interior_points(4, 32):
-            g = PointGeometry(s, pt)
-            fp, ft = el.s_star_flow(g)
-            assert el.s_star(g, "perp") == pytest.approx(fp, abs=1e-9)
-            assert el.s_star(g, "tan") == pytest.approx(ft, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # the general system
 

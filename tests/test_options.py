@@ -7,10 +7,13 @@ default.  It must be set by at least one call in ``src/``, ``perfbench/`` or
 ``dataclasses.replace``.  A call resolves by the called name alone:
 ``f(...)`` and ``x.f(...)`` reach every function, method or class named
 ``f`` (a method skips ``self``; a class call maps to its dataclass fields or
-its ``__init__``).  A value that is a bare name bound to a defaulted
-parameter of an enclosing function forwards that option, and counts only if
-the forwarded option is set itself.  A starred argument sets every
-parameter from its position on, and ``**kwargs`` every parameter.
+its ``__init__``).  A value that is a bare name bound to a parameter of an
+enclosing named function forwards that parameter, and counts only if some
+call sets the parameter itself: a defaulted parameter is an option, and a
+required one is followed the same way, so an option that only a helper's
+required parameter sets is set only if a call gives the helper a set value.
+A starred argument sets every parameter from its position on, and
+``**kwargs`` every parameter.
 """
 
 import ast
@@ -30,26 +33,28 @@ def _is_dataclass(cls):
 class _Census(ast.NodeVisitor):
     """Options, callables and calls of the scanned files.
 
-    ``targets`` maps a called name to (positional parameters, option key of
-    each defaulted parameter, number of leading parameters a call skips);
-    ``calls`` holds (name, positional values, keyword values) with each value
-    the option key it forwards, None for a value of the call's own, or
-    STAR."""
+    ``targets`` maps a called name to (positional parameters, key of each
+    parameter, number of leading parameters a call skips); ``calls`` holds
+    (name, positional values, keyword values) with each value the parameter
+    key it forwards, None for a value of the call's own, or STAR.  Only the
+    keys of defaulted parameters and fields are options."""
 
     def __init__(self):
         self.options = {}       # option key -> whether it is the package's
         self.targets = {}
         self.fields = {}        # dataclass field name -> option keys
         self.calls = []
-        self._scopes = []       # enclosing functions' {parameter: option key or None}
+        self._scopes = []       # enclosing functions' {parameter: key, None in a lambda}
 
-    def scan(self, path):
-        self._file = path.relative_to(ROOT)
-        self._ours = PACKAGE in path.parents
-        self.visit(ast.parse(path.read_text(), filename=str(path)))
+    def scan(self, file, text, ours):
+        self._file, self._ours = file, ours
+        self.visit(ast.parse(text, filename=file))
+
+    def _key(self, *names):
+        return f"{self._file}:{'.'.join(names)}"
 
     def _option(self, *names):
-        key = f"{self._file}:{'.'.join(names)}"
+        key = self._key(*names)
         self.options[key] = self._ours
         return key
 
@@ -85,16 +90,18 @@ class _Census(ast.NodeVisitor):
             if d is not None:
                 self.visit(d)
         positional = [x.arg for x in a.posonlyargs + a.args]
-        bound = dict.fromkeys(positional + [x.arg for x in a.kwonlyargs])
+        params = positional + [x.arg for x in a.kwonlyargs]
+        bound = dict.fromkeys(params)
         bound.update(dict.fromkeys(x.arg for x in (a.vararg, a.kwarg) if x))
         if named:
             defaulted = positional[len(positional) - len(a.defaults):] + [
                 x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             path = (owner, node.name) if owner else (node.name,)
-            options = {p: self._option(*path, p) for p in defaulted}
-            bound.update(options)
+            keys = {p: self._key(*path, p) for p in params}
+            keys.update((p, self._option(*path, p)) for p in defaulted)
+            bound.update(keys)
             static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-            target = (positional, options, int(owner is not None and not static))
+            target = (positional, keys, int(owner is not None and not static))
             self.targets.setdefault(node.name, []).append(target)
             if owner and node.name == "__init__":
                 self.targets.setdefault(owner, []).append(target)
@@ -121,13 +128,20 @@ class _Census(ast.NodeVisitor):
                             for kw in node.keywords}))
 
 
-def _census():
-    """The options, and the set of them some call sets."""
-    c = _Census()
+def _tree():
+    """(file, text, whether it is the package's) of every scanned file."""
     for folder in ("src", "perfbench", "tests"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            c.scan(path)
-    edges = []                  # (value, option): the value sets the option
+            yield str(path.relative_to(ROOT)), path.read_text(), PACKAGE in path.parents
+
+
+def _census(sources):
+    """The options of ``sources`` ((file, text, ours) triples), and the set
+    of them some call sets."""
+    c = _Census()
+    for source in sources:
+        c.scan(*source)
+    edges = []                  # (value, key): the value sets the parameter
     for name, args, kwargs in c.calls:
         if name == "replace":
             edges += [(v, key) for k, v in kwargs.items() for key in c.fields.get(k, ())]
@@ -146,7 +160,37 @@ def _census():
 
 
 def test_every_option_is_set_by_a_call():
-    options, done = _census()
+    options, done = _census(_tree())
     assert len(options) > 50, "the census finds too few options: it reads nothing"
     unset = sorted(set(options) - done)
     assert not unset, f"{len(unset)} options no call sets:\n" + "\n".join(unset)
+
+
+# An option that only a helper's required parameter sets: the field is set
+# by ``_report``'s ``tol``, and the only value ``_report`` gets is the unset
+# option ``check.tol``.
+REQUIRED_FORWARD = """
+from dataclasses import dataclass
+
+@dataclass
+class Report:
+    value: float
+    tolerance: float = 1e-6
+
+def _report(value, tol):
+    return Report(value, tolerance=tol)
+
+def check(value, tol=1e-6):
+    return _report(value, tol)
+
+def caller():
+    return check(1.0)
+"""
+
+
+def test_census_follows_a_required_parameter():
+    options, done = _census([("synthetic.py", REQUIRED_FORWARD, True)])
+    assert set(options) - done == {"synthetic.py:Report.tolerance", "synthetic.py:check.tol"}
+    set_by_caller = REQUIRED_FORWARD.replace("check(1.0)", "check(1.0, tol=1e-3)")
+    options, done = _census([("synthetic.py", set_by_caller, True)])
+    assert set(options) <= done

@@ -277,6 +277,21 @@ def test_a_degenerate_metric_has_no_volume_element():
         assert got.value.point == node
 
 
+def test_a_non_finite_metric_raises_in_volume_as_in_integrate():
+    s = gallery.load_entry("r3_contact").structure
+
+    def fn(xs):     # NaN past x0 = 0.85
+        return s.metric_at(xs) * np.where(values(xs[0]) > 0.85, np.nan, 1.0)[..., None, None]
+
+    q = el.QuadratureSpec(box=((0.5, 0.95), (-0.5, 0.5), (-0.5, 0.5)), grid=4)
+    for call in (lambda: el.volume(s, q, metric_fn=fn),
+                 lambda: el.integrate(s, lambda g: 1.0, q, metric_fn=fn)):
+        with pytest.raises(SingularEvaluationError,
+                           match="non-finite intermediate value at point") as got:
+            call()
+        assert got.value.point == pytest.approx((0.89375, -0.375, -0.375))
+
+
 def test_every_box_integral_refuses_a_box_outside_the_domain():
     s = gallery.load_entry("r3_contact").structure
     q = el.QuadratureSpec(box=((5, 6),) * 3, grid=3)

@@ -393,16 +393,6 @@ def test_bar_relation_r3_contact():
     assert rep["relation_residual"] < 1e-5 * scale
 
 
-def test_tildeT_scaling_laws():
-    s = struct("r3_contact")
-    pt = (0.2, 0.1, -0.3)
-    for phi in (1.0, 2.0, 0.7):
-        rep = va.tildeT_scaling_check(s, pt, phi)
-        assert rep["residual"] < 1e-9
-    rep = va.tildeT_scaling_check(struct("codim1_coth_tanh"), (1.0, 0.1, 0.2), 2.0)
-    assert rep["norm_Tt_scaled"] == pytest.approx(0.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("steps", [(1e-3,), (), (1e-3, -1e-3), (1e-3, 1e-3), (1e-3, 5e-4, 5e-4),
                                    (1e-3, 0.0), (1e-3, math.inf), (1e-3, math.nan)])
 def test_fd_steps_must_be_distinct_positive_and_finite(steps):
@@ -440,12 +430,6 @@ def test_bar_relation_step_must_be_positive_and_finite(t_step):
     q = el.QuadratureSpec(box=((-0.6, 0.6),) * 3, grid=4)
     with pytest.raises(InvalidArgumentError, match="positive finite FD step"):
         va.verify_bar_relation(s, v, q, t_step=t_step)
-
-
-@pytest.mark.parametrize("factor", [0.0, -2.0, math.inf, math.nan])
-def test_block_scaling_factor_must_be_positive_and_finite(factor):
-    with pytest.raises(SpecializationError, match="positive finite factor"):
-        va.tildeT_scaling_check(struct("r3_contact"), (0.2, 0.1, -0.3), factor)
 
 
 def test_projection_lemma_reports_a_non_finite_difference():
