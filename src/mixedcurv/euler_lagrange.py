@@ -104,25 +104,38 @@ def integrate(struct, reader, q, metric_fn=None):
     return np.asarray(pairwise_sum(x * w for x, w in zip(vals, wts))).tolist()
 
 
-def volume(struct, q, metric_fn=None):
-    """Volume of the box.  It reads no derivative, so its chunks of nodes
-    (``node_chunks``) evaluate the metric on order-1 array jets and build
-    no bundle.  An arithmetic error or a non-finite value of the metric
-    function raises SingularEvaluationError naming the failing node, as in
-    a bundle."""
+def metric_field(metric_fn, xs, d):
+    """The metric function's field at the seeds ``xs`` as an array jet.  An
+    arithmetic error or a non-finite value raises SingularEvaluationError,
+    which ``node_chunks`` names by its node, as in a bundle."""
+    try:
+        g = dense(metric_fn(xs), d)
+    except ArithmeticError as exc:
+        raise SingularEvaluationError(
+            f"arithmetic error in the metric ({type(exc).__name__}: {exc})") from None
+    return check_finite(g)
+
+
+def node_integrals(struct, q, chunk_fn):
+    """The integrals over the box of ``q`` of the k columns that
+    ``chunk_fn`` gives at a chunk of N nodes, an (N, k) array (see
+    ``node_chunks``), as a list of k floats: each value is weighted by its
+    node's weight and summed in node order by ``pairwise_sum``."""
     struct.require_box(q.box)
     pts, wts = grid_points(q)
+    cols = node_chunks(pts, struct.dim, chunk_fn).T.tolist()
+    return [pairwise_sum(x * w for x, w in zip(col, wts)) for col in cols]
 
+
+def volume(struct, q, metric_fn=None):
+    """Volume of the box.  It reads no derivative, so its chunks of nodes
+    evaluate the metric on order-1 array jets (``metric_field``) and build
+    no bundle."""
     def chunk(c):
-        try:
-            g = dense((metric_fn or struct.metric_at)(seed(c, 1)), struct.dim)
-        except ArithmeticError as exc:
-            raise SingularEvaluationError(
-                f"arithmetic error in the metric ({type(exc).__name__}: {exc})") from None
-        return metric_density(values(check_finite(g)))
+        g = metric_field(metric_fn or struct.metric_at, seed(c, 1), struct.dim)
+        return metric_density(values(g))[:, None]
 
-    dens = node_chunks(pts, struct.dim, chunk)
-    return pairwise_sum(dn * w for dn, w in zip(dens.tolist(), wts))
+    return node_integrals(struct, q, chunk)[0]
 
 
 def domain_mean(struct, reader, q):

@@ -22,12 +22,12 @@ import numpy as np
 from . import exprlang
 from .errors import (ClassificationError, InvalidArgumentError, SpecializationError,
                      SupportError)
-from .geometry import (PointGeometry, jet_matrix_inverse, node_chunks, quad, smix_density,
-                       smix_density_batch)
-from .jets import as_field, dense, einsum, order1, scatter, seed, value_of, values
+from .geometry import (PointGeometry, jet_matrix_inverse, metric_density, node_chunks, quad,
+                       smix_density, smix_density_batch)
+from .jets import as_field, check_finite, dense, einsum, order1, scatter, seed, value_of, values
 from .structure import orthonormal_frame
 from .euler_lagrange import (QuadratureSpec, _diag, domain_mean, grid_points, integrate,
-                             pairwise_sum, s_star, volume)
+                             metric_field, node_integrals, pairwise_sum, s_star, volume)
 
 FD_STEPS = (1e-3, 5e-4, 2.5e-4)
 ZERO_FLOOR = 5e-10
@@ -595,10 +595,10 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3, enforce_support
     Quadrature nodes where the variation vanishes identically contribute the
     same value at +t and -t, so only nodes inside the support enter the
     difference; this is exact, not an approximation.  Those nodes are
-    evaluated in batches, at +t and -t together: a batch evaluates g, B and
-    the span W once and builds two bundles over its nodes whose metric and
-    distribution functions return g + tB, g - tB (as ``v.metric_fn(+-t)``
-    would) and W.
+    evaluated in batches: a batch evaluates g, B and the span W once and
+    reads the difference off one bundle over its nodes whose two members
+    are g + tB and g - tB, as ``v.metric_fn(+-t)`` would give them
+    (``_jmix_difference``).
     """
     _check_action(action)
     _check_step(t_step)
@@ -611,17 +611,25 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3, enforce_support
     def chunk(c):
         xs = seed(c, 2)
         g, W = struct.metric_at(xs), struct.dtilde_at(xs)
-        B = v.B_at(xs, gmat=g, span=W)
-        # each bundle calls its functions only at its own seeds, the same as xs
-        (sp, dp), (sm, dm) = (
-            smix_density(PointGeometry(struct, c, metric_fn=lambda _, s=s: g + s * B,
-                                       dtilde_fn=lambda _: W))
-            for s in (t_step, -t_step))
-        return sp * dp - sm * dm
+        return _jmix_difference(struct, c, g, W, v.B_at(xs, gmat=g, span=W), t_step)
 
     diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk))
     return pairwise_sum(next(diffs) * w if k else 0.0
                         for k, w in zip(keep, wts)) / (2.0 * t_step)
+
+
+def _jmix_difference(struct, nodes, g, W, B, t):
+    """S_mix dvol at g + tB less S_mix dvol at g - tB at the (N, d) array
+    ``nodes``, where g, the span W and B are fields at their order-2 seeds.
+    One bundle over the nodes reads both: its batch is (N, 2), the node
+    axis first, so an error names its node."""
+    signed = np.array([t, -t])[:, None, None]
+    # the bundle calls its functions only at its own seeds, which are the
+    # fields' seeds, so they may return the fields
+    smix, dens = smix_density(PointGeometry(
+        struct, nodes, metric_fn=lambda _: g[:, None] + signed * B[:, None],
+        dtilde_fn=lambda _: W[:, None]))
+    return smix[:, 0] * dens[:, 0] - smix[:, 1] * dens[:, 1]
 
 
 def _inside(pt, box):
@@ -655,16 +663,21 @@ def jmix_gradient_pairing(struct, v, q):
 # ----------------------------------------------------------------------
 # volume-normalized families
 
+def _perp_scaled(g, P, factor):
+    """The metric field g with its complement block scaled by ``factor``,
+    P the projector onto D-tilde: g(QX, QY) with Q = I - P equals
+    g - gP - (gP)^T + P^T g P."""
+    gP = g @ P
+    return g + (factor - 1.0) * (g - gP - gP.mT + P.mT @ gP)
+
+
 def _perp_scaled_metric(struct, factor, base_metric_fn=None):
     """Scale the complement block of the metric by a spatially constant factor."""
     base = base_metric_fn or struct.metric_at
 
     def fn(xs):
         g = dense(base(xs), struct.dim)
-        P = tangent_projector_jets(struct, xs, gmat=g)
-        # g(QX, QY) with Q = I - P equals g - gP - (gP)^T + P^T g P
-        gP = g @ P
-        return as_field(g + (factor - 1.0) * (g - gP - gP.mT + P.mT @ gP), xs)
+        return as_field(_perp_scaled(g, tangent_projector_jets(struct, xs, gmat=g), factor), xs)
 
     return fn
 
@@ -672,20 +685,26 @@ def _perp_scaled_metric(struct, factor, base_metric_fn=None):
 def bar_family_metric(struct, v, q, t):
     """The volume-normalized family: complement block rescaled so that the
     box volume is preserved along the variation."""
-    return _bar_family_metric(struct, v, q, t, volume(struct, q))
-
-
-def _bar_family_metric(struct, v, q, t, vol0):
-    """``bar_family_metric`` with the base volume ``vol0`` already known."""
+    vol0 = volume(struct, q)
     gt = v.metric_fn(t)
-    volt = volume(struct, q, metric_fn=gt)
-    phi = (volt / vol0) ** (-2.0 / (struct.dim - struct.n))
+    phi = (volume(struct, q, metric_fn=gt) / vol0) ** (-2.0 / (struct.dim - struct.n))
     return _perp_scaled_metric(struct, phi, base_metric_fn=gt), phi
 
 
 def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
     """Volume constancy of the normalized family and the action relation
     linking its derivative to the unnormalized one.
+
+    Two passes over the box's node chunks (``node_integrals``) evaluate g,
+    the span W and B once per chunk each.  The first, on order-1 seeds as
+    ``volume``, reads the volume and the integral of tr B-sharp at g and
+    the volume of each g + tB, so the scale phi(+-t) of each normalized
+    metric.  The second, on order-2 seeds, builds the two normalized
+    metrics from them one after the other, a bundle each, and reads the
+    volume and S_mix dvol of each at every node: J-bar is an FD of the
+    frame-free ``smix_density``, and no node takes it from the scaling law
+    that s* encodes.  The same g, W and B at the chunk's nodes inside the
+    bump give dJ's difference as ``action_derivative`` reads it.
 
     ``sstar_grid`` controls the quadrature resolution of the starred-scalar
     mean entering the relation; it is a constant of the check, so a coarser
@@ -696,26 +715,47 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
     _check_step(t_step)
     struct.require_box(q.box)
     check_support(struct, v, q)
-    # the volume and the integral of tr B-sharp at g, then the volume and
-    # J_mix of each normalized metric, as the integrals of one pass each
-    vol0, int_trB = integrate(struct, lambda geom: np.stack([np.ones(geom.batch), np.trace(
-        geom.ginv0 @ values(v.B_at(geom.seeds, gmat=geom.gJ)), axis1=-2, axis2=-1)], axis=-1), q)
-    p = struct.dim - struct.n
+    d, p = struct.dim, struct.dim - struct.n
+    signed = (t_step, -t_step)
+
+    def volumes(c):
+        xs = seed(c, 1)
+        g = metric_field(struct.metric_at, xs, d)
+        dens = metric_density(values(g))
+        ginv = values(jet_matrix_inverse(g, d))
+        B = v.B_at(xs, gmat=g, span=struct.dtilde_at(xs))
+        return np.stack([dens, dens * np.trace(ginv @ values(B), axis1=-2, axis2=-1)] + [
+            metric_density(values(check_finite(g + s * B))) for s in signed], axis=1)
+
+    vol0, int_trB, *vols = node_integrals(struct, q, volumes)
+    phis = [(vol / vol0) ** (-2.0 / p) for vol in vols]
+
+    def normalized(c):
+        xs = seed(c, 2)
+        g = metric_field(struct.metric_at, xs, d)
+        W = dense(struct.dtilde_at(xs), d)
+        B = v.B_at(xs, gmat=g, span=W)
+        cols = []
+        for s, phi in zip(signed, phis):
+            gs = g + s * B
+            gbar = _perp_scaled(gs, tangent_projector_jets(struct, xs, gmat=gs, span=W), phi)
+            smix, dens = smix_density(PointGeometry(
+                struct, c, metric_fn=lambda _, gbar=gbar: gbar, dtilde_fn=lambda _: W))
+            cols += [dens, dens * smix]
+        keep = np.array([v.box is None or _inside(pt, v.box) for pt in c.tolist()])
+        diff = np.zeros(len(c))
+        if keep.any():
+            diff[keep] = _jmix_difference(struct, c[keep], g[keep], W[keep], B[keep], t_step)
+        return np.stack(cols + [diff], axis=1)
+
+    vol_p, jbar_p, vol_m, jbar_m, dj = node_integrals(struct, q, normalized)
+    vol_drift = max(abs(vol_p - vol0) / vol0, abs(vol_m - vol0) / vol0)
+    djbar = (jbar_p - jbar_m) / (2.0 * t_step)
+    dj /= 2.0 * t_step
+    dphi = (phis[0] - phis[1]) / (2.0 * t_step)
+
     q_star = q if sstar_grid is None else QuadratureSpec(
         box=q.box, grid=sstar_grid, rule=q.rule)
-
-    vols, jbars, phis = {}, {}, {}
-    for s in (t_step, -t_step):
-        fn, phi = _bar_family_metric(struct, v, q, s, vol0)
-        vols[s], jbars[s] = integrate(struct, lambda geom: np.stack(
-            [np.ones(geom.batch), smix_density(geom)[0]], axis=-1), q, metric_fn=fn)
-        phis[s] = phi
-    vol_drift = max(abs(vols[s] - vol0) / vol0 for s in vols)
-
-    djbar = (jbars[t_step] - jbars[-t_step]) / (2.0 * t_step)
-    dj = action_derivative(struct, v, q, "J_mix", t_step=t_step, enforce_support=False)
-    dphi = (phis[t_step] - phis[-t_step]) / (2.0 * t_step)
-
     star_mean = domain_mean(struct, lambda geom: s_star(geom, "perp"), q_star)
     relation_residual = abs(djbar - (dj - 0.5 * star_mean * int_trB))
     dphi_expected = -(1.0 / p) * int_trB / vol0

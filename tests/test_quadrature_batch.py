@@ -4,17 +4,21 @@ Every box integral evaluates its nodes in chunks (``geometry.node_chunks``)
 on array jets.  ``integrate`` and ``domain_mean`` build one bundle over a
 chunk's nodes and read it; ``action_value`` reads S_mix dvol off one bundle
 per chunk (``geometry.smix_density_batch`` calls ``smix_density_fast`` at
-the chunk); ``action_derivative`` reads two bundles over the chunk, at
-g + tB and g - tB, through ``geometry.smix_density``; ``volume`` evaluates
-the metric of a chunk on order-1 jets and builds no bundle;
-``jmix_gradient_pairing`` assembles the first variations over one bundle per
-chunk through ``integrate``.  The reference is written here (and in
-``pointwise_pairing.py`` for the pairing): a loop over per-point bundles,
-node by node.  Every integral is compared with it, nodes outside a bump are checked to see the
-base metric bit for bit, B at node seeds must be B at each node alone bit
-for bit (a bump's expressions run at the nodes inside its box only), an
-evaluation error must surface exactly as the loop raises it, naming its
-node, and every box integral refuses a box outside the domain.
+the chunk); ``action_derivative`` reads one bundle over the chunk whose two
+members are g + tB and g - tB, through ``geometry.smix_density``;
+``volume`` evaluates the metric of a chunk on order-1 jets and builds no
+bundle; ``jmix_gradient_pairing`` assembles the first variations over one
+bundle per chunk through ``integrate``.  The reference is written here (and
+in ``pointwise_pairing.py`` for the pairing): a loop over per-point
+bundles, node by node.  Every integral is compared with it, nodes outside a
+bump are checked to see the base metric bit for bit, B at node seeds must
+be B at each node alone bit for bit (a bump's expressions run at the nodes
+inside its box only), an evaluation error must surface exactly as the loop
+raises it, naming its node, and every box integral refuses a box outside
+the domain.  ``verify_bar_relation`` reads g, W and B once per chunk in
+each of its two passes; its report must be the one that six box passes
+give (``bar_relation.py``) bit for bit, and the bump's expressions run
+twice at node seeds in one call.
 """
 
 import dataclasses
@@ -31,6 +35,7 @@ from mixedcurv.errors import DomainError, InvalidArgumentError, SingularEvaluati
 from mixedcurv.geometry import PointGeometry, smix_density_batch, smix_density_fast
 from mixedcurv.jets import dense, gradients, seed, value_of, values
 from mixedcurv.structure import load_structure
+from bar_relation import bar_relation_by_passes, derivative_by_two_bundles
 from pointwise_pairing import pairing_by_points
 from test_random_structures import seeded_structure
 
@@ -203,13 +208,40 @@ def test_a_bump_is_evaluated_at_its_support_nodes_only(monkeypatch):
     sizes, run = [], exprlang.Program.run
 
     def counted(program, env, params=None):
-        if program is v._program:
+        if program is v._program and np.ndim(value_of(env[0])):   # at node seeds
             sizes.append(np.size(value_of(env[0])))
         return run(program, env, params)
 
     monkeypatch.setattr(exprlang.Program, "run", counted)
     va.verify_bar_relation(s, v, q, sstar_grid=3)
-    assert max(sizes) == 27
+    # the grid is one node chunk, and each of the two passes reads B once
+    assert sizes == [27, 27]
+
+
+def _bar_setup(key, grid, cells):
+    """A box at 65% of the domain with a bump over the cells from the first
+    to the ``cells``-th on each axis, so some nodes lie outside it."""
+    s = _structure(key)
+    box = tuple((0.5 * (lo + hi) - 0.325 * (hi - lo), 0.5 * (lo + hi) + 0.325 * (hi - lo))
+                for lo, hi in s.domain)
+    bump = tuple((lo + (hi - lo) / grid, lo + (1 + cells) * (hi - lo) / grid) for lo, hi in box)
+    return s, va.random_variation(s, "perp", seed=3, box=bump), el.QuadratureSpec(
+        box=box, grid=grid)
+
+
+@pytest.mark.parametrize("key,grid,cells", [
+    ("r3_contact", 6, 3), ("s3_hopf", 6, 3), ((1, 3, 1), 4, 2),
+    ((2, 4, 2), 5, 3),      # 625 nodes in three chunks
+])
+def test_bar_relation_is_the_six_pass_composition_bit_for_bit(key, grid, cells):
+    s, v, q = _bar_setup(key, grid, cells)
+    want = bar_relation_by_passes(s, v, q, sstar_grid=3)
+    got = va.verify_bar_relation(s, v, q, sstar_grid=3)
+    assert got.keys() == want.keys()
+    for k, x in want.items():
+        assert np.float64(got[k]).tobytes() == np.float64(x).tobytes(), k
+    dj = va.action_derivative(s, v, q, "J_mix", t_step=1e-3, enforce_support=False)
+    assert dj == derivative_by_two_bundles(s, v, q, 1e-3)
 
 
 @pytest.mark.parametrize("key,box,vseed,degree", [
@@ -248,6 +280,7 @@ def test_errors_surface_as_the_scalar_loop_raises_them(kind):
         (lambda: va.action_derivative(s, v, q, "J_mix", enforce_support=False),
          lambda: _loop_derivative(s, v, q, 1e-3)),
         (lambda: va.jmix_gradient_pairing(s, v, q), lambda: pairing_by_points(s, v, q)),
+        (lambda: va.verify_bar_relation(s, v, q), lambda: _loop_integral(s, q, None)),
     ]
     for batched, loop in calls:
         with pytest.raises(SingularEvaluationError) as want:
