@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from contextlib import suppress
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import attrgetter
 
 import numpy as np
@@ -74,6 +74,46 @@ def jet_matrix_inverse(A, d, point=None):
         upd = X - X[..., :, col][..., None] * row[..., None, :]
         X = concatenate((upd[..., :col, :], row[..., None, :], upd[..., col + 1:, :]), axis=k)
     return X[..., :, d:]
+
+
+def metric_jets(metric_fn, xs, d, point):
+    """``metric_fn``'s field at the seeds ``xs`` as an array jet, read as a
+    bundle at ``point`` reads its metric: an arithmetic error or a
+    non-finite value, of the structure's metric or a caller's, raises
+    SingularEvaluationError naming the failing node of ``point``."""
+    try:
+        rows = metric_fn(xs)
+    except SingularEvaluationError as exc:
+        if exc.point is None:
+            raise SingularEvaluationError(
+                exc.reason, point=member_point(point, exc.at)) from exc
+        raise
+    except ArithmeticError as exc:
+        raise SingularEvaluationError(
+            f"arithmetic error in the metric ({type(exc).__name__}: {exc})",
+            point=member_point(point, getattr(exc, "at", None))) from None
+    return check_finite(dense(rows, d), point=point)
+
+
+def _keeps_error(fn):
+    """``fn`` as a cached property that also keeps the MixedCurvError it
+    raised: a later read raises the same error again, with the traceback of
+    its first raise, so the checks at a failing bundle evaluate it once."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def read(self):
+        failed = self.__dict__.setdefault("_failed", {})
+        if name in failed:
+            exc, tb = failed[name]
+            raise exc.with_traceback(tb)
+        try:
+            return fn(self)
+        except MixedCurvError as exc:
+            failed[name] = exc, exc.__traceback__.tb_next   # from fn's frame down
+            raise
+
+    return cached_property(read)
 
 
 def _scalar(x):
@@ -134,30 +174,17 @@ class PointGeometry:
     def seeds(self):
         return seed(self.coords, 2)
 
-    @cached_property
+    @_keeps_error
     def gJ(self):
-        """The metric as an order-2 jet field.  An arithmetic error or a
-        non-finite value of the metric function, the structure's or a
-        caller's, raises SingularEvaluationError naming the failing node."""
-        try:
-            rows = self._metric_fn(self.seeds)
-        except SingularEvaluationError as exc:
-            if exc.point is None:
-                raise SingularEvaluationError(
-                    exc.reason, point=member_point(self.point, exc.at)) from exc
-            raise
-        except ArithmeticError as exc:
-            raise SingularEvaluationError(
-                f"arithmetic error in the metric ({type(exc).__name__}: {exc})",
-                point=member_point(self.point, getattr(exc, "at", None))) from None
-        return check_finite(dense(rows, self.d), point=self.point)
+        """The metric as an order-2 jet field (``metric_jets``)."""
+        return metric_jets(self._metric_fn, self.seeds, self.d, self.point)
 
     @property
     def batch(self):
         """The leading axes of the metric field: () at one point."""
         return self.gJ.shape[:-2]
 
-    @cached_property
+    @_keeps_error
     def ginvJ(self):
         """The inverse metric as order-1 jets: no consumer reads its Hessian."""
         return jet_matrix_inverse(order1(self.gJ), self.d, point=self.point)
@@ -176,7 +203,7 @@ class PointGeometry:
                 - einsum("t...mn->...tmn", dg))
         return 0.5 * einsum("...st,...tmn->...smn", self.ginvJ, dsym)
 
-    @cached_property
+    @_keeps_error
     def frameJ(self):
         return orthonormal_frame(self.gJ, self._dtilde_fn(self.seeds), self.d,
                                  point=self.point)

@@ -2,8 +2,8 @@
 
 The left-hand side of every variation formula is measured by central finite
 differences of the relevant scalar invariant along the metric family; the
-right-hand side is assembled from the unvaried geometry bundle and the
-infinitesimal variation, with every divergence evaluated through jets.  The
+right-hand side is assembled at the unvaried metric from the infinitesimal
+variation, with every divergence evaluated through jets.  The
 two sides never share a differentiation mechanism, so their agreement (and
 its second-order convergence in the step) is evidence, not bookkeeping.
 """
@@ -22,8 +22,8 @@ import numpy as np
 from . import exprlang
 from .errors import (ClassificationError, InvalidArgumentError, SpecializationError,
                      SupportError)
-from .geometry import (PointGeometry, jet_matrix_inverse, metric_density, node_chunks, quad,
-                       smix_density, smix_density_batch)
+from .geometry import (PointGeometry, jet_matrix_inverse, metric_density, metric_jets,
+                       node_chunks, quad, smix_density, smix_density_batch)
 from .jets import as_field, check_finite, dense, einsum, order1, scatter, seed, value_of, values
 from .structure import orthonormal_frame
 from .euler_lagrange import (QuadratureSpec, _diag, domain_mean, grid_points, integrate,
@@ -210,7 +210,7 @@ def evolve_frame(struct, v, point, t_end=0.1, steps=64):
     span = struct.dtilde_at(pt)
     fr = orthonormal_frame(g_base, span, d, point=pt)
     frame, signs = fr.vectors, fr.signs                 # frame vectors as rows
-    B0 = v.B_at(pt, gmat=g_base)
+    B0 = v.B_at(pt, gmat=g_base, span=span)
 
     ts = [k * t_end / steps for k in range(steps + 1)]
     times = [ts[0]]
@@ -458,7 +458,8 @@ class _RHS:
 
 
 def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS, tol=1e-5):
-    """Central-difference LHS against jet-assembled RHS for each formula."""
+    """Central-difference LHS against jet-assembled RHS for each formula,
+    both read off one bundle: the LHS at its FD steps, the RHS at g."""
     if not (len(set(steps)) == len(steps) >= 2 and all(0.0 < h < math.inf for h in steps)):
         raise InvalidArgumentError(
             f"need two or more distinct positive finite FD steps, got {steps}")
@@ -472,29 +473,31 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS, tol=
             raise ClassificationError(
                 f"{f} applies to {want}-variations, got {v.klass!r}")
 
-    geom0 = PointGeometry(struct, point)
-    gJ = geom0.gJ
-    B = v.B_at(geom0.seeds, gmat=gJ)
-    g0, B0 = geom0.g0, values(B)
-    signed = np.array([s for h in steps for s in (h, -h)])
+    # One bundle at the point: member 0 at g, member 2k+1 at g + h_k B and
+    # member 2k+2 at g - h_k B.  It calls its functions once, at its own
+    # seeds, after g, the span W and B are read there below, so they may
+    # return those fields.
+    signed = np.array([0.0] + [s for h in steps for s in (h, -h)])
+    bundle = PointGeometry(struct, point, metric_fn=lambda _: gJ + signed[:, None, None] * B,
+                           dtilde_fn=lambda _: W)
+    xs = bundle.seeds
+    gJ = metric_jets(struct.metric_at, xs, struct.dim, bundle.point)
+    W = struct.dtilde_at(xs)
+    B = v.B_at(xs, gmat=gJ, span=W)
     # every step of both signs keeps the signature and half of |det g|
-    gs = g0 + signed[:, None, None] * B0
+    g0 = values(gJ)
+    gs = g0 + signed[1:, None, None] * values(B)
     neg0, det0 = np.sum(np.linalg.eigvalsh(g0) < 0.0), abs(np.linalg.det(g0))
     if (np.any(np.sum(np.linalg.eigvalsh(gs) < 0.0, axis=-1) != neg0)
             or np.any(np.abs(np.linalg.det(gs)) < 0.5 * det0)):
         raise SpecializationError("variation step leaves the metric cone")
-    # One bundle over the signed steps, member k at g + signed[k] B.  A bundle
-    # calls its metric function only at its own seeds, which are geom0's, so
-    # its metric function may close over the fields.
-    bundle = PointGeometry(struct, point,
-                           metric_fn=lambda xs: gJ + signed[:, None, None] * B)
-    rhs_eng = _RHS(geom0, B)
+    rhs_eng = _RHS(bundle, B)
 
     out = {}
     for f in formulas:
         at = attrgetter(FORMULAS[f][1])(bundle)
-        fd = [float(at[2 * k] - at[2 * k + 1]) / (2.0 * h) for k, h in enumerate(steps)]
-        rhs = rhs_eng.rhs(f)
+        fd = [float(at[2 * k + 1] - at[2 * k + 2]) / (2.0 * h) for k, h in enumerate(steps)]
+        rhs = float(rhs_eng.rhs(f)[0])
         disc = [abs(d_ - rhs) for d_ in fd]
         scale = max(abs(rhs), max(abs(d_) for d_ in fd))
         if scale < ZERO_FLOOR:

@@ -6,11 +6,13 @@ registry runner and gallery quantity; only a chunk that fails is read again
 as one bundle per point.  `cli._el_equations`, which the benchmark calls,
 still builds one bundle per point.  A runner's report must not depend on
 what else has read the same bundle before it, and an error the bundle
-raises must reach every check as it would on a bundle of its own.
+raises must reach every check as it would on a bundle of its own, while
+the failing member is built once.
 """
 
 import json
 import random
+import traceback
 
 import numpy as np
 import pytest
@@ -172,6 +174,35 @@ def test_bundle_error_reaches_every_check_unchanged(tmp_path):
     assert {c["check"]: c["error"] for c in rep["checks"]} == {
         eq: msg for eq, (_, msg) in fresh.items()}
     assert all(c["residual"] is None and not c["verdict"] for c in rep["checks"])
+
+
+def test_a_failing_member_is_built_once(monkeypatch):
+    # every applicable runner reads the frame, which fails at the point; the
+    # bundle keeps the error and raises it again, unchanged and with the
+    # traceback of its first raise
+    s = load_structure(NULL_DISTRIBUTION)
+    calls, frame = [], geometry.orthonormal_frame
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("point"))
+        return frame(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "orthonormal_frame", counted)
+    geom = PointGeometry(s, (0.0, 0.0, 0.0))
+    assert len(el.applicable(s)) == 7
+    reports = [outcome(el.EQUATIONS[eq].run, geom) for eq in el.applicable(s)]
+    assert calls == [(0.0, 0.0, 0.0)]
+    assert len(set(reports)) == 1
+    raised, depths = [], []
+    for _ in range(3):
+        with pytest.raises(MixedCurvError) as info:
+            geom.frameJ
+        raised.append(info.value)
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert raised[0] is raised[1] is raised[2]
+    assert (type(raised[0]), str(raised[0])) == reports[0]
+    assert depths[0] == depths[1] == depths[2]
+    assert calls == [(0.0, 0.0, 0.0)]
 
 
 def test_a_failing_chunk_is_read_point_by_point(tmp_path, built):

@@ -7,9 +7,11 @@ reference; it evaluates the spec's expressions itself, not through
 ``struct.metric_at`` and ``dtilde_at``.  Every metric function returns one
 field: a float array at a float point, an array jet at scalar seeds and one
 with the node axis first at node seeds.  ``verify_first_variation``
-evaluates B once per point and builds every step bundle from it; it is
+evaluates g, the span and B once per point and builds one bundle from them,
+member 0 at g for the right-hand side and the signed steps after it; it is
 checked against bundles built through ``v.metric_fn(s)`` and a right-hand
-side built from the reference B.  ``evolve_frame`` steps the D-tilde rows
+side built from the reference B, and bit for bit against the two-bundle
+composition it replaced (``first_variation.py``), and it builds one frame.  ``evolve_frame`` steps the D-tilde rows
 alone and takes each RK4 step of the complement rows as one matrix; it is
 checked against a loop that steps every frame row through its stage
 derivative.
@@ -23,12 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcurv import euler_lagrange as el
-from mixedcurv import exprlang, gallery
+from mixedcurv import exprlang, gallery, geometry
 from mixedcurv import variations as va
 from mixedcurv.errors import SpecializationError
 from mixedcurv.geometry import PointGeometry
 from mixedcurv.jets import ArrayJet, dense, gradients, seed, values
 from mixedcurv.structure import load_structure
+from first_variation import first_variation_by_two_bundles
 from scalar_inverse import scalar_matrix_inverse
 from test_random_structures import seeded_structure
 
@@ -188,6 +191,47 @@ def test_shared_B_bundles_match_bundles_through_the_family(key):
             for h, got in zip(va.FD_STEPS, rep.lhs_fd):
                 fd = (read(bundles[h]) - read(bundles[-h])) / (2.0 * h)
                 assert abs(got - fd) <= 1e-12 * 2000 * max(1.0, abs(fd)), (f, got, fd)
+
+
+def _bits(x):
+    """A report field as bytes: floats by their bits, lists item by item."""
+    if isinstance(x, list):
+        return [_bits(y) for y in x]
+    return x if x is None or isinstance(x, bool) else np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("key,inside", [
+    ("r3_contact", True), ("s3_hopf", True), ("lorentz_product", True),
+    ("r3_contact", False),                  # B vanishes outside the bump's box
+    ((2, 4, 2), True), ((4, 5, 2, True), True), ((6, 5, 3), True)])
+def test_first_variation_is_the_two_bundle_composition_bit_for_bit(key, inside):
+    s = _structure(key)
+    pt = tuple(_nodes(s, 1, 5)[0] if inside else [0.9 * hi for _, hi in s.domain])
+    for klass in ("perp", "tan"):
+        v = va.random_variation(s, klass, seed=6, box=None if inside else _half_box(s))
+        got = va.verify_first_variation(s, v, pt)
+        want = first_variation_by_two_bundles(s, v, pt)
+        assert got.keys() == want.keys()
+        if not inside:
+            assert all(rep.rhs == 0.0 for rep in got.values())
+        for f, rep in want.items():
+            for field in ("lhs_fd", "rhs", "discrepancies", "order", "verdict"):
+                assert _bits(getattr(got[f], field)) == _bits(getattr(rep, field)), (f, field)
+
+
+def test_first_variation_builds_one_frame(monkeypatch):
+    s = _structure("r3_contact")
+    v = va.random_variation(s, "perp", seed=6)
+    calls, frame = [], geometry.orthonormal_frame
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(values(args[0])))
+        return frame(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "orthonormal_frame", counted)
+    va.verify_first_variation(s, v, (0.1, 0.2, 0.3))
+    # one frame per member of the one bundle: g and the six signed steps
+    assert calls == [(7, 3, 3)]
 
 
 # ---------------------------------------------------------------------------
