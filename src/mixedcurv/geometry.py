@@ -37,26 +37,30 @@ import numpy as np
 
 from .errors import (MixedCurvError, SingularEvaluationError, SpecializationError,
                      member_point)
-from .jets import (check_finite, concatenate, dense, dshift, einsum, gradients, order1, seed,
+from .jets import (ArrayJet, check_finite, dense, dshift, einsum, gradients, order1, seed,
                    values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
 def jet_matrix_inverse(A, d, point=None):
-    """Gauss-Jordan inverse of an array jet of shape B + (d, d), a batch B
-    of matrices, pivoting on absolute values: each matrix of the batch
-    chooses its own pivot rows, and a pivot is judged against the largest
-    entry of its own input row.  The pivot search, its singularity test and
-    the row swap run per matrix of B; the row operations act on the
-    augmented rows [A | I]."""
-    batch = A.shape[:-2]
-    k = len(batch)
+    """Inverse of a batch B of d x d matrices, A of shape B + (d, d): an
+    array jet of the inverse for an array jet, a float array for a float
+    array.
+
+    Gauss-Jordan on the values alone, pivoting on absolute values: each
+    matrix of the batch chooses its own pivot rows, and a pivot is judged
+    against the largest entry of its own input row.  The pivot search, its
+    singularity test and the row swap run per matrix of B; the row
+    operations act on the augmented rows [A0 | I].  The derivatives follow
+    in closed form from V = A0^-1 and K_x = V d_x A: d_x V = -K_x V and, at
+    order 2, d_xy V = (K_x K_y + K_y K_x) V - V d_xy A V."""
+    A0 = A.v if isinstance(A, ArrayJet) else np.asarray(A, dtype=float)
+    batch = A0.shape[:-2]
     at = tuple(ix[..., None] for ix in np.indices(batch, sparse=True))
-    eye = np.broadcast_to(np.eye(d), A.shape)
-    X = concatenate((A, A * 0.0 + eye), axis=k + 1)
-    scale = np.max(np.abs(values(A)), axis=-1)
+    X = np.concatenate((A0, np.broadcast_to(np.eye(d), A0.shape)), axis=-1)
+    scale = np.max(np.abs(A0), axis=-1)
     for col in range(d):
-        mag = np.abs(values(X)[..., col:, col])
+        mag = np.abs(X[..., col:, col])
         piv = col + np.argmax(mag, axis=-1)        # the first largest
         singular = mag.max(axis=-1) <= 1e-14 * np.take_along_axis(
             scale, piv[..., None], -1)[..., 0]
@@ -71,9 +75,21 @@ def jet_matrix_inverse(A, d, point=None):
             scale = np.take_along_axis(scale, perm, -1)
         # X[r] - X[r][col] X[col] on every row, then the scaled pivot row at col
         row = X[..., col, :] * (1.0 / X[..., col, col])[..., None]
-        upd = X - X[..., :, col][..., None] * row[..., None, :]
-        X = concatenate((upd[..., :col, :], row[..., None, :], upd[..., col + 1:, :]), axis=k)
-    return X[..., :, d:]
+        X = X - X[..., :, col][..., None] * row[..., None, :]
+        X[..., col, :] = row
+    V = X[..., :, d:]
+    if not isinstance(A, ArrayJet):
+        return V
+    # matrices on the last two axes, the derivative indices x (and y) before
+    Vx = V[..., None, :, :]
+    K = Vx @ np.moveaxis(A.g, -1, -3)
+    G = np.moveaxis(-(K @ Vx), -3, -1)
+    if A.h is None:
+        return ArrayJet(V, G)
+    KK = K[..., :, None, :, :] @ K[..., None, :, :, :]
+    Vxy = V[..., None, None, :, :]
+    H = (KK + np.swapaxes(KK, -3, -4)) @ Vxy - Vxy @ np.moveaxis(A.h, (-2, -1), (-4, -3)) @ Vxy
+    return ArrayJet(V, G, np.moveaxis(H, (-4, -3), (-2, -1)))
 
 
 def metric_jets(metric_fn, xs, d, point):
@@ -95,22 +111,30 @@ def metric_jets(metric_fn, xs, d, point):
     return check_finite(dense(rows, d), point=point)
 
 
+def _copy_error(exc):
+    """A copy of the error ``exc`` with its class, arguments and attributes
+    (message, ``point``), but no traceback, cause or context."""
+    out = type(exc).__new__(type(exc), *exc.args)
+    out.__dict__.update(exc.__dict__)
+    return out
+
+
 def _keeps_error(fn):
     """``fn`` as a cached property that also keeps the MixedCurvError it
-    raised: a later read raises the same error again, with the traceback of
-    its first raise, so the checks at a failing bundle evaluate it once."""
+    raised: a later read raises a fresh copy of it, so the checks at a
+    failing bundle evaluate it once.  The kept copy holds no traceback, whose
+    frames would hold the bundle in a reference cycle."""
     name = fn.__name__
 
     @wraps(fn)
     def read(self):
         failed = self.__dict__.setdefault("_failed", {})
         if name in failed:
-            exc, tb = failed[name]
-            raise exc.with_traceback(tb)
+            raise _copy_error(failed[name])
         try:
             return fn(self)
         except MixedCurvError as exc:
-            failed[name] = exc, exc.__traceback__.tb_next   # from fn's frame down
+            failed[name] = _copy_error(exc)
             raise
 
     return cached_property(read)

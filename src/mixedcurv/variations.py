@@ -725,7 +725,7 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
         xs = seed(c, 1)
         g = metric_field(struct.metric_at, xs, d)
         dens = metric_density(values(g))
-        ginv = values(jet_matrix_inverse(g, d))
+        ginv = jet_matrix_inverse(values(g), d)
         B = v.B_at(xs, gmat=g, span=struct.dtilde_at(xs))
         return np.stack([dens, dens * np.trace(ginv @ values(B), axis1=-2, axis2=-1)] + [
             metric_density(values(check_finite(g + s * B))) for s in signed], axis=1)

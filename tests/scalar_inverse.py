@@ -1,11 +1,15 @@
 """The scalar Gauss-Jordan loop: the reference of ``jet_matrix_inverse``.
 
 ``geometry.jet_matrix_inverse`` inverts an array jet of shape B + (d, d),
-each matrix of the batch with its own pivot rows.  This loop inverts one
-matrix given as nested lists of scalars (floats or scalar ``Jet``s) by the
-same rule, entry by entry, and stays here as the oracle of the tests that
-check the array form.
+each matrix of the batch with its own pivot rows, by Gauss-Jordan on the
+values and the derivatives in closed form.  This loop inverts one matrix
+given as nested lists of scalars (floats or scalar ``Jet``s) by the same
+rule, entry by entry, with the derivatives in jet arithmetic, and stays
+here as the oracle of the tests that check the array form: the values to
+the bit, the derivatives to rounding (``assert_close_to_loop``).
 """
+
+import numpy as np
 
 from mixedcurv.errors import SingularEvaluationError
 from mixedcurv.jets import Jet, value_of
@@ -46,3 +50,14 @@ def scalar_matrix_inverse(M, d, point=None):
 def pivot_rows(M):
     """The pivot row the loop picks at each column of the float matrix M."""
     return _gauss_jordan(M, len(M), None)[1]
+
+
+def assert_close_to_loop(got, want):
+    """Derivatives ``got`` of the closed form against the loop's ``want``,
+    within 1e-12 of the largest finite magnitude of ``want`` wherever
+    ``want`` is finite: the loop squares its pivots, so its jet arithmetic
+    may overflow where the closed form does not, and an entry that
+    overflowed judges nothing."""
+    ok = np.isfinite(want)
+    scale = max(1.0, np.max(np.abs(want[ok]), initial=0.0))
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * scale)

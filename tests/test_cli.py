@@ -197,12 +197,24 @@ def test_arithmetic_error_exit_2(spec, args, message, tmp_path, capsys):
     assert captured.err.startswith("error: " + message)
 
 
-# the metric's products overflow: the bundle's curvature is non-finite there
-HUGE_SPEC = """dim = 3
+# widely scaled blocks of a product metric: S_mix = 0, and every product
+# the bundle forms stays finite
+PRODUCT_SPEC = """dim = 3
 dtilde_dim = 1
 metric 0 0 = 1
 metric 1 1 = 1e300*(1+x0^2)
 metric 2 2 = 1e-300
+dtilde 0 = 0, 0, 1
+domain = [-1, 1] x [-1, 1] x [-1, 1]
+"""
+
+# Gamma^0_11 = -x0 1e600 overflows in exact arithmetic: the bundle's
+# curvature is non-finite there
+HUGE_SPEC = """dim = 3
+dtilde_dim = 1
+metric 0 0 = 1e-300
+metric 1 1 = 1e300*(1+x0^2)
+metric 2 2 = 1
 dtilde 0 = 0, 0, 1
 domain = [-1, 1] x [-1, 1] x [-1, 1]
 """
@@ -239,6 +251,23 @@ def test_inspect_non_finite_exit_2(tmp_path, capsys):
                      tmp_path)
     assert code == 2 and text == ""
     assert capsys.readouterr().err.startswith("error: non-finite S_mix")
+
+
+def test_product_of_widely_scaled_blocks_is_finite(tmp_path):
+    path = tmp_path / "s.spec"
+    path.write_text(PRODUCT_SPEC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["inspect", "--spec", str(path), "--points", "(0.9,0.1,0.1)"],
+                         tmp_path)
+        assert code == 0
+        assert _strict_json(text)["points"][0]["S_mix"] == 0.0
+        for suite in ("identities", "el"):
+            code, text = run(["verify", suite, "--spec", str(path),
+                              "--points", "(0.9,0.1,0.1)"], tmp_path, f"{suite}.json")
+            rep = _strict_json(text)
+            assert code == 0 and rep["failed"] == 0, suite
+            assert not any("error" in c for c in rep["checks"]), suite
 
 
 def test_emit_refuses_non_finite_numbers(tmp_path):

@@ -21,7 +21,7 @@ from mixedcurv.geometry import PointGeometry, jet_matrix_inverse
 from mixedcurv.jets import (ArrayJet, Jet, dense, dshift, elementary, gradients, jlog,
                             jpow, jsqrt, order1, values)
 
-from scalar_inverse import scalar_matrix_inverse
+from scalar_inverse import assert_close_to_loop, scalar_matrix_inverse
 from test_random_structures import generated_structures, seeded_structure
 
 
@@ -266,7 +266,8 @@ def _case(v, order):
 def test_dense_inverse_pivots_and_fails_like_the_scalar_loop(case):
     # In a batch of N matrices (N nodes) each matrix picks its own pivot
     # rows; one singular matrix fails the batch, and the regular ones then
-    # pass as a batch of their own
+    # pass as a batch of their own.  The values are the loop's bits; the
+    # gradients come in closed form and agree to rounding
     A, N = case
     d = A.shape[-1]
     want = []
@@ -287,7 +288,70 @@ def test_dense_inverse_pivots_and_fails_like_the_scalar_loop(case):
     for k, w in enumerate(want):
         node = got[k] if N else got
         assert values(node).tolist() == values(w).tolist()
-        assert gradients(node, 2).tolist() == gradients(w, 2).tolist()
+        assert_close_to_loop(gradients(node, 2), gradients(w, 2))
+
+
+@st.composite
+def order2_inverse_cases(draw):
+    """(A, N, s): one d x d order-2 jet matrix (N = 0) or a batch of N, with
+    d in 1..7, and row scales s.  Each matrix is diagonally dominant with
+    its rows permuted by a permutation of its own, so the matrices of a
+    batch pivot on different rows (as in ``inverse_cases``); s scales one
+    drawn row by a factor of up to exp(598)."""
+    d, N, n = draw(st.integers(1, 7)), draw(st.sampled_from([0, 1, 3, 5])), draw(st.integers(1, 3))
+    A = draw(fields((max(N, 1), d, d), n, 2))
+    # matrix k takes the rows of a drawn permutation rolled by k
+    perm = draw(st.permutations(range(d)))
+    rows = (np.arange(max(N, 1))[:, None], np.array([np.roll(perm, k) for k in range(max(N, 1))]))
+    A = ArrayJet((A.v + 5.0 * d * np.eye(d))[rows], A.g[rows], A.h[rows])
+    s = np.ones(d)
+    s[draw(st.integers(0, d - 1))] = draw(st.sampled_from([1.0, 1e13, 1e15, np.exp(598)]))
+    return (A if N else A[0]), N, s
+
+
+def _largest(A, axis):
+    """The array jet whose every entry is the largest magnitude of A's
+    along the matrix axis ``axis`` (-1 along a row, -2 down a column), in
+    value, gradient and Hessian alike."""
+    def top(x, k):
+        return np.broadcast_to(np.max(np.abs(x), axis=axis - k, keepdims=True), x.shape)
+    return ArrayJet(top(A.v, 0), top(A.g, 1), top(A.h, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(order2_inverse_cases())
+def test_order2_inverse_matches_the_scalar_loop_and_inverts(case):
+    # the inverse of S A, S = diag(s): its values are the scalar loop's bits,
+    # and its gradient and Hessian, in closed form, are those of the loop's
+    # A^-1 S^-1 (the loop squares each pivot, so beyond 1e154 its own
+    # derivatives underflow); and (S A) (S A)^-1 = I as a jet, each entry of
+    # its value, gradient and Hessian within 1e-10 max(1, b), b the sum of
+    # the largest terms of its row of S A and its column of the inverse.
+    # Pivoting on absolute values is not invariant under row scaling: with
+    # a row scaled by 1e13 or more the elimination grows, and the loop's
+    # values (the same bits) leave residuals of up to about 6e-12 b
+    A, N, s = case
+    d, n = A.shape[-1], A.nvars
+    SA = ArrayJet(s[:, None] * A.v, s[:, None, None] * A.g, s[:, None, None, None] * A.h)
+    try:
+        loops = [scalar_matrix_inverse(_objects(SM).tolist(), d) for SM in (SA if N else [SA])]
+    except SingularEvaluationError:
+        # a tiny entry of the scaled row outgrows its column's pivot and
+        # fails its own row's test
+        with pytest.raises(SingularEvaluationError, match="singular metric"):
+            jet_matrix_inverse(SA, d)
+        return
+    got = jet_matrix_inverse(SA, d)
+    assert got.shape == A.shape and got.h is not None
+    for k, loop in enumerate(loops):
+        node, M = (got[k], A[k]) if N else (got, A)
+        assert values(node).tolist() == values(loop).tolist()
+        want = dense(scalar_matrix_inverse(_objects(M).tolist(), d), n) * (1.0 / s)
+        assert_close_to_loop(node.g, want.g)
+        assert_close_to_loop(node.h, want.h)
+    I, bound = SA @ got, _largest(SA, -1) @ _largest(got, -2)
+    for a, b in ((I.v - np.eye(d), bound.v), (I.g, bound.g), (I.h, bound.h)):
+        assert np.all(np.abs(a) <= 1e-10 * np.maximum(1.0, b))
 
 
 def _frame_defect(geom):

@@ -10,9 +10,11 @@ raises must reach every check as it would on a bundle of its own, while
 the failing member is built once.
 """
 
+import gc
 import json
 import random
 import traceback
+import weakref
 
 import numpy as np
 import pytest
@@ -178,8 +180,8 @@ def test_bundle_error_reaches_every_check_unchanged(tmp_path):
 
 def test_a_failing_member_is_built_once(monkeypatch):
     # every applicable runner reads the frame, which fails at the point; the
-    # bundle keeps the error and raises it again, unchanged and with the
-    # traceback of its first raise
+    # bundle keeps the error and raises a fresh copy of it on every later
+    # read, with the class, message and point of the first
     s = load_structure(NULL_DISTRIBUTION)
     calls, frame = [], geometry.orthonormal_frame
 
@@ -199,10 +201,29 @@ def test_a_failing_member_is_built_once(monkeypatch):
             geom.frameJ
         raised.append(info.value)
         depths.append(len(traceback.extract_tb(info.value.__traceback__)))
-    assert raised[0] is raised[1] is raised[2]
+    assert len({(type(e), str(e), e.point) for e in raised}) == 1
     assert (type(raised[0]), str(raised[0])) == reports[0]
+    assert raised[0].point == (0.0, 0.0, 0.0)
     assert depths[0] == depths[1] == depths[2]
     assert calls == [(0.0, 0.0, 0.0)]
+
+
+def test_a_failing_bundle_is_freed_without_cycle_collection():
+    # the kept error holds no traceback, whose frames would hold the bundle
+    s = load_structure(NULL_DISTRIBUTION)
+    gc.disable()
+    try:
+        geom = PointGeometry(s, (0.0, 0.0, 0.0))
+        for _ in range(3):
+            try:
+                geom.frameJ
+            except MixedCurvError:
+                pass
+        ref = weakref.ref(geom)
+        del geom
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_failing_chunk_is_read_point_by_point(tmp_path, built):
