@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import (MixedCurvError, SingularEvaluationError, SpecializationError,
                      member_point)
-from .jets import (ArrayJet, check_finite, dense, dshift, einsum, gradients, order1, seed,
-                   values)
+from .jets import (ArrayJet, check_finite, dense, dshift, einsum, gradients, inverse, order1,
+                   seed, values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
 
 
@@ -47,49 +47,47 @@ def jet_matrix_inverse(A, d, point=None):
     array jet of the inverse for an array jet, a float array for a float
     array.
 
-    Gauss-Jordan on the values alone, pivoting on absolute values: each
-    matrix of the batch chooses its own pivot rows, and a pivot is judged
-    against the largest entry of its own input row.  The pivot search, its
-    singularity test and the row swap run per matrix of B; the row
-    operations act on the augmented rows [A0 | I].  The derivatives follow
-    in closed form from V = A0^-1 and K_x = V d_x A: d_x V = -K_x V and, at
-    order 2, d_xy V = (K_x K_y + K_y K_x) V - V d_xy A V."""
+    Gauss-Jordan on the values alone with scaled partial pivoting: each
+    matrix of the batch pivots on the first row of the largest
+    |a_rc| / scale_r, scale_r the largest |entry| of input row r.  A pivot
+    at or below 1e-14 of the size of the terms the elimination summed into
+    it is singular: a zero left by cancellation fails, a small input entry
+    does not.  The pivot search, its test and the row swap run per matrix
+    of B; the row operations act on the augmented rows [A0 | I].  The
+    derivatives follow in closed form (:func:`mixedcurv.jets.inverse`)."""
     A0 = A.v if isinstance(A, ArrayJet) else np.asarray(A, dtype=float)
     batch = A0.shape[:-2]
     at = tuple(ix[..., None] for ix in np.indices(batch, sparse=True))
     X = np.concatenate((A0, np.broadcast_to(np.eye(d), A0.shape)), axis=-1)
-    scale = np.max(np.abs(A0), axis=-1)
+    size = np.abs(A0)
+    scale = np.max(size, axis=-1)
+    scale[scale == 0.0] = 1.0                    # a zero row: its entries stay 0
     for col in range(d):
-        mag = np.abs(X[..., col:, col])
-        piv = col + np.argmax(mag, axis=-1)        # the first largest
-        singular = mag.max(axis=-1) <= 1e-14 * np.take_along_axis(
-            scale, piv[..., None], -1)[..., 0]
-        if np.any(singular):
-            raise SingularEvaluationError(
-                "singular metric", point=member_point(point, np.argwhere(singular)[0]))
-        if np.any(piv != col):
+        piv = col + np.argmax(np.abs(X[..., col:, col]) / scale[..., col:], axis=-1)
+        if np.any(piv != col):                   # the first largest
             perm = np.array(np.broadcast_to(np.arange(d), batch + (d,)))
             np.put_along_axis(perm, piv[..., None], col, -1)
             perm[..., col] = piv
-            X = X[at + (perm,)]
+            X, size = X[at + (perm,)], size[at + (perm,)]
             scale = np.take_along_axis(scale, perm, -1)
-        # X[r] - X[r][col] X[col] on every row, then the scaled pivot row at col
-        row = X[..., col, :] * (1.0 / X[..., col, col])[..., None]
-        X = X - X[..., :, col][..., None] * row[..., None, :]
-        X[..., col, :] = row
+        singular = np.abs(X[..., col, col]) <= 1e-14 * size[..., col, col]
+        if np.any(singular):
+            raise SingularEvaluationError(
+                "singular metric", point=member_point(point, np.argwhere(singular)[0]))
+        # X[r] - X[r][col] X[col] on every row (|terms| into size), then the pivot row
+        inv = (1.0 / X[..., col, col])[..., None]
+        row, srow, f = X[..., col, :] * inv, size[..., col, :] * np.abs(inv), X[..., :, col, None]
+        size += np.abs(f) * srow[..., None, :]  # first: f is a view of X
+        X -= f * row[..., None, :]
+        X[..., col, :], size[..., col, :] = row, srow
     V = X[..., :, d:]
-    if not isinstance(A, ArrayJet):
-        return V
-    # matrices on the last two axes, the derivative indices x (and y) before
-    Vx = V[..., None, :, :]
-    K = Vx @ np.moveaxis(A.g, -1, -3)
-    G = np.moveaxis(-(K @ Vx), -3, -1)
-    if A.h is None:
-        return ArrayJet(V, G)
-    KK = K[..., :, None, :, :] @ K[..., None, :, :, :]
-    Vxy = V[..., None, None, :, :]
-    H = (KK + np.swapaxes(KK, -3, -4)) @ Vxy - Vxy @ np.moveaxis(A.h, (-2, -1), (-4, -3)) @ Vxy
-    return ArrayJet(V, G, np.moveaxis(H, (-4, -3), (-2, -1)))
+    return inverse(A, V) if isinstance(A, ArrayJet) else V
+
+
+def _first_to_last(R, M):
+    """sum_s R[..., s, x, y, z] M[..., s, a] as [..., x, y, z, a], one matmul."""
+    B, d = R.shape[:-4], R.shape[-1]
+    return (R.reshape(B + (d, d ** 3)).mT @ M).reshape(B + (d,) * 4)
 
 
 def metric_jets(metric_fn, xs, d, point):
@@ -320,23 +318,24 @@ class PointGeometry:
     def Rcoord(self):
         """R(d_mu, d_nu) d_gamma = Rcoord[sigma, mu, nu, gamma] d_sigma."""
         dG = gradients(self.GammaJ, self.d)
-        G = self.Gamma0
+        G, d, B = self.Gamma0, self.d, self.Gamma0.shape[:-3]
         R = np.einsum("n...smg->...smng", dG) - np.einsum("m...sng->...smng", dG)
-        R += (np.einsum("...snk,...kmg->...smng", G, G)
-              - np.einsum("...smk,...kng->...smng", G, G))
+        # Q[s, a, b, g] = Gamma^s_ak Gamma^k_bg, one matmul over k
+        Q = (G.reshape(B + (d * d, d)) @ G.reshape(B + (d, d * d))).reshape(B + (d,) * 4)
+        R += Q.swapaxes(-3, -2) - Q
         return R
 
     @cached_property
     def R04(self):
-        return np.einsum("...smng,...sd->...mngd", self.Rcoord, self.g0)
+        return _first_to_last(self.Rcoord, self.g0)
 
     @cached_property
     def R4(self):
         """Frame components g(R(e_a, e_b) e_c, e_d)."""
-        E = values(self.framevecsJ)
+        E = values(self.framevecsJ).mT
         R = self.R04              # each pass turns the first chart index into a frame one, last
         for _ in range(4):
-            R = np.einsum("...mxyz,...am->...xyza", R, E)
+            R = _first_to_last(R, E)
         return R
 
     def riemann(self, X, Y, Z):

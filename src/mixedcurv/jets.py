@@ -11,19 +11,20 @@ between jets of different order truncate to the lower order.
 
 This module is the only one that knows a jet's layout.  Other modules build
 jets with :func:`seed`, :func:`as_field`, :func:`dense`, :func:`order1`,
-:func:`dshift` and :func:`scatter`, and read them back through
-:func:`value_of`, :func:`values` (the float array) and :func:`gradients`
+:func:`dshift`, :func:`scatter` and :func:`inverse`, and read them back
+through :func:`value_of`, :func:`values` (the float array) and :func:`gradients`
 (the gradient array, derivative index first).
 
 A jet tensor field is one :class:`ArrayJet` (Taylor arithmetic in the vector
-forward mode): its value, gradient and Hessian arrays carry the tensor's
-shape, with the derivative axes last.  The field algebra is numpy's (``@``,
-transposes, indexing, ``diagonal``, broadcasting ring operations and
-elementary functions) with the product rule.  Every product of two operands,
-``@`` included, is one :func:`einsum`, which writes a contraction once for
-any leading batch axes (``...``): a field of shape B + S is a batch B of
-tensors of shape S, and the per-point field is the empty batch.
-:func:`order1` and :func:`dshift` take an array jet.
+forward mode): a value array of the tensor's shape S, and gradient and Hessian
+arrays of shapes (d,) + S and (d, d) + S, derivative axes first.  The field
+algebra is numpy's (``@``, transposes, indexing, ``diagonal``, broadcasting
+ring operations and elementary functions) with the product rule, each term of
+a product one ``np.matmul`` for ``@`` and one ``np.einsum`` for
+:func:`einsum`, written once for any leading batch axes: a field of shape
+B + S is a batch B of tensors of shape S, and the per-point field is the
+empty batch.  :func:`order1`, :func:`dshift` and :func:`inverse` take an
+array jet.
 
 Seeding a batch of N points gives one array jet of shape (N,) per
 coordinate, a scalar at N quadrature nodes.  A field at such node seeds has
@@ -228,8 +229,8 @@ class Jet:
 
 
 class ArrayJet:
-    """A jet tensor field: value v of shape S, gradient g of shape S + (d,)
-    and, at order 2, Hessian h of shape S + (d, d), else None.
+    """A jet tensor field: value v of shape S, gradient g of shape (d,) + S
+    and, at order 2, Hessian h of shape (d, d) + S, else None.
 
     S is the shape of a tensor at one point, or a node axis (N,) for one
     scalar at N nodes.  Ring operations, powers and elementary functions act
@@ -256,7 +257,7 @@ class ArrayJet:
 
     @property
     def nvars(self):
-        return self.g.shape[-1]
+        return self.g.shape[0]
 
     @property
     def shape(self):
@@ -287,21 +288,37 @@ class ArrayJet:
             raise InvalidArgumentError("an array jet does not combine with a Jet")
         return None
 
+    def _up(self, n):
+        """The derivative arrays as those of a field of n axes: length-1 axes
+        after the derivative axes, which numpy would align with field axes."""
+        new = (None,) * (n - self.ndim)
+        if not new:
+            return self.g, self.h
+        return (self.g[(slice(None),) + new],
+                None if self.h is None else self.h[(slice(None),) * 2 + new])
+
     def _grown(self, shape):
         """The derivative arrays broadcast to the value shape ``shape``."""
         if shape == self.shape:
             return self.g, self.h
+        g, h = self._up(len(shape))
         d = (self.nvars,)
-        return (np.broadcast_to(self.g, shape + d),
-                None if self.h is None else np.broadcast_to(self.h, shape + d + d))
+        return (np.broadcast_to(g, d + shape),
+                None if h is None else np.broadcast_to(h, d + d + shape))
+
+    def _pair(self, b):
+        """The derivative arrays of self and the array jet b at their common rank."""
+        n = max(self.ndim, b.ndim)
+        return self._up(n) + b._up(n)
 
     def __add__(self, other):
         b = self._jet(other)
         if b is None:
             v = self.v + _const(other)
             return ArrayJet(v, *self._grown(np.shape(v)))
-        h = None if self.h is None or b.h is None else self.h + b.h
-        return ArrayJet(self.v + b.v, self.g + b.g, h)
+        ag, ah, bg, bh = self._pair(b)
+        h = None if ah is None or bh is None else ah + bh
+        return ArrayJet(self.v + b.v, ag + bg, h)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -319,14 +336,18 @@ class ArrayJet:
         b = self._jet(other)
         if b is None:
             c = _const(other)
-            return ArrayJet(self.v * c, self.g * _g(c),
-                            None if self.h is None else self.h * _h(c))
-        av, ag, bv, bg = _g(self.v), self.g, _g(b.v), b.g
+            g, h = self._up(np.ndim(c))
+            return ArrayJet(self.v * c, g * c, None if h is None else h * c)
+        av, bv = self.v, b.v
+        ag, ah, bg, bh = self._pair(b)
         h = None
-        if self.h is not None and b.h is not None:
+        if ah is not None and bh is not None:
             S = _outer(ag, bg)
-            h = self.h * _g(bv) + S + _T(S) + _g(av) * b.h
-        return ArrayJet(self.v * b.v, ag * bv + av * bg, h)
+            h = ah * bv
+            h += S
+            h += _T(S)
+            h += av * bh
+        return ArrayJet(av * bv, ag * bv + av * bg, h)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -337,16 +358,17 @@ class ArrayJet:
             c = _const(other)
             if np.any(c == 0.0):
                 raise SingularEvaluationError("division by zero scalar")
-            return ArrayJet(self.v / c, self.g / _g(c),
-                            None if self.h is None else self.h / _h(c))
+            g, h = self._up(np.ndim(c))
+            return ArrayJet(self.v / c, g / c, None if h is None else h / c)
         _nonzero(b.v)
-        bv, bg = b.v, b.g
+        bv = b.v
+        ag, ah, bg, bh = self._pair(b)
         q = self.v / bv
-        dq = (self.g - _g(q) * bg) / _g(bv)
+        dq = (ag - q * bg) / bv
         h = None
-        if self.h is not None and b.h is not None:
+        if ah is not None and bh is not None:
             S = _outer(dq, bg)
-            h = (self.h - _h(q) * b.h - S - _T(S)) / _h(bv)
+            h = (ah - q * bh - S - _T(S)) / bv
         return ArrayJet(q, dq, h)
 
     def __rtruediv__(self, other):
@@ -354,22 +376,22 @@ class ArrayJet:
         _nonzero(self.v)
         q = _const(other) / self.v
         w = q / self.v
-        dq = -_g(w) * self.g
-        h = None
-        if self.h is not None:
-            S = _outer(dq, self.g)
-            h = (-_h(q) * self.h - S - _T(S)) / _h(self.v)
+        g, h = self._up(np.ndim(q))
+        dq = -w * g
+        if h is not None:
+            S = _outer(dq, g)
+            h = (-q * h - S - _T(S)) / self.v
         return ArrayJet(q, dq, h)
 
     def _reciprocal(self):
         _nonzero(self.v)
         q = 1.0 / self.v
         q2 = q * q
-        g = -self.g * _g(q2)
+        g = -self.g * q2
         h = None
         if self.h is not None:
             q3 = q2 * q
-            h = _outer(2.0 * self.g, self.g) * _h(q3) - self.h * _h(q2)
+            h = _outer(2.0 * self.g, self.g) * q3 - self.h * q2
         return ArrayJet(q, g, h)
 
     def __pow__(self, e):
@@ -398,41 +420,38 @@ class ArrayJet:
         return self._compose(f0, f1, f2)
 
     def _compose(self, f0, f1, f2):
-        g = _g(f1) * self.g
+        g = f1 * self.g
         h = None
         if self.h is not None:
-            h = _h(f1) * self.h + _outer(_g(f2) * self.g, self.g)
+            h = f1 * self.h + _outer(f2 * self.g, self.g)
         return ArrayJet(f0, g, h)
 
     def __float__(self):
         raise TypeError("implicit ArrayJet->float conversion is a bug; use value_of()")
 
     # ------------------------------------------------------------------
-    # the shape of the field; the derivative axes stay last
+    # the shape of the field; the derivative axes stay first
 
-    def _parts(self, fn, shift=0):
+    def _parts(self, fn):
         """``fn(array, k)`` on the value (k = 0), gradient (1) and Hessian (2)
-        arrays; ``shift`` moves each result's last k axes back in front of
-        the derivative axes (for numpy functions that append an axis)."""
-        def part(x, k):
-            out = fn(x, k)
-            if shift and k:
-                out = np.moveaxis(out, list(range(-shift, 0)),
-                                  list(range(-shift - k, -k)))
-            return out
-        return ArrayJet(part(self.v, 0), part(self.g, 1),
-                        None if self.h is None else part(self.h, 2))
+        arrays."""
+        return ArrayJet(fn(self.v, 0), fn(self.g, 1),
+                        None if self.h is None else fn(self.h, 2))
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
-        return self._parts(lambda x, k: x[key + (slice(None),) * k])
+        if any(isinstance(i, (list, np.ndarray)) for i in key):
+            # numpy may move advanced indices to the front: index with the derivative axes last
+            return self._parts(lambda x, k: np.moveaxis(np.moveaxis(x, range(k), range(-k, 0))[
+                key + (slice(None),) * k], range(-k, 0), range(k)))
+        return self._parts(lambda x, k: x[(slice(None),) * k + key])
 
     def transpose(self, *axes):
         n = self.ndim
         if len(axes) == 1 and not isinstance(axes[0], int):
             axes = tuple(axes[0])
         axes = axes or tuple(reversed(range(n)))
-        return self._parts(lambda x, k: x.transpose(axes + tuple(range(n, n + k))))
+        return self._parts(lambda x, k: x.transpose(tuple(range(k)) + tuple(a + k for a in axes)))
 
     @property
     def mT(self):
@@ -443,7 +462,7 @@ class ArrayJet:
     def diagonal(self, offset=0, axis1=0, axis2=1):
         """numpy's diagonal: the diagonal axis comes last of the field's."""
         a1, a2 = (a % self.ndim for a in (axis1, axis2))
-        return self._parts(lambda x, k: np.diagonal(x, offset, a1, a2), shift=1)
+        return self._parts(lambda x, k: np.diagonal(x, offset, a1 + k, a2 + k))
 
     def __matmul__(self, other):
         return _matmul(self, other)
@@ -460,24 +479,14 @@ def _const(x):
     return x if isinstance(x, (int, float)) else np.asarray(x, dtype=float)
 
 
-def _g(x):
-    """``x`` with an axis appended, to broadcast against gradients."""
-    return x[..., None] if isinstance(x, np.ndarray) or np.ndim(x) else x
-
-
-def _h(x):
-    """``x`` with two axes appended, to broadcast against Hessians."""
-    return x[..., None, None] if isinstance(x, np.ndarray) or np.ndim(x) else x
-
-
 def _outer(a, b):
     """a_i b_j at every entry, for gradient arrays."""
-    return a[..., :, None] * b[..., None, :]
+    return a[:, None] * b[None]
 
 
 def _T(S):
     """S_ji at every entry: b_i a_j for S = _outer(a, b), the same products."""
-    return np.swapaxes(S, -1, -2)
+    return np.swapaxes(S, 0, 1)
 
 
 def _nonzero(v):
@@ -505,35 +514,41 @@ def _no_overflow(v, message):
 
 def _matmul(a, b):
     """``a @ b`` as numpy's: operands of more than two axes are stacks of
-    matrices, and their leading axes broadcast."""
-    na, nb = np.ndim(_value(a)), np.ndim(_value(b))
+    matrices, and their leading axes broadcast.  A vector is a one-row (a)
+    or one-column (b) matrix whose axis is dropped from the product."""
+    a, b = (x if isinstance(x, ArrayJet) else np.asarray(x, dtype=float) for x in (a, b))
+    na, nb = a.ndim, b.ndim
     if na == 0 or nb == 0:
         raise InvalidArgumentError(f"jet matmul of {na}- and {nb}-axis operands")
-    out = "..." * (na > 1 or nb > 1) + "i" * (na > 1) + "k" * (nb > 1)
-    return _product(a, b, "...ij" if na > 1 else "j", "...jk" if nb > 1 else "j", out)
+    a, b = a[None] if na == 1 else a, b[:, None] if nb == 1 else b
+    n = max(a.ndim, b.ndim)
+    P = _product(*(ArrayJet(x.v, *x._up(n)) if isinstance(x, ArrayJet) and x.ndim < n else x
+                   for x in (a, b)),
+                 lambda x, tx, y, ty: np.matmul(x[:, None] if tx and ty else x, y))
+    if na > 1 and nb > 1:
+        return P
+    return P[..., 0 if na == 1 else slice(None), 0 if nb == 1 else slice(None)]
 
 
-def _product(a, b, sa, sb, out):
-    """The product ``einsum(sa + "," + sb + "->" + out)`` of two array jets,
-    or of an array jet and a float array, by the product rule; x and y label
-    the derivative axes."""
+def _product(a, b, mul):
+    """The bilinear product ``mul`` of two array jets, or of an array jet and a
+    float array, by the product rule; ``mul(x, tx, y, ty)`` multiplies two parts
+    labelled by their derivative axes ("", "x", "xy"; "y" for b's in a_x b_y)."""
     ja, jb = isinstance(a, ArrayJet), isinstance(b, ArrayJet)
     if ja and jb and a.nvars != b.nvars:
         raise InvalidArgumentError(f"jet variable counts differ: {a.nvars} vs {b.nvars}")
     av, bv = _value(a), _value(b)
-
-    def dot(x, tx, y, ty):
-        return np.einsum(f"{sa}{tx},{sb}{ty}->{out}{tx}{ty}", x, y)
-
-    terms = ([dot(a.g, "x", bv, "")] if ja else []) + ([dot(av, "", b.g, "x")] if jb else [])
+    terms = ([mul(a.g, "x", bv, "")] if ja else []) + ([mul(av, "", b.g, "x")] if jb else [])
     g = terms[0] if len(terms) == 1 else terms[0] + terms[1]
     h = None
     if (not ja or a.h is not None) and (not jb or b.h is not None):
-        h = dot(a.h, "xy", bv, "") if ja else dot(av, "", b.h, "xy")
-        if ja and jb:
-            S = dot(a.g, "x", b.g, "y")
-            h = h + S + _T(S) + dot(av, "", b.h, "xy")
-    return ArrayJet(dot(av, "", bv, ""), g, h)
+        h = mul(a.h, "xy", bv, "") if ja else mul(av, "", b.h, "xy")
+        if ja and jb:                     # in place: every term has the product's shape
+            S = mul(a.g, "x", b.g, "y")
+            h += S
+            h += _T(S)
+            h += mul(av, "", b.h, "xy")
+    return ArrayJet(mul(av, "", bv, ""), g, h)
 
 
 def _value(x):
@@ -548,8 +563,22 @@ def einsum(subscripts, *operands):
     ins, out = subscripts.split("->")
     if len(operands) == 1:
         return operands[0]._parts(
-            lambda x, k: np.einsum(f"{ins}{'xy'[:k]}->{out}{'xy'[:k]}", x))
-    return _product(*operands, *ins.split(","), out)
+            lambda x, k: np.einsum(f"{'xy'[:k]}{ins}->{'xy'[:k]}{out}", x))
+    sa, sb = ins.split(",")
+    return _product(*operands, lambda x, tx, y, ty: np.einsum(
+        f"{tx}{sa},{ty}{sb}->{tx}{ty}{out}", x, y))
+
+
+def inverse(A, V):
+    """The array jet of the inverse of the array jet A (square matrices) from
+    its value V: with K_x = V d_x A, d_x V = -K_x V and
+    d_xy V = (K_x K_y + K_y K_x) V - V d_xy A V (Giles 2008)."""
+    K = V @ A.g
+    G = -(K @ V)
+    if A.h is None:
+        return ArrayJet(V, G)
+    KK = K[:, None] @ K
+    return ArrayJet(V, G, (KK + _T(KK)) @ V - V @ A.h @ V)
 
 
 def broadcast_to(F, shape):
@@ -563,8 +592,8 @@ def concatenate(fields, axis=0):
     """numpy's concatenate of array jets, along a field axis ``axis`` >= 0."""
     order2 = all(x.h is not None for x in fields)
     return ArrayJet(np.concatenate([x.v for x in fields], axis=axis),
-                    np.concatenate([x.g for x in fields], axis=axis),
-                    np.concatenate([x.h for x in fields], axis=axis) if order2 else None)
+                    np.concatenate([x.g for x in fields], axis=axis + 1),
+                    np.concatenate([x.h for x in fields], axis=axis + 2) if order2 else None)
 
 
 def value_of(x):
@@ -584,8 +613,8 @@ def seed(point, order):
             raise InvalidArgumentError("seed point must be finite")
         N, n = P.shape
         eye = np.eye(n)
-        zh = np.zeros((N, n, n)) if order == 2 else None
-        return [ArrayJet(P[:, i].copy(), np.broadcast_to(eye[i], (N, n)), zh)
+        zh = np.zeros((n, n, N)) if order == 2 else None
+        return [ArrayJet(P[:, i].copy(), np.broadcast_to(eye[i][:, None], (n, N)), zh)
                 for i in range(n)]
     pt = [float(c) for c in point]
     if not all(math.isfinite(c) for c in pt):
@@ -607,7 +636,7 @@ def dshift(X):
     ``dshift(X)[m][...] = d_m X[...]``."""
     if X.h is None:
         raise SingularEvaluationError("second-order jet required for field derivative")
-    return ArrayJet(np.moveaxis(X.g, -1, 0), np.moveaxis(X.h, -2, 0), None)
+    return ArrayJet(X.g, np.swapaxes(X.h, 0, 1), None)
 
 
 def _scalars(J):
@@ -619,23 +648,23 @@ def _scalars(J):
     return A.shape, flat, lead
 
 
-def _gather(flat, k, lead, tail):
-    """Part k (0 value, 1 gradient, 2 Hessian) of every scalar of ``flat``,
-    stacked on one axis after the node axes: shape lead + (len(flat),) +
-    tail.  Floats are constants."""
+def _gather(flat, k, lead, d):
+    """Part k (0 value, 1 gradient, 2 Hessian) of every scalar of ``flat``
+    in d variables, stacked on one axis after the derivative and node axes:
+    shape (d,) * k + lead + (len(flat),).  Floats are constants."""
     if not lead:
         if k == 0:
             return np.array([value_of(x) for x in flat], dtype=float)
-        zero = np.zeros(tail)
-        return np.array([(x.v, x.g, x.h)[k] if isinstance(x, _JETS) else zero
-                         for x in flat], dtype=float).reshape((len(flat),) + tail)
-    out = np.zeros(lead + (len(flat),) + tail)
-    at = (slice(None),) * len(lead)
+        zero = np.zeros((d,) * k)
+        out = np.array([(x.v, x.g, x.h)[k] if isinstance(x, _JETS) else zero
+                        for x in flat], dtype=float)
+        return np.moveaxis(out.reshape((len(flat),) + (d,) * k), 0, -1)
+    out = np.zeros((d,) * k + lead + (len(flat),))
     for i, x in enumerate(flat):
         if isinstance(x, ArrayJet):
-            out[at + (i,)] = (x.v, x.g, x.h)[k]
+            out[..., i] = (x.v, x.g, x.h)[k]
         elif k == 0:
-            out[at + (i,)] = x
+            out[..., i] = x
     return out
 
 
@@ -646,8 +675,10 @@ def values(J):
     node."""
     if isinstance(J, ArrayJet):
         return J.v
+    if isinstance(J, np.ndarray) and J.dtype == float:
+        return J
     shape, flat, lead = _scalars(J)
-    return _gather(flat, 0, lead, ()).reshape(lead + shape)
+    return _gather(flat, 0, lead, 0).reshape(lead + shape)
 
 
 def gradients(J, d):
@@ -657,7 +688,7 @@ def gradients(J, d):
     next.  Plain floats have zero gradient.  The array is C-contiguous, as
     if built from nested lists in that index order, so numpy reductions over
     it add in the same order as over such an array."""
-    return np.ascontiguousarray(np.moveaxis(dense(J, d).g, -1, 0))
+    return np.ascontiguousarray(dense(J, d).g)
 
 
 def dense(X, d):
@@ -670,9 +701,9 @@ def dense(X, d):
     shape, flat, lead = _scalars(X)
     full = lead + shape
     order2 = all(x.h is not None for x in flat if isinstance(x, _JETS))
-    return ArrayJet(_gather(flat, 0, lead, ()).reshape(full),
-                    _gather(flat, 1, lead, (d,)).reshape(full + (d,)),
-                    _gather(flat, 2, lead, (d, d)).reshape(full + (d, d)) if order2 else None)
+    return ArrayJet(_gather(flat, 0, lead, d).reshape(full),
+                    _gather(flat, 1, lead, d).reshape((d,) + full),
+                    _gather(flat, 2, lead, d).reshape((d, d) + full) if order2 else None)
 
 
 def as_field(X, xs):
@@ -697,8 +728,8 @@ def scatter(mask, F):
     """The field F, given at the nodes where the boolean node array ``mask``
     holds, over all of mask's nodes: zero at the others."""
     def part(x, k):
-        out = np.zeros(mask.shape + x.shape[1:])
-        out[mask] = x
+        out = np.zeros(x.shape[:k] + mask.shape + x.shape[k + 1:])
+        out[(slice(None),) * k + (mask,)] = x
         return out
 
     return F._parts(part)

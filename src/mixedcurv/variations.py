@@ -37,14 +37,14 @@ ZERO_FLOOR = 5e-10
 # projector onto the distribution, closed form (no frame, jet-safe)
 
 def tangent_projector_jets(struct, xs, gmat=None, span=None):
-    """P[sigma][nu] of the g-orthogonal projector onto D-tilde, as an array
-    jet: one matrix at a point, a stack of them at node seeds.
+    """P[sigma][nu] of the g-orthogonal projector onto D-tilde, as a field
+    at ``xs`` (:func:`~mixedcurv.jets.as_field`): a float matrix at a float
+    point, an array jet at scalar seeds, a stack of them at node seeds.
 
     ``gmat`` and ``span`` are the metric and ``struct.dtilde_at(xs)`` as
     fields at ``xs``; the structure's own are evaluated where they are None."""
-    d = struct.dim
-    g = dense(struct.metric_at(xs) if gmat is None else gmat, d)
-    W = dense(struct.dtilde_at(xs) if span is None else span, d)   # n rows of d components
+    g = as_field(struct.metric_at(xs) if gmat is None else gmat, xs)
+    W = as_field(struct.dtilde_at(xs) if span is None else span, xs)   # n rows of d components
     Wg = W @ g
     ginv = jet_matrix_inverse(Wg @ W.mT, struct.n)
     return W.mT @ (ginv @ Wg)
@@ -113,7 +113,7 @@ class MetricVariation:
             part = lambda F: None if F is None else dense(F, d)[inside]
             return scatter(inside, self.B_at([x[inside] for x in xs], part(gmat), part(span)))
         raw = self.raw_at(xs)
-        B = dense(as_field(raw, xs), d)
+        B = as_field(raw, xs)
         zero = all(isinstance(x, float) and x == 0.0 for row in raw for x in row)
         if self.project and self.klass != "general" and not zero:   # outside: exactly zero
             if self.klass not in ("tan", "perp"):
@@ -130,7 +130,7 @@ class MetricVariation:
             return self.struct.metric_at
 
         def fam(xs):
-            g = dense(self.struct.metric_at(xs), self.struct.dim)
+            g = as_field(self.struct.metric_at(xs), xs)
             return as_field(g + t * self.B_at(xs, g), xs)
 
         return fam
@@ -679,7 +679,7 @@ def _perp_scaled_metric(struct, factor, base_metric_fn=None):
     base = base_metric_fn or struct.metric_at
 
     def fn(xs):
-        g = dense(base(xs), struct.dim)
+        g = as_field(base(xs), xs)
         return as_field(_perp_scaled(g, tangent_projector_jets(struct, xs, gmat=g), factor), xs)
 
     return fn

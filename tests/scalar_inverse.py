@@ -19,31 +19,37 @@ def _gauss_jordan(M, d, point):
     """(inverse, pivot rows) of the d x d nested list M."""
     A = [[M[i][j] for j in range(d)] for i in range(d)]
     I = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    # each pivot is judged against the largest entry of its own input row
-    scale = [max(abs(value_of(x)) for x in row) for row in A]
+    # the magnitudes of the terms each entry sums; a candidate pivot is
+    # compared relative to the largest entry of its own input row, and
+    # judged against the size of its terms
+    size = [[abs(value_of(x)) for x in row] for row in A]
+    scale = [max(row) for row in size]
     pivots = []
     for col in range(d):
-        piv = max(range(col, d), key=lambda r: abs(value_of(A[r][col])))
-        if abs(value_of(A[piv][col])) <= 1e-14 * scale[piv]:
+        piv = max(range(col, d), key=lambda r: abs(value_of(A[r][col])) / (scale[r] or 1.0))
+        if abs(value_of(A[piv][col])) <= 1e-14 * size[piv][col]:
             raise SingularEvaluationError("singular metric", point=point)
         pivots.append(piv)
         A[col], A[piv] = A[piv], A[col]
         I[col], I[piv] = I[piv], I[col]
         scale[col], scale[piv] = scale[piv], scale[col]
+        size[col], size[piv] = size[piv], size[col]
         inv = 1.0 / A[col][col]
         A[col] = [x * inv for x in A[col]]
         I[col] = [x * inv for x in I[col]]
+        size[col] = [x * abs(value_of(inv)) for x in size[col]]
         for r in range(d):
             f = A[r][col]
             if r != col and (isinstance(f, Jet) or f != 0.0):
                 A[r] = [A[r][j] - f * A[col][j] for j in range(d)]
                 I[r] = [I[r][j] - f * I[col][j] for j in range(d)]
+                size[r] = [size[r][j] + abs(value_of(f)) * size[col][j] for j in range(d)]
     return I, tuple(pivots)
 
 
 def scalar_matrix_inverse(M, d, point=None):
-    """Gauss-Jordan inverse of nested lists of scalars, pivoting on absolute
-    values, as nested lists."""
+    """Gauss-Jordan inverse of nested lists of scalars by the rule of
+    ``jet_matrix_inverse``, as nested lists."""
     return _gauss_jordan(M, d, point)[0]
 
 

@@ -308,7 +308,7 @@ def test_node_bundle_matches_per_point_bundles(key):
         # scalar seeds with math's (codim1_coth_tanh's sinh and cosh differ in
         # the last bit), and the chain carries that difference along.
         exact = all(a.tobytes() == b.tobytes() for a, b in zip(
-            (big.gJ.v[k], big.gJ.g[k], big.gJ.h[k]), (one.gJ.v, one.gJ.g, one.gJ.h)))
+            (big.gJ[k].v, big.gJ[k].g, big.gJ[k].h), (one.gJ.v, one.gJ.g, one.gJ.h)))
         for name in NODE_CHAIN:
             _same_at_node(getattr(big, name)[k], getattr(one, name), exact)
         s0, d0 = smix_density_fast(s, pt)

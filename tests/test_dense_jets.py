@@ -19,8 +19,9 @@ from mixedcurv import gallery
 from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError
 from mixedcurv.geometry import PointGeometry, jet_matrix_inverse
 from mixedcurv.jets import (ArrayJet, Jet, dense, dshift, elementary, gradients, jlog,
-                            jpow, jsqrt, order1, values)
+                            jpow, jsqrt, order1, seed, values)
 
+from einsum_matmul import einsum_matmul, magnitude
 from scalar_inverse import assert_close_to_loop, scalar_matrix_inverse
 from test_random_structures import generated_structures, seeded_structure
 
@@ -29,8 +30,8 @@ def _objects(A):
     """The object array of scalar Jets with the entries of the field A."""
     out = np.empty(A.shape, dtype=object)
     for idx in np.ndindex(A.shape):
-        out[idx] = Jet(float(A.v[idx]), A.g[idx].tolist(),
-                       None if A.h is None else A.h[idx].tolist())
+        out[idx] = Jet(float(A.v[idx]), A.g[(slice(None),) + idx].tolist(),
+                       None if A.h is None else A.h[(slice(None),) * 2 + idx].tolist())
     return out
 
 
@@ -65,8 +66,8 @@ def fields(draw, shape, d, order, vals=_coef):
     h = None
     if order == 2:
         h = draw(arrays(np.float64, shape + (d, d), elements=_coef))
-        h = h + np.swapaxes(h, -1, -2)
-    return ArrayJet(v, g, h)
+        h = np.moveaxis(h + np.swapaxes(h, -1, -2), (-2, -1), (0, 1))
+    return ArrayJet(v, np.moveaxis(g, -1, 0), h)
 
 
 _shapes = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple)
@@ -120,8 +121,10 @@ def test_elementary_functions_act_entrywise(data):
     _same(jpow(2.0, A), np.frompyfunc(lambda x: jpow(2.0, x), 1, 1)(Ao), exact=False)
 
 
-def _contract_cases(draw):
-    """(name, dense result, object result) for every contraction form."""
+def _matmul_cases(draw):
+    """(name, a, b) for every form of ``a @ b`` the field algebra uses:
+    stacks, matrices, vectors and float matrices on either side, and a
+    broadcast stack."""
     d = draw(st.integers(1, 3))
     oa, ob = draw(st.sampled_from([(1, 1), (2, 2), (2, 1)]))
     m, k, n, r = (draw(st.integers(1, 3)) for _ in range(4))
@@ -130,21 +133,33 @@ def _contract_cases(draw):
     V = draw(fields((n,), d, ob))
     S3 = draw(fields((m, n, r), d, ob))           # a stack of m matrices
     K = draw(arrays(np.float64, (n, r), elements=_coef))
-    A3o, Mo, Vo, S3o = _objects(A3), _objects(M), _objects(V), _objects(S3)
-    A2, A2o = A3[0], A3o[0]
-    return [
-        ("3@2", A3 @ M, A3o @ Mo), ("2@2", A2 @ M, A2o @ Mo), ("2@1", A2 @ V, A2o @ Vo),
-        ("1@2", V @ M, Vo @ Mo), ("1@1", V @ V, np.asarray(Vo @ Vo, dtype=object)),
-        ("2@const", A2 @ K, A2o @ K), ("const@2", K.T @ A2.mT, K.T @ A2o.T),
-        ("3@3", A3 @ S3, A3o @ S3o), ("2@3", A2 @ S3, A2o @ S3o), ("1@3", V @ S3, Vo @ S3o),
-        ("3@3 broadcast", A3 @ S3[:1], A3o @ S3o[:1]), ("mT", S3.mT, np.swapaxes(S3o, -1, -2)),
+    A2 = A3[0]
+    return [("3@2", A3, M), ("2@2", A2, M), ("2@1", A2, V), ("1@2", V, M), ("1@1", V, V),
+            ("2@const", A2, K), ("const@2", K.T, A2.mT), ("3@3", A3, S3), ("2@3", A2, S3),
+            ("1@3", V, S3), ("3@3 broadcast", A3, S3[:1])]
+
+
+def _contract_cases(draw):
+    """(name, dense result, object result) for every contraction form."""
+    cases = _matmul_cases(draw)
+    (_, A3, _), (_, _, V), (_, _, S3) = cases[0], cases[2], cases[7]
+    n = V.shape[0]
+    A3o, Vo, S3o = _objects(A3), _objects(V), _objects(S3)
+    return [(name, a @ b, np.asarray(_objects_of(a) @ _objects_of(b), dtype=object))
+            for name, a, b in cases] + [
+        ("mT", S3.mT, np.swapaxes(S3o, -1, -2)),
         ("transpose", A3.transpose(2, 0, 1), A3o.transpose(2, 0, 1)),
         ("slice", A3[:, 1:, ::-1], A3o[:, 1:, ::-1]),
         ("index", A3[..., 0], A3o[..., 0]), ("newaxis", V[:, None], Vo[:, None]),
         ("fancy", A3[[0, 0], :, [n - 1, 0]], A3o[[0, 0], :, [n - 1, 0]]),
+        ("fancy adjacent", A3[:, [0, 0], [n - 1, 0]], A3o[:, [0, 0], [n - 1, 0]]),
         ("diagonal", A3.diagonal(), np.diagonal(A3o)),
         ("diagonal 02", A3.diagonal(0, 0, 2), np.diagonal(A3o, 0, 0, 2)),
     ]
+
+
+def _objects_of(x):
+    return _objects(x) if isinstance(x, ArrayJet) else x
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -155,6 +170,56 @@ def test_contractions_and_shape_operations_match_object_arrays(data):
             continue
         try:
             _same(got, want, exact=False)
+        except AssertionError as exc:
+            raise AssertionError(name) from exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_matmul_matches_the_einsum_product_rule(data):
+    # each part of every product within 4 ulps of the size of the terms it
+    # sums: the matmul terms add the same products as the einsum ones, in
+    # an order of numpy's choosing
+    for name, a, b in _matmul_cases(data.draw):
+        got = a @ b
+        size = einsum_matmul(magnitude(a), magnitude(b))
+        for x, y, z in zip((got.v, got.g, got.h), einsum_matmul(a, b), size):
+            assert (x is None) == (y is None), name
+            if x is not None:
+                assert x.shape == y.shape, name
+                assert np.all(np.abs(x - y) <= 4 * np.finfo(float).eps * z), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_fields_of_different_rank_broadcast_like_entrywise_jets(data):
+    # a batch of N n x n matrices, and its N corner entries, against one
+    # matrix, one vector and one scalar, with N = d or d^2 and n = 1, d or
+    # 3.  The lower field's derivative arrays take length-1 axes after their
+    # derivative axes; without them numpy would align a derivative axis with
+    # a field axis, and where the lengths agree (N or n equal to d) it would
+    # broadcast them with no error
+    d = data.draw(st.integers(1, 3))
+    N, n = data.draw(st.sampled_from([d, d * d])), data.draw(st.sampled_from([1, d, 3]))
+    oa, ob = data.draw(st.sampled_from([(1, 1), (2, 2), (2, 1), (1, 2)]))
+    Bt = data.draw(fields((N, n, n), d, oa, vals=_away))
+    M = data.draw(fields((n, n), d, ob, vals=_away))
+    V = data.draw(fields((n,), d, ob, vals=_away))
+    c = data.draw(fields((), d, ob, vals=_away))
+    Bo, Mo, Vo, co = (_objects(x) for x in (Bt, M, V, c))
+    pairs = [(M, Mo, Bt, Bo), (V, Vo, Bt, Bo), (c, co, Bt, Bo), (c, co, Bt[:, 0, 0], Bo[:, 0, 0]),
+             (M, Mo, Bt[:, :1, :1], Bo[:, :1, :1])]
+    for x, xo, y, yo in pairs:
+        for f in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                  lambda a, b: a / b):
+            _same(f(x, y), f(xo, yo), exact=True)
+            _same(f(y, x), f(yo, xo), exact=True)
+    for name, a, b in (("stack@matrix", Bt, M), ("matrix@stack", M, Bt),
+                       ("vector@stack", V, Bt), ("stack@vector", Bt, V),
+                       ("stack@float", Bt, values(M)), ("float@stack", values(M), Bt)):
+        try:
+            _same(a @ b, np.asarray(_objects_of(a) @ _objects_of(b), dtype=object),
+                  exact=False)
         except AssertionError as exc:
             raise AssertionError(name) from exc
 
@@ -188,15 +253,19 @@ def test_readers_match_object_arrays(data):
 def test_mixed_kinds_are_refused():
     A = ArrayJet(np.ones(2), np.zeros((2, 2)))
     with pytest.raises(InvalidArgumentError):
-        A + ArrayJet(np.ones(3), np.zeros((3, 2)))
+        A + ArrayJet(np.ones(3), np.zeros((2, 3)))
     with pytest.raises(InvalidArgumentError):
-        A * ArrayJet(np.ones(2), np.zeros((2, 3)))
+        A * ArrayJet(np.ones(2), np.zeros((3, 2)))
     with pytest.raises(InvalidArgumentError):
         A + Jet(1.0, (0.0, 0.0))
     with pytest.raises(TypeError):
         A * np.array([Jet(1.0, (0.0, 0.0))], dtype=object)
     with pytest.raises(InvalidArgumentError):
         A @ ArrayJet(np.ones(()), np.zeros((2,)))
+    with pytest.raises(InvalidArgumentError):
+        A @ 2.0
+    with pytest.raises(InvalidArgumentError):
+        2.0 @ A
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -238,16 +307,15 @@ def inverse_cases(draw):
     # matrix k takes the rows of a drawn permutation rolled by k
     perm = draw(st.permutations(range(d)))
     rows = (np.arange(N)[:, None], np.array([np.roll(perm, k) for k in range(N)]))
-    v = (A.v + 5.0 * d * np.eye(d))[rows]
-    return ArrayJet(v, A.g[rows], None if A.h is None else A.h[rows]), N
+    return (A + 5.0 * d * np.eye(d))[rows], N
 
 
 def _case(v, order):
     """An explicit inverse case: the values ``v`` with fixed derivatives."""
     v = np.array(v, dtype=float)
-    g = (np.arange(v.size * 2).reshape(v.shape + (2,)) % 3) - 1.0
-    h = None if order == 1 else np.broadcast_to(np.array([[0.5, -1.0], [-1.0, 2.0]]),
-                                                v.shape + (2, 2))
+    g = np.moveaxis((np.arange(v.size * 2).reshape(v.shape + (2,)) % 3) - 1.0, -1, 0)
+    h = None if order == 1 else np.broadcast_to(
+        np.array([[0.5, -1.0], [-1.0, 2.0]]).reshape((2, 2) + (1,) * v.ndim), (2, 2) + v.shape)
     return ArrayJet(v, g, h), (v.ndim == 3) * len(v)
 
 
@@ -263,6 +331,9 @@ def _case(v, order):
                 [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]],
                 [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                 [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]], 2))
+# row 2 = row 0 + row 1: the last pivot's input entry is 0, and elimination
+# leaves a rounding residue of about 1e-17 there, singular against its terms
+@example(_case([[1.0, 0.1, 1.0], [0.2, 0.3, -1.0], [1.2, 0.4, 0.0]], 2))
 def test_dense_inverse_pivots_and_fails_like_the_scalar_loop(case):
     # In a batch of N matrices (N nodes) each matrix picks its own pivot
     # rows; one singular matrix fails the batch, and the regular ones then
@@ -291,6 +362,25 @@ def test_dense_inverse_pivots_and_fails_like_the_scalar_loop(case):
         assert_close_to_loop(gradients(node, 2), gradients(w, 2))
 
 
+def test_widely_scaled_rows_invert():
+    # condition 1 after symmetric diagonal scaling.  Row 0's largest entry
+    # is its 8.3e68, so its pivot 15 is 1.8e-68 of its row: judged against
+    # the row it failed as singular under any pivot order.  Judged against
+    # its own size (no elimination has touched it yet) it stands
+    A = np.array([[15.0, 8.3e68], [8.3e68, 7.7e260]])
+    a, b, c = A[0, 0], A[0, 1], A[1, 1]
+    exact = np.array([[1 / a, -b / (a * c)], [-b / (a * c), 1 / c]])
+    V = jet_matrix_inverse(A, 2)
+    assert V.tolist() == scalar_matrix_inverse(A.tolist(), 2)
+    assert np.all(np.abs(V - exact) <= 1e-15 * np.abs(exact))
+    # as a jet: A(x) = A + x diag(1, 7.7e260), d_x A^-1 = -A^-1 diag(1, 7.7e260) A^-1
+    (x,) = seed((0.0,), 2)
+    J = jet_matrix_inverse(dense([[a + x, b], [b, c * (1.0 + x)]], 1), 2)
+    dV = -exact @ np.diag([1.0, c]) @ exact
+    assert np.array_equal(J.v, V)
+    assert np.all(np.abs(J.g[0] - dV) <= 1e-14 * np.abs(dV))
+
+
 @st.composite
 def order2_inverse_cases(draw):
     """(A, N, s): one d x d order-2 jet matrix (N = 0) or a batch of N, with
@@ -303,7 +393,7 @@ def order2_inverse_cases(draw):
     # matrix k takes the rows of a drawn permutation rolled by k
     perm = draw(st.permutations(range(d)))
     rows = (np.arange(max(N, 1))[:, None], np.array([np.roll(perm, k) for k in range(max(N, 1))]))
-    A = ArrayJet((A.v + 5.0 * d * np.eye(d))[rows], A.g[rows], A.h[rows])
+    A = (A + 5.0 * d * np.eye(d))[rows]
     s = np.ones(d)
     s[draw(st.integers(0, d - 1))] = draw(st.sampled_from([1.0, 1e13, 1e15, np.exp(598)]))
     return (A if N else A[0]), N, s
@@ -314,7 +404,7 @@ def _largest(A, axis):
     along the matrix axis ``axis`` (-1 along a row, -2 down a column), in
     value, gradient and Hessian alike."""
     def top(x, k):
-        return np.broadcast_to(np.max(np.abs(x), axis=axis - k, keepdims=True), x.shape)
+        return np.broadcast_to(np.max(np.abs(x), axis=axis, keepdims=True), x.shape)
     return ArrayJet(top(A.v, 0), top(A.g, 1), top(A.h, 2))
 
 
@@ -325,22 +415,14 @@ def test_order2_inverse_matches_the_scalar_loop_and_inverts(case):
     # and its gradient and Hessian, in closed form, are those of the loop's
     # A^-1 S^-1 (the loop squares each pivot, so beyond 1e154 its own
     # derivatives underflow); and (S A) (S A)^-1 = I as a jet, each entry of
-    # its value, gradient and Hessian within 1e-10 max(1, b), b the sum of
+    # its value, gradient and Hessian within 1e-13 max(1, b), b the sum of
     # the largest terms of its row of S A and its column of the inverse.
-    # Pivoting on absolute values is not invariant under row scaling: with
-    # a row scaled by 1e13 or more the elimination grows, and the loop's
-    # values (the same bits) leave residuals of up to about 6e-12 b
+    # Scaled pivoting is invariant under row scaling: no scaled row fails
+    # the singular test or grows the elimination
     A, N, s = case
     d, n = A.shape[-1], A.nvars
-    SA = ArrayJet(s[:, None] * A.v, s[:, None, None] * A.g, s[:, None, None, None] * A.h)
-    try:
-        loops = [scalar_matrix_inverse(_objects(SM).tolist(), d) for SM in (SA if N else [SA])]
-    except SingularEvaluationError:
-        # a tiny entry of the scaled row outgrows its column's pivot and
-        # fails its own row's test
-        with pytest.raises(SingularEvaluationError, match="singular metric"):
-            jet_matrix_inverse(SA, d)
-        return
+    SA = s[:, None] * A
+    loops = [scalar_matrix_inverse(_objects(SM).tolist(), d) for SM in (SA if N else [SA])]
     got = jet_matrix_inverse(SA, d)
     assert got.shape == A.shape and got.h is not None
     for k, loop in enumerate(loops):
@@ -351,7 +433,7 @@ def test_order2_inverse_matches_the_scalar_loop_and_inverts(case):
         assert_close_to_loop(node.h, want.h)
     I, bound = SA @ got, _largest(SA, -1) @ _largest(got, -2)
     for a, b in ((I.v - np.eye(d), bound.v), (I.g, bound.g), (I.h, bound.h)):
-        assert np.all(np.abs(a) <= 1e-10 * np.maximum(1.0, b))
+        assert np.all(np.abs(a) <= 1e-13 * np.maximum(1.0, b))
 
 
 def _frame_defect(geom):

@@ -554,7 +554,7 @@ def test_nodewise_inverse_pivots_each_node_by_the_scalar_rule(data):
     x, y = seed(pts, order)
 
     def const(c):
-        return ArrayJet(c, np.zeros((N, 2)), np.zeros((N, 2, 2)) if order == 2 else None)
+        return ArrayJet(c, np.zeros((2, N)), np.zeros((2, 2, N)) if order == 2 else None)
 
     # the node jets of each entry, gathered into one field of shape (N, d, d)
     M = dense([[const(vals[:, i, j]) + (0.25 * x * y if (i + j) % 2 else 0.5 * x)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedcurv import jets
 from mixedcurv.errors import InvalidArgumentError, SingularEvaluationError, member_point
 from mixedcurv.jets import (ArrayJet, Jet, check_finite, dense, dshift, elementary,
                             gradients, jexp, jlog, jpow, jsin, jsqrt, jtanh, order1,
@@ -336,7 +338,7 @@ def test_object_arrays_read_like_nested_lists(data):
         for idx in idxs:
             x = _at(J, idx)
             for m in range(d):
-                y = (D.v[(m,) + idx], D.g[(m,) + idx].tolist())
+                y = (D.v[(m,) + idx], D.g[(slice(None), m) + idx].tolist())
                 if isinstance(x, Jet):
                     assert y == (x.g[m], list(x.h[m]))
                 else:
@@ -361,7 +363,7 @@ def _node(x, k):
     """Node k of an array jet as a Jet (floats pass through)."""
     if not isinstance(x, ArrayJet):
         return x
-    return Jet(float(x.v[k]), x.g[k].tolist(), None if x.h is None else x.h[k].tolist())
+    return Jet(float(x.v[k]), x.g[:, k].tolist(), None if x.h is None else x.h[..., k].tolist())
 
 
 @st.composite
@@ -372,11 +374,11 @@ def node_jets(draw, N, d, order):
     val = st.one_of(st.just(0.0), mag, mag.map(lambda x: -x))
     coef = st.floats(-2.0, 2.0, allow_nan=False)
     v = np.array([draw(val) for _ in range(N)])
-    g = np.array([[draw(coef) for _ in range(d)] for _ in range(N)])
+    g = np.array([[draw(coef) for _ in range(d)] for _ in range(N)]).T
     h = None
     if order == 2:
         h = np.array([[[draw(coef) for _ in range(d)] for _ in range(d)] for _ in range(N)])
-        h = h + h.transpose(0, 2, 1)
+        h = (h + h.transpose(0, 2, 1)).transpose(1, 2, 0)
     A = ArrayJet(v, g, h)
     return A, [_node(A, k) for k in range(N)]
 
@@ -484,12 +486,12 @@ def test_seeded_batch_reads_node_first():
         assert [_node(x, k).g for x in seed(pts, 1)] == [x.g for x in seed(pt, 1)]
     D = dshift(dense(J, 2))
     assert D.shape == (2, 3, 2, 2) and D.h is None
-    assert not D.v[:, :, 0, 1].any() and not D.g[:, :, 0, 1].any()
+    assert not D.v[:, :, 0, 1].any() and not D.g[..., 0, 1].any()
     for m in range(2):
-        assert np.array_equal(D.v[m, :, 0, 0], J[0][0].g[:, m])
-        assert np.array_equal(D.g[m, :, 0, 0], J[0][0].h[:, m])
+        assert np.array_equal(D.v[m, :, 0, 0], J[0][0].g[m])
+        assert np.array_equal(D.g[:, m, :, 0, 0], J[0][0].h[m])
     O = order1(dense(J, 2))
-    assert O.h is None and np.array_equal(O.g[:, 0, 0], J[0][0].g)
+    assert O.h is None and np.array_equal(O.g[:, :, 0, 0], J[0][0].g)
     assert values(2.0).shape == () and values([1.0, xs[0]]).shape == (3, 2)
     with pytest.raises(InvalidArgumentError):
         seed([[0.0, float("inf")]], 1)
@@ -501,12 +503,12 @@ def test_scatter_and_check_finite_work_node_by_node():
     m = np.array([True, False, True])
     w = scatter(m, x[m] * x[m])
     assert w.v.tolist() == [0.25, 0.0, 4.0]
-    assert w.g[:, 0].tolist() == [1.0, 0.0, 4.0]
-    assert w.h[:, 0, 0].tolist() == [2.0, 0.0, 2.0]
+    assert w.g[0].tolist() == [1.0, 0.0, 4.0]
+    assert w.h[0, 0].tolist() == [2.0, 0.0, 2.0]
     assert scatter(m, order1(x)[m]).h is None
     assert check_finite(x) is x
     with pytest.raises(SingularEvaluationError):
-        check_finite(ArrayJet(np.array([1.0, np.nan]), np.zeros((2, 1))))
+        check_finite(ArrayJet(np.array([1.0, np.nan]), np.zeros((1, 2))))
     assert value_of(x) is x.v
 
 
@@ -555,3 +557,19 @@ def test_tracer_counts_seeded_metric_evaluation():
     assert counts.jet_ops > 0
     assert values(rows).tolist() == PointGeometry(s, pt).g0.tolist()
     assert gradients(rows, 3).tolist() == gradients(PointGeometry(s, pt).gJ, 3).tolist()
+
+
+def test_only_jets_builds_array_jets():
+    # the jet layout (derivative axes first) is known to jets.py alone: no
+    # other module of the package constructs an ArrayJet
+    calls = []
+    for path in sorted(Path(jets.__file__).parent.rglob("*.py")):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "ArrayJet":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcurv import euler_lagrange as el
-from mixedcurv import exprlang, gallery, geometry
+from mixedcurv import exprlang, gallery, geometry, jets
 from mixedcurv import variations as va
 from mixedcurv.errors import SpecializationError
 from mixedcurv.geometry import PointGeometry
@@ -134,6 +134,26 @@ def test_dense_projector_and_B_match_the_scalar_reference(key, klass, seed_, cou
         _agree(_node(fam, k), dense(metric_rows(s, xk), d) + 0.3 * Bk)
 
 
+@pytest.mark.parametrize("klass", ["perp", "tan", "general"])
+@pytest.mark.parametrize("key", ["r3_contact", "lorentz_product", (2, 4, 2, True)])
+def test_float_point_reads_stay_floats(key, klass, monkeypatch):
+    # at a float point the projector and B are float matrices, with no jet
+    # product on the way, and they are the values of the order-2 reads
+    s = _structure(key)
+    v = va.random_variation(s, klass, seed=5)
+    product = jets._product
+    for pt in _nodes(s, 3, 2):
+        pt, xs = list(pt), seed(pt, 2)
+        for read in (lambda x: va.tangent_projector_jets(s, x), v.B_at,
+                     lambda x: v.B_at(x, gmat=s.metric_at(x), span=s.dtilde_at(x))):
+            at_seeds = values(read(xs))
+            monkeypatch.setattr(jets, "_product", None)
+            at_point = read(pt)
+            monkeypatch.setattr(jets, "_product", product)
+            assert type(at_point) is np.ndarray and at_point.dtype == float
+            assert np.all(np.abs(at_point - at_seeds) <= 1e-15 * np.max(np.abs(at_seeds)))
+
+
 def test_family_metric_functions_return_the_layout_of_their_seeds():
     # one field: a float array at a float point, an array jet of the
     # tensor's shape at scalar seeds, and one with the node axis first at
@@ -155,12 +175,12 @@ def test_family_metric_functions_return_the_layout_of_their_seeds():
             assert at_point.shape == shape
             at_seeds = fn(seed(pts[0], 2))
             assert isinstance(at_seeds, ArrayJet) and at_seeds.shape == shape
-            assert at_seeds.h.shape == shape + (d, d)
+            assert at_seeds.h.shape == (d, d) + shape
             assert values(at_seeds).tolist() == at_point.tolist()
             at_nodes = fn(seed(pts, 2))
             assert isinstance(at_nodes, ArrayJet) and at_nodes.shape == (5,) + shape
-            assert at_nodes.g.shape == (5,) + shape + (d,)
-            assert at_nodes.h.shape == (5,) + shape + (d, d)
+            assert at_nodes.g.shape == (d, 5) + shape
+            assert at_nodes.h.shape == (d, d, 5) + shape
             G = gradients(at_nodes, d)
             assert G.shape == (d, 5) + shape
             for k in (0, 3):
