@@ -21,10 +21,9 @@ from functools import partial
 
 import numpy as np
 
-from . import exprlang
-from .errors import DomainError, SingularEvaluationError, SpecializationError
-from .geometry import PointGeometry, _scalar, metric_density, node_chunks
-from .jets import as_field, check_finite, dense, dshift, gradients, jexp, seed, value_of, values
+from .errors import DomainError, SpecializationError
+from .geometry import PointGeometry, _scalar, metric_density, metric_jets, node_chunks
+from .jets import dshift, gradients, seed, values
 
 DEFAULT_TOL = 1e-6
 
@@ -104,18 +103,6 @@ def integrate(struct, reader, q, metric_fn=None):
     return np.asarray(pairwise_sum(x * w for x, w in zip(vals, wts))).tolist()
 
 
-def metric_field(metric_fn, xs, d):
-    """The metric function's field at the seeds ``xs`` as an array jet.  An
-    arithmetic error or a non-finite value raises SingularEvaluationError,
-    which ``node_chunks`` names by its node, as in a bundle."""
-    try:
-        g = dense(metric_fn(xs), d)
-    except ArithmeticError as exc:
-        raise SingularEvaluationError(
-            f"arithmetic error in the metric ({type(exc).__name__}: {exc})") from None
-    return check_finite(g)
-
-
 def node_integrals(struct, q, chunk_fn):
     """The integrals over the box of ``q`` of the k columns that
     ``chunk_fn`` gives at a chunk of N nodes, an (N, k) array (see
@@ -129,10 +116,10 @@ def node_integrals(struct, q, chunk_fn):
 
 def volume(struct, q, metric_fn=None):
     """Volume of the box.  It reads no derivative, so its chunks of nodes
-    evaluate the metric on order-1 array jets (``metric_field``) and build
+    evaluate the metric on order-1 array jets (``metric_jets``) and build
     no bundle."""
     def chunk(c):
-        g = metric_field(metric_fn or struct.metric_at, seed(c, 1), struct.dim)
+        g = metric_jets(metric_fn or struct.metric_at, seed(c, 1), struct.dim, None)
         return metric_density(values(g))[:, None]
 
     return node_integrals(struct, q, chunk)[0]
@@ -355,65 +342,6 @@ def el_geodesic_riemannian_flow(geom, guard_tol=1e-8):
 
 
 # ----------------------------------------------------------------------
-# volume-preserving regimes
-
-def el_volume_preserving(struct, points, which):
-    """Recover the multiplier from equation traces and report consistency.
-
-    ``which`` selects a specialization: 'flow' for the rank-one-distribution
-    system, 'codim1' for codimension-one foliations, 'contact-T' for the
-    non-integrability action on contact-type structures.  The points are
-    read as one node bundle, with one row per point.
-    """
-    pts = [points] if isinstance(points[0], (int, float)) else list(points)
-    if which not in ("flow", "codim1", "contact-T"):
-        raise SpecializationError(f"unknown volume-preserving system {which!r}")
-    if which == "contact-T" and struct.n != 1:
-        raise SpecializationError(
-            "the contact-action multiplier system needs rank-one D-tilde")
-    geom = PointGeometry(struct, np.array(pts, dtype=float))
-    n, p, perp = geom.n, geom.p, geom.perp
-
-    if which == "flow":
-        eN, At, Tt, hsc, tau1 = _flow_data(geom)
-        Q = perp.norm_T
-        lhs = _scaled(eN, geom.jacobi_N - perp.flat(Tt @ Tt))
-        lam1 = eN * geom.ric_N - (2.0 / p) * np.einsum("...i,...ii->...", perp.eps, lhs)
-        lam2 = 4.0 * Q - eN * geom.ric_N
-        cols = {"lambda_from_E-main-1K": lam1, "lambda_from_E-main-2K": lam2,
-                "lambda_gap": np.abs(lam1 - lam2),
-                "ric_mixed_norm": np.max(np.abs(geom.ricci_frame[..., 0, 1:]), axis=-1),
-                "norm_Tt": Q, "closed_form_1K": (p - 4.0) / p * Q, "closed_form_2K": 3.0 * Q}
-        gap = cols["lambda_gap"]
-    elif which == "codim1":
-        rep = el_codim1(geom, "codim1folgenvar")
-        rep2 = el_codim1(geom, "codimoneEL2")
-        cols = {"genvar_norm": rep.norm, "divA_norm": rep2.norm,
-                "lambda": rep.constants["lambda"]}
-        gap = np.maximum(rep.norm, rep2.norm)
-    else:
-        Q = perp.norm_T
-        lam_perp = -2.0 * np.trace(perp.tcal, axis1=-2, axis2=-1) / p - 0.5 * Q
-        lam_top = 0.5 * Q - np.einsum("...a,...aa->...", geom.tan.eps,
-                                      perp.phi_T[..., :n, :n]) / n
-        # closed forms as printed for contact structures (see docs)
-        paper_perp, paper_top = 4.0 - p / 2.0, 1.5 * p
-        cols = {"norm_Tt": Q, "lambda_perp_trace": lam_perp, "lambda_top_trace": lam_top,
-                "lambda_perp_paper": paper_perp, "lambda_top_paper": paper_top,
-                "paper_gap": abs(paper_perp - paper_top),
-                "trace_gap": np.abs(lam_perp - lam_top)}
-        gap = cols["paper_gap"]
-    cols = {k: np.broadcast_to(v, (len(pts),)).tolist() for k, v in cols.items()}
-    out = {"which": which, "max_gap": float(np.max(gap)),
-           "rows": [{"point": list(pt), **{k: v[i] for k, v in cols.items()}}
-                    for i, pt in enumerate(pts)]}
-    out["consistent"] = out["max_gap"] <= DEFAULT_TOL
-    if which == "contact-T":
-        out["trace_gap"] = max(cols["trace_gap"])
-    return out
-
-
-# ----------------------------------------------------------------------
 # the non-integrability action
 
 def el_tildeT_action(geom):
@@ -441,52 +369,6 @@ def el_tildeT_action(geom):
         "ELtildeT2": _report(geom, "ELtildeT2", r2, consts),
         "ELtildeT3": _report(geom, "ELtildeT3", r3, consts),
     }
-
-
-# ----------------------------------------------------------------------
-# conformal change of a contact-type structure
-
-def conformal_metric(struct, psi_ast):
-    """The metric function of exp(-2 psi) g for the scalar expression
-    ``psi_ast``; it returns fields, as ``struct.metric_at`` does."""
-    def fn(xs):
-        # the factor as a 1 x 1 field, which broadcasts against the metric
-        c = jexp(-2.0 * exprlang.evaluate(psi_ast, list(xs), struct.params))
-        return as_field([[c]], xs) * struct.metric_at(xs)
-
-    return fn
-
-
-def conformal_check(struct, psi_ast, point, y_index=0):
-    """Residual of the flow equation E-main-3i under g -> exp(-2 psi) g.
-
-    Returns (direct, closed_form): the directly recomputed half-residual and
-    the closed-form prediction (1-p)/2 e^psi g(T~sharp_xi Y, grad psi); the
-    two are computed by fully independent paths.
-    """
-    base = PointGeometry(struct, point)
-    if base.n != 1:
-        raise SpecializationError("conformal check needs rank-one D-tilde")
-    p = base.p
-
-    hat = PointGeometry(struct, point, metric_fn=conformal_metric(struct, psi_ast))
-    hperp, heps = hat.perp, hat.perp.eps
-    form = hat.div_11(hperp.Tsharp_field, mode="perp")
-    TtH_vec = (heps * (hperp.Tsharp_ops[0] @ (heps * hat.tan.Hb_frame[1:]))) @ hat.F[1:]
-
-    # evaluate on the base-frame perp vector Y (a chart vector)
-    Y = base.F[1 + y_index]
-    direct = 0.5 * float(form @ Y) + float(TtH_vec @ hat.g0 @ Y)
-
-    # closed form from base-structure data
-    env = [value_of(x) for x in point]
-    psi0 = exprlang.evaluate(psi_ast, env, struct.params)
-    dpsi = gradients(exprlang.evaluate(psi_ast, base.seeds, struct.params), base.d)
-    grad_psi = base.ginv0 @ dpsi
-    beps = base.perp.eps
-    TtY_vec = (beps * (base.perp.Tsharp_ops[0] @ (beps * (base.Fb[1:] @ Y)))) @ base.F[1:]
-    closed = 0.5 * (1.0 - p) * math.exp(psi0) * float(TtY_vec @ base.g0 @ grad_psi)
-    return direct, closed
 
 
 # ----------------------------------------------------------------------

@@ -94,7 +94,8 @@ def metric_jets(metric_fn, xs, d, point):
     """``metric_fn``'s field at the seeds ``xs`` as an array jet, read as a
     bundle at ``point`` reads its metric: an arithmetic error or a
     non-finite value, of the structure's metric or a caller's, raises
-    SingularEvaluationError naming the failing node of ``point``."""
+    SingularEvaluationError naming the failing node of ``point``, or no
+    point where ``point`` is None (``node_chunks`` then names the node)."""
     try:
         rows = metric_fn(xs)
     except SingularEvaluationError as exc:
@@ -810,10 +811,6 @@ def _field12(C, X, Y, Z):
 
 # ----------------------------------------------------------------------
 # module-level operations
-
-def riemann(struct, point, X, Y, Z):
-    return PointGeometry(struct, point).riemann(X, Y, Z)
-
 
 def mixed_scalar(struct, point):
     return PointGeometry(struct, point).smix

@@ -26,8 +26,8 @@ from .geometry import (PointGeometry, jet_matrix_inverse, metric_density, metric
                        node_chunks, quad, smix_density, smix_density_batch)
 from .jets import as_field, check_finite, dense, einsum, order1, scatter, seed, value_of, values
 from .structure import orthonormal_frame
-from .euler_lagrange import (QuadratureSpec, _diag, domain_mean, grid_points, integrate,
-                             metric_field, node_integrals, pairwise_sum, s_star, volume)
+from .euler_lagrange import (QuadratureSpec, _diag, domain_mean, grid_points, node_integrals,
+                             pairwise_sum, s_star)
 
 FD_STEPS = (1e-3, 5e-4, 2.5e-4)
 ZERO_FLOOR = 5e-10
@@ -62,7 +62,8 @@ class MetricVariation:
     distribution fixed (B vanishes on the D-tilde x D-tilde block), 'tan'
     varies it only there, 'general' is unrestricted.  With ``project`` the
     raw entries are block-projected pointwise so the class holds by
-    construction; without it :func:`classify` validates the declaration.
+    construction; without it they are used as given, so the class holds
+    only if they have it.
     """
 
     struct: object
@@ -134,25 +135,6 @@ class MetricVariation:
             return as_field(g + t * self.B_at(xs, g), xs)
 
         return fam
-
-
-def classify(v, points):
-    """Block decomposition of the effective B at ``points``, read as one node
-    bundle; validates the declared class."""
-    geom = PointGeometry(v.struct, np.array(points, dtype=float))
-    Bfr = geom.F @ values(v.B_at(seed(geom.coords, 1), gmat=order1(geom.gJ))) @ geom.F.mT
-    n = geom.n
-    blocks = {"tan": Bfr[..., :n, :n], "perp": Bfr[..., n:, n:], "mixed": Bfr[..., :n, n:]}
-    worst = {k: float(np.max(np.abs(b))) for k, b in blocks.items()}
-    scale = max(1.0, *worst.values())
-    if v.klass == "perp" and worst["tan"] > 1e-12 * scale:
-        raise ClassificationError(
-            f"declared perp-variation has a tangent block of size {worst['tan']:.2e}")
-    if v.klass == "tan" and worst["perp"] + worst["mixed"] > 1e-12 * scale:
-        raise ClassificationError(
-            f"declared tan-variation leaks off the tangent block "
-            f"(perp {worst['perp']:.2e}, mixed {worst['mixed']:.2e})")
-    return worst
 
 
 def random_variation(struct, klass, seed, box=None, degree=1):
@@ -518,41 +500,6 @@ def verify_first_variation(struct, v, point, formulas=None, steps=FD_STEPS, tol=
 
 
 # ----------------------------------------------------------------------
-# the projection lemma for t-dependent vectors
-
-def verify_projection_lemma(struct, v, point, xfield, step=FD_STEPS[-1]):
-    """Central differences with the step ``step`` of the g_t-projections of
-    X(t) against the stated formulas."""
-    if v.klass != "perp":
-        raise ClassificationError("the projection lemma is for perp-variations")
-    _check_step(step)
-    pt = list(point)
-
-    def proj_parts(t):
-        P = values(tangent_projector_jets(struct, pt, gmat=v.metric_fn(t)(pt)))
-        X = np.asarray(xfield(t), float)
-        return P @ X, X - P @ X
-
-    geom0 = PointGeometry(struct, point)
-    g0 = struct.metric_at(pt)
-    P0 = values(tangent_projector_jets(struct, pt, gmat=g0))
-    B0 = v.B_at(pt, gmat=g0)
-    X0 = np.asarray(xfield(0.0), float)
-    dX = (np.asarray(xfield(step), float) - np.asarray(xfield(-step), float)) / (2 * step)
-    Xperp = X0 - P0 @ X0
-    corr = P0 @ (geom0.ginv0 @ (B0 @ Xperp))
-    rhs_tan = P0 @ dX + corr
-    rhs_perp = dX - P0 @ dX - corr
-
-    fd = (np.array(proj_parts(step)) - np.array(proj_parts(-step))) / (2 * step)
-    worst = float(np.max(np.abs(fd - np.array([rhs_tan, rhs_perp]))))
-    # the sharp-top identity (B-sharp X)^tan = (B-sharp X-perp)^tan
-    lhs = P0 @ (geom0.ginv0 @ (B0 @ X0))
-    worst_id = float(np.max(np.abs(lhs - corr)))
-    return {"fd_vs_formula": worst, "bsharp_top_identity": worst_id}
-
-
-# ----------------------------------------------------------------------
 # action derivatives by quadrature
 
 def _check_action(action):
@@ -639,30 +586,6 @@ def _inside(pt, box):
     return all(lo < x < hi for x, (lo, hi) in zip(pt, box))
 
 
-# identity (b): S_mix = s_ex + s~_ex + |T|^2 + |T~|^2 + div H + div H~
-_SMIX_TERMS = ("E-h2T2-D1b", "E-h2T2-D1", "E-T-gen", "E-tildeT-gen")
-
-
-def jmix_gradient_pairing(struct, v, q):
-    """The assembled gradient form of the mixed-curvature action paired with B,
-    integrated over the box: the independent side of the action-derivative
-    consistency check.
-
-    d/dt of S_mix dvol is the first variation of each term of identity (b)
-    plus S_mix tr B / 2 dvol.  The divergence terms drop out: for a variation
-    supported in the box, d/dt of the integral of div(H + H~) is zero."""
-    if v.klass != "perp":
-        raise ClassificationError("the J_mix gradient pairs a perp-variation")
-
-    def dS(geom):
-        e = _RHS(geom, v.B_at(geom.seeds, gmat=geom.gJ))
-        trB = np.trace(geom.ginv0 @ e.B0, axis1=-2, axis2=-1)
-        return (sum(e.rhs(f) for f in _SMIX_TERMS)
-                + 0.5 * trB * (geom.smix - geom.tan.div_H - geom.perp.div_H))
-
-    return integrate(struct, dS, q)
-
-
 # ----------------------------------------------------------------------
 # volume-normalized families
 
@@ -672,26 +595,6 @@ def _perp_scaled(g, P, factor):
     g - gP - (gP)^T + P^T g P."""
     gP = g @ P
     return g + (factor - 1.0) * (g - gP - gP.mT + P.mT @ gP)
-
-
-def _perp_scaled_metric(struct, factor, base_metric_fn=None):
-    """Scale the complement block of the metric by a spatially constant factor."""
-    base = base_metric_fn or struct.metric_at
-
-    def fn(xs):
-        g = as_field(base(xs), xs)
-        return as_field(_perp_scaled(g, tangent_projector_jets(struct, xs, gmat=g), factor), xs)
-
-    return fn
-
-
-def bar_family_metric(struct, v, q, t):
-    """The volume-normalized family: complement block rescaled so that the
-    box volume is preserved along the variation."""
-    vol0 = volume(struct, q)
-    gt = v.metric_fn(t)
-    phi = (volume(struct, q, metric_fn=gt) / vol0) ** (-2.0 / (struct.dim - struct.n))
-    return _perp_scaled_metric(struct, phi, base_metric_fn=gt), phi
 
 
 def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
@@ -723,7 +626,7 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
 
     def volumes(c):
         xs = seed(c, 1)
-        g = metric_field(struct.metric_at, xs, d)
+        g = metric_jets(struct.metric_at, xs, d, None)
         dens = metric_density(values(g))
         ginv = jet_matrix_inverse(values(g), d)
         B = v.B_at(xs, gmat=g, span=struct.dtilde_at(xs))
@@ -735,7 +638,7 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
 
     def normalized(c):
         xs = seed(c, 2)
-        g = metric_field(struct.metric_at, xs, d)
+        g = metric_jets(struct.metric_at, xs, d, None)
         W = dense(struct.dtilde_at(xs), d)
         B = v.B_at(xs, gmat=g, span=W)
         cols = []

@@ -6,9 +6,10 @@ node chunk in each of its two passes.  Here every quantity of its report is
 a box integral of its own, as the relation's definition reads: the volume
 and the integral of tr B-sharp at g (``integrate``), the volume of each
 g + tB (``volume`` at ``v.metric_fn(+-t)``), the volume and J_mix of each
-normalized metric (``integrate`` at ``_perp_scaled_metric``), the FD of
+normalized metric (``integrate`` at ``perp_scaled_metric``), the FD of
 J_mix along g + tB over two bundles per chunk of support nodes, and the
 s* mean (``domain_mean``).  Each pass evaluates B again at its nodes.
+``bar_family_metric`` gives the normalized metric at one t on its own.
 """
 
 import numpy as np
@@ -17,6 +18,17 @@ from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
 from mixedcurv.geometry import PointGeometry, node_chunks, smix_density
 from mixedcurv.jets import seed, values
+
+from block_scaling import perp_scaled_metric
+
+
+def bar_family_metric(struct, v, q, t):
+    """The volume-normalized family: complement block rescaled so that the
+    box volume is preserved along the variation."""
+    vol0 = el.volume(struct, q)
+    gt = v.metric_fn(t)
+    phi = (el.volume(struct, q, metric_fn=gt) / vol0) ** (-2.0 / (struct.dim - struct.n))
+    return perp_scaled_metric(struct, phi, base_metric_fn=gt), phi
 
 
 def derivative_by_two_bundles(struct, v, q, t):
@@ -49,7 +61,7 @@ def bar_relation_by_passes(struct, v, q, t_step=2e-3, sstar_grid=None):
     for s in (t_step, -t_step):
         gt = v.metric_fn(s)
         phis[s] = (el.volume(struct, q, metric_fn=gt) / vol0) ** (-2.0 / p)
-        fn = va._perp_scaled_metric(struct, phis[s], base_metric_fn=gt)
+        fn = perp_scaled_metric(struct, phis[s], base_metric_fn=gt)
         vols[s], jbars[s] = el.integrate(struct, lambda geom: np.stack(
             [np.ones(geom.batch), smix_density(geom)[0]], axis=-1), q, metric_fn=fn)
     djbar = (jbars[t_step] - jbars[-t_step]) / (2.0 * t_step)

@@ -3,7 +3,7 @@
 Scale one block of the metric by a constant factor phi and keep the other:
 
 - the complement block D: g_phi = g + (phi - 1) Q^T g Q, with Q = I - P
-  (``variations._perp_scaled_metric``);
+  (``perp_scaled_metric``, by ``variations._perp_scaled``);
 - the distribution block D-tilde: g_phi = g + (phi - 1) P^T g P.
 
 P is the g-orthogonal projector onto D-tilde (``tangent_projector_jets``),
@@ -21,9 +21,20 @@ frame quantities.
 
 from mixedcurv.geometry import PointGeometry, smix_density
 from mixedcurv.jets import as_field, dense
-from mixedcurv.variations import _perp_scaled_metric, tangent_projector_jets
+from mixedcurv.variations import _perp_scaled, tangent_projector_jets
 
 STEPS = (1e-3, 5e-4)
+
+
+def perp_scaled_metric(struct, factor, base_metric_fn=None):
+    """Scale the complement block of the metric by a spatially constant factor."""
+    base = base_metric_fn or struct.metric_at
+
+    def fn(xs):
+        g = as_field(base(xs), xs)
+        return as_field(_perp_scaled(g, tangent_projector_jets(struct, xs, gmat=g), factor), xs)
+
+    return fn
 
 
 def _tan_scaled_metric(struct, factor):
@@ -39,7 +50,7 @@ def _tan_scaled_metric(struct, factor):
 def scaled_geometry(struct, point, side, factor):
     """The bundle at ``point`` of g with the ``side`` block ('perp' for D,
     'tan' for D-tilde) scaled by ``factor``."""
-    scaled = _perp_scaled_metric if side == "perp" else _tan_scaled_metric
+    scaled = perp_scaled_metric if side == "perp" else _tan_scaled_metric
     return PointGeometry(struct, point, metric_fn=scaled(struct, factor))
 
 

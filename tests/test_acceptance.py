@@ -16,6 +16,8 @@ from mixedcurv import variations as va
 from mixedcurv.geometry import PointGeometry, identity_suite, node_chunks
 from mixedcurv.jets import value_of
 
+from critical_metrics import conformal_check, el_volume_preserving
+
 
 def _verdict(num, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}"
@@ -245,7 +247,7 @@ def test_criterion_9_conformal_change():
     biggest = 0.0
     for pt in s.interior_points(5, 109):
         for y in (0, 1):
-            direct, closed = el.conformal_check(s, psi, pt, y_index=y)
+            direct, closed = conformal_check(s, psi, pt, y_index=y)
             worst_agree = max(worst_agree, abs(direct - closed))
             biggest = max(biggest, abs(direct))
     ok = worst_agree <= 1e-6 and biggest >= 1e-4
@@ -256,12 +258,12 @@ def test_criterion_9_conformal_change():
 
 def test_criterion_10_volume_preserving_multipliers():
     s3 = struct("s3_hopf")
-    rep = el.el_volume_preserving(s3, s3.interior_points(5, 110), "flow")
+    rep = el_volume_preserving(s3, s3.interior_points(5, 110), "flow")
     gap_dev = max(abs(r["lambda_gap"] - 8.0) for r in rep["rows"])
     tt_dev = max(abs(r["norm_Tt"] - 2.0) for r in rep["rows"])
 
     r3 = struct("r3_contact")
-    repc = el.el_volume_preserving(r3, r3.interior_points(5, 111), "contact-T")
+    repc = el_volume_preserving(r3, r3.interior_points(5, 111), "contact-T")
     lam_ok = all(abs(r["lambda_perp_paper"] - 3.0) < 1e-12
                  and abs(r["lambda_top_paper"] - 3.0) < 1e-12
                  and abs(r["lambda_top_trace"] - 3.0) <= 1e-6

@@ -7,8 +7,9 @@ from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
 from mixedcurv.errors import SingularEvaluationError, SpecializationError
 from mixedcurv.geometry import PointGeometry
-from mixedcurv.jets import jexp, values
+from mixedcurv.jets import jexp, value_of, values
 
+from critical_metrics import conformal_check, conformal_metric, el_volume_preserving
 from test_variation_family import metric_rows
 
 
@@ -194,15 +195,14 @@ def test_geodesic_riemannian_guard_rejects_curved_leaves():
 # volume-preserving regimes
 
 def test_volume_preserving_flat_consistent():
-    rep = el.el_volume_preserving(struct("euclidean_product"),
-                                  [(0.1, 0.2, 0.3)], "flow")
+    rep = el_volume_preserving(struct("euclidean_product"), [(0.1, 0.2, 0.3)], "flow")
     assert rep["consistent"]
     assert rep["rows"][0]["lambda_from_E-main-1K"] == pytest.approx(0.0)
 
 
 def test_volume_preserving_hopf_inconsistent_by_eight():
     s = struct("s3_hopf")
-    rep = el.el_volume_preserving(s, s.interior_points(5, 39), "flow")
+    rep = el_volume_preserving(s, s.interior_points(5, 39), "flow")
     assert not rep["consistent"]
     for row in rep["rows"]:
         # |3 - (p-4)/p| <T~,T~> with p = 2 and <T~,T~> = 2
@@ -215,7 +215,7 @@ def test_volume_preserving_hopf_inconsistent_by_eight():
 
 def test_volume_preserving_contact_paper_system():
     s = struct("r3_contact")
-    rep = el.el_volume_preserving(s, s.interior_points(3, 40), "contact-T")
+    rep = el_volume_preserving(s, s.interior_points(3, 40), "contact-T")
     assert rep["consistent"]                     # printed system: p = 2 closes
     row = rep["rows"][0]
     assert row["lambda_perp_paper"] == pytest.approx(3.0)
@@ -228,7 +228,7 @@ def test_volume_preserving_contact_paper_system():
 
 def test_volume_preserving_codim1():
     s = struct("codim1_coth_tanh")
-    rep = el.el_volume_preserving(s, s.interior_points(4, 41), "codim1")
+    rep = el_volume_preserving(s, s.interior_points(4, 41), "codim1")
     assert rep["consistent"]
     assert rep["max_gap"] < 1e-9
 
@@ -271,7 +271,7 @@ def test_tildeT_action_three_sasakian():
 def test_conformal_check_constant_psi_zero():
     s = struct("r3_contact")
     psi = exprlang.parse("0.7", 3)
-    direct, closed = el.conformal_check(s, psi, (0.2, 0.1, -0.3), y_index=1)
+    direct, closed = conformal_check(s, psi, (0.2, 0.1, -0.3), y_index=1)
     assert abs(direct) < 1e-9 and abs(closed) < 1e-12
 
 
@@ -281,7 +281,7 @@ def test_conformal_check_directions_agree_and_nonzero():
     seen_nonzero = False
     for pt in s.interior_points(5, 44):
         for y in (0, 1):
-            direct, closed = el.conformal_check(s, psi, pt, y_index=y)
+            direct, closed = conformal_check(s, psi, pt, y_index=y)
             assert direct == pytest.approx(closed, abs=1e-6)
             seen_nonzero |= abs(direct) > 1e-4
     assert seen_nonzero
@@ -291,7 +291,7 @@ def test_conformal_check_overflow_is_a_singular_evaluation():
     # exp(-2 psi) overflows at x0 = 0.9 in the conformal metric function
     s = struct("r3_contact")
     with pytest.raises(SingularEvaluationError, match="OverflowError") as err:
-        el.conformal_check(s, exprlang.parse("-400*x0", 3), (0.9, 0.1, 0.1))
+        conformal_check(s, exprlang.parse("-400*x0", 3), (0.9, 0.1, 0.1))
     assert err.value.point == (0.9, 0.1, 0.1)
 
 
@@ -300,7 +300,7 @@ def test_conformal_overflow_in_a_quadrature_names_its_node():
     # evaluates the metric function without a bundle) fails as the integral
     s = struct("r3_contact")
     q = el.QuadratureSpec(box=((0.5, 0.95), (-0.5, 0.5), (-0.5, 0.5)), grid=4)
-    fn = el.conformal_metric(s, exprlang.parse("-400*x0", 3))
+    fn = conformal_metric(s, exprlang.parse("-400*x0", 3))
     for run in (lambda: el.volume(s, q, metric_fn=fn),
                 lambda: el.integrate(s, lambda geom: 1.0, q, metric_fn=fn)):
         with pytest.raises(SingularEvaluationError, match="OverflowError") as err:
@@ -312,7 +312,7 @@ def test_conformal_check_tangent_gradient_gives_zero_closed_form():
     # psi depending only on the flow coordinate: its perp-gradient vanishes
     s = struct("r3_contact")
     psi = exprlang.parse("x0*0 + 1.0", 3)
-    _, closed = el.conformal_check(s, psi, (0.3, -0.2, 0.1), y_index=0)
+    _, closed = conformal_check(s, psi, (0.3, -0.2, 0.1), y_index=0)
     assert closed == pytest.approx(0.0, abs=1e-12)
 
 
@@ -352,7 +352,7 @@ def test_biregular_closed_forms_match_engine():
             sorted(cf["A_diag"]), abs=1e-10)
         # coordinate components of nabla_N h_sc against the closed form
         nab_fr = geom.tan.nabla_N_hsc
-        gv = [el.value_of(x) for x in (geom.gJ[1][1], geom.gJ[2][2])]
+        gv = [value_of(x) for x in (geom.gJ[1][1], geom.gJ[2][2])]
         # engine frame components scale by 1/g_ii on the diagonal
         diag_coord = sorted([nab_fr[0, 0] * gv[0], nab_fr[1, 1] * gv[1]])
         assert diag_coord == pytest.approx(sorted(cf["nabla_N_hsc_diag"]),

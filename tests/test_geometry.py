@@ -16,6 +16,7 @@ from mixedcurv.geometry import (PointGeometry, identity_suite,
                                 partial_ricci, smix_density_fast)
 from mixedcurv.jets import ArrayJet, dense, gradients, seed, values
 from mixedcurv.structure import load_structure
+from expr_walks import pretty
 from scalar_inverse import assert_close_to_loop, scalar_matrix_inverse
 
 S2_CHART = """
@@ -398,7 +399,6 @@ def _eps_invariants(eps, S):
 
 def _swapped_structure(e):
     """The entry's structure with D-tilde and its complement exchanged."""
-    from mixedcurv.exprlang import pretty
     lines = [f"dim = {e.structure.dim}",
              f"dtilde_dim = {e.structure.dim - e.structure.n}"]
     if e.structure.params:
@@ -498,14 +498,13 @@ def test_divergence_user_field_interface():
 def test_riemann_op_unit_sphere_closed_form():
     # paper-convention curvature of the unit round sphere:
     # R(X,Y)Z = g(X,Z) Y - g(Y,Z) X
-    from mixedcurv.geometry import riemann
     s = entry("s3_hopf").structure
     pt = (0.15, -0.2, 0.1)
     g = PointGeometry(s, pt)
     rng = np.random.default_rng(3)
     for _ in range(3):
         X, Y, Z = (rng.normal(size=3) for _ in range(3))
-        got = riemann(s, pt, X, Y, Z)
+        got = g.riemann(X, Y, Z)
         want = float(X @ g.g0 @ Z) * Y - float(Y @ g.g0 @ Z) * X
         assert np.max(np.abs(got - want)) < 1e-8
 

@@ -5,9 +5,9 @@ Every runner of ``euler_lagrange.EQUATIONS``, ``el_geodesic_riemannian_flow``,
 as N bundles at one point each: one value per node (the node axis first),
 within 1e-12 max(1, |v|) of the value v that the bundle at that node alone
 gives, and the same error class and message where that bundle raises one.
-The multiplier rows of ``el_volume_preserving`` and the blocks of
-``variations.classify``, which read their points as one node bundle, equal
-their one-point runs.
+The multiplier rows of ``el_volume_preserving`` (``critical_metrics.py``)
+and the blocks of ``classify`` (``variation_checks.py``), which read their
+points as one node bundle, equal their one-point runs.
 """
 
 import math
@@ -22,8 +22,10 @@ from mixedcurv.errors import MixedCurvError, SpecializationError
 from mixedcurv.geometry import PointGeometry
 from mixedcurv.structure import load_structure
 
+from critical_metrics import el_volume_preserving
 from test_random_structures import seeded_structure
 from test_shared_bundle import NULL_DISTRIBUTION
+from variation_checks import classify
 
 NODES = 5
 # the generated structures of test_shared_bundle and test_random_structures:
@@ -124,8 +126,8 @@ def test_the_geodesic_guard_names_the_values_of_the_first_failing_node():
 def test_volume_preserving_rows_match_one_point_runs(name, which):
     s = gallery.load_entry(name).structure
     pts = s.interior_points(NODES, 39)
-    rep = el.el_volume_preserving(s, pts, which)
-    ones = [el.el_volume_preserving(s, pt, which) for pt in pts]
+    rep = el_volume_preserving(s, pts, which)
+    ones = [el_volume_preserving(s, pt, which) for pt in pts]
     assert len(rep["rows"]) == len(pts)
     for got, one in zip(rep["rows"], ones):
         assert got.keys() == one["rows"][0].keys()
@@ -144,7 +146,7 @@ def test_classify_reads_the_points_as_one_bundle(name, klass):
     pts = s.interior_points(6, 2)
     inside = [all(lo < x < hi for x, (lo, hi) in zip(pt, box)) for pt in pts]
     assert any(inside) and not all(inside)
-    worst = va.classify(v, pts)
-    each = [va.classify(v, [pt]) for pt in pts]
+    worst = classify(v, pts)
+    each = [classify(v, [pt]) for pt in pts]
     for block, value in worst.items():
         assert value == pytest.approx(max(w[block] for w in each), rel=1e-12, abs=1e-15)

@@ -7,10 +7,11 @@ per chunk (``geometry.smix_density_batch`` calls ``smix_density_fast`` at
 the chunk); ``action_derivative`` reads one bundle over the chunk whose two
 members are g + tB and g - tB, through ``geometry.smix_density``;
 ``volume`` evaluates the metric of a chunk on order-1 jets and builds no
-bundle; ``jmix_gradient_pairing`` assembles the first variations over one
-bundle per chunk through ``integrate``.  The reference is written here (and
-in ``pointwise_pairing.py`` for the pairing): a loop over per-point
-bundles, node by node.  Every integral is compared with it, nodes outside a
+bundle; the J_mix gradient pairing (``pointwise_pairing.py``) assembles
+the first variations of ``variations._RHS`` over one bundle per chunk
+through ``integrate``.  The reference is written here (and in
+``pointwise_pairing.py`` for the pairing): a loop over per-point bundles,
+node by node.  Every integral is compared with it, nodes outside a
 bump are checked to see the base metric bit for bit, B at node seeds must
 be B at each node alone bit for bit (a bump's expressions run at the nodes
 inside its box only), an evaluation error must surface exactly as the loop
@@ -36,7 +37,8 @@ from mixedcurv.geometry import PointGeometry, smix_density_batch, smix_density_f
 from mixedcurv.jets import dense, gradients, seed, value_of, values
 from mixedcurv.structure import load_structure
 from bar_relation import bar_relation_by_passes, derivative_by_two_bundles
-from pointwise_pairing import pairing_by_points
+from block_scaling import perp_scaled_metric
+from pointwise_pairing import jmix_gradient_pairing, pairing_by_points
 from test_random_structures import seeded_structure
 
 
@@ -74,7 +76,7 @@ def test_batch_density_matches_scalar_density(key, seed_, count, t, factor):
         v = va.random_variation(s, "perp", seed=seed_ % 97, box=_half_box(s))
         fn = v.metric_fn(t)
     if factor != 1.0:
-        fn = va._perp_scaled_metric(s, factor, base_metric_fn=fn)
+        fn = perp_scaled_metric(s, factor, base_metric_fn=fn)
     smix, dens = smix_density_batch(s, pts, fn)
     assert smix.shape == dens.shape == (count,)
     for k, pt in enumerate(pts):
@@ -121,7 +123,7 @@ def test_quadrature_calls_match_a_loop_over_the_scalar_path(key):
     bump = tuple(zip(w[0] + 0.1 * (w[1] - w[0]), w[1] - 0.3 * (w[1] - w[0])))
     v = va.random_variation(s, "perp", seed=11, box=bump)
     for fn in (None, v.metric_fn(0.05)):
-        assert va.volume(s, q, fn) == pytest.approx(_loop_integral(s, q, fn), rel=1e-12)
+        assert el.volume(s, q, fn) == pytest.approx(_loop_integral(s, q, fn), rel=1e-12)
         star = lambda g: el.s_star(g, "perp")
         want = _loop_integral(s, q, fn, star)
         scale = _loop_integral(s, q, fn, lambda g: abs(star(g)))
@@ -253,7 +255,7 @@ def test_gradient_pairing_matches_the_per_point_loop(key, box, vseed, degree):
     v = va.random_variation(s, "perp", seed=vseed, box=box, degree=degree)
     q = el.QuadratureSpec(box=box, grid=4)
     want = pairing_by_points(s, v, q)
-    assert abs(va.jmix_gradient_pairing(s, v, q) - want) <= 1e-12 * abs(want)
+    assert abs(jmix_gradient_pairing(s, v, q) - want) <= 1e-12 * abs(want)
 
 
 # A pole at a quadrature node: grid 4 on [-0.5, 0.5] puts nodes at x0 = 0.125,
@@ -274,12 +276,12 @@ def test_errors_surface_as_the_scalar_loop_raises_them(kind):
     v = va.random_variation(s, "perp", seed=2, box=((-0.45, 0.45),) * 3)
     calls = [
         (lambda: va.action_value(s, q, "J_mix"), lambda: _loop_action(s, q, None)),
-        (lambda: va.volume(s, q), lambda: _loop_integral(s, q, None)),
+        (lambda: el.volume(s, q), lambda: _loop_integral(s, q, None)),
         (lambda: el.integrate(s, lambda g: g.smix, q),
          lambda: _loop_integral(s, q, None, lambda g: g.smix)),
         (lambda: va.action_derivative(s, v, q, "J_mix", enforce_support=False),
          lambda: _loop_derivative(s, v, q, 1e-3)),
-        (lambda: va.jmix_gradient_pairing(s, v, q), lambda: pairing_by_points(s, v, q)),
+        (lambda: jmix_gradient_pairing(s, v, q), lambda: pairing_by_points(s, v, q)),
         (lambda: va.verify_bar_relation(s, v, q), lambda: _loop_integral(s, q, None)),
     ]
     for batched, loop in calls:
@@ -302,7 +304,7 @@ def test_a_degenerate_metric_has_no_volume_element():
     with pytest.raises(SingularEvaluationError) as want:
         PointGeometry(s, node).volume_density
     assert str(want.value) == f"degenerate metric at point {node}"
-    for call in (lambda: va.volume(s, q), lambda: el.integrate(s, lambda g: 1.0, q),
+    for call in (lambda: el.volume(s, q), lambda: el.integrate(s, lambda g: 1.0, q),
                  lambda: el.domain_mean(s, lambda g: 1.0, q)):
         with pytest.raises(SingularEvaluationError) as got:
             call()
@@ -332,10 +334,10 @@ def test_every_box_integral_refuses_a_box_outside_the_domain():
     calls = [
         lambda: el.integrate(s, lambda g: 1.0, q),
         lambda: el.domain_mean(s, lambda g: 1.0, q),
-        lambda: va.volume(s, q),
+        lambda: el.volume(s, q),
         lambda: va.action_value(s, q, "J_mix"),
         lambda: va.action_derivative(s, v, q, "J_mix"),
-        lambda: va.jmix_gradient_pairing(s, v, q),
+        lambda: jmix_gradient_pairing(s, v, q),
         lambda: va.verify_bar_relation(s, v, q),
     ]
     for call in calls:

@@ -25,6 +25,8 @@ from mixedcurv.geometry import PointGeometry, identity_suite
 from mixedcurv.jets import values
 from mixedcurv.structure import load_structure
 
+from pointwise_pairing import jmix_gradient_pairing
+
 
 def spec_text(d, n, lorentz, coef, index):
     """Spec text of a generated structure; ``coef(cmax)`` draws a coefficient
@@ -105,7 +107,7 @@ def test_action_derivative_matches_gradient_pairing_generated():
     s, _ = seeded_structure(6, 3, 1)
     box = ((-0.45, 0.45),) * 3
     v = va.random_variation(s, "perp", seed=1, box=box, degree=2)
-    grad = va.jmix_gradient_pairing(s, v, el.QuadratureSpec(box=box, grid=8))
+    grad = jmix_gradient_pairing(s, v, el.QuadratureSpec(box=box, grid=8))
     vals = {}
     for grid in (8, 16):
         q = el.QuadratureSpec(box=box, grid=grid)

@@ -31,6 +31,9 @@ from mixedcurv.errors import SpecializationError
 from mixedcurv.geometry import PointGeometry
 from mixedcurv.jets import ArrayJet, dense, gradients, seed, values
 from mixedcurv.structure import load_structure
+from bar_relation import bar_family_metric
+from block_scaling import perp_scaled_metric
+from critical_metrics import conformal_metric
 from first_variation import first_variation_by_two_bundles
 from scalar_inverse import scalar_matrix_inverse
 from test_random_structures import seeded_structure
@@ -165,9 +168,9 @@ def test_family_metric_functions_return_the_layout_of_their_seeds():
         v = va.random_variation(s, "perp", seed=3)
         q = el.QuadratureSpec(box=_half_box(s), grid=2)
         fns = [(s.metric_at, (d, d)), (s.dtilde_at, (n, d)), (v.B_at, (d, d)),
-               (v.metric_fn(0.1), (d, d)), (va._perp_scaled_metric(s, 1.5), (d, d)),
-               (va.bar_family_metric(s, v, q, 0.1)[0], (d, d)),
-               (el.conformal_metric(s, exprlang.parse("x1", d)), (d, d))]
+               (v.metric_fn(0.1), (d, d)), (perp_scaled_metric(s, 1.5), (d, d)),
+               (bar_family_metric(s, v, q, 0.1)[0], (d, d)),
+               (conformal_metric(s, exprlang.parse("x1", d)), (d, d))]
         pts = _nodes(s, 5, 1)
         for fn, shape in fns:
             at_point = fn(list(pts[0]))

@@ -10,8 +10,11 @@ from mixedcurv import variations as va
 from mixedcurv.errors import (ClassificationError, InvalidArgumentError, SpecializationError,
                               SupportError)
 from mixedcurv.geometry import PointGeometry
-from mixedcurv.jets import values
+from mixedcurv.jets import value_of, values
 from mixedcurv.structure import load_structure
+
+from pointwise_pairing import jmix_gradient_pairing
+from variation_checks import classify, verify_projection_lemma
 
 
 def struct(name):
@@ -46,7 +49,7 @@ def test_classify_blocks():
     pts = s.interior_points(4, 1)
     for klass, zero_blocks in (("perp", ("tan",)), ("tan", ("perp", "mixed"))):
         v = va.random_variation(s, klass, seed=2)
-        blocks = va.classify(v, pts)
+        blocks = classify(v, pts)
         for b in zero_blocks:
             assert blocks[b] < 1e-14
 
@@ -57,7 +60,7 @@ def test_classify_rejects_mismatch():
     v.project = False
     v.klass = "tan"
     with pytest.raises(ClassificationError):
-        va.classify(v, s.interior_points(3, 1))
+        classify(v, s.interior_points(3, 1))
 
 
 def test_perp_class_keeps_mixed_block():
@@ -66,7 +69,7 @@ def test_perp_class_keeps_mixed_block():
     raw = [[exprlang.const(0.0)] * 3 for _ in range(3)]
     raw[0][1] = raw[1][0] = exprlang.const(1.0)      # dx0 x dx1, D~ = span(d0)
     v = va.MetricVariation(s, raw, "perp", project=False)
-    blocks = va.classify(v, s.interior_points(3, 1))
+    blocks = classify(v, s.interior_points(3, 1))
     assert blocks["tan"] < 1e-15 and blocks["mixed"] == pytest.approx(1.0)
 
 
@@ -193,7 +196,7 @@ def test_class_mismatch_raises():
         va.verify_first_variation(s, v, (0.1, 0.1, 0.1), formulas="E-T-gen2")
     vt = va.random_variation(s, "tan", seed=4)
     with pytest.raises(ClassificationError):
-        va.jmix_gradient_pairing(s, vt, el.QuadratureSpec(box=box3(), grid=2))
+        jmix_gradient_pairing(s, vt, el.QuadratureSpec(box=box3(), grid=2))
 
 
 def test_step_leaving_metric_cone_raises(monkeypatch):
@@ -270,10 +273,10 @@ def test_projection_lemma_static_and_moving():
     s = struct("r3_contact")
     pt = (0.2, -0.3, 0.1)
     v = va.random_variation(s, "perp", seed=11)
-    res = va.verify_projection_lemma(s, v, pt, lambda t: [0.0, 1.0, 0.0])
+    res = verify_projection_lemma(s, v, pt, lambda t: [0.0, 1.0, 0.0])
     assert res["fd_vs_formula"] < 1e-6
     assert res["bsharp_top_identity"] < 1e-12
-    res = va.verify_projection_lemma(
+    res = verify_projection_lemma(
         s, v, pt, lambda t: [math.sin(t), 1.0 + 0.3 * t, 0.2 * t - 0.1])
     assert res["fd_vs_formula"] < 1e-6
 
@@ -284,9 +287,9 @@ def test_projection_lemma_tangent_field_correction_vanishes():
     v = va.random_variation(s, "perp", seed=12)
     geom = PointGeometry(s, pt)
     X = geom.F[0]          # tangent to the distribution: X-perp = 0
-    B0 = np.array([[el.value_of(x) for x in row] for row in v.B_at(list(pt))])
+    B0 = np.array([[value_of(x) for x in row] for row in v.B_at(list(pt))])
     corr = geom.ginv0 @ (B0 @ (X - X + X * 0.0))
-    res = va.verify_projection_lemma(s, v, pt, lambda t: list(X))
+    res = verify_projection_lemma(s, v, pt, lambda t: list(X))
     assert res["fd_vs_formula"] < 1e-6
 
 
@@ -319,7 +322,7 @@ def test_unknown_action_rejected(action):
 def test_action_derivative_matches_gradient_pairing():
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=7, box=box3())
-    grad = va.jmix_gradient_pairing(s, v, el.QuadratureSpec(box=box3(), grid=8))
+    grad = jmix_gradient_pairing(s, v, el.QuadratureSpec(box=box3(), grid=8))
     vals = {}
     for grid in (8, 16):
         q = el.QuadratureSpec(box=box3(), grid=grid)
@@ -408,9 +411,9 @@ def test_projection_lemma_step_must_be_positive_and_finite(step):
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=11)
     with pytest.raises(InvalidArgumentError, match="positive finite FD step"):
-        va.verify_projection_lemma(s, v, (0.2, -0.3, 0.1), lambda t: [0.0, 1.0, 0.0], step=step)
-    res = va.verify_projection_lemma(s, v, (0.2, -0.3, 0.1), lambda t: [0.0, 1.0, 0.0],
-                                     step=5e-4)
+        verify_projection_lemma(s, v, (0.2, -0.3, 0.1), lambda t: [0.0, 1.0, 0.0], step=step)
+    res = verify_projection_lemma(s, v, (0.2, -0.3, 0.1), lambda t: [0.0, 1.0, 0.0],
+                                  step=5e-4)
     assert res["fd_vs_formula"] < 1e-6
 
 
@@ -435,8 +438,8 @@ def test_bar_relation_step_must_be_positive_and_finite(t_step):
 def test_projection_lemma_reports_a_non_finite_difference():
     s = struct("r3_contact")
     v = va.random_variation(s, "perp", seed=11)
-    res = va.verify_projection_lemma(s, v, (0.2, -0.3, 0.1),
-                                     lambda t: [0.0, 1.0, math.nan if t else 0.0])
+    res = verify_projection_lemma(s, v, (0.2, -0.3, 0.1),
+                                  lambda t: [0.0, 1.0, math.nan if t else 0.0])
     assert math.isnan(res["fd_vs_formula"])
 
 
