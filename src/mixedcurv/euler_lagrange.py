@@ -82,47 +82,39 @@ def pairwise_sum(values):
     return vals[0]
 
 
-def integrate(struct, reader, q, metric_fn=None):
-    """The integral of ``reader`` dvol over the box of ``q``.
-
-    The nodes are evaluated in chunks (``node_chunks``), with one bundle
-    ``geom`` over each chunk's nodes, and ``reader(geom)`` gives the values
-    at those nodes: an array with the node axis first, or a scalar, which
-    stands for that value at every node.  Values with k columns give k
-    integrals from one pass.  Each value is weighted by
-    ``geom.volume_density`` and the node's weight and summed in node order
-    by ``pairwise_sum``; the result is a float, or a list of k floats."""
+def node_integrals(struct, q, chunk_fn):
+    """The one box integrator: the integrals over the box of ``q`` of the
+    values that ``chunk_fn`` gives at a chunk of N nodes (see
+    ``node_chunks``), an (N,) array for a float or an (N, k) array for a
+    list of k floats.  Each value is weighted by its node's weight and
+    summed in node order by ``pairwise_sum``."""
     struct.require_box(q.box)
     pts, wts = grid_points(q)
+    vals = node_chunks(pts, struct.dim, chunk_fn)
+    sums = [pairwise_sum(x * w for x, w in zip(col, wts))
+            for col in np.atleast_2d(vals.T).tolist()]
+    return sums if vals.ndim == 2 else sums[0]
 
+
+def integrate(struct, reader, q, metric_fn=None):
+    """The integral of ``reader`` dvol over the box of ``q``
+    (``node_integrals``), with one bundle ``geom`` over each chunk's nodes.
+    ``reader(geom)`` gives the values at those nodes: an array with the
+    node axis first, or a scalar, which stands for that value at every
+    node.  Values with k columns give a list of k integrals from one pass."""
     def chunk(c):
         geom = PointGeometry(struct, c, metric_fn=metric_fn)
         return (geom.volume_density * np.asarray(reader(geom), dtype=float).T).T
 
-    vals = node_chunks(pts, struct.dim, chunk)
-    return np.asarray(pairwise_sum(x * w for x, w in zip(vals, wts))).tolist()
-
-
-def node_integrals(struct, q, chunk_fn):
-    """The integrals over the box of ``q`` of the k columns that
-    ``chunk_fn`` gives at a chunk of N nodes, an (N, k) array (see
-    ``node_chunks``), as a list of k floats: each value is weighted by its
-    node's weight and summed in node order by ``pairwise_sum``."""
-    struct.require_box(q.box)
-    pts, wts = grid_points(q)
-    cols = node_chunks(pts, struct.dim, chunk_fn).T.tolist()
-    return [pairwise_sum(x * w for x, w in zip(col, wts)) for col in cols]
+    return node_integrals(struct, q, chunk)
 
 
 def volume(struct, q, metric_fn=None):
     """Volume of the box.  It reads no derivative, so its chunks of nodes
     evaluate the metric on order-1 array jets (``metric_jets``) and build
     no bundle."""
-    def chunk(c):
-        g = metric_jets(metric_fn or struct.metric_at, seed(c, 1), struct.dim, None)
-        return metric_density(values(g))[:, None]
-
-    return node_integrals(struct, q, chunk)[0]
+    return node_integrals(struct, q, lambda c: metric_density(values(
+        metric_jets(metric_fn or struct.metric_at, seed(c, 1), struct.dim, None))))
 
 
 def domain_mean(struct, reader, q):

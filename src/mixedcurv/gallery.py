@@ -40,7 +40,6 @@ class Expected:
 @dataclass
 class GalleryEntry:
     name: str
-    spec_text: str
     structure: object
     expected: list
     criticality: dict = field(default_factory=dict)
@@ -212,7 +211,7 @@ def load_entry(name):
     text = resources.files("mixedcurv").joinpath("data", f"{name}.spec").read_text()
     struct = load_structure(text)
     return GalleryEntry(
-        name=name, spec_text=text, structure=struct,
+        name=name, structure=struct,
         expected=[Expected(*r) for r in row["expected"]],
         criticality=dict(row["criticality"]),
         reference_frame=_parse_vecs(struct, row.get("reference_frame")),

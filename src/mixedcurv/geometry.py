@@ -35,8 +35,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import (MixedCurvError, SingularEvaluationError, SpecializationError,
-                     member_point)
+from .errors import (InvalidArgumentError, MixedCurvError, SingularEvaluationError,
+                     SpecializationError, member_point)
 from .jets import (ArrayJet, check_finite, dense, dshift, einsum, gradients, inverse, order1,
                    seed, values)
 from .structure import DEGENERACY_TOL, orthonormal_frame
@@ -173,9 +173,12 @@ class PointGeometry:
     its own pivots and signs).  An (N, d) array of nodes as ``point`` gives
     node seeds, so its fields carry the batch (N,) (``point`` is then the
     tuple of the nodes, and an error of one node names that node; ``coords``
-    holds the coordinates as one float array).  Every member carries the
-    batch axes first; its scalars are floats at the empty batch and arrays
-    of shape B otherwise.
+    holds the coordinates as one float array).  A metric batch over N nodes
+    must lead with the node axis, as (N, k), so that an error names its
+    node: the metric refuses one that does not start with N.  An N-member
+    batch over N nodes cannot be told apart from the node axis.  Every
+    member carries the batch axes first; its scalars are floats at the
+    empty batch and arrays of shape B otherwise.
     """
 
     def __init__(self, struct, point, metric_fn=None, dtilde_fn=None):
@@ -200,7 +203,11 @@ class PointGeometry:
     @_keeps_error
     def gJ(self):
         """The metric as an order-2 jet field (``metric_jets``)."""
-        return metric_jets(self._metric_fn, self.seeds, self.d, self.point)
+        g = metric_jets(self._metric_fn, self.seeds, self.d, self.point)
+        if self.coords.ndim == 2 and g.shape[:1] != self.coords.shape[:1]:
+            raise InvalidArgumentError(f"a metric batch {g.shape[:-2]} over "
+                                       f"{len(self.coords)} nodes must lead with the nodes")
+        return g
 
     @property
     def batch(self):
@@ -901,14 +908,6 @@ def _at_node(chunk_fn, node):
             return chunk_fn(node[None])
     except SingularEvaluationError as exc:
         raise type(exc)(exc.reason, point=node.tolist()) from exc
-
-
-def smix_density_batch(struct, pts, metric_fn=None):
-    """(S_mix, sqrt|det g|) arrays at the nodes ``pts``: one call of
-    :func:`smix_density_fast` per chunk of nodes (one bundle over the
-    chunk), as ``node_chunks`` runs them."""
-    return tuple(node_chunks(pts, struct.dim, lambda c: np.stack(
-        smix_density_fast(struct, c, metric_fn), axis=1)).T)
 
 
 def random_perp_field(geom, rng_seed):

@@ -22,12 +22,11 @@ import numpy as np
 from . import exprlang
 from .errors import (ClassificationError, InvalidArgumentError, SpecializationError,
                      SupportError)
-from .geometry import (PointGeometry, jet_matrix_inverse, metric_density, metric_jets,
-                       node_chunks, quad, smix_density, smix_density_batch)
+from .geometry import (PointGeometry, jet_matrix_inverse, metric_density, metric_jets, quad,
+                       smix_density, smix_density_fast)
 from .jets import as_field, check_finite, dense, einsum, order1, scatter, seed, value_of, values
 from .structure import orthonormal_frame
-from .euler_lagrange import (QuadratureSpec, _diag, domain_mean, grid_points, node_integrals,
-                             pairwise_sum, s_star)
+from .euler_lagrange import QuadratureSpec, _diag, domain_mean, node_integrals, s_star
 
 FD_STEPS = (1e-3, 5e-4, 2.5e-4)
 ZERO_FLOOR = 5e-10
@@ -122,7 +121,7 @@ class MetricVariation:
             P = tangent_projector_jets(self.struct, xs, gmat=gmat, span=span)
             PBP = P.mT @ (B @ P)
             B = PBP if self.klass == "tan" else B - PBP
-        return as_field(B, xs)
+        return B
 
     def metric_fn(self, t):
         """The metric function of g + t B, g the structure's metric; it
@@ -131,8 +130,8 @@ class MetricVariation:
             return self.struct.metric_at
 
         def fam(xs):
-            g = as_field(self.struct.metric_at(xs), xs)
-            return as_field(g + t * self.B_at(xs, g), xs)
+            g = self.struct.metric_at(xs)
+            return g + t * self.B_at(xs, g)
 
         return fam
 
@@ -530,13 +529,11 @@ def check_support(struct, v, q):
 
 
 def action_value(struct, q, action, metric_fn=None):
-    """The action over the box; the nodes are evaluated in batches
-    (``smix_density_batch``)."""
+    """The action over the box: S_mix dvol read off one bundle per chunk of
+    nodes (``smix_density_fast``), integrated by ``node_integrals``."""
     _check_action(action)
-    struct.require_box(q.box)
-    pts, wts = grid_points(q)
-    smix, dens = smix_density_batch(struct, pts, metric_fn)
-    return pairwise_sum(x * w for x, w in zip((smix * dens).tolist(), wts))
+    return node_integrals(
+        struct, q, lambda c: np.multiply(*smix_density_fast(struct, c, metric_fn)))
 
 
 def action_derivative(struct, v, q, action="J_mix", t_step=1e-3, enforce_support=True):
@@ -544,46 +541,60 @@ def action_derivative(struct, v, q, action="J_mix", t_step=1e-3, enforce_support
 
     Quadrature nodes where the variation vanishes identically contribute the
     same value at +t and -t, so only nodes inside the support enter the
-    difference; this is exact, not an approximation.  Those nodes are
-    evaluated in batches: a batch evaluates g, B and the span W once and
-    reads the difference off one bundle over its nodes whose two members
-    are g + tB and g - tB, as ``v.metric_fn(+-t)`` would give them
-    (``_jmix_difference``).
+    difference; this is exact, not an approximation.  Each chunk of nodes
+    (``node_integrals``) evaluates g, B and the span W once at its nodes
+    inside the bump, and nothing at the others, and reads the difference
+    off one bundle whose two members are g + tB and g - tB, as
+    ``v.metric_fn(+-t)`` would give them (``_jmix_difference``).
     """
     _check_action(action)
     _check_step(t_step)
     struct.require_box(q.box)
     if enforce_support:
         check_support(struct, v, q)
-    pts, wts = grid_points(q)
-    keep = [v.box is None or _inside(pt, v.box) for pt in pts]
 
     def chunk(c):
-        xs = seed(c, 2)
+        keep = _support_mask(v, c)
+        if not keep.any():
+            return np.zeros(len(c))
+        xs = seed(c[keep], 2)
         g, W = struct.metric_at(xs), struct.dtilde_at(xs)
-        return _jmix_difference(struct, c, g, W, v.B_at(xs, gmat=g, span=W), t_step)
+        return _jmix_difference(struct, c, keep, g, W, v.B_at(xs, gmat=g, span=W), t_step)
 
-    diffs = iter(node_chunks([pt for pt, k in zip(pts, keep) if k], struct.dim, chunk))
-    return pairwise_sum(next(diffs) * w if k else 0.0
-                        for k, w in zip(keep, wts)) / (2.0 * t_step)
+    return node_integrals(struct, q, chunk) / (2.0 * t_step)
 
 
-def _jmix_difference(struct, nodes, g, W, B, t):
+def _jmix_difference(struct, nodes, keep, g, W, B, t):
     """S_mix dvol at g + tB less S_mix dvol at g - tB at the (N, d) array
-    ``nodes``, where g, the span W and B are fields at their order-2 seeds.
-    One bundle over the nodes reads both: its batch is (N, 2), the node
-    axis first, so an error names its node."""
-    signed = np.array([t, -t])[:, None, None]
-    # the bundle calls its functions only at its own seeds, which are the
-    # fields' seeds, so they may return the fields
-    smix, dens = smix_density(PointGeometry(
-        struct, nodes, metric_fn=lambda _: g[:, None] + signed * B[:, None],
-        dtilde_fn=lambda _: W[:, None]))
-    return smix[:, 0] * dens[:, 0] - smix[:, 1] * dens[:, 1]
+    ``nodes``.  The nodes outside the bump, where the node mask ``keep`` is
+    False, read 0.0; g, the span W and B are fields at the order-2 seeds of
+    the others, ``nodes[keep]``, and one bundle over those reads both
+    members: its batch is (nodes, 2), the node axis first, so an error
+    names its node."""
+    diff = np.zeros(len(nodes))
+    if keep.any():
+        signed = np.array([t, -t])[:, None, None]
+        # the bundle calls its functions only at its own seeds, which are
+        # the fields' seeds, so they may return the fields
+        smix, dens = smix_density(PointGeometry(
+            struct, nodes[keep], metric_fn=lambda _: g[:, None] + signed * B[:, None],
+            dtilde_fn=lambda _: W[:, None]))
+        diff[keep] = smix[:, 0] * dens[:, 0] - smix[:, 1] * dens[:, 1]
+    return diff
+
+
+def _support_mask(v, nodes):
+    """Whether each node of the (N, d) array ``nodes`` lies inside the bump
+    of ``v`` (``_inside``), as a bool array."""
+    return np.array([v.box is None or _inside(pt, v.box) for pt in nodes.tolist()])
 
 
 def _inside(pt, box):
-    return all(lo < x < hi for x, (lo, hi) in zip(pt, box))
+    # a loop, not all() over a generator: every node of a box passes here
+    for x, (lo, hi) in zip(pt, box):
+        if not lo < x < hi:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -648,10 +659,8 @@ def verify_bar_relation(struct, v, q, t_step=2e-3, sstar_grid=None):
             smix, dens = smix_density(PointGeometry(
                 struct, c, metric_fn=lambda _, gbar=gbar: gbar, dtilde_fn=lambda _: W))
             cols += [dens, dens * smix]
-        keep = np.array([v.box is None or _inside(pt, v.box) for pt in c.tolist()])
-        diff = np.zeros(len(c))
-        if keep.any():
-            diff[keep] = _jmix_difference(struct, c[keep], g[keep], W[keep], B[keep], t_step)
+        keep = _support_mask(v, c)
+        diff = _jmix_difference(struct, c, keep, g[keep], W[keep], B[keep], t_step)
         return np.stack(cols + [diff], axis=1)
 
     vol_p, jbar_p, vol_m, jbar_m, dj = node_integrals(struct, q, normalized)

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el

@@ -12,7 +12,8 @@ member's own pivot order and signs, and with the same error where the
 per-point bundle raises one.  A degenerate member fails a batch of metrics
 as the per-point bundle fails, naming the point; a node bundle names its
 failing node, also where a metric expression divides by zero or
-overflows there.  The identity suite reads a node bundle as it reads per-point bundles.  The frame-free chain and the density of a node bundle are
+overflows there, and refuses a metric batch that does not lead with its
+nodes.  The identity suite reads a node bundle as it reads per-point bundles.  The frame-free chain and the density of a node bundle are
 bit-identical to the per-point ones wherever the metric jets are.
 """
 
@@ -25,10 +26,10 @@ import pytest
 from mixedcurv import exprlang, gallery
 from mixedcurv import euler_lagrange as el
 from mixedcurv import variations as va
-from mixedcurv.errors import (DegenerateDistributionError, DomainError, MixedCurvError,
-                              SingularEvaluationError)
+from mixedcurv.errors import (DegenerateDistributionError, DomainError, InvalidArgumentError,
+                              MixedCurvError, SingularEvaluationError)
 from mixedcurv.geometry import (BlockView, PointGeometry, identity_suite_at, random_perp_field,
-                                smix_density_fast)
+                                smix_density, smix_density_fast)
 from mixedcurv.jets import ArrayJet, as_field, concatenate, jexp, values
 from mixedcurv.structure import DEGENERACY_TOL, load_structure
 from gram_schmidt import float_pass_loop
@@ -370,6 +371,28 @@ def test_an_expression_error_names_its_failing_node():
             PointGeometry(s, where).tan.norm_h
         assert err.value.point == (0.0, 0.1, 0.2)
         assert str(err.value) == "division by jet with zero value at point (0.0, 0.1, 0.2)"
+
+
+def test_a_metric_batch_over_nodes_leads_with_the_nodes():
+    # two metrics over three nodes; the second, with g_00 = 0.3 - x0, makes
+    # the span vector e0 null at node 2 only.  Member-first, as a (2, 3)
+    # batch, an error read node-first would name node 1, so the bundle
+    # refuses the batch; node-first, as (3, 2), it names node 2.
+    spec = ("dim = 3\ndtilde_dim = 1\nmetric 0 0 = {}\nmetric 1 1 = 1\nmetric 2 2 = 1\n"
+            "dtilde 0 = 1, 0, 0\ndomain = [-1, 1] x [-1, 1] x [-1, 1]\n")
+    s, t = load_structure(spec.format("1 + x0")), load_structure(spec.format("0.3 - x0"))
+    nodes = np.array([[0.1, 0.1, 0.1], [0.2, 0.0, 0.1], [0.3, -0.1, 0.0]])
+    def bundle(axis):
+        new = (slice(None),) * axis + (None,)
+        return PointGeometry(s, nodes, metric_fn=lambda xs: concatenate(
+            [s.metric_at(xs)[new], t.metric_at(xs)[new]], axis=axis),
+            dtilde_fn=lambda xs: s.dtilde_at(xs)[new])
+
+    with pytest.raises(InvalidArgumentError, match=r"\(2, 3\) over 3 nodes"):
+        smix_density(bundle(0))
+    with pytest.raises(SingularEvaluationError) as err:
+        smix_density(bundle(1))
+    assert str(err.value) == "degenerate distribution at point (0.3, -0.1, 0.0)"
 
 
 @pytest.mark.parametrize("expr", ["1 + exp(800*x0)", "1 + x0*1e308*10"])

@@ -1,13 +1,14 @@
 """Box integrals over node bundles against loops over per-point bundles.
 
-Every box integral evaluates its nodes in chunks (``geometry.node_chunks``)
-on array jets.  ``integrate`` and ``domain_mean`` build one bundle over a
-chunk's nodes and read it; ``action_value`` reads S_mix dvol off one bundle
-per chunk (``geometry.smix_density_batch`` calls ``smix_density_fast`` at
-the chunk); ``action_derivative`` reads one bundle over the chunk whose two
-members are g + tB and g - tB, through ``geometry.smix_density``;
-``volume`` evaluates the metric of a chunk on order-1 jets and builds no
-bundle; the J_mix gradient pairing (``pointwise_pairing.py``) assembles
+Every box integral is one ``euler_lagrange.node_integrals`` call, which
+evaluates its nodes in chunks (``geometry.node_chunks``) on array jets.
+``integrate`` and ``domain_mean`` build one bundle over a chunk's nodes and
+read it; ``action_value`` reads S_mix dvol off one bundle per chunk
+(``smix_density_fast`` at the chunk); ``action_derivative`` reads one
+bundle over the chunk's nodes inside the bump whose two members are g + tB
+and g - tB, through ``geometry.smix_density``; ``volume`` evaluates the
+metric of a chunk on order-1 jets and builds no bundle; the J_mix gradient
+pairing (``pointwise_pairing.py``) assembles
 the first variations of ``variations._RHS`` over one bundle per chunk
 through ``integrate``.  The reference is written here (and in
 ``pointwise_pairing.py`` for the pairing): a loop over per-point bundles,
@@ -22,7 +23,9 @@ give (``bar_relation.py``) bit for bit, and the bump's expressions run
 twice at node seeds in one call.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from mixedcurv import euler_lagrange as el
 from mixedcurv import exprlang, gallery
 from mixedcurv import variations as va
 from mixedcurv.errors import DomainError, InvalidArgumentError, SingularEvaluationError
-from mixedcurv.geometry import PointGeometry, smix_density_batch, smix_density_fast
+from mixedcurv.geometry import PointGeometry, node_chunks, smix_density_fast
 from mixedcurv.jets import dense, gradients, seed, value_of, values
 from mixedcurv.structure import load_structure
 from bar_relation import bar_relation_by_passes, derivative_by_two_bundles
@@ -77,7 +80,8 @@ def test_batch_density_matches_scalar_density(key, seed_, count, t, factor):
         fn = v.metric_fn(t)
     if factor != 1.0:
         fn = perp_scaled_metric(s, factor, base_metric_fn=fn)
-    smix, dens = smix_density_batch(s, pts, fn)
+    smix, dens = node_chunks(pts, s.dim, lambda c: np.stack(
+        smix_density_fast(s, c, fn), axis=1)).T
     assert smix.shape == dens.shape == (count,)
     for k, pt in enumerate(pts):
         s0, d0 = smix_density_fast(s, pt, fn)
@@ -345,3 +349,18 @@ def test_every_box_integral_refuses_a_box_outside_the_domain():
             call()
         assert str(err.value) == (
             f"box [(5, 6), (5, 6), (5, 6)] leaves the domain box {s.domain}")
+
+
+def test_node_integrals_is_the_one_box_integrator():
+    # every box integral of the package is a chunk function over
+    # node_integrals: no other function builds a grid or sums over it
+    calls = set()
+    for path in sorted(Path(el.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for n in ast.walk(top):
+                name = isinstance(n, ast.Call) and (
+                    getattr(n.func, "id", None) or getattr(n.func, "attr", None))
+                if name in ("grid_points", "pairwise_sum"):
+                    calls.add((path.name, getattr(top, "name", None), name))
+    assert calls == {("euler_lagrange.py", "node_integrals", "grid_points"),
+                     ("euler_lagrange.py", "node_integrals", "pairwise_sum")}
