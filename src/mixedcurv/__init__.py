@@ -1,17 +1,12 @@
 """Numerical extrinsic geometry of distributions on pseudo-Riemannian charts."""
 
-from .structure import ProductStructure, load_structure, adapted_frame, signature
-from .geometry import (PointGeometry, divergence, identity_suite, mixed_scalar,
-                       partial_ricci)
+from .structure import ProductStructure, load_structure, signature
+from .geometry import PointGeometry, identity_suite
 
 __all__ = [
     "ProductStructure",
     "load_structure",
-    "adapted_frame",
     "signature",
     "PointGeometry",
-    "divergence",
     "identity_suite",
-    "mixed_scalar",
-    "partial_ricci",
 ]

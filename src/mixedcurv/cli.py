@@ -35,7 +35,6 @@ from .errors import MixedCurvError, SingularEvaluationError
 from .geometry import PointGeometry, identity_suite_at, node_chunks
 from .structure import load_structure, parse_intervals
 
-DEFAULT_TOL = 1e-6
 DEFAULT_GRID = 8
 NONCRITICAL_FACTOR = 10.0
 
@@ -400,7 +399,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("identities", "el", "variations", "gallery"))
     common(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=el.DEFAULT_TOL)
     p.add_argument("--box", help='variations: quadrature box "[a,b] x [c,d] x ..."')
     p.add_argument("--grid", type=int,
                    help=f"variations: quadrature points per axis with --box "

@@ -54,11 +54,6 @@ class ExprSyntaxError(ExprError):
         self.expected = frozenset(expected)
         self.reason = message
 
-    @property
-    def diagnostic(self):
-        from .exprlang import ParseDiagnostic
-        return ParseDiagnostic(self.offset, self.expected, self.reason)
-
 
 class NameResolutionError(ExprError):
     def __init__(self, name, offset=None):

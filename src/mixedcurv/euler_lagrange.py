@@ -155,16 +155,6 @@ class ELReport:
     def verdict(self):
         return self.norm <= DEFAULT_TOL
 
-    def to_dict(self):
-        return {
-            "equation": self.equation,
-            "residual": self.residual,
-            "residual_norm": np.asarray(self.norm).tolist(),
-            "constants": self.constants,
-            "tolerance": DEFAULT_TOL,
-            "verdict": np.asarray(self.verdict).tolist(),
-        }
-
 
 def _report(geom, eq, resid, constants):
     """The report of ``resid``, with the bundle's batch axes first and at

@@ -55,13 +55,6 @@ class Binary:
     right: object
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    offset: int
-    expected: frozenset
-    message: str
-
-
 _FUNCTIONS = frozenset(jets.ELEMENTARY)
 
 
@@ -318,10 +311,6 @@ def const(v):
     return Const(float(v))
 
 
-def var(i):
-    return Var(i)
-
-
 def add(*nodes):
     out = None
     for nd in nodes:
@@ -334,14 +323,6 @@ def mul(*nodes):
     for nd in nodes:
         out = nd if out is None else Binary("*", out, nd)
     return out if out is not None else Const(1.0)
-
-
-def sub(a, b):
-    return Binary("-", a, b)
-
-
-def call(fn, node):
-    return Unary(fn, node)
 
 
 def powc(node, e):

@@ -819,31 +819,6 @@ def _field12(C, X, Y, Z):
 # ----------------------------------------------------------------------
 # module-level operations
 
-def mixed_scalar(struct, point):
-    return PointGeometry(struct, point).smix
-
-
-def partial_ricci(struct, point, side="perp"):
-    if side not in ("perp", "tan"):
-        raise SpecializationError(f"unknown side {side!r}")
-    return getattr(PointGeometry(struct, point), side).r
-
-
-def divergence(struct, point, field, mode="full"):
-    """Divergence of a user field along the chart.
-
-    ``field(geom)`` must return jet chart components built from the bundle
-    (a length-d vector or a d*d*d (1,2)-tensor); the adapted frame at the
-    displaced jet points is available through ``geom``.  Vector fields give a
-    scalar, (1,2)-tensors a (0,2) chart matrix.  ``mode`` selects the full
-    trace or the block-restricted sums ('perp' / 'tan')."""
-    geom = PointGeometry(struct, point)
-    P = field(geom)
-    if np.ndim(values(P)) == 3:
-        return geom.div_12(P, mode=mode)
-    return geom.div_vector(P, mode=mode)
-
-
 def smix_density_fast(struct, point, metric_fn=None):
     """(S_mix, sqrt|det g|) without frames, the quadrature integrand: floats
     at a point, arrays at an (N, d) array of nodes."""

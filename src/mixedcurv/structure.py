@@ -291,16 +291,6 @@ class AdaptedFrame:
     n: int             # rank of the distribution: the tangent block's size
 
     @property
-    def E(self):
-        """The n frame vectors tangent to the distribution (chart comps, rows)."""
-        return self.vectors[..., :self.n, :]
-
-    @property
-    def Eperp(self):
-        """The frame vectors spanning the orthogonal complement."""
-        return self.vectors[..., self.n:, :]
-
-    @property
     def eps_tan(self):
         return self.signs[..., :self.n]
 
@@ -415,17 +405,10 @@ def orthonormal_frame(gmat, span_vectors, dim, point=None):
     return AdaptedFrame((np.eye(dim) - Z + Z @ Z) @ Ehat, S, n)
 
 
-def adapted_frame(s, point, metric=None, dtilde=None):
-    """Adapted orthonormal frame of a structure at a point (floats or jets)."""
-    gmat = s.metric_at(point) if metric is None else metric
-    span = s.dtilde_at(point) if dtilde is None else dtilde
-    return orthonormal_frame(gmat, span, s.dim, point=_values(point))
-
-
 def signature(s, point):
     """Frame signs at ``point``; checks sign stability over 16 seeded domain samples."""
     def signs(pt):
-        fr = adapted_frame(s, pt)
+        fr = orthonormal_frame(s.metric_at(pt), s.dtilde_at(pt), s.dim, point=_values(pt))
         return tuple(fr.eps_tan.tolist()), tuple(fr.eps_perp.tolist())
 
     base = signs(point)

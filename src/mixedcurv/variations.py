@@ -147,8 +147,8 @@ def random_variation(struct, klass, seed, box=None, degree=1):
     for mu, (lo, hi) in enumerate(box):
         mid, halfw = 0.5 * (lo + hi), 0.5 * (hi - lo)
         u = exprlang.mul(exprlang.const(math.pi / (2.0 * halfw)),
-                         exprlang.sub(exprlang.var(mu), exprlang.const(mid)))
-        w = exprlang.powc(exprlang.call("cos", u), 4)
+                         exprlang.Binary("-", exprlang.Var(mu), exprlang.const(mid)))
+        w = exprlang.powc(exprlang.Unary("cos", u), 4)
         bump = w if bump is None else exprlang.mul(bump, w)
     raw = [[exprlang.const(0.0)] * d for _ in range(d)]
     for i in range(d):
@@ -157,7 +157,7 @@ def random_variation(struct, klass, seed, box=None, degree=1):
             for k in range(degree):
                 mu = rng.randrange(d)
                 poly = exprlang.add(poly, exprlang.mul(
-                    exprlang.const(rng.uniform(-1.0, 1.0)), exprlang.var(mu)))
+                    exprlang.const(rng.uniform(-1.0, 1.0)), exprlang.Var(mu)))
             entry = exprlang.mul(bump, poly)
             raw[i][j] = entry
             raw[j][i] = entry
@@ -264,9 +264,6 @@ class VariationReport:
     discrepancies: list
     order: float        # None when both sides vanish
     verdict: bool
-
-    def to_dict(self):
-        return self.__dict__ | {"verdict": bool(self.verdict)}
 
 
 # name -> (variation class, varied scalar as a bundle attribute path, block

@@ -105,6 +105,8 @@ def test_bad_config_exit_2():
      "--box", "[0.5,-0.5] x [-0.5,0.5] x [-0.5,0.5]"],
     ["verify", "variations", "--gallery", "r3_contact", "--random", "1",
      "--box", "[5,6] x [-0.5,0.5] x [-0.5,0.5]"],
+    ["inspect", "--spec", "x.spec", "--gallery", "r3_contact"],
+    ["verify", "identities", "--gallery", "r3_contact", "--points", ";"],
 ])
 def test_bad_input_exit_2(args, capsys, monkeypatch):
     # malformed numbers, empty samples, unusable tolerances, unknown
@@ -378,6 +380,20 @@ def test_verify_variations_cli(tmp_path):
                       "--random", "2"], tmp_path)
     rep = json.loads(text)
     assert code == 0 and rep["failed"] == 0
+
+
+def test_verify_variations_box_adds_the_bar_relation_check(tmp_path):
+    # --box turns the volume-normalized action relation into one more check
+    args = ["verify", "variations", "--gallery", "r3_contact", "--random", "2",
+            "--box", "[-0.3,0.3] x [-0.3,0.3] x [-0.3,0.3]", "--grid", "6"]
+    code, text = run(args, tmp_path)
+    assert code == 0
+    bar = [c for c in json.loads(text)["checks"]
+           if c["check"] == "volume-normalized-action-relation"]
+    assert len(bar) == 1 and bar[0]["grid"] == 6 and bar[0]["verdict"] is True
+    assert bar[0]["residual"] <= bar[0]["tolerance"]
+    assert bar[0]["volume_drift"] <= 1e-6
+    assert run(args, tmp_path, "again.json") == (0, text)
 
 
 @pytest.mark.parametrize("domain, message", [

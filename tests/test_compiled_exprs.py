@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedcurv import exprlang as ex
@@ -80,6 +80,9 @@ def _envs(pt):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(shared_asts(), st.sampled_from(POINTS), st.sampled_from(PARAMS))
+# zero to a negative power raises; a float non-integer power of a positive float
+@example([Binary("^", Const(0.0), Const(-1.0))], POINTS[0], None)
+@example([Binary("^", Const(1.5), Const(0.5))], POINTS[0], None)
 def test_program_matches_the_walk(asts, pt, params):
     prog = Program(asts)
     with np.errstate(all="ignore"):

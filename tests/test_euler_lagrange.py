@@ -422,9 +422,8 @@ def test_0ii_matches_3i_through_flow_reduction():
 
 def test_report_serialization():
     rep = el.el_general(struct("s3_hopf"), (0.1, 0.1, 0.1), "E-main-0i")
-    d = rep.to_dict()
-    assert d["verdict"] is True
-    assert "s_star_perp" in d["constants"]
+    assert rep.verdict
+    assert "s_star_perp" in rep.constants
 
 
 def test_domain_mean_error_quarters_when_grid_doubles():

@@ -95,6 +95,9 @@ def test_syntax_error_diagnostics():
         ex.parse("(x0", dim=1)
     with pytest.raises(ExprSyntaxError):
         ex.parse("x0 x0", dim=1)
+    with pytest.raises(ExprSyntaxError, match=r"bad numeric literal '1\.2\.3'") as info:
+        ex.parse("1.2.3", dim=1)
+    assert info.value.offset == 0 and info.value.expected == {"number"}
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +166,6 @@ def test_fuzz_garbled_inputs_never_crash(text):
 def test_parse_diagnostic_payload():
     with pytest.raises(ExprSyntaxError) as info:
         ex.parse("(1 +", dim=1)
-    diag = info.value.diagnostic
-    assert diag.offset <= 4 and diag.message
-    assert isinstance(diag.expected, frozenset)
+    err = info.value
+    assert err.offset <= 4 and err.reason
+    assert isinstance(err.expected, frozenset)

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from mixedcurv import gallery
 from mixedcurv.errors import DegenerateDistributionError
 from mixedcurv.jets import values
-from mixedcurv.structure import (DEGENERACY_TOL, _float_pass, adapted_frame, load_structure,
-                                 signature)
+from mixedcurv.structure import (DEGENERACY_TOL, _float_pass, load_structure,
+                                 orthonormal_frame, signature)
 from gram_schmidt import loop_pass
 from test_batched_bundle import STEPS, _members, _stack, _structure
 from test_random_structures import generated_structures
@@ -155,10 +155,11 @@ def test_a_frame_holds_arrays_at_float_inputs():
     s = load_structure("dim = 3\ndtilde_dim = 1\nmetric 0 0 = -1\nmetric 1 1 = 1\n"
                        "metric 2 2 = 1\ndtilde 0 = 1, 0, 0\n"
                        "domain = [-1, 1] x [-1, 1] x [-1, 1]\n")
-    fr = adapted_frame(s, (0.0, 0.0, 0.0))
+    pt = (0.0, 0.0, 0.0)
+    fr = orthonormal_frame(s.metric_at(pt), s.dtilde_at(pt), s.dim)
     assert isinstance(fr.vectors, np.ndarray) and isinstance(fr.signs, np.ndarray)
-    assert fr.E.tolist() == [[1.0, 0.0, 0.0]] and fr.eps_tan.tolist() == [-1.0]
-    assert fr.Eperp.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert fr.vectors.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert fr.eps_tan.tolist() == [-1.0]
     assert fr.eps_perp.tolist() == [1.0, 1.0]
     base = signature(s, (0.0, 0.0, 0.0))
     assert base == ((-1.0,), (1.0, 1.0)) and type(base[0][0]) is float

@@ -12,8 +12,7 @@ from mixedcurv import euler_lagrange as el
 from mixedcurv import gallery
 from mixedcurv.errors import SingularEvaluationError, SpecializationError
 from mixedcurv.geometry import (PointGeometry, identity_suite,
-                                jet_matrix_inverse, mixed_scalar,
-                                partial_ricci, smix_density_fast)
+                                jet_matrix_inverse, smix_density_fast)
 from mixedcurv.jets import ArrayJet, dense, gradients, seed, values
 from mixedcurv.structure import load_structure
 from expr_walks import pretty
@@ -142,7 +141,7 @@ def test_riemann_flat_zero_and_symmetries():
 
 def test_mixed_scalar_flat_product_zero():
     s = entry("euclidean_product").structure
-    assert mixed_scalar(s, (0.3, 0.1, -0.4)) == 0.0
+    assert PointGeometry(s, (0.3, 0.1, -0.4)).smix == 0.0
 
 
 def test_mixed_scalar_hopf_equals_ric_N():
@@ -171,7 +170,6 @@ def test_partial_ricci_proportionality_on_spheres():
     s3 = entry("s3_hopf").structure
     g3 = PointGeometry(s3, (0.1, 0.2, -0.3))
     assert np.max(np.abs(g3.perp.r - (g3.ric_N / 2.0) * np.eye(2))) < 1e-8
-    assert np.max(np.abs(partial_ricci(s3, (0.1, 0.2, -0.3), "perp") - g3.perp.r)) == 0.0
 
 
 def test_partial_ricci_trace_is_smix():
@@ -181,14 +179,6 @@ def test_partial_ricci_trace_is_smix():
         g = PointGeometry(s, pt)
         tr = sum(g.perp.eps[i] * g.perp.r[i, i] for i in range(g.p))
         assert tr == pytest.approx(g.smix, abs=1e-10)
-
-
-def test_partial_ricci_rejects_unknown_side():
-    s = entry("warped_product").structure
-    pt = s.interior_points(1, 5)[0]
-    assert np.array_equal(partial_ricci(s, pt, "tan"), PointGeometry(s, pt).tan.r)
-    with pytest.raises(SpecializationError):
-        partial_ricci(s, pt, "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +468,21 @@ def test_fast_smix_matches_bundle():
 
 
 def test_divergence_user_field_interface():
-    from mixedcurv.geometry import divergence, random_perp_field
+    from mixedcurv.geometry import random_perp_field
     s = entry("r3_contact").structure
     pt = (0.2, -0.1, 0.3)
     g = PointGeometry(s, pt)
     # vector field: the perp/full relation div-perp xi = div xi + g(xi, H)
-    val_full = divergence(s, pt, lambda gm: random_perp_field(gm, 3))
-    val_perp = divergence(s, pt, lambda gm: random_perp_field(gm, 3),
-                          mode="perp")
     xi = random_perp_field(g, 3)
+    val_full = g.div_vector(xi)
+    val_perp = g.div_vector(xi, mode="perp")
     xi0 = np.array([float(x.v) if hasattr(x, "v") else float(x) for x in xi])
     assert val_perp == pytest.approx(val_full + float(xi0 @ g.g0 @ g.tan.H0),
                                      abs=1e-10)
-    # (1,2) field: matches the bundle's own divergence of h~
-    M = divergence(s, pt, lambda gm: gm.perp.h_field)
-    assert np.max(np.abs(M - g.div_12(g.perp.h_field))) == 0.0
+    # (1,2) field: the full divergence of h~ is the sum of its block sums
+    h = g.perp.h_field
+    M = g.div_12(h)
+    assert np.max(np.abs(M - g.div_12(h, mode="perp") - g.div_12(h, mode="tan"))) < 1e-12
 
 
 def test_riemann_op_unit_sphere_closed_form():

@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package has a library caller.
+"""Every top-level definition and public member of the package has a
+library caller.
 
 A top-level definition of ``src/mixedcurv`` is reached when it has at
 least one of:
@@ -12,11 +13,24 @@ least one of:
   traced functions are named by the strings of ``tracing.SPAN_TARGETS``);
 - an entry in the package's ``__all__``.
 
+A public method or property of a class of ``src/mixedcurv`` (a name
+without a leading underscore) is read when it has at least one of:
+
+- a read in ``src/`` outside its own body: an attribute of any object, or a
+  part of a dotted string that is not a docstring (the bundle paths of
+  ``variations.FORMULAS`` and ``gallery.BUNDLE_QUANTITIES``, ``"tan.s_ex"``
+  or ``"dnorm_h_B"``, reach their members through ``attrgetter``);
+- a reference in ``perfbench/``: a name, an attribute, or a part of a
+  dotted string.
+
 A definition that only tests reach belongs in ``tests/``, beside the
-oracles there.
+oracles there; a member that only tests read is deleted, and the tests
+read what it wrapped.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,8 +65,18 @@ def _library_references(tree):
     return out
 
 
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _string_parts(text):
+    """The parts of a string that reads as a dotted name: ``"tan.s_ex"``
+    gives ``tan`` and ``s_ex``; any other string gives nothing."""
+    return text.split(".") if DOTTED.fullmatch(text) else []
+
+
 def _bench_references(tree):
-    """Every name, attribute and string of a benchmark file."""
+    """Every name, attribute, string and dotted part of a string of a
+    benchmark file."""
     out = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
@@ -61,6 +85,7 @@ def _bench_references(tree):
             out.add(n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             out.add(n.value)
+            out.update(_string_parts(n.value))
     return out
 
 
@@ -83,6 +108,51 @@ def unreached(package, bench):
     defs = [(file, st.name) for file, tree in trees.items() for st in tree.body
             if isinstance(st, (ast.FunctionDef, ast.ClassDef))]
     return sorted(f"{file}:{name}" for file, name in defs if name not in reached)
+
+
+def _docstrings(tree):
+    """The ids of the docstring nodes of a module and its definitions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+
+
+def _member_reads(node, skip):
+    """The member names read under ``node``: attributes, and the dotted parts
+    of its strings whose ids are not in ``skip``."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and id(n) not in skip):
+            out.update(_string_parts(n.value))
+    return out
+
+
+def unread_members(package, bench):
+    """``file:Class.member`` of each public method and property of a class
+    of ``package`` ((file, text) pairs) that nothing above reads; ``bench``
+    holds the benchmark's (file, text) pairs."""
+    trees = {file: ast.parse(text, filename=file) for file, text in package}
+    skips = {file: _docstrings(tree) for file, tree in trees.items()}
+    reads = sum((_member_reads(tree, skips[file]) for file, tree in trees.items()), Counter())
+    bench_refs = set()
+    for file, text in bench:
+        bench_refs |= _bench_references(ast.parse(text, filename=file))
+    left = []
+    for file, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or fn.name.startswith("_") or fn.name in bench_refs):
+                    continue
+                if reads[fn.name] - _member_reads(fn, skips[file])[fn.name] <= 0:
+                    left.append(f"{file}:{cls.name}.{fn.name}")
+    return sorted(left)
 
 
 def test_every_definition_has_a_library_caller():
@@ -125,6 +195,55 @@ __all__ = ["used", "Holder", "exported"]
 """
 
 
+def test_every_public_member_is_read_by_the_library():
+    package = _sources(PACKAGE)
+    left = unread_members(package, _sources(ROOT / "perfbench"))
+    assert not left, (f"{len(left)} public members only tests read; delete them and "
+                      "let the tests read what they wrap:\n" + "\n".join(left))
+
+
 def test_a_same_named_method_or_own_body_does_not_count():
     left = unreached([("pkg.py", SYNTHETIC)], [("bench.py", "lib.pkg.benched()")])
     assert left == ["pkg.py:method_alike", "pkg.py:recursive"]
+    # the method reads itself only inside its own body
+    members = unread_members([("pkg.py", SYNTHETIC)], [])
+    assert members == ["pkg.py:Holder.method_alike"]
+
+
+SYNTHETIC_MEMBERS = """
+\"\"\"Frame.in_docstring\"\"\"
+
+PATHS = {"first": "frame.tan.by_path"}
+
+
+class Frame:
+    @property
+    def by_path(self):
+        return 0
+
+    def by_attribute(self):
+        return 0
+
+    def own_body(self, k):
+        return self.own_body(k - 1) if k else 0
+
+    def in_docstring(self):
+        \"\"\"in_docstring\"\"\"
+        return 0
+
+    def benched(self):
+        return 0
+
+    def _private(self):
+        return 0
+
+
+def use(frame):
+    return frame.by_attribute()
+"""
+
+
+def test_a_member_counts_through_an_attribute_or_a_dotted_string():
+    left = unread_members([("pkg.py", SYNTHETIC_MEMBERS)],
+                          [("bench.py", 'SPANS = ("pkg", "Frame.benched")')])
+    assert left == ["pkg.py:Frame.in_docstring", "pkg.py:Frame.own_body"]

@@ -11,7 +11,7 @@ from mixedcurv.errors import (DegenerateDistributionError, DomainError,
 from mixedcurv.euler_lagrange import QuadratureSpec, volume
 from mixedcurv.geometry import identity_suite, smix_density_fast
 from mixedcurv.jets import seed
-from mixedcurv.structure import (DEGENERACY_TOL, _float_pass, adapted_frame, load_structure,
+from mixedcurv.structure import (DEGENERACY_TOL, _float_pass, load_structure,
                                  orthonormal_frame, signature)
 
 FLAT = """
@@ -49,14 +49,39 @@ def test_lower_triangle_rejected():
         load_structure(FLAT + "metric 1 0 = 2\n")
 
 
+# (spec, the message that rejects it); after the first, each is FLAT with one change
+BAD_SPECS = [
+    ("dim = 2\n", "missing required key 'dtilde_dim'"),
+    (FLAT.replace("[-1, 1] x [-1, 1] x [-1, 1]", "[-1, 1] x [-1, 1]"),
+     "domain needs 3 intervals, got 2"),
+    (FLAT.replace("dtilde_dim = 1", "dtilde_dim = 3"),
+     "need 1 <= dtilde_dim < dim, got 3 and 3"),
+    ("dim 3\n" + FLAT, "line 1: expected 'key = value'"),
+    (FLAT + "metric 1 1 = 2\n", "line 9: duplicate metric entry 1 1"),
+    (FLAT + "dtilde 0 = 0, 1, 0\n", "line 9: duplicate dtilde entry 0"),
+    (FLAT + "dim = 3\n", "line 9: duplicate key 'dim'"),
+    (FLAT.replace("dim = 3", "dim = three"),
+     "dim/dtilde_dim must be integers: invalid literal for int() with base 10: 'three'"),
+    (FLAT + "params = c 1\n", "params entry 'c 1' must be 'name: value'"),
+    (FLAT + "params = 2c: 1\n", "bad parameter name '2c'"),
+    (FLAT + "params = c: one\n", "bad parameter value for 'c'"),
+    (FLAT + "metric 1 3 = 0\n", "metric 1 3: index out of range for dim 3"),
+    (FLAT.replace("metric 0 0 = 1\nmetric 1 1 = 1\nmetric 2 2 = 1", "metric 0 1 = 1"),
+     "metric has no diagonal entries"),
+    (FLAT.replace("dtilde_dim = 1", "dtilde_dim = 2"), "missing dtilde 1"),
+    (FLAT.replace("dtilde 0 = 1, 0, 0", "dtilde 0 = 1, 0"),
+     "dtilde 0: expected 3 components, got 2"),
+    (FLAT + "dtilde 2 = 0, 0, 1\n", "dtilde indices out of range: [2]"),
+    (FLAT.replace("[-1, 1] x [-1, 1] x [-1, 1]", "(-1, 1) x [-1, 1] x [-1, 1]"),
+     "bad domain interval '(-1, 1)'"),
+]
+
+
 def test_missing_keys_and_bad_domain():
-    with pytest.raises(SpecFormatError):
-        load_structure("dim = 2\n")
-    with pytest.raises(SpecFormatError):
-        load_structure(FLAT.replace("[-1, 1] x [-1, 1] x [-1, 1]",
-                                    "[-1, 1] x [-1, 1]"))
-    with pytest.raises(SpecFormatError):
-        load_structure(FLAT.replace("dtilde_dim = 1", "dtilde_dim = 3"))
+    for spec, message in BAD_SPECS:
+        with pytest.raises(SpecFormatError) as err:
+            load_structure(spec)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("line, key", [("nmae = typo", "nmae"),
@@ -86,16 +111,17 @@ def test_lorentz_metric_values():
 
 def test_euclidean_frame_is_coordinate_basis():
     s = load_structure(FLAT)
-    fr = adapted_frame(s, (0.2, 0.1, -0.5))
-    assert np.allclose(fr.E, [[1, 0, 0]])
-    assert np.allclose(fr.Eperp, [[0, 1, 0], [0, 0, 1]])
+    pt = (0.2, 0.1, -0.5)
+    fr = orthonormal_frame(s.metric_at(pt), s.dtilde_at(pt), s.dim)
+    assert np.allclose(fr.vectors, np.eye(3))
     assert fr.eps_tan.tolist() == [1.0] and fr.eps_perp.tolist() == [1.0, 1.0]
 
 
 def test_contact_frame_normalizes_reeb_field():
     e = gallery.load_entry("r3_contact")
-    fr = adapted_frame(e.structure, (0.0, 1.0, 2.0))
-    assert np.allclose(fr.E[0], [0, 0, 2])    # xi = 2 d/dz
+    s, pt = e.structure, (0.0, 1.0, 2.0)
+    fr = orthonormal_frame(s.metric_at(pt), s.dtilde_at(pt), s.dim)
+    assert np.allclose(fr.vectors[0], [0, 0, 2])    # xi = 2 d/dz
 
 
 def test_frame_orthonormality_random_points():
@@ -104,8 +130,8 @@ def test_frame_orthonormality_random_points():
     for name, npts in counts.items():
         s = gallery.load_entry(name).structure
         for pt in s.interior_points(npts, 5):
-            fr = adapted_frame(s, pt)
             g = np.array(s.metric_at(list(pt)))
+            fr = orthonormal_frame(g, s.dtilde_at(pt), s.dim)
             F = np.array(fr.vectors)
             gram = F @ g @ F.T
             assert np.max(np.abs(gram - np.diag(fr.signs))) < 1e-10
@@ -121,11 +147,11 @@ metric 1 1 = 1
 dtilde 0 = 1, 0.5
 domain = [-1, 1] x [-1, 1]
 """)
-    fr = adapted_frame(s, (0.0, 0.0))
+    fr = orthonormal_frame(s.metric_at((0.0, 0.0)), s.dtilde_at((0.0, 0.0)), s.dim)
     norm = math.sqrt(0.75)
     assert fr.eps_tan.tolist() == [-1.0]
     assert fr.eps_perp.tolist() == [1.0]
-    assert np.allclose(fr.E[0], [1 / norm, 0.5 / norm], atol=1e-12)
+    assert np.allclose(fr.vectors[0], [1 / norm, 0.5 / norm], atol=1e-12)
     g = np.diag([-1.0, 1.0])
     F = np.array(fr.vectors)
     assert np.max(np.abs(F @ g @ F.T - np.diag([-1, 1]))) < 1e-12
@@ -141,7 +167,7 @@ dtilde 0 = 1, 1
 domain = [-1, 1] x [-1, 1]
 """)
     with pytest.raises(DegenerateDistributionError):
-        adapted_frame(s, (0.0, 0.0))
+        orthonormal_frame(s.metric_at((0.0, 0.0)), s.dtilde_at((0.0, 0.0)), s.dim)
 
 
 @pytest.mark.parametrize("big", [1e8, 1e10, 1e15])
@@ -156,7 +182,7 @@ metric 1 1 = 1
 dtilde 0 = 1, 0
 domain = [-1, 1] x [-1, 1]
 """)
-    fr = adapted_frame(s, (0.0, 0.0))
+    fr = orthonormal_frame(s.metric_at((0.0, 0.0)), s.dtilde_at((0.0, 0.0)), s.dim)
     assert fr.signs.tolist() == [1.0, 1.0]
     assert np.allclose(fr.vectors, [[big ** -0.5, 0.0], [0.0, 1.0]],
                        rtol=1e-15, atol=0.0)
@@ -172,16 +198,15 @@ def test_frame_jets_match_finite_differences():
     s = e.structure
     pt = (0.2, -0.3, 0.4)
     jets = seed(pt, 1)
-    fr = adapted_frame(s, jets,
-                       metric=s.metric_at(jets), dtilde=s.dtilde_at(jets))
+    fr = orthonormal_frame(s.metric_at(jets), s.dtilde_at(jets), s.dim)
     h = 1e-5
     for mu in range(3):
         pp = list(pt)
         pm = list(pt)
         pp[mu] += h
         pm[mu] -= h
-        fp = adapted_frame(s, pp)
-        fm = adapted_frame(s, pm)
+        fp = orthonormal_frame(s.metric_at(pp), s.dtilde_at(pp), s.dim)
+        fm = orthonormal_frame(s.metric_at(pm), s.dtilde_at(pm), s.dim)
         for k in range(3):
             for comp in range(3):
                 fd = (fp.vectors[k][comp] - fm.vectors[k][comp]) / (2 * h)

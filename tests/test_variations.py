@@ -369,14 +369,14 @@ def test_bar_relation_volume_preserving_variation_trivial():
     for mu, (lo, hi) in enumerate(q.box):
         mid, halfw = 0.5 * (lo + hi), 0.5 * (hi - lo)
         u = exprlang.mul(exprlang.const(math.pi / (2 * halfw)),
-                         exprlang.sub(exprlang.var(mu), exprlang.const(mid)))
-        bump_bits.append(exprlang.powc(exprlang.call("cos", u), 4))
+                         exprlang.Binary("-", exprlang.Var(mu), exprlang.const(mid)))
+        bump_bits.append(exprlang.powc(exprlang.Unary("cos", u), 4))
     bump = exprlang.mul(*bump_bits)
     qb = el.integrate(s, lambda g: 2.0 * values(exprlang.evaluate(bump, g.seeds, {})), q)
     c = mass / qb
     raw = [row[:] for row in v0.raw]
     for i in (1, 2):
-        raw[i][i] = exprlang.sub(raw[i][i], exprlang.mul(exprlang.const(c), bump))
+        raw[i][i] = exprlang.Binary("-", raw[i][i], exprlang.mul(exprlang.const(c), bump))
     v = va.MetricVariation(s, raw, "perp", box=q.box)
     rep = va.verify_bar_relation(s, v, q, t_step=2e-3)
     assert abs(rep["int_trace_B"]) < 1e-10
